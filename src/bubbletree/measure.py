@@ -40,9 +40,6 @@ __all__ = [
     "measure_from_csv",
 ]
 
-_MASS_CACHE_RTOL = 1e-12
-
-
 @dataclass(frozen=True)
 class WeightedParticleMeasure:
     """Finite nonnegative measure given by weighted atoms in a chart.
@@ -84,10 +81,7 @@ class WeightedParticleMeasure:
 
     @property
     def mass(self) -> float:
-        """Total mass; cached at construction and revalidated on access."""
-        current = float(self.weights.sum())
-        if abs(current - self._mass) > _MASS_CACHE_RTOL * max(abs(self._mass), 1.0):
-            raise MeasureError("mass cache out of sync with weights")
+        """Total mass, summed once at construction (the arrays are read-only)."""
         return self._mass
 
     def __len__(self) -> int:

@@ -7,6 +7,12 @@ bisection on the monotone mass-outside function; the balanced center q is
 the zero of the first-moment functional F(q) of the renormalized measure,
 located by a degree (winding) argument followed by damped Newton.
 
+Every probe of F solves a neck scale, so that solve never sorts the whole
+measure: it selects and sorts only the far tail of atoms holding 2 eps_bar,
+reads off the crossing radius d* where the tail's mass beyond crosses
+eps_bar, and replays the bisection in scalar floats against d* (see
+solve_neck_scale for the rounding assumption this rests on).
+
 Two marking procedures wrap this machinery: one for concentration at a
 smooth point (solve for q, then t), one for concentration at a node (q is
 pinned at the node; only the cut radius r is solved).
@@ -43,6 +49,9 @@ __all__ = [
     "mark_nodal_bubble",
 ]
 
+# fewest atoms in the first far-tail guess of solve_neck_scale
+_TAIL_MIN = 256
+
 
 def cross_ratio(q: complex, t: float, x):
     """R_{q,t}(x) = (1/t - 1)(x - q); sends q to 0 and q + t/(1-t) to 1."""
@@ -57,21 +66,6 @@ def renormalization_map(q: complex, t: float) -> PlanarMoebius:
         raise ValueError(f"t must lie in (0, 1), got {t}")
     scale = 1.0 / t - 1.0
     return PlanarMoebius.affine(scale, -scale * q)
-
-
-def _radial_profile(mu: WeightedParticleMeasure, q: complex):
-    """Sorted distances from q and the cumulative weights, for O(log n) mass queries."""
-    d = np.abs(mu.points - q)
-    order = np.argsort(d, kind="stable")
-    d_sorted = d[order]
-    cum = np.concatenate([[0.0], np.cumsum(mu.weights[order])])
-    return d_sorted, cum
-
-
-def _mass_outside_radius(d_sorted, cum, s: float) -> float:
-    # atoms with distance exactly s count as outside
-    idx = int(np.searchsorted(d_sorted, s, side="left"))
-    return float(cum[-1] - cum[idx])
 
 
 @dataclass(frozen=True)
@@ -105,6 +99,23 @@ def solve_neck_scale(
     level or to a jump.  A jump solution is accepted when the jump is small
     (below gap_fraction of the total mass, a discretization artifact) and
     rejected as "not spanning" otherwise.
+
+    No step sorts the whole measure.  Only the far tail is sorted: the
+    farthest atoms from q, doubled in count until they carry 2 eps_bar of
+    mass (or are all the atoms).  The tail's suffix masses give the crossing
+    radius d*, the largest tail distance with mass at least eps_bar at or
+    beyond it, so mass_outside(s) >= eps_bar exactly when s <= d*.  The
+    bisection is then replayed in plain floats with that test, and the
+    mass values of its history are read from the tail in one vectorized
+    lookup; radii at or below the tail's nearest distance take a masked sum
+    over all atoms.  A final walk over the recorded steps applies the tol
+    early exit.  The result carries the same t, s and history t values as a
+    bisection that evaluates a fully sorted profile at every step, and mass
+    values equal to it up to rounding, provided no plateau of the mass
+    function lies within rounding (about 1e-16 of the total) of eps_bar.
+    The same holds for the other levels a comparison reads: eps_bar +- tol
+    (early exit), eps_bar +- gap_fraction * total (jump test) and the
+    midpoint of a jump (nearer end).
     """
     if eps_bar <= 0.0:
         raise NeckScaleError(f"eps_bar must be positive, got {eps_bar}")
@@ -115,37 +126,84 @@ def solve_neck_scale(
         )
     if tol is None:
         tol = 1e-9 * total
-    d_sorted, cum = _radial_profile(mu, q)
-    positive = d_sorted[d_sorted > 0.0]
-    if not len(positive):
+    d = np.abs(mu.points - q)
+    w = mu.weights
+    n = len(d)
+    d_max = float(d.max())
+    if d_max == 0.0:
         raise NeckScaleError("energy below quantum: all mass sits at q")
-    reachable = float(cum[-1] - cum[int(np.searchsorted(d_sorted, 0.0, side="right"))])
-    if reachable <= eps_bar:
-        raise NeckScaleError(
-            f"mass function not spanning eps_bar: only {reachable:.6g} away from q"
-        )
+    d_min = float(d.min())
+    reachable = total
+    if d_min == 0.0:
+        away = d > 0.0
+        reachable = float(w[away].sum())
+        if reachable <= eps_bar:
+            raise NeckScaleError(
+                f"mass function not spanning eps_bar: only {reachable:.6g} away from q"
+            )
+        d_min = float(d[away].min())
+
+    # far tail: the m farthest atoms, holding every atom beyond the cut
+    # d_tail[0].  First guess: four times the count that would carry
+    # 2 eps_bar at equal weights (far atoms are light)
+    m = min(n, max(_TAIL_MIN, int(8.0 * eps_bar / total * n)))
+    while True:
+        idx = np.argpartition(d, n - m)[n - m :] if m < n else np.arange(n)
+        if m == n or float(w[idx].sum()) >= 2.0 * eps_bar:
+            break
+        m = min(n, 2 * m)
+    idx = idx[np.argsort(d[idx])]
+    d_tail = d[idx]
+    suffix = np.append(np.cumsum(w[idx][::-1])[::-1], 0.0)
+    # crossing radius: mass_outside(s) >= eps_bar exactly when s <= d_star
+    n_cross = int(np.count_nonzero(suffix >= eps_bar))
+    d_star = float(d_tail[n_cross - 1]) if n_cross else -np.inf
 
     def s_of(t: float) -> float:
         return t / (1.0 - t)
 
-    def f(t: float) -> float:
-        return _mass_outside_radius(d_sorted, cum, s_of(t))
-
-    s_lo = float(positive[0]) * 0.5
-    s_hi = float(d_sorted[-1]) * 2.0 + 1.0
+    # the full-width bisection, decided by the crossing radius
+    s_lo = d_min * 0.5
+    s_hi = d_max * 2.0 + 1.0
     t_lo = s_lo / (1.0 + s_lo)
     t_hi = s_hi / (1.0 + s_hi)
-    f_lo, f_hi = f(t_lo), f(t_hi)
+    ts = [t_lo, t_hi]
+    goes_lo = []
+    a, b = t_lo, t_hi
+    while (b - a) > 1e-14:
+        t_mid = 0.5 * (a + b)
+        lo = s_of(t_mid) <= d_star
+        ts.append(t_mid)
+        goes_lo.append(lo)
+        if lo:
+            a = t_mid
+        else:
+            b = t_mid
+    t_arr = np.array(ts)
+    s_arr = t_arr / (1.0 - t_arr)
+    f_arr = suffix[np.searchsorted(d_tail, s_arr, side="left")]
+    # s_lo lies below every positive distance, unless it underflows to 0
+    # and so also counts the atoms at q; other radii at or inside the tail
+    # cut see atoms beyond the tail and take a masked sum
+    inside = s_arr <= d_tail[0] if m < n else np.zeros(len(s_arr), dtype=bool)
+    if 0.0 < s_arr[0] <= d_min:
+        f_arr[0] = reachable
+        inside[0] = False
+    for i in np.nonzero(inside)[0]:
+        f_arr[i] = (w * (d >= s_arr[i])).sum()
+    fs = f_arr.tolist()
+
+    f_lo, f_hi = fs[0], fs[1]
     history = [(t_lo, f_lo), (t_hi, f_hi)]
     if not (f_lo >= eps_bar >= f_hi):
         raise NeckScaleError(
             f"mass function not spanning eps_bar: range [{f_hi:.6g}, {f_lo:.6g}]"
         )
-    while abs(f_lo - eps_bar) > tol and abs(f_hi - eps_bar) > tol and (t_hi - t_lo) > 1e-14:
-        t_mid = 0.5 * (t_lo + t_hi)
-        f_mid = f(t_mid)
+    for t_mid, f_mid, lo in zip(ts[2:], fs[2:], goes_lo):
+        if abs(f_lo - eps_bar) <= tol or abs(f_hi - eps_bar) <= tol:
+            break
         history.append((t_mid, f_mid))
-        if f_mid >= eps_bar:
+        if lo:
             t_lo, f_lo = t_mid, f_mid
         else:
             t_hi, f_hi = t_mid, f_mid
@@ -256,20 +314,11 @@ def _center_value(
     q: complex,
     eps_bar: float,
     tol: float | None,
-    smoothing: float,
 ) -> tuple[complex, NeckScaleResult]:
     res = solve_neck_scale(mu, q, eps_bar, tol)
     scale = 1.0 / res.t - 1.0
-    d = np.abs(mu.points - q)
-    if smoothing > 0.0:
-        # cosine ramp on the cut circle, full weight inside, zero outside
-        rho = d / res.s
-        ramp = np.clip((1.0 + smoothing - rho) / (2.0 * smoothing), 0.0, 1.0)
-        psi = 0.5 - 0.5 * np.cos(np.pi * ramp)
-        moment = complex(np.sum(psi * mu.weights * (mu.points - q)) * scale)
-    else:
-        sel = d < res.s
-        moment = complex(np.sum(mu.weights[sel] * (mu.points[sel] - q)) * scale)
+    sel = np.abs(mu.points - q) < res.s
+    moment = complex(np.sum(mu.weights[sel] * (mu.points[sel] - q)) * scale)
     return moment, res
 
 
@@ -278,15 +327,9 @@ def center_functional(
     q: complex,
     eps_bar: float,
     tol: float | None = None,
-    smoothing: float = 0.0,
 ) -> complex:
-    """F(q): first moment over the open unit disk of the renormalized measure.
-
-    smoothing > 0 replaces the disk indicator by a cosine ramp of relative
-    bandwidth `smoothing` on the cut circle, for continuity checks on
-    measures with atoms near the cut.
-    """
-    return _center_value(mu, q, eps_bar, tol, smoothing)[0]
+    """F(q): first moment over the open unit disk of the renormalized measure."""
+    return _center_value(mu, q, eps_bar, tol)[0]
 
 
 def _winding_number(values: np.ndarray) -> int:
@@ -351,7 +394,7 @@ def find_balanced_center(
         fd_step = max(1e-10, 1e-5 * float(ladder.delta[2 * k]))
 
     def value(q: complex) -> complex:
-        return _center_value(mu, q, eps_bar, None, 0.0)[0]
+        return _center_value(mu, q, eps_bar, None)[0]
 
     def finish(q: complex, val: complex, winding: int, boundary_ok: bool, zeros, flag):
         scale_res = solve_neck_scale(mu, q, eps_bar)

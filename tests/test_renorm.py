@@ -1,9 +1,12 @@
 """Neck-scale solver, balanced centers, and marking validation."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from bubbletree import (
     WeightedParticleMeasure,
@@ -16,7 +19,9 @@ from bubbletree import (
     solve_neck_scale,
     solve_neck_scale_from_cdf,
 )
+from bubbletree import renorm
 from bubbletree.errors import CenterError, MarkingError, NeckScaleError
+from bubbletree.renorm import NeckScaleResult
 
 FOUR_PI = 4.0 * math.pi
 T_ORACLE = 2.0 * math.sqrt(3.0) - 3.0
@@ -96,6 +101,134 @@ def test_neck_scale_rejects_fat_jump():
     mu = WeightedParticleMeasure(pts, wts, 3.0)
     with pytest.raises(NeckScaleError, match="not spanning"):
         solve_neck_scale(mu, 0j, 0.25)
+
+
+def full_sort_neck_scale(mu, q, eps_bar, tol=None, gap_fraction=0.05):
+    """Reference: bisection on the fully (stably) sorted radial profile,
+    evaluating the mass function from the prefix sums at every step."""
+    if eps_bar <= 0.0:
+        raise NeckScaleError(f"eps_bar must be positive, got {eps_bar}")
+    total = mu.mass
+    if total <= eps_bar:
+        raise NeckScaleError(f"energy below quantum: total mass {total:.6g}")
+    tol = 1e-9 * total if tol is None else tol
+    d = np.abs(mu.points - q)
+    order = np.argsort(d, kind="stable")
+    d_sorted = d[order]
+    cum = np.concatenate([[0.0], np.cumsum(mu.weights[order])])
+    positive = d_sorted[d_sorted > 0.0]
+    if not len(positive):
+        raise NeckScaleError("energy below quantum: all mass sits at q")
+    reachable = float(cum[-1] - cum[int(np.searchsorted(d_sorted, 0.0, side="right"))])
+    if reachable <= eps_bar:
+        raise NeckScaleError(f"mass function not spanning eps_bar: only {reachable:.6g}")
+
+    def f(t):
+        idx = int(np.searchsorted(d_sorted, t / (1.0 - t), side="left"))
+        return float(cum[-1] - cum[idx])
+
+    s_lo, s_hi = float(positive[0]) * 0.5, float(d_sorted[-1]) * 2.0 + 1.0
+    t_lo, t_hi = s_lo / (1.0 + s_lo), s_hi / (1.0 + s_hi)
+    f_lo, f_hi = f(t_lo), f(t_hi)
+    history = [(t_lo, f_lo), (t_hi, f_hi)]
+    if not (f_lo >= eps_bar >= f_hi):
+        raise NeckScaleError("mass function not spanning eps_bar: range")
+    while abs(f_lo - eps_bar) > tol and abs(f_hi - eps_bar) > tol and (t_hi - t_lo) > 1e-14:
+        t_mid = 0.5 * (t_lo + t_hi)
+        f_mid = f(t_mid)
+        history.append((t_mid, f_mid))
+        if f_mid >= eps_bar:
+            t_lo, f_lo = t_mid, f_mid
+        else:
+            t_hi, f_hi = t_mid, f_mid
+    history.sort(key=lambda p: p[0])
+    gap = f_lo - f_hi
+    t_star, f_star = (t_lo, f_lo) if abs(f_lo - eps_bar) <= abs(f_hi - eps_bar) else (t_hi, f_hi)
+    residual = abs(f_star - eps_bar)
+    tol_effective = max(tol, min(gap, gap_fraction * total))
+    if residual > tol_effective:
+        raise NeckScaleError("mass function not spanning eps_bar: residual")
+    s_star = t_star / (1.0 - t_star)
+    return NeckScaleResult(t_star, s_star, f_star, residual, tol_effective, tuple(history))
+
+
+def _separated(mu, q, eps_bar, tol, gap_fraction=0.05):
+    """True when every decision of the bisection is clear of rounding: no
+    plateau of the mass function (summed exactly) near eps_bar, eps_bar +- tol
+    or the fat-jump bound, and eps_bar not near the middle of a jump."""
+    d = np.abs(mu.points - q)
+    levels = [math.fsum(mu.weights[d >= v]) for v in np.unique(d)] + [0.0]
+    margin = 1e-9 * mu.mass
+    for p in levels:
+        for level in (eps_bar, eps_bar + tol, eps_bar - tol):
+            if abs(p - level) <= margin:
+                return False
+        if abs(abs(p - eps_bar) - gap_fraction * mu.mass) <= margin:
+            return False
+    return all(abs(0.5 * (a + b) - eps_bar) > margin for a, b in zip(levels, levels[1:]))
+
+
+def _outcome(solver, mu, q, eps_bar, tol):
+    try:
+        return solver(mu, q, eps_bar, tol)
+    except NeckScaleError as exc:
+        return exc
+
+
+@st.composite
+def neck_instances(draw):
+    """(points, weights, q, eps_bar / total, tol / total or None, first tail size)."""
+    q = draw(st.sampled_from([0j, 0.25 - 0.5j]))
+    radius = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5]), st.floats(0.0, 2.0))
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(1.0, 8.0))
+    points, weights = [], []
+    for r, k, copies in draw(
+        st.lists(st.tuples(radius, st.integers(0, 7), st.integers(1, 4)), min_size=1, max_size=16)
+    ):
+        # duplicates and, around q = 0, the four axis directions give exact ties
+        points += [q + r * complex(math.cos(k * math.pi / 4), math.sin(k * math.pi / 4))] * copies
+        weights += draw(st.lists(weight, min_size=copies, max_size=copies))
+    eps_frac = draw(st.one_of(st.floats(0.01, 0.999), st.sampled_from([0.9, 0.99])))
+    tol_frac = draw(st.one_of(st.none(), st.floats(1e-6, 0.3)))
+    return points, weights, q, eps_frac, tol_frac, draw(st.sampled_from([1, 2, 5, 256]))
+
+
+@given(case=neck_instances())
+@example(case=([0.5] * 10 + [2.0] * 10, [0.05] * 20, 0j, 0.3, None, 1))  # fat jump
+@example(case=([0j] * 3 + [1.0, 1j, -1.0, -1j], [0.3] * 3 + [0.1] * 4, 0j, 0.28, None, 1))
+@example(case=([0j] * 3 + [1.0, 1j, -1.0, -1j], [0.3] * 3 + [0.1] * 4, 0j, 0.35, None, 1))
+@example(case=([1.0, 1j, -1.0, -1j, 0.5, 2.0], [1.0, 0.0, 1.0, 0.0, 2.0, 0.25], 0j, 0.97, None, 1))
+@example(case=([0.1 * (k + 1) for k in range(12)], [0.5] * 12, 0j, 0.31, 0.15, 1))  # tol exit
+@example(  # light far atoms: the tail doubles three times before it holds 2 eps_bar
+    case=([0.1] * 10 + [1.0, 1.1, 1.2, 1.3], [1.0] * 10 + [0.04] * 4, 0j, 0.01, None, 1)
+)
+@example(  # nearest positive distance denormal: s_lo underflows to 0 and counts the atom at q
+    case=([0j] * 7 + [5e-324 + 0j], [0.0] * 6 + [1.0, 1.0], 0j, 0.46875, None, 1)
+)
+@settings(max_examples=300, deadline=None)
+def test_tail_solver_matches_full_sort_bisection(case):
+    points, weights, q, eps_frac, tol_frac, tail_min = case
+    pts = np.asarray(points, dtype=complex)
+    mu = WeightedParticleMeasure(pts, np.asarray(weights), 1.0 + float(np.abs(pts).max()))
+    total = mu.mass
+    eps_bar = eps_frac * total
+    tol = None if tol_frac is None else tol_frac * total
+    assume(total == 0.0 or _separated(mu, q, eps_bar, 1e-9 * total if tol is None else tol))
+    with mock.patch.object(renorm, "_TAIL_MIN", tail_min):
+        got = _outcome(solve_neck_scale, mu, q, eps_bar, tol)
+    want = _outcome(full_sort_neck_scale, mu, q, eps_bar, tol)
+    if isinstance(want, Exception):
+        assert type(got) is type(want)
+        assert str(got).split(":")[0] == str(want).split(":")[0]
+        return
+    assert not isinstance(got, Exception), got
+    bound = 1e-12 * total
+    assert (got.t, got.s) == (want.t, want.s)
+    assert [t for t, _ in got.history] == [t for t, _ in want.history]
+    for (_, fg), (_, fw) in zip(got.history, want.history):
+        assert abs(fg - fw) <= bound
+    assert abs(got.mass_outside - want.mass_outside) <= bound
+    assert abs(got.tol_effective - want.tol_effective) <= bound
 
 
 def gaussian_cloud(center, sigma, n, mass, chart, seed):
