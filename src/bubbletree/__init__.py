@@ -12,100 +12,26 @@ driver      residual-energy induction assembling the bubble tree
 cli         config-driven orchestration and report emission
 """
 
-from .curve import (
-    BubbleInsertion,
-    ForgetResult,
-    MarkedNodalCurve,
-    PointImage,
-    RegularityVerdict,
-    StabilityReport,
-    add_bubble_component,
-    curve_from_text,
-    curve_to_text,
-    curves_isomorphic,
-    forget_mark,
-    is_regular_node,
-    is_stable,
-)
-from .driver import (
-    BubbleTree,
-    ExtractionConfig,
-    IdentityCheck,
-    NeckRecord,
-    ResidualEnergyLedger,
-    SingularSite,
-    TreeComponent,
-    energy_identity_check,
-    extract_bubble_tree,
-    residual_energy,
-)
-from .errors import (
-    BubbleTreeError,
-    CenterError,
-    ConcentrationError,
-    ConfigError,
-    CurveError,
-    DriverError,
-    FamilyError,
-    LadderError,
-    MarkingError,
-    MeasureError,
-    NeckError,
-    NeckScaleError,
-)
-from .families import (
-    Family,
-    FamilyMember,
-    FamilySpec,
-    PlumbingFamily,
-    RationalMap,
-    RationalMapFamily,
-    density_to_measure,
-    energy_quadrature,
-    make_family,
-)
-from .measure import (
-    ConcentrationReport,
-    ConcentrationSite,
-    PlanarMoebius,
-    ScaleLadder,
-    WeightedParticleMeasure,
-    build_scale_ladder,
-    detect_concentrations,
-    mass_in,
-    pushforward,
-    restrict,
-)
-from .neck import (
-    CylinderField,
-    FlatTorusTarget,
-    NeckDiagnostics,
-    PlaneTarget,
-    PolarAnnulusField,
-    SphereTarget,
-    ZeroNeckReport,
-    ZeroNeckRow,
-    cylinder_field_from_sphere_chart,
-    diagnostics,
-    pohozaev_residual,
-    profile_to_csv,
-    theta_bounds_check,
-    zero_neck_test,
-)
-from .quadrature import PanelQuadrature, adaptive_polar_quadrature
-from .renorm import (
-    CenterResult,
-    Marking,
-    NeckScaleResult,
-    build_nodal_pushforward,
-    center_functional,
-    cross_ratio,
-    find_balanced_center,
-    mark_nodal_bubble,
-    mark_smooth_bubble,
-    renormalization_map,
-    solve_neck_scale,
-    solve_neck_scale_from_cdf,
-)
+from . import curve, driver, errors, families, measure, neck, quadrature, renorm
+# each module's __all__ is its public surface; the package re-exports all of them
+from .curve import *
+from .driver import *
+from .errors import *
+from .families import *
+from .measure import *
+from .neck import *
+from .quadrature import *
+from .renorm import *
+
+__all__ = [
+    *curve.__all__,
+    *driver.__all__,
+    *errors.__all__,
+    *families.__all__,
+    *measure.__all__,
+    *neck.__all__,
+    *quadrature.__all__,
+    *renorm.__all__,
+]
 
 __version__ = "0.1.0"

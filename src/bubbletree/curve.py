@@ -119,12 +119,6 @@ class MarkedNodalCurve:
             val += (i == v) + (j == v)
         return val
 
-    def leg_vertex(self, label: int) -> int:
-        for v, lab in self.legs:
-            if lab == label:
-                return v
-        raise CurveError(f"no mark labeled {label}")
-
 
 @dataclass(frozen=True)
 class StabilityReport:

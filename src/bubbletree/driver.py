@@ -1,9 +1,12 @@
 """Residual-energy induction: extract a bubble tree from a family.
 
-The loop detects energy-concentration sites against the limit measure, marks
-one site per iteration (renormalizing smooth sites, cut-radius-solving nodal
-ones), inserts the bubble into the dual graph, and re-checks that the
-residual energy
+One loop runs the induction for both kinds of chart.  A chart setup
+(``_smooth_chart`` for rational-map families, ``_nodal_chart`` for neck
+fields) detects energy-concentration sites against the limit measure and
+returns the opening ledger, the queue of sites to extract and a per-site
+marker (renormalizing smooth sites, cut-radius-solving nodal ones).  The
+loop marks one site per iteration, inserts the bubble into the dual graph,
+and re-checks that the residual energy
 
     RE = limit_energy - accounted_energy - l*eps_bar - n*eps_bar/2
 
@@ -23,13 +26,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .curve import MarkedNodalCurve, add_bubble_component, is_regular_node, is_stable
+from .curve import BubbleInsertion, MarkedNodalCurve, add_bubble_component, is_regular_node
 from .errors import ConcentrationError, DriverError
 from .families import Family, energy_quadrature
 from .measure import (
+    ConcentrationSite,
     WeightedParticleMeasure,
     build_scale_ladder,
     detect_concentrations,
@@ -106,8 +111,6 @@ class ExtractionConfig:
     alpha_tol: float = 1e-3  # nodal regularity: |alpha| <= alpha_tol * (1 + energy)
     neck_deltas: tuple[float, ...] = ()
     neck_eps: float = 0.01
-    base_curve: MarkedNodalCurve | None = None
-    node_edge: int = 0
 
     def __post_init__(self) -> None:
         if self.eps_bar <= 0 or self.delta0 <= 0:
@@ -115,8 +118,6 @@ class ExtractionConfig:
         if self.depth < 2:
             raise DriverError("ladder depth too small")
         object.__setattr__(self, "neck_deltas", tuple(float(d) for d in self.neck_deltas))
-        if self.base_curve is not None and not is_stable(self.base_curve).stable:
-            raise DriverError("base curve must be stable")
 
     @property
     def step_tol(self) -> float:
@@ -200,6 +201,10 @@ class BubbleTree:
             raise DriverError("tree must start with exactly one base component")
 
 
+# the chart node is edge 0 of every default nodal curve
+_NODE_EDGE = 0
+
+
 def _default_curve(kind: str) -> MarkedNodalCurve:
     if kind in ("bubble1", "bubble2"):
         return MarkedNodalCurve((0,), (), ((0, 1), (0, 2), (0, 3)))
@@ -212,29 +217,44 @@ def _default_curve(kind: str) -> MarkedNodalCurve:
     raise DriverError(f"no default curve for family kind {kind!r}")
 
 
-def _cap(limit_energy: float, eps_bar: float) -> int:
-    return max(1, math.ceil(2.0 * limit_energy / eps_bar))
-
-
-def _assert_dual_route(
-    re_ledger: float, site_route: float, bias: float, limit: float
-) -> None:
-    # ledger route and per-site route differ exactly by the limit measure's
-    # mass inside the site balls; anything beyond tolerance is a real bug
-    if abs(re_ledger - site_route - bias) > 1e-3 * (1.0 + limit):
-        raise DriverError(
-            f"residual-energy routes disagree: ledger {re_ledger:.9g}, "
-            f"site sum {site_route:.9g}, expected bias {bias:.9g}"
+def _ledger_residual(
+    limit_energy: float, accounted: float, queue, eps_bar: float
+) -> float:
+    """Residual energy with every site still in ``queue`` counted by kind."""
+    kinds = [kind for kind, _ in queue]
+    return residual_energy(
+        ResidualEnergyLedger(
+            limit_energy, accounted, kinds.count("smooth"), kinds.count("nodal"), eps_bar
         )
+    )
 
 
-def _extract_smooth(family: Family, config: ExtractionConfig) -> BubbleTree:
+# (curve, site kind, site) -> (insertion, attachment point, neck record)
+_Marker = Callable[
+    [MarkedNodalCurve, str, ConcentrationSite],
+    tuple[BubbleInsertion, complex, NeckRecord],
+]
+
+
+@dataclass(frozen=True)
+class _Chart:
+    """Opening state of the induction on one chart, and how to mark a site."""
+
+    limit_energy: float
+    base_energy: float
+    queue: tuple[tuple[str, ConcentrationSite], ...]
+    singular: tuple[SingularSite, ...]
+    necks: tuple[NeckRecord, ...]
+    notes: tuple[str, ...]
+    mark: _Marker
+
+
+def _smooth_chart(family: Family, config: ExtractionConfig) -> _Chart:
     eps_bar = config.eps_bar
     ladder = build_scale_ladder(config.delta0, eps_bar, config.depth)
     mus = [m.measure for m in family.members]
     mu_limit = family.limit_measure or WeightedParticleMeasure.empty(config.delta0)
     report = detect_concentrations(mus, mu_limit, ladder, chart_kind="smooth")
-    mu_last = mus[-1]
     last = family.members[-1]
 
     limit_energy = energy_quadrature(last.rational)
@@ -247,87 +267,49 @@ def _extract_smooth(family: Family, config: ExtractionConfig) -> BubbleTree:
     ]
     base_energy = limit_energy - sum(caps)
 
-    queue = [s for s in report.sites if s.mass >= 2.0 * eps_bar]
+    queue = [("smooth", s) for s in report.sites if s.mass >= 2.0 * eps_bar]
     skipped = [
         (s, c) for s, c in zip(report.sites, caps) if s.mass < 2.0 * eps_bar
     ]
-    ledger = ResidualEnergyLedger(
-        limit_energy, base_energy, len(queue), 0, eps_bar
-    )
-    re_now = residual_energy(ledger)
-    site_route = sum(s.mass - eps_bar for s in queue)
+    re_now = _ledger_residual(limit_energy, base_energy, queue, eps_bar)
+    site_route = sum(s.mass - eps_bar for _, s in queue)
     # routes differ by the limit measure inside the extracted balls plus the
-    # cap energy of any site left below the extraction threshold
-    bias = sum(mass_in(mu_limit, s.location, delta_k) for s in queue)
+    # cap energy of any site left below the extraction threshold; anything
+    # beyond tolerance is a real bug
+    bias = sum(mass_in(mu_limit, s.location, delta_k) for _, s in queue)
     bias += sum(c for _, c in skipped)
-    _assert_dual_route(re_now, site_route, bias, limit_energy)
-
-    curve = config.base_curve or _default_curve(family.kind)
-    components = [TreeComponent(vertex=0, kind="base", energy=base_energy)]
-    necks: list[NeckRecord] = []
-    trace = [re_now]
-    notes = [
-        f"site below 2*eps_bar left unextracted at {s.location:.4g}"
-        for s, _ in skipped
-    ]
+    if abs(re_now - site_route - bias) > 1e-3 * (1.0 + limit_energy):
+        raise DriverError(
+            f"residual-energy routes disagree: ledger {re_now:.9g}, "
+            f"site sum {site_route:.9g}, expected bias {bias:.9g}"
+        )
 
     radius = config.marking_radius or config.delta0 / 2.0
-    accounted = base_energy
-    remaining = len(queue)
-    iteration_cap = _cap(limit_energy, eps_bar)
-    for site in queue:
-        if len(trace) - 1 >= iteration_cap:
-            raise DriverError(f"iteration cap {iteration_cap} hit; trace {trace}")
+
+    def mark(curve, kind, site):
         members = [restrict(mus[idx], site.location, radius) for _, idx in site.subsequence]
         markings = mark_smooth_bubble(members, ladder, eps_bar, config.center_tol)
         ins = add_bubble_component(curve, site=0, case=1)
-        curve = ins.curve
         mk = markings[-1]
         attach = site.location + mk.q
-        components.append(
-            TreeComponent(
-                vertex=ins.new_vertex,
-                kind="bubble",
-                energy=site.mass,
-                attachment=attach,
-                site_kind="smooth",
-                marks=ins.new_legs,
-            )
-        )
         ann = mass_in(members[-1], mk.q, float(ladder.delta[mk.level])) - mass_in(
             members[-1], mk.q, abs(mk.r - mk.q)
         )
-        necks.append(
-            NeckRecord(
-                kind="smooth",
-                edges=ins.new_edges,
-                site=attach,
-                annulus_excess=float(ann),
-                note="annulus mass between the cut circle and the working scale",
-                markings=tuple(markings),
-                members=tuple(idx for _, idx in site.subsequence),
-            )
+        neck = NeckRecord(
+            kind="smooth",
+            edges=ins.new_edges,
+            site=attach,
+            annulus_excess=float(ann),
+            note="annulus mass between the cut circle and the working scale",
+            markings=tuple(markings),
+            members=tuple(idx for _, idx in site.subsequence),
         )
-        accounted += site.mass
-        remaining -= 1
-        ledger = ResidualEnergyLedger(limit_energy, accounted, remaining, 0, eps_bar)
-        trace.append(residual_energy(ledger))
+        return ins, attach, neck
 
-    check = _identity_from_parts(limit_energy, components, necks, ())
-    return BubbleTree(
-        curve=curve,
-        components=tuple(components),
-        necks=tuple(necks),
-        re_trace=tuple(trace),
-        eps_bar=eps_bar,
-        step_tol=config.step_tol,
-        limit_energy=limit_energy,
-        identity_residual=check.residual,
-        identity_note=check.note,
-        singular=(),
-        connected=check.connected,
-        notes=tuple(notes),
+    notes = tuple(
+        f"site below 2*eps_bar left unextracted at {s.location:.4g}" for s, _ in skipped
     )
+    return _Chart(limit_energy, base_energy, tuple(queue), (), (), notes, mark)
 
 
 def _restricted_energy(fld, delta: float) -> float:
@@ -336,7 +318,7 @@ def _restricted_energy(fld, delta: float) -> float:
     return diagnostics(fld.restrict(half)).energy
 
 
-def _extract_nodal(family: Family, config: ExtractionConfig) -> BubbleTree:
+def _nodal_chart(family: Family, config: ExtractionConfig) -> _Chart:
     eps_bar = config.eps_bar
     delta_chart = min(config.delta0, float(family.meta.get("delta", config.delta0)))
     ladder = build_scale_ladder(delta_chart, eps_bar, config.depth)
@@ -362,7 +344,7 @@ def _extract_nodal(family: Family, config: ExtractionConfig) -> BubbleTree:
         )
         singular.append(SingularSite(0j, float(hot), str(exc)))
 
-    curve = config.base_curve or _default_curve(family.kind)
+    curve = _default_curve(family.kind)
     zero_neck = None
     if config.neck_deltas:
         zero_neck = zero_neck_test(fields, config.neck_eps, list(config.neck_deltas))
@@ -373,7 +355,7 @@ def _extract_nodal(family: Family, config: ExtractionConfig) -> BubbleTree:
         if site.kind != "nodal":
             queue.append(("smooth", site))
             continue
-        verdict = is_regular_node(curve, config.node_edge)
+        verdict = is_regular_node(curve, _NODE_EDGE)
         alpha_ok = abs(diag_last.alpha) <= config.alpha_tol * (1.0 + limit_energy)
         if verdict.status == "regular" and alpha_ok:
             queue.append(("nodal", site))
@@ -394,10 +376,7 @@ def _extract_nodal(family: Family, config: ExtractionConfig) -> BubbleTree:
     # mass frozen into the singular set is identified with no component
     base_energy = max(0.0, base_energy - sum(s.mass for s in singular))
 
-    n_nodal = sum(1 for kind, _ in queue if kind == "nodal")
-    l_smooth = sum(1 for kind, _ in queue if kind == "smooth")
-    ledger = ResidualEnergyLedger(limit_energy, base_energy, l_smooth, n_nodal, eps_bar)
-    re_now = residual_energy(ledger)
+    re_now = _ledger_residual(limit_energy, base_energy, queue, eps_bar)
     site_route = sum(
         (s.mass - eps_bar) if kind == "smooth" else (s.mass - eps_bar / 2.0)
         for kind, s in queue
@@ -408,74 +387,44 @@ def _extract_nodal(family: Family, config: ExtractionConfig) -> BubbleTree:
             f"{site_route:.9g}"
         )
 
-    components = [TreeComponent(vertex=0, kind="base", energy=base_energy)]
-    necks: list[NeckRecord] = []
+    necks = ()
     if zero_neck is not None:
-        necks.append(
+        necks = (
             NeckRecord(
                 kind="node",
-                edges=(config.node_edge,),
+                edges=(_NODE_EDGE,),
                 alpha=diag_last.alpha,
                 zero_neck=zero_neck,
                 note="zero-neck verdict for the chart node",
-            )
+            ),
         )
-    trace = [re_now]
-    accounted = base_energy
-    l_rem, n_rem = l_smooth, n_nodal
-    iteration_cap = _cap(limit_energy, eps_bar)
-    notes = []
-    for kind, site in queue:
-        if len(trace) - 1 >= iteration_cap:
-            raise DriverError(f"iteration cap {iteration_cap} hit; trace {trace}")
+
+    def mark(curve, kind, site):
         if kind != "nodal":
             raise DriverError("smooth sites on a nodal chart are not supported")
         members = [fields[idx] for _, idx in site.subsequence]
         markings = mark_nodal_bubble(members, ladder, eps_bar)
-        ins = add_bubble_component(curve, site=config.node_edge, case=2)
-        curve = ins.curve
-        components.append(
-            TreeComponent(
-                vertex=ins.new_vertex,
-                kind="bubble",
-                energy=site.mass,
-                attachment=0j,
-                site_kind="nodal",
-                marks=ins.new_legs,
-            )
+        ins = add_bubble_component(curve, site=_NODE_EDGE, case=2)
+        neck = NeckRecord(
+            kind="nodal",
+            edges=ins.new_edges,
+            site=0j,
+            thinness_ratios=tuple(m.neck_ratio for m in markings),
+            alpha=diag_last.alpha,
+            note="bubble extracted at the node; thinness ratios decrease",
+            markings=tuple(markings),
+            members=tuple(idx for _, idx in site.subsequence),
         )
-        necks.append(
-            NeckRecord(
-                kind="nodal",
-                edges=ins.new_edges,
-                site=0j,
-                thinness_ratios=tuple(m.neck_ratio for m in markings),
-                alpha=diag_last.alpha,
-                note="bubble extracted at the node; thinness ratios decrease",
-                markings=tuple(markings),
-                members=tuple(idx for _, idx in site.subsequence),
-            )
-        )
-        notes.append("child nodal sites, if any, deferred to the next iteration")
-        accounted += site.mass
-        n_rem -= 1
-        ledger = ResidualEnergyLedger(limit_energy, accounted, l_rem, n_rem, eps_bar)
-        trace.append(residual_energy(ledger))
+        return ins, 0j, neck
 
-    check = _identity_from_parts(limit_energy, components, necks, tuple(singular))
-    return BubbleTree(
-        curve=curve,
-        components=tuple(components),
-        necks=tuple(necks),
-        re_trace=tuple(trace),
-        eps_bar=eps_bar,
-        step_tol=config.step_tol,
-        limit_energy=limit_energy,
-        identity_residual=check.residual,
-        identity_note=check.note,
-        singular=tuple(singular),
-        connected=check.connected,
-        notes=tuple(notes),
+    # a finished run has extracted every queued site
+    notes = tuple(
+        "child nodal sites, if any, deferred to the next iteration"
+        for kind, _ in queue
+        if kind == "nodal"
+    )
+    return _Chart(
+        limit_energy, base_energy, tuple(queue), tuple(singular), necks, notes, mark
     )
 
 
@@ -513,10 +462,54 @@ def extract_bubble_tree(family: Family, config: ExtractionConfig | None = None) 
     if not family.members:
         raise DriverError("family has no members")
     if all(m.measure is not None for m in family.members):
-        return _extract_smooth(family, config)
-    if all(m.field is not None for m in family.members):
-        return _extract_nodal(family, config)
-    raise DriverError("family members carry neither uniform measures nor fields")
+        chart = _smooth_chart(family, config)
+    elif all(m.field is not None for m in family.members):
+        chart = _nodal_chart(family, config)
+    else:
+        raise DriverError("family members carry neither uniform measures nor fields")
+
+    eps_bar = config.eps_bar
+    limit_energy = chart.limit_energy
+    curve = _default_curve(family.kind)
+    components = [TreeComponent(vertex=0, kind="base", energy=chart.base_energy)]
+    necks = list(chart.necks)
+    trace = [_ledger_residual(limit_energy, chart.base_energy, chart.queue, eps_bar)]
+    accounted = chart.base_energy
+    iteration_cap = max(1, math.ceil(2.0 * limit_energy / eps_bar))
+    for step, (kind, site) in enumerate(chart.queue, start=1):
+        if len(trace) - 1 >= iteration_cap:
+            raise DriverError(f"iteration cap {iteration_cap} hit; trace {trace}")
+        ins, attach, neck = chart.mark(curve, kind, site)
+        curve = ins.curve
+        components.append(
+            TreeComponent(
+                vertex=ins.new_vertex,
+                kind="bubble",
+                energy=site.mass,
+                attachment=attach,
+                site_kind=kind,
+                marks=ins.new_legs,
+            )
+        )
+        necks.append(neck)
+        accounted += site.mass
+        trace.append(_ledger_residual(limit_energy, accounted, chart.queue[step:], eps_bar))
+
+    check = _identity_from_parts(limit_energy, components, necks, chart.singular)
+    return BubbleTree(
+        curve=curve,
+        components=tuple(components),
+        necks=tuple(necks),
+        re_trace=tuple(trace),
+        eps_bar=eps_bar,
+        step_tol=config.step_tol,
+        limit_energy=limit_energy,
+        identity_residual=check.residual,
+        identity_note=check.note,
+        singular=chart.singular,
+        connected=check.connected,
+        notes=chart.notes,
+    )
 
 
 def energy_identity_check(tree: BubbleTree) -> IdentityCheck:

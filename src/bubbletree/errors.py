@@ -6,6 +6,21 @@ carry the quantitative context (which condition failed, by how much).
 
 from __future__ import annotations
 
+__all__ = [
+    "BubbleTreeError",
+    "MeasureError",
+    "LadderError",
+    "ConcentrationError",
+    "NeckScaleError",
+    "CenterError",
+    "MarkingError",
+    "CurveError",
+    "NeckError",
+    "FamilyError",
+    "DriverError",
+    "ConfigError",
+]
+
 
 class BubbleTreeError(Exception):
     """Base class for all package-specific errors."""

@@ -192,7 +192,6 @@ def _quadrature_checked(
         abs_tol=abs_tol,
         max_panels=max_panels,
         emit_particles=emit,
-        emit_rule="cdf" if emit else "fine",
         emit_mass_frac=mass_frac if emit else None,
     )
     if result.error > max(abs_tol, rel_tol * abs(result.value)):

@@ -2,8 +2,8 @@
 concentration detection for sequences of energy-density measures.
 
 A measure is a finite sum of weighted atoms in a complex chart.  All
-renormalization maps used downstream are Moebius (here: affine) transforms
-of the chart, so pushforwards are exact: points move, weights do not.
+renormalization maps used downstream are affine transforms of the chart,
+so pushforwards are exact: points move, weights do not.
 
 The scale ladder fixes the dyadic radii delta_k and tolerances eps_k used
 to certify that a sequence of measures concentrates a definite amount of
@@ -14,7 +14,6 @@ stabilized excess mass at every scale delta_m, m <= 2j, within eps_m.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -30,14 +29,10 @@ __all__ = [
     "ConcentrationSite",
     "ConcentrationReport",
     "mass_in",
-    "mass_outside",
-    "first_moment",
     "pushforward",
     "restrict",
     "build_scale_ladder",
     "detect_concentrations",
-    "measure_to_csv",
-    "measure_from_csv",
 ]
 
 @dataclass(frozen=True)
@@ -96,40 +91,22 @@ class WeightedParticleMeasure:
 
 @dataclass(frozen=True)
 class PlanarMoebius:
-    """Planar Moebius transform z -> (a z + b) / (c z + d), ad - bc != 0.
+    """Planar affine transform z -> a z + b, a != 0.
 
-    Affine maps are the c = 0, d = 1 case.  Used for chart translations and
-    the cross-ratio renormalizations; injective away from the pole -d/c.
+    These are the Moebius maps that fix infinity, which is all the
+    cross-ratio renormalizations and chart rescalings need; each is
+    injective on the whole plane.
     """
 
     a: complex
     b: complex
-    c: complex = 0.0
-    d: complex = 1.0
 
     def __post_init__(self) -> None:
-        det = self.a * self.d - self.b * self.c
-        if abs(det) == 0.0:
-            raise MeasureError("degenerate Moebius transform (ad - bc = 0)")
-
-    @staticmethod
-    def affine(scale: complex, offset: complex = 0.0) -> "PlanarMoebius":
-        return PlanarMoebius(a=scale, b=offset)
-
-    @staticmethod
-    def translation(offset: complex) -> "PlanarMoebius":
-        return PlanarMoebius(a=1.0, b=offset)
-
-    def pole(self) -> complex | None:
-        if self.c == 0.0:
-            return None
-        return -self.d / self.c
+        if abs(self.a) == 0.0:
+            raise MeasureError("degenerate affine transform (a = 0)")
 
     def __call__(self, z: NDArray[np.complex128] | complex) -> NDArray[np.complex128] | complex:
-        return (self.a * z + self.b) / (self.c * z + self.d)
-
-    def inverse(self) -> "PlanarMoebius":
-        return PlanarMoebius(a=self.d, b=-self.b, c=-self.c, d=self.a)
+        return self.a * z + self.b
 
 
 def mass_in(mu: WeightedParticleMeasure, center: complex, radius: float) -> float:
@@ -141,46 +118,16 @@ def mass_in(mu: WeightedParticleMeasure, center: complex, radius: float) -> floa
     return float(mu.weights[np.abs(mu.points - center) <= radius].sum())
 
 
-def mass_outside(mu: WeightedParticleMeasure, center: complex, radius: float) -> float:
-    """Mass at distance >= radius from center; atoms exactly on the circle count as outside."""
-    if len(mu) == 0:
-        return 0.0
-    return float(mu.weights[np.abs(mu.points - center) >= radius].sum())
-
-
-def first_moment(
-    mu: WeightedParticleMeasure, center: complex = 0.0, radius: float | None = None
-) -> complex:
-    """First moment sum(w_i z_i) over the closed disk |z - center| <= radius.
-
-    ``radius=None`` integrates over the full chart.
-    """
-    if len(mu) == 0:
-        return 0.0 + 0.0j
-    if radius is None:
-        return complex(np.sum(mu.weights * mu.points))
-    sel = np.abs(mu.points - center) <= radius
-    return complex(np.sum(mu.weights[sel] * mu.points[sel]))
-
-
 def pushforward(
     mu: WeightedParticleMeasure,
     transform: PlanarMoebius,
     chart_radius: float | None = None,
 ) -> WeightedParticleMeasure:
-    """Pushforward under a planar Moebius/affine transform.
+    """Pushforward under a planar affine transform.
 
-    Weights are unchanged and total mass is invariant.  The transform must
-    be injective on the support: an atom at (or numerically on top of) the
-    pole would be sent to infinity.
+    Weights are unchanged and total mass is invariant.  An atom the
+    transform sends past the floating-point range is refused.
     """
-    pole = transform.pole()
-    if pole is not None and len(mu):
-        dmin = float(np.abs(mu.points - pole).min())
-        if dmin < 1e-13 * max(1.0, abs(pole)):
-            raise MeasureError(
-                f"transform not injective on support: atom within {dmin:.3g} of the pole"
-            )
     new_points = np.asarray(transform(mu.points), dtype=np.complex128)
     if not np.all(np.isfinite(new_points)):
         raise MeasureError("transform sent an atom to infinity")
@@ -334,7 +281,6 @@ def _candidate_locations(
     mu_last: WeightedParticleMeasure,
     mu_limit: WeightedParticleMeasure,
     ladder: ScaleLadder,
-    threshold: float,
 ) -> list[complex]:
     """Grid scan for local excess-mass maxima at the finest scale.
 
@@ -370,7 +316,7 @@ def _candidate_locations(
     work = block.copy()
     for _ in range(64):
         idx = np.unravel_index(int(np.argmax(work)), work.shape)
-        if work[idx] < 0.5 * threshold:
+        if work[idx] < 0.5 * ladder.eps_bar:
             break
         i0, j0 = idx
         # excess-weighted centroid of the 3x3 block, guarded against cancellation
@@ -395,7 +341,6 @@ def detect_concentrations(
     mu_limit: WeightedParticleMeasure,
     ladder: ScaleLadder,
     chart_kind: str = "smooth",
-    threshold: float | None = None,
 ) -> ConcentrationReport:
     """Certified concentration sites of a measure sequence against its limit.
 
@@ -408,7 +353,7 @@ def detect_concentrations(
         certified at levels j = 1..k, level j requiring the bounds at m <= 2j.
 
     Raises ConcentrationError("subsequence not extracted") when a candidate
-    holds threshold excess but the sequence does not stabilize (the last
+    holds eps_bar excess but the sequence does not stabilize (the last
     member fails its own multi-scale consistency, or no earlier member
     corroborates level 1).
     """
@@ -417,8 +362,6 @@ def detect_concentrations(
     if len(mus) < 2:
         raise ConcentrationError("need at least two sequence members")
     eps_bar = ladder.eps_bar
-    if threshold is None:
-        threshold = eps_bar
     kw = ladder.working_index
     scales = ladder.delta[1 : 2 * kw + 1]  # tested scales m = 1..2k
     epses = ladder.eps[1 : 2 * kw + 1]
@@ -426,7 +369,7 @@ def detect_concentrations(
     last_idx = len(mus) - 1
 
     sites: list[ConcentrationSite] = []
-    for loc in _candidate_locations(mu_last, mu_limit, ladder, threshold):
+    for loc in _candidate_locations(mu_last, mu_limit, ladder):
         if chart_kind == "nodal" and abs(loc) < 2.0 * ladder.finest_scale:
             loc = 0.0 + 0.0j  # the node is the chart origin
             kind = "nodal"
@@ -436,8 +379,6 @@ def detect_concentrations(
         if np.any(excess_last < eps_bar):
             continue  # not a concentration at every tested scale
         m_p = float(excess_last[-1])
-        if m_p < threshold:
-            continue
         devs = np.abs(excess_last - m_p)
         if np.any(devs >= epses):
             raise ConcentrationError(
@@ -487,31 +428,5 @@ def detect_concentrations(
         )
     sites.sort(key=lambda s: (-s.mass, s.location.real, s.location.imag))
     return ConcentrationReport(
-        sites=tuple(sites), threshold=float(threshold), finest_scale=ladder.finest_scale
+        sites=tuple(sites), threshold=float(eps_bar), finest_scale=ladder.finest_scale
     )
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def measure_to_csv(mu: WeightedParticleMeasure) -> str:
-    """CSV text, one row per particle: re, im, weight."""
-    buf = io.StringIO()
-    buf.write("re,im,weight\n")
-    for p, w in zip(mu.points, mu.weights):
-        buf.write(f"{p.real!r},{p.imag!r},{w!r}\n")
-    return buf.getvalue()
-
-
-def measure_from_csv(text: str, chart_radius: float | None = None) -> WeightedParticleMeasure:
-    rows = [line for line in text.strip().splitlines()[1:] if line]
-    pts = np.zeros(len(rows), dtype=np.complex128)
-    wts = np.zeros(len(rows), dtype=np.float64)
-    for i, line in enumerate(rows):
-        re_s, im_s, w_s = line.split(",")
-        pts[i] = float(re_s) + 1j * float(im_s)
-        wts[i] = float(w_s)
-    if chart_radius is None:
-        chart_radius = float(np.abs(pts).max()) * (1.0 + 1e-12) if len(rows) else 1.0
-    return WeightedParticleMeasure(pts, wts, chart_radius)

@@ -7,8 +7,9 @@ worst-first refinement queue.  Panels split along the axis whose bisection
 changes the estimate most, so radially symmetric spikes cost only radial
 splits while point spikes refine in both axes.
 
-The final fine-rule nodes double as particles for measure construction, so
-an emitted measure's total mass equals the quadrature value exactly.
+Emitted particles sit in shells at each final panel's radial mass
+quantiles, weighted so every panel carries its fine-rule value; an emitted
+measure's total mass therefore equals the quadrature value up to rounding.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ __all__ = ["PanelQuadrature", "adaptive_polar_quadrature"]
 
 _GL_COARSE = 8
 _GL_FINE = 16
+_INIT_GRID = 8  # initial panels along each polar axis
+
+_Box = tuple[float, float, float, float]  # panel (r0, r1, t0, t1)
 
 
 def _gl(n: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
@@ -128,6 +132,37 @@ def _emit_cdf_nodes(
     return points.ravel(), weights.ravel()
 
 
+def _split(
+    density: Callable[[NDArray[np.complex128]], NDArray[np.float64]],
+    center: complex,
+    box: _Box,
+    coarse: float,
+    width_floor: float,
+) -> list[tuple[_Box, float, float]] | None:
+    """Bisect a panel along the axis whose halves move its coarse value more.
+
+    Returns the two children as (box, coarse, fine), or None when neither
+    side is wider than its floor.  Only the chosen children get a fine rule.
+    """
+    r0, r1, t0, t1 = box
+    can_r = (r1 - r0) > width_floor
+    can_t = (t1 - t0) > 1e-13
+    if not can_r and not can_t:
+        return None
+    rm, tm = 0.5 * (r0 + r1), 0.5 * (t0 + t1)
+    r_children = [(r0, rm, t0, t1), (rm, r1, t0, t1)]
+    t_children = [(r0, r1, t0, tm), (r0, r1, tm, t1)]
+    r_coarse = [_panel_value(density, center, b, _XC, _WC) for b in r_children]
+    t_coarse = [_panel_value(density, center, b, _XC, _WC) for b in t_children]
+    if can_r and (not can_t or abs(sum(r_coarse) - coarse) >= abs(sum(t_coarse) - coarse)):
+        children, coarses = r_children, r_coarse
+    else:
+        children, coarses = t_children, t_coarse
+    return [
+        (b, c, _panel_value(density, center, b, _XF, _WF)) for b, c in zip(children, coarses)
+    ]
+
+
 def adaptive_polar_quadrature(
     density: Callable[[NDArray[np.complex128]], NDArray[np.float64]],
     center: complex,
@@ -136,10 +171,7 @@ def adaptive_polar_quadrature(
     rel_tol: float = 1e-9,
     abs_tol: float = 1e-14,
     max_panels: int = 20000,
-    init_radial: int = 8,
-    init_angular: int = 8,
     emit_particles: bool = False,
-    emit_rule: str = "fine",
     emit_mass_frac: float | None = None,
 ) -> PanelQuadrature:
     """Integrate ``density`` over the annulus r_inner <= |z - center| <= r_outer.
@@ -147,11 +179,9 @@ def adaptive_polar_quadrature(
     Worst-first refinement until the summed panel error estimates drop below
     max(abs_tol, rel_tol * |value|) or the panel budget is exhausted.
 
-    emit_rule "fine" emits one particle per fine-rule node; "scaled_coarse"
-    emits the 4x sparser coarse nodes with weights rescaled so every panel
-    still carries exactly its fine-rule mass; "cdf" places atom shells at
-    per-panel radial mass quantiles, which keeps ball masses about the
-    integration center faithful well below panel granularity.
+    emit_particles places atom shells at per-panel radial mass quantiles,
+    which keeps ball masses about the integration center faithful well
+    below panel granularity.
 
     emit_mass_frac, if given, keeps splitting panels (within the same budget)
     until none holds more than that fraction of the total, bounding the mass
@@ -159,152 +189,95 @@ def adaptive_polar_quadrature(
     """
     if not (0.0 <= r_inner < r_outer):
         raise ValueError(f"need 0 <= r_inner < r_outer, got {r_inner}, {r_outer}")
-    if emit_rule not in ("fine", "scaled_coarse", "cdf"):
-        raise ValueError(f"unknown emit rule {emit_rule!r}")
     if emit_mass_frac is not None and not (0.0 < emit_mass_frac < 1.0):
         raise ValueError(f"emit_mass_frac must be in (0, 1), got {emit_mass_frac}")
 
-    boxes: list[tuple[float, float, float, float]] = []
-    redges = np.linspace(r_inner, r_outer, init_radial + 1)
-    tedges = np.linspace(0.0, 2.0 * np.pi, init_angular + 1)
-    for i in range(init_radial):
-        for j in range(init_angular):
-            boxes.append((redges[i], redges[i + 1], tedges[j], tedges[j + 1]))
-
-    # heap entries: (-error, counter, box, fine_value); counter keeps order stable
-    heap: list[tuple[float, int, tuple[float, float, float, float], float]] = []
+    # panel entries: (key, counter, box, fine, error, coarse); the counter
+    # keeps heap order stable; the key is -error in the error pass and
+    # -|fine| in the granularity pass
+    heap: list[tuple[float, int, _Box, float, float, float]] = []
     counter = 0
     total = 0.0
     total_err = 0.0
+    width_floor = 1e-13 * max(r_outer, 1.0)
 
-    def push(box: tuple[float, float, float, float], err: float | None = None) -> None:
-        nonlocal counter, total, total_err
-        coarse = _panel_value(density, center, box, _XC, _WC)
-        fine = _panel_value(density, center, box, _XF, _WF)
-        if err is None:
-            err = abs(fine - coarse)
-        heapq.heappush(heap, (-err, counter, box, fine))
+    def push(key: float, box: _Box, fine: float, err: float, coarse: float) -> None:
+        nonlocal counter
+        heapq.heappush(heap, (key, counter, box, fine, err, coarse))
         counter += 1
-        total += fine
-        total_err += err
 
-    for box in boxes:
-        push(box)
+    redges = np.linspace(r_inner, r_outer, _INIT_GRID + 1)
+    tedges = np.linspace(0.0, 2.0 * np.pi, _INIT_GRID + 1)
+    for i in range(_INIT_GRID):
+        for j in range(_INIT_GRID):
+            box = (redges[i], redges[i + 1], tedges[j], tedges[j + 1])
+            coarse = _panel_value(density, center, box, _XC, _WC)
+            fine = _panel_value(density, center, box, _XF, _WF)
+            err = abs(fine - coarse)
+            push(-err, box, fine, err, coarse)
+            total += fine
+            total_err += err
 
     while len(heap) < max_panels:
         if total_err <= max(abs_tol, rel_tol * abs(total)):
             break
-        neg_err, cnt, box, fine = heapq.heappop(heap)
+        item = heapq.heappop(heap)
+        _, _, box, fine, err, coarse = item
         total -= fine
-        total_err -= -neg_err
-        if -neg_err <= 0.0:
-            heapq.heappush(heap, (neg_err, cnt, box, fine))
+        total_err -= err
+        if err <= 0.0:
+            # nothing left to refine: put the panel back and stop
+            heapq.heappush(heap, item)
             total += fine
-            total_err += -neg_err
             break
-        r0, r1, t0, t1 = box
-        rm = 0.5 * (r0 + r1)
-        tm = 0.5 * (t0 + t1)
-        # split along the axis whose bisection moves the estimate more
-        r_children = [(r0, rm, t0, t1), (rm, r1, t0, t1)]
-        t_children = [(r0, r1, t0, tm), (r0, r1, tm, t1)]
-        r_sum = sum(_panel_value(density, center, b, _XC, _WC) for b in r_children)
-        t_sum = sum(_panel_value(density, center, b, _XC, _WC) for b in t_children)
-        coarse = _panel_value(density, center, box, _XC, _WC)
-        width_floor = 1e-13 * max(r_outer, 1.0)
-        can_r = (r1 - r0) > width_floor
-        can_t = (t1 - t0) > 1e-13
-        if not can_r and not can_t:
-            heapq.heappush(heap, (0.0, counter, box, fine))
-            counter += 1
+        children = _split(density, center, box, coarse, width_floor)
+        if children is None:
+            # keep the panel but retire it, and its error, from the queue
+            push(0.0, box, fine, 0.0, coarse)
             total += fine
             continue
-        if can_r and (not can_t or abs(r_sum - coarse) >= abs(t_sum - coarse)):
-            children = r_children
-        else:
-            children = t_children
-        for child in children:
-            push(child)
+        for child, c_coarse, c_fine in children:
+            c_err = abs(c_fine - c_coarse)
+            push(-c_err, child, c_fine, c_err, c_coarse)
+            total += c_fine
+            total_err += c_err
 
     if emit_particles and emit_mass_frac is not None:
         # granularity pass: split heavy panels regardless of integral error
-        mass_heap = [(-abs(it[3]), it[1], it[2], it[3], -it[0]) for it in heap]
-        heapq.heapify(mass_heap)
-        width_floor = 1e-13 * max(r_outer, 1.0)
-        while len(mass_heap) < max_panels:
-            neg_mass, _, box, fine, err = mass_heap[0]
-            if -neg_mass <= emit_mass_frac * abs(total):
+        heap = [(-abs(it[3]),) + it[1:] for it in heap]
+        heapq.heapify(heap)
+        while len(heap) < max_panels:
+            if -heap[0][0] <= emit_mass_frac * abs(total):
                 break
-            heapq.heappop(mass_heap)
-            r0, r1, t0, t1 = box
-            can_r = (r1 - r0) > width_floor
-            can_t = (t1 - t0) > 1e-13
-            if not can_r and not can_t:
+            _, _, box, fine, err, coarse = heapq.heappop(heap)
+            children = _split(density, center, box, coarse, width_floor)
+            if children is None:
                 # keep the panel but retire it from the splitting queue
-                heapq.heappush(mass_heap, (0.0, counter, box, fine, err))
-                counter += 1
+                push(0.0, box, fine, err, coarse)
                 continue
             total -= fine
-            total_err -= err
-            rm, tm = 0.5 * (r0 + r1), 0.5 * (t0 + t1)
-            r_children = [(r0, rm, t0, t1), (rm, r1, t0, t1)]
-            t_children = [(r0, r1, t0, tm), (r0, r1, tm, t1)]
-            r_sum = sum(_panel_value(density, center, b, _XC, _WC) for b in r_children)
-            t_sum = sum(_panel_value(density, center, b, _XC, _WC) for b in t_children)
-            coarse = _panel_value(density, center, box, _XC, _WC)
-            if can_r and (not can_t or abs(r_sum - coarse) >= abs(t_sum - coarse)):
-                children = r_children
-            else:
-                children = t_children
-            for child in children:
-                c_coarse = _panel_value(density, center, child, _XC, _WC)
-                c_fine = _panel_value(density, center, child, _XF, _WF)
-                c_err = abs(c_fine - c_coarse)
-                heapq.heappush(mass_heap, (-abs(c_fine), counter, child, c_fine, c_err))
-                counter += 1
+            for child, c_coarse, c_fine in children:
+                push(-abs(c_fine), child, c_fine, abs(c_fine - c_coarse), c_coarse)
                 total += c_fine
-                total_err += c_err
-        final_boxes = [(it[2], it[3]) for it in mass_heap]
-        error = float(sum(it[4] for it in mass_heap))
-    else:
-        final_boxes = [(item[2], item[3]) for item in heap]
-        error = float(sum(-item[0] for item in heap))
-    value = float(sum(v for _, v in final_boxes))
+
+    value = float(sum(it[3] for it in heap))
+    error = float(sum(it[4] for it in heap))
 
     if emit_particles:
         frac = emit_mass_frac if emit_mass_frac is not None else 1.0 / 64.0
         shell_target = 0.25 * frac * abs(value)
         pts_list = []
         wts_list = []
-        for box, fine in final_boxes:
-            if emit_rule == "cdf":
-                if shell_target > 0.0:
-                    n_shell = int(np.clip(np.ceil(abs(fine) / shell_target), 4, 24))
-                else:
-                    n_shell = 4
-                z, w = _emit_cdf_nodes(density, center, box, fine, n_shell)
-                pts_list.append(z)
-                wts_list.append(w)
-                continue
-            if emit_rule == "scaled_coarse":
-                z, jac = _panel_nodes(center, *box, _XC, _WC)
-                w = density(z) * jac
-                coarse_sum = float(w.sum())
-                if coarse_sum > 0.0:
-                    pts_list.append(z)
-                    wts_list.append(w * (fine / coarse_sum))
-                    continue
-                if fine == 0.0:
-                    pts_list.append(z)
-                    wts_list.append(w)
-                    continue
-                # coarse rule missed all the mass; fall through to fine nodes
-            z, jac = _panel_nodes(center, *box, _XF, _WF)
+        for _, _, box, fine, _, _ in heap:
+            if shell_target > 0.0:
+                n_shell = int(np.clip(np.ceil(abs(fine) / shell_target), 4, 24))
+            else:
+                n_shell = 4
+            z, w = _emit_cdf_nodes(density, center, box, fine, n_shell)
             pts_list.append(z)
-            wts_list.append(density(z) * jac)
+            wts_list.append(w)
         points = np.concatenate(pts_list)
         weights = np.concatenate(wts_list)
-        # keep the emitted mass identical to the reported value
         order = np.argsort(points.real, kind="stable")
         points = points[order]
         weights = weights[order]
@@ -317,5 +290,5 @@ def adaptive_polar_quadrature(
         error=error,
         points=points.astype(np.complex128),
         weights=weights.astype(np.float64),
-        n_panels=len(final_boxes),
+        n_panels=len(heap),
     )

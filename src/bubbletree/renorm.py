@@ -65,7 +65,7 @@ def renormalization_map(q: complex, t: float) -> PlanarMoebius:
     if not 0.0 < t < 1.0:
         raise ValueError(f"t must lie in (0, 1), got {t}")
     scale = 1.0 / t - 1.0
-    return PlanarMoebius.affine(scale, -scale * q)
+    return PlanarMoebius(scale, -scale * q)
 
 
 @dataclass(frozen=True)
@@ -687,7 +687,7 @@ def mark_nodal_bubble(
             res = solve_neck_scale(mu, 0.0, eps_bar)
             r = res.s
             ratio = abs(neck.pinch) / r
-            nu = pushforward(mu, PlanarMoebius.affine(1.0 / r))
+            nu = pushforward(mu, PlanarMoebius(1.0 / r, 0.0))
             markings.append(
                 Marking(
                     case=2,

@@ -1,16 +1,23 @@
 """Induction driver: ledger invariants and whole-tree extraction shapes."""
 
+import dataclasses
 import math
 
 import pytest
 
 from bubbletree import (
     BubbleTree,
+    ConcentrationReport,
+    ConcentrationSite,
     ExtractionConfig,
+    FamilyMember,
     MarkedNodalCurve,
     ResidualEnergyLedger,
     TreeComponent,
+    WeightedParticleMeasure,
+    driver,
     energy_identity_check,
+    extract_bubble_tree,
     residual_energy,
 )
 from bubbletree.errors import DriverError
@@ -45,9 +52,6 @@ def test_config_defaults_and_validation():
         ExtractionConfig(eps_bar=0.0)
     with pytest.raises(DriverError, match="depth"):
         ExtractionConfig(depth=1)
-    unstable = MarkedNodalCurve((0,), (), ((0, 1), (0, 2)))
-    with pytest.raises(DriverError, match="stable"):
-        ExtractionConfig(base_curve=unstable)
 
 
 def synthetic_tree(re_trace, components=None):
@@ -179,3 +183,36 @@ def test_energy_identity_check_recomputes(bubble1_tree, torus21_tree):
     chk_t = energy_identity_check(torus21_tree)
     assert not chk_t.asserted and chk_t.connected is None
     assert chk_t.residual == pytest.approx(torus21_tree.identity_residual)
+
+
+def test_family_without_members_is_refused(plumbing_family):
+    empty = dataclasses.replace(plumbing_family, members=())
+    with pytest.raises(DriverError, match="^family has no members$"):
+        extract_bubble_tree(empty)
+
+
+def test_family_mixing_measures_and_fields_is_refused(plumbing_family):
+    atoms = FamilyMember("atoms", 1.0, None, WeightedParticleMeasure.empty(), None)
+    mixed = dataclasses.replace(
+        plumbing_family, members=(*plumbing_family.members, atoms)
+    )
+    with pytest.raises(
+        DriverError, match="^family members carry neither uniform measures nor fields$"
+    ):
+        extract_bubble_tree(mixed)
+
+
+def test_smooth_site_on_nodal_chart_is_refused(plumbing_family, monkeypatch):
+    # a light smooth site keeps the ledger and site-sum routes in agreement,
+    # so the refusal comes from the marking step, not the dual-route check
+    site = ConcentrationSite(0.2 + 0.1j, 0.01, "smooth", ((1, 0), (2, 3)), (0.01,))
+
+    def detect(mus, mu_limit, ladder, chart_kind="smooth"):
+        assert chart_kind == "nodal"
+        return ConcentrationReport((site,), threshold=0.0, finest_scale=ladder.finest_scale)
+
+    monkeypatch.setattr(driver, "detect_concentrations", detect)
+    with pytest.raises(
+        DriverError, match="^smooth sites on a nodal chart are not supported$"
+    ):
+        extract_bubble_tree(plumbing_family, ExtractionConfig(delta0=0.5))

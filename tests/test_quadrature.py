@@ -1,11 +1,14 @@
-"""Adaptive polar quadrature against an independent integrator."""
+"""Adaptive polar quadrature against an independent integrator and a two-pass reference."""
 
+import heapq
 import math
 
 import numpy as np
+import pytest
 from scipy import integrate
 
-from bubbletree import adaptive_polar_quadrature
+from bubbletree import PanelQuadrature, adaptive_polar_quadrature
+from bubbletree.quadrature import _WC, _WF, _XC, _XF, _emit_cdf_nodes, _panel_value
 
 
 def fs_density(k):
@@ -64,7 +67,6 @@ def test_particle_emission_preserves_total_and_balls():
         0j,
         1.0,
         emit_particles=True,
-        emit_rule="cdf",
         emit_mass_frac=2.5e-3,
     )
     pts, wts = res.points, res.weights
@@ -89,3 +91,157 @@ def test_panel_budget_caps_refinement():
 def test_zero_density_integrates_to_zero():
     res = adaptive_polar_quadrature(lambda z: np.zeros_like(z, dtype=float), 0j, 1.0)
     assert res.value == 0.0
+
+
+def two_pass_reference(
+    density,
+    center,
+    r_outer,
+    r_inner=0.0,
+    rel_tol=1e-9,
+    abs_tol=1e-14,
+    max_panels=20000,
+    emit_particles=False,
+    emit_mass_frac=None,
+):
+    """Reference: the error pass and the granularity pass written out apart,
+    re-evaluating the coarse rule of every panel they split and of both
+    chosen children (nine panel rules per split)."""
+    boxes = []
+    redges = np.linspace(r_inner, r_outer, 9)
+    tedges = np.linspace(0.0, 2.0 * np.pi, 9)
+    for i in range(8):
+        for j in range(8):
+            boxes.append((redges[i], redges[i + 1], tedges[j], tedges[j + 1]))
+    heap = []
+    counter = 0
+    total = 0.0
+    total_err = 0.0
+
+    def push(box):
+        nonlocal counter, total, total_err
+        coarse = _panel_value(density, center, box, _XC, _WC)
+        fine = _panel_value(density, center, box, _XF, _WF)
+        err = abs(fine - coarse)
+        heapq.heappush(heap, (-err, counter, box, fine))
+        counter += 1
+        total += fine
+        total_err += err
+
+    def children_of(box, can_r, can_t):
+        r0, r1, t0, t1 = box
+        rm, tm = 0.5 * (r0 + r1), 0.5 * (t0 + t1)
+        r_children = [(r0, rm, t0, t1), (rm, r1, t0, t1)]
+        t_children = [(r0, r1, t0, tm), (r0, r1, tm, t1)]
+        r_sum = sum(_panel_value(density, center, b, _XC, _WC) for b in r_children)
+        t_sum = sum(_panel_value(density, center, b, _XC, _WC) for b in t_children)
+        coarse = _panel_value(density, center, box, _XC, _WC)
+        if can_r and (not can_t or abs(r_sum - coarse) >= abs(t_sum - coarse)):
+            return r_children
+        return t_children
+
+    for box in boxes:
+        push(box)
+    width_floor = 1e-13 * max(r_outer, 1.0)
+    while len(heap) < max_panels:
+        if total_err <= max(abs_tol, rel_tol * abs(total)):
+            break
+        neg_err, cnt, box, fine = heapq.heappop(heap)
+        total -= fine
+        total_err -= -neg_err
+        if -neg_err <= 0.0:
+            heapq.heappush(heap, (neg_err, cnt, box, fine))
+            total += fine
+            total_err += -neg_err
+            break
+        can_r = (box[1] - box[0]) > width_floor
+        can_t = (box[3] - box[2]) > 1e-13
+        if not can_r and not can_t:
+            heapq.heappush(heap, (0.0, counter, box, fine))
+            counter += 1
+            total += fine
+            continue
+        for child in children_of(box, can_r, can_t):
+            push(child)
+
+    if emit_particles and emit_mass_frac is not None:
+        mass_heap = [(-abs(it[3]), it[1], it[2], it[3], -it[0]) for it in heap]
+        heapq.heapify(mass_heap)
+        while len(mass_heap) < max_panels:
+            neg_mass, _, box, fine, err = mass_heap[0]
+            if -neg_mass <= emit_mass_frac * abs(total):
+                break
+            heapq.heappop(mass_heap)
+            can_r = (box[1] - box[0]) > width_floor
+            can_t = (box[3] - box[2]) > 1e-13
+            if not can_r and not can_t:
+                heapq.heappush(mass_heap, (0.0, counter, box, fine, err))
+                counter += 1
+                continue
+            total -= fine
+            total_err -= err
+            for child in children_of(box, can_r, can_t):
+                c_coarse = _panel_value(density, center, child, _XC, _WC)
+                c_fine = _panel_value(density, center, child, _XF, _WF)
+                c_err = abs(c_fine - c_coarse)
+                heapq.heappush(mass_heap, (-abs(c_fine), counter, child, c_fine, c_err))
+                counter += 1
+                total += c_fine
+                total_err += c_err
+        final_boxes = [(it[2], it[3]) for it in mass_heap]
+        error = float(sum(it[4] for it in mass_heap))
+    else:
+        final_boxes = [(it[2], it[3]) for it in heap]
+        error = float(sum(-it[0] for it in heap))
+    value = float(sum(v for _, v in final_boxes))
+
+    points = np.zeros(0, dtype=np.complex128)
+    weights = np.zeros(0, dtype=np.float64)
+    if emit_particles:
+        frac = emit_mass_frac if emit_mass_frac is not None else 1.0 / 64.0
+        shell_target = 0.25 * frac * abs(value)
+        pts_list, wts_list = [], []
+        for box, fine in final_boxes:
+            n_shell = 4
+            if shell_target > 0.0:
+                n_shell = int(np.clip(np.ceil(abs(fine) / shell_target), 4, 24))
+            z, w = _emit_cdf_nodes(density, center, box, fine, n_shell)
+            pts_list.append(z)
+            wts_list.append(w)
+        points = np.concatenate(pts_list)
+        weights = np.concatenate(wts_list)
+        order = np.argsort(points.real, kind="stable")
+        points, weights = points[order], weights[order]
+    return PanelQuadrature(value, error, points, weights, len(final_boxes))
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+SINGLE_PASS_CASES = [
+    *[(f"fs_k{k:g}", (fs_density(k), 0j, 1.0), {}) for k in (1.0, 10.0, 100.0, 1e3, 1e4)],
+    ("off_centre_annulus", (fs_density(10.0), 0.2 - 0.1j, 1.0), {"r_inner": 0.25}),
+    ("budget_cap", (fs_density(1e4), 0j, 1.0), {"rel_tol": 1e-12, "max_panels": 80}),
+    (
+        "emission",
+        (fs_density(100.0), 0j, 1.0),
+        {"emit_particles": True, "emit_mass_frac": 2.5e-3},
+    ),
+    ("emission_default_frac", (fs_density(100.0), 0j, 1.0), {"emit_particles": True}),
+    ("zero_density", (lambda z: np.zeros_like(z, dtype=float), 0j, 1.0), {}),
+]
+
+
+@pytest.mark.parametrize(
+    "args, kwargs", [c[1:] for c in SINGLE_PASS_CASES], ids=[c[0] for c in SINGLE_PASS_CASES]
+)
+def test_shared_split_matches_two_pass_reference(args, kwargs):
+    got = adaptive_polar_quadrature(*args, **kwargs)
+    want = two_pass_reference(*args, **kwargs)
+    assert _bits(got.value) == _bits(want.value)
+    assert _bits(got.error) == _bits(want.error)
+    assert got.n_panels == want.n_panels
+    assert got.points.dtype == want.points.dtype and got.weights.dtype == want.weights.dtype
+    assert _bits(got.points) == _bits(want.points)
+    assert _bits(got.weights) == _bits(want.weights)
