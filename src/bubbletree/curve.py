@@ -41,6 +41,9 @@ __all__ = [
     "curve_from_text",
 ]
 
+# most marks whose subsets is_regular_node searches exhaustively
+_EXHAUSTIVE_MAX_MARKS = 8
+
 
 @dataclass(frozen=True)
 class MarkedNodalCurve:
@@ -351,13 +354,13 @@ class RegularityVerdict:
 
 
 def is_regular_node(
-    c: MarkedNodalCurve, edge_index: int, n_max: int = 8, use_shortcut: bool = True
+    c: MarkedNodalCurve, edge_index: int, use_shortcut: bool = True
 ) -> RegularityVerdict:
     """Is the node sent to a non-node by forgetting some nonempty mark set?
 
     Genus-0 curves take the shortcut of forgetting down to three marks: the
     stable image is irreducible, so no node survives.  Otherwise subsets are
-    searched exhaustively while n <= n_max; beyond that the verdict is
+    searched exhaustively while n <= 8; beyond that the verdict is
     "undecided".  Witnesses are replayed in reversed order to confirm the
     image does not depend on the forgetting order.
     """
@@ -383,7 +386,7 @@ def is_regular_node(
         if verify(witness):
             return RegularityVerdict(status="regular", witness=witness)
 
-    if n > n_max:
+    if n > _EXHAUSTIVE_MAX_MARKS:
         return RegularityVerdict(status="undecided", witness=None)
     for size in range(1, n + 1):
         for subset in itertools.combinations(labels, size):

@@ -17,7 +17,7 @@ per euclidean chart area.  This is pole-free whenever P and Q share no root.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -28,8 +28,6 @@ from .quadrature import adaptive_polar_quadrature
 
 __all__ = [
     "RationalMap",
-    "RationalMapFamily",
-    "PlumbingFamily",
     "FamilySpec",
     "FamilyMember",
     "Family",
@@ -121,57 +119,6 @@ class RationalMap:
         num = np.concatenate([np.zeros(d + 1 - self.num.size, np.complex128), self.num])
         den = np.concatenate([np.zeros(d + 1 - self.den.size, np.complex128), self.den])
         return RationalMap(num[::-1].copy(), den[::-1].copy())
-
-
-@dataclass(frozen=True)
-class RationalMapFamily:
-    """Coefficient schedules k -> (P_k, Q_k) over a parameter list."""
-
-    numerator: Callable[[float], Sequence[complex]]
-    denominator: Callable[[float], Sequence[complex]]
-    schedule: tuple[float, ...]
-    chart: str = "north"
-
-    def __post_init__(self) -> None:
-        if not self.schedule:
-            raise FamilyError("empty parameter schedule")
-
-    def member(self, k: float) -> RationalMap:
-        return RationalMap(
-            np.asarray(self.numerator(k), dtype=np.complex128),
-            np.asarray(self.denominator(k), dtype=np.complex128),
-        )
-
-    def members(self) -> tuple[RationalMap, ...]:
-        return tuple(self.member(k) for k in self.schedule)
-
-
-@dataclass(frozen=True)
-class PlumbingFamily:
-    """Degenerating neck xy = t_k, |x|,|y| <= delta with a chart map per t."""
-
-    pinches: tuple[float, ...]
-    delta: float
-    transition: Callable[[float], RationalMap]
-
-    def __post_init__(self) -> None:
-        if self.delta <= 0:
-            raise FamilyError("plumbing delta must be positive")
-        if not self.pinches:
-            raise FamilyError("empty pinch schedule")
-        mags = [abs(t) for t in self.pinches]
-        if min(mags) <= 0:
-            raise FamilyError("pinch parameters must be nonzero")
-        if any(m >= self.delta**2 for m in mags):
-            raise FamilyError("pinch magnitudes must stay below delta^2")
-        if any(a <= b for a, b in zip(mags, mags[1:], strict=False)):
-            raise FamilyError("pinch magnitudes must decrease strictly")
-
-    def field(self, t: float, n_t: int, n_theta: int) -> CylinderField:
-        m = self.transition(t)
-        return cylinder_field_from_sphere_chart(
-            m.value, m.derivative, pinch=t, delta=self.delta, n_t=n_t, n_theta=n_theta
-        )
 
 
 def _quadrature_checked(
@@ -358,10 +305,13 @@ def _with_atom(
 
 
 def _bubble_family(spec: FamilySpec, coeffs) -> Family:
-    fam = RationalMapFamily(coeffs[0], coeffs[1], spec.schedule)
+    numerator, denominator = coeffs
     members = []
     for k in spec.schedule:
-        rmap = fam.member(k)
+        rmap = RationalMap(
+            np.asarray(numerator(k), dtype=np.complex128),
+            np.asarray(denominator(k), dtype=np.complex128),
+        )
         mu = density_to_measure(
             rmap, spec.chart_radius, rel_tol=spec.rel_tol, max_panels=spec.max_panels
         )
@@ -388,11 +338,19 @@ def _plumbing_family(spec: FamilySpec) -> Family:
         def transition(t: float) -> RationalMap:
             # bubble of scale t^(1/3) riding in the neck; both side limits vanish
             return RationalMap((t ** (1.0 / 3.0),), (1.0, 0.0))
-    pf = PlumbingFamily(spec.schedule, spec.delta, transition)
+
+    # neck xy = t, |x|, |y| <= delta for each pinch t
+    if any(t >= spec.delta**2 for t in spec.schedule):
+        raise FamilyError("pinch magnitudes must stay below delta^2")
+    if any(a <= b for a, b in zip(spec.schedule, spec.schedule[1:])):
+        raise FamilyError("pinch magnitudes must decrease strictly")
     members = []
     for t in spec.schedule:
-        fld = pf.field(t, spec.n_t, spec.n_theta)
-        members.append(FamilyMember(f"t={t:g}", float(t), pf.transition(t), None, fld))
+        m = transition(t)
+        fld = cylinder_field_from_sphere_chart(
+            m.value, m.derivative, pinch=t, delta=spec.delta, n_t=spec.n_t, n_theta=spec.n_theta
+        )
+        members.append(FamilyMember(f"t={t:g}", float(t), m, None, fld))
     if spec.kind == "plumbing":
         # both sides of x + t/x limit to the identity chart map, so the far
         # side contributes its disk energy as an atom at the node

@@ -512,29 +512,16 @@ class PolarAnnulusField:
             raise NeckError("radii must be positive")
 
 
-def pohozaev_residual(
-    field: PolarAnnulusField, radii: list[float] | None = None
-) -> float:
-    """Max over radii of |int |F_phi|^2 - r^2 |F_r|^2 dphi| / (sum of both).
+def pohozaev_residual(field: PolarAnnulusField) -> float:
+    """Max over grid radii of |int |F_phi|^2 - r^2 |F_r|^2 dphi| / (sum of both).
 
-    Vanishes identically for conformal maps; 0/0 counts as 0.  Requested
-    radii must match grid radii to 1e-12 relative.
+    Vanishes identically for conformal maps; 0/0 counts as 0.
     """
     grid = np.asarray(field.radii, dtype=float)
-    if radii is None:
-        idx = np.arange(len(grid))
-    else:
-        idx = []
-        for r in radii:
-            j = int(np.argmin(np.abs(grid - r)))
-            if abs(grid[j] - r) > 1e-12 * max(1.0, abs(r)):
-                raise NeckError(f"radius {r} outside the sampled annulus grid")
-            idx.append(j)
-        idx = np.asarray(idx)
     fr_sq = np.sum(field.f_r * field.f_r, axis=-1)
     fphi_sq = np.sum(field.f_phi * field.f_phi, axis=-1)
     worst = 0.0
-    for j in idx:
+    for j in range(len(grid)):
         r2 = grid[j] * grid[j]
         num = abs(float(np.sum(fphi_sq[j] - r2 * fr_sq[j])))
         den = float(np.sum(fphi_sq[j] + r2 * fr_sq[j]))

@@ -72,9 +72,8 @@ def _panel_nodes(
     t = tm + th * xs
     wr = rh * ws
     wt = th * ws
-    rr, tt = np.meshgrid(r, t, indexing="ij")
-    z = center + rr * np.exp(1j * tt)
-    jac = np.outer(wr * r, wt)  # polar area element r dr dtheta
+    z = center + r[:, None] * np.exp(1j * t)[None, :]
+    jac = (wr * r)[:, None] * wt[None, :]  # polar area element r dr dtheta
     return z.ravel(), jac.ravel()
 
 

@@ -2,16 +2,17 @@
 
 Given a measure concentrating at a point q, the map R_{q,t}(x) =
 (1/t - 1)(x - q) rescales the chart so that exactly the energy quantum
-eps_bar sits outside the unit disk.  The neck scale t is found by
-bisection on the monotone mass-outside function; the balanced center q is
-the zero of the first-moment functional F(q) of the renormalized measure,
-located by a degree (winding) argument followed by damped Newton.
+eps_bar sits outside the unit disk.  The neck scale t is found by one
+bisection on the monotone mass-outside function, shared by particle
+measures and continuous radial profiles; the balanced center q is the zero
+of the first-moment functional F(q) of the renormalized measure, located
+by a degree (winding) argument followed by damped Newton.
 
-Every probe of F solves a neck scale, so that solve never sorts the whole
-measure: it selects and sorts only the far tail of atoms holding 2 eps_bar,
-reads off the crossing radius d* where the tail's mass beyond crosses
-eps_bar, and replays the bisection in scalar floats against d* (see
-solve_neck_scale for the rounding assumption this rests on).
+Every probe of F solves a neck scale, so the particle solve never sorts
+the whole measure: it selects and sorts only the far tail of atoms holding
+2 eps_bar and reads the mass beyond each bisection radius from the tail's
+suffix masses (see solve_neck_scale for the rounding assumption this rests
+on).
 
 Two marking procedures wrap this machinery: one for concentration at a
 smooth point (solve for q, then t), one for concentration at a node (q is
@@ -21,6 +22,7 @@ pinned at the node; only the cut radius r is solved).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -51,6 +53,8 @@ __all__ = [
 
 # fewest atoms in the first far-tail guess of solve_neck_scale
 _TAIL_MIN = 256
+# samples of F on the boundary circle in find_balanced_center
+_BOUNDARY_SAMPLES = 720
 
 
 def cross_ratio(q: complex, t: float, x):
@@ -85,45 +89,106 @@ class NeckScaleResult:
     history: tuple[tuple[float, float], ...]
 
 
+def _check_levels(total: float, eps_bar: float) -> None:
+    if eps_bar <= 0.0:
+        raise NeckScaleError(f"eps_bar must be positive, got {eps_bar}")
+    if total <= eps_bar:
+        raise NeckScaleError(
+            f"energy below quantum: total mass {total:.6g} <= eps_bar {eps_bar:.6g}"
+        )
+
+
+def _bisect_neck_scale(
+    mass_outside: Callable[[float], float],
+    total: float,
+    eps_bar: float,
+    tol: float,
+    s_lo: float,
+    s_hi: float,
+    width: float,
+    jump_cap: float,
+) -> NeckScaleResult:
+    """Bisection in t = s/(1+s) for mass_outside(s) = eps_bar on [s_lo, s_hi].
+
+    Stops once an end of the bracket is within tol of eps_bar or the bracket
+    is narrower than width in t.  The history must be nonincreasing in t; the
+    nearer end is accepted when its residual is within tol, widened to the
+    final jump of the bracket but never beyond jump_cap (a larger jump means
+    the level is not spanned).
+    """
+    t_lo = s_lo / (1.0 + s_lo)
+    t_hi = s_hi / (1.0 + s_hi)
+    f_lo = mass_outside(s_lo)
+    f_hi = mass_outside(s_hi)
+    history = [(t_lo, f_lo), (t_hi, f_hi)]
+    if not (f_lo >= eps_bar >= f_hi):
+        raise NeckScaleError(
+            f"mass function not spanning eps_bar: range [{f_hi:.6g}, {f_lo:.6g}]"
+        )
+    while abs(f_lo - eps_bar) > tol and abs(f_hi - eps_bar) > tol and (t_hi - t_lo) > width:
+        t_mid = 0.5 * (t_lo + t_hi)
+        f_mid = mass_outside(t_mid / (1.0 - t_mid))
+        history.append((t_mid, f_mid))
+        if f_mid >= eps_bar:
+            t_lo, f_lo = t_mid, f_mid
+        else:
+            t_hi, f_hi = t_mid, f_mid
+
+    history.sort(key=lambda p: p[0])
+    for (_, fa), (_, fb) in zip(history, history[1:]):
+        if fb > fa + 1e-12 * max(total, 1.0):
+            raise NeckScaleError("mass function increased across bisection history")
+
+    gap = f_lo - f_hi
+    if abs(f_lo - eps_bar) <= abs(f_hi - eps_bar):
+        t_star, f_star = t_lo, f_lo
+    else:
+        t_star, f_star = t_hi, f_hi
+    residual = abs(f_star - eps_bar)
+    tol_effective = max(tol, min(gap, jump_cap))
+    if residual > tol_effective:
+        raise NeckScaleError(
+            f"mass function not spanning eps_bar: residual {residual:.6g} across a "
+            f"jump of {gap:.6g}"
+        )
+    return NeckScaleResult(
+        t=t_star,
+        s=t_star / (1.0 - t_star),
+        mass_outside=f_star,
+        residual=residual,
+        tol_effective=tol_effective,
+        history=tuple(history),
+    )
+
+
 def solve_neck_scale(
     mu: WeightedParticleMeasure,
     q: complex,
     eps_bar: float,
     tol: float | None = None,
-    gap_fraction: float = 0.05,
 ) -> NeckScaleResult:
     """Bisection for t with mass of mu outside R_{q,t}^{-1}(unit disk) = eps_bar.
 
     The mass-outside function of a particle measure is a nonincreasing step
     function of t; bisection converges either to a plateau crossing the
     level or to a jump.  A jump solution is accepted when the jump is small
-    (below gap_fraction of the total mass, a discretization artifact) and
-    rejected as "not spanning" otherwise.
+    (below 5% of the total mass, a discretization artifact) and rejected as
+    "not spanning" otherwise.
 
     No step sorts the whole measure.  Only the far tail is sorted: the
     farthest atoms from q, doubled in count until they carry 2 eps_bar of
-    mass (or are all the atoms).  The tail's suffix masses give the crossing
-    radius d*, the largest tail distance with mass at least eps_bar at or
-    beyond it, so mass_outside(s) >= eps_bar exactly when s <= d*.  The
-    bisection is then replayed in plain floats with that test, and the
-    mass values of its history are read from the tail in one vectorized
-    lookup; radii at or below the tail's nearest distance take a masked sum
-    over all atoms.  A final walk over the recorded steps applies the tol
-    early exit.  The result carries the same t, s and history t values as a
-    bisection that evaluates a fully sorted profile at every step, and mass
-    values equal to it up to rounding, provided no plateau of the mass
-    function lies within rounding (about 1e-16 of the total) of eps_bar.
-    The same holds for the other levels a comparison reads: eps_bar +- tol
-    (early exit), eps_bar +- gap_fraction * total (jump test) and the
-    midpoint of a jump (nearer end).
+    mass (or are all the atoms).  The bisection reads the mass beyond a
+    radius from the tail's suffix masses; radii at or inside the tail cut
+    take a masked sum over all atoms.  The result is equal to the
+    full-sort reference (a bisection that evaluates a fully sorted profile
+    at every step) in t, s and history t, and in mass values up to
+    rounding, unless a plateau of the mass function lies within rounding
+    (about 1e-16 of the total) of a compared level: eps_bar, eps_bar +- tol
+    (early exit), eps_bar +- 0.05 total (jump test) or the midpoint of a
+    jump (nearer end).
     """
-    if eps_bar <= 0.0:
-        raise NeckScaleError(f"eps_bar must be positive, got {eps_bar}")
     total = mu.mass
-    if total <= eps_bar:
-        raise NeckScaleError(
-            f"energy below quantum: total mass {total:.6g} <= eps_bar {eps_bar:.6g}"
-        )
+    _check_levels(total, eps_bar)
     if tol is None:
         tol = 1e-9 * total
     d = np.abs(mu.points - q)
@@ -155,157 +220,41 @@ def solve_neck_scale(
     idx = idx[np.argsort(d[idx])]
     d_tail = d[idx]
     suffix = np.append(np.cumsum(w[idx][::-1])[::-1], 0.0)
-    # crossing radius: mass_outside(s) >= eps_bar exactly when s <= d_star
-    n_cross = int(np.count_nonzero(suffix >= eps_bar))
-    d_star = float(d_tail[n_cross - 1]) if n_cross else -np.inf
+    cut = float(d_tail[0]) if m < n else -np.inf
 
-    def s_of(t: float) -> float:
-        return t / (1.0 - t)
+    def mass_outside(s: float) -> float:
+        # below every positive distance (an s underflowed to 0 also counts
+        # the atoms at q); at or inside the cut, atoms beyond the tail count
+        if 0.0 < s <= d_min:
+            return reachable
+        if s <= cut:
+            return float((w * (d >= s)).sum())
+        return float(suffix[d_tail.searchsorted(s)])
 
-    # the full-width bisection, decided by the crossing radius
-    s_lo = d_min * 0.5
-    s_hi = d_max * 2.0 + 1.0
-    t_lo = s_lo / (1.0 + s_lo)
-    t_hi = s_hi / (1.0 + s_hi)
-    ts = [t_lo, t_hi]
-    goes_lo = []
-    a, b = t_lo, t_hi
-    while (b - a) > 1e-14:
-        t_mid = 0.5 * (a + b)
-        lo = s_of(t_mid) <= d_star
-        ts.append(t_mid)
-        goes_lo.append(lo)
-        if lo:
-            a = t_mid
-        else:
-            b = t_mid
-    t_arr = np.array(ts)
-    s_arr = t_arr / (1.0 - t_arr)
-    f_arr = suffix[np.searchsorted(d_tail, s_arr, side="left")]
-    # s_lo lies below every positive distance, unless it underflows to 0
-    # and so also counts the atoms at q; other radii at or inside the tail
-    # cut see atoms beyond the tail and take a masked sum
-    inside = s_arr <= d_tail[0] if m < n else np.zeros(len(s_arr), dtype=bool)
-    if 0.0 < s_arr[0] <= d_min:
-        f_arr[0] = reachable
-        inside[0] = False
-    for i in np.nonzero(inside)[0]:
-        f_arr[i] = (w * (d >= s_arr[i])).sum()
-    fs = f_arr.tolist()
-
-    f_lo, f_hi = fs[0], fs[1]
-    history = [(t_lo, f_lo), (t_hi, f_hi)]
-    if not (f_lo >= eps_bar >= f_hi):
-        raise NeckScaleError(
-            f"mass function not spanning eps_bar: range [{f_hi:.6g}, {f_lo:.6g}]"
-        )
-    for t_mid, f_mid, lo in zip(ts[2:], fs[2:], goes_lo):
-        if abs(f_lo - eps_bar) <= tol or abs(f_hi - eps_bar) <= tol:
-            break
-        history.append((t_mid, f_mid))
-        if lo:
-            t_lo, f_lo = t_mid, f_mid
-        else:
-            t_hi, f_hi = t_mid, f_mid
-
-    history.sort(key=lambda p: p[0])
-    for (_, fa), (_, fb) in zip(history, history[1:]):
-        if fb > fa + 1e-12 * max(total, 1.0):
-            raise NeckScaleError("mass function increased across bisection history")
-
-    gap = f_lo - f_hi
-    if abs(f_lo - eps_bar) <= abs(f_hi - eps_bar):
-        t_star, f_star = t_lo, f_lo
-    else:
-        t_star, f_star = t_hi, f_hi
-    residual = abs(f_star - eps_bar)
-    tol_effective = max(tol, min(gap, gap_fraction * total))
-    if residual > tol_effective:
-        raise NeckScaleError(
-            f"mass function not spanning eps_bar: residual {residual:.6g} across a "
-            f"jump of {gap:.6g}"
-        )
-    return NeckScaleResult(
-        t=t_star,
-        s=s_of(t_star),
-        mass_outside=f_star,
-        residual=residual,
-        tol_effective=tol_effective,
-        history=tuple(history),
+    return _bisect_neck_scale(
+        mass_outside, total, eps_bar, tol, d_min * 0.5, d_max * 2.0 + 1.0, 1e-14, 0.05 * total
     )
 
 
 def solve_neck_scale_from_cdf(
-    mass_outside,
+    mass_outside: Callable[[float], float],
     total: float,
     eps_bar: float,
     tol: float | None = None,
-    s_bracket: tuple[float, float] = (1e-9, 1e9),
 ) -> NeckScaleResult:
     """Bisection twin of solve_neck_scale for a continuous radial profile.
 
-    mass_outside(s) must be a nonincreasing function of the radius s; the
-    same t = s/(1+s) parametrization and monotonicity audit apply, but a
-    continuous profile lets the bisection reach machine-level residuals,
-    which particle measures cannot (their mass function is a step function).
+    mass_outside(s) must be a nonincreasing function of the radius s on
+    [1e-9, 1e9]; the same t = s/(1+s) bisection and monotonicity audit
+    apply, but a continuous profile lets the bisection reach machine-level
+    residuals, which particle measures cannot (their mass function is a
+    step function), so the accepted jump is capped at 1e-6 of the total.
     """
-    if eps_bar <= 0.0:
-        raise NeckScaleError(f"eps_bar must be positive, got {eps_bar}")
-    if total <= eps_bar:
-        raise NeckScaleError(
-            f"energy below quantum: total mass {total:.6g} <= eps_bar {eps_bar:.6g}"
-        )
+    _check_levels(total, eps_bar)
     if tol is None:
         tol = 1e-12 * total
-
-    def s_of(t: float) -> float:
-        return t / (1.0 - t)
-
-    s_lo, s_hi = s_bracket
-    if not 0.0 < s_lo < s_hi:
-        raise NeckScaleError(f"bad radius bracket {s_bracket}")
-    t_lo = s_lo / (1.0 + s_lo)
-    t_hi = s_hi / (1.0 + s_hi)
-    f_lo = float(mass_outside(s_lo))
-    f_hi = float(mass_outside(s_hi))
-    history = [(t_lo, f_lo), (t_hi, f_hi)]
-    if not (f_lo >= eps_bar >= f_hi):
-        raise NeckScaleError(
-            f"mass function not spanning eps_bar: range [{f_hi:.6g}, {f_lo:.6g}]"
-        )
-    while abs(f_lo - eps_bar) > tol and abs(f_hi - eps_bar) > tol and (t_hi - t_lo) > 1e-15:
-        t_mid = 0.5 * (t_lo + t_hi)
-        f_mid = float(mass_outside(s_of(t_mid)))
-        history.append((t_mid, f_mid))
-        if f_mid >= eps_bar:
-            t_lo, f_lo = t_mid, f_mid
-        else:
-            t_hi, f_hi = t_mid, f_mid
-
-    history.sort(key=lambda p: p[0])
-    for (_, fa), (_, fb) in zip(history, history[1:]):
-        if fb > fa + 1e-12 * max(total, 1.0):
-            raise NeckScaleError("mass function increased across bisection history")
-
-    if abs(f_lo - eps_bar) <= abs(f_hi - eps_bar):
-        t_star, f_star = t_lo, f_lo
-    else:
-        t_star, f_star = t_hi, f_hi
-    residual = abs(f_star - eps_bar)
-    gap = f_lo - f_hi
-    tol_effective = max(tol, min(gap, 1e-6 * total))
-    if residual > tol_effective:
-        raise NeckScaleError(
-            f"mass function not spanning eps_bar: residual {residual:.6g} at "
-            f"bracket width {t_hi - t_lo:.3g}"
-        )
-    return NeckScaleResult(
-        t=t_star,
-        s=s_of(t_star),
-        mass_outside=f_star,
-        residual=residual,
-        tol_effective=tol_effective,
-        history=tuple(history),
+    return _bisect_neck_scale(
+        lambda s: float(mass_outside(s)), total, eps_bar, tol, 1e-9, 1e9, 1e-15, 1e-6 * total
     )
 
 
@@ -359,16 +308,15 @@ def find_balanced_center(
     ladder: ScaleLadder,
     k: int,
     tol: float = 1e-8,
-    boundary_samples: int = 720,
-    fd_step: float | None = None,
 ) -> CenterResult:
     """Zero of the center functional inside B(0, delta_{2k-1}).
 
     Preconditions of the concentration assumption at index k are checked:
     mass(B_k) > eps_bar and annulus mass B_k minus B_2k below
-    2 eps_k + 2 eps_2k.  The boundary winding of F certifies existence;
-    Newton (seeded at the local centroid, with quadrant subdivision as
-    fallback) localizes the zero.  With several zeros the one of smallest
+    2 eps_k + 2 eps_2k.  The winding of F over 720 boundary samples
+    certifies existence; Newton (central differences of step
+    1e-5 delta_2k, seeded at the local centroid, with quadrant subdivision
+    as fallback) localizes the zero.  With several zeros the one of smallest
     |q| is returned and flagged.
     """
     if k < 1 or 2 * k > ladder.depth:
@@ -390,8 +338,7 @@ def find_balanced_center(
         )
     radius = float(ladder.delta[2 * k - 1])
     tol_abs = tol * total
-    if fd_step is None:
-        fd_step = max(1e-10, 1e-5 * float(ladder.delta[2 * k]))
+    h = max(1e-10, 1e-5 * float(ladder.delta[2 * k]))  # central-difference step
 
     def value(q: complex) -> complex:
         return _center_value(mu, q, eps_bar, None)[0]
@@ -419,7 +366,7 @@ def find_balanced_center(
     if abs(f0) <= tol_abs:
         return finish(0.0 + 0.0j, f0, None, None, [0.0 + 0.0j], False)
 
-    phis = np.arange(boundary_samples) * (2.0 * np.pi / boundary_samples)
+    phis = np.arange(_BOUNDARY_SAMPLES) * (2.0 * np.pi / _BOUNDARY_SAMPLES)
     qs = radius * np.exp(1j * phis)
     vals = np.array([value(q) for q in qs])
     boundary_ok = bool(np.all(np.real(vals / (-qs)) > 0.0))
@@ -434,7 +381,6 @@ def find_balanced_center(
         for _ in range(60):
             if abs(fq) <= tol_abs:
                 return q, fq, True
-            h = fd_step
             fx = (value(q + h) - value(q - h)) / (2.0 * h)
             fy = (value(q + 1j * h) - value(q - 1j * h)) / (2.0 * h)
             jac = np.array(

@@ -123,7 +123,7 @@ def test_04_balanced_center_on_gaussian_clouds():
         sigma = (big_radius - abs(c)) / 20.0
         pts = c + sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         mu = WeightedParticleMeasure(pts, np.full(n, FOUR_PI / n), 1.0)
-        res = find_balanced_center(mu, lad, k, tol=1e-8, boundary_samples=720)
+        res = find_balanced_center(mu, lad, k, tol=1e-8)
         worst_f = max(worst_f, abs(center_functional(mu, res.q, 0.2)) / mu.mass)
         worst_d = max(worst_d, abs(res.q - c) / sigma)
         assert res.boundary_inward_ok is True

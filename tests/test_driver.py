@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import pytest
 
@@ -216,3 +217,24 @@ def test_smooth_site_on_nodal_chart_is_refused(plumbing_family, monkeypatch):
         DriverError, match="^smooth sites on a nodal chart are not supported$"
     ):
         extract_bubble_tree(plumbing_family, ExtractionConfig(delta0=0.5))
+
+
+def test_nodal_site_at_non_regular_node_is_refused(torus21_family, monkeypatch):
+    # the torus dual graph (two vertices joined by two nodes, one mark each)
+    # has no regular node, and the linear torus field carries alpha = 3 pi
+    site = ConcentrationSite(0j, 1.0, "nodal", ((1, 0), (2, 3)), (1.0,))
+
+    def detect(mus, mu_limit, ladder, chart_kind="smooth"):
+        assert chart_kind == "nodal"
+        return ConcentrationReport((site,), threshold=0.0, finest_scale=ladder.finest_scale)
+
+    monkeypatch.setattr(driver, "detect_concentrations", detect)
+    tree = extract_bubble_tree(torus21_family, ExtractionConfig(delta0=0.5))
+    assert [(s.location, s.mass) for s in tree.singular] == [(0j, 1.0)]
+    reason = tree.singular[0].reason
+    assert "dual-graph node classification: not_regular" in reason
+    assert re.search(r"\|alpha\| = \S+ too large", reason)
+    assert [c.kind for c in tree.components] == ["base"]
+    check = energy_identity_check(tree)
+    assert not check.asserted
+    assert "non-regular nodal points" in check.note

@@ -255,6 +255,31 @@ def test_balanced_center_on_gaussian_clouds():
         assert abs(res.q - c) <= 3.0 * sigma
 
 
+def test_balanced_center_quadrant_fallback_when_newton_seeds_fail():
+    # the first two Jacobian solves (the centroid and origin seeds) fail, so
+    # the zero must come from the quadrant subdivision by boundary winding
+    lad = build_scale_ladder(1.0, 0.2, 6)
+    k, sigma = 2, 0.002
+    c = 0.3 * lad.delta[2 * k] * (0.6 + 0.8j)
+    mu = gaussian_cloud(c, sigma, 2000, FOUR_PI, 1.0, seed=7)
+    want = find_balanced_center(mu, lad, k, tol=1e-8)
+    solve = np.linalg.solve
+    calls = []
+
+    def flaky_solve(a, b):
+        calls.append(None)
+        if len(calls) <= 2:
+            raise np.linalg.LinAlgError("singular Jacobian")
+        return solve(a, b)
+
+    with mock.patch.object(np.linalg, "solve", flaky_solve):
+        got = find_balanced_center(mu, lad, k, tol=1e-8)
+    assert len(calls) > 2
+    assert got.winding == want.winding == 1
+    assert abs(got.q - want.q) <= 1e-3 * sigma
+    assert abs(center_functional(mu, got.q, 0.2)) <= 1e-8 * mu.mass
+
+
 def test_balanced_center_needs_concentration():
     lad = build_scale_ladder(1.0, 0.2, 6)
     mu = radial_quantile_atoms(lambda q: 0.9 * np.sqrt(q), 5000, mass=6.0, chart=1.0)
