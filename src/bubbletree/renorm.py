@@ -8,6 +8,15 @@ measures and continuous radial profiles; the balanced center q is the zero
 of the first-moment functional F(q) of the renormalized measure, located
 by a degree (winding) argument followed by damped Newton.
 
+The winding is certified, not read off a fixed ring: F is probed at 16
+points of the boundary path, and an arc is split until its end values a, b
+pass the no-crossing test min(|a|, |b|) > |a - b| + jump, with jump the
+largest atom weight (an atom crossing the cut circle moves F by about its
+weight).  Assuming F stays within the chord plus one jump of the end values
+between two samples, every accepted arc turns by less than pi, so the summed
+principal increments give the winding exactly.  An arc that still fails on
+the dyadic grid of 4096 samples is refused with CenterError.
+
 Every probe of F solves a neck scale, so the particle solve never sorts
 the whole measure: it selects and sorts only the far tail of atoms holding
 2 eps_bar and reads the mass beyond each bisection radius from the tail's
@@ -21,6 +30,8 @@ pinned at the node; only the cut radius r is solved).
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -53,8 +64,10 @@ __all__ = [
 
 # fewest atoms in the first far-tail guess of solve_neck_scale
 _TAIL_MIN = 256
-# samples of F on the boundary circle in find_balanced_center
-_BOUNDARY_SAMPLES = 720
+# boundary ring of find_balanced_center: first samples, and the dyadic grid
+# an arc may be split down to before the winding is refused
+_RING_START = 16
+_RING_CAP = 4096
 
 
 def cross_ratio(q: complex, t: float, x):
@@ -281,11 +294,51 @@ def center_functional(
     return _center_value(mu, q, eps_bar, tol)[0]
 
 
-def _winding_number(values: np.ndarray) -> int:
-    ang = np.angle(values)
-    inc = np.diff(np.concatenate([ang, ang[:1]]))
-    inc = (inc + np.pi) % (2.0 * np.pi) - np.pi
-    return int(round(float(np.sum(inc) / (2.0 * np.pi))))
+def _certified_winding(
+    value: Callable[[complex], complex],
+    point: Callable[[float], complex],
+    jump: float,
+) -> tuple[int, list[tuple[complex, complex]]]:
+    """Winding number of F = value(point(u)) around 0 as u runs over [0, 1).
+
+    Starts from _RING_START equally spaced samples and splits an arc in two
+    until its end values a, b pass the no-crossing test
+        min(|a|, |b|) > |a - b| + jump.
+    Samples lie on the dyadic grid of _RING_CAP points, so no point is
+    probed twice.  Assumption: between the ends of an arc, F stays within
+    |a - b| + jump of its end values.  An accepted arc then keeps F in a disk
+    around a that excludes 0, so it turns by less than pi/2 and its
+    principal increment arg(b/a) is its true turn; the increments of the
+    accepted arcs sum to the winding exactly.  An arc that fails at grid
+    width 1/_RING_CAP raises CenterError; no winding is guessed.  Returns
+    the winding and the (point, value) samples in path order.
+    """
+    samples: dict[int, tuple[complex, complex]] = {}
+
+    def f(i: int) -> complex:
+        i %= _RING_CAP
+        if i not in samples:
+            q = point(i / _RING_CAP)
+            samples[i] = (q, value(q))
+        return samples[i][1]
+
+    step = _RING_CAP // _RING_START
+    arcs = [(i, i + step) for i in range(0, _RING_CAP, step)]
+    turn = 0.0
+    while arcs:
+        a, b = arcs.pop()
+        fa, fb = f(a), f(b)
+        chord = abs(fa - fb) + jump
+        if min(abs(fa), abs(fb)) > chord:
+            turn += cmath.phase(fb / fa)
+        elif b - a > 1:
+            arcs += [(a, (a + b) // 2), ((a + b) // 2, b)]
+        else:
+            raise CenterError(
+                f"degree argument fails: boundary winding not certified at {_RING_CAP} "
+                f"samples: |F| {min(abs(fa), abs(fb)):.3g} <= chord plus jump {chord:.3g}"
+            )
+    return round(turn / (2.0 * math.pi)), [samples[i] for i in sorted(samples)]
 
 
 @dataclass(frozen=True)
@@ -298,7 +351,7 @@ class CenterResult:
     scale: NeckScaleResult  # neck-scale solve at the returned q
     r: complex  # q + t/(1-t)
     winding: int | None
-    boundary_inward_ok: bool | None  # Re(F(q)/-q) > 0 at every boundary sample
+    boundary_inward_ok: bool | None  # Re(F(q)/-q) > 0 at every certified ring sample
     zeros: tuple[complex, ...]
     multiple_zeros: bool
 
@@ -313,11 +366,16 @@ def find_balanced_center(
 
     Preconditions of the concentration assumption at index k are checked:
     mass(B_k) > eps_bar and annulus mass B_k minus B_2k below
-    2 eps_k + 2 eps_2k.  The winding of F over 720 boundary samples
-    certifies existence; Newton (central differences of step
+    2 eps_k + 2 eps_2k.  A nonzero winding of F on the circle of radius
+    delta_{2k-1} certifies existence.  The winding is read by
+    _certified_winding: from 16 samples, arcs are split until their end
+    values a, b pass min(|a|, |b|) > |a - b| + jump, with jump the largest
+    atom weight, under the stated assumption that F stays within that chord
+    plus one jump of its end values between samples; an arc that still fails
+    at 4096 samples raises CenterError.  Newton (central differences of step
     1e-5 delta_2k, seeded at the local centroid, with quadrant subdivision
-    as fallback) localizes the zero.  With several zeros the one of smallest
-    |q| is returned and flagged.
+    by the same certified winding as fallback) localizes the zero.  With
+    several zeros the one of smallest |q| is returned and flagged.
     """
     if k < 1 or 2 * k > ladder.depth:
         raise CenterError(f"index {k} outside the ladder (need 1 <= k and 2k <= depth)")
@@ -340,12 +398,16 @@ def find_balanced_center(
     tol_abs = tol * total
     h = max(1e-10, 1e-5 * float(ladder.delta[2 * k]))  # central-difference step
 
-    def value(q: complex) -> complex:
-        return _center_value(mu, q, eps_bar, None)[0]
+    jump = float(mu.weights.max())  # F moves by about one weight as an atom crosses the cut
 
-    def finish(q: complex, val: complex, winding: int, boundary_ok: bool, zeros, flag):
-        scale_res = solve_neck_scale(mu, q, eps_bar)
-        r = q + scale_res.s
+    def probe(q: complex) -> tuple[complex, NeckScaleResult]:
+        return _center_value(mu, q, eps_bar, None)
+
+    def value(q: complex) -> complex:
+        return probe(q)[0]
+
+    def finish(q, fq, res, winding, boundary_ok, zeros):
+        r = q + res.s
         if abs(r) > float(ladder.delta[k]) * (1.0 + 1e-12):
             raise CenterError(
                 f"cut radius escapes the working scale: |r| = {abs(r):.6g} > "
@@ -353,34 +415,33 @@ def find_balanced_center(
             )
         return CenterResult(
             q=q,
-            value=val,
-            scale=scale_res,
+            value=fq,
+            scale=res,
             r=r,
             winding=winding,
             boundary_inward_ok=boundary_ok,
-            zeros=tuple(zeros),
-            multiple_zeros=flag,
+            zeros=tuple(z for z, _, _ in zeros),
+            multiple_zeros=len(zeros) > 1,
         )
 
-    f0 = value(0.0)
+    f0, res0 = probe(0.0)
     if abs(f0) <= tol_abs:
-        return finish(0.0 + 0.0j, f0, None, None, [0.0 + 0.0j], False)
+        return finish(0.0 + 0.0j, f0, res0, None, None, [(0.0 + 0.0j, f0, res0)])
 
-    phis = np.arange(_BOUNDARY_SAMPLES) * (2.0 * np.pi / _BOUNDARY_SAMPLES)
-    qs = radius * np.exp(1j * phis)
-    vals = np.array([value(q) for q in qs])
-    boundary_ok = bool(np.all(np.real(vals / (-qs)) > 0.0))
-    winding = _winding_number(vals)
+    winding, ring = _certified_winding(
+        value, lambda u: radius * cmath.exp(2j * math.pi * u), jump
+    )
+    boundary_ok = all((fq / -q).real > 0.0 for q, fq in ring)
     if winding == 0:
         raise CenterError(
             "degree argument fails: measure not concentrated: boundary winding is zero"
         )
 
-    def newton(q0: complex) -> tuple[complex, complex, bool]:
-        q, fq = q0, value(q0)
+    def newton(q0: complex) -> tuple[complex, complex, NeckScaleResult, bool]:
+        q, (fq, res) = q0, probe(q0)
         for _ in range(60):
             if abs(fq) <= tol_abs:
-                return q, fq, True
+                return q, fq, res, True
             fx = (value(q + h) - value(q - h)) / (2.0 * h)
             fy = (value(q + 1j * h) - value(q - 1j * h)) / (2.0 * h)
             jac = np.array(
@@ -389,23 +450,24 @@ def find_balanced_center(
             try:
                 step = np.linalg.solve(jac, -np.array([fq.real, fq.imag]))
             except np.linalg.LinAlgError:
-                return q, fq, False
+                return q, fq, res, False
             dq = complex(step[0], step[1])
             lam = 1.0
             while lam > 1e-6:
                 q_new = q + lam * dq
                 if abs(q_new) > radius:
                     q_new *= radius / abs(q_new)
-                f_new = value(q_new)
+                f_new, res_new = probe(q_new)
                 if abs(f_new) < abs(fq) * (1.0 - 0.25 * lam) + 1e-300:
-                    q, fq = q_new, f_new
+                    q, fq, res = q_new, f_new, res_new
                     break
                 lam *= 0.5
             else:
-                return q, fq, False
-        return q, fq, abs(fq) <= tol_abs
+                return q, fq, res, False
+        return q, fq, res, abs(fq) <= tol_abs
 
-    zeros: list[complex] = []
+    # (q, F(q), neck-scale solve at q) for each zero found
+    zeros: list[tuple[complex, complex, NeckScaleResult]] = []
     if abs(winding) == 1:
         # degree one: a single zero; seed Newton at the local centroid
         pts, wts = mu.points, mu.weights
@@ -417,49 +479,55 @@ def find_balanced_center(
             if abs(centroid) <= radius:
                 seeds.insert(0, centroid)
         for seed in seeds:
-            q, fq, ok = newton(seed)
+            q, fq, res, ok = newton(seed)
             if ok:
-                zeros.append(q)
+                zeros.append((q, fq, res))
                 break
 
     if not zeros:
-        # quadrant subdivision of the bounding square by boundary winding
-        side_samples = 60
-
+        # quadrant subdivision of the bounding square by certified boundary
+        # winding; a cell whose winding does not certify is not refined but
+        # seeds Newton like the finest cells, so no zero is dropped
         def cell_winding(cx: float, cy: float, half: float) -> int:
-            s = np.linspace(-half, half, side_samples, endpoint=False)
-            path = np.concatenate(
-                [
-                    (cx + s) + 1j * (cy - half),
-                    (cx + half) + 1j * (cy + s),
-                    (cx - s) + 1j * (cy + half),
-                    (cx - half) + 1j * (cy - s),
-                ]
-            )
-            return _winding_number(np.array([value(p) for p in path]))
+            corners = [
+                complex(cx - half, cy - half),
+                complex(cx + half, cy - half),
+                complex(cx + half, cy + half),
+                complex(cx - half, cy + half),
+            ]
 
-        cells = [(0.0, 0.0, radius)]
+            def point(u: float) -> complex:
+                side, v = divmod(4.0 * u, 1.0)
+                a = corners[int(side)]
+                return a + v * (corners[(int(side) + 1) % 4] - a)
+
+            return _certified_winding(value, point, jump)[0]
+
+        cells, uncertified = [(0.0, 0.0, radius)], []
         for _ in range(8):
             refined = []
             for cx, cy, half in cells:
                 h2 = half / 2.0
                 for dx in (-h2, h2):
                     for dy in (-h2, h2):
-                        if cell_winding(cx + dx, cy + dy, h2) != 0:
-                            refined.append((cx + dx, cy + dy, h2))
+                        cell = (cx + dx, cy + dy, h2)
+                        try:
+                            if cell_winding(*cell) != 0:
+                                refined.append(cell)
+                        except CenterError:
+                            uncertified.append(cell)
             if not refined:
                 break
             cells = refined
-        for cx, cy, _ in cells:
-            q, fq, ok = newton(complex(cx, cy))
-            if ok and all(abs(q - z) > 1e-9 * radius for z in zeros):
-                zeros.append(q)
+        for cx, cy, _ in cells + uncertified:
+            q, fq, res, ok = newton(complex(cx, cy))
+            if ok and all(abs(q - z) > 1e-9 * radius for z, _, _ in zeros):
+                zeros.append((q, fq, res))
 
     if not zeros:
         raise CenterError(f"zero not localized: |F| stayed above {tol_abs:.3g}")
-    zeros.sort(key=abs)
-    q_best = zeros[0]
-    return finish(q_best, value(q_best), winding, boundary_ok, zeros, len(zeros) > 1)
+    zeros.sort(key=lambda z: abs(z[0]))
+    return finish(*zeros[0], winding, boundary_ok, zeros)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from bubbletree import (
     build_scale_ladder,
     center_functional,
     cross_ratio,
+    extract_bubble_tree,
     find_balanced_center,
     mark_smooth_bubble,
     renormalization_map,
@@ -280,6 +281,38 @@ def test_balanced_center_quadrant_fallback_when_newton_seeds_fail():
     assert abs(center_functional(mu, got.q, 0.2)) <= 1e-8 * mu.mass
 
 
+def test_balanced_center_fallback_keeps_uncertified_cells_as_seeds():
+    # as above, but no quadrant cell certifies: the four first-level cells
+    # are not refined, yet each seeds Newton, and the zero is still found
+    lad = build_scale_ladder(1.0, 0.2, 6)
+    k, sigma = 2, 0.002
+    c = 0.3 * lad.delta[2 * k] * (0.6 + 0.8j)
+    mu = gaussian_cloud(c, sigma, 2000, FOUR_PI, 1.0, seed=7)
+    want = find_balanced_center(mu, lad, k, tol=1e-8)
+    solve, certified = np.linalg.solve, renorm._certified_winding
+    solves, rings = [], []
+
+    def flaky_solve(a, b):
+        solves.append(None)
+        if len(solves) <= 2:
+            raise np.linalg.LinAlgError("singular Jacobian")
+        return solve(a, b)
+
+    def cells_never_certify(value, point, jump):
+        rings.append(point(0.0))
+        if len(rings) == 1:  # the outer circle
+            return certified(value, point, jump)
+        raise CenterError("degree argument fails: boundary winding not certified")
+
+    with mock.patch.object(np.linalg, "solve", flaky_solve), mock.patch.object(
+        renorm, "_certified_winding", cells_never_certify
+    ):
+        got = find_balanced_center(mu, lad, k, tol=1e-8)
+    assert len(rings) == 5
+    assert got.winding == want.winding == 1
+    assert abs(got.q - want.q) <= 1e-3 * sigma
+
+
 def test_balanced_center_needs_concentration():
     lad = build_scale_ladder(1.0, 0.2, 6)
     mu = radial_quantile_atoms(lambda q: 0.9 * np.sqrt(q), 5000, mass=6.0, chart=1.0)
@@ -312,3 +345,209 @@ def test_mark_smooth_bubble_scale_must_shrink():
     ]
     with pytest.raises(MarkingError):
         mark_smooth_bubble(mus, lad, 0.2, tol_center=1e-6)
+
+
+def fixed_ring(value, radius, samples=720):
+    """Reference: the fixed boundary ring of find_balanced_center before the
+    certified one, with principal increments summed over equally spaced
+    samples.  Returns (winding, boundary_inward_ok)."""
+    qs = radius * np.exp(1j * (np.arange(samples) * (2.0 * np.pi / samples)))
+    vals = np.array([value(q) for q in qs])
+    ang = np.angle(vals)
+    inc = np.diff(np.concatenate([ang, ang[:1]]))
+    inc = (inc + np.pi) % (2.0 * np.pi) - np.pi
+    return int(round(float(np.sum(inc) / (2.0 * np.pi)))), bool(np.all(np.real(vals / -qs) > 0.0))
+
+
+def circle(u):
+    return complex(np.exp(2j * np.pi * u))
+
+
+def test_certified_winding_subdivides_a_fast_turn():
+    # F(u) = e^{2 pi i 9 u} turns 3.5 rad > pi between 16 equally spaced
+    # samples, so a fixed 16-sample ring misreads it
+    value = lambda q: q**9
+    assert fixed_ring(value, 1.0, samples=16)[0] != 9
+    winding, samples = renorm._certified_winding(value, circle, 0.0)
+    assert winding == 9
+    assert renorm._RING_START < len(samples) <= renorm._RING_CAP
+    # samples come back in path order, each probed once
+    us = [np.angle(q) % (2.0 * np.pi) for q, _ in samples]
+    assert us == sorted(us) and len(set(us)) == len(us)
+
+
+def thue_morse_noise(q):
+    # noise of size 0.9 whose sign flips between the two ends of every
+    # failing dyadic arc, at every scale: the parity of the set bits of the
+    # grid index (t(2i+1) = 1 - t(2i) = 1 - t(i))
+    i = int(round(np.angle(q) % (2.0 * np.pi) / (2.0 * np.pi) * renorm._RING_CAP))
+    return 1.0 + 0.9 * (-1) ** bin(i % renorm._RING_CAP).count("1")
+
+
+@pytest.mark.parametrize(
+    "value, jump",
+    [
+        (lambda q: q - 1.0, 0.5),  # zero on a grid sample
+        (lambda q: q - np.exp(2j * np.pi / 3.0), 0.5),  # zero between grid samples
+        (thue_morse_noise, 0.5),
+        # equal to 1 at every grid sample, but a loop around 0 between any
+        # two of them, each within the jump allowance of 3
+        (lambda q: 1.0 + 1.5 * (q**renorm._RING_CAP - 1.0), 3.0),
+    ],
+    ids=["zero_on_sample", "zero_between_samples", "noise_at_every_scale", "loop_within_jump"],
+)
+def test_certified_winding_refuses_at_the_cap(value, jump):
+    probes = []
+
+    def counted(q):
+        probes.append(q)
+        return value(q)
+
+    with pytest.raises(CenterError, match="not certified at 4096 samples"):
+        renorm._certified_winding(counted, circle, jump)
+    assert len(probes) <= renorm._RING_CAP
+
+
+def acceptance_clouds():
+    """The 50 Gaussian clouds of test_04 in tests/test_acceptance.py."""
+    lad = build_scale_ladder(1.0, 0.2, 6)
+    big_radius = float(lad.delta[4])
+    n = 10_000
+    for seed in range(50):
+        rng = np.random.default_rng(1000 + seed)
+        r = big_radius * math.sqrt(rng.uniform(0.01, 0.64))
+        ang = rng.uniform(0.0, 2.0 * math.pi)
+        c = r * complex(math.cos(ang), math.sin(ang))
+        sigma = (big_radius - abs(c)) / 20.0
+        pts = c + sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        yield WeightedParticleMeasure(pts, np.full(n, FOUR_PI / n), 1.0), lad, 2
+
+
+def _assert_matches_fixed_ring(calls):
+    for mu, lad, k, res in calls:
+        assert res.winding is not None  # the boundary was sampled
+        value = lambda q: center_functional(mu, q, lad.eps_bar)
+        want = fixed_ring(value, float(lad.delta[2 * k - 1]))
+        assert (res.winding, res.boundary_inward_ok) == want
+
+
+def test_certified_ring_matches_fixed_ring_on_gaussian_clouds():
+    _assert_matches_fixed_ring(
+        [(mu, lad, k, find_balanced_center(mu, lad, k)) for mu, lad, k in acceptance_clouds()]
+    )
+
+
+@pytest.mark.parametrize("family", ["bubble1_family", "bubble2_family"])
+def test_certified_ring_matches_fixed_ring_on_bubble_members(family, request):
+    calls = []
+
+    def recording(mu, ladder, k, tol=1e-8):
+        res = find_balanced_center(mu, ladder, k, tol)
+        calls.append((mu, ladder, k, res))
+        return res
+
+    with mock.patch.object(renorm, "find_balanced_center", recording):
+        extract_bubble_tree(request.getfixturevalue(family))
+    rings = [c for c in calls if c[3].winding is not None]
+    assert rings
+    _assert_matches_fixed_ring(rings)
+
+
+def test_certified_ring_on_a_measure_a_16_sample_ring_misreads():
+    # a cloud at 0 and a far cluster outside B_k whose pull puts the zero of
+    # F a hundredth of the radius inside the circle, half a 16-ring step
+    # from the samples: the fast turn of F there is invisible at 16 samples
+    lad = build_scale_ladder(1.0, 0.2, 6)
+    k = 2
+    radius = float(lad.delta[2 * k - 1])
+    rho, gap, phi = 0.45, 0.01, math.pi * (1.0 + 1.0 / 16.0)
+    heavy = 0.2 + (1.0 - gap) * FOUR_PI * radius / (rho - (1.0 - gap) * radius)
+    rng = np.random.default_rng(3)
+    n, n_heavy = 10_000, 4_000
+    cloud = 0.004 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    cluster = rho * np.exp(1j * phi) + 0.004 * (
+        rng.standard_normal(n_heavy) + 1j * rng.standard_normal(n_heavy)
+    )
+    mu = WeightedParticleMeasure(
+        np.concatenate([cloud, cluster]),
+        np.concatenate([np.full(n, FOUR_PI / n), np.full(n_heavy, heavy / n_heavy)]),
+        1.0,
+    )
+    value = lambda q: center_functional(mu, q, lad.eps_bar)
+    want, _ = fixed_ring(value, radius)
+    assert fixed_ring(value, radius, samples=16)[0] != want
+    try:
+        res = find_balanced_center(mu, lad, k)
+    except CenterError:
+        return
+    assert res.winding == want
+    assert abs(center_functional(mu, res.q, lad.eps_bar)) <= 1e-8 * mu.mass
+
+
+_DENSE = 8192
+
+
+def trig_poly(coeffs):
+    """u -> sum c_k e^{2 pi i k u}; on a column of u, the column of values."""
+    ks = np.array([k for k, _ in coeffs], dtype=float)
+    cs = np.array([c for _, c in coeffs], dtype=complex)
+    return lambda u: np.sum(cs * np.exp(2j * np.pi * ks * u), axis=-1)
+
+
+def dense_reference(values, jump):
+    """Winding of the closed path through the dense samples, or None unless
+    every consecutive pair clears the no-crossing test."""
+    nxt = np.roll(values, -1)
+    if not np.all(np.minimum(np.abs(values), np.abs(nxt)) > np.abs(values - nxt) + jump):
+        return None
+    return int(round(float(np.sum(np.angle(nxt / values)) / (2.0 * np.pi))))
+
+
+def assumption_holds(values, jump):
+    """The helper's stated assumption, checked on the dense samples: on every
+    dyadic arc of its grid that passes the no-crossing test, F stays within
+    the chord plus one jump of both end values."""
+    closed = np.append(values, values[:1])
+    n = renorm._RING_START
+    while n <= renorm._RING_CAP:
+        m = _DENSE // n
+        win = closed[np.arange(n)[:, None] * m + np.arange(m + 1)[None, :]]
+        a, b = win[:, :1], win[:, -1:]
+        bound = np.abs(a - b) + jump
+        passes = np.minimum(np.abs(a), np.abs(b)) > bound
+        strays = np.maximum(np.abs(win - a), np.abs(win - b)).max(axis=1, keepdims=True) > bound
+        if np.any(passes & strays):
+            return False
+        n *= 2
+    return True
+
+
+coefficient = st.builds(
+    lambda r, phase: r * complex(math.cos(phase), math.sin(phase)),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 2.0 * math.pi),
+)
+
+
+@given(
+    lead=st.tuples(st.integers(-12, 12), st.floats(0.5, 4.0)),
+    rest=st.lists(st.tuples(st.integers(-40, 40), coefficient), max_size=6),
+    jump=st.sampled_from([0.0, 1e-3, 0.05]),
+)
+@example(lead=(9, 1.0), rest=[], jump=0.0)
+@example(lead=(0, 1.0), rest=[(16, 2.0)], jump=0.0)  # aliased at 16: outside the assumption
+@settings(max_examples=200, deadline=None)
+def test_certified_winding_never_returns_a_wrong_integer(lead, rest, jump):
+    # F(u) = sum c_k e^{2 pi i k u}, |k| <= 40.  Wherever the 8192-sample
+    # reference clears its own chord test and the stated assumption holds,
+    # the helper returns the reference winding or refuses
+    f = trig_poly([lead] + rest)
+    values = trig_poly([lead] + rest)(np.arange(_DENSE)[:, None] / _DENSE)
+    want = dense_reference(values, jump)
+    if want is None or not assumption_holds(values, jump):
+        return
+    try:
+        got, _ = renorm._certified_winding(f, lambda u: u, jump)
+    except CenterError:
+        return
+    assert got == want
