@@ -26,6 +26,8 @@ __all__ = ["PanelQuadrature", "adaptive_polar_quadrature"]
 _GL_COARSE = 8
 _GL_FINE = 16
 _INIT_GRID = 8  # initial panels along each polar axis
+_EMIT_CELLS = 48  # radial cells per panel for the emission mass profile
+_EMIT_CHUNK = 32  # final panels per density call during emission
 
 _Box = tuple[float, float, float, float]  # panel (r0, r1, t0, t1)
 
@@ -45,8 +47,11 @@ class PanelQuadrature:
 
     value : integral estimate (sum of fine-rule panel values)
     error : accumulated error estimate over final panels
-    points : fine-rule nodes z = center + r e^{i theta} over all panels
-    weights : matching quadrature weights (density * r * w_r * w_theta)
+    points : emitted atoms z = center + r e^{i theta}, in shells at each final
+        panel's radial mass quantiles, sorted by real part; empty unless
+        particles were emitted
+    weights : matching atom masses, summing per panel to its fine-rule value;
+        empty unless particles were emitted
     n_panels : number of final panels
     """
 
@@ -57,78 +62,86 @@ class PanelQuadrature:
     n_panels: int
 
 
-def _panel_nodes(
+def _panel_values(
+    density: Callable[[NDArray[np.complex128]], NDArray[np.float64]],
     center: complex,
-    r0: float,
-    r1: float,
-    t0: float,
-    t1: float,
+    boxes: list[_Box],
     xs: NDArray[np.float64],
     ws: NDArray[np.float64],
-) -> tuple[NDArray[np.complex128], NDArray[np.float64]]:
+) -> list[float]:
+    """Tensor-rule value of each box, from one density call over all their nodes.
+
+    Each value is the dot product over the box's own contiguous row of nodes,
+    so it does not depend on which other boxes share the call.
+    """
+    r0, r1, t0, t1 = np.array(boxes).T
     rm, rh = 0.5 * (r0 + r1), 0.5 * (r1 - r0)
     tm, th = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-    r = rm + rh * xs
-    t = tm + th * xs
-    wr = rh * ws
-    wt = th * ws
-    z = center + r[:, None] * np.exp(1j * t)[None, :]
-    jac = (wr * r)[:, None] * wt[None, :]  # polar area element r dr dtheta
-    return z.ravel(), jac.ravel()
+    r = rm[:, None] + rh[:, None] * xs
+    t = tm[:, None] + th[:, None] * xs
+    wr = rh[:, None] * ws
+    wt = th[:, None] * ws
+    z = center + r[:, :, None] * np.exp(1j * t)[:, None, :]
+    jac = (wr * r)[:, :, None] * wt[:, None, :]  # polar area element r dr dtheta
+    n = len(boxes)
+    f = density(z.ravel()).reshape(n, -1)
+    jac = jac.reshape(n, -1)
+    return [float(np.dot(f[i], jac[i])) for i in range(n)]
 
 
-def _panel_value(
+def _emit_particles(
     density: Callable[[NDArray[np.complex128]], NDArray[np.float64]],
     center: complex,
-    box: tuple[float, float, float, float],
-    xs: NDArray[np.float64],
-    ws: NDArray[np.float64],
-) -> float:
-    z, jac = _panel_nodes(center, *box, xs, ws)
-    return float(np.dot(density(z), jac))
-
-
-def _emit_cdf_nodes(
-    density: Callable[[NDArray[np.complex128]], NDArray[np.float64]],
-    center: complex,
-    box: tuple[float, float, float, float],
-    fine_value: float,
-    n_shell: int,
-    n_fine: int = 48,
+    boxes: NDArray[np.float64],
+    fines: NDArray[np.float64],
+    shell_target: float,
 ) -> tuple[NDArray[np.complex128], NDArray[np.float64]]:
-    """Atoms at the panel's radial mass quantiles.
+    """Atoms at each panel's radial mass quantiles, sorted by real part.
 
     Atom shells interleave the radial cumulative mass, so any circle about
     the panel's polar center miscounts at most half a shell.  Per-shell
-    angular weights follow the local angular profile; the panel total is
-    rescaled to the fine-rule value.
+    angular weights follow the local angular profile; each panel total is
+    rescaled to its fine-rule value.  A panel gets about |fine| / shell_target
+    shells, 4 to 24.  The cell grids of ``_EMIT_CHUNK`` panels share one
+    density call.
     """
-    r0, r1, t0, t1 = box
-    tm, th = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-    theta = tm + th * _XC
-    wth = th * _WC
-    redges = np.linspace(r0, r1, n_fine + 1)
-    rmid = 0.5 * (redges[:-1] + redges[1:])
-    dr = (r1 - r0) / n_fine
-    z = center + rmid[:, None] * np.exp(1j * theta)[None, :]
-    cell = density(z) * (rmid[:, None] * dr) * wth[None, :]
-    radial = cell.sum(axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(radial)])
-    total = cum[-1]
-    if total <= 0.0 or fine_value == 0.0:
-        return np.zeros(0, np.complex128), np.zeros(0, np.float64)
-    targets = (np.arange(n_shell) + 0.5) * (total / n_shell)
-    r_shell = np.interp(targets, cum, redges)
-    rows = np.clip(np.searchsorted(cum, targets) - 1, 0, n_fine - 1)
-    prof = cell[rows]
-    row_mass = prof.sum(axis=1)
-    flat = row_mass <= 0.0
-    if np.any(flat):
-        prof[flat] = wth / wth.sum()
-        row_mass[flat] = 1.0
-    weights = prof / row_mass[:, None] * (fine_value / n_shell)
-    points = center + r_shell[:, None] * np.exp(1j * theta)[None, :]
-    return points.ravel(), weights.ravel()
+    if shell_target > 0.0:
+        n_shells = np.clip(np.ceil(np.abs(fines) / shell_target), 4, 24).astype(np.int64)
+    else:
+        n_shells = np.full(len(fines), 4)
+    # the empty leading arrays keep the concatenation defined when no panel
+    # carries mass
+    pts = [np.zeros(0, np.complex128)]
+    wts = [np.zeros(0, np.float64)]
+    for lo in range(0, len(boxes), _EMIT_CHUNK):
+        part = slice(lo, lo + _EMIT_CHUNK)
+        r0, r1, t0, t1 = boxes[part].T
+        tm, th = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
+        theta = tm[:, None] + th[:, None] * _XC
+        wth = th[:, None] * _WC
+        redges = np.linspace(r0, r1, _EMIT_CELLS + 1, axis=1)
+        rmid = 0.5 * (redges[:, :-1] + redges[:, 1:])
+        dr = (r1 - r0) / _EMIT_CELLS
+        rot = np.exp(1j * theta)
+        z = center + rmid[:, :, None] * rot[:, None, :]
+        cell = density(z.ravel()).reshape(z.shape) * (rmid * dr[:, None])[:, :, None]
+        cell *= wth[:, None, :]
+        radial = cell.sum(axis=2)
+        cum = np.zeros((len(r0), _EMIT_CELLS + 1))
+        np.cumsum(radial, axis=1, out=cum[:, 1:])
+        for i, (fine, n_shell) in enumerate(zip(fines[part].tolist(), n_shells[part].tolist())):
+            total = cum[i, -1]
+            if total <= 0.0 or fine == 0.0:
+                continue
+            targets = (np.arange(n_shell) + 0.5) * (total / n_shell)
+            r_shell = np.interp(targets, cum[i], redges[i])
+            # a finite target lies in (cum[row], cum[row + 1]], so its row has positive mass
+            rows = np.clip(np.searchsorted(cum[i], targets) - 1, 0, _EMIT_CELLS - 1)
+            wts.append((cell[i, rows] / radial[i, rows, None] * (fine / n_shell)).ravel())
+            pts.append((center + r_shell[:, None] * rot[i][None, :]).ravel())
+    points = np.concatenate(pts)
+    order = np.argsort(points.real, kind="stable")
+    return points[order], np.concatenate(wts)[order]
 
 
 def _split(
@@ -149,17 +162,14 @@ def _split(
     if not can_r and not can_t:
         return None
     rm, tm = 0.5 * (r0 + r1), 0.5 * (t0 + t1)
-    r_children = [(r0, rm, t0, t1), (rm, r1, t0, t1)]
-    t_children = [(r0, r1, t0, tm), (r0, r1, tm, t1)]
-    r_coarse = [_panel_value(density, center, b, _XC, _WC) for b in r_children]
-    t_coarse = [_panel_value(density, center, b, _XC, _WC) for b in t_children]
-    if can_r and (not can_t or abs(sum(r_coarse) - coarse) >= abs(sum(t_coarse) - coarse)):
-        children, coarses = r_children, r_coarse
+    halves = [(r0, rm, t0, t1), (rm, r1, t0, t1), (r0, r1, t0, tm), (r0, r1, tm, t1)]
+    cr0, cr1, ct0, ct1 = _panel_values(density, center, halves, _XC, _WC)
+    if can_r and (not can_t or abs(cr0 + cr1 - coarse) >= abs(ct0 + ct1 - coarse)):
+        children, coarses = halves[:2], (cr0, cr1)
     else:
-        children, coarses = t_children, t_coarse
-    return [
-        (b, c, _panel_value(density, center, b, _XF, _WF)) for b, c in zip(children, coarses)
-    ]
+        children, coarses = halves[2:], (ct0, ct1)
+    fines = _panel_values(density, center, children, _XF, _WF)
+    return list(zip(children, coarses, fines))
 
 
 def adaptive_polar_quadrature(
@@ -174,6 +184,11 @@ def adaptive_polar_quadrature(
     emit_mass_frac: float | None = None,
 ) -> PanelQuadrature:
     """Integrate ``density`` over the annulus r_inner <= |z - center| <= r_outer.
+
+    ``density`` must be elementwise: it maps a 1-D complex array to real
+    values of the same length, each depending on its own point only.  Nodes
+    of several panels share one call, so a density that looked at the whole
+    array would see other panels' nodes.
 
     Worst-first refinement until the summed panel error estimates drop below
     max(abs_tol, rel_tol * |value|) or the panel budget is exhausted.
@@ -207,15 +222,18 @@ def adaptive_polar_quadrature(
 
     redges = np.linspace(r_inner, r_outer, _INIT_GRID + 1)
     tedges = np.linspace(0.0, 2.0 * np.pi, _INIT_GRID + 1)
-    for i in range(_INIT_GRID):
-        for j in range(_INIT_GRID):
-            box = (redges[i], redges[i + 1], tedges[j], tedges[j + 1])
-            coarse = _panel_value(density, center, box, _XC, _WC)
-            fine = _panel_value(density, center, box, _XF, _WF)
-            err = abs(fine - coarse)
-            push(-err, box, fine, err, coarse)
-            total += fine
-            total_err += err
+    boxes = [
+        (redges[i], redges[i + 1], tedges[j], tedges[j + 1])
+        for i in range(_INIT_GRID)
+        for j in range(_INIT_GRID)
+    ]
+    coarses = _panel_values(density, center, boxes, _XC, _WC)
+    fines = _panel_values(density, center, boxes, _XF, _WF)
+    for box, coarse, fine in zip(boxes, coarses, fines):
+        err = abs(fine - coarse)
+        push(-err, box, fine, err, coarse)
+        total += fine
+        total_err += err
 
     while len(heap) < max_panels:
         if total_err <= max(abs_tol, rel_tol * abs(total)):
@@ -264,22 +282,13 @@ def adaptive_polar_quadrature(
 
     if emit_particles:
         frac = emit_mass_frac if emit_mass_frac is not None else 1.0 / 64.0
-        shell_target = 0.25 * frac * abs(value)
-        pts_list = []
-        wts_list = []
-        for _, _, box, fine, _, _ in heap:
-            if shell_target > 0.0:
-                n_shell = int(np.clip(np.ceil(abs(fine) / shell_target), 4, 24))
-            else:
-                n_shell = 4
-            z, w = _emit_cdf_nodes(density, center, box, fine, n_shell)
-            pts_list.append(z)
-            wts_list.append(w)
-        points = np.concatenate(pts_list)
-        weights = np.concatenate(wts_list)
-        order = np.argsort(points.real, kind="stable")
-        points = points[order]
-        weights = weights[order]
+        points, weights = _emit_particles(
+            density,
+            center,
+            np.array([it[2] for it in heap]),
+            np.array([it[3] for it in heap]),
+            0.25 * frac * abs(value),
+        )
     else:
         points = np.zeros(0, dtype=np.complex128)
         weights = np.zeros(0, dtype=np.float64)
@@ -287,7 +296,7 @@ def adaptive_polar_quadrature(
     return PanelQuadrature(
         value=value,
         error=error,
-        points=points.astype(np.complex128),
-        weights=weights.astype(np.float64),
+        points=points,
+        weights=weights,
         n_panels=len(heap),
     )

@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from bubbletree import PanelQuadrature, adaptive_polar_quadrature
-from bubbletree.quadrature import _WC, _WF, _XC, _XF, _emit_cdf_nodes, _panel_value
+from bubbletree import PanelQuadrature, RationalMap, adaptive_polar_quadrature
+
+# Gauss-Legendre pairs of the coarse and fine panel rules, independent of the
+# module under test
+_XC, _WC = np.polynomial.legendre.leggauss(8)
+_XF, _WF = np.polynomial.legendre.leggauss(16)
 
 
 def fs_density(k):
@@ -93,6 +97,54 @@ def test_zero_density_integrates_to_zero():
     assert res.value == 0.0
 
 
+def _panel_nodes(center, r0, r1, t0, t1, xs, ws):
+    rm, rh = 0.5 * (r0 + r1), 0.5 * (r1 - r0)
+    tm, th = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
+    r = rm + rh * xs
+    t = tm + th * xs
+    wr = rh * ws
+    wt = th * ws
+    z = center + r[:, None] * np.exp(1j * t)[None, :]
+    jac = (wr * r)[:, None] * wt[None, :]
+    return z.ravel(), jac.ravel()
+
+
+def _panel_value(density, center, box, xs, ws):
+    """One panel's tensor-rule value from its own density call."""
+    z, jac = _panel_nodes(center, *box, xs, ws)
+    return float(np.dot(density(z), jac))
+
+
+def _emit_cdf_nodes(density, center, box, fine_value, n_shell, n_fine=48):
+    """One panel's atoms at its radial mass quantiles, from its own density call."""
+    r0, r1, t0, t1 = box
+    tm, th = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
+    theta = tm + th * _XC
+    wth = th * _WC
+    redges = np.linspace(r0, r1, n_fine + 1)
+    rmid = 0.5 * (redges[:-1] + redges[1:])
+    dr = (r1 - r0) / n_fine
+    z = center + rmid[:, None] * np.exp(1j * theta)[None, :]
+    cell = density(z) * (rmid[:, None] * dr) * wth[None, :]
+    radial = cell.sum(axis=1)
+    cum = np.concatenate([[0.0], np.cumsum(radial)])
+    total = cum[-1]
+    if total <= 0.0 or fine_value == 0.0:
+        return np.zeros(0, np.complex128), np.zeros(0, np.float64)
+    targets = (np.arange(n_shell) + 0.5) * (total / n_shell)
+    r_shell = np.interp(targets, cum, redges)
+    rows = np.clip(np.searchsorted(cum, targets) - 1, 0, n_fine - 1)
+    prof = cell[rows]
+    row_mass = prof.sum(axis=1)
+    flat = row_mass <= 0.0
+    if np.any(flat):
+        prof[flat] = wth / wth.sum()
+        row_mass[flat] = 1.0
+    weights = prof / row_mass[:, None] * (fine_value / n_shell)
+    points = center + r_shell[:, None] * np.exp(1j * theta)[None, :]
+    return points.ravel(), weights.ravel()
+
+
 def two_pass_reference(
     density,
     center,
@@ -105,8 +157,9 @@ def two_pass_reference(
     emit_mass_frac=None,
 ):
     """Reference: the error pass and the granularity pass written out apart,
-    re-evaluating the coarse rule of every panel they split and of both
-    chosen children (nine panel rules per split)."""
+    one density call per panel rule, re-evaluating the coarse rule of every
+    panel they split and of both chosen children (nine panel rules per
+    split), and one density call per emitted panel."""
     boxes = []
     redges = np.linspace(r_inner, r_outer, 9)
     tedges = np.linspace(0.0, 2.0 * np.pi, 9)
@@ -219,6 +272,24 @@ def _bits(x):
     return np.asarray(x).tobytes()
 
 
+def zero_density(z):
+    return np.zeros_like(z, dtype=float)
+
+
+def partial_zero_density(z):
+    """Smooth bump on a disk of radius 1/2 about 0.3, zero outside it, so some
+    panels are partly and some wholly outside its support."""
+    return np.maximum(0.25 - np.abs(z - 0.3) ** 2, 0.0) ** 4
+
+
+# the keyword arguments density_to_measure passes for the bubble families
+MEASURE_KWARGS = {
+    "rel_tol": 1e-7,
+    "abs_tol": 1e-12,
+    "emit_particles": True,
+    "emit_mass_frac": 2.5e-3,
+}
+
 SINGLE_PASS_CASES = [
     *[(f"fs_k{k:g}", (fs_density(k), 0j, 1.0), {}) for k in (1.0, 10.0, 100.0, 1e3, 1e4)],
     ("off_centre_annulus", (fs_density(10.0), 0.2 - 0.1j, 1.0), {"r_inner": 0.25}),
@@ -229,7 +300,32 @@ SINGLE_PASS_CASES = [
         {"emit_particles": True, "emit_mass_frac": 2.5e-3},
     ),
     ("emission_default_frac", (fs_density(100.0), 0j, 1.0), {"emit_particles": True}),
-    ("zero_density", (lambda z: np.zeros_like(z, dtype=float), 0j, 1.0), {}),
+    ("zero_density", (zero_density, 0j, 1.0), {}),
+    (
+        "bubble1_k3162_measure",
+        (RationalMap(np.array([3162.0, 0.0]), np.array([1.0])).density, 0j, 1.0),
+        MEASURE_KWARGS,
+    ),
+    (
+        "bubble2_k316_measure",
+        (RationalMap(np.array([316.0, 0.0, -316.0 * 0.25]), np.array([1.0])).density, 0j, 1.0),
+        MEASURE_KWARGS,
+    ),
+    # 186 final panels: more than one emission chunk, and a partial last chunk
+    (
+        "emission_off_centre_annulus",
+        (fs_density(10.0), 0.2 - 0.1j, 1.0),
+        {"r_inner": 0.25, "emit_particles": True, "emit_mass_frac": 1e-2},
+    ),
+    # zero total: no shell target, and every panel emits nothing
+    ("zero_density_emission", (zero_density, 0j, 1.0), {"emit_particles": True}),
+    # panels with zero-mass radial rows, and panels that emit nothing beside
+    # panels that do
+    (
+        "partial_zero_emission",
+        (partial_zero_density, 0j, 1.0),
+        {"emit_particles": True, "emit_mass_frac": 1e-2},
+    ),
 ]
 
 
@@ -245,3 +341,26 @@ def test_shared_split_matches_two_pass_reference(args, kwargs):
     assert got.points.dtype == want.points.dtype and got.weights.dtype == want.weights.dtype
     assert _bits(got.points) == _bits(want.points)
     assert _bits(got.weights) == _bits(want.weights)
+
+
+def test_density_calls_are_batched():
+    """2 calls for the initial grid, 2 per split (four coarse candidate halves,
+    then the two chosen fine children) and one per 32 emitted panels, over
+    exactly the nodes a per-panel evaluation visits."""
+    calls = points = 0
+
+    def counted(z):
+        nonlocal calls, points
+        calls += 1
+        points += z.size
+        return fs_density(100.0)(z)
+
+    res = adaptive_polar_quadrature(
+        counted, 0j, 1.0, emit_particles=True, emit_mass_frac=2.5e-3
+    )
+    assert res.n_panels == 610
+    splits = res.n_panels - 64
+    assert calls == 2 + 2 * splits + math.ceil(res.n_panels / 32) == 1114
+    # per panel: 64 + 256 initial nodes; per split: 4 * 64 coarse and
+    # 2 * 256 fine nodes; per emitted panel: 48 x 8 cell midpoints
+    assert points == 64 * 320 + splits * 768 + res.n_panels * 384 == 674048
