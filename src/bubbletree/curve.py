@@ -11,17 +11,14 @@ induced map records where every node, mark, and generic component point of
 the input lands (a node, a mark, or a regular point of the result).
 
 A node is regular when forgetting some nonempty set of marks sends it to a
-point that is not a node of the (stable) image.  Genus-0 curves admit the
-shortcut of forgetting down to three marks, since a stable genus-0 curve
-with three marks is irreducible; otherwise the search over mark subsets is
-exhaustive up to a size cap, beyond which the verdict is "undecided".
+point that is not a node of the (stable) image.  On a stable curve this has
+a closed form: the node is regular exactly when it is a bridge of the dual
+graph with a side of arithmetic genus 0 (see ``is_regular_node``).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import CurveError
 
@@ -41,8 +38,22 @@ __all__ = [
     "curve_from_text",
 ]
 
-# most marks whose subsets is_regular_node searches exhaustively
-_EXHAUSTIVE_MAX_MARKS = 8
+
+def _reachable(
+    edges: tuple[tuple[int, int], ...], start: int, skip: int | None = None
+) -> set[int]:
+    """Vertices joined to ``start`` by edges other than edge index ``skip``."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for k, (i, j) in enumerate(edges):
+            if k != skip and v in (i, j):
+                w = j if i == v else i
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return seen
 
 
 @dataclass(frozen=True)
@@ -80,20 +91,7 @@ class MarkedNodalCurve:
             raise CurveError("dual graph is not connected")
 
     def _connected(self) -> bool:
-        nv = len(self.genus)
-        adj: list[set[int]] = [set() for _ in range(nv)]
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == nv
+        return len(_reachable(self.edges, 0)) == len(self.genus)
 
     @property
     def n_vertices(self) -> int:
@@ -326,73 +324,55 @@ def forget_mark(c: MarkedNodalCurve, label: int) -> ForgetResult:
     )
 
 
-def _forget_many(
-    c: MarkedNodalCurve, labels: Iterable[int]
-) -> tuple[MarkedNodalCurve, list[PointImage]]:
-    """Forget labels in order, composing the node images through each step."""
-    cur = c
-    node_imgs: list[PointImage] = [PointImage("node", k) for k in range(len(c.edges))]
-    for lab in labels:
-        res = forget_mark(cur, lab)
-        composed = []
-        for img in node_imgs:
-            if img.kind == "node":
-                composed.append(res.node_images[img.index])
-            elif img.kind == "mark":
-                composed.append(res.mark_images[img.index])
-            else:
-                composed.append(res.vertex_images[img.index])
-        node_imgs = composed
-        cur = res.curve
-    return cur, node_imgs
-
-
 @dataclass(frozen=True)
 class RegularityVerdict:
-    status: str  # 'regular' | 'not_regular' | 'undecided'
+    status: str  # 'regular' | 'not_regular'
     witness: tuple[int, ...] | None  # mark labels whose forgetting is the witness
 
 
-def is_regular_node(
-    c: MarkedNodalCurve, edge_index: int, use_shortcut: bool = True
-) -> RegularityVerdict:
+def is_regular_node(c: MarkedNodalCurve, edge_index: int) -> RegularityVerdict:
     """Is the node sent to a non-node by forgetting some nonempty mark set?
 
-    Genus-0 curves take the shortcut of forgetting down to three marks: the
-    stable image is irreducible, so no node survives.  Otherwise subsets are
-    searched exhaustively while n <= 8; beyond that the verdict is
-    "undecided".  Witnesses are replayed in reversed order to confirm the
-    image does not depend on the forgetting order.
+    On a stable curve the answer is closed form.  Forgetting marks and
+    stabilizing only ever contracts genus-0 components left with fewer than
+    three special points, so a piece of positive arithmetic genus is never
+    contracted away and contraction never lowers the first Betti number.
+    Hence the node survives every forgetful map, and is not regular, when
+
+    * it is a self-loop, or lies on a cycle (its ends stay connected once it
+      is removed): the cycle survives, and with it the node;
+    * both sides of the cut it makes have positive arithmetic genus: neither
+      side can be contracted, so the node still joins two components.
+
+    Otherwise it is a bridge with a genus-0 side, a stable tree of genus-0
+    components carrying at least two marks.  That side keeps at least three
+    special points, and the node stays a node, until all but one of its marks
+    are forgotten; then it contracts onto the other side and the node lands
+    on the remaining mark.  The witness is the lexicographically first
+    smallest such set: the genus-0 side's labels without its largest.  On a
+    genus-0 curve every node is regular and the witness is every label after
+    the third, which leaves an irreducible curve with three marks.
     """
     if not 0 <= edge_index < len(c.edges):
         raise CurveError(f"no node with index {edge_index}")
-    labels = c.mark_labels
-    n = len(labels)
-
-    def verify(subset: tuple[int, ...]) -> bool:
-        try:
-            _, imgs = _forget_many(c, subset)
-        except CurveError:
-            return False
-        if imgs[edge_index].kind == "node":
-            return False
-        _, imgs_rev = _forget_many(c, tuple(reversed(subset)))
-        if imgs_rev[edge_index].kind == "node":
-            raise CurveError("forgetful image not order-independent")
-        return True
-
-    if use_shortcut and c.arithmetic_genus == 0 and n >= 4:
-        witness = tuple(labels[3:])
-        if verify(witness):
-            return RegularityVerdict(status="regular", witness=witness)
-
-    if n > _EXHAUSTIVE_MAX_MARKS:
-        return RegularityVerdict(status="undecided", witness=None)
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(labels, size):
-            if verify(subset):
-                return RegularityVerdict(status="regular", witness=subset)
-    return RegularityVerdict(status="not_regular", witness=None)
+    if not is_stable(c).stable:
+        raise CurveError("node regularity needs a stable curve")
+    if c.arithmetic_genus == 0:
+        return RegularityVerdict(status="regular", witness=c.mark_labels[3:])
+    i, j = c.edges[edge_index]
+    side = _reachable(c.edges, i, skip=edge_index)
+    if j in side:
+        return RegularityVerdict(status="not_regular", witness=None)
+    inner = sum(1 for a, b in c.edges if a in side and b in side)
+    side_genus = sum(c.genus[v] for v in side) + inner - len(side) + 1
+    if side_genus == 0:
+        tail = side
+    elif side_genus == c.arithmetic_genus:
+        tail = set(range(c.n_vertices)) - side
+    else:
+        return RegularityVerdict(status="not_regular", witness=None)
+    labels = sorted(lab for v, lab in c.legs if v in tail)
+    return RegularityVerdict(status="regular", witness=tuple(labels[:-1]))
 
 
 @dataclass(frozen=True)
@@ -524,6 +504,13 @@ def curve_to_text(c: MarkedNodalCurve) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_int(token: str, line: str) -> int:
+    try:
+        return int(token)
+    except ValueError as exc:
+        raise CurveError(f"unparseable integer {token!r} in line {line!r}") from exc
+
+
 def curve_from_text(text: str) -> MarkedNodalCurve:
     genus: dict[int, int] = {}
     legs: list[tuple[int, int]] = []
@@ -534,17 +521,14 @@ def curve_from_text(text: str) -> MarkedNodalCurve:
             continue
         if line.startswith("v"):
             head, *rest = line.split()
-            try:
-                v = int(head[1:])
-            except ValueError as exc:
-                raise CurveError(f"unparseable vertex line {line!r}") from exc
+            v = _parse_int(head[1:], line)
             g = None
             labs: list[int] = []
             for tok in rest:
                 if tok.startswith("g="):
-                    g = int(tok[2:])
+                    g = _parse_int(tok[2:], line)
                 elif tok.startswith("legs="):
-                    labs = [int(x) for x in tok[5:].split(",") if x]
+                    labs = [_parse_int(x, line) for x in tok[5:].split(",") if x]
                 else:
                     raise CurveError(f"unparseable vertex token {tok!r}")
             if g is None:
@@ -557,7 +541,7 @@ def curve_from_text(text: str) -> MarkedNodalCurve:
             parts = line.split()
             if len(parts) != 3:
                 raise CurveError(f"unparseable edge line {line!r}")
-            edges.append((int(parts[1]), int(parts[2])))
+            edges.append((_parse_int(parts[1], line), _parse_int(parts[2], line)))
         else:
             raise CurveError(f"unparseable line {line!r}")
     nv = max(genus) + 1 if genus else 0

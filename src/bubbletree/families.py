@@ -16,7 +16,7 @@ per euclidean chart area.  This is pole-free whenever P and Q share no root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -249,18 +249,7 @@ class FamilySpec:
 
     @staticmethod
     def from_dict(data: dict) -> "FamilySpec":
-        known = {
-            "kind",
-            "schedule",
-            "chart_radius",
-            "delta",
-            "separation",
-            "slopes",
-            "rel_tol",
-            "max_panels",
-            "n_t",
-            "n_theta",
-        }
+        known = {f.name for f in fields(FamilySpec)}
         extra = set(data) - known
         if extra:
             raise FamilyError(f"unknown family options {sorted(extra)}")

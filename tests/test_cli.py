@@ -146,6 +146,24 @@ def test_curve_query_stdout_contract(tmp_path, capsys):
     assert data["query"]["witness"] == [4]
 
 
+@pytest.mark.parametrize(
+    "graph, message",
+    [
+        ("v0 g=x legs=1,2,3\n", "unparseable integer 'x'"),
+        ("v0 g=1 legs=1\ne 0 one\n", "unparseable integer 'one'"),
+        (
+            "v0 g=0 legs=1\nv1 g=0 legs=2,3,4\ne 0 1\n",
+            "node regularity needs a stable curve",
+        ),
+    ],
+)
+def test_curve_bad_graph_exits_3(tmp_path, capsys, graph, message):
+    (tmp_path / "graph.txt").write_text(graph, encoding="utf-8")
+    cfg = write_cfg(tmp_path, CURVE_CFG + f"out: {tmp_path / 'out'}\n")
+    assert main(["curve", "--config", cfg]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_selftest_passes_and_rejects_flags(capsys):
     assert main(["selftest", "--config", "x.yaml"]) == 2
     capsys.readouterr()

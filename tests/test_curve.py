@@ -1,6 +1,10 @@
 """Dual-graph bookkeeping: stability, forgetful maps, regular nodes, insertion."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bubbletree import (
     MarkedNodalCurve,
@@ -12,12 +16,92 @@ from bubbletree import (
     is_regular_node,
     is_stable,
 )
+from bubbletree.curve import PointImage, RegularityVerdict
 from bubbletree.errors import CurveError
 
 
 def two_component(marks_left=(1, 2), marks_right=(3, 4)):
     legs = [(0, m) for m in marks_left] + [(1, m) for m in marks_right]
     return MarkedNodalCurve((0, 0), ((0, 1),), tuple(legs))
+
+
+def forget_many(c, labels):
+    """Forget labels in order, composing the node images through each step."""
+    cur = c
+    node_imgs = [PointImage("node", k) for k in range(len(c.edges))]
+    for lab in labels:
+        res = forget_mark(cur, lab)
+        composed = []
+        for img in node_imgs:
+            if img.kind == "node":
+                composed.append(res.node_images[img.index])
+            elif img.kind == "mark":
+                composed.append(res.mark_images[img.index])
+            else:
+                composed.append(res.vertex_images[img.index])
+        node_imgs = composed
+        cur = res.curve
+    return cur, node_imgs
+
+
+def reference_is_regular_node(c, edge_index):
+    """Regularity by search: forget mark subsets through ``forget_mark``.
+
+    Genus-0 curves first try forgetting every label after the third; then
+    subsets are tried by size and in lexicographic order.  A witness is
+    replayed in reversed order, and its image must not depend on the order.
+    """
+    labels = c.mark_labels
+
+    def verify(subset):
+        try:
+            _, imgs = forget_many(c, subset)
+        except CurveError:
+            return False
+        if imgs[edge_index].kind == "node":
+            return False
+        _, imgs_rev = forget_many(c, tuple(reversed(subset)))
+        assert imgs_rev[edge_index].kind != "node", "image depends on the order"
+        return True
+
+    if c.arithmetic_genus == 0 and len(labels) >= 4 and verify(labels[3:]):
+        return RegularityVerdict(status="regular", witness=labels[3:])
+    for size in range(1, len(labels) + 1):
+        for subset in itertools.combinations(labels, size):
+            if verify(subset):
+                return RegularityVerdict(status="regular", witness=subset)
+    return RegularityVerdict(status="not_regular", witness=None)
+
+
+@st.composite
+def nodal_curves(draw):
+    """Stable curves with 1-4 vertices of genus 0-2, loops and multi-edges.
+
+    A random spanning tree plus up to two extra edges (loops or parallels);
+    each vertex gets the marks it needs for 2g - 2 + valence > 0 first, then
+    up to 8 marks in all, labels drawn from 1-30.
+    """
+    nv = draw(st.integers(1, 4))
+    genus = draw(st.lists(st.integers(0, 2), min_size=nv, max_size=nv))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, nv)]
+    vertex = st.integers(0, nv - 1)
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=2))
+    need = []
+    for v in range(nv):
+        deg = sum((i == v) + (j == v) for i, j in edges)
+        need += [v] * max(0, 3 - 2 * genus[v] - deg)
+    extra = draw(st.lists(vertex, max_size=8 - len(need)))
+    labels = draw(
+        st.lists(
+            st.integers(1, 30),
+            min_size=len(need) + len(extra),
+            max_size=len(need) + len(extra),
+            unique=True,
+        )
+    )
+    c = MarkedNodalCurve(tuple(genus), tuple(edges), tuple(zip(need + extra, labels)))
+    assert is_stable(c).stable
+    return c
 
 
 def test_validation_rejects_bad_graphs():
@@ -83,19 +167,6 @@ def test_regular_node_two_component():
     assert verdict.witness == (4,)
 
 
-def test_regular_node_genus0_shortcut_matches_search():
-    c = two_component(marks_left=(1, 2, 3), marks_right=(4, 5))
-    fast = is_regular_node(c, 0, use_shortcut=True)
-    slow = is_regular_node(c, 0, use_shortcut=False)
-    assert fast.status == slow.status == "regular"
-    # the verdicts may use different witnesses; both must actually work
-    for wit in (fast.witness, slow.witness):
-        cur = c
-        for lab in wit:
-            cur = forget_mark(cur, lab).curve
-        assert cur.edges == () or len(cur.edges) < len(c.edges)
-
-
 def test_cycle_node_never_regular():
     # a node on a cycle survives every forgetful map: contracting cannot
     # reduce the first Betti number
@@ -112,6 +183,36 @@ def test_node_between_positive_genus_vertices_not_regular():
     # whereas a rational tail on a genus-1 vertex does contract away
     tail = MarkedNodalCurve((1, 0), ((0, 1),), ((1, 1), (1, 2)))
     assert is_regular_node(tail, 0).status == "regular"
+
+
+@given(c=nodal_curves())
+@settings(max_examples=300, deadline=None)
+def test_regular_node_matches_forgetful_search(c):
+    for e in range(len(c.edges)):
+        assert is_regular_node(c, e) == reference_is_regular_node(c, e)
+
+
+def test_regular_node_decided_beyond_eight_marks():
+    # a genus-1 vertex with a rational tail carrying 9 marks, and a genus-0
+    # vertex with a loop: the tail node is regular, the loop is not
+    c = MarkedNodalCurve(
+        (1, 0, 0),
+        ((0, 1), (0, 2), (2, 2)),
+        tuple((1, lab) for lab in range(1, 10)) + ((2, 10),),
+    )
+    assert c.n_marks == 10 and c.arithmetic_genus == 2
+    verdict = is_regular_node(c, 0)
+    assert verdict.status == "regular"
+    assert verdict.witness == tuple(range(1, 9))
+    _, imgs = forget_many(c, verdict.witness)
+    assert imgs[0].kind in ("mark", "regular")
+    assert is_regular_node(c, 2).status == "not_regular"
+
+
+def test_regular_node_needs_stable_curve():
+    c = two_component(marks_left=(1,), marks_right=(2, 3, 4))
+    with pytest.raises(CurveError, match="node regularity needs a stable curve"):
+        is_regular_node(c, 0)
 
 
 def test_add_bubble_case1_round_trip():
@@ -166,3 +267,10 @@ def test_text_parser_rejects_garbage():
         curve_from_text("v0 g=0 legs=1,2\ne 0 7\n")
     with pytest.raises(CurveError):
         curve_from_text("nonsense line\n")
+    for text in (
+        "v0 g=x legs=1,2,3\n",
+        "v0 g=0 legs=1,b,3\n",
+        "v0 g=1 legs=1\ne 0 one\n",
+    ):
+        with pytest.raises(CurveError, match="unparseable integer"):
+            curve_from_text(text)
