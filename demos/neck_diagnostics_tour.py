@@ -36,7 +36,7 @@ def verdict_table(family, title: str) -> None:
     rep = zero_neck_test([m.field for m in family.members], 0.01, DELTAS)
     print(f"\n{title}: zero-neck {'PASS' if rep.passed else 'FAIL'}"
           + (f" at delta {rep.chosen_delta:g}" if rep.passed else ""))
-    print(f"{'delta':>8} {'max energy':>12} {'max diam':>10} {'2T|alpha|':>12}")
+    print(f"{'delta':>8} {'max energy':>12} {'diam bound':>10} {'2T|alpha|':>12}")
     for row in rep.rows:
         print(
             f"{row.delta:>8g} {row.max_energy:>12.3e} {row.max_diameter:>10.3e} "

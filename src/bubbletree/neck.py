@@ -7,9 +7,18 @@ first derivatives.  The diagnostics split the energy as
     E = 2T * alpha + integral of Theta,   alpha(t) = 1/2 int (|f_t|^2 - |f_theta|^2) dtheta,
                                           Theta(t) = int |f_theta|^2 dtheta,
 
-report the average length, image diameter, per-slice conformality defect in
-Pohozaev form, and test the vanishing of neck energy and diameter over a
-schedule of shrinking chart radii.
+report the average length, an upper bound on the image diameter, the
+per-slice conformality defect in Pohozaev form, and test the vanishing of
+neck energy and diameter over a schedule of shrinking chart radii.
+
+The diameter is bounded on the safe side with O(N) work over all N samples.
+A farthest-point sweep finds a real sample pair; its distance is checked
+against 2 max-slice-arc + average length.  No two samples are farther apart
+than twice the largest distance from a centre to a sample, taken at the
+better of two centres.  Twice a covering radius of the grid cells extends
+that bound from the samples to the whole image, assuming |f_t| and |f_theta|
+stay below their largest sampled values inside each cell; the result is
+capped at the chord diameter of the target.
 
 Quadrature is trapezoidal in t and the uniform periodic rule in theta; both
 are spectrally accurate for the smooth periodic integrands arising here.
@@ -50,6 +59,7 @@ class SphereTarget:
 
     name = "sphere"
     dim = 3
+    chord_diameter = 2.0
 
     @staticmethod
     def point(w: np.ndarray) -> np.ndarray:
@@ -86,6 +96,7 @@ class FlatTorusTarget:
         self.ly = float(ly)
         self._rx = self.lx / _TWO_PI
         self._ry = self.ly / _TWO_PI
+        self.chord_diameter = 2.0 * float(np.hypot(self._rx, self._ry))
 
     def point(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         rx, ry = self._rx, self._ry
@@ -122,6 +133,7 @@ class PlaneTarget:
 
     name = "plane"
     dim = 2
+    chord_diameter = np.inf
 
     @staticmethod
     def point(w: np.ndarray) -> np.ndarray:
@@ -268,31 +280,57 @@ class NeckDiagnostics:
     energy: float
     theta_integral: float
     avg_length: float
-    diameter: float
+    diameter: float  # upper bound on the image diameter (module docstring)
     pohozaev_residual: float
     half_length: float
 
 
-def _pairwise_diameter(points: np.ndarray, cap: int = 2048) -> float:
+def _diameter_bracket(points: np.ndarray) -> tuple[float, float]:
+    """(lower, upper) bracket of the diameter of the sample points, in O(N).
+
+    lower: farthest-point sweep from the sample farthest from the centroid,
+    stepping to the sample farthest from the current one while that distance
+    grows; it is the distance of a real sample pair.  upper: 2 min R(c) over
+    the centroid and the midpoint of the sweep pair, R(c) the largest
+    distance from c to a sample; no two samples are farther apart than 2R(c).
+    Coordinates are centred first so the distances lose no digits.
+    """
     pts = points.reshape(-1, points.shape[-1])
-    if len(pts) > cap:
-        stride = int(np.ceil(len(pts) / cap))
-        pts = pts[::stride]
-    sq = np.sum(pts * pts, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
-    return float(np.sqrt(max(float(d2.max()), 0.0)))
+    pts = pts - pts.mean(axis=0)
+
+    def dist(c: np.ndarray) -> np.ndarray:
+        d = pts - c
+        return np.sqrt(np.einsum("ij,ij->i", d, d))
+
+    r_centroid = dist(np.zeros(pts.shape[1]))
+    a = b = int(np.argmax(r_centroid))
+    lower = 0.0
+    while True:
+        d = dist(pts[b])
+        k = int(np.argmax(d))
+        if not d[k] > lower:  # also stops on NaN samples
+            break
+        lower, a, b = float(d[k]), b, k
+    r_mid = dist(0.5 * (pts[a] + pts[b]))
+    return lower, 2.0 * float(min(r_centroid.max(), r_mid.max()))
 
 
 def diagnostics(field: CylinderField) -> NeckDiagnostics:
-    """Energy split, average length, diameter, and conformality defects.
+    """Energy split, average length, diameter bound, and conformality defects.
 
-    Asserts the split identity E = 2T alpha + int Theta and the diameter
-    bound diam <= 2 max-slice-arc + avg_length on the computed values.
+    Asserts the split identity E = 2T alpha + int Theta, and that the
+    farthest sample pair found is no farther apart than 2 max-slice-arc +
+    avg_length.  The reported diameter is min(upper + 2 rho, chord diameter
+    of the target), with upper the bracket's bound over all samples and
+    rho = (h_t max|f_t| + h_theta max|f_theta|) / 2 the farthest any point of
+    a grid cell lies from its nearest corner, assuming |f_t| and |f_theta|
+    stay below their sampled maxima inside each cell.
     """
     T = field.half_length
+    h_t = 2.0 * T / field.n_t
     h_th = _TWO_PI / field.n_theta
     t = field.t_nodes
-    w_t = np.full(len(t), 2.0 * T / field.n_t)
+    w_t = np.full(len(t), h_t)
     w_t[0] *= 0.5
     w_t[-1] *= 0.5
 
@@ -313,16 +351,18 @@ def diagnostics(field: CylinderField) -> NeckDiagnostics:
             f"energy split identity violated: {energy!r} vs {split!r}"
         )
 
-    avg_length = float(
-        np.sum(w_t * np.sum(np.linalg.norm(field.f_t, axis=-1), axis=1)) * h_th / _TWO_PI
-    )
-    arc = np.sum(np.linalg.norm(field.f_theta, axis=-1), axis=1) * h_th
-    diameter = _pairwise_diameter(field.points)
+    ft_norm = np.linalg.norm(field.f_t, axis=-1)
+    fth_norm = np.linalg.norm(field.f_theta, axis=-1)
+    avg_length = float(np.sum(w_t * np.sum(ft_norm, axis=1)) * h_th / _TWO_PI)
+    arc = np.sum(fth_norm, axis=1) * h_th
+    lower, upper = _diameter_bracket(field.points)
     bound = 2.0 * float(np.max(arc)) + avg_length
-    if diameter > bound + 1e-8 * (1.0 + bound):
+    if lower > bound + 1e-8 * (1.0 + bound):
         raise NeckError(
-            f"diameter bound violated: {diameter!r} > 2*max-arc + avg = {bound!r}"
+            f"diameter bound violated: {lower!r} > 2*max-arc + avg = {bound!r}"
         )
+    rho = 0.5 * (h_t * float(ft_norm.max()) + h_th * float(fth_norm.max()))
+    diameter = min(upper + 2.0 * rho, field.target.chord_diameter)
 
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(
@@ -417,7 +457,7 @@ def theta_bounds_check(
 class ZeroNeckRow:
     delta: float
     max_energy: float
-    max_diameter: float
+    max_diameter: float  # max over late members of the diameter upper bound
     predicted_energy: float  # max over late members of |2 T_k(delta) * alpha_k|
     passed: bool
     predicted_pass: bool
@@ -438,8 +478,10 @@ def zero_neck_test(
 
     For each delta in the (decreasing) schedule, restrict the late half of
     the sequence to the sub-cylinder matching the delta-ball around the node
-    and take the sup of energy and diameter; PASS iff both fall below eps at
-    some delta.  Each row also reports the alpha-based energy prediction
+    and take the sup of energy and of the diameter upper bound of
+    `diagnostics` (which assumes |f_t| and |f_theta| stay below their sampled
+    maxima inside each grid cell); PASS iff both fall below eps at some
+    delta.  Each row also reports the alpha-based energy prediction
     2 T_k(delta) alpha_k, which vanishes exactly for conformal necks.
     """
     if not delta_schedule:

@@ -1,4 +1,12 @@
-"""The committed runs/ goldens match what the CLI writes for each shipped config."""
+"""The committed runs/ goldens match what the CLI writes for each shipped config.
+
+A golden is regenerated with the CLI, e.g. for runs/plumbing:
+
+    PYTHONPATH=src python -m bubbletree extract --config configs/plumbing.yaml --out runs/plumbing
+    PYTHONPATH=src python -m bubbletree neck --config configs/plumbing.yaml --out runs/plumbing
+
+(`neck` only for configs with a `neck` section; `curve` alone for curve configs.)
+"""
 
 import json
 import math

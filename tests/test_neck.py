@@ -1,26 +1,34 @@
 """Cylinder diagnostics: energy split, Theta bounds, zero-neck, Pohozaev."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bubbletree import (
     CylinderField,
+    FamilySpec,
     FlatTorusTarget,
     PlaneTarget,
     PolarAnnulusField,
     SphereTarget,
     cylinder_field_from_sphere_chart,
     diagnostics,
+    make_family,
     pohozaev_residual,
     profile_to_csv,
     theta_bounds_check,
     zero_neck_test,
 )
 from bubbletree.errors import NeckError
+from bubbletree.neck import _diameter_bracket
 
 TWO_PI = 2.0 * math.pi
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def linear_torus_field(a, b, half_length, n_t=128, n_theta=64, pinch=None, delta=None):
@@ -201,3 +209,113 @@ def test_profile_csv_round_trip():
     assert "np." not in text
     t, th, al = (float(c) for c in lines[1].split(","))
     assert t == -1.5 and th == pytest.approx(TWO_PI) and al == pytest.approx(3 * math.pi)
+
+
+def pair_distances(pts):
+    diff = pts[:, None, :] - pts[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=-1))
+
+
+@st.composite
+def point_sets(draw):
+    """2-300 points in R^2..R^4: generic, repeated, collinear, or two far clusters."""
+    n = draw(st.integers(2, 300))
+    dim = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["generic", "repeated", "collinear", "clusters"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e3]))
+    if kind == "generic":
+        pts = rng.normal(size=(n, dim))
+    elif kind == "repeated":
+        distinct = rng.normal(size=(draw(st.integers(1, 3)), dim))
+        pts = distinct[rng.integers(0, len(distinct), size=n)]
+    elif kind == "collinear":
+        pts = rng.normal(size=dim) + rng.normal(size=n)[:, None] * rng.normal(size=dim)
+    else:
+        pts = rng.normal(size=(n, dim))
+        pts[: n // 2] += draw(st.floats(1e2, 1e6)) * rng.normal(size=dim)
+    return scale * pts
+
+
+@given(pts=point_sets())
+@settings(max_examples=200, deadline=None)
+def test_diameter_bracket_brackets_the_sample_diameter(pts):
+    lower, upper = _diameter_bracket(pts)
+    dist = pair_distances(pts)
+    diam = float(dist.max())
+    # centring first rounds at the size of the coordinates, not of the distances
+    tol = 1e-12 * float(np.abs(pts).max())
+    assert float(np.min(np.abs(dist - lower))) <= tol  # a real sample pair
+    assert lower <= diam + tol
+    assert diam <= upper + tol
+
+
+def restricted_band_diameters(field, deltas):
+    """Diameter over all samples of the field restricted to each delta-ball.
+
+    The restricted row sets are nested, so the largest distance between every
+    pair of rows of the widest one is computed once, a few rows against all
+    later rows at a time on centred coordinates (no digits lost to |p|^2 +
+    |q|^2 - 2 p.q), and each delta reads its square of that table.
+    """
+    t = field.t_nodes
+    halves = [np.log(d / np.sqrt(abs(field.pinch))) for d in deltas]
+    keeps = [np.abs(t) <= min(h, field.half_length) * (1.0 + 1e-12) for h in halves]
+    rows = np.nonzero(np.logical_or.reduce(keeps))[0]
+    sub = field.points[rows]
+    n_rows, cols, dim = sub.shape
+    flat = sub.reshape(-1, dim)
+    flat = flat - flat.mean(axis=0)
+    sq = np.sum(flat * flat, axis=1)
+    row_max = np.zeros((n_rows, n_rows))
+    block = 8
+    for lo in range(0, n_rows, block):
+        hi = min(n_rows, lo + block)
+        a, rest = flat[lo * cols : hi * cols], flat[lo * cols :]
+        d2 = sq[lo * cols : hi * cols, None] + sq[None, lo * cols :] - 2.0 * (a @ rest.T)
+        row_max[lo:hi, lo:] = d2.reshape(hi - lo, cols, n_rows - lo, cols).max(axis=(1, 3))
+    row_max = np.sqrt(np.maximum(np.maximum(row_max, row_max.T), 0.0))
+    out = []
+    for keep in keeps:
+        idx = np.nonzero(keep[rows])[0]
+        out.append(float(row_max[np.ix_(idx, idx)].max()))
+    return out
+
+
+@pytest.mark.parametrize("stem", ["plumbing", "torus"])
+def test_zero_neck_diameters_bound_every_sample_pair(stem):
+    raw = yaml.safe_load((CONFIGS / f"{stem}.yaml").read_text(encoding="utf-8"))
+    fields = [m.field for m in make_family(FamilySpec.from_dict(raw["family"])).members]
+    deltas = raw["neck"]["deltas"]
+    rep = zero_neck_test(fields, raw["neck"]["eps"], deltas)
+    late = fields[-rep.late_count :]
+    exact = np.max([restricted_band_diameters(f, deltas) for f in late], axis=0)
+    for row, diam in zip(rep.rows, exact):
+        assert row.max_diameter >= diam
+        if stem == "plumbing":
+            assert row.max_diameter <= 1.10 * diam
+        else:
+            # the (2, 1) neck wraps the unit square torus: the bound is its chord
+            assert row.max_diameter == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-15)
+
+
+def test_diameter_bound_covers_points_between_samples():
+    # with an odd theta count no two samples of the outer circle (diameter
+    # 1.6 on the sphere) are antipodal, so the samples alone under-report
+    coarse = identity_sphere_neck(1e-6, 0.5, n_t=32, n_theta=15)
+    fine = identity_sphere_neck(1e-6, 0.5, n_t=128, n_theta=60)
+    sampled = float(pair_distances(coarse.points.reshape(-1, 3)).max())
+    (finer,) = restricted_band_diameters(fine, [0.5])
+    assert sampled < 1.6 - 1e-3 and finer == pytest.approx(1.6, abs=1e-9)
+    assert diagnostics(coarse).diameter >= finer
+
+
+def test_diameter_self_check_fires():
+    # points spread over the unit circle while f_t = f_theta = 0: a real sample
+    # pair 2 apart against 2 max-arc + average length = 0
+    theta = np.arange(16) * (TWO_PI / 16)
+    pts = np.broadcast_to(PlaneTarget.point(np.exp(1j * theta)), (9, 16, 2)).copy()
+    zero = np.zeros_like(pts)
+    field = CylinderField(1.0, pts, zero, zero, PlaneTarget)
+    with pytest.raises(NeckError, match="diameter bound violated"):
+        diagnostics(field)
