@@ -1,12 +1,14 @@
 """Bubble-tree extraction laboratory for energy-concentrating map families.
 
-The package is organized bottom-up:
+The package is organized bottom-up; a module imports only modules listed
+above it (and errors):
 
 measure     weighted particle measures, scale ladders, concentration detection
 quadrature  adaptive polar panel integration with particle emission
 renorm      neck-scale bisection, balanced centers, bubble markings
 curve       stable marked dual graphs, forgetful maps, node regularity
-neck        cylinder fields, energy/alpha diagnostics, zero-neck test
+neck        cylinder fields and delta-collars, nodal pushforward measures,
+            energy/alpha diagnostics, zero-neck test
 families    explicit holomorphic and linear test families with known energies
 driver      residual-energy induction assembling the bubble tree
 cli         config-driven orchestration and report emission

@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .curve import BubbleInsertion, MarkedNodalCurve, add_bubble_component, is_regular_node
 from .errors import ConcentrationError, DriverError
 from .families import Family, energy_quadrature
@@ -41,8 +39,8 @@ from .measure import (
     mass_in,
     restrict,
 )
-from .neck import ZeroNeckReport, diagnostics, zero_neck_test
-from .renorm import build_nodal_pushforward, mark_nodal_bubble, mark_smooth_bubble
+from .neck import ZeroNeckReport, build_nodal_pushforward, diagnostics, zero_neck_test
+from .renorm import mark_nodal_bubble, mark_smooth_bubble
 
 __all__ = [
     "ResidualEnergyLedger",
@@ -312,12 +310,6 @@ def _smooth_chart(family: Family, config: ExtractionConfig) -> _Chart:
     return _Chart(limit_energy, base_energy, tuple(queue), (), (), notes, mark)
 
 
-def _restricted_energy(fld, delta: float) -> float:
-    p = abs(fld.pinch)
-    half = float(np.log(delta / np.sqrt(p)))
-    return diagnostics(fld.restrict(half)).energy
-
-
 def _nodal_chart(family: Family, config: ExtractionConfig) -> _Chart:
     eps_bar = config.eps_bar
     delta_chart = min(config.delta0, float(family.meta.get("delta", config.delta0)))
@@ -370,7 +362,7 @@ def _nodal_chart(family: Family, config: ExtractionConfig) -> _Chart:
     # independent base route: collar energy outside the finest-scale inner
     # cylinder, from GL diagnostics rather than the pushforward particles
     if any(kind == "nodal" for kind, _ in queue):
-        base_energy = limit_energy - _restricted_energy(last_field, delta_k)
+        base_energy = limit_energy - diagnostics(last_field.collar(delta_k)).energy
     else:
         base_energy = limit_energy
     # mass frozen into the singular set is identified with no component
@@ -402,8 +394,10 @@ def _nodal_chart(family: Family, config: ExtractionConfig) -> _Chart:
     def mark(curve, kind, site):
         if kind != "nodal":
             raise DriverError("smooth sites on a nodal chart are not supported")
-        members = [fields[idx] for _, idx in site.subsequence]
-        markings = mark_nodal_bubble(members, ladder, eps_bar)
+        members = [idx for _, idx in site.subsequence]
+        markings = mark_nodal_bubble(
+            [mus[i] for i in members], [fields[i].pinch for i in members], ladder, eps_bar
+        )
         ins = add_bubble_component(curve, site=_NODE_EDGE, case=2)
         neck = NeckRecord(
             kind="nodal",
@@ -413,7 +407,7 @@ def _nodal_chart(family: Family, config: ExtractionConfig) -> _Chart:
             alpha=diag_last.alpha,
             note="bubble extracted at the node; thinness ratios decrease",
             markings=tuple(markings),
-            members=tuple(idx for _, idx in site.subsequence),
+            members=tuple(members),
         )
         return ins, 0j, neck
 

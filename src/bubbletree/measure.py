@@ -119,20 +119,18 @@ def mass_in(mu: WeightedParticleMeasure, center: complex, radius: float) -> floa
 
 
 def pushforward(
-    mu: WeightedParticleMeasure,
-    transform: PlanarMoebius,
-    chart_radius: float | None = None,
+    mu: WeightedParticleMeasure, transform: PlanarMoebius
 ) -> WeightedParticleMeasure:
     """Pushforward under a planar affine transform.
 
-    Weights are unchanged and total mass is invariant.  An atom the
-    transform sends past the floating-point range is refused.
+    Weights are unchanged and total mass is invariant; the new chart radius
+    just covers the moved atoms.  An atom the transform sends past the
+    floating-point range is refused.
     """
     new_points = np.asarray(transform(mu.points), dtype=np.complex128)
     if not np.all(np.isfinite(new_points)):
         raise MeasureError("transform sent an atom to infinity")
-    if chart_radius is None:
-        chart_radius = float(np.abs(new_points).max()) * (1.0 + 1e-12) if len(mu) else mu.chart_radius
+    chart_radius = float(np.abs(new_points).max()) * (1.0 + 1e-12) if len(mu) else mu.chart_radius
     return WeightedParticleMeasure(new_points, mu.weights.copy(), chart_radius)
 
 

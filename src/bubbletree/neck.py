@@ -11,6 +11,10 @@ report the average length, an upper bound on the image diameter, the
 per-slice conformality defect in Pohozaev form, and test the vanishing of
 neck energy and diameter over a schedule of shrinking chart radii.
 
+``CylinderField.collar`` alone turns a radius delta about the node into the
+sub-cylinder |t| <= log(delta/sqrt|pinch|); the zero-neck test and the nodal
+pushforward (collar energy as atoms on the x-side chart) cut through it.
+
 The diameter is bounded on the safe side with O(N) work over all N samples.
 A farthest-point sweep finds a real sample pair; its distance is checked
 against 2 max-slice-arc + average length.  No two samples are farther apart
@@ -32,12 +36,14 @@ from typing import Callable
 import numpy as np
 
 from .errors import NeckError
+from .measure import WeightedParticleMeasure
 
 __all__ = [
     "SphereTarget",
     "FlatTorusTarget",
     "PlaneTarget",
     "CylinderField",
+    "build_nodal_pushforward",
     "NeckDiagnostics",
     "ThetaBoundsReport",
     "ZeroNeckRow",
@@ -166,8 +172,8 @@ class CylinderField:
     delta: float | None = None
 
     def __post_init__(self) -> None:
-        if self.half_length <= 0:
-            raise NeckError("cylinder half-length must be positive")
+        if not (self.half_length > 0 and np.isfinite(self.half_length)):
+            raise NeckError("cylinder half-length must be positive and finite")
         shape = self.points.shape
         if self.f_t.shape != shape or self.f_theta.shape != shape:
             raise NeckError("derivative sample shapes do not match the points")
@@ -175,6 +181,8 @@ class CylinderField:
             raise NeckError("degenerate grid")
         if shape[2] != self.target.dim:
             raise NeckError("sample dimension does not match the target")
+        if not all(np.isfinite(a).all() for a in (self.points, self.f_t, self.f_theta)):
+            raise NeckError("non-finite samples")
         res = self.target.residual(self.points)
         if res > 1e-10:
             raise NeckError(f"sample points leave the target manifold by {res:.3e}")
@@ -182,7 +190,7 @@ class CylinderField:
             raise NeckError("pinch and delta must be given together")
         if self.pinch is not None:
             t_expected = np.log(self.delta / np.sqrt(abs(self.pinch)))
-            if abs(t_expected - self.half_length) > 1e-9 * (1.0 + self.half_length):
+            if not abs(t_expected - self.half_length) <= 1e-9 * (1.0 + self.half_length):
                 raise NeckError("half-length inconsistent with pinch and delta")
 
     @property
@@ -235,6 +243,43 @@ class CylinderField:
             f_theta=self.f_theta[idx],
             target=self.target,
         )
+
+    def collar(self, delta: float) -> "CylinderField":
+        """Restriction to |pinch|/delta <= |x| <= delta, snapped inward to grid nodes;
+        needs plumbing metadata and sqrt|pinch| < delta <= the sampled chart radius."""
+        if self.pinch is None:
+            raise NeckError("collar needs plumbing metadata")
+        half = float(np.log(delta / np.sqrt(abs(self.pinch))))
+        if not half > 0:
+            raise NeckError(f"delta {delta} does not exceed sqrt|pinch|")
+        if delta > self.delta * (1.0 + 1e-12):
+            raise NeckError(f"delta {delta} exceeds the sampled chart {self.delta}")
+        return self.restrict(min(half, self.half_length))
+
+
+def _trapezoid(n: int, h: float) -> np.ndarray:
+    """Trapezoid weights of n equally spaced nodes h apart."""
+    w = np.full(n, h)
+    w[[0, -1]] *= 0.5
+    return w
+
+
+def build_nodal_pushforward(neck: CylinderField, delta: float) -> WeightedParticleMeasure:
+    """Energy of ``neck.collar(delta)`` as atoms at x = sqrt(pinch) e^{t+i theta}.
+
+    Each sample carries its quadrature share of the collar energy, so the
+    disk B(0, |pinch|/delta) carries nothing and the total is the collar energy.
+    """
+    sub = neck.collar(delta)
+    t = sub.t_nodes
+    w_t = _trapezoid(len(t), t[1] - t[0])
+    h_th = _TWO_PI / sub.n_theta
+    ft_sq = np.sum(sub.f_t * sub.f_t, axis=-1)
+    fth_sq = np.sum(sub.f_theta * sub.f_theta, axis=-1)
+    density = 0.5 * (ft_sq + fth_sq) * w_t[:, None] * h_th
+    root = np.sqrt(complex(neck.pinch))
+    x = root * np.exp(t[:, None] + 1j * sub.theta_nodes[None, :])
+    return WeightedParticleMeasure(x.ravel(), density.ravel(), chart_radius=delta)
 
 
 def cylinder_field_from_sphere_chart(
@@ -330,9 +375,7 @@ def diagnostics(field: CylinderField) -> NeckDiagnostics:
     h_t = 2.0 * T / field.n_t
     h_th = _TWO_PI / field.n_theta
     t = field.t_nodes
-    w_t = np.full(len(t), h_t)
-    w_t[0] *= 0.5
-    w_t[-1] *= 0.5
+    w_t = _trapezoid(len(t), h_t)
 
     ft_sq = np.sum(field.f_t * field.f_t, axis=-1)
     fth_sq = np.sum(field.f_theta * field.f_theta, axis=-1)
@@ -423,9 +466,7 @@ def theta_bounds_check(
     seg = th[i1 : i2 + 1]
     dd = (seg[2:] - 2.0 * seg[1:-1] + seg[:-2]) / (h * h)
     convexity_slack = float(np.min(dd - seg[1:-1]))
-    w = np.full(len(seg), h)
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    w = _trapezoid(len(seg), h)
     integral = float(np.sum(w * seg))
     sqrt_integral = float(np.sum(w * np.sqrt(np.maximum(seg, 0.0))))
     integral_slack = 2.0 * (seg[0] + seg[-1]) - integral
@@ -477,8 +518,9 @@ def zero_neck_test(
     """Do neck energy and image diameter vanish along the family?
 
     For each delta in the (decreasing) schedule, restrict the late half of
-    the sequence to the sub-cylinder matching the delta-ball around the node
-    and take the sup of energy and of the diameter upper bound of
+    the sequence to its collar of the delta-ball around the node (a delta
+    beyond a sampled chart is refused) and take the sup of energy and of the
+    diameter upper bound of
     `diagnostics` (which assumes |f_t| and |f_theta| stay below their sampled
     maxima inside each grid cell); PASS iff both fall below eps at some
     delta.  Each row also reports the alpha-based energy prediction
@@ -499,27 +541,17 @@ def zero_neck_test(
     rows = []
     chosen = None
     for delta in delta_schedule:
-        energies = []
-        diams = []
-        preds = []
-        for f in late:
-            sub_t = np.log(delta / np.sqrt(abs(f.pinch)))
-            if sub_t <= 0:
-                raise NeckError(
-                    f"delta {delta} does not exceed sqrt|pinch| of a late member"
-                )
-            sub = f.restrict(min(sub_t, f.half_length))
-            d = diagnostics(sub)
-            energies.append(d.energy)
-            diams.append(d.diameter)
-            preds.append(abs(2.0 * sub.half_length * d.alpha))
+        diags = [diagnostics(f.collar(delta)) for f in late]
+        energy = max(d.energy for d in diags)
+        diam = max(d.diameter for d in diags)
+        pred = max(abs(2.0 * d.half_length * d.alpha) for d in diags)
         row = ZeroNeckRow(
             delta=float(delta),
-            max_energy=float(max(energies)),
-            max_diameter=float(max(diams)),
-            predicted_energy=float(max(preds)),
-            passed=max(energies) <= eps and max(diams) <= eps,
-            predicted_pass=max(preds) <= eps,
+            max_energy=float(energy),
+            max_diameter=float(diam),
+            predicted_energy=float(pred),
+            passed=energy <= eps and diam <= eps,
+            predicted_pass=pred <= eps,
         )
         rows.append(row)
         if row.passed and chosen is None:

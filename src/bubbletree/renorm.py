@@ -25,7 +25,9 @@ on).
 
 Two marking procedures wrap this machinery: one for concentration at a
 smooth point (solve for q, then t), one for concentration at a node (q is
-pinned at the node; only the cut radius r is solved).
+pinned at the node; only the cut radius r is solved).  Both take member
+measures; the nodal one reads each neck's energy already pushed to the
+x-side chart of the node, with the member's pinch for the thinness ratio.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CenterError, MarkingError, NeckError, NeckScaleError
+from .errors import CenterError, MarkingError, NeckScaleError
 from .measure import (
     PlanarMoebius,
     ScaleLadder,
@@ -45,10 +47,8 @@ from .measure import (
     mass_in,
     pushforward,
 )
-from .neck import CylinderField
 
 __all__ = [
-    "cross_ratio",
     "renormalization_map",
     "NeckScaleResult",
     "solve_neck_scale",
@@ -58,7 +58,6 @@ __all__ = [
     "find_balanced_center",
     "Marking",
     "mark_smooth_bubble",
-    "build_nodal_pushforward",
     "mark_nodal_bubble",
 ]
 
@@ -70,15 +69,8 @@ _RING_START = 16
 _RING_CAP = 4096
 
 
-def cross_ratio(q: complex, t: float, x):
-    """R_{q,t}(x) = (1/t - 1)(x - q); sends q to 0 and q + t/(1-t) to 1."""
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"t must lie in (0, 1), got {t}")
-    return (1.0 / t - 1.0) * (x - q)
-
-
 def renormalization_map(q: complex, t: float) -> PlanarMoebius:
-    """The affine map x -> (1/t - 1)(x - q) as a reusable transform."""
+    """R_{q,t}(x) = (1/t - 1)(x - q); sends q to 0 and q + t/(1-t) to 1."""
     if not 0.0 < t < 1.0:
         raise ValueError(f"t must lie in (0, 1), got {t}")
     scale = 1.0 / t - 1.0
@@ -352,8 +344,7 @@ class CenterResult:
     r: complex  # q + t/(1-t)
     winding: int | None
     boundary_inward_ok: bool | None  # Re(F(q)/-q) > 0 at every certified ring sample
-    zeros: tuple[complex, ...]
-    multiple_zeros: bool
+    zeros: tuple[complex, ...]  # every zero found, smallest |q| first
 
 
 def find_balanced_center(
@@ -375,7 +366,7 @@ def find_balanced_center(
     at 4096 samples raises CenterError.  Newton (central differences of step
     1e-5 delta_2k, seeded at the local centroid, with quadrant subdivision
     by the same certified winding as fallback) localizes the zero.  With
-    several zeros the one of smallest |q| is returned and flagged.
+    several zeros the one of smallest |q| is returned; ``zeros`` lists all.
     """
     if k < 1 or 2 * k > ladder.depth:
         raise CenterError(f"index {k} outside the ladder (need 1 <= k and 2k <= depth)")
@@ -421,7 +412,6 @@ def find_balanced_center(
             winding=winding,
             boundary_inward_ok=boundary_ok,
             zeros=tuple(z for z, _, _ in zeros),
-            multiple_zeros=len(zeros) > 1,
         )
 
     f0, res0 = probe(0.0)
@@ -584,6 +574,18 @@ class Marking:
             )
 
 
+def _check_members(n: int, ladder: ScaleLadder, eps_bar: float) -> None:
+    """Refuse a marking of n members that the ladder cannot hold."""
+    if abs(eps_bar - ladder.eps_bar) > 1e-12 * ladder.eps_bar:
+        raise MarkingError("eps_bar disagrees with the ladder")
+    if not n:
+        raise MarkingError("no members to mark")
+    if n > ladder.working_index:
+        raise MarkingError(
+            f"{n} members exceed the ladder working index {ladder.working_index}"
+        )
+
+
 def mark_smooth_bubble(
     mus: list[WeightedParticleMeasure],
     ladder: ScaleLadder,
@@ -596,14 +598,7 @@ def mark_smooth_bubble(
     is found in B(0, delta_{2k-1}), the neck scale t there, and the
     renormalized measure is the pushforward under R_{q_k,t}.
     """
-    if abs(eps_bar - ladder.eps_bar) > 1e-12 * ladder.eps_bar:
-        raise MarkingError("eps_bar disagrees with the ladder")
-    if not mus:
-        raise MarkingError("no members to mark")
-    if len(mus) > ladder.working_index:
-        raise MarkingError(
-            f"{len(mus)} members exceed the ladder working index {ladder.working_index}"
-        )
+    _check_members(len(mus), ladder, eps_bar)
     markings = []
     for i, mu in enumerate(mus):
         k = i + 1
@@ -631,76 +626,32 @@ def mark_smooth_bubble(
     return markings
 
 
-def build_nodal_pushforward(
-    neck: CylinderField, delta: float
-) -> WeightedParticleMeasure:
-    """Energy of the neck annulus pushed to the x-side chart B(0, delta).
-
-    Each cylinder sample becomes an atom at x = sqrt(pinch) e^{t+i theta}
-    weighted by its quadrature share of the energy; the region inside
-    B(0, |pinch|/delta) carries nothing.  Total mass equals the neck energy
-    of the restricted cylinder.
-    """
-    if neck.pinch is None:
-        raise NeckError("nodal pushforward needs plumbing metadata")
-    p = abs(neck.pinch)
-    if p >= delta * delta:
-        raise NeckError(f"neck not thin: |pinch| = {p:.3g} >= delta^2 = {delta**2:.3g}")
-    if neck.delta is not None and delta > neck.delta * (1.0 + 1e-12):
-        raise NeckError("delta exceeds the sampled chart")
-    half = float(np.log(delta / np.sqrt(p)))
-    t = neck.t_nodes
-    keep = np.nonzero(np.abs(t) <= half * (1.0 + 1e-12))[0]
-    if len(keep) < 3:
-        raise NeckError("restriction leaves a degenerate grid")
-    t_sub = t[keep]
-    h_t = t[1] - t[0]
-    w_t = np.full(len(keep), h_t)
-    w_t[0] *= 0.5
-    w_t[-1] *= 0.5
-    h_th = 2.0 * np.pi / neck.n_theta
-    ft_sq = np.sum(neck.f_t[keep] * neck.f_t[keep], axis=-1)
-    fth_sq = np.sum(neck.f_theta[keep] * neck.f_theta[keep], axis=-1)
-    density = 0.5 * (ft_sq + fth_sq) * w_t[:, None] * h_th
-    root = np.sqrt(complex(neck.pinch))
-    x = root * np.exp(t_sub[:, None] + 1j * neck.theta_nodes[None, :])
-    return WeightedParticleMeasure(
-        x.ravel().astype(np.complex128),
-        density.ravel().astype(np.float64),
-        chart_radius=delta,
-    )
-
-
 def mark_nodal_bubble(
-    necks: list[CylinderField],
+    mus: list[WeightedParticleMeasure],
+    pinches: list[complex],
     ladder: ScaleLadder,
     eps_bar: float,
 ) -> list[Marking]:
     """Mark a concentration at a regular node along a certified subsequence.
 
+    mus are the members' neck energies on the x-side chart of the node
+    (``neck.build_nodal_pushforward``), pinches their plumbing parameters.
     The center is pinned at the node, so only the cut radius r_k is solved
     (mass outside B(0, r_k) equal to eps_bar) and the renormalization is
     x -> x/r_k.  The thinness ratios |pinch_k|/r_k must decrease toward 0;
     otherwise the inner disk is hiding mass and the marking is invalid.
     """
-    if abs(eps_bar - ladder.eps_bar) > 1e-12 * ladder.eps_bar:
-        raise MarkingError("eps_bar disagrees with the ladder")
-    if not necks:
-        raise MarkingError("no members to mark")
-    if len(necks) > ladder.working_index:
-        raise MarkingError(
-            f"{len(necks)} members exceed the ladder working index {ladder.working_index}"
-        )
-    delta_chart = float(ladder.delta[0])
+    _check_members(len(mus), ladder, eps_bar)
+    if len(pinches) != len(mus):
+        raise MarkingError(f"{len(mus)} measures but {len(pinches)} pinches")
     markings = []
     ratios = []
-    for i, neck in enumerate(necks):
+    for i, (mu, pinch) in enumerate(zip(mus, pinches)):
         k = i + 1
         try:
-            mu = build_nodal_pushforward(neck, delta_chart)
             res = solve_neck_scale(mu, 0.0, eps_bar)
             r = res.s
-            ratio = abs(neck.pinch) / r
+            ratio = abs(pinch) / r
             nu = pushforward(mu, PlanarMoebius(1.0 / r, 0.0))
             markings.append(
                 Marking(
@@ -717,7 +668,7 @@ def mark_nodal_bubble(
                 )
             )
             ratios.append(ratio)
-        except (NeckScaleError, NeckError, MarkingError) as exc:
+        except (NeckScaleError, MarkingError) as exc:
             raise MarkingError(
                 f"marking failed at member {i} (ladder index {k}): {exc}"
             ) from exc

@@ -74,6 +74,17 @@ def test_cylinder_field_validation():
         CylinderField(
             2.0, f.points, f.f_t, f.f_theta, f.target, pinch=1e-4, delta=0.5
         )
+    # non-finite inputs fail every comparison, so each needs its own refusal
+    with pytest.raises(NeckError, match="finite"):
+        CylinderField(math.nan, f.points, f.f_t, f.f_theta, f.target)
+    nan_point = f.points.copy()
+    nan_point[3, 5, 0] = math.nan
+    with pytest.raises(NeckError, match="non-finite"):
+        CylinderField(2.0, nan_point, f.f_t, f.f_theta, f.target)
+    inf_ft = f.f_t.copy()
+    inf_ft[0, 0, 2] = math.inf
+    with pytest.raises(NeckError, match="non-finite"):
+        CylinderField(2.0, f.points, inf_ft, f.f_theta, f.target)
 
 
 def test_torus_closed_forms():
@@ -124,6 +135,20 @@ def test_restrict_is_consistent_with_sub_annulus():
     assert diagnostics(sub).energy == pytest.approx(expected, rel=1e-4)
     with pytest.raises(NeckError, match="exceeds"):
         f.restrict(f.half_length * 2.0)
+
+
+def test_collar_is_the_delta_ball_restriction():
+    pinch, delta = 1e-6, 0.5
+    f = identity_sphere_neck(pinch, delta)
+    sub = f.collar(0.1)
+    assert sub.half_length == f.restrict(math.log(0.1 / math.sqrt(pinch))).half_length
+    assert f.collar(delta).half_length == f.half_length
+    with pytest.raises(NeckError, match="does not exceed"):
+        f.collar(math.sqrt(pinch))
+    with pytest.raises(NeckError, match="sampled chart"):
+        f.collar(2.0 * delta)
+    with pytest.raises(NeckError, match="plumbing metadata"):
+        linear_torus_field(1.0, 0.0, 2.0).collar(0.1)
 
 
 def test_theta_bounds_hold_on_small_energy_neck():
@@ -183,6 +208,9 @@ def test_zero_neck_schedule_validation():
     bare = linear_torus_field(1.0, 0.0, 2.0)
     with pytest.raises(NeckError, match="plumbing metadata"):
         zero_neck_test([bare], 0.01, [0.1])
+    # a delta beyond the sampled chart is refused, not clipped to the chart
+    with pytest.raises(NeckError, match="sampled chart"):
+        zero_neck_test([f, f], 0.01, [1.0, 0.1])
 
 
 def test_pohozaev_residual_routes():

@@ -9,35 +9,14 @@ from hypothesis import strategies as st
 from bubbletree import (
     MarkedNodalCurve,
     WeightedParticleMeasure,
-    cross_ratio,
     curve_from_text,
     curve_to_text,
     curves_isomorphic,
     forget_mark,
     is_stable,
     mass_in,
-    renormalization_map,
     solve_neck_scale_from_cdf,
 )
-
-complex_nums = st.builds(
-    complex,
-    st.floats(-2.0, 2.0, allow_nan=False),
-    st.floats(-2.0, 2.0, allow_nan=False),
-)
-
-
-@given(q=complex_nums, t=st.floats(0.05, 0.95), z=complex_nums)
-def test_cross_ratio_matches_renormalization_map(q, t, z):
-    # the four-point cross ratio and the Moebius normalization agree wherever
-    # both are defined
-    s = t / (1.0 - t)
-    if abs(z - (q + s)) < 1e-9 or abs(z - q) > 1e6:
-        return
-    a = cross_ratio(q, t, z)
-    b = renormalization_map(q, t)(z)
-    assert abs(a - b) <= 1e-12 * (1.0 + abs(a))
-
 
 @given(
     radii=st.lists(st.floats(0.01, 0.99), min_size=2, max_size=30),

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from bubbletree import (
     WeightedParticleMeasure,
+    build_nodal_pushforward,
     build_scale_ladder,
     center_functional,
-    cross_ratio,
     extract_bubble_tree,
     find_balanced_center,
+    mark_nodal_bubble,
     mark_smooth_bubble,
     renormalization_map,
     solve_neck_scale,
@@ -39,10 +40,9 @@ def radial_quantile_atoms(cdf_inverse, n, mass=1.0, center=0j, chart=10.0, seed=
 
 def test_cross_ratio_normalization_points():
     q, t = 0.3 + 0.1j, 0.25
-    assert cross_ratio(q, t, q) == 0.0
-    s = t / (1.0 - t)
-    assert abs(cross_ratio(q, t, q + s) - 1.0) <= 1e-15
     mob = renormalization_map(q, t)
+    assert mob(q) == 0.0
+    s = t / (1.0 - t)
     assert abs(mob(q + s) - 1.0) <= 1e-15
 
 
@@ -345,6 +345,28 @@ def test_mark_smooth_bubble_scale_must_shrink():
     ]
     with pytest.raises(MarkingError):
         mark_smooth_bubble(mus, lad, 0.2, tol_center=1e-6)
+
+
+def test_mark_nodal_bubble_refusals(plumbing_bubble_family, plumbing_bubble_tree):
+    lad = build_scale_ladder(0.5, 0.2, 6)
+    fields = [m.field for m in plumbing_bubble_family.members]
+    mus = [build_nodal_pushforward(f, 0.5) for f in fields]
+    pinches = [f.pinch for f in fields]
+    # the driver marks the measures it detected on: same ratios as a fresh marking
+    nodal = [n for n in plumbing_bubble_tree.necks if n.kind == "nodal"][0]
+    members = list(nodal.members)
+    marks = mark_nodal_bubble(
+        [mus[i] for i in members], [pinches[i] for i in members], lad, 0.2
+    )
+    assert tuple(m.neck_ratio for m in marks) == nodal.thinness_ratios
+    # thinness ratios that grow (members out of order) or repeat are refused
+    for order in ([2, 1], [1, 1]):
+        with pytest.raises(MarkingError, match="nodal bubble hypothesis violated"):
+            mark_nodal_bubble([mus[i] for i in order], [pinches[i] for i in order], lad, 0.2)
+    with pytest.raises(MarkingError, match="pinches"):
+        mark_nodal_bubble(mus[1:3], pinches[1:2], lad, 0.2)
+    with pytest.raises(MarkingError, match="no members"):
+        mark_nodal_bubble([], [], lad, 0.2)
 
 
 def fixed_ring(value, radius, samples=720):
