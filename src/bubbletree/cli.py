@@ -354,11 +354,12 @@ def _markings_csv(tree: BubbleTree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _theta_profile_csv(family) -> str:
-    last = family.members[-1]
-    if last.field is None:
+def _theta_profile_csv(last_diagnostics) -> str:
+    """The Theta profile of the last member's neck, from its diagnostics (None
+    for a family without cylinder fields)."""
+    if last_diagnostics is None:
         return "t,theta,alpha_slice\n"
-    return profile_to_csv(diagnostics(last.field))
+    return profile_to_csv(last_diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +383,9 @@ def _cmd_extract(cfg: RunConfig, args, stem: str) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _dump_json(_tree_dict(tree, cfg), out / "tree.json")
     (out / "markings.csv").write_text(_markings_csv(tree), encoding="utf-8")
-    (out / "theta_profile.csv").write_text(_theta_profile_csv(family), encoding="utf-8")
+    last = family.members[-1].field
+    profile = _theta_profile_csv(None if last is None else diagnostics(last))
+    (out / "theta_profile.csv").write_text(profile, encoding="utf-8")
     res = tree.identity_residual
     print(
         f"extract: {len(tree.components) - 1} bubble(s), "
@@ -436,7 +439,8 @@ def _cmd_neck(cfg: RunConfig, args, stem: str) -> int:
     out = _out_dir(cfg, args, stem)
     out.mkdir(parents=True, exist_ok=True)
     _dump_json(report, out / "neck.json")
-    (out / "theta_profile.csv").write_text(_theta_profile_csv(family), encoding="utf-8")
+    # d is the last member's diagnostics (a schedule is never empty)
+    (out / "theta_profile.csv").write_text(_theta_profile_csv(d), encoding="utf-8")
     verdict = "n/a" if zn is None else ("PASS" if zn.passed else "FAIL")
     print(f"neck: {len(rows)} member(s), zero-neck {verdict}, wrote {out / 'neck.json'}")
     return 0

@@ -16,6 +16,7 @@ per euclidean chart area.  This is pole-free whenever P and Q share no root.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -46,6 +47,25 @@ def _polyder(c: np.ndarray) -> np.ndarray:
     return c[:-1] * np.arange(n, 0, -1)
 
 
+def _horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``np.polyval(c, z)`` bit for bit at finite z, without its zero array.
+
+    polyval starts from 0 * z + c[0], which is c[0] itself unless c[0] has a
+    -0.0 part, whose sign then follows z; only that case keeps the step.
+    """
+    lead = c[0]
+    if any(p == 0.0 and math.copysign(1.0, p) < 0.0 for p in (lead.real, lead.imag)):
+        y, rest = 0.0 * z + lead, c[1:]
+    elif c.size == 1:
+        return np.full(z.shape, lead)
+    else:
+        y, rest = lead * z + c[1], c[2:]
+    for a in rest:
+        y *= z
+        y += a
+    return y
+
+
 def _trim(c: np.ndarray) -> np.ndarray:
     out = np.trim_zeros(c, "f")
     if out.size == 0:
@@ -69,12 +89,23 @@ class RationalMap:
         if den.size == 1 and den[0] == 0:
             raise FamilyError("denominator vanishes identically")
         if num.size > 1 and den.size > 1:
-            rp = np.roots(num)
-            rq = np.roots(den)
-            sep = np.abs(rp[:, None] - rq[None, :])
-            scale = 1.0 + np.abs(rp[:, None])
-            j = np.argmin(sep / scale)
-            if (sep / scale).flat[j] < 1e-12:
+            # a leading coefficient tiny against the rest overflows the
+            # companion matrix, whose roots np.roots then cannot find
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    rp = np.roots(num)
+                    rq = np.roots(den)
+            except (FloatingPointError, np.linalg.LinAlgError):
+                raise FamilyError(
+                    "coefficients too ill-scaled to locate the roots"
+                ) from None
+            # roots near the float limit may overflow |.|: inf/inf is no match
+            with np.errstate(over="ignore", invalid="ignore"):
+                sep = np.abs(rp[:, None] - rq[None, :])
+                rel = sep / (1.0 + np.abs(rp[:, None]))
+            rel = np.where(np.isnan(rel), np.inf, rel)
+            j = np.argmin(rel)
+            if rel.flat[j] < 1e-12:
                 bad = rp.flat[j // rq.size]
                 raise FamilyError(
                     f"numerator and denominator share a root near {bad:.6g}"
@@ -97,18 +128,18 @@ class RationalMap:
 
     def value(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=np.complex128)
-        return np.polyval(self.num, z) / np.polyval(self.den, z)
+        return _horner(self.num, z) / _horner(self.den, z)
 
     def derivative(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=np.complex128)
-        return np.polyval(self._wronskian, z) / np.polyval(self.den, z) ** 2
+        return _horner(self._wronskian, z) / _horner(self.den, z) ** 2
 
     def density(self, z: np.ndarray) -> np.ndarray:
         """Energy density in the chart; finite everywhere (no common roots)."""
         z = np.asarray(z, dtype=np.complex128)
-        p = np.polyval(self.num, z)
-        q = np.polyval(self.den, z)
-        w = np.polyval(self._wronskian, z)
+        p = _horner(self.num, z)
+        q = _horner(self.den, z)
+        w = _horner(self._wronskian, z)
         return 4.0 * np.abs(w) ** 2 / (np.abs(p) ** 2 + np.abs(q) ** 2) ** 2
 
     def chart_reversed(self) -> "RationalMap":

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bubbletree import (
     FamilySpec,
@@ -14,6 +16,7 @@ from bubbletree import (
     make_family,
 )
 from bubbletree.errors import FamilyError
+from bubbletree.families import _horner, _trim
 
 FOUR_PI = 4.0 * math.pi
 
@@ -32,6 +35,9 @@ def test_rational_map_validation():
         RationalMap((1.0,), (0.0,))
     with pytest.raises(FamilyError, match="non-finite"):
         RationalMap((np.inf,), (1.0,))
+    # a subnormal leading coefficient overflows np.roots' companion matrix
+    with pytest.raises(FamilyError, match="ill-scaled"):
+        RationalMap((1j, 0.0), (5e-324j, 1.0))
 
 
 def test_rational_map_degree_and_density():
@@ -40,6 +46,50 @@ def test_rational_map_degree_and_density():
     z = np.array([0.3 + 0.2j, 1.5 - 0.7j, -0.1 + 1.1j])
     expected = 4.0 * np.abs(m.derivative(z)) ** 2 / (1.0 + np.abs(m.value(z)) ** 2) ** 2
     assert np.allclose(m.density(z), expected, rtol=1e-12)
+
+
+# coefficient parts: ordinary values and both signed zeros, so that a leading
+# coefficient can keep a zero real or imaginary part after _trim
+_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+_COEFFS = st.lists(st.tuples(_PARTS, _PARTS), min_size=1, max_size=6).map(
+    lambda parts: _trim(np.array([complex(a, b) for a, b in parts]))
+)
+# signed zeros and real and imaginary axis points, where polyval's start
+# 0 * z + c[0] shows in the sign of a zero part
+_AXIS = np.array([complex(a, b) for a in (0.0, -0.0, 0.5, -2.0) for b in (0.0, -0.0, 0.5, -2.0)])
+
+
+def _seeded_points(seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=40) + 1j * rng.normal(size=40)
+
+
+@given(c=_COEFFS, seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300)
+def test_horner_is_polyval_bit_for_bit(c, seed):
+    z = np.concatenate([_seeded_points(seed), _AXIS])
+    assert _horner(c, z).tobytes() == np.polyval(c, z).tobytes()
+
+
+@given(num=_COEFFS, den=_COEFFS, seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100)
+def test_rational_map_evaluation_matches_polyval(num, den, seed):
+    """density, value and derivative agree bit for bit with the same formulas
+    over np.polyval."""
+    try:
+        m = RationalMap(num, den)
+    except FamilyError:
+        assume(False)
+    z = _seeded_points(seed)
+    p, q, w = (np.polyval(c, z) for c in (m.num, m.den, m._wronskian))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        density = 4.0 * np.abs(w) ** 2 / (np.abs(p) ** 2 + np.abs(q) ** 2) ** 2
+        assert m.density(z).tobytes() == density.tobytes()
+        assert m.value(z).tobytes() == (p / q).tobytes()
+        assert m.derivative(z).tobytes() == (w / q**2).tobytes()
 
 
 def test_chart_reversed_represents_the_same_sphere_map():

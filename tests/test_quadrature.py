@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
-from bubbletree import PanelQuadrature, RationalMap, adaptive_polar_quadrature
+from bubbletree import PanelQuadrature, RationalMap, adaptive_polar_quadrature, quadrature
 
 # Gauss-Legendre pairs of the coarse and fine panel rules, independent of the
 # module under test
@@ -282,6 +284,15 @@ def partial_zero_density(z):
     return np.maximum(0.25 - np.abs(z - 0.3) ** 2, 0.0) ** 4
 
 
+def point_density(z):
+    """Integrable point singularity off the centre: at rel_tol 1e-15 every
+    panel stays above tolerance, so the budget stops the refinement and
+    panels at the singularity retire at the width floor."""
+    return np.abs(z - (0.3 + 0.2j)) ** -1.5
+
+
+POINT_KWARGS = {"rel_tol": 1e-15, "abs_tol": 0.0, "max_panels": 1500}
+
 # the keyword arguments density_to_measure passes for the bubble families
 MEASURE_KWARGS = {
     "rel_tol": 1e-7,
@@ -326,6 +337,14 @@ SINGLE_PASS_CASES = [
         (partial_zero_density, 0j, 1.0),
         {"emit_particles": True, "emit_mass_frac": 1e-2},
     ),
+    # the budget ends both passes with splits computed ahead and never used,
+    # and retired panels (no split) sit in the same batches as split ones
+    ("point_singularity", (point_density, 0j, 1.0), POINT_KWARGS),
+    (
+        "point_singularity_emission",
+        (point_density, 0j, 1.0),
+        {**POINT_KWARGS, "emit_particles": True, "emit_mass_frac": 1e-2},
+    ),
 ]
 
 
@@ -343,10 +362,74 @@ def test_shared_split_matches_two_pass_reference(args, kwargs):
     assert _bits(got.weights) == _bits(want.weights)
 
 
+# cell masses with empty cells and subnormal ones (whose brackets overflow
+# np.interp's slope), cell edges that may start at -0.0, and targets on,
+# between and beyond the cumulative edges
+_CELL_MASSES = st.sampled_from([0.0, 5e-324, 1e-300, 0.1, 0.5, 1.0, 3.0])
+
+
+@st.composite
+def _quantile_rows(draw):
+    n_rows, n_cells = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    n_targets = draw(st.integers(1, 6))
+    size = n_rows * n_cells
+    masses = np.array(draw(st.lists(_CELL_MASSES, min_size=size, max_size=size)))
+    cum = np.zeros((n_rows, n_cells + 1))
+    np.cumsum(masses.reshape(n_rows, n_cells), axis=1, out=cum[:, 1:])
+    steps = draw(st.lists(st.floats(1e-3, 1.0), min_size=n_cells, max_size=n_cells))
+    start = draw(st.sampled_from([-0.0, 0.0, 0.25]))
+    redges = np.tile(np.concatenate([[start], start + np.cumsum(steps)]), (n_rows, 1))
+    targets = np.empty((n_rows, n_targets))
+    for i in range(n_rows):
+        for k in range(n_targets):
+            kind = draw(st.sampled_from(["edge", "between", "beyond"]))
+            if kind == "edge":
+                targets[i, k] = cum[i, draw(st.integers(0, n_cells))]
+            elif kind == "between":
+                targets[i, k] = draw(st.floats(0.0, 1.0)) * cum[i, -1]
+            else:
+                targets[i, k] = cum[i, -1] + draw(st.floats(1e-3, 1.0))
+    return cum, redges, targets
+
+
+@given(_quantile_rows())
+@settings(max_examples=300)
+def test_quantile_cells_match_interp_and_searchsorted(case):
+    cum, redges, targets = case
+    rows, radii = quadrature._quantile_cells(cum, redges, targets)
+    n_cells = cum.shape[1] - 1
+    for i in range(len(cum)):
+        want_rows = np.clip(np.searchsorted(cum[i], targets[i]) - 1, 0, n_cells - 1)
+        assert rows[i].tolist() == want_rows.tolist()
+        assert _bits(radii[i]) == _bits(np.interp(targets[i], cum[i], redges[i]))
+
+
+BUBBLE_MEASURE_CASES = [c for c in SINGLE_PASS_CASES if c[0].endswith("_measure")]
+
+
+@pytest.mark.parametrize("batch", [1, 256])
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [c[1:] for c in BUBBLE_MEASURE_CASES],
+    ids=[c[0] for c in BUBBLE_MEASURE_CASES],
+)
+def test_split_batch_does_not_change_results(monkeypatch, args, kwargs, batch):
+    want = adaptive_polar_quadrature(*args, **kwargs)
+    monkeypatch.setattr(quadrature, "_SPLIT_BATCH", batch)
+    got = adaptive_polar_quadrature(*args, **kwargs)
+    assert _bits(got.value) == _bits(want.value)
+    assert _bits(got.error) == _bits(want.error)
+    assert got.n_panels == want.n_panels
+    assert _bits(got.points) == _bits(want.points)
+    assert _bits(got.weights) == _bits(want.weights)
+
+
 def test_density_calls_are_batched():
-    """2 calls for the initial grid, 2 per split (four coarse candidate halves,
-    then the two chosen fine children) and one per 32 emitted panels, over
-    exactly the nodes a per-panel evaluation visits."""
+    """2 calls for the initial grid, 2 per batch of splits (four coarse
+    candidate halves per panel, then the chosen fine children) and one per 32
+    emitted panels.  Splitting one panel at a time visits 674,048 nodes; the
+    lookahead takes only panels the pass must split, so here it visits no
+    more."""
     calls = points = 0
 
     def counted(z):
@@ -360,7 +443,9 @@ def test_density_calls_are_batched():
     )
     assert res.n_panels == 610
     splits = res.n_panels - 64
-    assert calls == 2 + 2 * splits + math.ceil(res.n_panels / 32) == 1114
+    assert calls == 2 + 2 * 21 + math.ceil(res.n_panels / 32) == 64
     # per panel: 64 + 256 initial nodes; per split: 4 * 64 coarse and
     # 2 * 256 fine nodes; per emitted panel: 48 x 8 cell midpoints
-    assert points == 64 * 320 + splits * 768 + res.n_panels * 384 == 674048
+    sequential = 64 * 320 + splits * 768 + res.n_panels * 384
+    assert sequential == 674048
+    assert points == sequential
