@@ -383,8 +383,7 @@ def _cmd_extract(cfg: RunConfig, args, stem: str) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _dump_json(_tree_dict(tree, cfg), out / "tree.json")
     (out / "markings.csv").write_text(_markings_csv(tree), encoding="utf-8")
-    last = family.members[-1].field
-    profile = _theta_profile_csv(None if last is None else diagnostics(last))
+    profile = _theta_profile_csv(tree.last_neck)
     (out / "theta_profile.csv").write_text(profile, encoding="utf-8")
     res = tree.identity_residual
     print(

@@ -39,7 +39,14 @@ from .measure import (
     mass_in,
     restrict,
 )
-from .neck import ZeroNeckReport, build_nodal_pushforward, diagnostics, zero_neck_test
+from .neck import (
+    NeckDiagnostics,
+    ZeroNeckReport,
+    build_nodal_pushforward,
+    collar_diagnostics,
+    diagnostics,
+    zero_neck_test,
+)
 from .renorm import mark_nodal_bubble, mark_smooth_bubble
 
 __all__ = [
@@ -183,6 +190,8 @@ class BubbleTree:
     singular: tuple[SingularSite, ...]
     connected: bool | None
     notes: tuple[str, ...] = ()
+    # diagnostics of the last member's whole neck field; None on smooth charts
+    last_neck: NeckDiagnostics | None = None
 
     def __post_init__(self) -> None:
         if not self.re_trace:
@@ -245,6 +254,7 @@ class _Chart:
     necks: tuple[NeckRecord, ...]
     notes: tuple[str, ...]
     mark: _Marker
+    last_neck: NeckDiagnostics | None = None
 
 
 def _smooth_chart(family: Family, config: ExtractionConfig) -> _Chart:
@@ -362,7 +372,7 @@ def _nodal_chart(family: Family, config: ExtractionConfig) -> _Chart:
     # independent base route: collar energy outside the finest-scale inner
     # cylinder, from GL diagnostics rather than the pushforward particles
     if any(kind == "nodal" for kind, _ in queue):
-        base_energy = limit_energy - diagnostics(last_field.collar(delta_k)).energy
+        base_energy = limit_energy - collar_diagnostics(last_field, delta_k).energy
     else:
         base_energy = limit_energy
     # mass frozen into the singular set is identified with no component
@@ -418,7 +428,7 @@ def _nodal_chart(family: Family, config: ExtractionConfig) -> _Chart:
         if kind == "nodal"
     )
     return _Chart(
-        limit_energy, base_energy, tuple(queue), tuple(singular), necks, notes, mark
+        limit_energy, base_energy, tuple(queue), tuple(singular), necks, notes, mark, diag_last
     )
 
 
@@ -503,6 +513,7 @@ def extract_bubble_tree(family: Family, config: ExtractionConfig | None = None) 
         singular=chart.singular,
         connected=check.connected,
         notes=chart.notes,
+        last_neck=chart.last_neck,
     )
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -64,6 +65,16 @@ def _horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
         y *= z
         y += a
     return y
+
+
+def _abs2(c: np.ndarray, z: np.ndarray) -> np.ndarray | np.float64:
+    """|polynomial c at z|^2; for a constant c the scalar a * a, which is what
+    ``** 2`` computes at each element of the full array, so it broadcasts to the
+    same bits."""
+    if c.size == 1:
+        a = np.abs(c[0])
+        return a * a
+    return np.abs(_horner(c, z)) ** 2
 
 
 def _trim(c: np.ndarray) -> np.ndarray:
@@ -138,9 +149,7 @@ class RationalMap:
         """Energy density in the chart; finite everywhere (no common roots)."""
         z = np.asarray(z, dtype=np.complex128)
         p = _horner(self.num, z)
-        q = _horner(self.den, z)
-        w = _horner(self._wronskian, z)
-        return 4.0 * np.abs(w) ** 2 / (np.abs(p) ** 2 + np.abs(q) ** 2) ** 2
+        return 4.0 * _abs2(self._wronskian, z) / (np.abs(p) ** 2 + _abs2(self.den, z)) ** 2
 
     def chart_reversed(self) -> "RationalMap":
         """The same sphere map in the w = 1/z chart, again as a rational map."""
@@ -172,6 +181,11 @@ def _quadrature_checked(
         emit_particles=emit,
         emit_mass_frac=mass_frac if emit else None,
     )
+    # a NaN value or error fails every comparison, so it needs its own refusal
+    if not (np.isfinite(result.value) and np.isfinite(result.error)):
+        raise FamilyError(
+            f"quadrature returned a non-finite value {result.value} +- {result.error}"
+        )
     if result.error > max(abs_tol, rel_tol * abs(result.value)):
         raise FamilyError(
             "quadrature resolution insufficient: achieved "
@@ -308,10 +322,17 @@ class FamilyMember:
 
 @dataclass(frozen=True)
 class Family:
+    """Generated members; the limit measure is built on first read, by
+    ``build_limit``, so callers that never read it pay nothing for it."""
+
     kind: str
     members: tuple[FamilyMember, ...]
-    limit_measure: WeightedParticleMeasure | None
+    build_limit: Callable[[], WeightedParticleMeasure | None] = field(repr=False, compare=False)
     meta: dict
+
+    @cached_property
+    def limit_measure(self) -> WeightedParticleMeasure | None:
+        return self.build_limit()
 
 
 def _with_atom(
@@ -342,7 +363,7 @@ def _bubble_family(spec: FamilySpec, coeffs) -> Family:
     return Family(
         kind=spec.kind,
         members=tuple(members),
-        limit_measure=WeightedParticleMeasure.empty(spec.chart_radius),
+        build_limit=lambda: WeightedParticleMeasure.empty(spec.chart_radius),
         meta=meta,
     )
 
@@ -371,18 +392,20 @@ def _plumbing_family(spec: FamilySpec) -> Family:
             m.value, m.derivative, pinch=t, delta=spec.delta, n_t=spec.n_t, n_theta=spec.n_theta
         )
         members.append(FamilyMember(f"t={t:g}", float(t), m, None, fld))
-    if spec.kind == "plumbing":
+
+    def limit() -> WeightedParticleMeasure:
+        if spec.kind != "plumbing":
+            return WeightedParticleMeasure.empty(spec.delta)
         # both sides of x + t/x limit to the identity chart map, so the far
         # side contributes its disk energy as an atom at the node
         identity = RationalMap((1.0, 0.0), (1.0,))
         visible = density_to_measure(
             identity, spec.delta, rel_tol=spec.rel_tol, max_panels=spec.max_panels
         )
-        limit = _with_atom(visible, 0j, visible.mass)
-    else:
-        limit = WeightedParticleMeasure.empty(spec.delta)
+        return _with_atom(visible, 0j, visible.mass)
+
     meta = {"delta": spec.delta, "pinches": spec.schedule}
-    return Family(kind=spec.kind, members=tuple(members), limit_measure=limit, meta=meta)
+    return Family(kind=spec.kind, members=tuple(members), build_limit=limit, meta=meta)
 
 
 def _torus_family(spec: FamilySpec) -> Family:
@@ -409,7 +432,7 @@ def _torus_family(spec: FamilySpec) -> Family:
         )
         members.append(FamilyMember(f"t={t:g}", float(t), None, None, fld))
     meta = {"slope_t": a, "slope_theta": b, "delta": spec.delta}
-    return Family(kind=spec.kind, members=tuple(members), limit_measure=None, meta=meta)
+    return Family(kind=spec.kind, members=tuple(members), build_limit=lambda: None, meta=meta)
 
 
 def make_family(spec: FamilySpec) -> Family:

@@ -11,9 +11,14 @@ report the average length, an upper bound on the image diameter, the
 per-slice conformality defect in Pohozaev form, and test the vanishing of
 neck energy and diameter over a schedule of shrinking chart radii.
 
-``CylinderField.collar`` alone turns a radius delta about the node into the
-sub-cylinder |t| <= log(delta/sqrt|pinch|); the zero-neck test and the nodal
-pushforward (collar energy as atoms on the x-side chart) cut through it.
+``CylinderField.collar_window`` alone turns a radius delta about the node
+into the rows i0..i1 of the sub-cylinder |t| <= log(delta/sqrt|pinch|).
+Each field keeps one table of per-t-row theta-sums, built on first use and
+cached on the field, and a collar's diagnostics are a window of that table:
+``collar_diagnostics`` (which the zero-neck test calls for every delta) and
+the nodal pushforward (collar energy as atoms on the x-side chart) read rows
+i0..i1 and build no sub-field.  ``collar`` still cuts the sub-field, the
+reference the windows agree with bit for bit.
 
 The diameter is bounded on the safe side with O(N) work over all N samples.
 A farthest-point sweep finds a real sample pair; its distance is checked
@@ -31,6 +36,7 @@ are spectrally accurate for the smooth periodic integrands arising here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -44,6 +50,7 @@ __all__ = [
     "PlaneTarget",
     "CylinderField",
     "build_nodal_pushforward",
+    "collar_diagnostics",
     "NeckDiagnostics",
     "ThetaBoundsReport",
     "ZeroNeckRow",
@@ -74,15 +81,23 @@ class SphereTarget:
         return np.stack([2.0 * u / n, 2.0 * v / n, (n - 2.0) / n], axis=-1)
 
     @staticmethod
-    def push(w: np.ndarray, zeta: np.ndarray) -> np.ndarray:
-        """Differential of the chart at w applied to the tangent zeta."""
+    def differential(w: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """Differential of the chart at w, as a map from tangents zeta to R^3."""
         u, v = np.real(w), np.imag(w)
         n = 1.0 + u * u + v * v
         du = np.stack([2.0 * (n - 2.0 * u * u), -4.0 * u * v, 4.0 * u], axis=-1)
         dv = np.stack([-4.0 * u * v, 2.0 * (n - 2.0 * v * v), 4.0 * v], axis=-1)
-        return (du * np.real(zeta)[..., None] + dv * np.imag(zeta)[..., None]) / (
-            n * n
-        )[..., None]
+        nn = (n * n)[..., None]
+
+        def push(zeta: np.ndarray) -> np.ndarray:
+            return (du * np.real(zeta)[..., None] + dv * np.imag(zeta)[..., None]) / nn
+
+        return push
+
+    @staticmethod
+    def push(w: np.ndarray, zeta: np.ndarray) -> np.ndarray:
+        """Differential of the chart at w applied to the tangent zeta."""
+        return SphereTarget.differential(w)(zeta)
 
     @staticmethod
     def residual(points: np.ndarray) -> float:
@@ -224,8 +239,27 @@ class CylinderField:
         def_th = float(np.max(np.linalg.norm(d_th - self.f_theta, axis=-1)))
         return def_t, def_th
 
-    def restrict(self, half_length: float) -> "CylinderField":
-        """Sub-cylinder |t| <= half_length, snapped inward to grid nodes."""
+    @cached_property
+    def rows(self) -> "_RowTable":
+        """Per-t-row theta-sums of the derivative samples, built on first use."""
+        ft_sq = np.sum(self.f_t * self.f_t, axis=-1)
+        fth_sq = np.sum(self.f_theta * self.f_theta, axis=-1)
+        # np.linalg.norm(x, axis=-1) is sqrt(np.sum(x * x, axis=-1)) for real x
+        ft_norm = np.sqrt(ft_sq)
+        fth_norm = np.sqrt(fth_sq)
+        return _RowTable(
+            split=np.sum(ft_sq - fth_sq, axis=1),
+            theta=np.sum(fth_sq, axis=1),
+            energy=np.sum(ft_sq + fth_sq, axis=1),
+            ft=np.sum(ft_norm, axis=1),
+            fth=np.sum(fth_norm, axis=1),
+            ft_max=ft_norm.max(axis=1),
+            fth_max=fth_norm.max(axis=1),
+        )
+
+    def window(self, half_length: float) -> tuple[int, int, float]:
+        """Rows i0..i1 of the sub-cylinder |t| <= half_length, snapped inward to
+        grid nodes, and its half-length t[i1]."""
         if half_length <= 0:
             raise NeckError("restriction half-length must be positive")
         if half_length > self.half_length * (1.0 + 1e-12):
@@ -235,18 +269,11 @@ class CylinderField:
         idx = np.nonzero(keep)[0]
         if len(idx) < 3:
             raise NeckError("restriction leaves a degenerate grid")
-        sub_t = float(t[idx[-1]])
-        return CylinderField(
-            half_length=sub_t,
-            points=self.points[idx],
-            f_t=self.f_t[idx],
-            f_theta=self.f_theta[idx],
-            target=self.target,
-        )
+        return int(idx[0]), int(idx[-1]), float(t[idx[-1]])
 
-    def collar(self, delta: float) -> "CylinderField":
-        """Restriction to |pinch|/delta <= |x| <= delta, snapped inward to grid nodes;
-        needs plumbing metadata and sqrt|pinch| < delta <= the sampled chart radius."""
+    def collar_window(self, delta: float) -> tuple[int, int, float]:
+        """``window`` of |pinch|/delta <= |x| <= delta; needs plumbing metadata
+        and sqrt|pinch| < delta <= the sampled chart radius."""
         if self.pinch is None:
             raise NeckError("collar needs plumbing metadata")
         half = float(np.log(delta / np.sqrt(abs(self.pinch))))
@@ -254,7 +281,42 @@ class CylinderField:
             raise NeckError(f"delta {delta} does not exceed sqrt|pinch|")
         if delta > self.delta * (1.0 + 1e-12):
             raise NeckError(f"delta {delta} exceeds the sampled chart {self.delta}")
-        return self.restrict(min(half, self.half_length))
+        return self.window(min(half, self.half_length))
+
+    def _sub_field(self, i0: int, i1: int, half_length: float) -> "CylinderField":
+        return CylinderField(
+            half_length=half_length,
+            points=self.points[i0 : i1 + 1],
+            f_t=self.f_t[i0 : i1 + 1],
+            f_theta=self.f_theta[i0 : i1 + 1],
+            target=self.target,
+        )
+
+    def restrict(self, half_length: float) -> "CylinderField":
+        """Sub-cylinder |t| <= half_length, snapped inward to grid nodes."""
+        return self._sub_field(*self.window(half_length))
+
+    def collar(self, delta: float) -> "CylinderField":
+        """Sub-cylinder of ``collar_window(delta)``, without plumbing metadata."""
+        return self._sub_field(*self.collar_window(delta))
+
+
+@dataclass(frozen=True)
+class _RowTable:
+    """Theta-sums over each t row of one field, arrays of shape (n_t + 1,).
+
+    split, theta and energy sum |f_t|^2 - |f_theta|^2, |f_theta|^2 and
+    |f_t|^2 + |f_theta|^2 over a row; ft and fth sum |f_t| and |f_theta|, and
+    ft_max, fth_max are their row maxima.
+    """
+
+    split: np.ndarray
+    theta: np.ndarray
+    energy: np.ndarray
+    ft: np.ndarray
+    fth: np.ndarray
+    ft_max: np.ndarray
+    fth_max: np.ndarray
 
 
 def _trapezoid(n: int, h: float) -> np.ndarray:
@@ -270,15 +332,16 @@ def build_nodal_pushforward(neck: CylinderField, delta: float) -> WeightedPartic
     Each sample carries its quadrature share of the collar energy, so the
     disk B(0, |pinch|/delta) carries nothing and the total is the collar energy.
     """
-    sub = neck.collar(delta)
-    t = sub.t_nodes
+    i0, i1, half = neck.collar_window(delta)
+    t = np.linspace(-half, half, i1 - i0 + 1)
     w_t = _trapezoid(len(t), t[1] - t[0])
-    h_th = _TWO_PI / sub.n_theta
-    ft_sq = np.sum(sub.f_t * sub.f_t, axis=-1)
-    fth_sq = np.sum(sub.f_theta * sub.f_theta, axis=-1)
+    h_th = _TWO_PI / neck.n_theta
+    f_t, f_th = neck.f_t[i0 : i1 + 1], neck.f_theta[i0 : i1 + 1]
+    ft_sq = np.sum(f_t * f_t, axis=-1)
+    fth_sq = np.sum(f_th * f_th, axis=-1)
     density = 0.5 * (ft_sq + fth_sq) * w_t[:, None] * h_th
     root = np.sqrt(complex(neck.pinch))
-    x = root * np.exp(t[:, None] + 1j * sub.theta_nodes[None, :])
+    x = root * np.exp(t[:, None] + 1j * neck.theta_nodes[None, :])
     return WeightedParticleMeasure(x.ravel(), density.ravel(), chart_radius=delta)
 
 
@@ -304,11 +367,12 @@ def cylinder_field_from_sphere_chart(
     x = root * np.exp(t[:, None] + 1j * theta[None, :])
     w = m(x)
     dw = m_prime(x) * x
+    push = SphereTarget.differential(w)
     return CylinderField(
         half_length=half_length,
         points=SphereTarget.point(w),
-        f_t=SphereTarget.push(w, dw),
-        f_theta=SphereTarget.push(w, 1j * dw),
+        f_t=push(dw),
+        f_theta=push(1j * dw),
         target=SphereTarget,
         pinch=complex(pinch),
         delta=float(delta),
@@ -371,17 +435,29 @@ def diagnostics(field: CylinderField) -> NeckDiagnostics:
     a grid cell lies from its nearest corner, assuming |f_t| and |f_theta|
     stay below their sampled maxima inside each cell.
     """
-    T = field.half_length
-    h_t = 2.0 * T / field.n_t
-    h_th = _TWO_PI / field.n_theta
-    t = field.t_nodes
-    w_t = _trapezoid(len(t), h_t)
+    return _window_diagnostics(field, 0, field.n_t, field.half_length)
 
-    ft_sq = np.sum(field.f_t * field.f_t, axis=-1)
-    fth_sq = np.sum(field.f_theta * field.f_theta, axis=-1)
-    alpha_profile = 0.5 * np.sum(ft_sq - fth_sq, axis=1) * h_th
-    theta_profile = np.sum(fth_sq, axis=1) * h_th
-    slice_energy = np.sum(ft_sq + fth_sq, axis=1) * h_th
+
+def collar_diagnostics(field: CylinderField, delta: float) -> NeckDiagnostics:
+    """``diagnostics(field.collar(delta))``, read off the field's row table."""
+    return _window_diagnostics(field, *field.collar_window(delta))
+
+
+def _window_diagnostics(
+    field: CylinderField, i0: int, i1: int, T: float
+) -> NeckDiagnostics:
+    """``diagnostics`` of rows i0..i1 of ``field``, whose half-length is T."""
+    n_t = i1 - i0
+    h_t = 2.0 * T / n_t
+    h_th = _TWO_PI / field.n_theta
+    t = np.linspace(-T, T, n_t + 1)
+    w_t = _trapezoid(n_t + 1, h_t)
+    rows = field.rows
+    win = slice(i0, i1 + 1)
+
+    alpha_profile = 0.5 * rows.split[win] * h_th
+    theta_profile = rows.theta[win] * h_th
+    slice_energy = rows.energy[win] * h_th
 
     alpha = float(np.sum(w_t * alpha_profile) / (2.0 * T))
     alpha_deviation = float(np.max(np.abs(alpha_profile - alpha)))
@@ -394,17 +470,15 @@ def diagnostics(field: CylinderField) -> NeckDiagnostics:
             f"energy split identity violated: {energy!r} vs {split!r}"
         )
 
-    ft_norm = np.linalg.norm(field.f_t, axis=-1)
-    fth_norm = np.linalg.norm(field.f_theta, axis=-1)
-    avg_length = float(np.sum(w_t * np.sum(ft_norm, axis=1)) * h_th / _TWO_PI)
-    arc = np.sum(fth_norm, axis=1) * h_th
-    lower, upper = _diameter_bracket(field.points)
+    avg_length = float(np.sum(w_t * rows.ft[win]) * h_th / _TWO_PI)
+    arc = rows.fth[win] * h_th
+    lower, upper = _diameter_bracket(field.points[win])
     bound = 2.0 * float(np.max(arc)) + avg_length
     if lower > bound + 1e-8 * (1.0 + bound):
         raise NeckError(
             f"diameter bound violated: {lower!r} > 2*max-arc + avg = {bound!r}"
         )
-    rho = 0.5 * (h_t * float(ft_norm.max()) + h_th * float(fth_norm.max()))
+    rho = 0.5 * (h_t * float(rows.ft_max[win].max()) + h_th * float(rows.fth_max[win].max()))
     diameter = min(upper + 2.0 * rho, field.target.chord_diameter)
 
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -521,7 +595,7 @@ def zero_neck_test(
     the sequence to its collar of the delta-ball around the node (a delta
     beyond a sampled chart is refused) and take the sup of energy and of the
     diameter upper bound of
-    `diagnostics` (which assumes |f_t| and |f_theta| stay below their sampled
+    `collar_diagnostics` (which assumes |f_t| and |f_theta| stay below their sampled
     maxima inside each grid cell); PASS iff both fall below eps at some
     delta.  Each row also reports the alpha-based energy prediction
     2 T_k(delta) alpha_k, which vanishes exactly for conformal necks.
@@ -541,7 +615,7 @@ def zero_neck_test(
     rows = []
     chosen = None
     for delta in delta_schedule:
-        diags = [diagnostics(f.collar(delta)) for f in late]
+        diags = [collar_diagnostics(f, delta) for f in late]
         energy = max(d.energy for d in diags)
         diam = max(d.diameter for d in diags)
         pred = max(abs(2.0 * d.half_length * d.alpha) for d in diags)

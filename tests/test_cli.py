@@ -1,10 +1,14 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from bubbletree import families
 from bubbletree.cli import main
+
+PLUMBING = str(Path(__file__).resolve().parents[1] / "configs" / "plumbing.yaml")
 
 BUBBLE_CFG = """
 family:
@@ -132,6 +136,31 @@ out: {out}
     assert len(data["members"]) == 4
     profile = (out / "theta_profile.csv").read_text()
     assert profile.startswith("t,theta,alpha_slice\n") and profile.count("\n") > 10
+
+
+def test_neck_builds_no_limit_measure_and_runs_share_no_state(tmp_path, monkeypatch):
+    """`neck` never reads the plumbing limit measure, so it runs no quadrature;
+    and nothing one command computes leaks into the next one's reports."""
+    calls = []
+    quadrature = families.adaptive_polar_quadrature
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(families, "adaptive_polar_quadrature", counted)
+
+    def run(command, name):
+        out = tmp_path / name
+        assert main([command, "--config", PLUMBING, "--out", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    first_neck = run("neck", "neck1")
+    assert calls == []
+    first_extract = run("extract", "extract1")
+    assert calls != []
+    assert run("neck", "neck2") == first_neck
+    assert run("extract", "extract2") == first_extract
 
 
 def test_curve_query_stdout_contract(tmp_path, capsys):

@@ -16,7 +16,7 @@ from bubbletree import (
     make_family,
 )
 from bubbletree.errors import FamilyError
-from bubbletree.families import _horner, _trim
+from bubbletree.families import _horner, _quadrature_checked, _trim
 
 FOUR_PI = 4.0 * math.pi
 
@@ -90,6 +90,31 @@ def test_rational_map_evaluation_matches_polyval(num, den, seed):
         assert m.density(z).tobytes() == density.tobytes()
         assert m.value(z).tobytes() == (p / q).tobytes()
         assert m.derivative(z).tobytes() == (w / q**2).tobytes()
+
+
+@given(num=_COEFFS, lead=st.tuples(_PARTS, _PARTS), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200)
+def test_density_with_constant_denominator_is_bit_identical(num, lead, seed):
+    """A constant denominator (and, for num of degree <= 1, a constant
+    Wronskian) enters the density as a scalar |c|^2; the density keeps the
+    bits of the full-array expression, at signed zeros and axis points too."""
+    try:
+        m = RationalMap(num, (complex(*lead),))
+    except FamilyError:
+        assume(False)
+    z = np.concatenate([_seeded_points(seed), _AXIS])
+    p, q, w = (_horner(c, z) for c in (m.num, m.den, m._wronskian))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        density = 4.0 * np.abs(w) ** 2 / (np.abs(p) ** 2 + np.abs(q) ** 2) ** 2
+        got = m.density(z)
+    assert got.shape == z.shape
+    assert got.tobytes() == density.tobytes()
+
+
+def test_quadrature_refuses_a_nan_density():
+    # NaN fails the error-versus-tolerance comparison, so it must be refused apart
+    with pytest.raises(FamilyError, match="non-finite"):
+        _quadrature_checked(lambda z: np.full(z.shape, np.nan), 0j, 1.0, 1e-9, 1e-12, 20000)
 
 
 def test_chart_reversed_represents_the_same_sphere_map():
@@ -168,6 +193,7 @@ def test_plumbing_family_limit_mass_identity():
     # equal atom at the node for the far side
     visible = fs_disk_mass(1.0, spec.delta)
     assert fam.limit_measure.mass == pytest.approx(2.0 * visible, rel=1e-6)
+    assert fam.limit_measure is fam.limit_measure  # built once, on first read
     node_atoms = np.abs(fam.limit_measure.points) == 0.0
     assert fam.limit_measure.weights[node_atoms].sum() == pytest.approx(
         visible, rel=1e-6

@@ -1,5 +1,6 @@
 """Cylinder diagnostics: energy split, Theta bounds, zero-neck, Pohozaev."""
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -16,6 +17,9 @@ from bubbletree import (
     PlaneTarget,
     PolarAnnulusField,
     SphereTarget,
+    ZeroNeckRow,
+    build_nodal_pushforward,
+    collar_diagnostics,
     cylinder_field_from_sphere_chart,
     diagnostics,
     make_family,
@@ -25,7 +29,7 @@ from bubbletree import (
     zero_neck_test,
 )
 from bubbletree.errors import NeckError
-from bubbletree.neck import _diameter_bracket
+from bubbletree.neck import _diameter_bracket, _trapezoid
 
 TWO_PI = 2.0 * math.pi
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -347,3 +351,145 @@ def test_diameter_self_check_fires():
     field = CylinderField(1.0, pts, zero, zero, PlaneTarget)
     with pytest.raises(NeckError, match="diameter bound violated"):
         diagnostics(field)
+
+
+def reference_diagnostics(field):
+    """The per-sample diagnostics the row table replaced, as tuples of floats
+    and arrays in ``NeckDiagnostics`` field order."""
+    T = field.half_length
+    h_t = 2.0 * T / field.n_t
+    h_th = TWO_PI / field.n_theta
+    t = field.t_nodes
+    w_t = _trapezoid(len(t), h_t)
+    ft_sq = np.sum(field.f_t * field.f_t, axis=-1)
+    fth_sq = np.sum(field.f_theta * field.f_theta, axis=-1)
+    alpha_profile = 0.5 * np.sum(ft_sq - fth_sq, axis=1) * h_th
+    theta_profile = np.sum(fth_sq, axis=1) * h_th
+    slice_energy = np.sum(ft_sq + fth_sq, axis=1) * h_th
+    alpha = float(np.sum(w_t * alpha_profile) / (2.0 * T))
+    ft_norm = np.linalg.norm(field.f_t, axis=-1)
+    fth_norm = np.linalg.norm(field.f_theta, axis=-1)
+    avg_length = float(np.sum(w_t * np.sum(ft_norm, axis=1)) * h_th / TWO_PI)
+    _, upper = _diameter_bracket(field.points)
+    rho = 0.5 * (h_t * float(ft_norm.max()) + h_th * float(fth_norm.max()))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.where(slice_energy > 0.0, 2.0 * np.abs(alpha_profile) / slice_energy, 0.0)
+    return (
+        alpha,
+        float(np.max(np.abs(alpha_profile - alpha))),
+        t,
+        theta_profile,
+        alpha_profile,
+        float(0.5 * np.sum(w_t * slice_energy)),
+        float(np.sum(w_t * theta_profile)),
+        avg_length,
+        min(upper + 2.0 * rho, field.target.chord_diameter),
+        float(np.max(ratio)),
+        T,
+    )
+
+
+def reference_pushforward(field, delta):
+    """Collar energy atoms built from the cut sub-field, as before the table."""
+    sub = field.collar(delta)
+    t = sub.t_nodes
+    w_t = _trapezoid(len(t), t[1] - t[0])
+    ft_sq = np.sum(sub.f_t * sub.f_t, axis=-1)
+    fth_sq = np.sum(sub.f_theta * sub.f_theta, axis=-1)
+    density = 0.5 * (ft_sq + fth_sq) * w_t[:, None] * (TWO_PI / sub.n_theta)
+    x = np.sqrt(complex(field.pinch)) * np.exp(t[:, None] + 1j * sub.theta_nodes[None, :])
+    return x.ravel(), density.ravel()
+
+
+def same_bits(got, want):
+    """Every field of a NeckDiagnostics equals the reference tuple bit for bit."""
+    got = [getattr(got, f.name) for f in dataclasses.fields(got)]
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def reference_rows(necks, eps, deltas):
+    """Zero-neck rows from diagnostics of the cut collars of the late half."""
+    late = necks[-((len(necks) + 1) // 2) :]
+    rows = []
+    for delta in deltas:
+        diags = [diagnostics(f.collar(delta)) for f in late]
+        energy = max(d.energy for d in diags)
+        diam = max(d.diameter for d in diags)
+        pred = max(abs(2.0 * d.half_length * d.alpha) for d in diags)
+        rows.append(
+            ZeroNeckRow(
+                float(delta), energy, diam, pred, energy <= eps and diam <= eps, pred <= eps
+            )
+        )
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("stem", ["plumbing", "plumbing_bubble", "torus"])
+def test_collar_windows_match_cut_collars_bit_for_bit(stem):
+    raw = yaml.safe_load((CONFIGS / f"{stem}.yaml").read_text(encoding="utf-8"))
+    fields = [m.field for m in make_family(FamilySpec.from_dict(raw["family"])).members]
+    # the shipped schedule (plumbing_bubble has none) and the chart radius itself
+    chart = raw["family"]["delta"]
+    deltas = [chart, *raw.get("neck", {}).get("deltas", [0.1, 0.02, 0.005, 0.002])]
+    rep = zero_neck_test(fields, 0.01, deltas)
+    assert rep.rows == reference_rows(fields, 0.01, deltas)
+    for f in fields:
+        same_bits(diagnostics(f), reference_diagnostics(f))
+        for delta in (d for d in deltas if d > math.sqrt(abs(f.pinch))):
+            same_bits(collar_diagnostics(f, delta), reference_diagnostics(f.collar(delta)))
+            mu = build_nodal_pushforward(f, delta)
+            x, w = reference_pushforward(f, delta)
+            assert mu.points.tobytes() == x.tobytes()
+            assert mu.weights.tobytes() == w.tobytes()
+
+
+@given(
+    log_pinch=st.floats(-24.0, -3.0),
+    n_t=st.integers(2, 96),
+    n_theta=st.integers(4, 24),
+    node=st.floats(0.0, 1.0),
+    on_chart=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_collar_windows_match_on_grid_nodes(log_pinch, n_t, n_theta, node, on_chart):
+    """delta on a grid node (or the chart radius) snaps the same way in the
+    window as in the cut collar; a window too short for the grid is refused
+    alike."""
+    pinch = 10.0**log_pinch
+    f = cylinder_field_from_sphere_chart(
+        lambda x: x + pinch / x, lambda x: 1.0 - pinch / (x * x), pinch, 0.5, 2 * n_t, n_theta
+    )
+    t = f.t_nodes
+    k = n_t + int(round(node * n_t))  # a node at or right of t = 0
+    delta = 0.5 if on_chart else math.sqrt(pinch) * math.exp(t[k])
+    try:
+        sub = f.collar(delta)
+    except NeckError as exc:
+        with pytest.raises(NeckError) as got:
+            collar_diagnostics(f, delta)
+        assert str(got.value) == str(exc)
+        return
+    same_bits(collar_diagnostics(f, delta), reference_diagnostics(sub))
+    x, w = reference_pushforward(f, delta)
+    mu = build_nodal_pushforward(f, delta)
+    assert mu.points.tobytes() == x.tobytes() and mu.weights.tobytes() == w.tobytes()
+
+
+def test_zero_neck_refuses_collars_like_the_cut():
+    pinch, delta = 1e-6, 0.5
+    f = identity_sphere_neck(pinch, delta, n_t=64)
+    h_t = 2.0 * f.half_length / f.n_t
+    for bad, match in (
+        (2.0 * delta, "sampled chart"),
+        (math.sqrt(pinch), "does not exceed"),
+        (0.5 * math.sqrt(pinch), "does not exceed"),
+        # half a grid step: only the t = 0 row is kept
+        (math.sqrt(pinch) * math.exp(0.5 * h_t), "degenerate"),
+    ):
+        with pytest.raises(NeckError, match=match) as cut:
+            f.collar(bad)
+        with pytest.raises(NeckError, match=match) as windowed:
+            zero_neck_test([f], 0.01, [bad])
+        assert str(windowed.value) == str(cut.value)
