@@ -17,8 +17,7 @@ Config grammar (YAML, unknown keys rejected at every level):
     family:                      # required for extract/neck
       kind: bubble1              # bubble1|bubble2|plumbing|plumbing_bubble|torus_linear
       schedule: [316.0, 3162.0, 10000.0]
-      # optional per-kind knobs: chart_radius, delta, separation, slopes,
-      # rel_tol, max_panels, n_t, n_theta
+      # optional per-kind knobs: delta, separation, slopes
     ladder:                      # optional
       delta0: 1.0
       eps_bar: 0.2
@@ -46,6 +45,7 @@ Config grammar (YAML, unknown keys rejected at every level):
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -228,7 +228,15 @@ def load_config(path: Path, tol_overrides: list[str]) -> RunConfig:
 # deterministic serialization
 
 
+def _record(x, drop: tuple[str, ...] = ()) -> dict:
+    """A dataclass record's fields by name, less ``drop``; values are not
+    copied (``dataclasses.asdict`` would deep-copy every nested measure)."""
+    return {f.name: getattr(x, f.name) for f in dataclasses.fields(x) if f.name not in drop}
+
+
 def _jsonable(x):
+    if dataclasses.is_dataclass(x):
+        return _jsonable(_record(x))
     if isinstance(x, complex):
         return [x.real, x.imag]
     if isinstance(x, float):
@@ -247,27 +255,6 @@ def _dump_json(obj: dict, path: Path) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def _zero_neck_dict(report) -> dict | None:
-    if report is None:
-        return None
-    return {
-        "passed": report.passed,
-        "chosen_delta": report.chosen_delta,
-        "late_count": report.late_count,
-        "rows": [
-            {
-                "delta": r.delta,
-                "max_energy": r.max_energy,
-                "max_diameter": r.max_diameter,
-                "predicted_energy": r.predicted_energy,
-                "passed": r.passed,
-                "predicted_pass": r.predicted_pass,
-            }
-            for r in report.rows
-        ],
-    }
-
-
 def _tree_dict(tree: BubbleTree, cfg: RunConfig) -> dict:
     return {
         "schema": _SCHEMA,
@@ -281,46 +268,15 @@ def _tree_dict(tree: BubbleTree, cfg: RunConfig) -> dict:
         },
         "limit_energy": tree.limit_energy,
         "re_trace": list(tree.re_trace),
-        "components": [
-            {
-                "vertex": c.vertex,
-                "kind": c.kind,
-                "energy": c.energy,
-                "attachment": c.attachment,
-                "site_kind": c.site_kind,
-                "marks": list(c.marks),
-            }
-            for c in tree.components
-        ],
-        "necks": [
-            {
-                "kind": n.kind,
-                "edges": list(n.edges),
-                "site": n.site,
-                "annulus_excess": n.annulus_excess,
-                "thinness_ratios": list(n.thinness_ratios),
-                "alpha": n.alpha,
-                "zero_neck": _zero_neck_dict(n.zero_neck),
-                "note": n.note,
-                "members": list(n.members),
-            }
-            for n in tree.necks
-        ],
+        "components": tree.components,
+        "necks": [_record(n, drop=("markings",)) for n in tree.necks],
         "identity": {
             "residual": tree.identity_residual,
             "note": tree.identity_note,
             "connected": tree.connected,
         },
-        "singular": [
-            {"location": s.location, "mass": s.mass, "reason": s.reason}
-            for s in tree.singular
-        ],
-        "curve": {
-            "genus": list(tree.curve.genus),
-            "edges": [list(e) for e in tree.curve.edges],
-            "legs": [list(l) for l in tree.curve.legs],
-            "text": curve_to_text(tree.curve),
-        },
+        "singular": tree.singular,
+        "curve": {**_record(tree.curve), "text": curve_to_text(tree.curve)},
         "notes": list(tree.notes),
     }
 
@@ -403,22 +359,10 @@ def _cmd_neck(cfg: RunConfig, args, stem: str) -> int:
             "neck diagnostics need a plumbing or torus family"
         )
     rows = []
+    profiles = ("t_nodes", "theta_profile", "alpha_profile")
     for m in family.members:
         d = diagnostics(m.field)
-        rows.append(
-            {
-                "label": m.label,
-                "parameter": m.parameter,
-                "half_length": d.half_length,
-                "energy": d.energy,
-                "alpha": d.alpha,
-                "alpha_deviation": d.alpha_deviation,
-                "theta_integral": d.theta_integral,
-                "avg_length": d.avg_length,
-                "diameter": d.diameter,
-                "pohozaev_residual": d.pohozaev_residual,
-            }
-        )
+        rows.append({"label": m.label, "parameter": m.parameter, **_record(d, drop=profiles)})
     zn = None
     if cfg.neck["deltas"]:
         fields = [m.field for m in family.members]
@@ -433,7 +377,7 @@ def _cmd_neck(cfg: RunConfig, args, stem: str) -> int:
             "neck_eps": cfg.neck["eps"],
         },
         "members": rows,
-        "zero_neck": _zero_neck_dict(zn),
+        "zero_neck": zn,
     }
     out = _out_dir(cfg, args, stem)
     out.mkdir(parents=True, exist_ok=True)
@@ -491,12 +435,10 @@ def _cmd_curve(cfg: RunConfig, args, stem: str) -> int:
 
 
 def _selftest_checks():
-    from .families import RationalMap
-    from .neck import FlatTorusTarget, PolarAnnulusField, SphereTarget, pohozaev_residual
+    from .families import RationalMap, energy_quadrature
+    from .neck import PolarAnnulusField, SphereTarget, pohozaev_residual
     from .renorm import solve_neck_scale_from_cdf
     import numpy as np
-
-    from .families import energy_quadrature
 
     def check_degree_energy():
         worst = 0.0

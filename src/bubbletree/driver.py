@@ -33,7 +33,6 @@ from .errors import ConcentrationError, DriverError
 from .families import Family, energy_quadrature
 from .measure import (
     ConcentrationSite,
-    WeightedParticleMeasure,
     build_scale_ladder,
     detect_concentrations,
     mass_in,
@@ -208,20 +207,8 @@ class BubbleTree:
             raise DriverError("tree must start with exactly one base component")
 
 
-# the chart node is edge 0 of every default nodal curve
+# the node that a family's neck fields sample is edge 0 of its curve
 _NODE_EDGE = 0
-
-
-def _default_curve(kind: str) -> MarkedNodalCurve:
-    if kind in ("bubble1", "bubble2"):
-        return MarkedNodalCurve((0,), (), ((0, 1), (0, 2), (0, 3)))
-    if kind in ("plumbing", "plumbing_bubble"):
-        return MarkedNodalCurve(
-            (0, 0), ((0, 1),), ((0, 1), (0, 2), (0, 3), (1, 4), (1, 5))
-        )
-    if kind == "torus_linear":
-        return MarkedNodalCurve((0, 0), ((0, 1), (0, 1)), ((0, 1), (1, 2)))
-    raise DriverError(f"no default curve for family kind {kind!r}")
 
 
 def _ledger_residual(
@@ -261,7 +248,7 @@ def _smooth_chart(family: Family, config: ExtractionConfig) -> _Chart:
     eps_bar = config.eps_bar
     ladder = build_scale_ladder(config.delta0, eps_bar, config.depth)
     mus = [m.measure for m in family.members]
-    mu_limit = family.limit_measure or WeightedParticleMeasure.empty(config.delta0)
+    mu_limit = family.limit_measure
     report = detect_concentrations(mus, mu_limit, ladder, chart_kind="smooth")
     last = family.members[-1]
 
@@ -322,11 +309,13 @@ def _smooth_chart(family: Family, config: ExtractionConfig) -> _Chart:
 
 def _nodal_chart(family: Family, config: ExtractionConfig) -> _Chart:
     eps_bar = config.eps_bar
-    delta_chart = min(config.delta0, float(family.meta.get("delta", config.delta0)))
-    ladder = build_scale_ladder(delta_chart, eps_bar, config.depth)
     fields = [m.field for m in family.members]
+    if any(f.delta is None for f in fields):
+        raise DriverError("nodal chart needs plumbing metadata on every member field")
+    delta_chart = min(config.delta0, *(float(f.delta) for f in fields))
+    ladder = build_scale_ladder(delta_chart, eps_bar, config.depth)
     mus = [build_nodal_pushforward(f, delta_chart) for f in fields]
-    mu_limit = family.limit_measure or WeightedParticleMeasure.empty(delta_chart)
+    mu_limit = family.limit_measure
     last_field = fields[-1]
     diag_last = diagnostics(last_field)
     limit_energy = diag_last.energy
@@ -346,7 +335,7 @@ def _nodal_chart(family: Family, config: ExtractionConfig) -> _Chart:
         )
         singular.append(SingularSite(0j, float(hot), str(exc)))
 
-    curve = _default_curve(family.kind)
+    curve = family.curve
     zero_neck = None
     if config.neck_deltas:
         zero_neck = zero_neck_test(fields, config.neck_eps, list(config.neck_deltas))
@@ -438,6 +427,15 @@ def _identity_from_parts(
     necks,
     singular,
 ) -> IdentityCheck:
+    """Identity residual of the component energies against the limit energy.
+
+    ``connected`` is the conjunction of the zero-neck verdicts (True when
+    there are none).  Until the extracted necks carry their own energy and
+    diameter tables (ROADMAP, "Energy identity and connectedness checked
+    against the limits"), that is all it rests on: a smooth neck's annulus
+    excess is a finite sum of weights, and a nodal neck's decreasing thinness
+    ratios are enforced by ``mark_nodal_bubble`` before the neck exists.
+    """
     total = sum(c.energy for c in components)
     residual = abs(limit_energy - total) / limit_energy if limit_energy > 0 else 0.0
     if singular:
@@ -447,16 +445,7 @@ def _identity_from_parts(
             connected=None,
             note="identity not asserted: non-regular nodal points present",
         )
-    clauses = []
-    for n in necks:
-        if n.zero_neck is not None:
-            clauses.append(bool(n.zero_neck.passed))
-        elif n.kind == "nodal":
-            pairs = zip(n.thinness_ratios, n.thinness_ratios[1:])
-            clauses.append(all(b < a for a, b in pairs))
-        else:
-            clauses.append(n.annulus_excess is None or math.isfinite(n.annulus_excess))
-    connected = all(clauses) if clauses else True
+    connected = all(n.zero_neck.passed for n in necks if n.zero_neck is not None)
     return IdentityCheck(residual=residual, asserted=True, connected=connected, note="")
 
 
@@ -474,7 +463,7 @@ def extract_bubble_tree(family: Family, config: ExtractionConfig | None = None) 
 
     eps_bar = config.eps_bar
     limit_energy = chart.limit_energy
-    curve = _default_curve(family.kind)
+    curve = family.curve
     components = [TreeComponent(vertex=0, kind="base", energy=chart.base_energy)]
     necks = list(chart.necks)
     trace = [_ledger_residual(limit_energy, chart.base_energy, chart.queue, eps_bar)]

@@ -23,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 
+from .curve import MarkedNodalCurve
 from .errors import FamilyError
 from .measure import WeightedParticleMeasure
 from .neck import CylinderField, FlatTorusTarget, cylinder_field_from_sphere_chart
@@ -38,7 +39,14 @@ __all__ = [
     "make_family",
 ]
 
-FAMILY_KINDS = ("bubble1", "bubble2", "plumbing", "plumbing_bubble", "torus_linear")
+# resolution of every generated family and quadrature, fixed for the package
+_ABS_TOL = 1e-12
+_MAX_PANELS = 20000
+_ENERGY_REL_TOL = 1e-9  # energy_quadrature
+_MEASURE_REL_TOL = 1e-7  # density_to_measure
+_MASS_FRAC = 2.5e-3  # atom weight bound, as a fraction of the emitted mass
+_CHART_RADIUS = 1.0  # rational families live on the unit disk of the z chart
+_N_T, _N_THETA = 256, 64  # cylinder grid of the neck families
 
 
 def _polyder(c: np.ndarray) -> np.ndarray:
@@ -195,63 +203,46 @@ def _quadrature_checked(
 
 
 def energy_quadrature(
-    rmap: RationalMap,
-    radius: float | None = None,
-    center: complex = 0j,
-    rel_tol: float = 1e-9,
-    abs_tol: float = 1e-12,
-    max_panels: int = 20000,
+    rmap: RationalMap, radius: float | None = None, center: complex = 0j
 ) -> float:
     """Energy of a rational map over a chart disk, or the full sphere.
 
     radius None integrates both unit-disk charts (z and 1/z), which tile the
     sphere; otherwise the disk |z - center| <= radius in the z chart.
     """
+    tols = (_ENERGY_REL_TOL, _ABS_TOL, _MAX_PANELS)
     if radius is not None:
         if not (radius > 0 and np.isfinite(radius)):
             raise FamilyError(f"cap radius must be positive and finite, got {radius}")
-        res = _quadrature_checked(
-            rmap.density, complex(center), float(radius), rel_tol, abs_tol, max_panels
-        )
+        res = _quadrature_checked(rmap.density, complex(center), float(radius), *tols)
         return float(res.value)
-    here = _quadrature_checked(rmap.density, 0j, 1.0, rel_tol, abs_tol, max_panels)
-    rev = rmap.chart_reversed()
-    far = _quadrature_checked(rev.density, 0j, 1.0, rel_tol, abs_tol, max_panels)
+    here = _quadrature_checked(rmap.density, 0j, 1.0, *tols)
+    far = _quadrature_checked(rmap.chart_reversed().density, 0j, 1.0, *tols)
     return float(here.value + far.value)
 
 
-def density_to_measure(
-    rmap: RationalMap,
-    radius: float,
-    center: complex = 0j,
-    rel_tol: float = 1e-7,
-    abs_tol: float = 1e-12,
-    max_panels: int = 20000,
-    mass_frac: float = 2.5e-3,
-) -> WeightedParticleMeasure:
-    """Particle measure of the energy density over a chart disk.
+def density_to_measure(rmap: RationalMap, radius: float) -> WeightedParticleMeasure:
+    """Particle measure of the energy density over the chart disk |z| <= radius.
 
     The emitted total mass equals the adaptive quadrature value over the same
-    disk at the same resolution parameters, up to summation order; atom
-    granularity is bounded by mass_frac of the total, with atoms placed at
-    radial mass quantiles so ball masses track the density's.
+    disk at the same resolution, up to summation order; atom granularity is
+    bounded by ``_MASS_FRAC`` of the total, with atoms placed at radial mass
+    quantiles so ball masses track the density's.
     """
     if not (radius > 0 and np.isfinite(radius)):
         raise FamilyError(f"disk radius must be positive and finite, got {radius}")
     res = _quadrature_checked(
         rmap.density,
-        complex(center),
+        0j,
         float(radius),
-        rel_tol,
-        abs_tol,
-        max_panels,
+        _MEASURE_REL_TOL,
+        _ABS_TOL,
+        _MAX_PANELS,
         emit=True,
-        mass_frac=mass_frac,
+        mass_frac=_MASS_FRAC,
     )
     keep = res.weights > 0.0
-    return WeightedParticleMeasure(
-        res.points[keep], res.weights[keep], chart_radius=abs(center) + float(radius)
-    )
+    return WeightedParticleMeasure(res.points[keep], res.weights[keep], chart_radius=float(radius))
 
 
 @dataclass(frozen=True)
@@ -260,17 +251,12 @@ class FamilySpec:
 
     kind: str
     schedule: tuple[float, ...]
-    chart_radius: float = 1.0
     delta: float = 0.5
     separation: float = 0.5
     slopes: tuple[float, float] = (1.0, 1.0)
-    rel_tol: float = 1e-7
-    max_panels: int = 20000
-    n_t: int = 256
-    n_theta: int = 64
 
     def __post_init__(self) -> None:
-        if self.kind not in FAMILY_KINDS:
+        if self.kind not in _BUILDERS:
             raise FamilyError(f"unknown family kind {self.kind!r}")
         schedule = tuple(float(x) for x in self.schedule)
         if not schedule:
@@ -279,18 +265,14 @@ class FamilySpec:
             raise FamilyError("schedule entries must be positive and finite")
         object.__setattr__(self, "schedule", schedule)
         object.__setattr__(self, "slopes", (float(self.slopes[0]), float(self.slopes[1])))
-        if self.chart_radius <= 0 or self.delta <= 0:
-            raise FamilyError("chart_radius and delta must be positive")
-        if self.kind == "bubble2" and not (0 < self.separation < self.chart_radius):
+        if self.delta <= 0:
+            raise FamilyError("delta must be positive")
+        if self.kind == "bubble2" and not (0 < self.separation < _CHART_RADIUS):
             raise FamilyError("bubble2 separation must lie inside the chart disk")
         if self.kind == "torus_linear":
             b = self.slopes[1]
             if abs(b - round(b)) > 0:
                 raise FamilyError("theta slope must be an integer winding number")
-        if self.rel_tol <= 0 or self.max_panels < 64:
-            raise FamilyError("bad resolution parameters")
-        if self.n_t < 8 or self.n_theta < 8:
-            raise FamilyError("cylinder grid too coarse")
 
     @staticmethod
     def from_dict(data: dict) -> "FamilySpec":
@@ -322,16 +304,18 @@ class FamilyMember:
 
 @dataclass(frozen=True)
 class Family:
-    """Generated members; the limit measure is built on first read, by
-    ``build_limit``, so callers that never read it pay nothing for it."""
+    """Generated members over the base dual graph ``curve``; for neck fields,
+    edge 0 of the curve is the node they sample.  The limit measure is built
+    on first read, by ``build_limit``, so callers that never read it pay
+    nothing for it."""
 
     kind: str
     members: tuple[FamilyMember, ...]
-    build_limit: Callable[[], WeightedParticleMeasure | None] = field(repr=False, compare=False)
-    meta: dict
+    curve: MarkedNodalCurve
+    build_limit: Callable[[], WeightedParticleMeasure] = field(repr=False, compare=False)
 
     @cached_property
-    def limit_measure(self) -> WeightedParticleMeasure | None:
+    def limit_measure(self) -> WeightedParticleMeasure:
         return self.build_limit()
 
 
@@ -345,26 +329,19 @@ def _with_atom(
     )
 
 
-def _bubble_family(spec: FamilySpec, coeffs) -> Family:
-    numerator, denominator = coeffs
+def _bubble_family(spec: FamilySpec) -> Family:
+    """k z (bubble1) or k (z^2 - a^2) (bubble2) on the unit disk of a smooth sphere."""
+    a = spec.separation
     members = []
     for k in spec.schedule:
-        rmap = RationalMap(
-            np.asarray(numerator(k), dtype=np.complex128),
-            np.asarray(denominator(k), dtype=np.complex128),
-        )
-        mu = density_to_measure(
-            rmap, spec.chart_radius, rel_tol=spec.rel_tol, max_panels=spec.max_panels
-        )
+        rmap = RationalMap((k, 0.0) if spec.kind == "bubble1" else (k, 0.0, -k * a * a), (1.0,))
+        mu = density_to_measure(rmap, _CHART_RADIUS)
         members.append(FamilyMember(f"k={k:g}", float(k), rmap, mu, None))
-    meta = {"degree": members[0].rational.degree, "chart_radius": spec.chart_radius}
-    if spec.kind == "bubble2":
-        meta["separation"] = spec.separation
     return Family(
         kind=spec.kind,
         members=tuple(members),
-        build_limit=lambda: WeightedParticleMeasure.empty(spec.chart_radius),
-        meta=meta,
+        curve=MarkedNodalCurve((0,), (), ((0, 1), (0, 2), (0, 3))),
+        build_limit=lambda: WeightedParticleMeasure.empty(_CHART_RADIUS),
     )
 
 
@@ -389,7 +366,7 @@ def _plumbing_family(spec: FamilySpec) -> Family:
     for t in spec.schedule:
         m = transition(t)
         fld = cylinder_field_from_sphere_chart(
-            m.value, m.derivative, pinch=t, delta=spec.delta, n_t=spec.n_t, n_theta=spec.n_theta
+            m.value, m.derivative, pinch=t, delta=spec.delta, n_t=_N_T, n_theta=_N_THETA
         )
         members.append(FamilyMember(f"t={t:g}", float(t), m, None, fld))
 
@@ -398,14 +375,12 @@ def _plumbing_family(spec: FamilySpec) -> Family:
             return WeightedParticleMeasure.empty(spec.delta)
         # both sides of x + t/x limit to the identity chart map, so the far
         # side contributes its disk energy as an atom at the node
-        identity = RationalMap((1.0, 0.0), (1.0,))
-        visible = density_to_measure(
-            identity, spec.delta, rel_tol=spec.rel_tol, max_panels=spec.max_panels
-        )
+        visible = density_to_measure(RationalMap((1.0, 0.0), (1.0,)), spec.delta)
         return _with_atom(visible, 0j, visible.mass)
 
-    meta = {"delta": spec.delta, "pinches": spec.schedule}
-    return Family(kind=spec.kind, members=tuple(members), build_limit=limit, meta=meta)
+    # two genus-0 sides joined at the node, each stabilized by its marks
+    curve = MarkedNodalCurve((0, 0), ((0, 1),), ((0, 1), (0, 2), (0, 3), (1, 4), (1, 5)))
+    return Family(kind=spec.kind, members=tuple(members), curve=curve, build_limit=limit)
 
 
 def _torus_family(spec: FamilySpec) -> Family:
@@ -416,36 +391,40 @@ def _torus_family(spec: FamilySpec) -> Family:
         if np.sqrt(t) >= spec.delta:
             raise FamilyError(f"pinch {t:g} must satisfy sqrt(t) < delta")
         half = float(np.log(spec.delta / np.sqrt(t)))
-        t_nodes = np.linspace(-half, half, spec.n_t + 1)
-        theta = np.arange(spec.n_theta) * (2.0 * np.pi / spec.n_theta)
+        t_nodes = np.linspace(-half, half, _N_T + 1)
+        theta = np.arange(_N_THETA) * (2.0 * np.pi / _N_THETA)
         tt, th = np.meshgrid(t_nodes, theta, indexing="ij")
-        u = a * tt
-        v = b * th
+        points, e_u, e_v = target.frame(a * tt, b * th)
         fld = CylinderField(
             half_length=half,
-            points=target.point(u, v),
-            f_t=target.push(u, v, np.full_like(u, a), np.zeros_like(u)),
-            f_theta=target.push(u, v, np.zeros_like(u), np.full_like(u, float(b))),
+            points=points,
+            f_t=a * e_u,
+            f_theta=b * e_v,
             target=target,
             pinch=complex(t),
             delta=spec.delta,
         )
         members.append(FamilyMember(f"t={t:g}", float(t), None, None, fld))
-    meta = {"slope_t": a, "slope_theta": b, "delta": spec.delta}
-    return Family(kind=spec.kind, members=tuple(members), build_limit=lambda: None, meta=meta)
+    # the neck closes a cycle through two genus-0 components: edge 0 is not
+    # a bridge, so the node it samples is not regular
+    return Family(
+        kind=spec.kind,
+        members=tuple(members),
+        curve=MarkedNodalCurve((0, 0), ((0, 1), (0, 1)), ((0, 1), (1, 2))),
+        build_limit=lambda: WeightedParticleMeasure.empty(spec.delta),
+    )
+
+
+# family kind -> builder; FamilySpec accepts exactly these kinds
+_BUILDERS: dict[str, Callable[[FamilySpec], Family]] = {
+    "bubble1": _bubble_family,
+    "bubble2": _bubble_family,
+    "plumbing": _plumbing_family,
+    "plumbing_bubble": _plumbing_family,
+    "torus_linear": _torus_family,
+}
 
 
 def make_family(spec: FamilySpec) -> Family:
     """Generate a family deterministically; identical specs give identical output."""
-    if spec.kind == "bubble1":
-        return _bubble_family(spec, (lambda k: (k, 0.0), lambda k: (1.0,)))
-    if spec.kind == "bubble2":
-        a = spec.separation
-        return _bubble_family(
-            spec, (lambda k: (k, 0.0, -k * a * a), lambda k: (1.0,))
-        )
-    if spec.kind in ("plumbing", "plumbing_bubble"):
-        return _plumbing_family(spec)
-    if spec.kind == "torus_linear":
-        return _torus_family(spec)
-    raise FamilyError(f"unknown family kind {spec.kind!r}")
+    return _BUILDERS[spec.kind](spec)

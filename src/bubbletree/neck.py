@@ -119,28 +119,18 @@ class FlatTorusTarget:
         self._ry = self.ly / _TWO_PI
         self.chord_diameter = 2.0 * float(np.hypot(self._rx, self._ry))
 
-    def point(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def frame(
+        self, u: np.ndarray, v: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The points at (u, v) and the images of d/du and d/dv there, from
+        one evaluation of sin and cos of u/rx and v/ry."""
         rx, ry = self._rx, self._ry
-        return np.stack(
-            [
-                rx * np.cos(u / rx),
-                rx * np.sin(u / rx),
-                ry * np.cos(v / ry),
-                ry * np.sin(v / ry),
-            ],
-            axis=-1,
-        )
-
-    def push(self, u: np.ndarray, v: np.ndarray, du: np.ndarray, dv: np.ndarray) -> np.ndarray:
-        rx, ry = self._rx, self._ry
-        return np.stack(
-            [
-                -np.sin(u / rx) * du,
-                np.cos(u / rx) * du,
-                -np.sin(v / ry) * dv,
-                np.cos(v / ry) * dv,
-            ],
-            axis=-1,
+        cu, su, cv, sv = np.cos(u / rx), np.sin(u / rx), np.cos(v / ry), np.sin(v / ry)
+        zero = np.zeros_like(cu)
+        return (
+            np.stack([rx * cu, rx * su, ry * cv, ry * sv], axis=-1),
+            np.stack([-su, cu, zero, zero], axis=-1),
+            np.stack([zero, zero, -sv, cv], axis=-1),
         )
 
     def residual(self, points: np.ndarray) -> float:

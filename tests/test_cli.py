@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
+import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from bubbletree import families
+from bubbletree import FamilySpec, cli, families
 from bubbletree.cli import main
 
 PLUMBING = str(Path(__file__).resolve().parents[1] / "configs" / "plumbing.yaml")
@@ -98,6 +100,19 @@ def test_unknown_family_kind(tmp_path, capsys):
     assert main(["extract", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "mystery" in err
+
+
+def test_removed_family_knob_is_config_error(tmp_path, capsys):
+    # the resolution is fixed in families; a config can no longer set it
+    cfg = write_cfg(tmp_path, "family:\n  kind: plumbing\n  schedule: [1.0e-3]\n  n_t: 128\n")
+    assert main(["extract", "--config", cfg]) == 2
+    assert "unknown family options ['n_t']" in capsys.readouterr().err
+
+
+def test_documented_family_knobs_are_the_spec_fields():
+    documented = re.search(r"optional per-kind knobs: (.*)", cli.__doc__).group(1)
+    knobs = [f.name for f in dataclasses.fields(FamilySpec) if f.name not in ("kind", "schedule")]
+    assert documented.split(", ") == knobs
 
 
 def test_seed_rejected_as_meaningless(tmp_path, capsys):

@@ -203,6 +203,14 @@ def test_family_mixing_measures_and_fields_is_refused(plumbing_family):
         extract_bubble_tree(mixed)
 
 
+def test_nodal_field_without_plumbing_metadata_is_refused(plumbing_family):
+    first = plumbing_family.members[0]
+    bare = dataclasses.replace(first.field, pinch=None, delta=None)
+    members = (dataclasses.replace(first, field=bare), *plumbing_family.members[1:])
+    with pytest.raises(DriverError, match="plumbing metadata"):
+        extract_bubble_tree(dataclasses.replace(plumbing_family, members=members))
+
+
 def test_smooth_site_on_nodal_chart_is_refused(plumbing_family, monkeypatch):
     # a light smooth site keeps the ledger and site-sum routes in agreement,
     # so the refusal comes from the marking step, not the dual-route check

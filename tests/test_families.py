@@ -13,10 +13,12 @@ from bubbletree import (
     density_to_measure,
     diagnostics,
     energy_quadrature,
+    is_regular_node,
+    is_stable,
     make_family,
 )
 from bubbletree.errors import FamilyError
-from bubbletree.families import _horner, _quadrature_checked, _trim
+from bubbletree.families import _BUILDERS, _MASS_FRAC, _horner, _quadrature_checked, _trim
 
 FOUR_PI = 4.0 * math.pi
 
@@ -148,15 +150,15 @@ def test_disk_energy_closed_form():
 def test_quadrature_refuses_unresolvable_budget():
     m = RationalMap((1e4, 0.0), (1.0,))
     with pytest.raises(FamilyError, match="resolution insufficient"):
-        energy_quadrature(m, radius=1.0, rel_tol=1e-12, max_panels=64)
+        _quadrature_checked(m.density, 0j, 1.0, 1e-12, 1e-12, 64)
 
 
 def test_density_to_measure_mass_and_granularity():
     k = 316.0
     m = RationalMap((k, 0.0), (1.0,))
-    mu = density_to_measure(m, 1.0, mass_frac=2.5e-3)
+    mu = density_to_measure(m, 1.0)
     assert mu.mass == pytest.approx(fs_disk_mass(k, 1.0), rel=1e-6)
-    assert mu.weights.max() <= 2.5e-3 * mu.mass * (1.0 + 1e-9)
+    assert mu.weights.max() <= _MASS_FRAC * mu.mass * (1.0 + 1e-9)
     assert mu.chart_radius == 1.0
 
 
@@ -164,7 +166,7 @@ def test_bubble1_family_contents():
     spec = FamilySpec(kind="bubble1", schedule=(316.0, 3162.0))
     fam = make_family(spec)
     assert fam.kind == "bubble1"
-    assert fam.meta["degree"] == 1
+    assert fam.members[0].rational.degree == 1
     assert [m.parameter for m in fam.members] == [316.0, 3162.0]
     for mem in fam.members:
         assert mem.rational is not None and mem.measure is not None
@@ -178,8 +180,8 @@ def test_bubble1_family_contents():
 def test_bubble2_degree_two_and_separation():
     spec = FamilySpec(kind="bubble2", schedule=(316.0,), separation=0.5)
     fam = make_family(spec)
-    assert fam.meta["degree"] == 2
-    assert fam.meta["separation"] == 0.5
+    assert fam.members[0].rational.degree == 2
+    assert np.sort(np.roots(fam.members[0].rational.num).real) == pytest.approx([-0.5, 0.5])
     # k(z^2 - a^2): full sphere energy is 8 pi regardless of k
     assert energy_quadrature(fam.members[0].rational) == pytest.approx(
         2.0 * FOUR_PI, rel=1e-9
@@ -209,12 +211,32 @@ def test_plumbing_family_limit_mass_identity():
 def test_torus_family_linear_diagnostics():
     spec = FamilySpec(kind="torus_linear", schedule=(1e-2, 1e-4), slopes=(2.0, 1.0))
     fam = make_family(spec)
-    assert fam.limit_measure is None
+    assert len(fam.limit_measure) == 0 and fam.limit_measure.mass == 0.0
     for mem in fam.members:
         d = diagnostics(mem.field)
         T = mem.field.half_length
         assert d.alpha == pytest.approx(3.0 * math.pi, abs=1e-9)
         assert d.energy == pytest.approx(2.0 * math.pi * T * 5.0, rel=1e-12)
+
+
+# a one-member spec of every kind; a new kind needs an entry here
+_ONE_MEMBER = {
+    "bubble1": {"schedule": (316.0,)},
+    "bubble2": {"schedule": (316.0,)},
+    "plumbing": {"schedule": (1e-3,)},
+    "plumbing_bubble": {"schedule": (1e-6,)},
+    "torus_linear": {"schedule": (1e-2,), "slopes": (2.0, 1.0)},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BUILDERS))
+def test_family_carries_its_stable_base_curve(kind):
+    fam = make_family(FamilySpec(kind=kind, **_ONE_MEMBER[kind]))
+    assert is_stable(fam.curve).stable
+    if fam.members[0].field is not None:
+        # edge 0 is the node the fields sample; only the torus cycle is not a bridge
+        expected = "not_regular" if kind == "torus_linear" else "regular"
+        assert is_regular_node(fam.curve, 0).status == expected
 
 
 def test_family_regeneration_is_bit_identical():

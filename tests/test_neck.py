@@ -42,12 +42,12 @@ def linear_torus_field(a, b, half_length, n_t=128, n_theta=64, pinch=None, delta
     th = np.arange(n_theta) * (TWO_PI / n_theta)
     u = a * t[:, None] + 0.0 * th[None, :]
     v = b * th[None, :] + 0.0 * t[:, None]
-    zero = np.zeros_like(u)
+    points, e_u, e_v = tor.frame(u, v)
     return CylinderField(
         half_length=half_length,
-        points=tor.point(u, v),
-        f_t=tor.push(u, v, np.full_like(u, a), zero),
-        f_theta=tor.push(u, v, zero, np.full_like(u, b)),
+        points=points,
+        f_t=a * e_u,
+        f_theta=b * e_v,
         target=tor,
         pinch=pinch,
         delta=delta,
