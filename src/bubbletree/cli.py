@@ -61,6 +61,9 @@ from .families import FamilySpec, make_family
 from .neck import diagnostics, profile_to_csv, zero_neck_test
 
 _SCHEMA = 1
+# libyaml's parser where PyYAML was built with it; both loaders build their
+# nodes with the same Python SafeConstructor, so they give equal dicts
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 _LADDER_KEYS = {"delta0": 1.0, "eps_bar": 0.2, "depth": 6}
 _THRESHOLD_KEYS = {"eps0": 0.5, "eps0_prime": 0.5, "eps0_second": 0.5}
@@ -199,7 +202,7 @@ def load_config(path: Path, tol_overrides: list[str]) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config does not parse as YAML: {exc}") from exc
     if raw is None:

@@ -13,12 +13,14 @@ neck energy and diameter over a schedule of shrinking chart radii.
 
 ``CylinderField.collar_window`` alone turns a radius delta about the node
 into the rows i0..i1 of the sub-cylinder |t| <= log(delta/sqrt|pinch|).
-Each field keeps one table of per-t-row theta-sums, built on first use and
-cached on the field, and a collar's diagnostics are a window of that table:
-``collar_diagnostics`` (which the zero-neck test calls for every delta) and
-the nodal pushforward (collar energy as atoms on the x-side chart) read rows
-i0..i1 and build no sub-field.  ``collar`` still cuts the sub-field, the
-reference the windows agree with bit for bit.
+Each field keeps one table of per-t-row theta-sums, with the per-sample
+energy density |f_t|^2 + |f_theta|^2 they sum, built on first use and cached
+on the field, and a collar's diagnostics are a window of that table:
+``collar_diagnostics`` (which the zero-neck test calls for every delta) reads
+rows i0..i1 of the sums, and the nodal pushforward (collar energy as atoms on
+the x-side chart) rows i0..i1 of the density; neither builds a sub-field.
+``collar`` still cuts the sub-field, the reference the windows agree with bit
+for bit.
 
 The diameter is bounded on the safe side with O(N) work over all N samples.
 A farthest-point sweep finds a real sample pair; its distance is checked
@@ -27,7 +29,12 @@ than twice the largest distance from a centre to a sample, taken at the
 better of two centres.  Twice a covering radius of the grid cells extends
 that bound from the samples to the whole image, assuming |f_t| and |f_theta|
 stay below their largest sampled values inside each cell; the result is
-capped at the chord diameter of the target.
+capped at the chord diameter of the target.  The samples are read as
+coordinate planes, and every sum runs in a fixed order: the centroid is a
+sequential sum over the samples, and each squared distance adds its
+even-coordinate lane to its odd-coordinate lane.  The bracket therefore
+equals the row-major reference (``mean`` over samples, ``einsum`` over
+coordinates) bit for bit.
 
 Quadrature is trapezoidal in t and the uniform periodic rule in theta; both
 are spectrally accurate for the smooth periodic integrands arising here.
@@ -67,6 +74,18 @@ __all__ = [
 _TWO_PI = 2.0 * np.pi
 
 
+def _sq_norm(x: np.ndarray) -> np.ndarray:
+    """|x|^2 over the last axis, one coordinate plane at a time.
+
+    The planes are added in coordinate order, the order of
+    ``np.sum(x * x, axis=-1)``, so the two agree bit for bit.
+    """
+    out = x[..., 0] * x[..., 0]
+    for k in range(1, x.shape[-1]):
+        out += x[..., k] * x[..., k]
+    return out
+
+
 class SphereTarget:
     """Unit sphere in R^3, charted by inverse stereographic projection."""
 
@@ -85,12 +104,15 @@ class SphereTarget:
         """Differential of the chart at w, as a map from tangents zeta to R^3."""
         u, v = np.real(w), np.imag(w)
         n = 1.0 + u * u + v * v
-        du = np.stack([2.0 * (n - 2.0 * u * u), -4.0 * u * v, 4.0 * u], axis=-1)
-        dv = np.stack([-4.0 * u * v, 2.0 * (n - 2.0 * v * v), 4.0 * v], axis=-1)
-        nn = (n * n)[..., None]
+        uv = -4.0 * u * v
+        # the images of d/du and d/dv, one coordinate plane each
+        du = (2.0 * (n - 2.0 * u * u), uv, 4.0 * u)
+        dv = (uv, 2.0 * (n - 2.0 * v * v), 4.0 * v)
+        nn = n * n
 
         def push(zeta: np.ndarray) -> np.ndarray:
-            return (du * np.real(zeta)[..., None] + dv * np.imag(zeta)[..., None]) / nn
+            x, y = np.real(zeta), np.imag(zeta)
+            return np.stack([(a * x + b * y) / nn for a, b in zip(du, dv)], axis=-1)
 
         return push
 
@@ -101,7 +123,7 @@ class SphereTarget:
 
     @staticmethod
     def residual(points: np.ndarray) -> float:
-        return float(np.max(np.abs(np.linalg.norm(points, axis=-1) - 1.0)))
+        return float(np.max(np.abs(np.sqrt(_sq_norm(points)) - 1.0)))
 
 
 class FlatTorusTarget:
@@ -231,16 +253,19 @@ class CylinderField:
 
     @cached_property
     def rows(self) -> "_RowTable":
-        """Per-t-row theta-sums of the derivative samples, built on first use."""
-        ft_sq = np.sum(self.f_t * self.f_t, axis=-1)
-        fth_sq = np.sum(self.f_theta * self.f_theta, axis=-1)
+        """Per-t-row theta-sums of the derivative samples, and the per-sample
+        energy density they sum, built on first use."""
+        ft_sq = _sq_norm(self.f_t)
+        fth_sq = _sq_norm(self.f_theta)
         # np.linalg.norm(x, axis=-1) is sqrt(np.sum(x * x, axis=-1)) for real x
         ft_norm = np.sqrt(ft_sq)
         fth_norm = np.sqrt(fth_sq)
+        density = ft_sq + fth_sq
         return _RowTable(
             split=np.sum(ft_sq - fth_sq, axis=1),
             theta=np.sum(fth_sq, axis=1),
-            energy=np.sum(ft_sq + fth_sq, axis=1),
+            energy=np.sum(density, axis=1),
+            density=density,
             ft=np.sum(ft_norm, axis=1),
             fth=np.sum(fth_norm, axis=1),
             ft_max=ft_norm.max(axis=1),
@@ -293,16 +318,18 @@ class CylinderField:
 
 @dataclass(frozen=True)
 class _RowTable:
-    """Theta-sums over each t row of one field, arrays of shape (n_t + 1,).
+    """Theta-sums over each t row of one field, arrays of shape (n_t + 1,),
+    and the per-sample density they sum for the energy.
 
     split, theta and energy sum |f_t|^2 - |f_theta|^2, |f_theta|^2 and
-    |f_t|^2 + |f_theta|^2 over a row; ft and fth sum |f_t| and |f_theta|, and
-    ft_max, fth_max are their row maxima.
+    density = |f_t|^2 + |f_theta|^2 (shape (n_t + 1, n_theta)) over a row; ft
+    and fth sum |f_t| and |f_theta|, and ft_max, fth_max are their row maxima.
     """
 
     split: np.ndarray
     theta: np.ndarray
     energy: np.ndarray
+    density: np.ndarray
     ft: np.ndarray
     fth: np.ndarray
     ft_max: np.ndarray
@@ -326,10 +353,7 @@ def build_nodal_pushforward(neck: CylinderField, delta: float) -> WeightedPartic
     t = np.linspace(-half, half, i1 - i0 + 1)
     w_t = _trapezoid(len(t), t[1] - t[0])
     h_th = _TWO_PI / neck.n_theta
-    f_t, f_th = neck.f_t[i0 : i1 + 1], neck.f_theta[i0 : i1 + 1]
-    ft_sq = np.sum(f_t * f_t, axis=-1)
-    fth_sq = np.sum(f_th * f_th, axis=-1)
-    density = 0.5 * (ft_sq + fth_sq) * w_t[:, None] * h_th
+    density = 0.5 * neck.rows.density[i0 : i1 + 1] * w_t[:, None] * h_th
     root = np.sqrt(complex(neck.pinch))
     x = root * np.exp(t[:, None] + 1j * neck.theta_nodes[None, :])
     return WeightedParticleMeasure(x.ravel(), density.ravel(), chart_radius=delta)
@@ -393,24 +417,41 @@ def _diameter_bracket(points: np.ndarray) -> tuple[float, float]:
     the centroid and the midpoint of the sweep pair, R(c) the largest
     distance from c to a sample; no two samples are farther apart than 2R(c).
     Coordinates are centred first so the distances lose no digits.
+
+    The samples (dim >= 2) are read as dim coordinate planes of length N, in
+    a fixed summation order: the centroid is a sequential sum over the
+    samples, and a squared distance is the sum of its even-coordinate lane
+    and its odd-coordinate lane, (d0^2 + d2^2) + (d1^2 + d3^2).  These are
+    the orders of the row-major ``pts.mean(axis=0)`` and
+    ``einsum("ij,ij->i", d, d)``, so the bracket equals that reference bit
+    for bit.
     """
-    pts = points.reshape(-1, points.shape[-1])
-    pts = pts - pts.mean(axis=0)
+    cols = points.reshape(-1, points.shape[-1]).T.copy()
+    dim, n = cols.shape
+    cols -= (np.cumsum(cols, axis=1)[:, -1] / n)[:, None]
+    sq = np.empty_like(cols)
 
     def dist(c: np.ndarray) -> np.ndarray:
-        d = pts - c
-        return np.sqrt(np.einsum("ij,ij->i", d, d))
+        np.subtract(cols, c[:, None], out=sq)
+        np.multiply(sq, sq, out=sq)
+        even, odd = sq[0], sq[1]
+        for k in range(2, dim, 2):
+            even += sq[k]
+        for k in range(3, dim, 2):
+            odd += sq[k]
+        even += odd
+        return np.sqrt(even)
 
-    r_centroid = dist(np.zeros(pts.shape[1]))
+    r_centroid = dist(np.zeros(dim))
     a = b = int(np.argmax(r_centroid))
     lower = 0.0
     while True:
-        d = dist(pts[b])
+        d = dist(cols[:, b])
         k = int(np.argmax(d))
         if not d[k] > lower:  # also stops on NaN samples
             break
         lower, a, b = float(d[k]), b, k
-    r_mid = dist(0.5 * (pts[a] + pts[b]))
+    r_mid = dist(0.5 * (cols[:, a] + cols[:, b]))
     return lower, 2.0 * float(min(r_centroid.max(), r_mid.max()))
 
 
@@ -560,6 +601,15 @@ def theta_bounds_check(
 
 @dataclass(frozen=True)
 class ZeroNeckRow:
+    """One delta of the zero-neck test.
+
+    predicted_energy and predicted_pass are energy-only: the alpha
+    prediction cannot see the length of a neck.  On a geodesic neck of
+    image length 0.3 and vanishing energy, predicted_pass read True on every
+    row while max_diameter stayed above 0.25; only ``passed`` also asks the
+    diameter bound.
+    """
+
     delta: float
     max_energy: float
     max_diameter: float  # max over late members of the diameter upper bound
@@ -588,7 +638,10 @@ def zero_neck_test(
     `collar_diagnostics` (which assumes |f_t| and |f_theta| stay below their sampled
     maxima inside each grid cell); PASS iff both fall below eps at some
     delta.  Each row also reports the alpha-based energy prediction
-    2 T_k(delta) alpha_k, which vanishes exactly for conformal necks.
+    2 T_k(delta) alpha_k, which vanishes exactly for conformal necks.  That
+    prediction and its ``predicted_pass`` are energy-only and cannot see
+    length: a geodesic neck of positive length and vanishing energy passes
+    them, so no verdict reads them.
     """
     if not delta_schedule:
         raise NeckError("empty delta schedule")
@@ -656,8 +709,8 @@ def pohozaev_residual(field: PolarAnnulusField) -> float:
     Vanishes identically for conformal maps; 0/0 counts as 0.
     """
     grid = np.asarray(field.radii, dtype=float)
-    fr_sq = np.sum(field.f_r * field.f_r, axis=-1)
-    fphi_sq = np.sum(field.f_phi * field.f_phi, axis=-1)
+    fr_sq = _sq_norm(field.f_r)
+    fphi_sq = _sq_norm(field.f_phi)
     worst = 0.0
     for j in range(len(grid)):
         r2 = grid[j] * grid[j]

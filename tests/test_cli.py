@@ -6,11 +6,15 @@ import re
 from pathlib import Path
 
 import pytest
+import yaml
 
 from bubbletree import FamilySpec, cli, families
 from bubbletree.cli import main
 
-PLUMBING = str(Path(__file__).resolve().parents[1] / "configs" / "plumbing.yaml")
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+PLUMBING = str(CONFIGS / "plumbing.yaml")
+# the pure-Python loader, and libyaml's where PyYAML was built with it
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
 
 BUBBLE_CFG = """
 family:
@@ -215,3 +219,23 @@ def test_selftest_passes_and_rejects_flags(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 5
     assert "all checks passed" in out
+
+
+def test_config_loader_is_libyaml_when_built():
+    want = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    assert cli._YAML_LOADER is want
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
+def test_every_loader_reads_the_shipped_configs_alike(path):
+    text = path.read_text(encoding="utf-8")
+    # repr also tells 1 from 1.0 and a list from a tuple
+    assert len({repr(yaml.load(text, Loader=loader)) for loader in LOADERS}) == 1
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+def test_malformed_yaml_exits_2(tmp_path, capsys, monkeypatch, loader):
+    monkeypatch.setattr(cli, "_YAML_LOADER", loader)
+    cfg = write_cfg(tmp_path, "family: [bubble1\n  schedule: {1.0\n")
+    assert main(["extract", "--config", cfg]) == 2
+    assert "config does not parse as YAML" in capsys.readouterr().err

@@ -29,7 +29,7 @@ from bubbletree import (
     zero_neck_test,
 )
 from bubbletree.errors import NeckError
-from bubbletree.neck import _diameter_bracket, _trapezoid
+from bubbletree.neck import _diameter_bracket, _sq_norm, _trapezoid
 
 TWO_PI = 2.0 * math.pi
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -203,6 +203,22 @@ def test_zero_neck_fails_on_flat_torus_neck():
         assert not row.predicted_pass
 
 
+def test_zero_neck_prediction_cannot_see_length():
+    # (t, theta) -> (L t / 2T, 0): image length L on every member while the
+    # energy pi L^2 / 2T vanishes, a geodesic neck
+    L, delta = 0.3, 0.5
+    fields = []
+    for k in (8, 16, 24, 32):
+        p = 10.0**-k
+        T = math.log(delta / math.sqrt(p))
+        fields.append(linear_torus_field(L / (2.0 * T), 0.0, T, n_t=256, pinch=p, delta=delta))
+    rep = zero_neck_test(fields, 0.01, [0.1, 0.05, 0.01, 0.002])
+    assert not rep.passed
+    for row in rep.rows:
+        assert row.predicted_pass and row.max_energy <= 0.01
+        assert not row.passed and row.max_diameter > 0.25
+
+
 def test_zero_neck_schedule_validation():
     f = identity_sphere_neck(1e-6, 0.5)
     with pytest.raises(NeckError, match="decreasing"):
@@ -267,6 +283,83 @@ def point_sets(draw):
         pts = rng.normal(size=(n, dim))
         pts[: n // 2] += draw(st.floats(1e2, 1e6)) * rng.normal(size=dim)
     return scale * pts
+
+
+def reference_bracket(points):
+    """The diameter bracket on row-major samples: ``mean`` over the samples
+    and ``einsum`` over the coordinates, the orders the coordinate planes of
+    ``_diameter_bracket`` reproduce."""
+    pts = points.reshape(-1, points.shape[-1])
+    pts = pts - pts.mean(axis=0)
+
+    def dist(c):
+        d = pts - c
+        return np.sqrt(np.einsum("ij,ij->i", d, d))
+
+    r_centroid = dist(np.zeros(pts.shape[1]))
+    a = b = int(np.argmax(r_centroid))
+    lower = 0.0
+    while True:
+        d = dist(pts[b])
+        k = int(np.argmax(d))
+        if not d[k] > lower:
+            break
+        lower, a, b = float(d[k]), b, k
+    r_mid = dist(0.5 * (pts[a] + pts[b]))
+    return lower, 2.0 * float(min(r_centroid.max(), r_mid.max()))
+
+
+@given(pts=point_sets(), nan_row=st.none() | st.integers(0, 299))
+@settings(max_examples=300, deadline=None)
+def test_diameter_bracket_matches_row_major_reference(pts, nan_row):
+    if nan_row is not None:
+        pts[nan_row % len(pts)] = math.nan
+    before = pts.copy()
+    got = _diameter_bracket(pts)
+    assert pts.tobytes() == before.tobytes()  # the planes are a copy
+    assert np.array(got).tobytes() == np.array(reference_bracket(pts)).tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("n", [5, 257 * 64 + 1])
+def test_diameter_bracket_matches_reference_on_far_offset_samples(dim, n):
+    # an offset 1e6 times the spread makes every rounding of the centroid show
+    rng = np.random.default_rng(dim * n)
+    pts = rng.normal(size=(n, dim)) + 1e6 * rng.normal(size=dim)
+    got = _diameter_bracket(pts)
+    assert np.array(got).tobytes() == np.array(reference_bracket(pts)).tobytes()
+
+
+@given(pts=point_sets())
+@settings(max_examples=100, deadline=None)
+def test_sq_norm_matches_row_major_sum(pts):
+    # spread the magnitudes per coordinate so that any other order rounds apart
+    pts = pts * np.geomspace(1.0, 1e-7, pts.shape[1])
+    assert _sq_norm(pts).tobytes() == np.sum(pts * pts, axis=-1).tobytes()
+
+
+def reference_push(w, zeta):
+    """The chart differential applied as one broadcast over (..., 3)."""
+    u, v = np.real(w), np.imag(w)
+    n = 1.0 + u * u + v * v
+    du = np.stack([2.0 * (n - 2.0 * u * u), -4.0 * u * v, 4.0 * u], axis=-1)
+    dv = np.stack([-4.0 * u * v, 2.0 * (n - 2.0 * v * v), 4.0 * v], axis=-1)
+    return (du * np.real(zeta)[..., None] + dv * np.imag(zeta)[..., None]) / (n * n)[..., None]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from([(1,), (7,), (5, 4), (3, 2, 6)]),
+    log_scale=st.floats(-8.0, 8.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_sphere_differential_matches_stacked_formula(seed, shape, log_scale):
+    rng = np.random.default_rng(seed)
+    w = 10.0**log_scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    zeta = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    push = SphereTarget.differential(w)
+    for z in (zeta, 1j * zeta):
+        assert push(z).tobytes() == reference_push(w, z).tobytes()
 
 
 @given(pts=point_sets())
@@ -370,7 +463,7 @@ def reference_diagnostics(field):
     ft_norm = np.linalg.norm(field.f_t, axis=-1)
     fth_norm = np.linalg.norm(field.f_theta, axis=-1)
     avg_length = float(np.sum(w_t * np.sum(ft_norm, axis=1)) * h_th / TWO_PI)
-    _, upper = _diameter_bracket(field.points)
+    _, upper = reference_bracket(field.points)
     rho = 0.5 * (h_t * float(ft_norm.max()) + h_th * float(fth_norm.max()))
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(slice_energy > 0.0, 2.0 * np.abs(alpha_profile) / slice_energy, 0.0)
