@@ -22,15 +22,6 @@ Config grammar (YAML, unknown keys rejected at every level):
       delta0: 1.0
       eps_bar: 0.2
       depth: 6
-    thresholds:                  # optional smallness constants, recorded
-      eps0: 0.5                  # in every report
-      eps0_prime: 0.5
-      eps0_second: 0.5
-    tolerances:                  # optional
-      center_tol: 1.0e-5
-      decrement_tol: null        # null -> eps_bar/20
-      alpha_tol: 1.0e-3
-      marking_radius: null       # null -> delta0/2
     neck:                        # optional; enables the zero-neck test
       deltas: [0.1, 0.05, 0.02, 0.01, 0.005, 0.002]
       eps: 0.01
@@ -40,6 +31,11 @@ Config grammar (YAML, unknown keys rejected at every level):
     out: runs/bubble1            # default out directory
     seed: null                   # must stay null: the pipeline is
                                  # deterministic and samples nothing
+
+The extraction tolerances are constants of ``bubbletree.driver``, not config
+keys: the balanced-center tolerance 1e-5, the nodal regularity bound
+|alpha| <= 1e-3 * (1 + energy), the marking radius delta0/2 and the
+residual-energy decrement tolerance eps_bar/20.
 """
 
 from __future__ import annotations
@@ -50,6 +46,7 @@ import hashlib
 import json
 import math
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 import yaml
@@ -65,14 +62,8 @@ _SCHEMA = 1
 # nodes with the same Python SafeConstructor, so they give equal dicts
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
+_TOP_KEYS = ("family", "ladder", "neck", "curve", "out", "seed")
 _LADDER_KEYS = {"delta0": 1.0, "eps_bar": 0.2, "depth": 6}
-_THRESHOLD_KEYS = {"eps0": 0.5, "eps0_prime": 0.5, "eps0_second": 0.5}
-_TOLERANCE_KEYS = {
-    "center_tol": 1e-5,
-    "decrement_tol": None,
-    "alpha_tol": 1e-3,
-    "marking_radius": None,
-}
 _NECK_KEYS = {"deltas": (), "eps": 0.01}
 _CURVE_KEYS = {"graph": None, "edge": None}
 
@@ -97,8 +88,7 @@ class RunConfig:
     def __init__(self, raw: dict, base_dir: Path):
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a mapping")
-        known_top = {"family", "ladder", "thresholds", "tolerances", "neck", "curve", "out", "seed"}
-        unknown = set(raw) - known_top
+        unknown = set(raw) - set(_TOP_KEYS)
         if unknown:
             raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
 
@@ -116,21 +106,6 @@ class RunConfig:
         if int(self.ladder["depth"]) != self.ladder["depth"] or self.ladder["depth"] < 2:
             raise ConfigError("ladder depth must be an integer >= 2")
         self.ladder["depth"] = int(self.ladder["depth"])
-
-        self.thresholds = _section(raw, "thresholds", _THRESHOLD_KEYS)
-        for k, v in self.thresholds.items():
-            if not (isinstance(v, (int, float)) and 0 < v <= 1):
-                raise ConfigError(f"threshold {k} must lie in (0, 1], got {v!r}")
-
-        self.tolerances = _section(raw, "tolerances", _TOLERANCE_KEYS)
-        for k in ("center_tol", "alpha_tol"):
-            v = self.tolerances[k]
-            if not (isinstance(v, (int, float)) and v > 0):
-                raise ConfigError(f"tolerance {k} must be positive, got {v!r}")
-        for k in ("decrement_tol", "marking_radius"):
-            v = self.tolerances[k]
-            if v is not None and not (isinstance(v, (int, float)) and v > 0):
-                raise ConfigError(f"tolerance {k} must be positive or null, got {v!r}")
 
         self.neck = _section(raw, "neck", _NECK_KEYS)
         deltas = self.neck["deltas"]
@@ -172,8 +147,6 @@ class RunConfig:
         return {
             "family": self.family_raw,
             "ladder": self.ladder,
-            "thresholds": self.thresholds,
-            "tolerances": self.tolerances,
             "neck": {"deltas": list(self.neck["deltas"]), "eps": self.neck["eps"]},
             "curve": {"graph": self.curve["graph"], "edge": self.curve["edge"]},
         }
@@ -187,16 +160,16 @@ class RunConfig:
             eps_bar=float(self.ladder["eps_bar"]),
             delta0=float(self.ladder["delta0"]),
             depth=self.ladder["depth"],
-            decrement_tol=self.tolerances["decrement_tol"],
-            marking_radius=self.tolerances["marking_radius"],
-            center_tol=float(self.tolerances["center_tol"]),
-            alpha_tol=float(self.tolerances["alpha_tol"]),
             neck_deltas=self.neck["deltas"],
             neck_eps=float(self.neck["eps"]),
         )
 
 
-def load_config(path: Path, tol_overrides: list[str]) -> RunConfig:
+def load_config(path: Path, overrides: Sequence[str] = ()) -> RunConfig:
+    """Read and validate the config at ``path``.  ``overrides`` must be
+    empty: no config value can be set from outside the file."""
+    if overrides:
+        raise ConfigError(f"config overrides are not supported, got {overrides!r}")
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -209,21 +182,6 @@ def load_config(path: Path, tol_overrides: list[str]) -> RunConfig:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
-    if tol_overrides:
-        tols = dict(raw.get("tolerances") or {})
-        for item in tol_overrides:
-            if "=" not in item:
-                raise ConfigError(f"--tol expects name=value, got {item!r}")
-            name, _, val = item.partition("=")
-            name = name.strip()
-            if name not in _TOLERANCE_KEYS:
-                raise ConfigError(f"unknown tolerance {name!r}")
-            try:
-                tols[name] = float(val)
-            except ValueError as exc:
-                raise ConfigError(f"tolerance {name} needs a number, got {val!r}") from exc
-        raw = dict(raw)
-        raw["tolerances"] = tols
     return RunConfig(raw, path.parent)
 
 
@@ -263,12 +221,7 @@ def _tree_dict(tree: BubbleTree, cfg: RunConfig) -> dict:
         "schema": _SCHEMA,
         "config_hash": cfg.config_hash(),
         "family": cfg.family_raw,
-        "tolerances": {
-            "eps_bar": tree.eps_bar,
-            "step_tol": tree.step_tol,
-            **{k: cfg.tolerances[k] for k in sorted(_TOLERANCE_KEYS)},
-            **{k: cfg.thresholds[k] for k in sorted(_THRESHOLD_KEYS)},
-        },
+        "tolerances": {"eps_bar": tree.eps_bar, "step_tol": tree.step_tol},
         "limit_energy": tree.limit_energy,
         "re_trace": list(tree.re_trace),
         "components": tree.components,
@@ -374,11 +327,7 @@ def _cmd_neck(cfg: RunConfig, args, stem: str) -> int:
         "schema": _SCHEMA,
         "config_hash": cfg.config_hash(),
         "family": cfg.family_raw,
-        "tolerances": {
-            **{k: cfg.tolerances[k] for k in sorted(_TOLERANCE_KEYS)},
-            **{k: cfg.thresholds[k] for k in sorted(_THRESHOLD_KEYS)},
-            "neck_eps": cfg.neck["eps"],
-        },
+        "tolerances": {"neck_eps": cfg.neck["eps"]},
         "members": rows,
         "zero_neck": zn,
     }
@@ -533,24 +482,17 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=needs_config, help="YAML run config")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument(
-            "--tol",
-            action="append",
-            default=[],
-            metavar="NAME=VALUE",
-            help="override a tolerance (repeatable)",
-        )
     args = parser.parse_args(argv)
 
     if args.command == "selftest":
-        if args.config or args.tol or args.out:
-            print("selftest takes no config or overrides", file=sys.stderr)
+        if args.config or args.out:
+            print("selftest takes no config or output directory", file=sys.stderr)
             return 2
         return _cmd_selftest()
 
     try:
         path = Path(args.config)
-        cfg = load_config(path, args.tol)
+        cfg = load_config(path)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -56,10 +56,15 @@ __all__ = [
     "NeckRecord",
     "SingularSite",
     "BubbleTree",
-    "IdentityCheck",
     "extract_bubble_tree",
-    "energy_identity_check",
 ]
+
+# balanced-center tolerance, matched to the particle granularity of the
+# family generator; the moment functional of an atomic measure jumps by the
+# atom weights crossing the cut circle, so demanding much less than the
+# largest nearby atom weight over the total mass cannot succeed
+_CENTER_TOL = 1e-5
+_ALPHA_TOL = 1e-3  # nodal regularity: |alpha| <= _ALPHA_TOL * (1 + energy)
 
 
 @dataclass(frozen=True)
@@ -100,19 +105,16 @@ def residual_energy(ledger: ResidualEnergyLedger) -> float:
 
 @dataclass(frozen=True)
 class ExtractionConfig:
-    """Knobs of one extraction run; defaults suit unit-chart families."""
+    """Knobs of one extraction run; defaults suit unit-chart families.
+
+    Smooth sites are marked on the measure within delta0/2 of the site, and
+    each extraction step must lower the residual energy by at least
+    eps_bar/2 - step_tol.
+    """
 
     eps_bar: float = 0.2
     delta0: float = 1.0
     depth: int = 6
-    decrement_tol: float | None = None  # default eps_bar / 20
-    marking_radius: float | None = None  # default delta0 / 2
-    # balanced-center tolerance, matched to the particle granularity of the
-    # family generator; the moment functional of an atomic measure jumps by
-    # the atom weights crossing the cut circle, so demanding much less than
-    # the largest nearby atom weight over the total mass cannot succeed
-    center_tol: float = 1e-5
-    alpha_tol: float = 1e-3  # nodal regularity: |alpha| <= alpha_tol * (1 + energy)
     neck_deltas: tuple[float, ...] = ()
     neck_eps: float = 0.01
 
@@ -125,7 +127,7 @@ class ExtractionConfig:
 
     @property
     def step_tol(self) -> float:
-        return self.eps_bar / 20.0 if self.decrement_tol is None else self.decrement_tol
+        return self.eps_bar / 20.0
 
 
 @dataclass(frozen=True)
@@ -165,14 +167,6 @@ class SingularSite:
     location: complex
     mass: float
     reason: str
-
-
-@dataclass(frozen=True)
-class IdentityCheck:
-    residual: float
-    asserted: bool
-    connected: bool | None
-    note: str
 
 
 @dataclass(frozen=True)
@@ -279,11 +273,11 @@ def _smooth_chart(family: Family, config: ExtractionConfig) -> _Chart:
             f"site sum {site_route:.9g}, expected bias {bias:.9g}"
         )
 
-    radius = config.marking_radius or config.delta0 / 2.0
+    radius = config.delta0 / 2.0
 
     def mark(curve, kind, site):
         members = [restrict(mus[idx], site.location, radius) for _, idx in site.subsequence]
-        markings = mark_smooth_bubble(members, ladder, eps_bar, config.center_tol)
+        markings = mark_smooth_bubble(members, ladder, eps_bar, _CENTER_TOL)
         ins = add_bubble_component(curve, site=0, case=1)
         mk = markings[-1]
         attach = site.location + mk.q
@@ -347,7 +341,7 @@ def _nodal_chart(family: Family, config: ExtractionConfig) -> _Chart:
             queue.append(("smooth", site))
             continue
         verdict = is_regular_node(curve, _NODE_EDGE)
-        alpha_ok = abs(diag_last.alpha) <= config.alpha_tol * (1.0 + limit_energy)
+        alpha_ok = abs(diag_last.alpha) <= _ALPHA_TOL * (1.0 + limit_energy)
         if verdict.status == "regular" and alpha_ok:
             queue.append(("nodal", site))
         else:
@@ -426,8 +420,9 @@ def _identity_from_parts(
     components,
     necks,
     singular,
-) -> IdentityCheck:
-    """Identity residual of the component energies against the limit energy.
+) -> tuple[float, str, bool | None]:
+    """Identity residual of the component energies against the limit energy,
+    the note that withholds the identity, and ``connected``.
 
     ``connected`` is the conjunction of the zero-neck verdicts (True when
     there are none).  Until the extracted necks carry their own energy and
@@ -439,14 +434,9 @@ def _identity_from_parts(
     total = sum(c.energy for c in components)
     residual = abs(limit_energy - total) / limit_energy if limit_energy > 0 else 0.0
     if singular:
-        return IdentityCheck(
-            residual=residual,
-            asserted=False,
-            connected=None,
-            note="identity not asserted: non-regular nodal points present",
-        )
+        return residual, "identity not asserted: non-regular nodal points present", None
     connected = all(n.zero_neck.passed for n in necks if n.zero_neck is not None)
-    return IdentityCheck(residual=residual, asserted=True, connected=connected, note="")
+    return residual, "", connected
 
 
 def extract_bubble_tree(family: Family, config: ExtractionConfig | None = None) -> BubbleTree:
@@ -488,7 +478,9 @@ def extract_bubble_tree(family: Family, config: ExtractionConfig | None = None) 
         accounted += site.mass
         trace.append(_ledger_residual(limit_energy, accounted, chart.queue[step:], eps_bar))
 
-    check = _identity_from_parts(limit_energy, components, necks, chart.singular)
+    residual, note, connected = _identity_from_parts(
+        limit_energy, components, necks, chart.singular
+    )
     return BubbleTree(
         curve=curve,
         components=tuple(components),
@@ -497,17 +489,10 @@ def extract_bubble_tree(family: Family, config: ExtractionConfig | None = None) 
         eps_bar=eps_bar,
         step_tol=config.step_tol,
         limit_energy=limit_energy,
-        identity_residual=check.residual,
-        identity_note=check.note,
+        identity_residual=residual,
+        identity_note=note,
         singular=chart.singular,
-        connected=check.connected,
+        connected=connected,
         notes=chart.notes,
         last_neck=chart.last_neck,
-    )
-
-
-def energy_identity_check(tree: BubbleTree) -> IdentityCheck:
-    """Energy identity and connectedness verdict for a finished tree."""
-    return _identity_from_parts(
-        tree.limit_energy, tree.components, tree.necks, tree.singular
     )

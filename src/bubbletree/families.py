@@ -174,27 +174,25 @@ def _quadrature_checked(
     center: complex,
     radius: float,
     rel_tol: float,
-    abs_tol: float,
-    max_panels: int,
-    emit: bool = False,
     mass_frac: float | None = None,
 ):
+    """The quadrature of ``density`` on a disk at the package resolution,
+    emitting particles when ``mass_frac`` is given; refused unless resolved."""
     result = adaptive_polar_quadrature(
         density,
         center=center,
         r_outer=radius,
         rel_tol=rel_tol,
-        abs_tol=abs_tol,
-        max_panels=max_panels,
-        emit_particles=emit,
-        emit_mass_frac=mass_frac if emit else None,
+        abs_tol=_ABS_TOL,
+        max_panels=_MAX_PANELS,
+        emit_mass_frac=mass_frac,
     )
     # a NaN value or error fails every comparison, so it needs its own refusal
     if not (np.isfinite(result.value) and np.isfinite(result.error)):
         raise FamilyError(
             f"quadrature returned a non-finite value {result.value} +- {result.error}"
         )
-    if result.error > max(abs_tol, rel_tol * abs(result.value)):
+    if result.error > max(_ABS_TOL, rel_tol * abs(result.value)):
         raise FamilyError(
             "quadrature resolution insufficient: achieved "
             f"{result.value:.12g} +- {result.error:.3g} with {result.n_panels} panels"
@@ -210,14 +208,15 @@ def energy_quadrature(
     radius None integrates both unit-disk charts (z and 1/z), which tile the
     sphere; otherwise the disk |z - center| <= radius in the z chart.
     """
-    tols = (_ENERGY_REL_TOL, _ABS_TOL, _MAX_PANELS)
     if radius is not None:
         if not (radius > 0 and np.isfinite(radius)):
             raise FamilyError(f"cap radius must be positive and finite, got {radius}")
-        res = _quadrature_checked(rmap.density, complex(center), float(radius), *tols)
+        res = _quadrature_checked(
+            rmap.density, complex(center), float(radius), _ENERGY_REL_TOL
+        )
         return float(res.value)
-    here = _quadrature_checked(rmap.density, 0j, 1.0, *tols)
-    far = _quadrature_checked(rmap.chart_reversed().density, 0j, 1.0, *tols)
+    here = _quadrature_checked(rmap.density, 0j, 1.0, _ENERGY_REL_TOL)
+    far = _quadrature_checked(rmap.chart_reversed().density, 0j, 1.0, _ENERGY_REL_TOL)
     return float(here.value + far.value)
 
 
@@ -231,16 +230,7 @@ def density_to_measure(rmap: RationalMap, radius: float) -> WeightedParticleMeas
     """
     if not (radius > 0 and np.isfinite(radius)):
         raise FamilyError(f"disk radius must be positive and finite, got {radius}")
-    res = _quadrature_checked(
-        rmap.density,
-        0j,
-        float(radius),
-        _MEASURE_REL_TOL,
-        _ABS_TOL,
-        _MAX_PANELS,
-        emit=True,
-        mass_frac=_MASS_FRAC,
-    )
+    res = _quadrature_checked(rmap.density, 0j, float(radius), _MEASURE_REL_TOL, _MASS_FRAC)
     keep = res.weights > 0.0
     return WeightedParticleMeasure(res.points[keep], res.weights[keep], chart_radius=float(radius))
 

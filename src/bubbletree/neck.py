@@ -145,15 +145,18 @@ class FlatTorusTarget:
         self, u: np.ndarray, v: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The points at (u, v) and the images of d/du and d/dv there, from
-        one evaluation of sin and cos of u/rx and v/ry."""
+        one evaluation of sin and cos of u/rx and v/ry.  d/du moves only the
+        first circle and d/dv only the second, so each image has two planes
+        left at zero."""
         rx, ry = self._rx, self._ry
         cu, su, cv, sv = np.cos(u / rx), np.sin(u / rx), np.cos(v / ry), np.sin(v / ry)
-        zero = np.zeros_like(cu)
-        return (
-            np.stack([rx * cu, rx * su, ry * cv, ry * sv], axis=-1),
-            np.stack([-su, cu, zero, zero], axis=-1),
-            np.stack([zero, zero, -sv, cv], axis=-1),
-        )
+        e_u = np.zeros(cu.shape + (4,), cu.dtype)
+        e_v = np.zeros(cu.shape + (4,), cu.dtype)
+        np.negative(su, out=e_u[..., 0])
+        e_u[..., 1] = cu
+        np.negative(sv, out=e_v[..., 2])
+        e_v[..., 3] = cv
+        return np.stack([rx * cu, rx * su, ry * cv, ry * sv], axis=-1), e_u, e_v
 
     def residual(self, points: np.ndarray) -> float:
         r1 = np.hypot(points[..., 0], points[..., 1]) - self._rx

@@ -1,7 +1,7 @@
 """Adaptive tensor-product quadrature on polar panels.
 
-Integrates a smooth density over a disk or annulus in polar coordinates
-about a given center.  Panels are rectangles in (r, theta); each carries an
+Integrates a smooth density over a disk in polar coordinates about a given
+center.  Panels are rectangles in (r, theta); each carries an
 embedded Gauss-Legendre pair (coarse/fine) whose difference drives a
 worst-first refinement queue.  Panels split along the axis whose bisection
 changes the estimate most, so radially symmetric spikes cost only radial
@@ -59,9 +59,9 @@ class PanelQuadrature:
     error : accumulated error estimate over final panels
     points : emitted atoms z = center + r e^{i theta}, in shells at each final
         panel's radial mass quantiles, sorted by real part; empty unless
-        particles were emitted
+        emit_mass_frac was given
     weights : matching atom masses, summing per panel to its fine-rule value;
-        empty unless particles were emitted
+        empty unless emit_mass_frac was given
     n_panels : number of final panels
     """
 
@@ -236,14 +236,12 @@ def adaptive_polar_quadrature(
     density: Callable[[NDArray[np.complex128]], NDArray[np.float64]],
     center: complex,
     r_outer: float,
-    r_inner: float = 0.0,
     rel_tol: float = 1e-9,
     abs_tol: float = 1e-14,
     max_panels: int = 20000,
-    emit_particles: bool = False,
     emit_mass_frac: float | None = None,
 ) -> PanelQuadrature:
-    """Integrate ``density`` over the annulus r_inner <= |z - center| <= r_outer.
+    """Integrate ``density`` over the disk |z - center| <= r_outer.
 
     ``density`` must be elementwise: it maps a 1-D complex array to real
     values of the same length, each depending on its own point only.  Nodes
@@ -258,16 +256,15 @@ def adaptive_polar_quadrature(
     same order as one split at a time, so the result does not depend on the
     batch size.
 
-    emit_particles places atom shells at per-panel radial mass quantiles,
+    Particles are emitted exactly when emit_mass_frac is given.  Panels are
+    then split further (within the same budget) until none holds more than
+    that fraction of the total, bounding the mass granularity of the
+    emitted measure, and atom shells sit at per-panel radial mass quantiles,
     which keeps ball masses about the integration center faithful well
     below panel granularity.
-
-    emit_mass_frac, if given, keeps splitting panels (within the same budget)
-    until none holds more than that fraction of the total, bounding the mass
-    granularity of the emitted measure.
     """
-    if not (0.0 <= r_inner < r_outer):
-        raise ValueError(f"need 0 <= r_inner < r_outer, got {r_inner}, {r_outer}")
+    if not (r_outer > 0.0):
+        raise ValueError(f"need 0 < r_outer, got {r_outer}")
     if emit_mass_frac is not None and not (0.0 < emit_mass_frac < 1.0):
         raise ValueError(f"emit_mass_frac must be in (0, 1), got {emit_mass_frac}")
 
@@ -301,7 +298,7 @@ def adaptive_polar_quadrature(
             splits.update(_split_panels(density, center, panels, width_floor))
         return splits.pop(box)
 
-    redges = np.linspace(r_inner, r_outer, _INIT_GRID + 1)
+    redges = np.linspace(0.0, r_outer, _INIT_GRID + 1)
     tedges = np.linspace(0.0, 2.0 * np.pi, _INIT_GRID + 1)
     boxes = [
         (redges[i], redges[i + 1], tedges[j], tedges[j + 1])
@@ -341,7 +338,7 @@ def adaptive_polar_quadrature(
             total += c_fine
             total_err += c_err
 
-    if emit_particles and emit_mass_frac is not None:
+    if emit_mass_frac is not None:
         # granularity pass: split heavy panels regardless of integral error
         heap = [(-abs(it[3]),) + it[1:] for it in heap]
         heapq.heapify(heap)
@@ -363,14 +360,13 @@ def adaptive_polar_quadrature(
     value = float(sum(it[3] for it in heap))
     error = float(sum(it[4] for it in heap))
 
-    if emit_particles:
-        frac = emit_mass_frac if emit_mass_frac is not None else 1.0 / 64.0
+    if emit_mass_frac is not None:
         points, weights = _emit_particles(
             density,
             center,
             np.array([it[2] for it in heap]),
             np.array([it[3] for it in heap]),
-            0.25 * frac * abs(value),
+            0.25 * emit_mass_frac * abs(value),
         )
     else:
         points = np.zeros(0, dtype=np.complex128)

@@ -10,6 +10,7 @@ import yaml
 
 from bubbletree import FamilySpec, cli, families
 from bubbletree.cli import main
+from bubbletree.errors import ConfigError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 PLUMBING = str(CONFIGS / "plumbing.yaml")
@@ -76,22 +77,28 @@ def test_extract_is_deterministic(tmp_path):
         assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
 
 
-def test_tol_override_changes_hash_and_applies(tmp_path):
-    out1, out2 = tmp_path / "o1", tmp_path / "o2"
-    cfg1 = write_cfg(tmp_path, BUBBLE_CFG.format(out=out1), "c1.yaml")
-    cfg2 = write_cfg(tmp_path, BUBBLE_CFG.format(out=out2), "c2.yaml")
-    assert main(["extract", "--config", cfg1]) == 0
-    assert main(["extract", "--config", cfg2, "--tol", "center_tol=2e-5"]) == 0
-    t1 = json.loads((out1 / "tree.json").read_text())
-    t2 = json.loads((out2 / "tree.json").read_text())
-    assert t1["config_hash"] != t2["config_hash"]
-    assert t2["tolerances"]["center_tol"] == 2e-5
+@pytest.mark.parametrize(
+    "section", ["thresholds:\n  eps0: 0.5\n", "tolerances:\n  center_tol: 1.0e-5\n"]
+)
+def test_removed_config_section_is_config_error(tmp_path, capsys, section):
+    # the extraction tolerances are constants of the driver
+    cfg = write_cfg(tmp_path, BUBBLE_CFG.format(out=tmp_path / "x") + section)
+    assert main(["extract", "--config", cfg]) == 2
+    assert "unknown top-level keys" in capsys.readouterr().err
 
 
-def test_unknown_tol_name_is_config_error(tmp_path, capsys):
+def test_tol_flag_is_refused(tmp_path):
     cfg = write_cfg(tmp_path, BUBBLE_CFG.format(out=tmp_path / "x"))
-    assert main(["extract", "--config", cfg, "--tol", "banana=1"]) == 2
-    assert "config error" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["extract", "--config", cfg, "--tol", "center_tol=2e-5"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
+def test_load_config_reads_shipped_configs_and_refuses_overrides(path):
+    assert isinstance(cli.load_config(path, []), cli.RunConfig)
+    with pytest.raises(ConfigError, match="overrides are not supported"):
+        cli.load_config(path, ["center_tol=2e-5"])
 
 
 def test_missing_config_file(capsys):
@@ -117,6 +124,13 @@ def test_documented_family_knobs_are_the_spec_fields():
     documented = re.search(r"optional per-kind knobs: (.*)", cli.__doc__).group(1)
     knobs = [f.name for f in dataclasses.fields(FamilySpec) if f.name not in ("kind", "schedule")]
     assert documented.split(", ") == knobs
+
+
+def test_documented_top_level_keys_are_the_accepted_keys(tmp_path):
+    # the grammar's top-level keys are the lines indented by exactly four spaces
+    documented = re.findall(r"^    (\w+):", cli.__doc__, re.MULTILINE)
+    assert documented == list(cli._TOP_KEYS)
+    cli.RunConfig(dict.fromkeys(documented), tmp_path)
 
 
 def test_seed_rejected_as_meaningless(tmp_path, capsys):

@@ -17,7 +17,6 @@ from bubbletree import (
     TreeComponent,
     WeightedParticleMeasure,
     driver,
-    energy_identity_check,
     extract_bubble_tree,
     residual_energy,
 )
@@ -48,7 +47,7 @@ def test_ledger_arithmetic_and_validation():
 def test_config_defaults_and_validation():
     cfg = ExtractionConfig()
     assert cfg.step_tol == pytest.approx(0.01)  # eps_bar / 20
-    assert ExtractionConfig(decrement_tol=0.002).step_tol == 0.002
+    assert ExtractionConfig(eps_bar=0.4).step_tol == pytest.approx(0.02)
     with pytest.raises(DriverError, match="positive"):
         ExtractionConfig(eps_bar=0.0)
     with pytest.raises(DriverError, match="depth"):
@@ -177,13 +176,15 @@ def test_extraction_steps_meet_the_minimum_decrement(bubble2_tree):
 
 
 def test_energy_identity_check_recomputes(bubble1_tree, torus21_tree):
-    chk = energy_identity_check(bubble1_tree)
-    assert chk.asserted and chk.connected
-    assert chk.residual == pytest.approx(bubble1_tree.identity_residual)
-    assert chk.residual <= 1e-3
-    chk_t = energy_identity_check(torus21_tree)
-    assert not chk_t.asserted and chk_t.connected is None
-    assert chk_t.residual == pytest.approx(torus21_tree.identity_residual)
+    # the reported residual is the components' sum against the limit energy
+    for tree in (bubble1_tree, torus21_tree):
+        total = sum(c.energy for c in tree.components)
+        residual = abs(tree.limit_energy - total) / tree.limit_energy
+        assert tree.identity_residual == pytest.approx(residual)
+    assert bubble1_tree.identity_note == "" and bubble1_tree.connected
+    assert bubble1_tree.identity_residual <= 1e-3
+    assert "not asserted" in torus21_tree.identity_note
+    assert torus21_tree.connected is None
 
 
 def test_family_without_members_is_refused(plumbing_family):
@@ -243,6 +244,5 @@ def test_nodal_site_at_non_regular_node_is_refused(torus21_family, monkeypatch):
     assert "dual-graph node classification: not_regular" in reason
     assert re.search(r"\|alpha\| = \S+ too large", reason)
     assert [c.kind for c in tree.components] == ["base"]
-    check = energy_identity_check(tree)
-    assert not check.asserted
-    assert "non-regular nodal points" in check.note
+    assert "non-regular nodal points" in tree.identity_note
+    assert tree.connected is None

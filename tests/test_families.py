@@ -13,6 +13,7 @@ from bubbletree import (
     density_to_measure,
     diagnostics,
     energy_quadrature,
+    families,
     is_regular_node,
     is_stable,
     make_family,
@@ -116,7 +117,7 @@ def test_density_with_constant_denominator_is_bit_identical(num, lead, seed):
 def test_quadrature_refuses_a_nan_density():
     # NaN fails the error-versus-tolerance comparison, so it must be refused apart
     with pytest.raises(FamilyError, match="non-finite"):
-        _quadrature_checked(lambda z: np.full(z.shape, np.nan), 0j, 1.0, 1e-9, 1e-12, 20000)
+        _quadrature_checked(lambda z: np.full(z.shape, np.nan), 0j, 1.0, 1e-9)
 
 
 def test_chart_reversed_represents_the_same_sphere_map():
@@ -147,10 +148,11 @@ def test_disk_energy_closed_form():
         )
 
 
-def test_quadrature_refuses_unresolvable_budget():
+def test_quadrature_refuses_unresolvable_budget(monkeypatch):
+    monkeypatch.setattr(families, "_MAX_PANELS", 64)
     m = RationalMap((1e4, 0.0), (1.0,))
     with pytest.raises(FamilyError, match="resolution insufficient"):
-        _quadrature_checked(m.density, 0j, 1.0, 1e-12, 1e-12, 64)
+        _quadrature_checked(m.density, 0j, 1.0, 1e-12)
 
 
 def test_density_to_measure_mass_and_granularity():

@@ -362,6 +362,36 @@ def test_sphere_differential_matches_stacked_formula(seed, shape, log_scale):
         assert push(z).tobytes() == reference_push(w, z).tobytes()
 
 
+def reference_frame(tor, u, v):
+    """The torus frame with each image stacked from four planes, zeros included."""
+    rx, ry = tor.lx / TWO_PI, tor.ly / TWO_PI
+    cu, su, cv, sv = np.cos(u / rx), np.sin(u / rx), np.cos(v / ry), np.sin(v / ry)
+    zero = np.zeros_like(cu)
+    return (
+        np.stack([rx * cu, rx * su, ry * cv, ry * sv], axis=-1),
+        np.stack([-su, cu, zero, zero], axis=-1),
+        np.stack([zero, zero, -sv, cv], axis=-1),
+    )
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from([(1,), (7,), (5, 4), (3, 2, 6)]),
+    lengths=st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
+    log_scale=st.floats(-8.0, 8.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_torus_frame_matches_stacked_formula(seed, shape, lengths, log_scale):
+    rng = np.random.default_rng(seed)
+    u, v = 10.0**log_scale * rng.normal(size=(2, *shape))
+    # signed zeros: sin(-0.0) is -0.0, so both formulas must negate it to +0.0
+    u.flat[0], v.flat[0] = -0.0, 0.0
+    tor = FlatTorusTarget(*lengths)
+    for got, want in zip(tor.frame(u, v), reference_frame(tor, u, v)):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 @given(pts=point_sets())
 @settings(max_examples=200, deadline=None)
 def test_diameter_bracket_brackets_the_sample_diameter(pts):

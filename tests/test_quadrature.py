@@ -58,23 +58,9 @@ def test_matches_scipy_on_offset_gaussian():
     assert abs(res.value - ref) <= 1e-8 * abs(ref) + 10.0 * ref_err
 
 
-def test_annulus_excludes_inner_disk():
-    density = fs_density(10.0)
-    full = adaptive_polar_quadrature(density, 0j, 1.0)
-    inner = adaptive_polar_quadrature(density, 0j, 0.25)
-    ann = adaptive_polar_quadrature(density, 0j, 1.0, r_inner=0.25)
-    assert abs(ann.value - (full.value - inner.value)) <= 1e-9 * full.value
-
-
 def test_particle_emission_preserves_total_and_balls():
     k = 100.0
-    res = adaptive_polar_quadrature(
-        fs_density(k),
-        0j,
-        1.0,
-        emit_particles=True,
-        emit_mass_frac=2.5e-3,
-    )
+    res = adaptive_polar_quadrature(fs_density(k), 0j, 1.0, emit_mass_frac=2.5e-3)
     pts, wts = res.points, res.weights
     assert abs(wts.sum() - res.value) <= 1e-9 * res.value
     # ball masses at reference radii r = j/k with closed-form disk masses
@@ -151,11 +137,9 @@ def two_pass_reference(
     density,
     center,
     r_outer,
-    r_inner=0.0,
     rel_tol=1e-9,
     abs_tol=1e-14,
     max_panels=20000,
-    emit_particles=False,
     emit_mass_frac=None,
 ):
     """Reference: the error pass and the granularity pass written out apart,
@@ -163,7 +147,7 @@ def two_pass_reference(
     panel they split and of both chosen children (nine panel rules per
     split), and one density call per emitted panel."""
     boxes = []
-    redges = np.linspace(r_inner, r_outer, 9)
+    redges = np.linspace(0.0, r_outer, 9)
     tedges = np.linspace(0.0, 2.0 * np.pi, 9)
     for i in range(8):
         for j in range(8):
@@ -219,7 +203,7 @@ def two_pass_reference(
         for child in children_of(box, can_r, can_t):
             push(child)
 
-    if emit_particles and emit_mass_frac is not None:
+    if emit_mass_frac is not None:
         mass_heap = [(-abs(it[3]), it[1], it[2], it[3], -it[0]) for it in heap]
         heapq.heapify(mass_heap)
         while len(mass_heap) < max_panels:
@@ -252,9 +236,8 @@ def two_pass_reference(
 
     points = np.zeros(0, dtype=np.complex128)
     weights = np.zeros(0, dtype=np.float64)
-    if emit_particles:
-        frac = emit_mass_frac if emit_mass_frac is not None else 1.0 / 64.0
-        shell_target = 0.25 * frac * abs(value)
+    if emit_mass_frac is not None:
+        shell_target = 0.25 * emit_mass_frac * abs(value)
         pts_list, wts_list = [], []
         for box, fine in final_boxes:
             n_shell = 4
@@ -294,23 +277,13 @@ def point_density(z):
 POINT_KWARGS = {"rel_tol": 1e-15, "abs_tol": 0.0, "max_panels": 1500}
 
 # the keyword arguments density_to_measure passes for the bubble families
-MEASURE_KWARGS = {
-    "rel_tol": 1e-7,
-    "abs_tol": 1e-12,
-    "emit_particles": True,
-    "emit_mass_frac": 2.5e-3,
-}
+MEASURE_KWARGS = {"rel_tol": 1e-7, "abs_tol": 1e-12, "emit_mass_frac": 2.5e-3}
 
 SINGLE_PASS_CASES = [
     *[(f"fs_k{k:g}", (fs_density(k), 0j, 1.0), {}) for k in (1.0, 10.0, 100.0, 1e3, 1e4)],
-    ("off_centre_annulus", (fs_density(10.0), 0.2 - 0.1j, 1.0), {"r_inner": 0.25}),
+    ("off_centre_disk", (fs_density(10.0), 0.2 - 0.1j, 1.0), {}),
     ("budget_cap", (fs_density(1e4), 0j, 1.0), {"rel_tol": 1e-12, "max_panels": 80}),
-    (
-        "emission",
-        (fs_density(100.0), 0j, 1.0),
-        {"emit_particles": True, "emit_mass_frac": 2.5e-3},
-    ),
-    ("emission_default_frac", (fs_density(100.0), 0j, 1.0), {"emit_particles": True}),
+    ("emission", (fs_density(100.0), 0j, 1.0), {"emit_mass_frac": 2.5e-3}),
     ("zero_density", (zero_density, 0j, 1.0), {}),
     (
         "bubble1_k3162_measure",
@@ -322,28 +295,20 @@ SINGLE_PASS_CASES = [
         (RationalMap(np.array([316.0, 0.0, -316.0 * 0.25]), np.array([1.0])).density, 0j, 1.0),
         MEASURE_KWARGS,
     ),
-    # 186 final panels: more than one emission chunk, and a partial last chunk
-    (
-        "emission_off_centre_annulus",
-        (fs_density(10.0), 0.2 - 0.1j, 1.0),
-        {"r_inner": 0.25, "emit_particles": True, "emit_mass_frac": 1e-2},
-    ),
+    # 189 final panels: more than one emission chunk, and a partial last chunk
+    ("emission_off_centre_disk", (fs_density(10.0), 0.2 - 0.1j, 1.0), {"emit_mass_frac": 1e-2}),
     # zero total: no shell target, and every panel emits nothing
-    ("zero_density_emission", (zero_density, 0j, 1.0), {"emit_particles": True}),
+    ("zero_density_emission", (zero_density, 0j, 1.0), {"emit_mass_frac": 1e-2}),
     # panels with zero-mass radial rows, and panels that emit nothing beside
     # panels that do
-    (
-        "partial_zero_emission",
-        (partial_zero_density, 0j, 1.0),
-        {"emit_particles": True, "emit_mass_frac": 1e-2},
-    ),
+    ("partial_zero_emission", (partial_zero_density, 0j, 1.0), {"emit_mass_frac": 1e-2}),
     # the budget ends both passes with splits computed ahead and never used,
     # and retired panels (no split) sit in the same batches as split ones
     ("point_singularity", (point_density, 0j, 1.0), POINT_KWARGS),
     (
         "point_singularity_emission",
         (point_density, 0j, 1.0),
-        {**POINT_KWARGS, "emit_particles": True, "emit_mass_frac": 1e-2},
+        {**POINT_KWARGS, "emit_mass_frac": 1e-2},
     ),
 ]
 
@@ -438,9 +403,7 @@ def test_density_calls_are_batched():
         points += z.size
         return fs_density(100.0)(z)
 
-    res = adaptive_polar_quadrature(
-        counted, 0j, 1.0, emit_particles=True, emit_mass_frac=2.5e-3
-    )
+    res = adaptive_polar_quadrature(counted, 0j, 1.0, emit_mass_frac=2.5e-3)
     assert res.n_panels == 610
     splits = res.n_panels - 64
     assert calls == 2 + 2 * 21 + math.ceil(res.n_panels / 32) == 64
