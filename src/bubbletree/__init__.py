@@ -12,28 +12,29 @@ neck        cylinder fields and delta-collars, nodal pushforward measures,
 families    explicit holomorphic and linear test families with known energies
 driver      residual-energy induction assembling the bubble tree
 cli         config-driven orchestration and report emission
+
+The package re-exports each module's ``__all__``.  Those exports resolve on
+first use: ``import bubbletree`` loads no module (and so no numpy), an
+attribute named after a module (cli included) loads only that module, and
+the first other attribute (or ``__all__``, or ``from bubbletree import *``)
+loads the eight re-exporting modules.
 """
 
-from . import curve, driver, errors, families, measure, neck, quadrature, renorm
-# each module's __all__ is its public surface; the package re-exports all of them
-from .curve import *
-from .driver import *
-from .errors import *
-from .families import *
-from .measure import *
-from .neck import *
-from .quadrature import *
-from .renorm import *
-
-__all__ = [
-    *curve.__all__,
-    *driver.__all__,
-    *errors.__all__,
-    *families.__all__,
-    *measure.__all__,
-    *neck.__all__,
-    *quadrature.__all__,
-    *renorm.__all__,
-]
+import importlib
 
 __version__ = "0.1.0"
+
+# the modules whose own __all__ the package re-exports, in export order
+_MODULES = ("curve", "driver", "errors", "families", "measure", "neck", "quadrature", "renorm")
+
+
+def __getattr__(name: str):
+    if name in _MODULES or name == "cli":
+        return importlib.import_module(f".{name}", __name__)
+    if "__all__" not in globals():
+        modules = [importlib.import_module(f".{m}", __name__) for m in _MODULES]
+        exports = {n: getattr(m, n) for m in modules for n in m.__all__}
+        globals().update(exports, __all__=list(exports))
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,6 +12,14 @@ invariant violation.  Identical configs produce byte-identical reports:
 keys are sorted, floats use shortest round-trip repr, and every report
 embeds the hash of the validated config.
 
+Each command loads only the layers it runs.  ``curve``, ``--help`` and
+config errors finish without importing numpy; ``families``, ``driver`` and
+``neck`` (and with them numpy) are imported by ``extract``, ``neck`` and
+``selftest``, and by the validation of a ``family`` section.  When numpy is
+not yet loaded, ``main`` sets OPENBLAS_NUM_THREADS=1 unless the environment
+already sets it: the package's BLAS calls are short dot products and 2x2
+solves, so the idle OpenBLAS worker pool would only cost start-up time.
+
 Config grammar (YAML, unknown keys rejected at every level):
 
     family:                      # required for extract/neck
@@ -45,17 +53,20 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 from collections.abc import Sequence
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import yaml
 
 from .curve import curve_from_text, curve_to_text, is_regular_node, is_stable
-from .driver import BubbleTree, ExtractionConfig, extract_bubble_tree
 from .errors import BubbleTreeError, ConfigError, FamilyError
-from .families import FamilySpec, make_family
-from .neck import diagnostics, profile_to_csv, zero_neck_test
+
+if TYPE_CHECKING:
+    from .driver import BubbleTree, ExtractionConfig
+    from .families import FamilySpec
 
 _SCHEMA = 1
 # libyaml's parser where PyYAML was built with it; both loaders build their
@@ -95,6 +106,8 @@ class RunConfig:
         self.family_raw = raw.get("family")
         self.family_spec: FamilySpec | None = None
         if self.family_raw is not None:
+            from .families import FamilySpec
+
             try:
                 self.family_spec = FamilySpec.from_dict(self.family_raw)
             except (FamilyError, TypeError, ValueError) as exc:
@@ -156,6 +169,8 @@ class RunConfig:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def extraction_config(self) -> ExtractionConfig:
+        from .driver import ExtractionConfig
+
         return ExtractionConfig(
             eps_bar=float(self.ladder["eps_bar"]),
             delta0=float(self.ladder["delta0"]),
@@ -271,6 +286,8 @@ def _theta_profile_csv(last_diagnostics) -> str:
     for a family without cylinder fields)."""
     if last_diagnostics is None:
         return "t,theta,alpha_slice\n"
+    from .neck import profile_to_csv
+
     return profile_to_csv(last_diagnostics)
 
 
@@ -289,6 +306,9 @@ def _out_dir(cfg: RunConfig, args, default_stem: str) -> Path:
 def _cmd_extract(cfg: RunConfig, args, stem: str) -> int:
     if cfg.family_spec is None:
         raise ConfigError("extract needs a family section")
+    from .driver import extract_bubble_tree
+    from .families import make_family
+
     family = make_family(cfg.family_spec)
     tree = extract_bubble_tree(family, cfg.extraction_config())
     out = _out_dir(cfg, args, stem)
@@ -308,6 +328,9 @@ def _cmd_extract(cfg: RunConfig, args, stem: str) -> int:
 def _cmd_neck(cfg: RunConfig, args, stem: str) -> int:
     if cfg.family_spec is None:
         raise ConfigError("neck needs a family section")
+    from .families import make_family
+    from .neck import diagnostics, zero_neck_test
+
     family = make_family(cfg.family_spec)
     if any(m.field is None for m in family.members):
         raise ConfigError(
@@ -387,8 +410,8 @@ def _cmd_curve(cfg: RunConfig, args, stem: str) -> int:
 
 
 def _selftest_checks():
-    from .families import RationalMap, energy_quadrature
-    from .neck import PolarAnnulusField, SphereTarget, pohozaev_residual
+    from .families import FamilySpec, RationalMap, energy_quadrature, make_family
+    from .neck import PolarAnnulusField, SphereTarget, diagnostics, pohozaev_residual
     from .renorm import solve_neck_scale_from_cdf
     import numpy as np
 
@@ -468,6 +491,9 @@ def _cmd_selftest() -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if "numpy" not in sys.modules:
+        # OpenBLAS reads this once, when numpy loads (module docstring)
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = argparse.ArgumentParser(
         prog="bubbletree",
         description="Bubble-tree extraction laboratory for degenerating families",

@@ -1,7 +1,7 @@
 """Cylindrical neck analysis.
 
 A neck is sampled as a field on [-T, T] x S^1 with values on an embedded
-target (unit sphere in R^3, flat torus in R^4, or the plane) together with
+target (unit sphere in R^3 or flat torus in R^4) together with
 first derivatives.  The diagnostics split the energy as
 
     E = 2T * alpha + integral of Theta,   alpha(t) = 1/2 int (|f_t|^2 - |f_theta|^2) dtheta,
@@ -13,12 +13,12 @@ neck energy and diameter over a schedule of shrinking chart radii.
 
 ``CylinderField.collar_window`` alone turns a radius delta about the node
 into the rows i0..i1 of the sub-cylinder |t| <= log(delta/sqrt|pinch|).
-Each field keeps one table of per-t-row theta-sums, with the per-sample
-energy density |f_t|^2 + |f_theta|^2 they sum, built on first use and cached
-on the field, and a collar's diagnostics are a window of that table:
-``collar_diagnostics`` (which the zero-neck test calls for every delta) reads
-rows i0..i1 of the sums, and the nodal pushforward (collar energy as atoms on
-the x-side chart) rows i0..i1 of the density; neither builds a sub-field.
+Each field caches, on first use, its per-sample energy density
+|f_t|^2 + |f_theta|^2 and one table of per-t-row theta-sums, and a collar is
+a window of them: ``collar_diagnostics`` (which the zero-neck test calls for
+every delta) reads rows i0..i1 of the sums, and the nodal pushforward (collar
+energy as atoms on the x-side chart) rows i0..i1 of the density alone;
+neither builds a sub-field.
 ``collar`` still cuts the sub-field, the reference the windows agree with bit
 for bit.
 
@@ -54,7 +54,6 @@ from .measure import WeightedParticleMeasure
 __all__ = [
     "SphereTarget",
     "FlatTorusTarget",
-    "PlaneTarget",
     "CylinderField",
     "build_nodal_pushforward",
     "collar_diagnostics",
@@ -164,24 +163,6 @@ class FlatTorusTarget:
         return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
 
 
-class PlaneTarget:
-    """R^2 with the euclidean metric; used by model fields."""
-
-    name = "plane"
-    dim = 2
-    chord_diameter = np.inf
-
-    @staticmethod
-    def point(w: np.ndarray) -> np.ndarray:
-        return np.stack([np.real(w), np.imag(w)], axis=-1)
-
-    push = point
-
-    @staticmethod
-    def residual(points: np.ndarray) -> float:
-        return 0.0
-
-
 @dataclass(frozen=True)
 class CylinderField:
     """Sampled map on the cylinder [-T, T] x S^1.
@@ -255,20 +236,25 @@ class CylinderField:
         return def_t, def_th
 
     @cached_property
+    def density(self) -> np.ndarray:
+        """Per-sample energy density |f_t|^2 + |f_theta|^2, shape
+        (n_t + 1, n_theta), built on first use.  ``rows`` sums the same
+        values from its own squared norms, so a field that needs only one of
+        the two builds only that one."""
+        return _sq_norm(self.f_t) + _sq_norm(self.f_theta)
+
+    @cached_property
     def rows(self) -> "_RowTable":
-        """Per-t-row theta-sums of the derivative samples, and the per-sample
-        energy density they sum, built on first use."""
+        """Per-t-row theta-sums of the derivative samples, built on first use."""
         ft_sq = _sq_norm(self.f_t)
         fth_sq = _sq_norm(self.f_theta)
         # np.linalg.norm(x, axis=-1) is sqrt(np.sum(x * x, axis=-1)) for real x
         ft_norm = np.sqrt(ft_sq)
         fth_norm = np.sqrt(fth_sq)
-        density = ft_sq + fth_sq
         return _RowTable(
             split=np.sum(ft_sq - fth_sq, axis=1),
             theta=np.sum(fth_sq, axis=1),
-            energy=np.sum(density, axis=1),
-            density=density,
+            energy=np.sum(ft_sq + fth_sq, axis=1),
             ft=np.sum(ft_norm, axis=1),
             fth=np.sum(fth_norm, axis=1),
             ft_max=ft_norm.max(axis=1),
@@ -321,18 +307,16 @@ class CylinderField:
 
 @dataclass(frozen=True)
 class _RowTable:
-    """Theta-sums over each t row of one field, arrays of shape (n_t + 1,),
-    and the per-sample density they sum for the energy.
+    """Theta-sums over each t row of one field, arrays of shape (n_t + 1,).
 
     split, theta and energy sum |f_t|^2 - |f_theta|^2, |f_theta|^2 and
-    density = |f_t|^2 + |f_theta|^2 (shape (n_t + 1, n_theta)) over a row; ft
-    and fth sum |f_t| and |f_theta|, and ft_max, fth_max are their row maxima.
+    |f_t|^2 + |f_theta|^2 (the field's density) over a row; ft and fth sum
+    |f_t| and |f_theta|, and ft_max, fth_max are their row maxima.
     """
 
     split: np.ndarray
     theta: np.ndarray
     energy: np.ndarray
-    density: np.ndarray
     ft: np.ndarray
     fth: np.ndarray
     ft_max: np.ndarray
@@ -356,7 +340,7 @@ def build_nodal_pushforward(neck: CylinderField, delta: float) -> WeightedPartic
     t = np.linspace(-half, half, i1 - i0 + 1)
     w_t = _trapezoid(len(t), t[1] - t[0])
     h_th = _TWO_PI / neck.n_theta
-    density = 0.5 * neck.rows.density[i0 : i1 + 1] * w_t[:, None] * h_th
+    density = 0.5 * neck.density[i0 : i1 + 1] * w_t[:, None] * h_th
     root = np.sqrt(complex(neck.pinch))
     x = root * np.exp(t[:, None] + 1j * neck.theta_nodes[None, :])
     return WeightedParticleMeasure(x.ravel(), density.ravel(), chart_radius=delta)

@@ -151,7 +151,6 @@ def _emit_particles(
         n_shells = np.ceil(np.abs(fines) / shell_target).clip(4, _MAX_SHELLS).astype(np.int64)
     else:
         n_shells = np.full(len(fines), 4)
-    shell = np.arange(_MAX_SHELLS)
     # the empty leading arrays keep the concatenation defined when no panel
     # carries mass
     pts = [np.zeros(0, np.complex128)]
@@ -172,9 +171,10 @@ def _emit_particles(
         radial = cell.sum(axis=2)
         cum = np.zeros((len(r0), _EMIT_CELLS + 1))
         np.cumsum(radial, axis=1, out=cum[:, 1:])
-        # every panel gets _MAX_SHELLS shells; keep marks its first n_shell,
-        # and none of a panel without mass
+        # every panel of the chunk gets as many shells as the most any of them
+        # holds; keep marks its first n_shell, and none of a panel without mass
         fine, n_shell, total = fines[part], n_shells[part], cum[:, -1]
+        shell = np.arange(n_shell.max())
         keep = (shell < n_shell[:, None]) & (~(total <= 0.0) & (fine != 0.0))[:, None]
         targets = (shell + 0.5) * (total / n_shell)[:, None]
         rows, r_shell = _quantile_cells(cum, redges, targets)

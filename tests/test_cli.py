@@ -2,7 +2,10 @@
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -104,6 +107,23 @@ def test_load_config_reads_shipped_configs_and_refuses_overrides(path):
 def test_missing_config_file(capsys):
     assert main(["extract", "--config", "/nonexistent/nope.yaml"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("given, want", [(None, "1"), ("2", "2")])
+def test_main_defaults_openblas_threads_to_one_and_keeps_a_set_value(tmp_path, given, want):
+    # a fresh interpreter, since OpenBLAS reads the variable when numpy loads
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    code = (
+        "import os; from bubbletree.cli import main; "
+        "main(['extract', '--config', 'nope.yaml']); print(os.environ['OPENBLAS_NUM_THREADS'])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert proc.stdout.split() == [want]
 
 
 def test_unknown_family_kind(tmp_path, capsys):

@@ -14,7 +14,6 @@ from bubbletree import (
     CylinderField,
     FamilySpec,
     FlatTorusTarget,
-    PlaneTarget,
     PolarAnnulusField,
     SphereTarget,
     ZeroNeckRow,
@@ -233,14 +232,17 @@ def test_zero_neck_schedule_validation():
         zero_neck_test([f, f], 0.01, [1.0, 0.1])
 
 
+def plane_points(w):
+    """Complex numbers as points (x, y) of the euclidean plane."""
+    return np.stack([w.real, w.imag], axis=-1)
+
+
 def test_pohozaev_residual_routes():
     radii = np.geomspace(0.5, 2.0, 8)
     phis = np.arange(64) * (TWO_PI / 64)
     # plane identity map: |f_phi|^2 = r^2 |f_r|^2 exactly
-    f_r = np.broadcast_to(
-        PlaneTarget.point(np.exp(1j * phis)), (len(radii), 64, 2)
-    ).copy()
-    f_phi = radii[:, None, None] * PlaneTarget.point(1j * np.exp(1j * phis))
+    f_r = np.broadcast_to(plane_points(np.exp(1j * phis)), (len(radii), 64, 2)).copy()
+    f_phi = radii[:, None, None] * plane_points(1j * np.exp(1j * phis))
     fld = PolarAnnulusField(radii, f_r, f_phi)
     assert pohozaev_residual(fld) <= 1e-14
     # stretching the radial derivative by 1.2 gives residual 0.44/2.44
@@ -466,12 +468,13 @@ def test_diameter_bound_covers_points_between_samples():
 
 
 def test_diameter_self_check_fires():
-    # points spread over the unit circle while f_t = f_theta = 0: a real sample
-    # pair 2 apart against 2 max-arc + average length = 0
+    # points spread over the equator of the sphere while f_t = f_theta = 0: a
+    # real sample pair 2 apart against 2 max-arc + average length = 0
     theta = np.arange(16) * (TWO_PI / 16)
-    pts = np.broadcast_to(PlaneTarget.point(np.exp(1j * theta)), (9, 16, 2)).copy()
+    equator = np.stack([np.cos(theta), np.sin(theta), np.zeros(16)], axis=-1)
+    pts = np.broadcast_to(equator, (9, 16, 3)).copy()
     zero = np.zeros_like(pts)
-    field = CylinderField(1.0, pts, zero, zero, PlaneTarget)
+    field = CylinderField(1.0, pts, zero, zero, SphereTarget)
     with pytest.raises(NeckError, match="diameter bound violated"):
         diagnostics(field)
 
@@ -594,10 +597,12 @@ def test_collar_windows_match_on_grid_nodes(log_pinch, n_t, n_theta, node, on_ch
             collar_diagnostics(f, delta)
         assert str(got.value) == str(exc)
         return
-    same_bits(collar_diagnostics(f, delta), reference_diagnostics(sub))
     x, w = reference_pushforward(f, delta)
     mu = build_nodal_pushforward(f, delta)
     assert mu.points.tobytes() == x.tobytes() and mu.weights.tobytes() == w.tobytes()
+    # the pushforward reads the per-sample density, not the row table
+    assert "rows" not in vars(f)
+    same_bits(collar_diagnostics(f, delta), reference_diagnostics(sub))
 
 
 def test_zero_neck_refuses_collars_like_the_cut():

@@ -302,6 +302,14 @@ SINGLE_PASS_CASES = [
     # panels with zero-mass radial rows, and panels that emit nothing beside
     # panels that do
     ("partial_zero_emission", (partial_zero_density, 0j, 1.0), {"emit_mass_frac": 1e-2}),
+    # the budget stops the granularity pass early: 8 of the 80 panels hold 24
+    # shells and the rest 4, so two chunks mix shell counts and the last holds
+    # 4-shell panels only
+    (
+        "bubble2_k300_budget_emission",
+        (RationalMap(np.array([300.0, 0.0, -300.0 * 0.25]), np.array([1.0])).density, 0j, 1.0),
+        {**MEASURE_KWARGS, "max_panels": 80},
+    ),
     # the budget ends both passes with splits computed ahead and never used,
     # and retired panels (no split) sit in the same batches as split ones
     ("point_singularity", (point_density, 0j, 1.0), POINT_KWARGS),
