@@ -114,6 +114,11 @@ class RunConfig:
                 raise ConfigError(f"family section invalid: {exc}") from exc
 
         self.ladder = _section(raw, "ladder", _LADDER_KEYS)
+        for key, value in self.ladder.items():
+            if isinstance(value, bool) or not (
+                isinstance(value, (int, float)) and math.isfinite(value)
+            ):
+                raise ConfigError(f"ladder {key} must be a finite number, got {value!r}")
         if not (self.ladder["delta0"] > 0 and self.ladder["eps_bar"] > 0):
             raise ConfigError("ladder delta0 and eps_bar must be positive")
         if int(self.ladder["depth"]) != self.ladder["depth"] or self.ladder["depth"] < 2:

@@ -5,10 +5,11 @@ A curve is a connected multigraph: vertices carry component genera, edges
 are nodes (self-loops allowed), legs are marked points with distinct labels.
 Arithmetic genus = sum of vertex genera + first Betti number of the graph.
 
-Forgetting a mark removes its leg and then stabilizes: genus-0 vertices
-with fewer than three special points are contracted one at a time, and the
-induced map records where every node, mark, and generic component point of
-the input lands (a node, a mark, or a regular point of the result).
+Forgetting a mark of a stable curve removes its leg and then stabilizes,
+which contracts at most one component: the genus-0 host of the mark, when it
+is left with two special points (see ``forget_mark``).  The induced map
+records where every node, mark, and generic component point of the input
+lands (a node, a mark, or a regular point of the result).
 
 A node is regular when forgetting some nonempty set of marks sends it to a
 point that is not a node of the (stable) image.  On a stable curve this has
@@ -19,6 +20,7 @@ graph with a side of arithmetic genus 0 (see ``is_regular_node``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import CurveError
 
@@ -113,12 +115,19 @@ class MarkedNodalCurve:
     def mark_labels(self) -> tuple[int, ...]:
         return tuple(sorted(lab for _, lab in self.legs))
 
-    def valence(self, v: int) -> int:
-        """Special points on vertex v: legs plus edge endpoints, loops twice."""
-        val = sum(1 for u, _ in self.legs if u == v)
+    @cached_property
+    def valences(self) -> tuple[int, ...]:
+        """Special points per vertex: legs plus edge endpoints, loops twice."""
+        val = [0] * len(self.genus)
+        for v, _ in self.legs:
+            val[v] += 1
         for i, j in self.edges:
-            val += (i == v) + (j == v)
-        return val
+            val[i] += 1
+            val[j] += 1
+        return tuple(val)
+
+    def valence(self, v: int) -> int:
+        return self.valences[v]
 
 
 @dataclass(frozen=True)
@@ -131,9 +140,7 @@ class StabilityReport:
 def is_stable(c: MarkedNodalCurve) -> StabilityReport:
     """2g - 2 + n > 0 globally and 2 genus(v) - 2 + valence(v) > 0 per vertex."""
     global_ok = 2 * c.arithmetic_genus - 2 + c.n_marks > 0
-    vertex_ok = tuple(
-        2 * c.genus[v] - 2 + c.valence(v) > 0 for v in range(c.n_vertices)
-    )
+    vertex_ok = tuple(2 * g - 2 + val > 0 for g, val in zip(c.genus, c.valences))
     return StabilityReport(
         stable=global_ok and all(vertex_ok), global_ok=global_ok, vertex_ok=vertex_ok
     )
@@ -168,159 +175,83 @@ class ForgetResult:
     vertex_images: tuple[PointImage, ...]
 
 
-def _rewrite(images: list[list[PointImage]], rule) -> None:
-    for lst in images:
-        for k, img in enumerate(lst):
-            lst[k] = rule(img)
-
-
-def _stabilize_once(
-    genus: list[int],
-    edges: list[tuple[int, int]],
-    legs: list[tuple[int, int]],
-    images: list[list[PointImage]],
-) -> bool:
-    """Contract one unstable genus-0 vertex in place; True if one was found.
-
-    Every PointImage list in `images` is rewritten to stay expressed in the
-    mutated curve's indices.  Contracting a component sends all its points,
-    and the nodes joining it to the rest, to a single point of the target:
-    the merged node (two-node case) or the attachment point (one-node case,
-    which is the relocated mark when the component carried one).
-    """
-    nv = len(genus)
-
-    def valence(v: int) -> int:
-        val = sum(1 for u, _ in legs if u == v)
-        for i, j in edges:
-            val += (i == v) + (j == v)
-        return val
-
-    victim = None
-    for v in range(nv):
-        if genus[v] == 0 and valence(v) <= 2:
-            victim = v
-            break
-    if victim is None:
-        return False
-    v = victim
-    v_edges = [k for k, (i, j) in enumerate(edges) if i == v or j == v]
-    v_legs = [k for k, (u, _) in enumerate(legs) if u == v]
-
-    def shift_vertex(u: int) -> int:
-        return u if u < v else u - 1
-
-    def drop_vertex() -> None:
-        del genus[v]
-        for k, (i, j) in enumerate(edges):
-            edges[k] = (shift_vertex(i), shift_vertex(j))
-        for k, (u, lab) in enumerate(legs):
-            legs[k] = (shift_vertex(u), lab)
-
-    if len(v_edges) == 2 and not v_legs:
-        e1, e2 = v_edges
-        (i1, j1), (i2, j2) = edges[e1], edges[e2]
-        a = j1 if i1 == v else i1
-        b = j2 if i2 == v else i2
-        for k in sorted(v_edges, reverse=True):
-            del edges[k]
-        drop_vertex()
-        edges.append(tuple(sorted((shift_vertex(a), shift_vertex(b)))))
-        new_pos = len(edges) - 1
-
-        def shift_edge(k: int) -> int:
-            return k - sum(1 for r in v_edges if r < k)
-
-        def rule(img: PointImage) -> PointImage:
-            if img.kind == "node":
-                if img.index in (e1, e2):
-                    return PointImage("node", new_pos)
-                return PointImage("node", shift_edge(img.index))
-            if img.kind == "regular":
-                if img.index == v:
-                    return PointImage("node", new_pos)
-                return PointImage("regular", shift_vertex(img.index))
-            return img
-
-        _rewrite(images, rule)
-        return True
-
-    if len(v_edges) == 1 and len(v_legs) <= 1:
-        e = v_edges[0]
-        i, j = edges[e]
-        if i == j:
-            raise CurveError("stratum empty: cannot contract a self-loop component")
-        target = j if i == v else i
-        if v_legs:
-            k0 = v_legs[0]
-            legs[k0] = (target, legs[k0][1])
-            attach = PointImage("mark", k0)
-        else:
-            attach = PointImage("regular", shift_vertex(target))
-        del edges[e]
-        drop_vertex()
-
-        def rule(img: PointImage) -> PointImage:
-            if img.kind == "node":
-                if img.index == e:
-                    return attach
-                return PointImage("node", img.index - (1 if img.index > e else 0))
-            if img.kind == "regular":
-                if img.index == v:
-                    return attach
-                return PointImage("regular", shift_vertex(img.index))
-            return img
-
-        _rewrite(images, rule)
-        return True
-
-    raise CurveError(
-        f"stratum empty: unstable vertex {v} with valence {valence(v)} "
-        "cannot be contracted"
-    )
-
-
 def forget_mark(c: MarkedNodalCurve, label: int) -> ForgetResult:
-    """Remove the labeled mark and stabilize, tracking every point's image.
+    """Remove the labeled mark from a stable curve and stabilize, tracking
+    every point's image.
 
-    Raises CurveError("stratum empty ...") when the result would be globally
+    Forgetting one mark contracts at most one component (Knudsen, *Math.
+    Scand.* 52 (1983)).  Every vertex but the mark's host keeps its special
+    points, so only the host can become unstable, and only when it has genus
+    0 and exactly three special points.  It then keeps two, and is contracted
+    to a single point that all its points and its nodes land on:
+
+    * two nodes: they merge into one node joining its neighbours, appended
+      last (a self-loop when both nodes lead to the same neighbour);
+    * one node and one mark: the mark moves to the neighbour.
+
+    Two marks, or a self-loop, would make the host the whole curve, and the
+    global refusal below catches both.  Neither contraction changes the
+    valence of a neighbour, so the image is stable again.
+
+    Raises CurveError on an unstable input or an unknown label, and
+    CurveError("stratum empty ...") when the result would be globally
     unstable (2g - 2 + (n-1) <= 0).
     """
+    if not is_stable(c).stable:
+        raise CurveError("forgetting a mark needs a stable curve")
+    drop = next((k for k, (_, lab) in enumerate(c.legs) if lab == label), None)
+    if drop is None:
+        raise CurveError(f"no mark with label {label}")
     if 2 * c.arithmetic_genus - 2 + (c.n_marks - 1) <= 0:
         raise CurveError(
             f"stratum empty: forgetting mark {label} leaves 2g-2+n = "
             f"{2 * c.arithmetic_genus - 2 + c.n_marks - 1} <= 0"
         )
-    genus = list(c.genus)
-    edges = [tuple(e) for e in c.edges]
-    legs = [tuple(l) for l in c.legs]
-    drop = next(k for k, (_, lab) in enumerate(legs) if lab == label)
-    host = legs[drop][0]
-    del legs[drop]
+    host = c.legs[drop][0]
+    genus, edges = c.genus, c.edges
+    legs = c.legs[:drop] + c.legs[drop + 1 :]
+    # the forgotten mark's point is an ordinary point of its host
+    point = PointImage("regular", host)
+    node_images = tuple(PointImage("node", k) for k in range(len(edges)))
+    vertex_images = tuple(PointImage("regular", u) for u in range(c.n_vertices))
+    if genus[host] == 0 and c.valences[host] == 3:
 
-    edge_img = [PointImage("node", k) for k in range(len(edges))]
-    vertex_img = [PointImage("regular", u) for u in range(len(genus))]
-    # the forgotten mark's point is an ordinary point of its host from here on
-    leg_img = [
-        PointImage("regular", host)
-        if k == drop
-        else PointImage("mark", k - (1 if k > drop else 0))
-        for k in range(len(c.legs))
-    ]
+        def shift(u: int) -> int:
+            return u - (u > host)
 
-    images = [edge_img, leg_img, vertex_img]
-    while _stabilize_once(genus, edges, legs, images):
-        pass
-
-    result = MarkedNodalCurve(tuple(genus), tuple(edges), tuple(legs))
+        hit = [k for k, e in enumerate(edges) if host in e]
+        ends = [j if i == host else i for i, j in (edges[k] for k in hit)]
+        edges = tuple(e for k, e in enumerate(edges) if k not in hit)
+        if len(hit) == 2:
+            point = PointImage("node", len(edges))
+            edges += (tuple(sorted(ends)),)
+        else:
+            k0 = next(k for k, (u, _) in enumerate(legs) if u == host)
+            point = PointImage("mark", k0)
+            legs = legs[:k0] + ((ends[0], legs[k0][1]),) + legs[k0 + 1 :]
+        edges = tuple((shift(i), shift(j)) for i, j in edges)
+        legs = tuple((shift(u), lab) for u, lab in legs)
+        genus = genus[:host] + genus[host + 1 :]
+        node_images = tuple(
+            point if k in hit else PointImage("node", k - sum(r < k for r in hit))
+            for k in range(len(c.edges))
+        )
+        vertex_images = tuple(
+            point if u == host else PointImage("regular", shift(u))
+            for u in range(c.n_vertices)
+        )
+    result = MarkedNodalCurve(genus, edges, legs)
     if not is_stable(result).stable:
         raise CurveError("stratum empty: stabilization did not reach a stable curve")
     return ForgetResult(
         curve=result,
         forgotten=label,
-        node_images=tuple(edge_img),
-        mark_images=tuple(leg_img),
-        vertex_images=tuple(vertex_img),
+        node_images=node_images,
+        mark_images=tuple(
+            point if k == drop else PointImage("mark", k - (k > drop))
+            for k in range(c.n_marks)
+        ),
+        vertex_images=vertex_images,
     )
 
 
@@ -450,9 +381,8 @@ def add_bubble_component(c: MarkedNodalCurve, site: int, case: int) -> BubbleIns
 
 def _vertex_signature(c: MarkedNodalCurve, v: int) -> tuple:
     loops = sum(1 for i, j in c.edges if i == j == v)
-    deg = sum((i == v) + (j == v) for i, j in c.edges)
     labs = tuple(sorted(lab for u, lab in c.legs if u == v))
-    return (c.genus[v], deg, loops, labs)
+    return (c.genus[v], c.valences[v] - len(labs), loops, labs)
 
 
 def curves_isomorphic(c1: MarkedNodalCurve, c2: MarkedNodalCurve) -> bool:

@@ -161,6 +161,17 @@ def test_seed_rejected_as_meaningless(tmp_path, capsys):
     assert "deterministic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "ladder",
+    ['eps_bar: "abc"', "eps_bar: true", "delta0: .inf"],
+    ids=["string", "bool", "non_finite"],
+)
+def test_ladder_value_not_a_finite_number_exits_2(tmp_path, capsys, ladder):
+    cfg = write_cfg(tmp_path, BUBBLE_CFG.format(out=tmp_path / "x") + f"ladder:\n  {ladder}\n")
+    assert main(["extract", "--config", cfg]) == 2
+    assert "must be a finite number" in capsys.readouterr().err
+
+
 def test_neck_rejects_measure_only_family(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BUBBLE_CFG.format(out=tmp_path / "x"))
     assert main(["neck", "--config", cfg]) == 2

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from bubbletree import (
@@ -16,7 +16,7 @@ from bubbletree import (
     is_regular_node,
     is_stable,
 )
-from bubbletree.curve import PointImage, RegularityVerdict
+from bubbletree.curve import ForgetResult, PointImage, RegularityVerdict
 from bubbletree.errors import CurveError
 
 
@@ -42,6 +42,104 @@ def forget_many(c, labels):
         node_imgs = composed
         cur = res.curve
     return cur, node_imgs
+
+
+def _stabilize_once(genus, edges, legs, images):
+    """Contract the first genus-0 vertex with at most two special points, in
+    place, rewriting every PointImage list in ``images`` to the new indices;
+    False when there is none."""
+    valence = [0] * len(genus)
+    for u, _ in legs:
+        valence[u] += 1
+    for i, j in edges:
+        valence[i] += 1
+        valence[j] += 1
+    victims = [u for u in range(len(genus)) if genus[u] == 0 and valence[u] <= 2]
+    if not victims:
+        return False
+    v = victims[0]
+    v_edges = [k for k, (i, j) in enumerate(edges) if v in (i, j)]
+    v_legs = [k for k, (u, _) in enumerate(legs) if u == v]
+
+    def shift_vertex(u):
+        return u if u < v else u - 1
+
+    def drop_vertex():
+        del genus[v]
+        edges[:] = [(shift_vertex(i), shift_vertex(j)) for i, j in edges]
+        legs[:] = [(shift_vertex(u), lab) for u, lab in legs]
+
+    if len(v_edges) == 2 and not v_legs:
+        ends = [j if i == v else i for i, j in (edges[k] for k in v_edges)]
+        for k in reversed(v_edges):
+            del edges[k]
+        drop_vertex()
+        edges.append(tuple(sorted(shift_vertex(u) for u in ends)))
+        attach = PointImage("node", len(edges) - 1)
+
+        def shift_edge(k):
+            return k - sum(1 for r in v_edges if r < k)
+
+    elif len(v_edges) == 1 and len(v_legs) <= 1:
+        (e,) = v_edges
+        i, j = edges[e]
+        if i == j:
+            raise CurveError("stratum empty: cannot contract a self-loop component")
+        target = j if i == v else i
+        if v_legs:
+            legs[v_legs[0]] = (target, legs[v_legs[0]][1])
+            attach = PointImage("mark", v_legs[0])
+        else:
+            attach = PointImage("regular", shift_vertex(target))
+        del edges[e]
+        drop_vertex()
+
+        def shift_edge(k):
+            return k - (k > e)
+
+    else:
+        raise CurveError(f"stratum empty: unstable vertex {v} cannot be contracted")
+
+    def rule(img):
+        if img.kind == "node":
+            return attach if img.index in v_edges else PointImage("node", shift_edge(img.index))
+        if img.kind == "regular":
+            return attach if img.index == v else PointImage("regular", shift_vertex(img.index))
+        return img
+
+    for lst in images:
+        lst[:] = [rule(img) for img in lst]
+    return True
+
+
+def reference_forget_mark(c, label):
+    """Forget by the general stabilization loop: contract unstable genus-0
+    vertices one at a time until none is left.  ``forget_mark`` is the closed
+    form of this loop on stable curves."""
+    if 2 * c.arithmetic_genus - 2 + (c.n_marks - 1) <= 0:
+        raise CurveError(
+            f"stratum empty: forgetting mark {label} leaves 2g-2+n = "
+            f"{2 * c.arithmetic_genus - 2 + c.n_marks - 1} <= 0"
+        )
+    genus, edges, legs = list(c.genus), list(c.edges), list(c.legs)
+    drop = next(k for k, (_, lab) in enumerate(legs) if lab == label)
+    host = legs.pop(drop)[0]
+    images = [
+        [PointImage("node", k) for k in range(len(edges))],
+        [
+            PointImage("regular", host) if k == drop else PointImage("mark", k - (k > drop))
+            for k in range(c.n_marks)
+        ],
+        [PointImage("regular", u) for u in range(len(genus))],
+    ]
+    contractions = 0
+    while _stabilize_once(genus, edges, legs, images):
+        contractions += 1
+    result = MarkedNodalCurve(tuple(genus), tuple(edges), tuple(legs))
+    if not is_stable(result).stable:
+        raise CurveError("stratum empty: stabilization did not reach a stable curve")
+    node_images, mark_images, vertex_images = (tuple(lst) for lst in images)
+    return contractions, ForgetResult(result, label, node_images, mark_images, vertex_images)
 
 
 def reference_is_regular_node(c, edge_index):
@@ -158,6 +256,60 @@ def test_forget_mark_empty_stratum():
     c = MarkedNodalCurve((0,), (), ((0, 1), (0, 2), (0, 3)))
     with pytest.raises(CurveError, match="stratum empty"):
         forget_mark(c, 3)
+
+
+def test_forget_mark_refuses_unknown_label():
+    c = MarkedNodalCurve((0,), (), ((0, 1), (0, 2), (0, 3), (0, 4)))
+    with pytest.raises(CurveError, match="no mark with label 99"):
+        forget_mark(c, 99)
+
+
+def test_forget_mark_needs_stable_curve():
+    # vertex 0 carries one mark and one node: the stabilization loop would
+    # contract it, but a forgetful map is only defined on stable curves
+    c = two_component(marks_left=(1,), marks_right=(2, 3, 4))
+    with pytest.raises(CurveError, match="needs a stable curve"):
+        forget_mark(c, 2)
+
+
+@given(c=nodal_curves())
+@settings(max_examples=500, deadline=None)
+def test_forget_mark_matches_stabilization_loop(c):
+    for label in c.mark_labels:
+        try:
+            contractions, want = reference_forget_mark(c, label)
+        except CurveError as exc:
+            with pytest.raises(CurveError) as got:
+                forget_mark(c, label)
+            assert str(got.value) == str(exc)
+            continue
+        assert contractions <= 1
+        assert forget_mark(c, label) == want
+
+
+def _has_parallel_edge(c):
+    links = [e for e in c.edges if e[0] != e[1]]
+    return len(set(links)) < len(links)
+
+
+def _has_long_cycle(c):
+    # more distinct non-loop edges than a spanning tree: a cycle through
+    # at least three vertices
+    return len({e for e in c.edges if e[0] != e[1]}) > c.n_vertices - 1
+
+
+@pytest.mark.parametrize(
+    "feature",
+    [
+        lambda c: any(c.genus),
+        lambda c: any(i == j for i, j in c.edges),
+        _has_parallel_edge,
+        _has_long_cycle,
+    ],
+    ids=["positive_genus", "self_loop", "parallel_edge", "long_cycle"],
+)
+def test_nodal_curves_draw_every_feature(feature):
+    assert feature(find(nodal_curves(), feature))
 
 
 def test_regular_node_two_component():
