@@ -8,7 +8,12 @@ Subcommands
     selftest  desk-scale oracle battery (closed-form values)
 
 Exit codes: 0 success, 2 configuration/validation error, 3 algorithmic
-invariant violation.  Identical configs produce byte-identical reports:
+invariant violation.  Exit 2 is mostly a config refused at load, before any
+family is built: YAML that does not parse, an unknown key, a ladder or neck
+value that is not a finite number (a bool or a string is not one), a family
+section that ``FamilySpec`` refuses, and, when a family section is present, a
+ladder that ``ScaleLadder`` refuses (depth < 6, or delta0 or eps_bar not
+positive).  Identical configs produce byte-identical reports:
 keys are sorted, floats use shortest round-trip repr, and every report
 embeds the hash of the validated config.
 
@@ -29,7 +34,7 @@ Config grammar (YAML, unknown keys rejected at every level):
     ladder:                      # optional
       delta0: 1.0
       eps_bar: 0.2
-      depth: 6
+      depth: 6                   # >= 6
     neck:                        # optional; enables the zero-neck test
       deltas: [0.1, 0.05, 0.02, 0.01, 0.005, 0.002]
       eps: 0.01
@@ -62,7 +67,7 @@ from typing import TYPE_CHECKING
 import yaml
 
 from .curve import curve_from_text, curve_to_text, is_regular_node, is_stable
-from .errors import BubbleTreeError, ConfigError, FamilyError
+from .errors import BubbleTreeError, ConfigError, FamilyError, LadderError
 
 if TYPE_CHECKING:
     from .driver import BubbleTree, ExtractionConfig
@@ -77,6 +82,16 @@ _TOP_KEYS = ("family", "ladder", "neck", "curve", "out", "seed")
 _LADDER_KEYS = {"delta0": 1.0, "eps_bar": 0.2, "depth": 6}
 _NECK_KEYS = {"deltas": (), "eps": 0.01}
 _CURVE_KEYS = {"graph": None, "edge": None}
+
+
+def _number(value, what: str):
+    """``value`` when it is a finite int or float; a bool, a string or a
+    non-finite value is a config error."""
+    if isinstance(value, bool) or not (
+        isinstance(value, (int, float)) and math.isfinite(value)
+    ):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return value
 
 
 def _section(raw: dict, name: str, defaults: dict) -> dict:
@@ -115,28 +130,30 @@ class RunConfig:
 
         self.ladder = _section(raw, "ladder", _LADDER_KEYS)
         for key, value in self.ladder.items():
-            if isinstance(value, bool) or not (
-                isinstance(value, (int, float)) and math.isfinite(value)
-            ):
-                raise ConfigError(f"ladder {key} must be a finite number, got {value!r}")
-        if not (self.ladder["delta0"] > 0 and self.ladder["eps_bar"] > 0):
-            raise ConfigError("ladder delta0 and eps_bar must be positive")
-        if int(self.ladder["depth"]) != self.ladder["depth"] or self.ladder["depth"] < 2:
-            raise ConfigError("ladder depth must be an integer >= 2")
+            _number(value, f"ladder {key}")
+        if int(self.ladder["depth"]) != self.ladder["depth"]:
+            raise ConfigError("ladder depth must be an integer")
         self.ladder["depth"] = int(self.ladder["depth"])
+        if self.family_spec is not None:
+            # the ladder owns its admissibility; families has loaded measure
+            from .measure import ScaleLadder
+
+            try:
+                ScaleLadder(**self.ladder)
+            except LadderError as exc:
+                raise ConfigError(f"ladder invalid: {exc}") from exc
 
         self.neck = _section(raw, "neck", _NECK_KEYS)
         deltas = self.neck["deltas"]
         if deltas is None:
             deltas = ()
-        try:
-            deltas = tuple(float(d) for d in deltas)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"neck deltas must be numbers: {exc}") from exc
+        if not isinstance(deltas, (list, tuple)):
+            raise ConfigError(f"neck deltas must be a list, got {deltas!r}")
+        deltas = tuple(float(_number(d, "neck deltas entry")) for d in deltas)
         if any(d <= 0 for d in deltas):
             raise ConfigError("neck deltas must be positive")
         self.neck["deltas"] = deltas
-        if not (isinstance(self.neck["eps"], (int, float)) and self.neck["eps"] > 0):
+        if not _number(self.neck["eps"], "neck eps") > 0:
             raise ConfigError("neck eps must be positive")
 
         self.curve = _section(raw, "curve", _CURVE_KEYS)

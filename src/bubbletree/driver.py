@@ -25,7 +25,7 @@ identity residual is a genuine cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .curve import BubbleInsertion, MarkedNodalCurve, add_bubble_component, is_regular_node
@@ -33,7 +33,7 @@ from .errors import ConcentrationError, DriverError
 from .families import Family, energy_quadrature
 from .measure import (
     ConcentrationSite,
-    build_scale_ladder,
+    ScaleLadder,
     detect_concentrations,
     mass_in,
     restrict,
@@ -49,8 +49,6 @@ from .neck import (
 from .renorm import mark_nodal_bubble, mark_smooth_bubble
 
 __all__ = [
-    "ResidualEnergyLedger",
-    "residual_energy",
     "ExtractionConfig",
     "TreeComponent",
     "NeckRecord",
@@ -68,45 +66,13 @@ _ALPHA_TOL = 1e-3  # nodal regularity: |alpha| <= _ALPHA_TOL * (1 + energy)
 
 
 @dataclass(frozen=True)
-class ResidualEnergyLedger:
-    """Accounting state of the induction.
-
-    smooth_count / regular_nodal_count refer to detected sites that have not
-    been extracted yet; extracting a site moves its mass into base_energy
-    and decrements the matching count.
-    """
-
-    limit_energy: float
-    base_energy: float
-    smooth_count: int
-    regular_nodal_count: int
-    eps_bar: float
-
-    def __post_init__(self) -> None:
-        vals = (self.limit_energy, self.base_energy, self.eps_bar)
-        if not all(math.isfinite(v) for v in vals):
-            raise DriverError("ledger fields must be finite")
-        if self.limit_energy < 0 or self.base_energy < 0:
-            raise DriverError("energies must be nonnegative")
-        if self.smooth_count < 0 or self.regular_nodal_count < 0:
-            raise DriverError("site counts must be nonnegative")
-        if self.eps_bar <= 0:
-            raise DriverError("eps_bar must be positive")
-
-
-def residual_energy(ledger: ResidualEnergyLedger) -> float:
-    return (
-        ledger.limit_energy
-        - ledger.base_energy
-        - ledger.smooth_count * ledger.eps_bar
-        - ledger.regular_nodal_count * ledger.eps_bar / 2.0
-    )
-
-
-@dataclass(frozen=True)
 class ExtractionConfig:
     """Knobs of one extraction run; defaults suit unit-chart families.
 
+    Construction builds the scale ladder of (delta0, eps_bar, depth) once,
+    so an inadmissible ladder (depth < 6, say) refuses the config with
+    ``ScaleLadder``'s ``LadderError``.  The smooth chart detects on that
+    ladder; the nodal chart builds its own at min(delta0, plumbing radius).
     Smooth sites are marked on the measure within delta0/2 of the site, and
     each extraction step must lower the residual energy by at least
     eps_bar/2 - step_tol.
@@ -117,12 +83,10 @@ class ExtractionConfig:
     depth: int = 6
     neck_deltas: tuple[float, ...] = ()
     neck_eps: float = 0.01
+    ladder: ScaleLadder = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.eps_bar <= 0 or self.delta0 <= 0:
-            raise DriverError("eps_bar and delta0 must be positive")
-        if self.depth < 2:
-            raise DriverError("ladder depth too small")
+        object.__setattr__(self, "ladder", ScaleLadder(self.delta0, self.eps_bar, self.depth))
         object.__setattr__(self, "neck_deltas", tuple(float(d) for d in self.neck_deltas))
 
     @property
@@ -208,12 +172,14 @@ _NODE_EDGE = 0
 def _ledger_residual(
     limit_energy: float, accounted: float, queue, eps_bar: float
 ) -> float:
-    """Residual energy with every site still in ``queue`` counted by kind."""
+    """Residual energy with every site still in ``queue`` counted by kind:
+    a smooth site holds back eps_bar, a regular nodal site eps_bar/2."""
     kinds = [kind for kind, _ in queue]
-    return residual_energy(
-        ResidualEnergyLedger(
-            limit_energy, accounted, kinds.count("smooth"), kinds.count("nodal"), eps_bar
-        )
+    return (
+        limit_energy
+        - accounted
+        - kinds.count("smooth") * eps_bar
+        - kinds.count("nodal") * eps_bar / 2.0
     )
 
 
@@ -240,7 +206,7 @@ class _Chart:
 
 def _smooth_chart(family: Family, config: ExtractionConfig) -> _Chart:
     eps_bar = config.eps_bar
-    ladder = build_scale_ladder(config.delta0, eps_bar, config.depth)
+    ladder = config.ladder
     mus = [m.measure for m in family.members]
     mu_limit = family.limit_measure
     report = detect_concentrations(mus, mu_limit, ladder, chart_kind="smooth")
@@ -277,7 +243,7 @@ def _smooth_chart(family: Family, config: ExtractionConfig) -> _Chart:
 
     def mark(curve, kind, site):
         members = [restrict(mus[idx], site.location, radius) for _, idx in site.subsequence]
-        markings = mark_smooth_bubble(members, ladder, eps_bar, _CENTER_TOL)
+        markings = mark_smooth_bubble(members, ladder, _CENTER_TOL)
         ins = add_bubble_component(curve, site=0, case=1)
         mk = markings[-1]
         attach = site.location + mk.q
@@ -307,29 +273,31 @@ def _nodal_chart(family: Family, config: ExtractionConfig) -> _Chart:
     if any(f.delta is None for f in fields):
         raise DriverError("nodal chart needs plumbing metadata on every member field")
     delta_chart = min(config.delta0, *(float(f.delta) for f in fields))
-    ladder = build_scale_ladder(delta_chart, eps_bar, config.depth)
+    ladder = ScaleLadder(delta_chart, eps_bar, config.depth)
     mus = [build_nodal_pushforward(f, delta_chart) for f in fields]
     mu_limit = family.limit_measure
     last_field = fields[-1]
     diag_last = diagnostics(last_field)
     limit_energy = diag_last.energy
 
+    curve = family.curve
+    verdict = is_regular_node(curve, _NODE_EDGE)
     singular: list[SingularSite] = []
     sites = ()
     try:
         report = detect_concentrations(mus, mu_limit, ladder, chart_kind="nodal")
         sites = report.sites
     except ConcentrationError as exc:
-        if "subsequence not extracted" not in str(exc):
+        # energy at a non-regular node that does not stabilize across scales
+        # is the neck carrying escaping energy; at a regular node it is a
+        # detection failure, refused as on a smooth chart
+        if "subsequence not extracted" not in str(exc) or verdict.status == "regular":
             raise
-        # energy at the node does not stabilize across scales: the neck
-        # carries escaping energy, which is the non-regular signature
         hot = mass_in(mus[-1], 0.0, float(ladder.delta[1])) - mass_in(
             mu_limit, 0.0, float(ladder.delta[1])
         )
         singular.append(SingularSite(0j, float(hot), str(exc)))
 
-    curve = family.curve
     zero_neck = None
     if config.neck_deltas:
         zero_neck = zero_neck_test(fields, config.neck_eps, list(config.neck_deltas))
@@ -340,7 +308,6 @@ def _nodal_chart(family: Family, config: ExtractionConfig) -> _Chart:
         if site.kind != "nodal":
             queue.append(("smooth", site))
             continue
-        verdict = is_regular_node(curve, _NODE_EDGE)
         alpha_ok = abs(diag_last.alpha) <= _ALPHA_TOL * (1.0 + limit_energy)
         if verdict.status == "regular" and alpha_ok:
             queue.append(("nodal", site))
@@ -389,7 +356,7 @@ def _nodal_chart(family: Family, config: ExtractionConfig) -> _Chart:
             raise DriverError("smooth sites on a nodal chart are not supported")
         members = [idx for _, idx in site.subsequence]
         markings = mark_nodal_bubble(
-            [mus[i] for i in members], [fields[i].pinch for i in members], ladder, eps_bar
+            [mus[i] for i in members], [fields[i].pinch for i in members], ladder
         )
         ins = add_bubble_component(curve, site=_NODE_EDGE, case=2)
         neck = NeckRecord(

@@ -17,6 +17,7 @@ per euclidean chart area.  This is pole-free whenever P and Q share no root.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable
@@ -235,6 +236,16 @@ def density_to_measure(rmap: RationalMap, radius: float) -> WeightedParticleMeas
     return WeightedParticleMeasure(res.points[keep], res.weights[keep], chart_radius=float(radius))
 
 
+def _finite(value, what: str) -> float:
+    """``value`` as a float when it is a finite real number; a bool or a
+    string is not one."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Real) and math.isfinite(value)
+    ):
+        raise FamilyError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Validated descriptor of one generated family."""
@@ -248,15 +259,18 @@ class FamilySpec:
     def __post_init__(self) -> None:
         if self.kind not in _BUILDERS:
             raise FamilyError(f"unknown family kind {self.kind!r}")
-        schedule = tuple(float(x) for x in self.schedule)
+        schedule = tuple(_finite(x, "schedule entry") for x in self.schedule)
         if not schedule:
             raise FamilyError("empty parameter schedule")
-        if not all(np.isfinite(x) and x > 0 for x in schedule):
+        if not all(x > 0 for x in schedule):
             raise FamilyError("schedule entries must be positive and finite")
+        if len(self.slopes) != 2:
+            raise FamilyError(f"slopes must be a pair of numbers, got {self.slopes!r}")
         object.__setattr__(self, "schedule", schedule)
-        object.__setattr__(self, "slopes", (float(self.slopes[0]), float(self.slopes[1])))
-        if self.delta <= 0:
+        object.__setattr__(self, "slopes", tuple(_finite(x, "slope") for x in self.slopes))
+        if _finite(self.delta, "delta") <= 0:
             raise FamilyError("delta must be positive")
+        _finite(self.separation, "separation")
         if self.kind == "bubble2" and not (0 < self.separation < _CHART_RADIUS):
             raise FamilyError("bubble2 separation must lie inside the chart disk")
         if self.kind == "torus_linear":

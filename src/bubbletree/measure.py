@@ -31,7 +31,6 @@ __all__ = [
     "mass_in",
     "pushforward",
     "restrict",
-    "build_scale_ladder",
     "detect_concentrations",
 ]
 
@@ -152,49 +151,39 @@ def restrict(
 
 @dataclass(frozen=True)
 class ScaleLadder:
-    """Dyadic scales delta_0 > delta_1 > ... and tolerances eps_k for detection.
+    """Dyadic scales delta_k = delta0 2^-k and tolerances eps_k = (eps_bar/4) 2^-k,
+    k = 0..depth, for detection.
 
-    Admissibility (checked at the working index k = max{k : 2k <= depth}):
-      (1) 2 eps_k + 2 eps_{2k} < eps_bar
-      (2) 3 delta_{2k-1} < delta_k
-    plus delta_k <= delta_{k-1}/2, eps_k <= eps_{k-1}/2, eps_0 = eps_bar/4.
+    Admissibility at the working index k = depth // 2 asks for
+      (1) 2 eps_k + 2 eps_{2k} < eps_bar, that is 2^-k + 2^-2k < 2, which
+          holds for every k >= 1, and
+      (2) 3 delta_{2k-1} < delta_k, that is 3 2^(1-k) < 1, which holds
+          exactly when k >= 3;
+    the halving rules and eps_0 = eps_bar/4 hold by construction.  So a
+    ladder with positive finite delta0 and eps_bar is admissible exactly
+    when depth >= 6, and construction refuses any other.
     """
 
-    delta: NDArray[np.float64]
-    eps: NDArray[np.float64]
+    delta0: float
     eps_bar: float
     depth: int
+    delta: NDArray[np.float64] = field(init=False, repr=False, compare=False)
+    eps: NDArray[np.float64] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        delta = np.ascontiguousarray(self.delta, dtype=np.float64)
-        eps = np.ascontiguousarray(self.eps, dtype=np.float64)
-        if self.eps_bar <= 0.0:
-            raise LadderError(f"eps_bar must be positive, got {self.eps_bar}")
-        if self.depth < 2:
-            raise LadderError(f"depth must be >= 2, got {self.depth}")
-        if delta.shape != (self.depth + 1,) or eps.shape != (self.depth + 1,):
-            raise LadderError("delta/eps must have length depth + 1")
-        if delta[0] <= 0.0:
-            raise LadderError("delta_0 must be positive")
-        if abs(eps[0] - self.eps_bar / 4.0) > 1e-15 * self.eps_bar:
-            raise LadderError(f"eps_0 must equal eps_bar/4, got {eps[0]}")
-        if np.any(delta[1:] > delta[:-1] / 2.0 * (1.0 + 1e-15)):
-            raise LadderError("delta_k <= delta_(k-1)/2 violated")
-        if np.any(eps[1:] > eps[:-1] / 2.0 * (1.0 + 1e-15)):
-            raise LadderError("eps_k <= eps_(k-1)/2 violated")
-        k = self.depth // 2
-        if k < 1:
-            raise LadderError("depth too small: no working index with 2k <= depth")
-        if 2.0 * eps[k] + 2.0 * eps[2 * k] >= self.eps_bar:
+        if not (0.0 < self.delta0 < np.inf and 0.0 < self.eps_bar < np.inf):
             raise LadderError(
-                f"condition (1) violated at working index {k}: "
-                f"2 eps_{k} + 2 eps_{2 * k} = {2 * eps[k] + 2 * eps[2 * k]:.6g} >= eps_bar"
+                f"delta0 and eps_bar must be positive and finite, "
+                f"got {self.delta0!r} and {self.eps_bar!r}"
             )
-        if 3.0 * delta[2 * k - 1] >= delta[k]:
+        if self.depth < 6:
             raise LadderError(
-                f"condition (2) violated at working index {k}: "
-                f"3 delta_{2 * k - 1} = {3 * delta[2 * k - 1]:.6g} >= delta_{k} = {delta[k]:.6g}"
+                f"depth must be >= 6 (3 delta_(2k-1) < delta_k at k = depth // 2), "
+                f"got {self.depth}"
             )
+        ks = np.arange(self.depth + 1, dtype=np.float64)
+        delta = self.delta0 * 0.5**ks
+        eps = (self.eps_bar / 4.0) * 0.5**ks
         delta.setflags(write=False)
         eps.setflags(write=False)
         object.__setattr__(self, "delta", delta)
@@ -207,16 +196,6 @@ class ScaleLadder:
     @property
     def finest_scale(self) -> float:
         return float(self.delta[-1])
-
-
-def build_scale_ladder(delta0: float, eps_bar: float, depth: int) -> ScaleLadder:
-    """Dyadic ladder delta_k = delta0 2^-k, eps_0 = eps_bar/4, eps_k = eps_0 2^-k."""
-    if depth < 2:
-        raise LadderError(f"depth must be >= 2, got {depth}")
-    ks = np.arange(depth + 1, dtype=np.float64)
-    delta = delta0 * 0.5**ks
-    eps = (eps_bar / 4.0) * 0.5**ks
-    return ScaleLadder(delta=delta, eps=eps, eps_bar=eps_bar, depth=depth)
 
 
 # ---------------------------------------------------------------------------

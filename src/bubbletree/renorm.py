@@ -574,10 +574,8 @@ class Marking:
             )
 
 
-def _check_members(n: int, ladder: ScaleLadder, eps_bar: float) -> None:
+def _check_members(n: int, ladder: ScaleLadder) -> None:
     """Refuse a marking of n members that the ladder cannot hold."""
-    if abs(eps_bar - ladder.eps_bar) > 1e-12 * ladder.eps_bar:
-        raise MarkingError("eps_bar disagrees with the ladder")
     if not n:
         raise MarkingError("no members to mark")
     if n > ladder.working_index:
@@ -589,7 +587,6 @@ def _check_members(n: int, ladder: ScaleLadder, eps_bar: float) -> None:
 def mark_smooth_bubble(
     mus: list[WeightedParticleMeasure],
     ladder: ScaleLadder,
-    eps_bar: float,
     tol_center: float = 1e-8,
 ) -> list[Marking]:
     """Mark a concentration at a smooth point along a certified subsequence.
@@ -598,7 +595,7 @@ def mark_smooth_bubble(
     is found in B(0, delta_{2k-1}), the neck scale t there, and the
     renormalized measure is the pushforward under R_{q_k,t}.
     """
-    _check_members(len(mus), ladder, eps_bar)
+    _check_members(len(mus), ladder)
     markings = []
     for i, mu in enumerate(mus):
         k = i + 1
@@ -613,7 +610,7 @@ def mark_smooth_bubble(
                     t=center.scale.t,
                     level=k,
                     renormalized=nu,
-                    eps_bar=eps_bar,
+                    eps_bar=ladder.eps_bar,
                     delta_bound=float(ladder.delta[k]),
                     mass_tol=center.scale.tol_effective,
                     center_tol=tol_center,
@@ -630,7 +627,6 @@ def mark_nodal_bubble(
     mus: list[WeightedParticleMeasure],
     pinches: list[complex],
     ladder: ScaleLadder,
-    eps_bar: float,
 ) -> list[Marking]:
     """Mark a concentration at a regular node along a certified subsequence.
 
@@ -641,7 +637,7 @@ def mark_nodal_bubble(
     x -> x/r_k.  The thinness ratios |pinch_k|/r_k must decrease toward 0;
     otherwise the inner disk is hiding mass and the marking is invalid.
     """
-    _check_members(len(mus), ladder, eps_bar)
+    _check_members(len(mus), ladder)
     if len(pinches) != len(mus):
         raise MarkingError(f"{len(mus)} measures but {len(pinches)} pinches")
     markings = []
@@ -649,7 +645,7 @@ def mark_nodal_bubble(
     for i, (mu, pinch) in enumerate(zip(mus, pinches)):
         k = i + 1
         try:
-            res = solve_neck_scale(mu, 0.0, eps_bar)
+            res = solve_neck_scale(mu, 0.0, ladder.eps_bar)
             r = res.s
             ratio = abs(pinch) / r
             nu = pushforward(mu, PlanarMoebius(1.0 / r, 0.0))
@@ -661,7 +657,7 @@ def mark_nodal_bubble(
                     t=res.t,
                     level=k,
                     renormalized=nu,
-                    eps_bar=eps_bar,
+                    eps_bar=ladder.eps_bar,
                     delta_bound=float(ladder.delta[k]),
                     mass_tol=res.tol_effective,
                     neck_ratio=ratio,

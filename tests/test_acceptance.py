@@ -22,10 +22,10 @@ from bubbletree import (
     MarkedNodalCurve,
     PolarAnnulusField,
     RationalMap,
+    ScaleLadder,
     SphereTarget,
     WeightedParticleMeasure,
     add_bubble_component,
-    build_scale_ladder,
     center_functional,
     curves_isomorphic,
     diagnostics,
@@ -110,7 +110,7 @@ def test_04_balanced_center_on_gaussian_clouds():
     """50 Gaussian concentrating clouds with random centers: the finder's
     zero has |F(q)| <= 1e-8 mass, lands within 3 sigma of the true center,
     and the inward boundary condition holds at every certified ring sample."""
-    lad = build_scale_ladder(1.0, 0.2, 6)
+    lad = ScaleLadder(1.0, 0.2, 6)
     k = 2
     big_radius = float(lad.delta[2 * k])
     n = 10_000

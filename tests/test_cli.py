@@ -27,6 +27,14 @@ family:
 out: {out}
 """
 
+PLUMBING_CFG = """
+family:
+  kind: plumbing
+  schedule: [1.0e-3, 1.0e-5, 1.0e-7, 1.0e-9]
+  delta: 0.5
+out: {out}
+"""
+
 CURVE_GRAPH = """\
 v0 g=0 legs=1,2
 v1 g=0 legs=3,4
@@ -170,6 +178,37 @@ def test_ladder_value_not_a_finite_number_exits_2(tmp_path, capsys, ladder):
     cfg = write_cfg(tmp_path, BUBBLE_CFG.format(out=tmp_path / "x") + f"ladder:\n  {ladder}\n")
     assert main(["extract", "--config", cfg]) == 2
     assert "must be a finite number" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def no_family(monkeypatch):
+    """Fail any test that builds a family: a config error must come first."""
+
+    def refuse(spec):
+        raise AssertionError("a family was built for a refused config")
+
+    monkeypatch.setattr(families, "make_family", refuse)
+
+
+@pytest.mark.parametrize(
+    "neck",
+    ["eps: true", "eps: .inf", 'deltas: ["0.1", 0.05]', "deltas: [0.1, true]", "deltas: [.inf]"],
+    ids=["bool_eps", "non_finite_eps", "string_delta", "bool_delta", "non_finite_delta"],
+)
+def test_neck_value_not_a_finite_number_exits_2(tmp_path, capsys, no_family, neck):
+    cfg = write_cfg(tmp_path, PLUMBING_CFG.format(out=tmp_path / "x") + f"neck:\n  {neck}\n")
+    assert main(["neck", "--config", cfg]) == 2
+    assert "must be a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["extract", "neck"])
+@pytest.mark.parametrize("depth", [2, 3, 4, 5])
+def test_ladder_depth_below_6_exits_2_before_any_family(tmp_path, capsys, no_family, command, depth):
+    cfg = write_cfg(
+        tmp_path, PLUMBING_CFG.format(out=tmp_path / "x") + f"ladder:\n  depth: {depth}\n"
+    )
+    assert main([command, "--config", cfg]) == 2
+    assert "depth must be >= 6" in capsys.readouterr().err
 
 
 def test_neck_rejects_measure_only_family(tmp_path, capsys):

@@ -13,45 +13,25 @@ from bubbletree import (
     ExtractionConfig,
     FamilyMember,
     MarkedNodalCurve,
-    ResidualEnergyLedger,
     TreeComponent,
     WeightedParticleMeasure,
     driver,
     extract_bubble_tree,
-    residual_energy,
 )
-from bubbletree.errors import DriverError
+from bubbletree.errors import ConcentrationError, DriverError, LadderError
 
 FOUR_PI = 4.0 * math.pi
-
-
-def test_ledger_arithmetic_and_validation():
-    led = ResidualEnergyLedger(
-        limit_energy=FOUR_PI,
-        base_energy=1.0,
-        smooth_count=2,
-        regular_nodal_count=1,
-        eps_bar=0.2,
-    )
-    assert residual_energy(led) == pytest.approx(FOUR_PI - 1.0 - 0.4 - 0.1)
-    with pytest.raises(DriverError, match="finite"):
-        ResidualEnergyLedger(math.inf, 0.0, 0, 0, 0.2)
-    with pytest.raises(DriverError, match="nonnegative"):
-        ResidualEnergyLedger(1.0, -0.5, 0, 0, 0.2)
-    with pytest.raises(DriverError, match="counts"):
-        ResidualEnergyLedger(1.0, 0.0, -1, 0, 0.2)
-    with pytest.raises(DriverError, match="eps_bar"):
-        ResidualEnergyLedger(1.0, 0.0, 0, 0, 0.0)
 
 
 def test_config_defaults_and_validation():
     cfg = ExtractionConfig()
     assert cfg.step_tol == pytest.approx(0.01)  # eps_bar / 20
     assert ExtractionConfig(eps_bar=0.4).step_tol == pytest.approx(0.02)
-    with pytest.raises(DriverError, match="positive"):
+    assert (cfg.ladder.delta0, cfg.ladder.eps_bar, cfg.ladder.depth) == (1.0, 0.2, 6)
+    with pytest.raises(LadderError, match="positive"):
         ExtractionConfig(eps_bar=0.0)
-    with pytest.raises(DriverError, match="depth"):
-        ExtractionConfig(depth=1)
+    with pytest.raises(LadderError, match="depth must be >= 6"):
+        ExtractionConfig(depth=5)
 
 
 def synthetic_tree(re_trace, components=None):
@@ -152,6 +132,14 @@ def test_plumbing_bubble_tree_subdivides_node(plumbing_bubble_tree):
     assert len(ratios) >= 2
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
     assert any("deferred" in note for note in tree.notes)
+
+
+def test_unstable_site_at_a_regular_node_is_refused(plumbing_bubble_family):
+    # at depth 10 the node's excess does not stabilize across scales; edge 0
+    # of the curve is a regular bridge, so this is a detection failure, not
+    # a non-regular node to freeze into the singular set
+    with pytest.raises(ConcentrationError, match="subsequence not extracted"):
+        extract_bubble_tree(plumbing_bubble_family, ExtractionConfig(delta0=0.5, depth=10))
 
 
 def test_torus_tree_routes_to_singular_set(torus21_tree):

@@ -268,6 +268,39 @@ def test_spec_validation():
         FamilySpec.from_dict({"schedule": [1.0]})
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ({"schedule": [True, 2.0]}, "schedule entry must be a finite number"),
+        ({"schedule": ["316", "3162"]}, "schedule entry must be a finite number"),
+        ({"slopes": [2, 1, 5]}, "slopes must be a pair"),
+        ({"slopes": [2.0, math.nan]}, "slope must be a finite number"),
+        ({"delta": True}, "delta must be a finite number"),
+        ({"delta": math.inf}, "delta must be a finite number"),
+        ({"separation": "0.5"}, "separation must be a finite number"),
+    ],
+    ids=[
+        "bool_schedule",
+        "string_schedule",
+        "three_slopes",
+        "non_finite_slope",
+        "bool_delta",
+        "non_finite_delta",
+        "string_separation",
+    ],
+)
+def test_spec_refuses_values_that_are_not_finite_numbers(options, message):
+    with pytest.raises(FamilyError, match=message):
+        FamilySpec.from_dict({"kind": "torus_linear", "schedule": [1e-2], **options})
+
+
+def test_spec_keeps_integers_valid():
+    spec = FamilySpec.from_dict(
+        {"kind": "torus_linear", "schedule": [1], "delta": 1, "slopes": [2, 1]}
+    )
+    assert (spec.schedule, spec.delta, spec.slopes) == ((1.0,), 1, (2.0, 1.0))
+
+
 def test_plumbing_schedule_constraints():
     with pytest.raises(FamilyError, match="below delta"):
         make_family(FamilySpec(kind="plumbing", schedule=(0.5,), delta=0.5))

@@ -9,10 +9,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bubbletree import (
+    ScaleLadder,
     WeightedParticleMeasure,
-    build_scale_ladder,
     detect_concentrations,
     mass_in,
     restrict,
@@ -62,16 +64,76 @@ def test_negative_weights_rejected():
 
 
 def test_ladder_shape():
-    lad = build_scale_ladder(1.0, 0.2, 6)
+    lad = ScaleLadder(1.0, 0.2, 6)
     assert np.allclose(lad.delta, [1.0 / 2**m for m in range(7)])
     assert lad.finest_scale == 1.0 / 64.0
     assert lad.working_index == 3
     with pytest.raises(LadderError):
-        build_scale_ladder(1.0, 0.2, 1)
+        ScaleLadder(1.0, 0.2, 1)
+
+
+def reference_ladder(delta0, eps_bar, depth):
+    """The dyadic ladder's arrays and the array checks ``ScaleLadder`` ran
+    before its admissibility had a closed form: build, then test the shape,
+    the halving rules, eps_0 = eps_bar/4 and conditions (1) and (2) at the
+    working index.  Returns (delta, eps) or raises ``LadderError``."""
+    if depth < 2:
+        raise LadderError(f"depth must be >= 2, got {depth}")
+    ks = np.arange(depth + 1, dtype=np.float64)
+    delta = delta0 * 0.5**ks
+    eps = (eps_bar / 4.0) * 0.5**ks
+    if eps_bar <= 0.0:
+        raise LadderError(f"eps_bar must be positive, got {eps_bar}")
+    if delta.shape != (depth + 1,) or eps.shape != (depth + 1,):
+        raise LadderError("delta/eps must have length depth + 1")
+    if delta[0] <= 0.0:
+        raise LadderError("delta_0 must be positive")
+    if abs(eps[0] - eps_bar / 4.0) > 1e-15 * eps_bar:
+        raise LadderError(f"eps_0 must equal eps_bar/4, got {eps[0]}")
+    if np.any(delta[1:] > delta[:-1] / 2.0 * (1.0 + 1e-15)):
+        raise LadderError("delta_k <= delta_(k-1)/2 violated")
+    if np.any(eps[1:] > eps[:-1] / 2.0 * (1.0 + 1e-15)):
+        raise LadderError("eps_k <= eps_(k-1)/2 violated")
+    k = depth // 2
+    if 2.0 * eps[k] + 2.0 * eps[2 * k] >= eps_bar:
+        raise LadderError(f"condition (1) violated at working index {k}")
+    if 3.0 * delta[2 * k - 1] >= delta[k]:
+        raise LadderError(f"condition (2) violated at working index {k}")
+    return delta, eps
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    depth=st.integers(2, 200),
+    log_delta0=st.floats(-6.0, 6.0),
+    log_eps_bar=st.floats(-6.0, 6.0),
+)
+@example(depth=5, log_delta0=0.0, log_eps_bar=0.0)
+@example(depth=6, log_delta0=-6.0, log_eps_bar=6.0)
+def test_ladder_closed_form_matches_reference_checks(depth, log_delta0, log_eps_bar):
+    delta0, eps_bar = 10.0**log_delta0, 10.0**log_eps_bar
+    try:
+        want = reference_ladder(delta0, eps_bar, depth)
+    except LadderError:
+        want = None
+    assert (want is None) == (depth < 6)
+    if want is None:
+        with pytest.raises(LadderError, match="depth must be >= 6"):
+            ScaleLadder(delta0, eps_bar, depth)
+        return
+    lad = ScaleLadder(delta0, eps_bar, depth)
+    assert lad.delta.tobytes() == want[0].tobytes()
+    assert lad.eps.tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("delta0, eps_bar", [(0.0, 0.2), (1.0, -0.2), (np.inf, 0.2), (1.0, np.nan)])
+def test_ladder_refuses_non_positive_or_non_finite_values(delta0, eps_bar):
+    with pytest.raises(LadderError, match="positive and finite"):
+        ScaleLadder(delta0, eps_bar, 6)
 
 
 def test_detects_single_bubble_with_stated_mass():
-    lad = build_scale_ladder(1.0, 0.2, 6)
+    lad = ScaleLadder(1.0, 0.2, 6)
     mus = [bubble_atoms(1.0 / k) for k in (316.0, 3162.0, 10000.0)]
     empty = WeightedParticleMeasure.empty(1.0)
     rep = detect_concentrations(mus, empty, lad, chart_kind="smooth")
@@ -87,7 +149,7 @@ def test_detects_single_bubble_with_stated_mass():
 def test_detection_subtracts_limit_measure():
     # a fixed background blob plus one concentrating bubble: the background
     # is part of the limit and must not register as a site
-    lad = build_scale_ladder(1.0, 0.2, 6)
+    lad = ScaleLadder(1.0, 0.2, 6)
     bg = bubble_atoms(0.3, center=0.5, mass=2.0, seed=11)
     mus = []
     for k in (316.0, 3162.0, 10000.0):
@@ -105,7 +167,7 @@ def test_detection_subtracts_limit_measure():
 
 
 def test_two_sites_sorted_by_mass():
-    lad = build_scale_ladder(1.0, 0.2, 6)
+    lad = ScaleLadder(1.0, 0.2, 6)
     mus = []
     for k in (316.0, 3162.0, 10000.0):
         a = bubble_atoms(1.0 / k, center=-0.5, mass=FOUR_PI, seed=3)
@@ -124,7 +186,7 @@ def test_two_sites_sorted_by_mass():
 
 
 def test_no_concentration_yields_no_sites():
-    lad = build_scale_ladder(1.0, 0.2, 6)
+    lad = ScaleLadder(1.0, 0.2, 6)
     mus = [bubble_atoms(0.5, mass=1.0, seed=s) for s in (1, 2, 3)]
     rep = detect_concentrations(
         mus, WeightedParticleMeasure.empty(1.0), lad, chart_kind="smooth"
@@ -135,7 +197,7 @@ def test_no_concentration_yields_no_sites():
 def test_unstabilized_profile_raises():
     # a bubble whose scale never drops below the tested scales: ball masses
     # at the ladder scales disagree, so no excess value has stabilized
-    lad = build_scale_ladder(1.0, 0.2, 6)
+    lad = ScaleLadder(1.0, 0.2, 6)
     mus = [bubble_atoms(0.05, seed=s) for s in (1, 2, 3)]
     with pytest.raises(ConcentrationError, match="inconsistent across scales"):
         detect_concentrations(
@@ -144,7 +206,7 @@ def test_unstabilized_profile_raises():
 
 
 def test_needs_at_least_two_members():
-    lad = build_scale_ladder(1.0, 0.2, 6)
+    lad = ScaleLadder(1.0, 0.2, 6)
     with pytest.raises(ConcentrationError):
         detect_concentrations(
             [bubble_atoms(0.01)], WeightedParticleMeasure.empty(1.0), lad, chart_kind="smooth"

@@ -9,9 +9,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bubbletree import (
+    ScaleLadder,
     WeightedParticleMeasure,
     build_nodal_pushforward,
-    build_scale_ladder,
     center_functional,
     extract_bubble_tree,
     find_balanced_center,
@@ -242,7 +242,7 @@ def gaussian_cloud(center, sigma, n, mass, chart, seed):
 def test_balanced_center_on_gaussian_clouds():
     # acceptance-grade property on a handful here; the full 50-instance run
     # lives in the acceptance suite
-    lad = build_scale_ladder(1.0, 0.2, 6)
+    lad = ScaleLadder(1.0, 0.2, 6)
     k = 2
     for seed in range(5):
         rng = np.random.default_rng(100 + seed)
@@ -259,7 +259,7 @@ def test_balanced_center_on_gaussian_clouds():
 def test_balanced_center_quadrant_fallback_when_newton_seeds_fail():
     # the first two Jacobian solves (the centroid and origin seeds) fail, so
     # the zero must come from the quadrant subdivision by boundary winding
-    lad = build_scale_ladder(1.0, 0.2, 6)
+    lad = ScaleLadder(1.0, 0.2, 6)
     k, sigma = 2, 0.002
     c = 0.3 * lad.delta[2 * k] * (0.6 + 0.8j)
     mu = gaussian_cloud(c, sigma, 2000, FOUR_PI, 1.0, seed=7)
@@ -284,7 +284,7 @@ def test_balanced_center_quadrant_fallback_when_newton_seeds_fail():
 def test_balanced_center_fallback_keeps_uncertified_cells_as_seeds():
     # as above, but no quadrant cell certifies: the four first-level cells
     # are not refined, yet each seeds Newton, and the zero is still found
-    lad = build_scale_ladder(1.0, 0.2, 6)
+    lad = ScaleLadder(1.0, 0.2, 6)
     k, sigma = 2, 0.002
     c = 0.3 * lad.delta[2 * k] * (0.6 + 0.8j)
     mu = gaussian_cloud(c, sigma, 2000, FOUR_PI, 1.0, seed=7)
@@ -314,19 +314,19 @@ def test_balanced_center_fallback_keeps_uncertified_cells_as_seeds():
 
 
 def test_balanced_center_needs_concentration():
-    lad = build_scale_ladder(1.0, 0.2, 6)
+    lad = ScaleLadder(1.0, 0.2, 6)
     mu = radial_quantile_atoms(lambda q: 0.9 * np.sqrt(q), 5000, mass=6.0, chart=1.0)
     with pytest.raises(CenterError, match="not concentrated"):
         find_balanced_center(mu, lad, 3, tol=1e-8)
 
 
 def test_mark_smooth_bubble_levels_and_bounds():
-    lad = build_scale_ladder(1.0, 0.2, 6)
+    lad = ScaleLadder(1.0, 0.2, 6)
     mus = []
     for k in (316.0, 3162.0, 10000.0):
         inv = lambda q, k=k: np.sqrt(q / (1.0 - q)) / k
         mus.append(radial_quantile_atoms(inv, 60_000, mass=FOUR_PI, chart=1.0, seed=int(k)))
-    marks = mark_smooth_bubble(mus, lad, 0.2, tol_center=1e-6)
+    marks = mark_smooth_bubble(mus, lad, tol_center=1e-6)
     assert [m.level for m in marks] == [1, 2, 3]
     for m, k in zip(marks, (316.0, 3162.0, 10000.0)):
         assert m.case == 1
@@ -337,18 +337,18 @@ def test_mark_smooth_bubble_levels_and_bounds():
 
 
 def test_mark_smooth_bubble_scale_must_shrink():
-    lad = build_scale_ladder(1.0, 0.2, 6)
+    lad = ScaleLadder(1.0, 0.2, 6)
     inv = lambda q: 0.3 * np.sqrt(q / (1.0 - q))
     mus = [
         radial_quantile_atoms(inv, 20_000, mass=FOUR_PI, chart=1.0, seed=s)
         for s in (1, 2)
     ]
     with pytest.raises(MarkingError):
-        mark_smooth_bubble(mus, lad, 0.2, tol_center=1e-6)
+        mark_smooth_bubble(mus, lad, tol_center=1e-6)
 
 
 def test_mark_nodal_bubble_refusals(plumbing_bubble_family, plumbing_bubble_tree):
-    lad = build_scale_ladder(0.5, 0.2, 6)
+    lad = ScaleLadder(0.5, 0.2, 6)
     fields = [m.field for m in plumbing_bubble_family.members]
     mus = [build_nodal_pushforward(f, 0.5) for f in fields]
     pinches = [f.pinch for f in fields]
@@ -356,17 +356,17 @@ def test_mark_nodal_bubble_refusals(plumbing_bubble_family, plumbing_bubble_tree
     nodal = [n for n in plumbing_bubble_tree.necks if n.kind == "nodal"][0]
     members = list(nodal.members)
     marks = mark_nodal_bubble(
-        [mus[i] for i in members], [pinches[i] for i in members], lad, 0.2
+        [mus[i] for i in members], [pinches[i] for i in members], lad
     )
     assert tuple(m.neck_ratio for m in marks) == nodal.thinness_ratios
     # thinness ratios that grow (members out of order) or repeat are refused
     for order in ([2, 1], [1, 1]):
         with pytest.raises(MarkingError, match="nodal bubble hypothesis violated"):
-            mark_nodal_bubble([mus[i] for i in order], [pinches[i] for i in order], lad, 0.2)
+            mark_nodal_bubble([mus[i] for i in order], [pinches[i] for i in order], lad)
     with pytest.raises(MarkingError, match="pinches"):
-        mark_nodal_bubble(mus[1:3], pinches[1:2], lad, 0.2)
+        mark_nodal_bubble(mus[1:3], pinches[1:2], lad)
     with pytest.raises(MarkingError, match="no members"):
-        mark_nodal_bubble([], [], lad, 0.2)
+        mark_nodal_bubble([], [], lad)
 
 
 def fixed_ring(value, radius, samples=720):
@@ -432,7 +432,7 @@ def test_certified_winding_refuses_at_the_cap(value, jump):
 
 def acceptance_clouds():
     """The 50 Gaussian clouds of test_04 in tests/test_acceptance.py."""
-    lad = build_scale_ladder(1.0, 0.2, 6)
+    lad = ScaleLadder(1.0, 0.2, 6)
     big_radius = float(lad.delta[4])
     n = 10_000
     for seed in range(50):
@@ -479,7 +479,7 @@ def test_certified_ring_on_a_measure_a_16_sample_ring_misreads():
     # a cloud at 0 and a far cluster outside B_k whose pull puts the zero of
     # F a hundredth of the radius inside the circle, half a 16-ring step
     # from the samples: the fast turn of F there is invisible at 16 samples
-    lad = build_scale_ladder(1.0, 0.2, 6)
+    lad = ScaleLadder(1.0, 0.2, 6)
     k = 2
     radius = float(lad.delta[2 * k - 1])
     rho, gap, phi = 0.45, 0.01, math.pi * (1.0 + 1.0 / 16.0)
