@@ -10,10 +10,15 @@ Subcommands
 Exit codes: 0 success, 2 configuration/validation error, 3 algorithmic
 invariant violation.  Exit 2 is mostly a config refused at load, before any
 family is built: YAML that does not parse, an unknown key, a ladder or neck
-value that is not a finite number (a bool or a string is not one), a family
-section that ``FamilySpec`` refuses, and, when a family section is present, a
-ladder that ``ScaleLadder`` refuses (depth < 6, or delta0 or eps_bar not
-positive).  Identical configs produce byte-identical reports:
+value that is not a finite number (a bool or a string is not one), neck deltas
+that do not decrease strictly or, on a neck family, exceed its delta, a family
+section that ``FamilySpec`` refuses (on a neck family every pinch t needs
+sqrt(t) < delta, and plumbing pinches decrease strictly), and, when a family
+section is present, a ladder that ``ScaleLadder`` refuses (depth < 6, delta0
+or eps_bar not positive, or a finest scale or tolerance that underflows to
+0.0).  ``curve`` also exits 2 on a graph file it cannot parse and on an edge
+query it cannot answer (no such node, or an unstable curve).  Identical
+configs produce byte-identical reports:
 keys are sorted, floats use shortest round-trip repr, and every report
 embeds the hash of the validated config.
 
@@ -67,7 +72,7 @@ from typing import TYPE_CHECKING
 import yaml
 
 from .curve import curve_from_text, curve_to_text, is_regular_node, is_stable
-from .errors import BubbleTreeError, ConfigError, FamilyError, LadderError
+from .errors import BubbleTreeError, ConfigError, CurveError, FamilyError, LadderError
 
 if TYPE_CHECKING:
     from .driver import BubbleTree, ExtractionConfig
@@ -152,6 +157,13 @@ class RunConfig:
         deltas = tuple(float(_number(d, "neck deltas entry")) for d in deltas)
         if any(d <= 0 for d in deltas):
             raise ConfigError("neck deltas must be positive")
+        if any(b >= a for a, b in zip(deltas, deltas[1:])):
+            raise ConfigError("neck deltas must be strictly decreasing")
+        spec = self.family_spec
+        if spec is not None and spec.samples_neck:
+            for d in deltas:
+                if d > spec.delta:
+                    raise ConfigError(f"neck delta {d} exceeds the sampled chart {spec.delta}")
         self.neck["deltas"] = deltas
         if not _number(self.neck["eps"], "neck eps") > 0:
             raise ConfigError("neck eps must be positive")
@@ -393,7 +405,12 @@ def _cmd_curve(cfg: RunConfig, args, stem: str) -> int:
         text = cfg.graph_path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read graph {cfg.graph_path}: {exc}") from exc
-    c = curve_from_text(text)
+    edge = cfg.curve["edge"]
+    try:
+        c = curve_from_text(text)
+        v = None if edge is None else is_regular_node(c, edge)
+    except CurveError as exc:
+        raise ConfigError(f"graph or edge query refused: {exc}") from exc
     stab = is_stable(c)
     lines = [
         f"vertices: {c.n_vertices}",
@@ -409,18 +426,15 @@ def _cmd_curve(cfg: RunConfig, args, stem: str) -> int:
         "stable": stab.stable,
         "edges": [list(e) for e in c.edges],
     }
-    if cfg.curve["edge"] is not None:
-        v = is_regular_node(c, cfg.curve["edge"])
+    if v is not None:
         if v.witness:
             marks = ",".join(str(x) for x in v.witness)
             word = "mark" if len(v.witness) == 1 else "marks"
-            lines.append(
-                f"edge {cfg.curve['edge']}: regular: true, witness: forget {word} {marks}"
-            )
+            lines.append(f"edge {edge}: regular: true, witness: forget {word} {marks}")
         else:
-            lines.append(f"edge {cfg.curve['edge']}: regular: false ({v.status})")
+            lines.append(f"edge {edge}: regular: false ({v.status})")
         answer["query"] = {
-            "edge": cfg.curve["edge"],
+            "edge": edge,
             "status": v.status,
             "witness": list(v.witness) if v.witness else None,
         }

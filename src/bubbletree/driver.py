@@ -174,7 +174,7 @@ def _ledger_residual(
 ) -> float:
     """Residual energy with every site still in ``queue`` counted by kind:
     a smooth site holds back eps_bar, a regular nodal site eps_bar/2."""
-    kinds = [kind for kind, _ in queue]
+    kinds = [site.kind for site in queue]
     return (
         limit_energy
         - accounted
@@ -183,10 +183,9 @@ def _ledger_residual(
     )
 
 
-# (curve, site kind, site) -> (insertion, attachment point, neck record)
+# (curve, site) -> (insertion, attachment point, neck record)
 _Marker = Callable[
-    [MarkedNodalCurve, str, ConcentrationSite],
-    tuple[BubbleInsertion, complex, NeckRecord],
+    [MarkedNodalCurve, ConcentrationSite], tuple[BubbleInsertion, complex, NeckRecord]
 ]
 
 
@@ -196,7 +195,7 @@ class _Chart:
 
     limit_energy: float
     base_energy: float
-    queue: tuple[tuple[str, ConcentrationSite], ...]
+    queue: tuple[ConcentrationSite, ...]
     singular: tuple[SingularSite, ...]
     necks: tuple[NeckRecord, ...]
     notes: tuple[str, ...]
@@ -209,7 +208,7 @@ def _smooth_chart(family: Family, config: ExtractionConfig) -> _Chart:
     ladder = config.ladder
     mus = [m.measure for m in family.members]
     mu_limit = family.limit_measure
-    report = detect_concentrations(mus, mu_limit, ladder, chart_kind="smooth")
+    sites = detect_concentrations(mus, mu_limit, ladder, chart_kind="smooth")
     last = family.members[-1]
 
     limit_energy = energy_quadrature(last.rational)
@@ -218,20 +217,18 @@ def _smooth_chart(family: Family, config: ExtractionConfig) -> _Chart:
     # from the site balls (not the particle masses the sites came from)
     caps = [
         energy_quadrature(last.rational, radius=delta_k, center=s.location)
-        for s in report.sites
+        for s in sites
     ]
     base_energy = limit_energy - sum(caps)
 
-    queue = [("smooth", s) for s in report.sites if s.mass >= 2.0 * eps_bar]
-    skipped = [
-        (s, c) for s, c in zip(report.sites, caps) if s.mass < 2.0 * eps_bar
-    ]
+    queue = tuple(s for s in sites if s.mass >= 2.0 * eps_bar)
+    skipped = [(s, c) for s, c in zip(sites, caps) if s.mass < 2.0 * eps_bar]
     re_now = _ledger_residual(limit_energy, base_energy, queue, eps_bar)
-    site_route = sum(s.mass - eps_bar for _, s in queue)
+    site_route = sum(s.mass - eps_bar for s in queue)
     # routes differ by the limit measure inside the extracted balls plus the
     # cap energy of any site left below the extraction threshold; anything
     # beyond tolerance is a real bug
-    bias = sum(mass_in(mu_limit, s.location, delta_k) for _, s in queue)
+    bias = sum(mass_in(mu_limit, s.location, delta_k) for s in queue)
     bias += sum(c for _, c in skipped)
     if abs(re_now - site_route - bias) > 1e-3 * (1.0 + limit_energy):
         raise DriverError(
@@ -241,7 +238,7 @@ def _smooth_chart(family: Family, config: ExtractionConfig) -> _Chart:
 
     radius = config.delta0 / 2.0
 
-    def mark(curve, kind, site):
+    def mark(curve, site):
         members = [restrict(mus[idx], site.location, radius) for _, idx in site.subsequence]
         markings = mark_smooth_bubble(members, ladder, _CENTER_TOL)
         ins = add_bubble_component(curve, site=0, case=1)
@@ -264,7 +261,7 @@ def _smooth_chart(family: Family, config: ExtractionConfig) -> _Chart:
     notes = tuple(
         f"site below 2*eps_bar left unextracted at {s.location:.4g}" for s, _ in skipped
     )
-    return _Chart(limit_energy, base_energy, tuple(queue), (), (), notes, mark)
+    return _Chart(limit_energy, base_energy, queue, (), (), notes, mark)
 
 
 def _nodal_chart(family: Family, config: ExtractionConfig) -> _Chart:
@@ -285,8 +282,7 @@ def _nodal_chart(family: Family, config: ExtractionConfig) -> _Chart:
     singular: list[SingularSite] = []
     sites = ()
     try:
-        report = detect_concentrations(mus, mu_limit, ladder, chart_kind="nodal")
-        sites = report.sites
+        sites = detect_concentrations(mus, mu_limit, ladder, chart_kind="nodal")
     except ConcentrationError as exc:
         # energy at a non-regular node that does not stabilize across scales
         # is the neck carrying escaping energy; at a regular node it is a
@@ -302,26 +298,22 @@ def _nodal_chart(family: Family, config: ExtractionConfig) -> _Chart:
     if config.neck_deltas:
         zero_neck = zero_neck_test(fields, config.neck_eps, list(config.neck_deltas))
 
-    delta_k = ladder.finest_scale
-    queue = []
-    for site in sites:
-        if site.kind != "nodal":
-            queue.append(("smooth", site))
-            continue
-        alpha_ok = abs(diag_last.alpha) <= _ALPHA_TOL * (1.0 + limit_energy)
-        if verdict.status == "regular" and alpha_ok:
-            queue.append(("nodal", site))
-        else:
-            why = []
-            if verdict.status != "regular":
-                why.append(f"dual-graph node classification: {verdict.status}")
-            if not alpha_ok:
-                why.append(f"|alpha| = {abs(diag_last.alpha):.3g} too large")
-            singular.append(SingularSite(site.location, site.mass, "; ".join(why)))
+    # nodal sites are extracted at a regular node with a balanced neck;
+    # otherwise they are frozen into the singular set, with what failed
+    why = []
+    if verdict.status != "regular":
+        why.append(f"dual-graph node classification: {verdict.status}")
+    if not abs(diag_last.alpha) <= _ALPHA_TOL * (1.0 + limit_energy):
+        why.append(f"|alpha| = {abs(diag_last.alpha):.3g} too large")
+    if why:
+        reason = "; ".join(why)
+        singular += [SingularSite(s.location, s.mass, reason) for s in sites if s.kind == "nodal"]
+    queue = tuple(s for s in sites if s.kind == "smooth" or not why)
 
+    delta_k = ladder.finest_scale
     # independent base route: collar energy outside the finest-scale inner
     # cylinder, from GL diagnostics rather than the pushforward particles
-    if any(kind == "nodal" for kind, _ in queue):
+    if any(s.kind == "nodal" for s in queue):
         base_energy = limit_energy - collar_diagnostics(last_field, delta_k).energy
     else:
         base_energy = limit_energy
@@ -330,8 +322,7 @@ def _nodal_chart(family: Family, config: ExtractionConfig) -> _Chart:
 
     re_now = _ledger_residual(limit_energy, base_energy, queue, eps_bar)
     site_route = sum(
-        (s.mass - eps_bar) if kind == "smooth" else (s.mass - eps_bar / 2.0)
-        for kind, s in queue
+        (s.mass - eps_bar) if s.kind == "smooth" else (s.mass - eps_bar / 2.0) for s in queue
     )
     if queue and abs(re_now - site_route) > 0.05 + 1e-3 * limit_energy:
         raise DriverError(
@@ -351,8 +342,8 @@ def _nodal_chart(family: Family, config: ExtractionConfig) -> _Chart:
             ),
         )
 
-    def mark(curve, kind, site):
-        if kind != "nodal":
+    def mark(curve, site):
+        if site.kind != "nodal":
             raise DriverError("smooth sites on a nodal chart are not supported")
         members = [idx for _, idx in site.subsequence]
         markings = mark_nodal_bubble(
@@ -374,11 +365,11 @@ def _nodal_chart(family: Family, config: ExtractionConfig) -> _Chart:
     # a finished run has extracted every queued site
     notes = tuple(
         "child nodal sites, if any, deferred to the next iteration"
-        for kind, _ in queue
-        if kind == "nodal"
+        for s in queue
+        if s.kind == "nodal"
     )
     return _Chart(
-        limit_energy, base_energy, tuple(queue), tuple(singular), necks, notes, mark, diag_last
+        limit_energy, base_energy, queue, tuple(singular), necks, notes, mark, diag_last
     )
 
 
@@ -426,10 +417,10 @@ def extract_bubble_tree(family: Family, config: ExtractionConfig | None = None) 
     trace = [_ledger_residual(limit_energy, chart.base_energy, chart.queue, eps_bar)]
     accounted = chart.base_energy
     iteration_cap = max(1, math.ceil(2.0 * limit_energy / eps_bar))
-    for step, (kind, site) in enumerate(chart.queue, start=1):
+    for step, site in enumerate(chart.queue, start=1):
         if len(trace) - 1 >= iteration_cap:
             raise DriverError(f"iteration cap {iteration_cap} hit; trace {trace}")
-        ins, attach, neck = chart.mark(curve, kind, site)
+        ins, attach, neck = chart.mark(curve, site)
         curve = ins.curve
         components.append(
             TreeComponent(
@@ -437,7 +428,7 @@ def extract_bubble_tree(family: Family, config: ExtractionConfig | None = None) 
                 kind="bubble",
                 energy=site.mass,
                 attachment=attach,
-                site_kind=kind,
+                site_kind=site.kind,
                 marks=ins.new_legs,
             )
         )

@@ -277,6 +277,21 @@ class FamilySpec:
             b = self.slopes[1]
             if abs(b - round(b)) > 0:
                 raise FamilyError("theta slope must be an integer winding number")
+        if self.samples_neck:
+            # the neck of pinch t is the annulus sqrt(t) < |x| < delta (xy = t)
+            for t in schedule:
+                if math.sqrt(t) >= self.delta:
+                    raise FamilyError(f"pinch {t:g} must keep sqrt(t) below delta {self.delta:g}")
+        if _BUILDERS[self.kind] is _plumbing_family and any(
+            a <= b for a, b in zip(schedule, schedule[1:])
+        ):
+            raise FamilyError("pinch magnitudes must decrease strictly")
+
+    @property
+    def samples_neck(self) -> bool:
+        """Whether the members are cylinder fields about a node, sampled out
+        to radius ``delta``; otherwise ``delta`` is not read."""
+        return _BUILDERS[self.kind] is not _bubble_family
 
     @staticmethod
     def from_dict(data: dict) -> "FamilySpec":
@@ -361,11 +376,6 @@ def _plumbing_family(spec: FamilySpec) -> Family:
             # bubble of scale t^(1/3) riding in the neck; both side limits vanish
             return RationalMap((t ** (1.0 / 3.0),), (1.0, 0.0))
 
-    # neck xy = t, |x|, |y| <= delta for each pinch t
-    if any(t >= spec.delta**2 for t in spec.schedule):
-        raise FamilyError("pinch magnitudes must stay below delta^2")
-    if any(a <= b for a, b in zip(spec.schedule, spec.schedule[1:])):
-        raise FamilyError("pinch magnitudes must decrease strictly")
     members = []
     for t in spec.schedule:
         m = transition(t)
@@ -392,8 +402,6 @@ def _torus_family(spec: FamilySpec) -> Family:
     target = FlatTorusTarget()
     members = []
     for t in spec.schedule:
-        if np.sqrt(t) >= spec.delta:
-            raise FamilyError(f"pinch {t:g} must satisfy sqrt(t) < delta")
         half = float(np.log(spec.delta / np.sqrt(t)))
         t_nodes = np.linspace(-half, half, _N_T + 1)
         theta = np.arange(_N_THETA) * (2.0 * np.pi / _N_THETA)

@@ -10,11 +10,15 @@ to certify that a sequence of measures concentrates a definite amount of
 energy at a point.  Detection extracts, per candidate site, a diagonal
 subsequence: the member certified at ladder level j must reproduce the
 stabilized excess mass at every scale delta_m, m <= 2j, within eps_m.
+Detection checks the last member at every tested scale first, so it passes
+every level and the subsequence is closed form: earlier members take levels
+1, 2, ... in turn, and the last member the level after them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +31,6 @@ __all__ = [
     "PlanarMoebius",
     "ScaleLadder",
     "ConcentrationSite",
-    "ConcentrationReport",
     "mass_in",
     "pushforward",
     "restrict",
@@ -161,7 +164,9 @@ class ScaleLadder:
           exactly when k >= 3;
     the halving rules and eps_0 = eps_bar/4 hold by construction.  So a
     ladder with positive finite delta0 and eps_bar is admissible exactly
-    when depth >= 6, and construction refuses any other.
+    when depth >= 6, and construction refuses any other.  It also refuses a
+    depth at which the finest scale or tolerance underflows to 0.0, before
+    any array is built.
     """
 
     delta0: float
@@ -180,6 +185,10 @@ class ScaleLadder:
             raise LadderError(
                 f"depth must be >= 6 (3 delta_(2k-1) < delta_k at k = depth // 2), "
                 f"got {self.depth}"
+            )
+        if self.delta0 * 0.5**self.depth == 0.0 or (self.eps_bar / 4.0) * 0.5**self.depth == 0.0:
+            raise LadderError(
+                f"depth {self.depth} underflows the finest scale or tolerance to 0.0"
             )
         ks = np.arange(self.depth + 1, dtype=np.float64)
         delta = self.delta0 * 0.5**ks
@@ -210,8 +219,8 @@ class ConcentrationSite:
     mass : stabilized excess mass m_p (last member, finest tested scale)
     kind : 'smooth' or 'nodal' (nodal = site at the origin of a nodal chart)
     subsequence : ladder-level assignments ((j, member_index), ...) with
-        strictly increasing member indices; member j passed every scale
-        m <= 2j
+        strictly increasing member indices, ending at the last member; the
+        member at level j passed every scale m <= 2j
     excess_last : excess of the last member at each tested scale (m = 1..2k)
     """
 
@@ -220,29 +229,6 @@ class ConcentrationSite:
     kind: str
     subsequence: tuple[tuple[int, int], ...]
     excess_last: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class ConcentrationReport:
-    sites: tuple[ConcentrationSite, ...]
-    threshold: float
-    finest_scale: float
-
-    def __post_init__(self) -> None:
-        for s in self.sites:
-            if s.mass < self.threshold:
-                raise ConcentrationError(
-                    f"site mass {s.mass:.6g} below detection threshold {self.threshold:.6g}"
-                )
-        locs = [s.location for s in self.sites]
-        for i in range(len(locs)):
-            for j in range(i + 1, len(locs)):
-                d = abs(locs[i] - locs[j])
-                if d < 2.0 * self.finest_scale:
-                    raise ConcentrationError(
-                        f"sites {locs[i]:.6g} and {locs[j]:.6g} separated by {d:.6g} "
-                        f"< 2 * finest scale {self.finest_scale:.6g}"
-                    )
 
 
 def _ball_excess(
@@ -318,16 +304,22 @@ def detect_concentrations(
     mu_limit: WeightedParticleMeasure,
     ladder: ScaleLadder,
     chart_kind: str = "smooth",
-) -> ConcentrationReport:
-    """Certified concentration sites of a measure sequence against its limit.
+) -> tuple[ConcentrationSite, ...]:
+    """Certified concentration sites of a measure sequence against its
+    limit, heaviest first.
 
     A candidate site p (grid scan of the last member) is admitted when
       * the last member's excess over mu_limit in B(p, delta_m) is >= eps_bar
         at every tested scale m = 1..2k (k the working index), and
       * |excess(delta_m) - m_p| < eps_m at all those scales, where m_p is the
         last member's excess at the finest tested scale, and
-      * a diagonal subsequence exists: strictly increasing earlier members
-        certified at levels j = 1..k, level j requiring the bounds at m <= 2j.
+      * an earlier member passes level 1 (the bounds at m <= 2).
+
+    Level j asks for the bounds at m <= 2j, so the last member passes every
+    level.  The subsequence is closed form: levels 1..k-1 go in turn to the
+    next earlier member passing them, up to the first level none passes, and
+    the last member takes the next level.  Sites closer than 2 * finest scale
+    (two nodal candidates snapped to the origin) are refused.
 
     Raises ConcentrationError("subsequence not extracted") when a candidate
     holds eps_bar excess but the sequence does not stabilize (the last
@@ -362,38 +354,24 @@ def detect_concentrations(
                 "subsequence not extracted: last member inconsistent across scales "
                 f"at site {loc:.4g} (max deviation {devs.max():.3g})"
             )
-        # greedy diagonal extraction over earlier members
+        # earlier members take levels 1..kw-1 in turn; the last member passes
+        # every level (checked above) and takes the next one
         assignment: list[tuple[int, int]] = []
-        member = 0
-        for j in range(1, kw + 1):
-            found = None
-            limit = last_idx if j < kw else last_idx + 1
-            while member < limit:
-                ok = True
-                for m in range(1, 2 * j + 1):
-                    e = _ball_excess(mus[member], mu_limit, loc, ladder.delta[m])
-                    if abs(e - m_p) >= ladder.eps[m]:
-                        ok = False
-                        break
-                if ok:
-                    found = member
-                    member += 1
-                    break
-                member += 1
-            if found is None:
+        for member in range(last_idx):
+            j = len(assignment) + 1
+            if j == kw:
                 break
-            assignment.append((j, found))
-        if not assignment or assignment[0][1] == last_idx:
+            if all(
+                abs(_ball_excess(mus[member], mu_limit, loc, ladder.delta[m]) - m_p)
+                < ladder.eps[m]
+                for m in range(1, 2 * j + 1)
+            ):
+                assignment.append((j, member))
+        if not assignment:
             raise ConcentrationError(
                 f"subsequence not extracted: no earlier member corroborates site {loc:.4g}"
             )
-        # the last member always certifies the deepest level reached
-        levels_found = len(assignment)
-        if assignment[-1][1] != last_idx:
-            if levels_found < kw:
-                assignment.append((levels_found + 1, last_idx))
-            else:
-                assignment[-1] = (kw, last_idx)
+        assignment.append((len(assignment) + 1, last_idx))
         sites.append(
             ConcentrationSite(
                 location=complex(loc),
@@ -404,6 +382,11 @@ def detect_concentrations(
             )
         )
     sites.sort(key=lambda s: (-s.mass, s.location.real, s.location.imag))
-    return ConcentrationReport(
-        sites=tuple(sites), threshold=float(eps_bar), finest_scale=ladder.finest_scale
-    )
+    for a, b in combinations(sites, 2):
+        d = abs(a.location - b.location)
+        if d < 2.0 * ladder.finest_scale:
+            raise ConcentrationError(
+                f"sites {a.location:.6g} and {b.location:.6g} separated by {d:.6g} "
+                f"< 2 * finest scale {ladder.finest_scale:.6g}"
+            )
+    return tuple(sites)

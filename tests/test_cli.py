@@ -211,6 +211,65 @@ def test_ladder_depth_below_6_exits_2_before_any_family(tmp_path, capsys, no_fam
     assert "depth must be >= 6" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("depth", [1074, 1080, 1100])
+def test_ladder_underflowing_to_zero_exits_2_before_any_family(tmp_path, capsys, no_family, depth):
+    # delta0 1 and eps_bar 0.2 put the finest tolerance 0.05 * 2^-depth below
+    # the smallest subnormal from depth 1071 on, and the finest scale from 1075
+    cfg = write_cfg(
+        tmp_path, BUBBLE_CFG.format(out=tmp_path / "x") + f"ladder:\n  depth: {depth}\n"
+    )
+    assert main(["extract", "--config", cfg]) == 2
+    assert f"depth {depth} underflows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "family, message",
+    [
+        (
+            "kind: plumbing\n  schedule: [1.0e-5, 1.0e-3]",
+            "pinch magnitudes must decrease strictly",
+        ),
+        ("kind: torus_linear\n  schedule: [1.0]", "pinch 1 must keep sqrt(t) below delta 0.5"),
+        (
+            "kind: plumbing_bubble\n  schedule: [1.0e-6, 0.25]\n  delta: 0.5",
+            "pinch 0.25 must keep sqrt(t) below delta 0.5",
+        ),
+    ],
+    ids=["plumbing_increasing", "torus_wide_pinch", "plumbing_bubble_wide_pinch"],
+)
+@pytest.mark.parametrize("command", ["extract", "neck"])
+def test_neck_family_schedule_refused_at_load(
+    tmp_path, capsys, no_family, command, family, message
+):
+    cfg = write_cfg(tmp_path, f"family:\n  {family}\nout: {tmp_path / 'x'}\n")
+    assert main([command, "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "deltas, message",
+    [
+        ("[0.01, 0.1]", "neck deltas must be strictly decreasing"),
+        ("[0.1, 0.1]", "neck deltas must be strictly decreasing"),
+        ("[0.7]", "neck delta 0.7 exceeds the sampled chart 0.5"),
+    ],
+    ids=["increasing", "repeated", "beyond_chart"],
+)
+@pytest.mark.parametrize("command", ["extract", "neck"])
+def test_neck_deltas_refused_at_load(tmp_path, capsys, no_family, command, deltas, message):
+    cfg = write_cfg(
+        tmp_path, PLUMBING_CFG.format(out=tmp_path / "x") + f"neck:\n  deltas: {deltas}\n"
+    )
+    assert main([command, "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_neck_deltas_beyond_delta_are_not_read_on_a_bubble_family():
+    # a bubble family's delta knob samples no neck, so it bounds no neck delta
+    raw = yaml.safe_load(BUBBLE_CFG.format(out="x") + "neck:\n  deltas: [0.7, 0.6]\n")
+    assert cli.RunConfig(raw, Path(".")).neck["deltas"] == (0.7, 0.6)
+
+
 def test_neck_rejects_measure_only_family(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BUBBLE_CFG.format(out=tmp_path / "x"))
     assert main(["neck", "--config", cfg]) == 2
@@ -287,13 +346,26 @@ def test_curve_query_stdout_contract(tmp_path, capsys):
             "v0 g=0 legs=1\nv1 g=0 legs=2,3,4\ne 0 1\n",
             "node regularity needs a stable curve",
         ),
+        ("v0 g=0 legs=1,2\nv1 g=0 legs=3,4\ne 0 x\n", "unparseable integer 'x'"),
     ],
 )
-def test_curve_bad_graph_exits_3(tmp_path, capsys, graph, message):
+def test_curve_bad_graph_exits_2(tmp_path, capsys, graph, message):
     (tmp_path / "graph.txt").write_text(graph, encoding="utf-8")
     cfg = write_cfg(tmp_path, CURVE_CFG + f"out: {tmp_path / 'out'}\n")
-    assert main(["curve", "--config", cfg]) == 3
-    assert message in capsys.readouterr().err
+    assert main(["curve", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error (curve): ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("edge", [5, -1, 1])
+def test_curve_edge_query_without_that_node_exits_2(tmp_path, capsys, edge):
+    (tmp_path / "graph.txt").write_text(CURVE_GRAPH, encoding="utf-8")
+    cfg = write_cfg(
+        tmp_path, CURVE_CFG.replace("edge: 0", f"edge: {edge}") + f"out: {tmp_path / 'out'}\n"
+    )
+    assert main(["curve", "--config", cfg]) == 2
+    assert f"no node with index {edge}" in capsys.readouterr().err
 
 
 def test_selftest_passes_and_rejects_flags(capsys):

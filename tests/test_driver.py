@@ -8,7 +8,6 @@ import pytest
 
 from bubbletree import (
     BubbleTree,
-    ConcentrationReport,
     ConcentrationSite,
     ExtractionConfig,
     FamilyMember,
@@ -207,7 +206,7 @@ def test_smooth_site_on_nodal_chart_is_refused(plumbing_family, monkeypatch):
 
     def detect(mus, mu_limit, ladder, chart_kind="smooth"):
         assert chart_kind == "nodal"
-        return ConcentrationReport((site,), threshold=0.0, finest_scale=ladder.finest_scale)
+        return (site,)
 
     monkeypatch.setattr(driver, "detect_concentrations", detect)
     with pytest.raises(
@@ -223,7 +222,7 @@ def test_nodal_site_at_non_regular_node_is_refused(torus21_family, monkeypatch):
 
     def detect(mus, mu_limit, ladder, chart_kind="smooth"):
         assert chart_kind == "nodal"
-        return ConcentrationReport((site,), threshold=0.0, finest_scale=ladder.finest_scale)
+        return (site,)
 
     monkeypatch.setattr(driver, "detect_concentrations", detect)
     tree = extract_bubble_tree(torus21_family, ExtractionConfig(delta0=0.5))

@@ -296,17 +296,32 @@ def test_spec_refuses_values_that_are_not_finite_numbers(options, message):
 
 def test_spec_keeps_integers_valid():
     spec = FamilySpec.from_dict(
-        {"kind": "torus_linear", "schedule": [1], "delta": 1, "slopes": [2, 1]}
+        {"kind": "torus_linear", "schedule": [1], "delta": 2, "slopes": [2, 1]}
     )
-    assert (spec.schedule, spec.delta, spec.slopes) == ((1.0,), 1, (2.0, 1.0))
+    assert (spec.schedule, spec.delta, spec.slopes) == ((1.0,), 2, (2.0, 1.0))
 
 
 def test_plumbing_schedule_constraints():
+    # the spec itself refuses a schedule no neck builder can sample
     with pytest.raises(FamilyError, match="below delta"):
-        make_family(FamilySpec(kind="plumbing", schedule=(0.5,), delta=0.5))
+        FamilySpec(kind="plumbing", schedule=(0.5,), delta=0.5)
     with pytest.raises(FamilyError, match="decrease strictly"):
-        make_family(FamilySpec(kind="plumbing", schedule=(1e-5, 1e-3), delta=0.5))
+        FamilySpec(kind="plumbing", schedule=(1e-5, 1e-3), delta=0.5)
     with pytest.raises(FamilyError, match="sqrt"):
-        make_family(
-            FamilySpec(kind="torus_linear", schedule=(0.3,), delta=0.5, slopes=(1.0, 0.0))
-        )
+        FamilySpec(kind="torus_linear", schedule=(0.3,), delta=0.5, slopes=(1.0, 0.0))
+
+
+@pytest.mark.parametrize("kind", ["plumbing", "plumbing_bubble", "torus_linear"])
+def test_neck_pinch_bound_is_one_rule_for_every_neck_kind(kind):
+    # sqrt(0.01) = 0.1 exactly although 0.01 < 0.1**2 = 0.010000000000000002
+    with pytest.raises(FamilyError, match=r"pinch 0.01 must keep sqrt\(t\) below delta 0.1"):
+        FamilySpec(kind=kind, schedule=(0.01,), delta=0.1)
+    assert FamilySpec(kind=kind, schedule=(0.0099,), delta=0.1).schedule == (0.0099,)
+
+
+def test_only_plumbing_kinds_need_decreasing_pinches():
+    # a torus schedule is sampled member by member, in any order
+    assert FamilySpec(kind="torus_linear", schedule=(1e-4, 1e-2)).schedule == (1e-4, 1e-2)
+    assert FamilySpec(kind="bubble1", schedule=(1e-4, 1e-2)).schedule == (1e-4, 1e-2)
+    with pytest.raises(FamilyError, match="decrease strictly"):
+        FamilySpec(kind="plumbing_bubble", schedule=(1e-9, 1e-9))

@@ -17,6 +17,7 @@ from bubbletree import (
     WeightedParticleMeasure,
     detect_concentrations,
     mass_in,
+    measure,
     restrict,
 )
 from bubbletree.errors import ConcentrationError, LadderError, MeasureError
@@ -126,6 +127,28 @@ def test_ladder_closed_form_matches_reference_checks(depth, log_delta0, log_eps_
     assert lad.eps.tobytes() == want[1].tobytes()
 
 
+@pytest.mark.parametrize(
+    "delta0, eps_bar, depth",
+    [(1.0, 0.2, 1074), (1.0, 0.2, 1100), (1.0, 1e300, 1075), (1e-300, 1e300, 1080)],
+    ids=["tolerance", "both", "scale", "small_delta0"],
+)
+def test_ladder_refuses_a_finest_value_that_underflows_before_building_arrays(
+    monkeypatch, delta0, eps_bar, depth
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ladder arrays built for a refused depth")
+
+    monkeypatch.setattr(np, "arange", refuse)
+    with pytest.raises(LadderError, match=f"depth {depth} underflows"):
+        ScaleLadder(delta0, eps_bar, depth)
+
+
+def test_ladder_keeps_a_subnormal_finest_scale():
+    lad = ScaleLadder(1.0, 1e300, 1074)
+    assert lad.finest_scale == 5e-324
+    assert lad.eps[-1] > 0.0
+
+
 @pytest.mark.parametrize("delta0, eps_bar", [(0.0, 0.2), (1.0, -0.2), (np.inf, 0.2), (1.0, np.nan)])
 def test_ladder_refuses_non_positive_or_non_finite_values(delta0, eps_bar):
     with pytest.raises(LadderError, match="positive and finite"):
@@ -136,9 +159,9 @@ def test_detects_single_bubble_with_stated_mass():
     lad = ScaleLadder(1.0, 0.2, 6)
     mus = [bubble_atoms(1.0 / k) for k in (316.0, 3162.0, 10000.0)]
     empty = WeightedParticleMeasure.empty(1.0)
-    rep = detect_concentrations(mus, empty, lad, chart_kind="smooth")
-    assert len(rep.sites) == 1
-    site = rep.sites[0]
+    sites = detect_concentrations(mus, empty, lad, chart_kind="smooth")
+    assert len(sites) == 1
+    site = sites[0]
     assert abs(site.location) <= 2.0 * lad.finest_scale
     assert abs(site.mass - FOUR_PI) <= 0.02 * FOUR_PI
     assert len(site.subsequence) == lad.working_index
@@ -161,9 +184,9 @@ def test_detection_subtracts_limit_measure():
                 1.0,
             )
         )
-    rep = detect_concentrations(mus, bg, lad, chart_kind="smooth")
-    assert len(rep.sites) == 1
-    assert abs(rep.sites[0].location - (-0.5)) <= 2.0 * lad.finest_scale
+    sites = detect_concentrations(mus, bg, lad, chart_kind="smooth")
+    assert len(sites) == 1
+    assert abs(sites[0].location - (-0.5)) <= 2.0 * lad.finest_scale
 
 
 def test_two_sites_sorted_by_mass():
@@ -179,19 +202,19 @@ def test_two_sites_sorted_by_mass():
                 1.0,
             )
         )
-    rep = detect_concentrations(mus, WeightedParticleMeasure.empty(1.0), lad, chart_kind="smooth")
-    assert len(rep.sites) == 2
-    assert rep.sites[0].mass > rep.sites[1].mass
-    assert abs(rep.sites[0].location - 0.5) <= 2.0 * lad.finest_scale
+    sites = detect_concentrations(mus, WeightedParticleMeasure.empty(1.0), lad, chart_kind="smooth")
+    assert len(sites) == 2
+    assert sites[0].mass > sites[1].mass
+    assert abs(sites[0].location - 0.5) <= 2.0 * lad.finest_scale
 
 
 def test_no_concentration_yields_no_sites():
     lad = ScaleLadder(1.0, 0.2, 6)
     mus = [bubble_atoms(0.5, mass=1.0, seed=s) for s in (1, 2, 3)]
-    rep = detect_concentrations(
+    sites = detect_concentrations(
         mus, WeightedParticleMeasure.empty(1.0), lad, chart_kind="smooth"
     )
-    assert rep.sites == ()
+    assert sites == ()
 
 
 def test_unstabilized_profile_raises():
@@ -211,3 +234,111 @@ def test_needs_at_least_two_members():
         detect_concentrations(
             [bubble_atoms(0.01)], WeightedParticleMeasure.empty(1.0), lad, chart_kind="smooth"
         )
+
+
+def reference_subsequence(excess, m_p, eps, kw, loc=0j):
+    """The greedy diagonal extraction and its post-fix that
+    ``detect_concentrations`` ran before the subsequence had a closed form.
+    ``excess[i][m]`` is member i's ball excess at ladder scale m; the last
+    member passes every level.  Returns the ((j, member), ...) assignment or
+    raises the same ``ConcentrationError``."""
+    last_idx = len(excess) - 1
+    assignment = []
+    member = 0
+    for j in range(1, kw + 1):
+        found = None
+        limit = last_idx if j < kw else last_idx + 1
+        while member < limit:
+            ok = True
+            for m in range(1, 2 * j + 1):
+                if abs(excess[member][m] - m_p) >= eps[m]:
+                    ok = False
+                    break
+            if ok:
+                found = member
+                member += 1
+                break
+            member += 1
+        if found is None:
+            break
+        assignment.append((j, found))
+    if not assignment or assignment[0][1] == last_idx:
+        raise ConcentrationError(
+            f"subsequence not extracted: no earlier member corroborates site {loc:.4g}"
+        )
+    levels_found = len(assignment)
+    if assignment[-1][1] != last_idx:
+        if levels_found < kw:
+            assignment.append((levels_found + 1, last_idx))
+        else:
+            assignment[-1] = (kw, last_idx)
+    return tuple(assignment)
+
+
+def detect_from_table(monkeypatch, excess, ladder, candidates=(0j,), chart_kind="smooth"):
+    """``detect_concentrations`` on placeholder members whose ball excess at
+    ladder scale m is ``excess[i][m]``, at the given candidate locations."""
+    mus = [WeightedParticleMeasure.empty(1.0) for _ in excess]
+    index = {id(mu): i for i, mu in enumerate(mus)}
+    scale = {float(d): m for m, d in enumerate(ladder.delta)}
+    monkeypatch.setattr(measure, "_candidate_locations", lambda *args: list(candidates))
+    monkeypatch.setattr(
+        measure,
+        "_ball_excess",
+        lambda mu, mu_limit, center, radius: excess[index[id(mu)]][scale[float(radius)]],
+    )
+    return detect_concentrations(mus, WeightedParticleMeasure.empty(1.0), ladder, chart_kind)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    depth=st.integers(6, 12),
+    levels=st.lists(st.integers(0, 6), min_size=1, max_size=7),
+    fail_step=st.lists(st.integers(1, 2), min_size=7, max_size=7),
+    fracs=st.lists(st.floats(-0.5, 0.5), min_size=25, max_size=25),
+    m_p=st.floats(0.2, 10.0),
+)
+@example(depth=6, levels=[3, 3, 3, 3], fail_step=[1] * 7, fracs=[0.0] * 25, m_p=1.0)
+@example(depth=6, levels=[0, 0], fail_step=[1] * 7, fracs=[0.0] * 25, m_p=1.0)
+@example(depth=12, levels=[1, 0, 6, 2, 6], fail_step=[2] * 7, fracs=[0.0] * 25, m_p=4.0)
+def test_closed_form_subsequence_matches_greedy_reference(depth, levels, fail_step, fracs, m_p):
+    # earlier member i passes exactly the levels j <= levels[i]: its excess is
+    # within eps_m of m_p at every m <= 2 levels[i] and misses at the next
+    # scale or the one after; the last member reads m_p at every scale
+    lad = ScaleLadder(1.0, 0.2, depth)
+    kw = lad.working_index
+    eps = [float(e) for e in lad.eps]
+    excess = []
+    for i, level in enumerate(min(v, kw) for v in levels):
+        fail = 2 * level + fail_step[i] if level < kw else None
+        row = [
+            m_p + (3.0 if m == fail else fracs[m]) * eps[m] if m else m_p
+            for m in range(2 * kw + 1)
+        ]
+        excess.append(row)
+    excess.append([m_p] * (2 * kw + 1))
+    try:
+        want = reference_subsequence(excess, m_p, eps, kw)
+    except ConcentrationError as exc:
+        want = str(exc)
+    with pytest.MonkeyPatch.context() as mp:
+        try:
+            (site,) = detect_from_table(mp, excess, lad)
+            got = site.subsequence
+        except ConcentrationError as exc:
+            got = str(exc)
+    assert got == want
+    if not isinstance(want, str):
+        assert want[-1] == (len(want), len(excess) - 1)
+
+
+def test_two_candidates_snapped_to_the_node_are_refused(monkeypatch):
+    # candidates 3 finest scales apart are two sites on a smooth chart; on a
+    # nodal chart both lie within 2 finest scales of the node and snap to it
+    lad = ScaleLadder(1.0, 0.2, 6)
+    excess = [[1.0] * (lad.depth + 1)] * 3
+    d = 1.5 * lad.finest_scale
+    sites = detect_from_table(monkeypatch, excess, lad, candidates=(d, -d))
+    assert [s.kind for s in sites] == ["smooth", "smooth"]
+    with pytest.raises(ConcentrationError, match=r"separated by 0 < 2 \* finest scale"):
+        detect_from_table(monkeypatch, excess, lad, candidates=(d, -d), chart_kind="nodal")
