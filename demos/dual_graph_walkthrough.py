@@ -13,7 +13,6 @@ from bubbletree import (
     MarkedNodalCurve,
     add_bubble_component,
     curve_to_text,
-    curves_isomorphic,
     forget_mark,
     is_regular_node,
     is_stable,
@@ -35,7 +34,7 @@ def main() -> None:
     print(f"node 0 regular: {v.status}, witness: forget marks {v.witness}")
     res = forget_mark(c, 4)
     print("after forgetting mark 4 the right sphere destabilizes and is")
-    print("contracted; the node lands on a mark:", res.node_images[0])
+    print("contracted; the node lands on mark 3, which moves to the left sphere")
     show(res.curve, "stabilized image")
 
     ins = add_bubble_component(c, 0, 2)
@@ -47,8 +46,11 @@ def main() -> None:
     back = ins.curve
     for lab in ins.new_legs:
         back = forget_mark(back, lab).curve
-    print("forgetting the new mark returns the original curve:",
-          curves_isomorphic(back, c))
+    # the merged node comes back last, so compare the edges sorted
+    same = (back.genus, sorted(back.edges), back.legs) == (c.genus, sorted(c.edges), c.legs)
+    print("forgetting the new mark returns the original curve:", same)
+    if not same:
+        raise SystemExit("insertion round trip failed")
 
     cyc = MarkedNodalCurve((0, 0), ((0, 1), (0, 1)), ((0, 1), (1, 2)))
     show(cyc, "two spheres joined at two nodes (a cycle)")

@@ -10,17 +10,18 @@ Subcommands
 Exit codes: 0 success, 2 configuration/validation error, 3 algorithmic
 invariant violation.  Exit 2 is mostly a config refused at load, before any
 family is built: YAML that does not parse, an unknown key, a ladder or neck
-value that is not a finite number (a bool or a string is not one), neck deltas
-that do not decrease strictly or, on a neck family, exceed its delta, a family
-section that ``FamilySpec`` refuses (on a neck family every pinch t needs
+value that is not a finite number (a bool, a string or an int beyond the float
+range is not one), neck deltas that do not decrease strictly or, on a neck
+family, exceed its delta or do not exceed sqrt(t) for a pinch t of the late
+half of the schedule (the members the zero-neck test reads), a family section
+that ``FamilySpec`` refuses (on a neck family every pinch t needs
 sqrt(t) < delta, and plumbing pinches decrease strictly), and, when a family
 section is present, a ladder that ``ScaleLadder`` refuses (depth < 6, delta0
 or eps_bar not positive, or a finest scale or tolerance that underflows to
 0.0).  ``curve`` also exits 2 on a graph file it cannot parse and on an edge
 query it cannot answer (no such node, or an unstable curve).  Identical
-configs produce byte-identical reports:
-keys are sorted, floats use shortest round-trip repr, and every report
-embeds the hash of the validated config.
+configs produce byte-identical reports: keys are sorted, floats use shortest
+round-trip repr, and every report embeds the hash of the validated config.
 
 Each command loads only the layers it runs.  ``curve``, ``--help`` and
 config errors finish without importing numpy; ``families``, ``driver`` and
@@ -90,11 +91,14 @@ _CURVE_KEYS = {"graph": None, "edge": None}
 
 
 def _number(value, what: str):
-    """``value`` when it is a finite int or float; a bool, a string or a
-    non-finite value is a config error."""
-    if isinstance(value, bool) or not (
-        isinstance(value, (int, float)) and math.isfinite(value)
-    ):
+    """``value`` when it is a finite int or float; a bool, a string, a
+    non-finite value or an int beyond the float range is a config error."""
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    try:
+        ok = ok and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    if not ok:
         raise ConfigError(f"{what} must be a finite number, got {value!r}")
     return value
 
@@ -161,9 +165,16 @@ class RunConfig:
             raise ConfigError("neck deltas must be strictly decreasing")
         spec = self.family_spec
         if spec is not None and spec.samples_neck:
+            # the zero-neck test cuts the collar |x| <= d of each member of the
+            # schedule's late half, whose pinch t needs log(d / sqrt(t)) > 0
+            t = max(spec.schedule[-((len(spec.schedule) + 1) // 2) :])
             for d in deltas:
                 if d > spec.delta:
                     raise ConfigError(f"neck delta {d} exceeds the sampled chart {spec.delta}")
+                if not math.log(d / math.sqrt(t)) > 0:
+                    raise ConfigError(
+                        f"neck delta {d} does not exceed sqrt(t) for the late pinch t = {t:g}"
+                    )
         self.neck["deltas"] = deltas
         if not _number(self.neck["eps"], "neck eps") > 0:
             raise ConfigError("neck eps must be positive")
@@ -225,7 +236,9 @@ def load_config(path: Path, overrides: Sequence[str] = ()) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         raw = yaml.load(text, Loader=_YAML_LOADER)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
+        # ValueError: a scalar the constructor cannot build, such as an int
+        # past Python's int-string digit limit or a date like 2020-13-01
         raise ConfigError(f"config does not parse as YAML: {exc}") from exc
     if raw is None:
         raw = {}
@@ -447,9 +460,8 @@ def _cmd_curve(cfg: RunConfig, args, stem: str) -> int:
 
 def _selftest_checks():
     from .families import FamilySpec, RationalMap, energy_quadrature, make_family
-    from .neck import PolarAnnulusField, SphereTarget, diagnostics, pohozaev_residual
+    from .neck import cylinder_field_from_sphere_chart, diagnostics
     from .renorm import solve_neck_scale_from_cdf
-    import numpy as np
 
     def check_degree_energy():
         worst = 0.0
@@ -460,19 +472,13 @@ def _selftest_checks():
         return worst <= 1e-6, f"max relative error {worst:.3e} (bound 1e-06)"
 
     def check_pohozaev():
-        target = SphereTarget()
-        n = 256
-        radii = np.geomspace(0.5, 2.0, n)
-        phis = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+        # z^d on the annulus 1/2 <= |x| <= 2
         worst = 0.0
         for d in (1, 2, 3):
-            z = radii[:, None] * np.exp(1j * phis[None, :])
-            w = z**d
-            dw = d * z ** (d - 1)
-            fr = target.push(w, dw * np.exp(1j * np.angle(z)))
-            fphi = target.push(w, dw * 1j * z)
-            f = PolarAnnulusField(radii=radii, f_r=fr, f_phi=fphi)
-            worst = max(worst, pohozaev_residual(f))
+            field = cylinder_field_from_sphere_chart(
+                lambda x, d=d: x**d, lambda x, d=d: d * x ** (d - 1), pinch=1, delta=2
+            )
+            worst = max(worst, diagnostics(field).pohozaev_residual)
         return worst <= 1e-8, f"max residual {worst:.3e} (bound 1e-08)"
 
     def check_neck_scale():

@@ -7,9 +7,8 @@ Arithmetic genus = sum of vertex genera + first Betti number of the graph.
 
 Forgetting a mark of a stable curve removes its leg and then stabilizes,
 which contracts at most one component: the genus-0 host of the mark, when it
-is left with two special points (see ``forget_mark``).  The induced map
-records where every node, mark, and generic component point of the input
-lands (a node, a mark, or a regular point of the result).
+is left with two special points (see ``forget_mark``).  Forgetting the new
+marks of an inserted bubble returns the input (see ``add_bubble_component``).
 
 A node is regular when forgetting some nonempty set of marks sends it to a
 point that is not a node of the (stable) image.  On a stable curve this has
@@ -27,7 +26,6 @@ from .errors import CurveError
 __all__ = [
     "MarkedNodalCurve",
     "StabilityReport",
-    "PointImage",
     "ForgetResult",
     "RegularityVerdict",
     "BubbleInsertion",
@@ -35,7 +33,6 @@ __all__ = [
     "forget_mark",
     "is_regular_node",
     "add_bubble_component",
-    "curves_isomorphic",
     "curve_to_text",
     "curve_from_text",
 ]
@@ -147,43 +144,20 @@ def is_stable(c: MarkedNodalCurve) -> StabilityReport:
 
 
 @dataclass(frozen=True)
-class PointImage:
-    """Where a point of the source curve lands in the target curve.
-
-    kind : 'node' (index into edges), 'mark' (index into legs), or
-        'regular' (a non-special point; index is the vertex)
-    """
-
-    kind: str
-    index: int
-
-
-@dataclass(frozen=True)
 class ForgetResult:
-    """Stable image of a forgetful map together with its point tracking.
-
-    node_images : per input edge
-    mark_images : per input leg; the forgotten mark's entry records where
-        that point of the curve lands (typically a regular point)
-    vertex_images : per input vertex, the image of its generic points
-    """
+    """Stable image of a forgetful map."""
 
     curve: MarkedNodalCurve
-    forgotten: int
-    node_images: tuple[PointImage, ...]
-    mark_images: tuple[PointImage, ...]
-    vertex_images: tuple[PointImage, ...]
 
 
 def forget_mark(c: MarkedNodalCurve, label: int) -> ForgetResult:
-    """Remove the labeled mark from a stable curve and stabilize, tracking
-    every point's image.
+    """Remove the labeled mark from a stable curve and stabilize.
 
     Forgetting one mark contracts at most one component (Knudsen, *Math.
     Scand.* 52 (1983)).  Every vertex but the mark's host keeps its special
     points, so only the host can become unstable, and only when it has genus
     0 and exactly three special points.  It then keeps two, and is contracted
-    to a single point that all its points and its nodes land on:
+    to a single point:
 
     * two nodes: they merge into one node joining its neighbours, appended
       last (a self-loop when both nodes lead to the same neighbour);
@@ -210,49 +184,25 @@ def forget_mark(c: MarkedNodalCurve, label: int) -> ForgetResult:
     host = c.legs[drop][0]
     genus, edges = c.genus, c.edges
     legs = c.legs[:drop] + c.legs[drop + 1 :]
-    # the forgotten mark's point is an ordinary point of its host
-    point = PointImage("regular", host)
-    node_images = tuple(PointImage("node", k) for k in range(len(edges)))
-    vertex_images = tuple(PointImage("regular", u) for u in range(c.n_vertices))
     if genus[host] == 0 and c.valences[host] == 3:
 
         def shift(u: int) -> int:
             return u - (u > host)
 
-        hit = [k for k, e in enumerate(edges) if host in e]
-        ends = [j if i == host else i for i, j in (edges[k] for k in hit)]
-        edges = tuple(e for k, e in enumerate(edges) if k not in hit)
-        if len(hit) == 2:
-            point = PointImage("node", len(edges))
+        ends = [j if i == host else i for i, j in edges if host in (i, j)]
+        edges = tuple(e for e in edges if host not in e)
+        if len(ends) == 2:
             edges += (tuple(sorted(ends)),)
         else:
             k0 = next(k for k, (u, _) in enumerate(legs) if u == host)
-            point = PointImage("mark", k0)
             legs = legs[:k0] + ((ends[0], legs[k0][1]),) + legs[k0 + 1 :]
         edges = tuple((shift(i), shift(j)) for i, j in edges)
         legs = tuple((shift(u), lab) for u, lab in legs)
         genus = genus[:host] + genus[host + 1 :]
-        node_images = tuple(
-            point if k in hit else PointImage("node", k - sum(r < k for r in hit))
-            for k in range(len(c.edges))
-        )
-        vertex_images = tuple(
-            point if u == host else PointImage("regular", shift(u))
-            for u in range(c.n_vertices)
-        )
     result = MarkedNodalCurve(genus, edges, legs)
     if not is_stable(result).stable:
         raise CurveError("stratum empty: stabilization did not reach a stable curve")
-    return ForgetResult(
-        curve=result,
-        forgotten=label,
-        node_images=node_images,
-        mark_images=tuple(
-            point if k == drop else PointImage("mark", k - (k > drop))
-            for k in range(c.n_marks)
-        ),
-        vertex_images=vertex_images,
-    )
+    return ForgetResult(curve=result)
 
 
 @dataclass(frozen=True)
@@ -324,8 +274,18 @@ def add_bubble_component(c: MarkedNodalCurve, site: int, case: int) -> BubbleIns
     case 2 : ``site`` is an edge; subdivide that node by a genus-0 vertex
         carrying one new mark (a bubble forming at a node).
 
-    Forgetting the new marks must return a curve isomorphic to the input;
-    this round trip is asserted.
+    Forgetting the new marks (``forget_mark``) returns the input, so the
+    round trip needs no check.  The new vertex is last, has genus 0 and
+    exactly three special points, so forgetting its first new mark
+    contracts it:
+
+    * case 1: its other mark moves onto ``site``.  That vertex is stable in
+      the input, so it has positive genus or, with the moved mark, valence
+      at least 4, and forgetting the moved mark contracts nothing;
+    * case 2: its two nodes merge back into the node ``site``, appended last.
+
+    Either way the input comes back with the same vertex numbering, genus
+    and legs, and the same edges up to their order.
     """
     if not is_stable(c).stable:
         raise CurveError("bubble insertion requires a stable curve")
@@ -361,11 +321,6 @@ def add_bubble_component(c: MarkedNodalCurve, site: int, case: int) -> BubbleIns
     out = MarkedNodalCurve(tuple(genus), tuple(edges), tuple(legs))
     if not is_stable(out).stable:
         raise CurveError("bubble insertion produced an unstable curve")
-    back = out
-    for lab in new_legs:
-        back = forget_mark(back, lab).curve
-    if not curves_isomorphic(back, c):
-        raise CurveError("bubble insertion round trip failed")
     return BubbleInsertion(
         curve=out,
         new_vertex=new_v,
@@ -376,51 +331,7 @@ def add_bubble_component(c: MarkedNodalCurve, site: int, case: int) -> BubbleIns
 
 
 # ---------------------------------------------------------------------------
-# isomorphism and serialization
-
-
-def _vertex_signature(c: MarkedNodalCurve, v: int) -> tuple:
-    loops = sum(1 for i, j in c.edges if i == j == v)
-    labs = tuple(sorted(lab for u, lab in c.legs if u == v))
-    return (c.genus[v], c.valences[v] - len(labs), loops, labs)
-
-
-def curves_isomorphic(c1: MarkedNodalCurve, c2: MarkedNodalCurve) -> bool:
-    """Mark-label-preserving multigraph isomorphism.
-
-    Backtracking over vertex bijections, pruned by (genus, degree, loops,
-    labels) signatures; exact, intended for the small graphs arising here.
-    """
-    if (
-        len(c1.genus) != len(c2.genus)
-        or len(c1.edges) != len(c2.edges)
-        or c1.mark_labels != c2.mark_labels
-    ):
-        return False
-    n = len(c1.genus)
-    sig1 = [_vertex_signature(c1, v) for v in range(n)]
-    sig2 = [_vertex_signature(c2, v) for v in range(n)]
-    if sorted(sig1) != sorted(sig2):
-        return False
-    target_edges = sorted(tuple(e) for e in c2.edges)
-    candidates = [[u for u in range(n) if sig2[u] == sig1[v]] for v in range(n)]
-
-    def backtrack(v: int, perm: list[int], used: set[int]) -> bool:
-        if v == n:
-            mapped = sorted(tuple(sorted((perm[i], perm[j]))) for i, j in c1.edges)
-            return mapped == target_edges
-        for u in candidates[v]:
-            if u in used:
-                continue
-            perm.append(u)
-            used.add(u)
-            if backtrack(v + 1, perm, used):
-                return True
-            perm.pop()
-            used.remove(u)
-        return False
-
-    return backtrack(0, [], set())
+# serialization
 
 
 def curve_to_text(c: MarkedNodalCurve) -> str:

@@ -165,8 +165,9 @@ class ScaleLadder:
     the halving rules and eps_0 = eps_bar/4 hold by construction.  So a
     ladder with positive finite delta0 and eps_bar is admissible exactly
     when depth >= 6, and construction refuses any other.  It also refuses a
-    depth at which the finest scale or tolerance underflows to 0.0, before
-    any array is built.
+    depth at which the finest scale or tolerance underflows to 0.0 (every
+    depth from 1075 on, up to and beyond the float range), before any array
+    is built.
     """
 
     delta0: float
@@ -186,7 +187,10 @@ class ScaleLadder:
                 f"depth must be >= 6 (3 delta_(2k-1) < delta_k at k = depth // 2), "
                 f"got {self.depth}"
             )
-        if self.delta0 * 0.5**self.depth == 0.0 or (self.eps_bar / 4.0) * 0.5**self.depth == 0.0:
+        # 0.5**k is 0.0 from k = 1075 on, so the cap changes no value; it keeps
+        # a depth beyond the float range from raising OverflowError
+        finest = 0.5 ** min(self.depth, 1075)
+        if self.delta0 * finest == 0.0 or (self.eps_bar / 4.0) * finest == 0.0:
             raise LadderError(
                 f"depth {self.depth} underflows the finest scale or tolerance to 0.0"
             )

@@ -8,8 +8,9 @@ first derivatives.  The diagnostics split the energy as
                                           Theta(t) = int |f_theta|^2 dtheta,
 
 report the average length, an upper bound on the image diameter, the
-per-slice conformality defect in Pohozaev form, and test the vanishing of
-neck energy and diameter over a schedule of shrinking chart radii.
+per-slice conformality defect in Pohozaev form (the largest 2|alpha(t)| over
+the slice energy, zero for a conformal neck), and test the vanishing of neck
+energy and diameter over a schedule of shrinking chart radii.
 
 ``CylinderField.collar_window`` alone turns a radius delta about the node
 into the rows i0..i1 of the sub-cylinder |t| <= log(delta/sqrt|pinch|).
@@ -58,15 +59,11 @@ __all__ = [
     "build_nodal_pushforward",
     "collar_diagnostics",
     "NeckDiagnostics",
-    "ThetaBoundsReport",
     "ZeroNeckRow",
     "ZeroNeckReport",
-    "PolarAnnulusField",
     "cylinder_field_from_sphere_chart",
     "diagnostics",
-    "theta_bounds_check",
     "zero_neck_test",
-    "pohozaev_residual",
     "profile_to_csv",
 ]
 
@@ -114,11 +111,6 @@ class SphereTarget:
             return np.stack([(a * x + b * y) / nn for a, b in zip(du, dv)], axis=-1)
 
         return push
-
-    @staticmethod
-    def push(w: np.ndarray, zeta: np.ndarray) -> np.ndarray:
-        """Differential of the chart at w applied to the tangent zeta."""
-        return SphereTarget.differential(w)(zeta)
 
     @staticmethod
     def residual(points: np.ndarray) -> float:
@@ -519,74 +511,6 @@ def _window_diagnostics(
 
 
 @dataclass(frozen=True)
-class ThetaBoundsReport:
-    """Slack of the convexity and endpoint-domination bounds for Theta.
-
-    convexity_slack : min over interior nodes of Theta''(t) - Theta(t)
-    integral_slack : 2(Theta(T1) + Theta(T2)) - int_{T1}^{T2} Theta dt
-    sqrt_slack : 4(sqrt Theta(T1) + sqrt Theta(T2)) - int sqrt(Theta) dt
-    positive : min Theta > 0 on [T1, T2]
-    energy_ok : field energy within the stated small-energy threshold
-    """
-
-    convexity_slack: float
-    integral_slack: float
-    sqrt_slack: float
-    positive: bool
-    energy_ok: bool
-    violations: tuple[str, ...]
-
-
-def theta_bounds_check(
-    field: CylinderField, t1: float, t2: float, energy_threshold: float = 1.0
-) -> ThetaBoundsReport:
-    """Empirical check of Theta'' >= Theta > 0 and the endpoint bounds.
-
-    Report-only: violations are listed, never raised.  Endpoints snap to
-    the nearest grid nodes.
-    """
-    if not (-field.half_length <= t1 < t2 <= field.half_length):
-        raise NeckError("require -T <= T1 < T2 <= T")
-    diag = diagnostics(field)
-    t = diag.t_nodes
-    th = diag.theta_profile
-    i1 = int(np.argmin(np.abs(t - t1)))
-    i2 = int(np.argmin(np.abs(t - t2)))
-    if i2 - i1 < 2:
-        raise NeckError("window too narrow for the grid")
-    h = t[1] - t[0]
-    seg = th[i1 : i2 + 1]
-    dd = (seg[2:] - 2.0 * seg[1:-1] + seg[:-2]) / (h * h)
-    convexity_slack = float(np.min(dd - seg[1:-1]))
-    w = _trapezoid(len(seg), h)
-    integral = float(np.sum(w * seg))
-    sqrt_integral = float(np.sum(w * np.sqrt(np.maximum(seg, 0.0))))
-    integral_slack = 2.0 * (seg[0] + seg[-1]) - integral
-    sqrt_slack = 4.0 * (np.sqrt(max(seg[0], 0.0)) + np.sqrt(max(seg[-1], 0.0))) - sqrt_integral
-    positive = bool(np.min(seg) > 0.0)
-    energy_ok = diag.energy <= energy_threshold
-    violations = []
-    if convexity_slack < 0:
-        violations.append("convexity")
-    if integral_slack < 0:
-        violations.append("integral")
-    if sqrt_slack < 0:
-        violations.append("sqrt_integral")
-    if not positive:
-        violations.append("positivity")
-    if not energy_ok:
-        violations.append("energy_threshold")
-    return ThetaBoundsReport(
-        convexity_slack=convexity_slack,
-        integral_slack=float(integral_slack),
-        sqrt_slack=float(sqrt_slack),
-        positive=positive,
-        energy_ok=energy_ok,
-        violations=tuple(violations),
-    )
-
-
-@dataclass(frozen=True)
 class ZeroNeckRow:
     """One delta of the zero-neck test.
 
@@ -666,46 +590,6 @@ def zero_neck_test(
         rows=tuple(rows),
         late_count=len(late),
     )
-
-
-@dataclass(frozen=True)
-class PolarAnnulusField:
-    """Derivative samples of a map on an annulus, polar grid.
-
-    f_r, f_phi : arrays (n_r, n_phi, dim) of embedded derivative vectors,
-    with f_phi the raw phi-derivative (not arc-length normalized); phis are
-    uniform over [0, 2 pi).
-    """
-
-    radii: np.ndarray
-    f_r: np.ndarray
-    f_phi: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.f_r.shape != self.f_phi.shape or len(self.f_r.shape) != 3:
-            raise NeckError("derivative sample shapes do not match")
-        if len(self.radii) != self.f_r.shape[0]:
-            raise NeckError("radius count does not match the samples")
-        if np.any(np.asarray(self.radii) <= 0):
-            raise NeckError("radii must be positive")
-
-
-def pohozaev_residual(field: PolarAnnulusField) -> float:
-    """Max over grid radii of |int |F_phi|^2 - r^2 |F_r|^2 dphi| / (sum of both).
-
-    Vanishes identically for conformal maps; 0/0 counts as 0.
-    """
-    grid = np.asarray(field.radii, dtype=float)
-    fr_sq = _sq_norm(field.f_r)
-    fphi_sq = _sq_norm(field.f_phi)
-    worst = 0.0
-    for j in range(len(grid)):
-        r2 = grid[j] * grid[j]
-        num = abs(float(np.sum(fphi_sq[j] - r2 * fr_sq[j])))
-        den = float(np.sum(fphi_sq[j] + r2 * fr_sq[j]))
-        if den > 0.0:
-            worst = max(worst, num / den)
-    return worst
 
 
 def profile_to_csv(diag: NeckDiagnostics) -> str:

@@ -171,8 +171,8 @@ def test_seed_rejected_as_meaningless(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "ladder",
-    ['eps_bar: "abc"', "eps_bar: true", "delta0: .inf"],
-    ids=["string", "bool", "non_finite"],
+    ['eps_bar: "abc"', "eps_bar: true", "delta0: .inf", "depth: 1" + "0" * 400],
+    ids=["string", "bool", "non_finite", "int_beyond_float_range"],
 )
 def test_ladder_value_not_a_finite_number_exits_2(tmp_path, capsys, ladder):
     cfg = write_cfg(tmp_path, BUBBLE_CFG.format(out=tmp_path / "x") + f"ladder:\n  {ladder}\n")
@@ -252,8 +252,10 @@ def test_neck_family_schedule_refused_at_load(
         ("[0.01, 0.1]", "neck deltas must be strictly decreasing"),
         ("[0.1, 0.1]", "neck deltas must be strictly decreasing"),
         ("[0.7]", "neck delta 0.7 exceeds the sampled chart 0.5"),
+        # 1e-4 < sqrt(1e-7), the larger pinch of the schedule's late half
+        ("[1.0e-4]", "neck delta 0.0001 does not exceed sqrt(t) for the late pinch t = 1e-07"),
     ],
-    ids=["increasing", "repeated", "beyond_chart"],
+    ids=["increasing", "repeated", "beyond_chart", "within_late_pinch"],
 )
 @pytest.mark.parametrize("command", ["extract", "neck"])
 def test_neck_deltas_refused_at_load(tmp_path, capsys, no_family, command, deltas, message):
@@ -393,5 +395,20 @@ def test_every_loader_reads_the_shipped_configs_alike(path):
 def test_malformed_yaml_exits_2(tmp_path, capsys, monkeypatch, loader):
     monkeypatch.setattr(cli, "_YAML_LOADER", loader)
     cfg = write_cfg(tmp_path, "family: [bubble1\n  schedule: {1.0\n")
+    assert main(["extract", "--config", cfg]) == 2
+    assert "config does not parse as YAML" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    # int() refuses more than sys.get_int_max_str_digits() digits, and
+    # datetime.date refuses month 13
+    ["ladder:\n  depth: 1" + "0" * sys.get_int_max_str_digits() + "\n", "seed: 2020-13-01\n"],
+    ids=["int_past_digit_limit", "bad_date"],
+)
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+def test_scalar_the_constructor_refuses_exits_2(tmp_path, capsys, monkeypatch, loader, text):
+    monkeypatch.setattr(cli, "_YAML_LOADER", loader)
+    cfg = write_cfg(tmp_path, BUBBLE_CFG.format(out=tmp_path / "x") + text)
     assert main(["extract", "--config", cfg]) == 2
     assert "config does not parse as YAML" in capsys.readouterr().err

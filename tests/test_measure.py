@@ -129,8 +129,14 @@ def test_ladder_closed_form_matches_reference_checks(depth, log_delta0, log_eps_
 
 @pytest.mark.parametrize(
     "delta0, eps_bar, depth",
-    [(1.0, 0.2, 1074), (1.0, 0.2, 1100), (1.0, 1e300, 1075), (1e-300, 1e300, 1080)],
-    ids=["tolerance", "both", "scale", "small_delta0"],
+    [
+        (1.0, 0.2, 1074),
+        (1.0, 0.2, 1100),
+        (1.0, 1e300, 1075),
+        (1e-300, 1e300, 1080),
+        (1.0, 0.2, 10**400),
+    ],
+    ids=["tolerance", "both", "scale", "small_delta0", "beyond_float_range"],
 )
 def test_ladder_refuses_a_finest_value_that_underflows_before_building_arrays(
     monkeypatch, delta0, eps_bar, depth
