@@ -19,9 +19,11 @@ sqrt(t) < delta, and plumbing pinches decrease strictly), and, when a family
 section is present, a ladder that ``ScaleLadder`` refuses (depth < 6, delta0
 or eps_bar not positive, or a finest scale or tolerance that underflows to
 0.0).  ``curve`` also exits 2 on a graph file it cannot parse and on an edge
-query it cannot answer (no such node, or an unstable curve).  Identical
-configs produce byte-identical reports: keys are sorted, floats use shortest
-round-trip repr, and every report embeds the hash of the validated config.
+query it cannot answer (no such node, or an unstable curve).  A command whose
+out directory cannot be created or written exits 2 as well, after its run.
+Identical configs produce byte-identical reports: keys are sorted, floats use
+shortest round-trip repr, and every report embeds the hash of the validated
+config.
 
 Each command loads only the layers it runs.  ``curve``, ``--help`` and
 config errors finish without importing numpy; ``families``, ``driver`` and
@@ -51,10 +53,11 @@ Config grammar (YAML, unknown keys rejected at every level):
     seed: null                   # must stay null: the pipeline is
                                  # deterministic and samples nothing
 
-The extraction tolerances are constants of ``bubbletree.driver``, not config
-keys: the balanced-center tolerance 1e-5, the nodal regularity bound
-|alpha| <= 1e-3 * (1 + energy), the marking radius delta0/2 and the
-residual-energy decrement tolerance eps_bar/20.
+The extraction tolerances are module constants, not config keys: the
+balanced-center tolerance 1e-5 of ``bubbletree.renorm``, and in
+``bubbletree.driver`` the nodal regularity bound |alpha| <= 1e-3 * (1 +
+energy), the marking radius delta0/2 and the residual-energy decrement
+tolerance eps_bar/20.
 """
 
 from __future__ import annotations
@@ -273,9 +276,8 @@ def _jsonable(x):
     return x
 
 
-def _dump_json(obj: dict, path: Path) -> None:
-    text = json.dumps(_jsonable(obj), sort_keys=True, ensure_ascii=False, indent=2)
-    path.write_text(text + "\n", encoding="utf-8")
+def _json_text(obj: dict) -> str:
+    return json.dumps(_jsonable(obj), sort_keys=True, ensure_ascii=False, indent=2) + "\n"
 
 
 def _tree_dict(tree: BubbleTree, cfg: RunConfig) -> dict:
@@ -342,12 +344,18 @@ def _theta_profile_csv(last_diagnostics) -> str:
 # subcommands
 
 
-def _out_dir(cfg: RunConfig, args, default_stem: str) -> Path:
-    if args.out:
-        return Path(args.out)
-    if cfg.out:
-        return Path(cfg.out)
-    return Path("runs") / default_stem
+def _write_reports(cfg: RunConfig, args, stem: str, reports: dict[str, str]) -> Path:
+    """Write each report text to its file name in the out directory (--out,
+    else the config's ``out``, else runs/<config stem>), and return that
+    directory; one that cannot be created or written is a config error."""
+    out = Path(args.out or cfg.out or Path("runs") / stem)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in reports.items():
+            (out / name).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write reports to {out}: {exc.strerror or exc}") from exc
+    return out
 
 
 def _cmd_extract(cfg: RunConfig, args, stem: str) -> int:
@@ -358,12 +366,12 @@ def _cmd_extract(cfg: RunConfig, args, stem: str) -> int:
 
     family = make_family(cfg.family_spec)
     tree = extract_bubble_tree(family, cfg.extraction_config())
-    out = _out_dir(cfg, args, stem)
-    out.mkdir(parents=True, exist_ok=True)
-    _dump_json(_tree_dict(tree, cfg), out / "tree.json")
-    (out / "markings.csv").write_text(_markings_csv(tree), encoding="utf-8")
-    profile = _theta_profile_csv(tree.last_neck)
-    (out / "theta_profile.csv").write_text(profile, encoding="utf-8")
+    reports = {
+        "tree.json": _json_text(_tree_dict(tree, cfg)),
+        "markings.csv": _markings_csv(tree),
+        "theta_profile.csv": _theta_profile_csv(tree.last_neck),
+    }
+    out = _write_reports(cfg, args, stem, reports)
     res = tree.identity_residual
     print(
         f"extract: {len(tree.components) - 1} bubble(s), "
@@ -401,11 +409,11 @@ def _cmd_neck(cfg: RunConfig, args, stem: str) -> int:
         "members": rows,
         "zero_neck": zn,
     }
-    out = _out_dir(cfg, args, stem)
-    out.mkdir(parents=True, exist_ok=True)
-    _dump_json(report, out / "neck.json")
     # d is the last member's diagnostics (a schedule is never empty)
-    (out / "theta_profile.csv").write_text(_theta_profile_csv(d), encoding="utf-8")
+    profile = _theta_profile_csv(d)
+    out = _write_reports(
+        cfg, args, stem, {"neck.json": _json_text(report), "theta_profile.csv": profile}
+    )
     verdict = "n/a" if zn is None else ("PASS" if zn.passed else "FAIL")
     print(f"neck: {len(rows)} member(s), zero-neck {verdict}, wrote {out / 'neck.json'}")
     return 0
@@ -451,9 +459,7 @@ def _cmd_curve(cfg: RunConfig, args, stem: str) -> int:
             "status": v.status,
             "witness": list(v.witness) if v.witness else None,
         }
-    out = _out_dir(cfg, args, stem)
-    out.mkdir(parents=True, exist_ok=True)
-    _dump_json(answer, out / "curve.json")
+    _write_reports(cfg, args, stem, {"curve.json": _json_text(answer)})
     print("\n".join(lines))
     return 0
 

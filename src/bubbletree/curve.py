@@ -164,8 +164,11 @@ def forget_mark(c: MarkedNodalCurve, label: int) -> ForgetResult:
     * one node and one mark: the mark moves to the neighbour.
 
     Two marks, or a self-loop, would make the host the whole curve, and the
-    global refusal below catches both.  Neither contraction changes the
-    valence of a neighbour, so the image is stable again.
+    global refusal below catches both.  The image is stable without a check:
+    a contraction removes one vertex and one node, so the arithmetic genus
+    stays; no other vertex changes valence; and a kept host, of positive
+    genus or valence at least 4, stays stable unless it has genus 1 and the
+    mark was its only special point, when it is the whole curve and refused.
 
     Raises CurveError on an unstable input or an unknown label, and
     CurveError("stratum empty ...") when the result would be globally
@@ -199,10 +202,7 @@ def forget_mark(c: MarkedNodalCurve, label: int) -> ForgetResult:
         edges = tuple((shift(i), shift(j)) for i, j in edges)
         legs = tuple((shift(u), lab) for u, lab in legs)
         genus = genus[:host] + genus[host + 1 :]
-    result = MarkedNodalCurve(genus, edges, legs)
-    if not is_stable(result).stable:
-        raise CurveError("stratum empty: stabilization did not reach a stable curve")
-    return ForgetResult(curve=result)
+    return ForgetResult(curve=MarkedNodalCurve(genus, edges, legs))
 
 
 @dataclass(frozen=True)
@@ -286,6 +286,10 @@ def add_bubble_component(c: MarkedNodalCurve, site: int, case: int) -> BubbleIns
 
     Either way the input comes back with the same vertex numbering, genus
     and legs, and the same edges up to their order.
+
+    The image is stable without a check: the new vertex has genus 0 and
+    three special points, each old vertex keeps its valence or (case 1,
+    ``site``) gains one, and the genus stays while the marks grow.
     """
     if not is_stable(c).stable:
         raise CurveError("bubble insertion requires a stable curve")
@@ -318,11 +322,8 @@ def add_bubble_component(c: MarkedNodalCurve, site: int, case: int) -> BubbleIns
         replaced = site
     else:
         raise CurveError(f"case must be 1 or 2, got {case}")
-    out = MarkedNodalCurve(tuple(genus), tuple(edges), tuple(legs))
-    if not is_stable(out).stable:
-        raise CurveError("bubble insertion produced an unstable curve")
     return BubbleInsertion(
-        curve=out,
+        curve=MarkedNodalCurve(tuple(genus), tuple(edges), tuple(legs)),
         new_vertex=new_v,
         new_edges=new_edges,
         new_legs=new_legs,

@@ -57,11 +57,6 @@ __all__ = [
     "extract_bubble_tree",
 ]
 
-# balanced-center tolerance, matched to the particle granularity of the
-# family generator; the moment functional of an atomic measure jumps by the
-# atom weights crossing the cut circle, so demanding much less than the
-# largest nearby atom weight over the total mass cannot succeed
-_CENTER_TOL = 1e-5
 _ALPHA_TOL = 1e-3  # nodal regularity: |alpha| <= _ALPHA_TOL * (1 + energy)
 
 
@@ -240,7 +235,7 @@ def _smooth_chart(family: Family, config: ExtractionConfig) -> _Chart:
 
     def mark(curve, site):
         members = [restrict(mus[idx], site.location, radius) for _, idx in site.subsequence]
-        markings = mark_smooth_bubble(members, ladder, _CENTER_TOL)
+        markings = mark_smooth_bubble(members, ladder)
         ins = add_bubble_component(curve, site=0, case=1)
         mk = markings[-1]
         attach = site.location + mk.q

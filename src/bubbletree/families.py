@@ -28,7 +28,7 @@ from .curve import MarkedNodalCurve
 from .errors import FamilyError
 from .measure import WeightedParticleMeasure
 from .neck import CylinderField, FlatTorusTarget, cylinder_field_from_sphere_chart
-from .quadrature import adaptive_polar_quadrature
+from .quadrature import _ABS_TOL, adaptive_polar_quadrature
 
 __all__ = [
     "RationalMap",
@@ -40,9 +40,8 @@ __all__ = [
     "make_family",
 ]
 
-# resolution of every generated family and quadrature, fixed for the package
-_ABS_TOL = 1e-12
-_MAX_PANELS = 20000
+# resolution of every generated family and quadrature, fixed for the package;
+# the quadrature's absolute floor and panel budget are constants of quadrature
 _ENERGY_REL_TOL = 1e-9  # energy_quadrature
 _MEASURE_REL_TOL = 1e-7  # density_to_measure
 _MASS_FRAC = 2.5e-3  # atom weight bound, as a fraction of the emitted mass
@@ -184,8 +183,6 @@ def _quadrature_checked(
         center=center,
         r_outer=radius,
         rel_tol=rel_tol,
-        abs_tol=_ABS_TOL,
-        max_panels=_MAX_PANELS,
         emit_mass_frac=mass_frac,
     )
     # a NaN value or error fails every comparison, so it needs its own refusal
@@ -399,7 +396,7 @@ def _plumbing_family(spec: FamilySpec) -> Family:
 
 def _torus_family(spec: FamilySpec) -> Family:
     a, b = spec.slopes
-    target = FlatTorusTarget()
+    target = FlatTorusTarget
     members = []
     for t in spec.schedule:
         half = float(np.log(spec.delta / np.sqrt(t)))

@@ -1,8 +1,9 @@
 """Cylindrical neck analysis.
 
 A neck is sampled as a field on [-T, T] x S^1 with values on an embedded
-target (unit sphere in R^3 or flat torus in R^4) together with
-first derivatives.  The diagnostics split the energy as
+target (the unit sphere in R^3, or the square flat torus R^2/(2 pi Z)^2 as
+the product of two unit circles in R^4) together with first derivatives.
+The diagnostics split the energy as
 
     E = 2T * alpha + integral of Theta,   alpha(t) = 1/2 int (|f_t|^2 - |f_theta|^2) dtheta,
                                           Theta(t) = int |f_theta|^2 dtheta,
@@ -85,7 +86,6 @@ def _sq_norm(x: np.ndarray) -> np.ndarray:
 class SphereTarget:
     """Unit sphere in R^3, charted by inverse stereographic projection."""
 
-    name = "sphere"
     dim = 3
     chord_diameter = 2.0
 
@@ -118,40 +118,31 @@ class SphereTarget:
 
 
 class FlatTorusTarget:
-    """Flat rectangular torus R^2/(Lx Z x Ly Z) embedded as a circle product in R^4."""
+    """Square flat torus R^2/(2 pi Z)^2, embedded as the product of two unit
+    circles in R^4."""
 
-    name = "flat_torus"
     dim = 4
+    chord_diameter = 2.0 * float(np.sqrt(2.0))
 
-    def __init__(self, lx: float = _TWO_PI, ly: float = _TWO_PI) -> None:
-        if lx <= 0 or ly <= 0:
-            raise NeckError("torus circumferences must be positive")
-        self.lx = float(lx)
-        self.ly = float(ly)
-        self._rx = self.lx / _TWO_PI
-        self._ry = self.ly / _TWO_PI
-        self.chord_diameter = 2.0 * float(np.hypot(self._rx, self._ry))
-
-    def frame(
-        self, u: np.ndarray, v: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    @staticmethod
+    def frame(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The points at (u, v) and the images of d/du and d/dv there, from
-        one evaluation of sin and cos of u/rx and v/ry.  d/du moves only the
-        first circle and d/dv only the second, so each image has two planes
-        left at zero."""
-        rx, ry = self._rx, self._ry
-        cu, su, cv, sv = np.cos(u / rx), np.sin(u / rx), np.cos(v / ry), np.sin(v / ry)
+        one evaluation of sin and cos of u and v.  d/du moves only the first
+        circle and d/dv only the second, so each image has two planes left
+        at zero."""
+        cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
         e_u = np.zeros(cu.shape + (4,), cu.dtype)
         e_v = np.zeros(cu.shape + (4,), cu.dtype)
         np.negative(su, out=e_u[..., 0])
         e_u[..., 1] = cu
         np.negative(sv, out=e_v[..., 2])
         e_v[..., 3] = cv
-        return np.stack([rx * cu, rx * su, ry * cv, ry * sv], axis=-1), e_u, e_v
+        return np.stack([cu, su, cv, sv], axis=-1), e_u, e_v
 
-    def residual(self, points: np.ndarray) -> float:
-        r1 = np.hypot(points[..., 0], points[..., 1]) - self._rx
-        r2 = np.hypot(points[..., 2], points[..., 3]) - self._ry
+    @staticmethod
+    def residual(points: np.ndarray) -> float:
+        r1 = np.hypot(points[..., 0], points[..., 1]) - 1.0
+        r2 = np.hypot(points[..., 2], points[..., 3]) - 1.0
         return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
 
 
@@ -211,21 +202,6 @@ class CylinderField:
     @property
     def theta_nodes(self) -> np.ndarray:
         return np.arange(self.n_theta) * (_TWO_PI / self.n_theta)
-
-    def finite_difference_defect(self) -> tuple[float, float]:
-        """Max deviation of (f_t, f_theta) from second-order differences of points.
-
-        t uses central differences on interior nodes, theta wraps around.
-        """
-        h_t = 2.0 * self.half_length / self.n_t
-        d_t = (self.points[2:] - self.points[:-2]) / (2.0 * h_t)
-        def_t = float(np.max(np.linalg.norm(d_t - self.f_t[1:-1], axis=-1)))
-        h_th = _TWO_PI / self.n_theta
-        d_th = (np.roll(self.points, -1, axis=1) - np.roll(self.points, 1, axis=1)) / (
-            2.0 * h_th
-        )
-        def_th = float(np.max(np.linalg.norm(d_th - self.f_theta, axis=-1)))
-        return def_t, def_th
 
     @cached_property
     def density(self) -> np.ndarray:

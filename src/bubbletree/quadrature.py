@@ -38,6 +38,8 @@ _EMIT_CELLS = 48  # radial cells per panel for the emission mass profile
 _EMIT_CHUNK = 32  # final panels per density call during emission
 _MAX_SHELLS = 24  # atom shells of the heaviest panels
 _SPLIT_BATCH = 32  # panels split per pair of density calls
+_ABS_TOL = 1e-12  # absolute floor of the error target
+_MAX_PANELS = 20000  # panel budget of one integration
 
 _Box = tuple[float, float, float, float]  # panel (r0, r1, t0, t1)
 
@@ -56,7 +58,7 @@ class PanelQuadrature:
     """Result of an adaptive polar integration.
 
     value : integral estimate (sum of fine-rule panel values)
-    error : accumulated error estimate over final panels
+    error : summed error estimates of the final panels, retired ones included
     points : emitted atoms z = center + r e^{i theta}, in shells at each final
         panel's radial mass quantiles, sorted by real part; empty unless
         emit_mass_frac was given
@@ -237,8 +239,6 @@ def adaptive_polar_quadrature(
     center: complex,
     r_outer: float,
     rel_tol: float = 1e-9,
-    abs_tol: float = 1e-14,
-    max_panels: int = 20000,
     emit_mass_frac: float | None = None,
 ) -> PanelQuadrature:
     """Integrate ``density`` over the disk |z - center| <= r_outer.
@@ -249,7 +249,10 @@ def adaptive_polar_quadrature(
     array would see other panels' nodes.
 
     Worst-first refinement until the summed panel error estimates drop below
-    max(abs_tol, rel_tol * |value|) or the panel budget is exhausted.  A
+    max(_ABS_TOL, rel_tol * |value|) or the budget of ``_MAX_PANELS`` panels
+    is exhausted.  A panel too narrow to split in either axis retires from
+    the queue and from the running error sum, but its error stays in the
+    reported ``error``.  A
     panel's split is computed in one batch with the next worst panels whose
     error already exceeds that threshold (in the granularity pass below: whose
     mass exceeds its bound); the pops, pushes and running sums happen in the
@@ -313,23 +316,25 @@ def adaptive_polar_quadrature(
         total += fine
         total_err += err
 
-    while len(heap) < max_panels:
-        tol = max(abs_tol, rel_tol * abs(total))
+    while len(heap) < _MAX_PANELS:
+        tol = max(_ABS_TOL, rel_tol * abs(total))
         if total_err <= tol:
             break
         item = heapq.heappop(heap)
-        _, _, box, fine, err, coarse = item
+        key, _, box, fine, err, coarse = item
         total -= fine
         total_err -= err
-        if err <= 0.0:
-            # nothing left to refine: put the panel back and stop
+        if key >= 0.0:
+            # nothing left to refine (a retired panel has key 0): put the
+            # panel back and stop
             heapq.heappush(heap, item)
             total += fine
             break
         children = split(box, coarse, tol)
         if children is None:
-            # keep the panel but retire it, and its error, from the queue
-            push(0.0, box, fine, 0.0, coarse)
+            # keep the panel and its error, but retire both from the queue
+            # and from the running error sum
+            push(0.0, box, fine, err, coarse)
             total += fine
             continue
         for child, c_coarse, c_fine in children:
@@ -342,7 +347,7 @@ def adaptive_polar_quadrature(
         # granularity pass: split heavy panels regardless of integral error
         heap = [(-abs(it[3]),) + it[1:] for it in heap]
         heapq.heapify(heap)
-        while len(heap) < max_panels:
+        while len(heap) < _MAX_PANELS:
             floor = emit_mass_frac * abs(total)
             if -heap[0][0] <= floor:
                 break

@@ -67,6 +67,15 @@ _TAIL_MIN = 256
 # an arc may be split down to before the winding is refused
 _RING_START = 16
 _RING_CAP = 4096
+# neck-scale tolerances, as fractions of the total mass: particle and
+# continuous-profile solves
+_NECK_TOL = 1e-9
+_CDF_TOL = 1e-12
+# balanced-center tolerance of mark_smooth_bubble, matched to the particle
+# granularity of the family generator; the moment functional of an atomic
+# measure jumps by the atom weights crossing the cut circle, so demanding much
+# less than the largest nearby atom weight over the total mass cannot succeed
+_CENTER_TOL = 1e-5
 
 
 def renormalization_map(q: complex, t: float) -> PlanarMoebius:
@@ -166,12 +175,7 @@ def _bisect_neck_scale(
     )
 
 
-def solve_neck_scale(
-    mu: WeightedParticleMeasure,
-    q: complex,
-    eps_bar: float,
-    tol: float | None = None,
-) -> NeckScaleResult:
+def solve_neck_scale(mu: WeightedParticleMeasure, q: complex, eps_bar: float) -> NeckScaleResult:
     """Bisection for t with mass of mu outside R_{q,t}^{-1}(unit disk) = eps_bar.
 
     The mass-outside function of a particle measure is a nonincreasing step
@@ -189,13 +193,12 @@ def solve_neck_scale(
     at every step) in t, s and history t, and in mass values up to
     rounding, unless a plateau of the mass function lies within rounding
     (about 1e-16 of the total) of a compared level: eps_bar, eps_bar +- tol
-    (early exit), eps_bar +- 0.05 total (jump test) or the midpoint of a
-    jump (nearer end).
+    (early exit, with tol ``_NECK_TOL`` of the total), eps_bar +- 0.05 total
+    (jump test) or the midpoint of a jump (nearer end).
     """
     total = mu.mass
     _check_levels(total, eps_bar)
-    if tol is None:
-        tol = 1e-9 * total
+    tol = _NECK_TOL * total
     d = np.abs(mu.points - q)
     w = mu.weights
     n = len(d)
@@ -245,7 +248,6 @@ def solve_neck_scale_from_cdf(
     mass_outside: Callable[[float], float],
     total: float,
     eps_bar: float,
-    tol: float | None = None,
 ) -> NeckScaleResult:
     """Bisection twin of solve_neck_scale for a continuous radial profile.
 
@@ -253,37 +255,29 @@ def solve_neck_scale_from_cdf(
     [1e-9, 1e9]; the same t = s/(1+s) bisection and monotonicity audit
     apply, but a continuous profile lets the bisection reach machine-level
     residuals, which particle measures cannot (their mass function is a
-    step function), so the accepted jump is capped at 1e-6 of the total.
+    step function), so the tolerance is ``_CDF_TOL`` of the total and the
+    accepted jump is capped at 1e-6 of the total.
     """
     _check_levels(total, eps_bar)
-    if tol is None:
-        tol = 1e-12 * total
+    tol = _CDF_TOL * total
     return _bisect_neck_scale(
         lambda s: float(mass_outside(s)), total, eps_bar, tol, 1e-9, 1e9, 1e-15, 1e-6 * total
     )
 
 
 def _center_value(
-    mu: WeightedParticleMeasure,
-    q: complex,
-    eps_bar: float,
-    tol: float | None,
+    mu: WeightedParticleMeasure, q: complex, eps_bar: float
 ) -> tuple[complex, NeckScaleResult]:
-    res = solve_neck_scale(mu, q, eps_bar, tol)
+    res = solve_neck_scale(mu, q, eps_bar)
     scale = 1.0 / res.t - 1.0
     sel = np.abs(mu.points - q) < res.s
     moment = complex(np.sum(mu.weights[sel] * (mu.points[sel] - q)) * scale)
     return moment, res
 
 
-def center_functional(
-    mu: WeightedParticleMeasure,
-    q: complex,
-    eps_bar: float,
-    tol: float | None = None,
-) -> complex:
+def center_functional(mu: WeightedParticleMeasure, q: complex, eps_bar: float) -> complex:
     """F(q): first moment over the open unit disk of the renormalized measure."""
-    return _center_value(mu, q, eps_bar, tol)[0]
+    return _center_value(mu, q, eps_bar)[0]
 
 
 def _certified_winding(
@@ -392,7 +386,7 @@ def find_balanced_center(
     jump = float(mu.weights.max())  # F moves by about one weight as an atom crosses the cut
 
     def probe(q: complex) -> tuple[complex, NeckScaleResult]:
-        return _center_value(mu, q, eps_bar, None)
+        return _center_value(mu, q, eps_bar)
 
     def value(q: complex) -> complex:
         return probe(q)[0]
@@ -584,23 +578,19 @@ def _check_members(n: int, ladder: ScaleLadder) -> None:
         )
 
 
-def mark_smooth_bubble(
-    mus: list[WeightedParticleMeasure],
-    ladder: ScaleLadder,
-    tol_center: float = 1e-8,
-) -> list[Marking]:
+def mark_smooth_bubble(mus: list[WeightedParticleMeasure], ladder: ScaleLadder) -> list[Marking]:
     """Mark a concentration at a smooth point along a certified subsequence.
 
     Member i is handled at ladder index k = i + 1: the balanced center q_k
-    is found in B(0, delta_{2k-1}), the neck scale t there, and the
-    renormalized measure is the pushforward under R_{q_k,t}.
+    is found in B(0, delta_{2k-1}) to ``_CENTER_TOL``, the neck scale t
+    there, and the renormalized measure is the pushforward under R_{q_k,t}.
     """
     _check_members(len(mus), ladder)
     markings = []
     for i, mu in enumerate(mus):
         k = i + 1
         try:
-            center = find_balanced_center(mu, ladder, k, tol_center)
+            center = find_balanced_center(mu, ladder, k, _CENTER_TOL)
             nu = pushforward(mu, renormalization_map(center.q, center.scale.t))
             markings.append(
                 Marking(
@@ -613,7 +603,7 @@ def mark_smooth_bubble(
                     eps_bar=ladder.eps_bar,
                     delta_bound=float(ladder.delta[k]),
                     mass_tol=center.scale.tol_effective,
-                    center_tol=tol_center,
+                    center_tol=_CENTER_TOL,
                 )
             )
         except (NeckScaleError, CenterError, MarkingError) as exc:

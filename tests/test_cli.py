@@ -370,6 +370,22 @@ def test_curve_edge_query_without_that_node_exits_2(tmp_path, capsys, edge):
     assert f"no node with index {edge}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["extract", "neck", "curve"])
+def test_out_dir_that_cannot_be_created_exits_2(tmp_path, capsys, command):
+    # the out directory would sit under a regular file
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    out = blocker / "sub"
+    (tmp_path / "graph.txt").write_text(CURVE_GRAPH, encoding="utf-8")
+    text = CURVE_CFG if command == "curve" else PLUMBING_CFG.format(out=tmp_path / "unused")
+    cfg = write_cfg(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error ({command}): cannot write reports to {out}: ")
+    assert not out.exists() and not (tmp_path / "unused").exists()
+
+
 def test_selftest_passes_and_rejects_flags(capsys):
     assert main(["selftest", "--config", "x.yaml"]) == 2
     capsys.readouterr()

@@ -282,7 +282,9 @@ def test_forget_mark_matches_stabilization_loop(c):
             assert str(got.value) == str(exc)
             continue
         assert contractions <= 1
-        assert forget_mark(c, label).curve == want
+        got = forget_mark(c, label).curve
+        assert is_stable(got).stable
+        assert got == want
 
 
 def _has_parallel_edge(c):
@@ -391,7 +393,9 @@ def test_insertion_round_trip_returns_the_input(c):
     # edges up to order (a merged node is appended last)
     sites = [(v, 1) for v in range(c.n_vertices)] + [(e, 2) for e in range(len(c.edges))]
     for site, case in sites:
-        assert forgets_back_to(add_bubble_component(c, site, case), c)
+        ins = add_bubble_component(c, site, case)
+        assert is_stable(ins.curve).stable
+        assert forgets_back_to(ins, c)
 
 
 def test_add_bubble_case2_subdivides():

@@ -13,10 +13,10 @@ from bubbletree import (
     density_to_measure,
     diagnostics,
     energy_quadrature,
-    families,
     is_regular_node,
     is_stable,
     make_family,
+    quadrature,
 )
 from bubbletree.errors import FamilyError
 from bubbletree.families import _BUILDERS, _MASS_FRAC, _horner, _quadrature_checked, _trim
@@ -149,7 +149,7 @@ def test_disk_energy_closed_form():
 
 
 def test_quadrature_refuses_unresolvable_budget(monkeypatch):
-    monkeypatch.setattr(families, "_MAX_PANELS", 64)
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 64)
     m = RationalMap((1e4, 0.0), (1.0,))
     with pytest.raises(FamilyError, match="resolution insufficient"):
         _quadrature_checked(m.density, 0j, 1.0, 1e-12)

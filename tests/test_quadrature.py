@@ -72,12 +72,40 @@ def test_particle_emission_preserves_total_and_balls():
         assert abs(ball - exact) <= 0.01 * exact, (j, ball, exact)
 
 
-def test_panel_budget_caps_refinement():
-    res = adaptive_polar_quadrature(
-        fs_density(1e4), 0j, 1.0, rel_tol=1e-12, max_panels=80
-    )
+def test_panel_budget_caps_refinement(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 80)
+    res = adaptive_polar_quadrature(fs_density(1e4), 0j, 1.0, rel_tol=1e-12)
     assert res.n_panels <= 80
     assert res.error > 0.0
+
+
+def test_error_keeps_the_panels_retired_at_the_width_floor(monkeypatch):
+    """A panel too narrow to split retires with its fine-coarse difference,
+    which the reported error must still count: near a strong point
+    singularity the retired panels hold far more than the error target, so
+    the integral must come back above its bound."""
+    monkeypatch.setattr(quadrature, "_ABS_TOL", 0.0)
+    retired = []
+    split_panels = quadrature._split_panels
+
+    def recording(density, center, panels, width_floor):
+        out = split_panels(density, center, panels, width_floor)
+        retired.extend(box for box, children in out.items() if children is None)
+        return out
+
+    monkeypatch.setattr(quadrature, "_split_panels", recording)
+
+    def density(z):
+        return np.abs(z - (0.3 + 0.2j)) ** -1.99
+
+    res = adaptive_polar_quadrature(density, 0j, 1.0, rel_tol=1e-6)
+    assert retired
+    fine = [_panel_value(density, 0j, box, _XF, _WF) for box in retired]
+    coarse = [_panel_value(density, 0j, box, _XC, _WC) for box in retired]
+    held = sum(abs(f - c) for f, c in zip(fine, coarse))
+    assert held > 1e-6 * abs(res.value)
+    assert res.error >= held * (1.0 - 1e-12)
+    assert res.error > 1e-6 * abs(res.value)
 
 
 def test_zero_density_integrates_to_zero():
@@ -133,19 +161,13 @@ def _emit_cdf_nodes(density, center, box, fine_value, n_shell, n_fine=48):
     return points.ravel(), weights.ravel()
 
 
-def two_pass_reference(
-    density,
-    center,
-    r_outer,
-    rel_tol=1e-9,
-    abs_tol=1e-14,
-    max_panels=20000,
-    emit_mass_frac=None,
-):
+def two_pass_reference(density, center, r_outer, rel_tol=1e-9, emit_mass_frac=None):
     """Reference: the error pass and the granularity pass written out apart,
     one density call per panel rule, re-evaluating the coarse rule of every
     panel they split and of both chosen children (nine panel rules per
-    split), and one density call per emitted panel."""
+    split), and one density call per emitted panel.  The absolute floor and
+    the panel budget are the module's, read at the call."""
+    abs_tol, max_panels = quadrature._ABS_TOL, quadrature._MAX_PANELS
     boxes = []
     redges = np.linspace(0.0, r_outer, 9)
     tedges = np.linspace(0.0, 2.0 * np.pi, 9)
@@ -162,7 +184,7 @@ def two_pass_reference(
         coarse = _panel_value(density, center, box, _XC, _WC)
         fine = _panel_value(density, center, box, _XF, _WF)
         err = abs(fine - coarse)
-        heapq.heappush(heap, (-err, counter, box, fine))
+        heapq.heappush(heap, (-err, counter, box, fine, err))
         counter += 1
         total += fine
         total_err += err
@@ -185,18 +207,19 @@ def two_pass_reference(
     while len(heap) < max_panels:
         if total_err <= max(abs_tol, rel_tol * abs(total)):
             break
-        neg_err, cnt, box, fine = heapq.heappop(heap)
+        key, cnt, box, fine, err = heapq.heappop(heap)
         total -= fine
-        total_err -= -neg_err
-        if -neg_err <= 0.0:
-            heapq.heappush(heap, (neg_err, cnt, box, fine))
+        total_err -= err
+        if key >= 0.0:
+            heapq.heappush(heap, (key, cnt, box, fine, err))
             total += fine
-            total_err += -neg_err
+            total_err += err
             break
         can_r = (box[1] - box[0]) > width_floor
         can_t = (box[3] - box[2]) > 1e-13
         if not can_r and not can_t:
-            heapq.heappush(heap, (0.0, counter, box, fine))
+            # retired: out of the queue and the running sum, not the error
+            heapq.heappush(heap, (0.0, counter, box, fine, err))
             counter += 1
             total += fine
             continue
@@ -204,7 +227,7 @@ def two_pass_reference(
             push(child)
 
     if emit_mass_frac is not None:
-        mass_heap = [(-abs(it[3]), it[1], it[2], it[3], -it[0]) for it in heap]
+        mass_heap = [(-abs(it[3]), *it[1:]) for it in heap]
         heapq.heapify(mass_heap)
         while len(mass_heap) < max_panels:
             neg_mass, _, box, fine, err = mass_heap[0]
@@ -231,7 +254,7 @@ def two_pass_reference(
         error = float(sum(it[4] for it in mass_heap))
     else:
         final_boxes = [(it[2], it[3]) for it in heap]
-        error = float(sum(-it[0] for it in heap))
+        error = float(sum(it[4] for it in heap))
     value = float(sum(v for _, v in final_boxes))
 
     points = np.zeros(0, dtype=np.complex128)
@@ -274,57 +297,83 @@ def point_density(z):
     return np.abs(z - (0.3 + 0.2j)) ** -1.5
 
 
-POINT_KWARGS = {"rel_tol": 1e-15, "abs_tol": 0.0, "max_panels": 1500}
+# the quadrature constants a case runs at, where they differ from the module's
+BUDGET_80 = {"_MAX_PANELS": 80}
+POINT_LIMITS = {"_ABS_TOL": 0.0, "_MAX_PANELS": 1500}
 
 # the keyword arguments density_to_measure passes for the bubble families
-MEASURE_KWARGS = {"rel_tol": 1e-7, "abs_tol": 1e-12, "emit_mass_frac": 2.5e-3}
+MEASURE_KWARGS = {"rel_tol": 1e-7, "emit_mass_frac": 2.5e-3}
 
+# (id, positional arguments, keyword arguments, quadrature constants)
 SINGLE_PASS_CASES = [
-    *[(f"fs_k{k:g}", (fs_density(k), 0j, 1.0), {}) for k in (1.0, 10.0, 100.0, 1e3, 1e4)],
-    ("off_centre_disk", (fs_density(10.0), 0.2 - 0.1j, 1.0), {}),
-    ("budget_cap", (fs_density(1e4), 0j, 1.0), {"rel_tol": 1e-12, "max_panels": 80}),
-    ("emission", (fs_density(100.0), 0j, 1.0), {"emit_mass_frac": 2.5e-3}),
-    ("zero_density", (zero_density, 0j, 1.0), {}),
+    *[(f"fs_k{k:g}", (fs_density(k), 0j, 1.0), {}, {}) for k in (1.0, 10.0, 100.0, 1e3, 1e4)],
+    ("off_centre_disk", (fs_density(10.0), 0.2 - 0.1j, 1.0), {}, {}),
+    ("budget_cap", (fs_density(1e4), 0j, 1.0), {"rel_tol": 1e-12}, BUDGET_80),
+    ("emission", (fs_density(100.0), 0j, 1.0), {"emit_mass_frac": 2.5e-3}, {}),
+    ("zero_density", (zero_density, 0j, 1.0), {}, {}),
     (
         "bubble1_k3162_measure",
         (RationalMap(np.array([3162.0, 0.0]), np.array([1.0])).density, 0j, 1.0),
         MEASURE_KWARGS,
+        {},
     ),
     (
         "bubble2_k316_measure",
         (RationalMap(np.array([316.0, 0.0, -316.0 * 0.25]), np.array([1.0])).density, 0j, 1.0),
         MEASURE_KWARGS,
+        {},
     ),
     # 189 final panels: more than one emission chunk, and a partial last chunk
-    ("emission_off_centre_disk", (fs_density(10.0), 0.2 - 0.1j, 1.0), {"emit_mass_frac": 1e-2}),
+    (
+        "emission_off_centre_disk",
+        (fs_density(10.0), 0.2 - 0.1j, 1.0),
+        {"emit_mass_frac": 1e-2},
+        {},
+    ),
     # zero total: no shell target, and every panel emits nothing
-    ("zero_density_emission", (zero_density, 0j, 1.0), {"emit_mass_frac": 1e-2}),
+    ("zero_density_emission", (zero_density, 0j, 1.0), {"emit_mass_frac": 1e-2}, {}),
     # panels with zero-mass radial rows, and panels that emit nothing beside
-    # panels that do
-    ("partial_zero_emission", (partial_zero_density, 0j, 1.0), {"emit_mass_frac": 1e-2}),
+    # panels that do; its value 6.1e-4 puts rel_tol * |value| below the
+    # module's absolute floor, so a floor of 1e-14 lets the relative target bind
+    (
+        "partial_zero_emission",
+        (partial_zero_density, 0j, 1.0),
+        {"emit_mass_frac": 1e-2},
+        {"_ABS_TOL": 1e-14},
+    ),
     # the budget stops the granularity pass early: 8 of the 80 panels hold 24
     # shells and the rest 4, so two chunks mix shell counts and the last holds
     # 4-shell panels only
     (
         "bubble2_k300_budget_emission",
         (RationalMap(np.array([300.0, 0.0, -300.0 * 0.25]), np.array([1.0])).density, 0j, 1.0),
-        {**MEASURE_KWARGS, "max_panels": 80},
+        MEASURE_KWARGS,
+        BUDGET_80,
     ),
     # the budget ends both passes with splits computed ahead and never used,
     # and retired panels (no split) sit in the same batches as split ones
-    ("point_singularity", (point_density, 0j, 1.0), POINT_KWARGS),
+    ("point_singularity", (point_density, 0j, 1.0), {"rel_tol": 1e-15}, POINT_LIMITS),
     (
         "point_singularity_emission",
         (point_density, 0j, 1.0),
-        {**POINT_KWARGS, "emit_mass_frac": 1e-2},
+        {"rel_tol": 1e-15, "emit_mass_frac": 1e-2},
+        POINT_LIMITS,
     ),
 ]
 
 
+def set_constants(monkeypatch, constants):
+    for name, value in constants.items():
+        monkeypatch.setattr(quadrature, name, value)
+
+
 @pytest.mark.parametrize(
-    "args, kwargs", [c[1:] for c in SINGLE_PASS_CASES], ids=[c[0] for c in SINGLE_PASS_CASES]
+    "args, kwargs, constants",
+    [c[1:] for c in SINGLE_PASS_CASES],
+    ids=[c[0] for c in SINGLE_PASS_CASES],
 )
-def test_shared_split_matches_two_pass_reference(args, kwargs):
+def test_shared_split_matches_two_pass_reference(monkeypatch, args, kwargs, constants):
+    set_constants(monkeypatch, constants)
     got = adaptive_polar_quadrature(*args, **kwargs)
     want = two_pass_reference(*args, **kwargs)
     assert _bits(got.value) == _bits(want.value)
@@ -382,11 +431,12 @@ BUBBLE_MEASURE_CASES = [c for c in SINGLE_PASS_CASES if c[0].endswith("_measure"
 
 @pytest.mark.parametrize("batch", [1, 256])
 @pytest.mark.parametrize(
-    "args, kwargs",
+    "args, kwargs, constants",
     [c[1:] for c in BUBBLE_MEASURE_CASES],
     ids=[c[0] for c in BUBBLE_MEASURE_CASES],
 )
-def test_split_batch_does_not_change_results(monkeypatch, args, kwargs, batch):
+def test_split_batch_does_not_change_results(monkeypatch, args, kwargs, constants, batch):
+    set_constants(monkeypatch, constants)
     want = adaptive_polar_quadrature(*args, **kwargs)
     monkeypatch.setattr(quadrature, "_SPLIT_BATCH", batch)
     got = adaptive_polar_quadrature(*args, **kwargs)

@@ -58,11 +58,13 @@ def test_uniform_disk_neck_scale_cdf_oracle():
     assert np.all(np.diff(sorted_f) <= 1e-12)
 
 
-def test_particle_route_agrees_with_cdf_route():
+def test_particle_route_agrees_with_cdf_route(monkeypatch):
     # dual routes on the same density: atoms quantile-sampled from the
-    # uniform disk vs the closed-form mass function
+    # uniform disk vs the closed-form mass function; a tolerance of 1e-3 of
+    # the unit total exits the bisection early
     mu = radial_quantile_atoms(np.sqrt, 200_000, mass=1.0)
-    res = solve_neck_scale(mu, 0j, 0.25, tol=1e-3)
+    monkeypatch.setattr(renorm, "_NECK_TOL", 1e-3)
+    res = solve_neck_scale(mu, 0j, 0.25)
     assert abs(res.t - T_ORACLE) <= 1e-4
     assert res.mass_outside == pytest.approx(0.25, abs=res.tol_effective)
 
@@ -169,9 +171,9 @@ def _separated(mu, q, eps_bar, tol, gap_fraction=0.05):
     return all(abs(0.5 * (a + b) - eps_bar) > margin for a, b in zip(levels, levels[1:]))
 
 
-def _outcome(solver, mu, q, eps_bar, tol):
+def _outcome(solver, *args):
     try:
-        return solver(mu, q, eps_bar, tol)
+        return solver(*args)
     except NeckScaleError as exc:
         return exc
 
@@ -215,8 +217,11 @@ def test_tail_solver_matches_full_sort_bisection(case):
     eps_bar = eps_frac * total
     tol = None if tol_frac is None else tol_frac * total
     assume(total == 0.0 or _separated(mu, q, eps_bar, 1e-9 * total if tol is None else tol))
-    with mock.patch.object(renorm, "_TAIL_MIN", tail_min):
-        got = _outcome(solve_neck_scale, mu, q, eps_bar, tol)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(renorm, "_TAIL_MIN", tail_min)
+        if tol_frac is not None:
+            mp.setattr(renorm, "_NECK_TOL", tol_frac)
+        got = _outcome(solve_neck_scale, mu, q, eps_bar)
     want = _outcome(full_sort_neck_scale, mu, q, eps_bar, tol)
     if isinstance(want, Exception):
         assert type(got) is type(want)
@@ -320,13 +325,14 @@ def test_balanced_center_needs_concentration():
         find_balanced_center(mu, lad, 3, tol=1e-8)
 
 
-def test_mark_smooth_bubble_levels_and_bounds():
+def test_mark_smooth_bubble_levels_and_bounds(monkeypatch):
+    monkeypatch.setattr(renorm, "_CENTER_TOL", 1e-6)
     lad = ScaleLadder(1.0, 0.2, 6)
     mus = []
     for k in (316.0, 3162.0, 10000.0):
         inv = lambda q, k=k: np.sqrt(q / (1.0 - q)) / k
         mus.append(radial_quantile_atoms(inv, 60_000, mass=FOUR_PI, chart=1.0, seed=int(k)))
-    marks = mark_smooth_bubble(mus, lad, tol_center=1e-6)
+    marks = mark_smooth_bubble(mus, lad)
     assert [m.level for m in marks] == [1, 2, 3]
     for m, k in zip(marks, (316.0, 3162.0, 10000.0)):
         assert m.case == 1
@@ -336,7 +342,8 @@ def test_mark_smooth_bubble_levels_and_bounds():
         assert abs(m.r) <= m.delta_bound * (1.0 + 1e-9)
 
 
-def test_mark_smooth_bubble_scale_must_shrink():
+def test_mark_smooth_bubble_scale_must_shrink(monkeypatch):
+    monkeypatch.setattr(renorm, "_CENTER_TOL", 1e-6)
     lad = ScaleLadder(1.0, 0.2, 6)
     inv = lambda q: 0.3 * np.sqrt(q / (1.0 - q))
     mus = [
@@ -344,7 +351,7 @@ def test_mark_smooth_bubble_scale_must_shrink():
         for s in (1, 2)
     ]
     with pytest.raises(MarkingError):
-        mark_smooth_bubble(mus, lad, tol_center=1e-6)
+        mark_smooth_bubble(mus, lad)
 
 
 def test_mark_nodal_bubble_refusals(plumbing_bubble_family, plumbing_bubble_tree):
