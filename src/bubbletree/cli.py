@@ -9,18 +9,14 @@ Subcommands
 
 Exit codes: 0 success, 2 configuration/validation error, 3 algorithmic
 invariant violation.  Exit 2 is mostly a config refused at load, before any
-family is built: YAML that does not parse, an unknown key, a ladder or neck
-value that is not a finite number (a bool, a string or an int beyond the float
-range is not one), neck deltas that do not decrease strictly or, on a neck
-family, exceed its delta or do not exceed sqrt(t) for a pinch t of the late
-half of the schedule (the members the zero-neck test reads), a family section
-that ``FamilySpec`` refuses (on a neck family every pinch t needs
-sqrt(t) < delta, and plumbing pinches decrease strictly), and, when a family
-section is present, a ladder that ``ScaleLadder`` refuses (depth < 6, delta0
-or eps_bar not positive, or a finest scale or tolerance that underflows to
-0.0).  ``curve`` also exits 2 on a graph file it cannot parse and on an edge
-query it cannot answer (no such node, or an unstable curve).  A command whose
-out directory cannot be created or written exits 2 as well, after its run.
+family is built, by YAML that does not parse, an unknown key, or the owner of
+a rule, which the loader calls rather than restates: every ladder, neck and
+family value must pass ``errors.finite_number``, the neck deltas
+``errors.neck_schedule`` and, on a neck family, ``neck.collar_rows`` on each
+member of ``neck.late_half``; a family section ``FamilySpec``, and with it the
+ladder ``ScaleLadder``.  ``curve`` also exits 2 on a graph file it cannot
+parse or an edge query it cannot answer, ``neck`` on a family without
+cylinder fields, and every command on an out directory it cannot write.
 Identical configs produce byte-identical reports: keys are sorted, floats use
 shortest round-trip repr, and every report embeds the hash of the validated
 config.
@@ -53,11 +49,8 @@ Config grammar (YAML, unknown keys rejected at every level):
     seed: null                   # must stay null: the pipeline is
                                  # deterministic and samples nothing
 
-The extraction tolerances are module constants, not config keys: the
-balanced-center tolerance 1e-5 of ``bubbletree.renorm``, and in
-``bubbletree.driver`` the nodal regularity bound |alpha| <= 1e-3 * (1 +
-energy), the marking radius delta0/2 and the residual-energy decrement
-tolerance eps_bar/20.
+The extraction tolerances are constants of ``bubbletree.renorm`` and
+``bubbletree.driver``, not config keys.
 """
 
 from __future__ import annotations
@@ -77,6 +70,7 @@ import yaml
 
 from .curve import curve_from_text, curve_to_text, is_regular_node, is_stable
 from .errors import BubbleTreeError, ConfigError, CurveError, FamilyError, LadderError
+from .errors import NeckError, finite_number, neck_schedule
 
 if TYPE_CHECKING:
     from .driver import BubbleTree, ExtractionConfig
@@ -91,19 +85,6 @@ _TOP_KEYS = ("family", "ladder", "neck", "curve", "out", "seed")
 _LADDER_KEYS = {"delta0": 1.0, "eps_bar": 0.2, "depth": 6}
 _NECK_KEYS = {"deltas": (), "eps": 0.01}
 _CURVE_KEYS = {"graph": None, "edge": None}
-
-
-def _number(value, what: str):
-    """``value`` when it is a finite int or float; a bool, a string, a
-    non-finite value or an int beyond the float range is a config error."""
-    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    try:
-        ok = ok and math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        ok = False
-    if not ok:
-        raise ConfigError(f"{what} must be a finite number, got {value!r}")
-    return value
 
 
 def _section(raw: dict, name: str, defaults: dict) -> dict:
@@ -142,7 +123,7 @@ class RunConfig:
 
         self.ladder = _section(raw, "ladder", _LADDER_KEYS)
         for key, value in self.ladder.items():
-            _number(value, f"ladder {key}")
+            finite_number(value, f"ladder {key}", ConfigError)
         if int(self.ladder["depth"]) != self.ladder["depth"]:
             raise ConfigError("ladder depth must be an integer")
         self.ladder["depth"] = int(self.ladder["depth"])
@@ -161,25 +142,21 @@ class RunConfig:
             deltas = ()
         if not isinstance(deltas, (list, tuple)):
             raise ConfigError(f"neck deltas must be a list, got {deltas!r}")
-        deltas = tuple(float(_number(d, "neck deltas entry")) for d in deltas)
-        if any(d <= 0 for d in deltas):
-            raise ConfigError("neck deltas must be positive")
-        if any(b >= a for a, b in zip(deltas, deltas[1:])):
-            raise ConfigError("neck deltas must be strictly decreasing")
-        spec = self.family_spec
-        if spec is not None and spec.samples_neck:
-            # the zero-neck test cuts the collar |x| <= d of each member of the
-            # schedule's late half, whose pinch t needs log(d / sqrt(t)) > 0
-            t = max(spec.schedule[-((len(spec.schedule) + 1) // 2) :])
-            for d in deltas:
-                if d > spec.delta:
-                    raise ConfigError(f"neck delta {d} exceeds the sampled chart {spec.delta}")
-                if not math.log(d / math.sqrt(t)) > 0:
-                    raise ConfigError(
-                        f"neck delta {d} does not exceed sqrt(t) for the late pinch t = {t:g}"
-                    )
+        try:
+            deltas = neck_schedule(deltas)
+            spec = self.family_spec
+            if spec is not None and spec.samples_neck:
+                # the collars the zero-neck test cuts from the late members
+                from .families import _N_T
+                from .neck import collar_rows, late_half
+
+                for d in deltas:
+                    for t in late_half(spec.schedule):
+                        collar_rows(d, t, spec.delta, _N_T)
+        except NeckError as exc:
+            raise ConfigError(f"neck {exc}") from exc
         self.neck["deltas"] = deltas
-        if not _number(self.neck["eps"], "neck eps") > 0:
+        if not finite_number(self.neck["eps"], "neck eps", ConfigError) > 0:
             raise ConfigError("neck eps must be positive")
 
         self.curve = _section(raw, "curve", _CURVE_KEYS)
@@ -383,15 +360,15 @@ def _cmd_extract(cfg: RunConfig, args, stem: str) -> int:
 def _cmd_neck(cfg: RunConfig, args, stem: str) -> int:
     if cfg.family_spec is None:
         raise ConfigError("neck needs a family section")
+    if not cfg.family_spec.samples_neck:
+        raise ConfigError(
+            f"family kind {cfg.family_spec.kind!r} carries no cylinder fields; "
+            "neck diagnostics need a plumbing or torus family"
+        )
     from .families import make_family
     from .neck import diagnostics, zero_neck_test
 
     family = make_family(cfg.family_spec)
-    if any(m.field is None for m in family.members):
-        raise ConfigError(
-            f"family kind {family.kind!r} carries no cylinder fields; "
-            "neck diagnostics need a plumbing or torus family"
-        )
     rows = []
     profiles = ("t_nodes", "theta_profile", "alpha_profile")
     for m in family.members:

@@ -1,10 +1,13 @@
-"""Exception hierarchy for the bubbletree package.
+"""Exception hierarchy for the bubbletree package, and the numpy-free input
+rules that the config loader and the numerical layers both call.
 
 Every failure mode that a caller can act on gets its own class; messages
 carry the quantitative context (which condition failed, by how much).
 """
 
 from __future__ import annotations
+
+import math
 
 __all__ = [
     "BubbleTreeError",
@@ -68,3 +71,26 @@ class DriverError(BubbleTreeError):
 
 class ConfigError(BubbleTreeError):
     """Malformed run configuration."""
+
+
+def finite_number(value, what: str, error: type[BubbleTreeError]) -> float:
+    """``value`` as a float when it is a finite real number, else ``error``
+    (a bool, a string, a non-finite value or an int beyond the float range)."""
+    try:  # TypeError: not a real number; OverflowError: beyond the float range
+        ok = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise error(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def neck_schedule(deltas) -> tuple[float, ...]:
+    """The zero-neck radii as floats, refused with ``NeckError`` unless they
+    are finite, positive and strictly decreasing."""
+    deltas = tuple(finite_number(d, "deltas entry", NeckError) for d in deltas)
+    if any(d <= 0 for d in deltas):
+        raise NeckError("deltas must be positive")
+    if any(b >= a for a, b in zip(deltas, deltas[1:])):
+        raise NeckError("deltas must be strictly decreasing")
+    return deltas

@@ -17,7 +17,6 @@ per euclidean chart area.  This is pole-free whenever P and Q share no root.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable
@@ -25,9 +24,10 @@ from typing import Callable
 import numpy as np
 
 from .curve import MarkedNodalCurve
-from .errors import FamilyError
+from .errors import FamilyError, NeckError, finite_number
 from .measure import WeightedParticleMeasure
-from .neck import CylinderField, FlatTorusTarget, cylinder_field_from_sphere_chart
+from .neck import CylinderField, FlatTorusTarget, collar_half_length
+from .neck import cylinder_field_from_sphere_chart
 from .quadrature import _ABS_TOL, adaptive_polar_quadrature
 
 __all__ = [
@@ -233,16 +233,6 @@ def density_to_measure(rmap: RationalMap, radius: float) -> WeightedParticleMeas
     return WeightedParticleMeasure(res.points[keep], res.weights[keep], chart_radius=float(radius))
 
 
-def _finite(value, what: str) -> float:
-    """``value`` as a float when it is a finite real number; a bool or a
-    string is not one."""
-    if isinstance(value, bool) or not (
-        isinstance(value, numbers.Real) and math.isfinite(value)
-    ):
-        raise FamilyError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """Validated descriptor of one generated family."""
@@ -256,7 +246,7 @@ class FamilySpec:
     def __post_init__(self) -> None:
         if self.kind not in _BUILDERS:
             raise FamilyError(f"unknown family kind {self.kind!r}")
-        schedule = tuple(_finite(x, "schedule entry") for x in self.schedule)
+        schedule = tuple(finite_number(x, "schedule entry", FamilyError) for x in self.schedule)
         if not schedule:
             raise FamilyError("empty parameter schedule")
         if not all(x > 0 for x in schedule):
@@ -264,10 +254,12 @@ class FamilySpec:
         if len(self.slopes) != 2:
             raise FamilyError(f"slopes must be a pair of numbers, got {self.slopes!r}")
         object.__setattr__(self, "schedule", schedule)
-        object.__setattr__(self, "slopes", tuple(_finite(x, "slope") for x in self.slopes))
-        if _finite(self.delta, "delta") <= 0:
+        object.__setattr__(
+            self, "slopes", tuple(finite_number(x, "slope", FamilyError) for x in self.slopes)
+        )
+        if finite_number(self.delta, "delta", FamilyError) <= 0:
             raise FamilyError("delta must be positive")
-        _finite(self.separation, "separation")
+        finite_number(self.separation, "separation", FamilyError)
         if self.kind == "bubble2" and not (0 < self.separation < _CHART_RADIUS):
             raise FamilyError("bubble2 separation must lie inside the chart disk")
         if self.kind == "torus_linear":
@@ -275,10 +267,12 @@ class FamilySpec:
             if abs(b - round(b)) > 0:
                 raise FamilyError("theta slope must be an integer winding number")
         if self.samples_neck:
-            # the neck of pinch t is the annulus sqrt(t) < |x| < delta (xy = t)
-            for t in schedule:
-                if math.sqrt(t) >= self.delta:
-                    raise FamilyError(f"pinch {t:g} must keep sqrt(t) below delta {self.delta:g}")
+            # each member is sampled on the delta-collar of its pinch t
+            try:
+                for t in schedule:
+                    collar_half_length(self.delta, t)
+            except NeckError as exc:
+                raise FamilyError(str(exc)) from exc
         if _BUILDERS[self.kind] is _plumbing_family and any(
             a <= b for a, b in zip(schedule, schedule[1:])
         ):
@@ -399,7 +393,7 @@ def _torus_family(spec: FamilySpec) -> Family:
     target = FlatTorusTarget
     members = []
     for t in spec.schedule:
-        half = float(np.log(spec.delta / np.sqrt(t)))
+        half = collar_half_length(spec.delta, t)
         t_nodes = np.linspace(-half, half, _N_T + 1)
         theta = np.arange(_N_THETA) * (2.0 * np.pi / _N_THETA)
         tt, th = np.meshgrid(t_nodes, theta, indexing="ij")

@@ -13,8 +13,10 @@ per-slice conformality defect in Pohozaev form (the largest 2|alpha(t)| over
 the slice energy, zero for a conformal neck), and test the vanishing of neck
 energy and diameter over a schedule of shrinking chart radii.
 
-``CylinderField.collar_window`` alone turns a radius delta about the node
-into the rows i0..i1 of the sub-cylinder |t| <= log(delta/sqrt|pinch|).
+The delta-collar |pinch|/delta <= |x| <= delta of xy = pinch has one rule,
+``collar_half_length``, and ``collar_rows`` alone turns it into the rows
+i0..i1 of a field's t grid; with ``late_half`` the config loader calls them
+too, so load and the zero-neck test refuse the same neck deltas.
 Each field caches, on first use, its per-sample energy density
 |f_t|^2 + |f_theta|^2 and one table of per-t-row theta-sums, and a collar is
 a window of them: ``collar_diagnostics`` (which the zero-neck test calls for
@@ -46,11 +48,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NeckError
+from .errors import NeckError, neck_schedule
 from .measure import WeightedParticleMeasure
 
 __all__ = [
@@ -69,6 +71,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * np.pi
+_SLACK = 1e-12  # relative slack of the chart bound and of the snap to grid nodes
 
 
 def _sq_norm(x: np.ndarray) -> np.ndarray:
@@ -183,7 +186,7 @@ class CylinderField:
         if (self.pinch is None) != (self.delta is None):
             raise NeckError("pinch and delta must be given together")
         if self.pinch is not None:
-            t_expected = np.log(self.delta / np.sqrt(abs(self.pinch)))
+            t_expected = collar_half_length(self.delta, self.pinch)
             if not abs(t_expected - self.half_length) <= 1e-9 * (1.0 + self.half_length):
                 raise NeckError("half-length inconsistent with pinch and delta")
 
@@ -194,10 +197,6 @@ class CylinderField:
     @property
     def n_theta(self) -> int:
         return self.points.shape[1]
-
-    @property
-    def t_nodes(self) -> np.ndarray:
-        return np.linspace(-self.half_length, self.half_length, self.n_t + 1)
 
     @property
     def theta_nodes(self) -> np.ndarray:
@@ -229,48 +228,56 @@ class CylinderField:
             fth_max=fth_norm.max(axis=1),
         )
 
-    def window(self, half_length: float) -> tuple[int, int, float]:
-        """Rows i0..i1 of the sub-cylinder |t| <= half_length, snapped inward to
-        grid nodes, and its half-length t[i1]."""
-        if half_length <= 0:
-            raise NeckError("restriction half-length must be positive")
-        if half_length > self.half_length * (1.0 + 1e-12):
-            raise NeckError("restriction exceeds the field")
-        t = self.t_nodes
-        keep = np.abs(t) <= half_length * (1.0 + 1e-12)
-        idx = np.nonzero(keep)[0]
-        if len(idx) < 3:
-            raise NeckError("restriction leaves a degenerate grid")
-        return int(idx[0]), int(idx[-1]), float(t[idx[-1]])
-
     def collar_window(self, delta: float) -> tuple[int, int, float]:
-        """``window`` of |pinch|/delta <= |x| <= delta; needs plumbing metadata
-        and sqrt|pinch| < delta <= the sampled chart radius."""
+        """``collar_rows`` of this field; needs plumbing metadata."""
         if self.pinch is None:
             raise NeckError("collar needs plumbing metadata")
-        half = float(np.log(delta / np.sqrt(abs(self.pinch))))
-        if not half > 0:
-            raise NeckError(f"delta {delta} does not exceed sqrt|pinch|")
-        if delta > self.delta * (1.0 + 1e-12):
-            raise NeckError(f"delta {delta} exceeds the sampled chart {self.delta}")
-        return self.window(min(half, self.half_length))
-
-    def _sub_field(self, i0: int, i1: int, half_length: float) -> "CylinderField":
-        return CylinderField(
-            half_length=half_length,
-            points=self.points[i0 : i1 + 1],
-            f_t=self.f_t[i0 : i1 + 1],
-            f_theta=self.f_theta[i0 : i1 + 1],
-            target=self.target,
-        )
-
-    def restrict(self, half_length: float) -> "CylinderField":
-        """Sub-cylinder |t| <= half_length, snapped inward to grid nodes."""
-        return self._sub_field(*self.window(half_length))
+        return collar_rows(delta, self.pinch, self.delta, self.n_t, self.half_length)
 
     def collar(self, delta: float) -> "CylinderField":
         """Sub-cylinder of ``collar_window(delta)``, without plumbing metadata."""
-        return self._sub_field(*self.collar_window(delta))
+        i0, i1, half_length = self.collar_window(delta)
+        rows = slice(i0, i1 + 1)
+        return CylinderField(
+            half_length, self.points[rows], self.f_t[rows], self.f_theta[rows], self.target
+        )
+
+
+def late_half(members: Sequence) -> Sequence:
+    """The later half of a family, middle included: what the zero-neck test reads."""
+    return members[-((len(members) + 1) // 2) :]
+
+
+def collar_half_length(delta: float, pinch: complex, chart: float | None = None) -> float:
+    """Half-length log(delta / sqrt|pinch|) of the delta-collar of xy = pinch,
+    refused unless positive, and unless delta <= ``chart`` (a field's sampled
+    radius, when given) up to a relative 1e-12.  Every neck grid is built on
+    it, so it keeps numpy's log: ``math.log`` can differ in the last bit."""
+    if chart is not None and delta > chart * (1.0 + _SLACK):
+        raise NeckError(f"delta {delta} exceeds the sampled chart {chart}")
+    half = float(np.log(delta / np.sqrt(abs(pinch))))
+    if not half > 0:
+        raise NeckError(f"delta {delta} does not exceed sqrt(t) for the pinch t = {abs(pinch):g}")
+    return half
+
+
+def collar_rows(
+    delta: float, pinch: complex, chart: float, n_t: int, half_length: float | None = None
+) -> tuple[int, int, float]:
+    """Rows i0..i1 (at least three) of the delta-collar, snapped inward, and
+    its half-length t[i1], on the n_t + 1 t nodes of a field of ``pinch``
+    sampled out to radius ``chart`` whose half-length, by default, is that
+    chart's collar half-length, as every field of the package is built."""
+    if half_length is None:
+        half_length = collar_half_length(chart, pinch)
+    half = min(collar_half_length(delta, pinch, chart), half_length)
+    t = np.linspace(-half_length, half_length, n_t + 1)
+    idx = np.nonzero(np.abs(t) <= half * (1.0 + _SLACK))[0]
+    if len(idx) < 3:
+        raise NeckError(
+            f"delta {delta} leaves a degenerate grid on the collar of pinch t = {abs(pinch):g}"
+        )
+    return int(idx[0]), int(idx[-1]), float(t[idx[-1]])
 
 
 @dataclass(frozen=True)
@@ -328,9 +335,7 @@ def cylinder_field_from_sphere_chart(
     cylinder coordinate is x = sqrt(pinch) e^{t + i theta}.
     """
     root = np.sqrt(complex(pinch))
-    half_length = float(np.log(delta / abs(root)))
-    if half_length <= 0:
-        raise NeckError("delta must exceed sqrt|pinch|")
+    half_length = collar_half_length(delta, pinch)
     t = np.linspace(-half_length, half_length, n_t + 1)
     theta = np.arange(n_theta) * (_TWO_PI / n_theta)
     x = root * np.exp(t[:, None] + 1j * theta[None, :])
@@ -518,30 +523,26 @@ def zero_neck_test(
 ) -> ZeroNeckReport:
     """Do neck energy and image diameter vanish along the family?
 
-    For each delta in the (decreasing) schedule, restrict the late half of
-    the sequence to its collar of the delta-ball around the node (a delta
-    beyond a sampled chart is refused) and take the sup of energy and of the
-    diameter upper bound of
-    `collar_diagnostics` (which assumes |f_t| and |f_theta| stay below their sampled
-    maxima inside each grid cell); PASS iff both fall below eps at some
-    delta.  Each row also reports the alpha-based energy prediction
-    2 T_k(delta) alpha_k, which vanishes exactly for conformal necks.  That
-    prediction and its ``predicted_pass`` are energy-only and cannot see
-    length: a geodesic neck of positive length and vanishing energy passes
-    them, so no verdict reads them.
+    For each delta of the schedule (``errors.neck_schedule``), cut the collar
+    (``collar_rows``) of each member of ``late_half`` and take the sup of
+    energy and of the diameter upper bound of `collar_diagnostics` (which
+    assumes |f_t| and |f_theta| stay below their sampled maxima inside each
+    grid cell); PASS iff both fall below eps at some delta.  Each row also
+    reports the alpha-based energy prediction 2 T_k(delta) alpha_k, which
+    vanishes exactly for conformal necks.  That prediction and its
+    ``predicted_pass`` are energy-only and cannot see length: a geodesic neck
+    of positive length and vanishing energy passes them, so no verdict reads
+    them.
     """
     if not delta_schedule:
         raise NeckError("empty delta schedule")
-    if any(
-        d2 >= d1 for d1, d2 in zip(delta_schedule, delta_schedule[1:])
-    ):
-        raise NeckError("delta schedule must be strictly decreasing")
+    delta_schedule = neck_schedule(delta_schedule)
     if not necks:
         raise NeckError("empty neck sequence")
     for f in necks:
         if f.pinch is None:
             raise NeckError("zero-neck test needs plumbing metadata on every field")
-    late = necks[-((len(necks) + 1) // 2) :]
+    late = late_half(necks)
     rows = []
     chosen = None
     for delta in delta_schedule:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -10,10 +11,12 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from bubbletree import FamilySpec, cli, families
+from bubbletree import FamilySpec, cli, families, zero_neck_test
 from bubbletree.cli import main
-from bubbletree.errors import ConfigError
+from bubbletree.errors import ConfigError, FamilyError, NeckError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 PLUMBING = str(CONFIGS / "plumbing.yaml")
@@ -201,6 +204,25 @@ def test_neck_value_not_a_finite_number_exits_2(tmp_path, capsys, no_family, nec
     assert "must be a finite number" in capsys.readouterr().err
 
 
+BEYOND_FLOAT = "1" + "0" * 400  # a 401-digit int
+
+
+@pytest.mark.parametrize(
+    "knob",
+    [
+        f"schedule: [{BEYOND_FLOAT}]",
+        f"schedule: [1.0e-3]\n  delta: {BEYOND_FLOAT}",
+        f"schedule: [1.0e-3]\n  separation: {BEYOND_FLOAT}",
+        f"schedule: [1.0e-3]\n  slopes: [{BEYOND_FLOAT}, 1]",
+    ],
+    ids=["schedule", "delta", "separation", "slopes"],
+)
+def test_family_value_beyond_float_range_exits_2(tmp_path, capsys, no_family, knob):
+    cfg = write_cfg(tmp_path, f"family:\n  kind: torus_linear\n  {knob}\nout: {tmp_path / 'x'}\n")
+    assert main(["extract", "--config", cfg]) == 2
+    assert "must be a finite number" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["extract", "neck"])
 @pytest.mark.parametrize("depth", [2, 3, 4, 5])
 def test_ladder_depth_below_6_exits_2_before_any_family(tmp_path, capsys, no_family, command, depth):
@@ -229,10 +251,13 @@ def test_ladder_underflowing_to_zero_exits_2_before_any_family(tmp_path, capsys,
             "kind: plumbing\n  schedule: [1.0e-5, 1.0e-3]",
             "pinch magnitudes must decrease strictly",
         ),
-        ("kind: torus_linear\n  schedule: [1.0]", "pinch 1 must keep sqrt(t) below delta 0.5"),
+        (
+            "kind: torus_linear\n  schedule: [1.0]",
+            "delta 0.5 does not exceed sqrt(t) for the pinch t = 1",
+        ),
         (
             "kind: plumbing_bubble\n  schedule: [1.0e-6, 0.25]\n  delta: 0.5",
-            "pinch 0.25 must keep sqrt(t) below delta 0.5",
+            "delta 0.5 does not exceed sqrt(t) for the pinch t = 0.25",
         ),
     ],
     ids=["plumbing_increasing", "torus_wide_pinch", "plumbing_bubble_wide_pinch"],
@@ -253,9 +278,19 @@ def test_neck_family_schedule_refused_at_load(
         ("[0.1, 0.1]", "neck deltas must be strictly decreasing"),
         ("[0.7]", "neck delta 0.7 exceeds the sampled chart 0.5"),
         # 1e-4 < sqrt(1e-7), the larger pinch of the schedule's late half
-        ("[1.0e-4]", "neck delta 0.0001 does not exceed sqrt(t) for the late pinch t = 1e-07"),
+        ("[1.0e-4]", "neck delta 0.0001 does not exceed sqrt(t) for the pinch t = 1e-07"),
+        ("[-0.1]", "neck deltas must be positive"),
+        # above sqrt(1e-7) by less than a step of the 256-step t grid
+        ("[3.2e-4]", "neck delta 0.00032 leaves a degenerate grid on the collar of pinch t = 1e-07"),
     ],
-    ids=["increasing", "repeated", "beyond_chart", "within_late_pinch"],
+    ids=[
+        "increasing",
+        "repeated",
+        "beyond_chart",
+        "within_late_pinch",
+        "negative",
+        "within_a_grid_step",
+    ],
 )
 @pytest.mark.parametrize("command", ["extract", "neck"])
 def test_neck_deltas_refused_at_load(tmp_path, capsys, no_family, command, deltas, message):
@@ -272,7 +307,63 @@ def test_neck_deltas_beyond_delta_are_not_read_on_a_bubble_family():
     assert cli.RunConfig(raw, Path(".")).neck["deltas"] == (0.7, 0.6)
 
 
-def test_neck_rejects_measure_only_family(tmp_path, capsys):
+def test_neck_delta_inside_the_chart_slack_loads_as_it_runs(plumbing_family):
+    # the chart bound allows a relative 1e-12 at load as at run time
+    deltas = [0.5000000000001, 0.1]
+    raw = yaml.safe_load(PLUMBING_CFG.format(out="x") + f"neck:\n  deltas: {deltas}\n")
+    assert cli.RunConfig(raw, Path(".")).neck["deltas"] == tuple(deltas)
+    fields = [m.field for m in plumbing_family.members]
+    assert zero_neck_test(fields, 0.01, deltas).late_count == 2
+
+
+@st.composite
+def neck_configs(draw):
+    """A valid neck family (chart delta D, pinches below D^2) and neck deltas
+    drawn near sqrt(t) of its late members and near D, on both sides of each
+    bound and of the 1e-12 chart slack."""
+    kind = draw(st.sampled_from(["plumbing", "plumbing_bubble", "torus_linear"]))
+    chart = draw(st.floats(0.05, 1.0))
+    depths = draw(st.lists(st.floats(0.01, 12.0), min_size=1, max_size=4, unique=True))
+    schedule = [chart * chart * 10.0 ** -e for e in sorted(depths)]
+    late = schedule[-((len(schedule) + 1) // 2) :]
+    near_root = st.builds(
+        lambda t, x: math.sqrt(t) * math.exp(x),
+        st.sampled_from(late),
+        st.one_of(st.floats(-0.05, 0.3), st.sampled_from([-1e-15, 0.0, 1e-15, 1e-12])),
+    )
+    near_chart = st.builds(
+        lambda u: chart * (1.0 + u),
+        st.one_of(st.floats(-3e-12, 3e-12), st.sampled_from([-1e-12, 0.0, 1e-12, 2e-12])),
+    )
+    deltas = draw(st.lists(st.one_of(near_root, near_chart), min_size=1, max_size=4))
+    family = {"kind": kind, "schedule": schedule, "delta": chart}
+    return family, sorted(set(deltas), reverse=True)
+
+
+@given(neck_configs())
+@settings(max_examples=60, deadline=None)
+def test_load_refuses_neck_deltas_exactly_when_the_zero_neck_test_does(config):
+    family, deltas = config
+    try:
+        spec = FamilySpec.from_dict(family)
+    except FamilyError:
+        assume(False)
+    raw = {"family": family, "neck": {"deltas": deltas, "eps": 0.01}}
+    try:
+        cli.RunConfig(raw, Path("."))
+        loads = True
+    except ConfigError:
+        loads = False
+    fields = [m.field for m in families.make_family(spec).members]
+    try:
+        zero_neck_test(fields, 0.01, deltas)
+        runs = True
+    except NeckError:
+        runs = False
+    assert loads == runs
+
+
+def test_neck_rejects_measure_only_family(tmp_path, capsys, no_family):
     cfg = write_cfg(tmp_path, BUBBLE_CFG.format(out=tmp_path / "x"))
     assert main(["neck", "--config", cfg]) == 2
     assert "no cylinder fields" in capsys.readouterr().err

@@ -78,12 +78,24 @@ def fresh_modules(code: str, args: list[str], cwd: Path) -> tuple[int, set[str]]
 LOAD_CONFIG = "from pathlib import Path; from bubbletree.cli import load_config; load_config(Path(sys.argv[1]))"
 MAIN = "from bubbletree.cli import main; sys.exit(main(sys.argv[1:]))"
 PYTHON_M = "import runpy; runpy.run_module('bubbletree', run_name='__main__', alter_sys=True)"
+# a curve config that also carries a neck section, whose schedule rule runs at load
+CURVE_NECK = (
+    f"curve:\n  graph: {CURVE_CONFIG.with_name('two_component.txt')}\n  edge: 0\n"
+    "neck:\n  deltas: [0.1, 0.05]\n  eps: 0.01\n"
+)
+WRITE_CURVE_NECK = f"from pathlib import Path; Path('run.yaml').write_text({CURVE_NECK!r}); "
 NUMPY_FREE_CALLS = [
     ("import", "import bubbletree", [], 0),
     ("import_cli", "import bubbletree.cli", [], 0),
     ("from_package_import_cli", "from bubbletree import cli", [], 0),
     ("load_config", LOAD_CONFIG, [str(CURVE_CONFIG)], 0),
     ("main_curve", MAIN, ["curve", "--config", str(CURVE_CONFIG), "--out", "out"], 0),
+    (
+        "main_curve_with_neck",
+        WRITE_CURVE_NECK + MAIN,
+        ["curve", "--config", "run.yaml", "--out", "out"],
+        0,
+    ),
     ("python_m_help", PYTHON_M, ["--help"], 0),
     ("missing_config", MAIN, ["extract", "--config", "nope.yaml"], 2),
 ]

@@ -303,7 +303,7 @@ def test_spec_keeps_integers_valid():
 
 def test_plumbing_schedule_constraints():
     # the spec itself refuses a schedule no neck builder can sample
-    with pytest.raises(FamilyError, match="below delta"):
+    with pytest.raises(FamilyError, match="does not exceed sqrt"):
         FamilySpec(kind="plumbing", schedule=(0.5,), delta=0.5)
     with pytest.raises(FamilyError, match="decrease strictly"):
         FamilySpec(kind="plumbing", schedule=(1e-5, 1e-3), delta=0.5)
@@ -314,7 +314,8 @@ def test_plumbing_schedule_constraints():
 @pytest.mark.parametrize("kind", ["plumbing", "plumbing_bubble", "torus_linear"])
 def test_neck_pinch_bound_is_one_rule_for_every_neck_kind(kind):
     # sqrt(0.01) = 0.1 exactly although 0.01 < 0.1**2 = 0.010000000000000002
-    with pytest.raises(FamilyError, match=r"pinch 0.01 must keep sqrt\(t\) below delta 0.1"):
+    message = r"delta 0.1 does not exceed sqrt\(t\) for the pinch t = 0.01"
+    with pytest.raises(FamilyError, match=message):
         FamilySpec(kind=kind, schedule=(0.01,), delta=0.1)
     assert FamilySpec(kind=kind, schedule=(0.0099,), delta=0.1).schedule == (0.0099,)
 

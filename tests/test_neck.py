@@ -70,6 +70,22 @@ def finite_difference_defect(field):
     return def_t, def_th
 
 
+def t_nodes(field):
+    """The field's uniform t grid over [-T, T], both endpoints included."""
+    return np.linspace(-field.half_length, field.half_length, field.n_t + 1)
+
+
+def restrict(field, half_length):
+    """Sub-cylinder |t| <= half_length, snapped inward to grid nodes: the
+    restriction that ``CylinderField.collar`` must cut about the node."""
+    t = t_nodes(field)
+    idx = np.nonzero(np.abs(t) <= half_length * (1.0 + 1e-12))[0]
+    rows = slice(idx[0], idx[-1] + 1)
+    return CylinderField(
+        float(t[idx[-1]]), field.points[rows], field.f_t[rows], field.f_theta[rows], field.target
+    )
+
+
 def spherical_cap_area(r):
     return 4.0 * math.pi * r * r / (1.0 + r * r)
 
@@ -140,22 +156,20 @@ def test_restrict_is_consistent_with_sub_annulus():
     pinch, delta = 1e-8, 0.5
     f = identity_sphere_neck(pinch, delta, n_t=2048)
     sub_T = f.half_length / 2.0
-    sub = f.restrict(sub_T)
+    sub = restrict(f, sub_T)
     # the restricted grid snaps inward to nodes
     assert sub.half_length <= sub_T * (1.0 + 1e-12)
     r_out = math.sqrt(abs(pinch)) * math.exp(sub.half_length)
     r_in = math.sqrt(abs(pinch)) * math.exp(-sub.half_length)
     expected = spherical_cap_area(r_out) - spherical_cap_area(r_in)
     assert diagnostics(sub).energy == pytest.approx(expected, rel=1e-4)
-    with pytest.raises(NeckError, match="exceeds"):
-        f.restrict(f.half_length * 2.0)
 
 
 def test_collar_is_the_delta_ball_restriction():
     pinch, delta = 1e-6, 0.5
     f = identity_sphere_neck(pinch, delta)
     sub = f.collar(0.1)
-    assert sub.half_length == f.restrict(math.log(0.1 / math.sqrt(pinch))).half_length
+    assert sub.half_length == restrict(f, math.log(0.1 / math.sqrt(pinch))).half_length
     assert f.collar(delta).half_length == f.half_length
     with pytest.raises(NeckError, match="does not exceed"):
         f.collar(math.sqrt(pinch))
@@ -214,6 +228,10 @@ def test_zero_neck_schedule_validation():
         zero_neck_test([f], 0.01, [0.01, 0.05])
     with pytest.raises(NeckError, match="empty"):
         zero_neck_test([f], 0.01, [])
+    # a non-positive delta is refused before any logarithm is taken
+    for bad in ([-0.1], [0.0], [0.1, 0.0]):
+        with pytest.raises(NeckError, match="deltas must be positive"):
+            zero_neck_test([f], 0.01, bad)
     bare = linear_torus_field(1.0, 0.0, 2.0)
     with pytest.raises(NeckError, match="plumbing metadata"):
         zero_neck_test([bare], 0.01, [0.1])
@@ -393,7 +411,7 @@ def restricted_band_diameters(field, deltas):
     later rows at a time on centred coordinates (no digits lost to |p|^2 +
     |q|^2 - 2 p.q), and each delta reads its square of that table.
     """
-    t = field.t_nodes
+    t = t_nodes(field)
     halves = [np.log(d / np.sqrt(abs(field.pinch))) for d in deltas]
     keeps = [np.abs(t) <= min(h, field.half_length) * (1.0 + 1e-12) for h in halves]
     rows = np.nonzero(np.logical_or.reduce(keeps))[0]
@@ -463,7 +481,7 @@ def reference_diagnostics(field):
     T = field.half_length
     h_t = 2.0 * T / field.n_t
     h_th = TWO_PI / field.n_theta
-    t = field.t_nodes
+    t = t_nodes(field)
     w_t = _trapezoid(len(t), h_t)
     ft_sq = np.sum(field.f_t * field.f_t, axis=-1)
     fth_sq = np.sum(field.f_theta * field.f_theta, axis=-1)
@@ -496,7 +514,7 @@ def reference_diagnostics(field):
 def reference_pushforward(field, delta):
     """Collar energy atoms built from the cut sub-field, as before the table."""
     sub = field.collar(delta)
-    t = sub.t_nodes
+    t = t_nodes(sub)
     w_t = _trapezoid(len(t), t[1] - t[0])
     ft_sq = np.sum(sub.f_t * sub.f_t, axis=-1)
     fth_sq = np.sum(sub.f_theta * sub.f_theta, axis=-1)
@@ -565,7 +583,7 @@ def test_collar_windows_match_on_grid_nodes(log_pinch, n_t, n_theta, node, on_ch
     f = cylinder_field_from_sphere_chart(
         lambda x: x + pinch / x, lambda x: 1.0 - pinch / (x * x), pinch, 0.5, 2 * n_t, n_theta
     )
-    t = f.t_nodes
+    t = t_nodes(f)
     k = n_t + int(round(node * n_t))  # a node at or right of t = 0
     delta = 0.5 if on_chart else math.sqrt(pinch) * math.exp(t[k])
     try:
