@@ -14,9 +14,11 @@ a rule, which the loader calls rather than restates: every ladder, neck and
 family value must pass ``errors.finite_number``, the neck deltas
 ``errors.neck_schedule`` and, on a neck family, ``neck.collar_rows`` on each
 member of ``neck.late_half``; a family section ``FamilySpec``, and with it the
-ladder ``ScaleLadder``.  ``curve`` also exits 2 on a graph file it cannot
-parse or an edge query it cannot answer, ``neck`` on a family without
-cylinder fields, and every command on an out directory it cannot write.
+ladder ``ScaleLadder`` and, on a neck family, ``neck.collar_rows`` on the
+collar ``extract`` cuts from every member at min(delta0, delta).  ``curve``
+also exits 2 on a graph file it cannot parse or an edge query it cannot
+answer, ``neck`` on a family without cylinder fields, and every command on an
+out directory it cannot write.
 Identical configs produce byte-identical reports: keys are sorted, floats use
 shortest round-trip repr, and every report embeds the hash of the validated
 config.
@@ -135,6 +137,18 @@ class RunConfig:
                 ScaleLadder(**self.ladder)
             except LadderError as exc:
                 raise ConfigError(f"ladder invalid: {exc}") from exc
+            spec = self.family_spec
+            if spec.samples_neck:
+                # the collar extract cuts from every member
+                from .families import _N_T
+                from .neck import collar_rows
+
+                chart = min(float(self.ladder["delta0"]), spec.delta)
+                try:
+                    for t in spec.schedule:
+                        collar_rows(chart, t, spec.delta, _N_T)
+                except NeckError as exc:
+                    raise ConfigError(f"ladder delta0 invalid: {exc}") from exc
 
         self.neck = _section(raw, "neck", _NECK_KEYS)
         deltas = self.neck["deltas"]

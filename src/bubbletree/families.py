@@ -177,7 +177,10 @@ def _quadrature_checked(
     mass_frac: float | None = None,
 ):
     """The quadrature of ``density`` on a disk at the package resolution,
-    emitting particles when ``mass_frac`` is given; refused unless resolved."""
+    emitting particles when ``mass_frac`` is given; refused unless the radius
+    is positive and finite, and unless resolved."""
+    if not (radius > 0 and np.isfinite(radius)):
+        raise FamilyError(f"disk radius must be positive and finite, got {radius}")
     result = adaptive_polar_quadrature(
         density,
         center=center,
@@ -207,8 +210,6 @@ def energy_quadrature(
     sphere; otherwise the disk |z - center| <= radius in the z chart.
     """
     if radius is not None:
-        if not (radius > 0 and np.isfinite(radius)):
-            raise FamilyError(f"cap radius must be positive and finite, got {radius}")
         res = _quadrature_checked(
             rmap.density, complex(center), float(radius), _ENERGY_REL_TOL
         )
@@ -226,8 +227,6 @@ def density_to_measure(rmap: RationalMap, radius: float) -> WeightedParticleMeas
     bounded by ``_MASS_FRAC`` of the total, with atoms placed at radial mass
     quantiles so ball masses track the density's.
     """
-    if not (radius > 0 and np.isfinite(radius)):
-        raise FamilyError(f"disk radius must be positive and finite, got {radius}")
     res = _quadrature_checked(rmap.density, 0j, float(radius), _MEASURE_REL_TOL, _MASS_FRAC)
     keep = res.weights > 0.0
     return WeightedParticleMeasure(res.points[keep], res.weights[keep], chart_radius=float(radius))

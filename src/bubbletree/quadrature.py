@@ -7,13 +7,20 @@ worst-first refinement queue.  Panels split along the axis whose bisection
 changes the estimate most, so radially symmetric spikes cost only radial
 splits while point spikes refine in both axes.
 
-Splits are computed ahead of their turn: when the popped panel has no split
-yet, it is split together with up to ``_SPLIT_BATCH`` - 1 of the next worst
-queued panels that the pass cannot stop before reaching, two density calls
-for the lot.  The queue itself is replayed exactly as one split at a time
-would run it, reading children from that cache, and a panel's values do not
-depend on which panels share its density call; so panels, value, error and
-atoms do not depend on ``_SPLIT_BATCH``.
+Splits are computed ahead of their turn, a level at a time.  When the popped
+panel has no split yet, the queue is ranked worst first.  The error pass
+cannot stop while a panel is queued whose error, with the errors ranked below
+it, exceeds the error target; the granularity pass cannot stop while a panel
+holds more than its mass floor.  The first level splits the worst such panels,
+up to ``_SPLIT_BATCH``; their children are then ranked into the queue as the
+pass will see it (its total, and so its target, moved by the splits), and
+those children that pass the same test are split in the next level, and so on
+down the frontier, two density calls per level.  A panel is split ahead only
+while fewer panels rank above it than the panel budget has splits left.  The
+queue itself is replayed exactly as one split at a time would run it, reading
+children from that cache, and a panel's values do not depend on which panels
+share its density call; so panels, value, error and atoms do not depend on
+which splits are made ahead, nor on ``_SPLIT_BATCH``.
 
 Emitted particles sit in shells at each final panel's radial mass
 quantiles, weighted so every panel carries its fine-rule value; an emitted
@@ -252,12 +259,12 @@ def adaptive_polar_quadrature(
     max(_ABS_TOL, rel_tol * |value|) or the budget of ``_MAX_PANELS`` panels
     is exhausted.  A panel too narrow to split in either axis retires from
     the queue and from the running error sum, but its error stays in the
-    reported ``error``.  A
-    panel's split is computed in one batch with the next worst panels whose
-    error already exceeds that threshold (in the granularity pass below: whose
-    mass exceeds its bound); the pops, pushes and running sums happen in the
-    same order as one split at a time, so the result does not depend on the
-    batch size.
+    reported ``error``.  When a popped panel has no split yet, every split
+    the pass must still make at the current target (in the granularity pass
+    below: floor) is computed, the frontier a level at a time within the
+    panel budget; the pops, pushes and running sums happen in the same order
+    as one split at a time, so the result does not depend on which splits
+    were made ahead.
 
     Particles are emitted exactly when emit_mass_frac is given.  Panels are
     then split further (within the same budget) until none holds more than
@@ -288,17 +295,63 @@ def adaptive_polar_quadrature(
     # splits by box, computed ahead of their turn; both passes read them
     splits: dict[_Box, list[tuple[_Box, float, float]] | None] = {}
 
-    def split(box: _Box, coarse: float, floor: float) -> list[tuple[_Box, float, float]] | None:
-        """The popped panel's children.  On a miss, the next worst unsplit
-        panels whose key is below -floor are split with it: the pass cannot
-        stop while they are queued, so they are split later unless the panel
-        budget runs out first."""
+    def split(
+        item: tuple[float, int, _Box, float, float, float],
+        target: Callable[[float], float],
+        total: float,
+        left: float | None,
+    ) -> list[tuple[_Box, float, float]] | None:
+        """The popped panel's children.
+
+        On a miss, the splits the pass must make are computed level by level
+        on a copy of the queue (the popped panel included, ``total`` its
+        total) that takes each split as the pass would: the panel goes, its
+        children come, the total moves.  Ranked worst first, a panel must be
+        split when the pass cannot stop while it is queued: in the error pass
+        when ``left``, the error sum, less the errors ranked above it still
+        exceeds ``target(total)``; in the granularity pass (``left`` None)
+        when its mass does.  Only the first ``room`` ranks are read, the
+        splits the panel budget still allows.  The first level takes the
+        first ``_SPLIT_BATCH`` such panels without a split, the popped one
+        first whatever the test; each later level takes the children of the
+        last, up to the first panel without a split that is not one of them.
+        """
+        box = item[2]
         if box not in splits:
-            ahead = heapq.nsmallest(
-                _SPLIT_BATCH - 1, (it for it in heap if it[0] < -floor and it[2] not in splits)
-            )
-            panels = [(box, coarse)] + [(it[2], it[5]) for it in ahead]
-            splits.update(_split_panels(density, center, panels, width_floor))
+            queue = [item, *heap]
+            room = _MAX_PANELS - len(heap)
+            last: set[_Box] | None = None
+            while True:
+                queue.sort()
+                bound = target(total)
+                new: list[tuple[_Box, float]] = []
+                n_must, above = 0, 0.0
+                for it in queue[:room]:
+                    key, _, b, _, _, coarse = it
+                    margin = -key if left is None else left - above
+                    if it is not item and (key >= 0.0 or margin <= bound):
+                        break
+                    if b not in splits:
+                        if len(new) == _SPLIT_BATCH or (last is not None and b not in last):
+                            break
+                        new.append((b, coarse))
+                    n_must += 1
+                    above -= key
+                splits.update(_split_panels(density, center, new, width_floor))
+                done, queue = queue[:n_must], queue[n_must:]
+                children = [c for it in done for c in splits[it[2]] or ()]
+                room -= len(children) // 2
+                if not children or room <= 0:
+                    break
+                last = {child for child, _, _ in children}
+                split_fine = sum(it[3] for it in done if splits[it[2]])
+                total += sum(f for _, _, f in children) - split_fine
+                for child, c_coarse, c_fine in children:
+                    c_err = abs(c_fine - c_coarse)
+                    c_key = -abs(c_fine) if left is None else -c_err
+                    queue.append((c_key, 0, child, c_fine, c_err, c_coarse))
+                if left is not None:
+                    left -= above - sum(abs(f - c) for _, c, f in children)
         return splits.pop(box)
 
     redges = np.linspace(0.0, r_outer, _INIT_GRID + 1)
@@ -316,8 +369,11 @@ def adaptive_polar_quadrature(
         total += fine
         total_err += err
 
+    def target(t: float) -> float:
+        return max(_ABS_TOL, rel_tol * abs(t))
+
     while len(heap) < _MAX_PANELS:
-        tol = max(_ABS_TOL, rel_tol * abs(total))
+        tol = target(total)
         if total_err <= tol:
             break
         item = heapq.heappop(heap)
@@ -330,7 +386,7 @@ def adaptive_polar_quadrature(
             heapq.heappush(heap, item)
             total += fine
             break
-        children = split(box, coarse, tol)
+        children = split(item, target, total + fine, total_err + err)
         if children is None:
             # keep the panel and its error, but retire both from the queue
             # and from the running error sum
@@ -347,12 +403,17 @@ def adaptive_polar_quadrature(
         # granularity pass: split heavy panels regardless of integral error
         heap = [(-abs(it[3]),) + it[1:] for it in heap]
         heapq.heapify(heap)
+
+        def mass_floor(t: float) -> float:
+            return emit_mass_frac * abs(t)
+
         while len(heap) < _MAX_PANELS:
-            floor = emit_mass_frac * abs(total)
+            floor = mass_floor(total)
             if -heap[0][0] <= floor:
                 break
-            _, _, box, fine, err, coarse = heapq.heappop(heap)
-            children = split(box, coarse, floor)
+            item = heapq.heappop(heap)
+            _, _, box, fine, err, coarse = item
+            children = split(item, mass_floor, total, None)
             if children is None:
                 # keep the panel but retire it from the splitting queue
                 push(0.0, box, fine, err, coarse)

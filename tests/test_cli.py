@@ -301,6 +301,27 @@ def test_neck_deltas_refused_at_load(tmp_path, capsys, no_family, command, delta
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "delta0, message",
+    [
+        # sqrt(1e-3), the largest pinch, exceeds 1e-3
+        ("1.0e-3", "delta0 invalid: delta 0.001 does not exceed sqrt(t) for the pinch t = 0.001"),
+        # above sqrt(1e-3) by less than a step of the 256-step t grid
+        ("0.0317", "delta0 invalid: delta 0.0317 leaves a degenerate grid on the collar of pinch"),
+    ],
+    ids=["within_pinch", "within_a_grid_step"],
+)
+@pytest.mark.parametrize("command", ["extract", "neck"])
+def test_ladder_delta0_refused_at_load_on_a_neck_family(
+    tmp_path, capsys, no_family, command, delta0, message
+):
+    cfg = write_cfg(
+        tmp_path, PLUMBING_CFG.format(out=tmp_path / "x") + f"ladder:\n  delta0: {delta0}\n"
+    )
+    assert main([command, "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_neck_deltas_beyond_delta_are_not_read_on_a_bubble_family():
     # a bubble family's delta knob samples no neck, so it bounds no neck delta
     raw = yaml.safe_load(BUBBLE_CFG.format(out="x") + "neck:\n  deltas: [0.7, 0.6]\n")

@@ -43,6 +43,20 @@ def test_rational_map_validation():
         RationalMap((1j, 0.0), (5e-324j, 1.0))
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda m, radius: energy_quadrature(m, radius=radius),
+        lambda m, radius: density_to_measure(m, radius),
+    ],
+    ids=["energy_quadrature", "density_to_measure"],
+)
+def test_disk_radius_must_be_positive_and_finite(entry, radius):
+    with pytest.raises(FamilyError, match="disk radius must be positive and finite"):
+        entry(RationalMap((3.0, 0.0), (1.0,)), radius)
+
+
 def test_rational_map_degree_and_density():
     m = RationalMap((1.0, 0.0, 1.0), (1.0, 0.0))  # z + 1/z
     assert m.degree == 2

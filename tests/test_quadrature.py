@@ -297,6 +297,21 @@ def point_density(z):
     return np.abs(z - (0.3 + 0.2j)) ** -1.5
 
 
+def pole_sum(lams, poles):
+    """f = sum lam_i / (z - p_i): a bubble of scale |lam_i| at each pole."""
+    den = np.poly(poles)
+    num = sum(lam * np.poly([q for q in poles if q != p]) for lam, p in zip(lams, poles))
+    return RationalMap(num, den)
+
+
+# a degree-4 pole sum at scale 3000, as the benchmark draws them: poles in
+# [-0.5, 0.5]^2 at least 0.1 apart, |lam_i| = 1 / (3000 u) with u in [0.5, 1]
+POLES = [0.31 + 0.12j, -0.27 + 0.38j, -0.08 - 0.41j, 0.44 - 0.29j]
+PHASES_AND_U = [(0.1, 0.6), (0.45, 0.9), (0.7, 0.55), (0.9, 1.0)]
+LAMS = [np.exp(2j * np.pi * a) / (3000.0 * u) for a, u in PHASES_AND_U]
+POLE_SUM = pole_sum(LAMS, POLES)
+CAP_RADIUS = 0.55
+
 # the quadrature constants a case runs at, where they differ from the module's
 BUDGET_80 = {"_MAX_PANELS": 80}
 POINT_LIMITS = {"_ABS_TOL": 0.0, "_MAX_PANELS": 1500}
@@ -349,6 +364,21 @@ SINGLE_PASS_CASES = [
         (RationalMap(np.array([300.0, 0.0, -300.0 * 0.25]), np.array([1.0])).density, 0j, 1.0),
         MEASURE_KWARGS,
         BUDGET_80,
+    ),
+    # energy quadratures of the benchmark's pole sums, which the error pass
+    # ends: the z chart, the reversed chart beyond the cap, a cap about a pole
+    ("pole_sum_disk", (POLE_SUM.density, 0j, 1.0), {"rel_tol": 1e-9}, {}),
+    (
+        "pole_sum_reversed_chart",
+        (POLE_SUM.chart_reversed().density, 0j, 1.0 / CAP_RADIUS),
+        {"rel_tol": 1e-9},
+        {},
+    ),
+    (
+        "pole_sum_pole_cap",
+        (POLE_SUM.density, POLES[0], 10.0 * abs(LAMS[0])),
+        {"rel_tol": 1e-9},
+        {},
     ),
     # the budget ends both passes with splits computed ahead and never used,
     # and retired panels (no split) sit in the same batches as split ones
@@ -426,14 +456,14 @@ def test_quantile_cells_match_interp_and_searchsorted(case):
         assert _bits(radii[i]) == _bits(np.interp(targets[i], cum[i], redges[i]))
 
 
-BUBBLE_MEASURE_CASES = [c for c in SINGLE_PASS_CASES if c[0].endswith("_measure")]
+BATCH_CASES = [c for c in SINGLE_PASS_CASES if c[0].endswith("_measure") or "pole_sum" in c[0]]
 
 
 @pytest.mark.parametrize("batch", [1, 256])
 @pytest.mark.parametrize(
     "args, kwargs, constants",
-    [c[1:] for c in BUBBLE_MEASURE_CASES],
-    ids=[c[0] for c in BUBBLE_MEASURE_CASES],
+    [c[1:] for c in BATCH_CASES],
+    ids=[c[0] for c in BATCH_CASES],
 )
 def test_split_batch_does_not_change_results(monkeypatch, args, kwargs, constants, batch):
     set_constants(monkeypatch, constants)
@@ -447,21 +477,26 @@ def test_split_batch_does_not_change_results(monkeypatch, args, kwargs, constant
     assert _bits(got.weights) == _bits(want.weights)
 
 
-def test_density_calls_are_batched():
-    """2 calls for the initial grid, 2 per batch of splits (four coarse
-    candidate halves per panel, then the chosen fine children) and one per 32
-    emitted panels.  Splitting one panel at a time visits 674,048 nodes; the
-    lookahead takes only panels the pass must split, so here it visits no
-    more."""
+def counted_run(density, *args, **kwargs):
+    """The result, and the density calls and nodes it took."""
     calls = points = 0
 
     def counted(z):
         nonlocal calls, points
         calls += 1
         points += z.size
-        return fs_density(100.0)(z)
+        return density(z)
 
-    res = adaptive_polar_quadrature(counted, 0j, 1.0, emit_mass_frac=2.5e-3)
+    return adaptive_polar_quadrature(counted, *args, **kwargs), calls, points
+
+
+def test_density_calls_are_batched():
+    """2 calls for the initial grid, 2 per level of splits (four coarse
+    candidate halves per panel, then the chosen fine children) and one per 32
+    emitted panels.  Splitting one panel at a time visits 674,048 nodes; each
+    level of the frontier takes only panels the pass must split, so here it
+    visits no more."""
+    res, calls, points = counted_run(fs_density(100.0), 0j, 1.0, emit_mass_frac=2.5e-3)
     assert res.n_panels == 610
     splits = res.n_panels - 64
     assert calls == 2 + 2 * 21 + math.ceil(res.n_panels / 32) == 64
@@ -470,3 +505,44 @@ def test_density_calls_are_batched():
     sequential = 64 * 320 + splits * 768 + res.n_panels * 384
     assert sequential == 674048
     assert points == sequential
+
+
+# (id, positional arguments, keyword arguments, quadrature constants, most
+# density calls, nodes of the lookahead the frontier replaced).  That lookahead
+# split the popped panel with up to 31 next worst queued panels whose own key
+# passed the bound; it took 100, 762 and 809 calls on these cases.
+WORK_CASES = [
+    # the error pass ends it: at most half the lookahead's calls
+    ("fs_k1e4_error_pass", (fs_density(1e4), 0j, 1.0), {"rel_tol": 1e-9}, {}, 50, 86528),
+    # the panel budget ends it, and splits made ahead may go unused: no more calls
+    (
+        "point_singularity",
+        (point_density, 0j, 1.0),
+        {"rel_tol": 1e-15},
+        POINT_LIMITS,
+        762,
+        1751552,
+    ),
+    (
+        "point_singularity_emission",
+        (point_density, 0j, 1.0),
+        {"rel_tol": 1e-15, "emit_mass_frac": 1e-2},
+        POINT_LIMITS,
+        809,
+        2327552,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, constants, max_calls, lookahead_nodes",
+    [c[1:] for c in WORK_CASES],
+    ids=[c[0] for c in WORK_CASES],
+)
+def test_frontier_work_counts(monkeypatch, args, kwargs, constants, max_calls, lookahead_nodes):
+    """At most ``max_calls`` density calls, and at most 10% more nodes than
+    the lookahead took."""
+    set_constants(monkeypatch, constants)
+    _, calls, points = counted_run(*args, **kwargs)
+    assert calls <= max_calls
+    assert points <= 1.1 * lookahead_nodes
