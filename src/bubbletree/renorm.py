@@ -5,8 +5,10 @@ Given a measure concentrating at a point q, the map R_{q,t}(x) =
 eps_bar sits outside the unit disk.  The neck scale t is found by one
 bisection on the monotone mass-outside function, shared by particle
 measures and continuous radial profiles; the balanced center q is the zero
-of the first-moment functional F(q) of the renormalized measure, located
-by a degree (winding) argument followed by damped Newton.
+of the first-moment functional F(q) of the renormalized measure.  A degree
+(winding) argument certifies that a zero exists; F(q) = 0 says that q is the
+centroid of the mass strictly inside the cut circle, so the zero is found as
+a fixed point of the step q <- that centroid.
 
 The winding is certified, not read off a fixed ring: F is probed at 16
 points of the boundary path, and an arc is split until its end values a, b
@@ -71,10 +73,10 @@ _RING_CAP = 4096
 # continuous-profile solves
 _NECK_TOL = 1e-9
 _CDF_TOL = 1e-12
-# balanced-center tolerance of mark_smooth_bubble, matched to the particle
-# granularity of the family generator; the moment functional of an atomic
-# measure jumps by the atom weights crossing the cut circle, so demanding much
-# less than the largest nearby atom weight over the total mass cannot succeed
+# acceptance bound of find_balanced_center on |F(q)|, as a fraction of the
+# total mass; a fixed point of the centroid step is a zero up to rounding
+# (about 1e-17 of the total on the shipped families), so this bound only
+# refuses a run that stopped at the step cap away from a fixed point
 _CENTER_TOL = 1e-5
 
 
@@ -267,12 +269,16 @@ def solve_neck_scale_from_cdf(
 
 def _center_value(
     mu: WeightedParticleMeasure, q: complex, eps_bar: float
-) -> tuple[complex, NeckScaleResult]:
+) -> tuple[complex, complex, NeckScaleResult]:
+    """F(q), the centroid of the mass strictly inside the cut circle, and the
+    neck-scale solve at q.  F(q) = 0 exactly when q is that centroid."""
     res = solve_neck_scale(mu, q, eps_bar)
-    scale = 1.0 / res.t - 1.0
     sel = np.abs(mu.points - q) < res.s
-    moment = complex(np.sum(mu.weights[sel] * (mu.points[sel] - q)) * scale)
-    return moment, res
+    w, x = mu.weights[sel], mu.points[sel]
+    moment = complex(np.sum(w * (x - q)) * (1.0 / res.t - 1.0))
+    inside = float(w.sum())
+    centroid = complex(np.sum(w * x) / inside) if inside > 0.0 else q
+    return moment, centroid, res
 
 
 def center_functional(mu: WeightedParticleMeasure, q: complex, eps_bar: float) -> complex:
@@ -329,15 +335,15 @@ def _certified_winding(
 
 @dataclass(frozen=True)
 class CenterResult:
-    """winding and boundary_inward_ok are None when the direct probe at 0
-    succeeded and the boundary was never sampled."""
+    """A certified balanced center: a fixed point of the inside-centroid step
+    inside a boundary circle of nonzero certified winding."""
 
     q: complex
     value: complex
     scale: NeckScaleResult  # neck-scale solve at the returned q
     r: complex  # q + t/(1-t)
-    winding: int | None
-    boundary_inward_ok: bool | None  # Re(F(q)/-q) > 0 at every certified ring sample
+    winding: int
+    boundary_inward_ok: bool  # Re(F(q)/-q) > 0 at every certified ring sample
     zeros: tuple[complex, ...]  # every zero found, smallest |q| first
 
 
@@ -345,7 +351,6 @@ def find_balanced_center(
     mu: WeightedParticleMeasure,
     ladder: ScaleLadder,
     k: int,
-    tol: float = 1e-8,
 ) -> CenterResult:
     """Zero of the center functional inside B(0, delta_{2k-1}).
 
@@ -357,10 +362,17 @@ def find_balanced_center(
     values a, b pass min(|a|, |b|) > |a - b| + jump, with jump the largest
     atom weight, under the stated assumption that F stays within that chord
     plus one jump of its end values between samples; an arc that still fails
-    at 4096 samples raises CenterError.  Newton (central differences of step
-    1e-5 delta_2k, seeded at the local centroid, with quadrant subdivision
-    by the same certified winding as fallback) localizes the zero.  With
-    several zeros the one of smallest |q| is returned; ``zeros`` lists all.
+    at 4096 samples raises CenterError.
+
+    F(q) vanishes exactly when q is the centroid of the mass strictly inside
+    the cut circle |x - q| < s(q), so the zero is a fixed point of the step
+    q <- that centroid (the flat-kernel mean shift).  With winding +-1 the
+    step starts at 0; otherwise, or when that run fails, the quadrant
+    subdivision of the bounding square by the same certified winding seeds
+    it.  A run stops when the centroid stops moving or after 60 steps, is
+    refused when a step leaves the circle, and is accepted when
+    |F(q)| <= ``_CENTER_TOL`` of the total mass.  With several zeros the one
+    of smallest |q| is returned; ``zeros`` lists all.
     """
     if k < 1 or 2 * k > ladder.depth:
         raise CenterError(f"index {k} outside the ladder (need 1 <= k and 2k <= depth)")
@@ -380,37 +392,22 @@ def find_balanced_center(
             f"{annulus:.6g} >= {bound:.6g}"
         )
     radius = float(ladder.delta[2 * k - 1])
-    tol_abs = tol * total
-    h = max(1e-10, 1e-5 * float(ladder.delta[2 * k]))  # central-difference step
-
+    tol_abs = _CENTER_TOL * total
     jump = float(mu.weights.max())  # F moves by about one weight as an atom crosses the cut
 
-    def probe(q: complex) -> tuple[complex, NeckScaleResult]:
-        return _center_value(mu, q, eps_bar)
-
     def value(q: complex) -> complex:
-        return probe(q)[0]
+        return _center_value(mu, q, eps_bar)[0]
 
-    def finish(q, fq, res, winding, boundary_ok, zeros):
-        r = q + res.s
-        if abs(r) > float(ladder.delta[k]) * (1.0 + 1e-12):
-            raise CenterError(
-                f"cut radius escapes the working scale: |r| = {abs(r):.6g} > "
-                f"delta_k = {float(ladder.delta[k]):.6g}"
-            )
-        return CenterResult(
-            q=q,
-            value=fq,
-            scale=res,
-            r=r,
-            winding=winding,
-            boundary_inward_ok=boundary_ok,
-            zeros=tuple(z for z, _, _ in zeros),
-        )
-
-    f0, res0 = probe(0.0)
-    if abs(f0) <= tol_abs:
-        return finish(0.0 + 0.0j, f0, res0, None, None, [(0.0 + 0.0j, f0, res0)])
+    def fixed_point(q: complex) -> tuple[complex, complex, NeckScaleResult] | None:
+        fq, c, res = _center_value(mu, q, eps_bar)
+        for _ in range(60):
+            if c == q:
+                break
+            if abs(c) > radius:
+                return None
+            q = c
+            fq, c, res = _center_value(mu, q, eps_bar)
+        return (q, fq, res) if abs(fq) <= tol_abs else None
 
     winding, ring = _certified_winding(
         value, lambda u: radius * cmath.exp(2j * math.pi * u), jump
@@ -421,57 +418,17 @@ def find_balanced_center(
             "degree argument fails: measure not concentrated: boundary winding is zero"
         )
 
-    def newton(q0: complex) -> tuple[complex, complex, NeckScaleResult, bool]:
-        q, (fq, res) = q0, probe(q0)
-        for _ in range(60):
-            if abs(fq) <= tol_abs:
-                return q, fq, res, True
-            fx = (value(q + h) - value(q - h)) / (2.0 * h)
-            fy = (value(q + 1j * h) - value(q - 1j * h)) / (2.0 * h)
-            jac = np.array(
-                [[fx.real, fy.real], [fx.imag, fy.imag]], dtype=float
-            )
-            try:
-                step = np.linalg.solve(jac, -np.array([fq.real, fq.imag]))
-            except np.linalg.LinAlgError:
-                return q, fq, res, False
-            dq = complex(step[0], step[1])
-            lam = 1.0
-            while lam > 1e-6:
-                q_new = q + lam * dq
-                if abs(q_new) > radius:
-                    q_new *= radius / abs(q_new)
-                f_new, res_new = probe(q_new)
-                if abs(f_new) < abs(fq) * (1.0 - 0.25 * lam) + 1e-300:
-                    q, fq, res = q_new, f_new, res_new
-                    break
-                lam *= 0.5
-            else:
-                return q, fq, res, False
-        return q, fq, res, abs(fq) <= tol_abs
-
     # (q, F(q), neck-scale solve at q) for each zero found
     zeros: list[tuple[complex, complex, NeckScaleResult]] = []
-    if abs(winding) == 1:
-        # degree one: a single zero; seed Newton at the local centroid
-        pts, wts = mu.points, mu.weights
-        core = np.abs(pts) <= float(ladder.delta[2 * k])
-        core_mass = float(wts[core].sum())
-        seeds = [0.0 + 0.0j]
-        if core_mass > 0.0:
-            centroid = complex(np.sum(wts[core] * pts[core]) / core_mass)
-            if abs(centroid) <= radius:
-                seeds.insert(0, centroid)
-        for seed in seeds:
-            q, fq, res, ok = newton(seed)
-            if ok:
-                zeros.append((q, fq, res))
-                break
+    if abs(winding) == 1:  # degree one: a single zero
+        zero = fixed_point(0.0 + 0.0j)
+        if zero is not None:
+            zeros.append(zero)
 
     if not zeros:
         # quadrant subdivision of the bounding square by certified boundary
         # winding; a cell whose winding does not certify is not refined but
-        # seeds Newton like the finest cells, so no zero is dropped
+        # seeds the fixed point like the finest cells, so no zero is dropped
         def cell_winding(cx: float, cy: float, half: float) -> int:
             corners = [
                 complex(cx - half, cy - half),
@@ -504,14 +461,29 @@ def find_balanced_center(
                 break
             cells = refined
         for cx, cy, _ in cells + uncertified:
-            q, fq, res, ok = newton(complex(cx, cy))
-            if ok and all(abs(q - z) > 1e-9 * radius for z, _, _ in zeros):
-                zeros.append((q, fq, res))
+            zero = fixed_point(complex(cx, cy))
+            if zero is not None and all(abs(zero[0] - z) > 1e-9 * radius for z, _, _ in zeros):
+                zeros.append(zero)
 
     if not zeros:
         raise CenterError(f"zero not localized: |F| stayed above {tol_abs:.3g}")
     zeros.sort(key=lambda z: abs(z[0]))
-    return finish(*zeros[0], winding, boundary_ok, zeros)
+    q, fq, res = zeros[0]
+    r = q + res.s
+    if abs(r) > float(ladder.delta[k]) * (1.0 + 1e-12):
+        raise CenterError(
+            f"cut radius escapes the working scale: |r| = {abs(r):.6g} > "
+            f"delta_k = {float(ladder.delta[k]):.6g}"
+        )
+    return CenterResult(
+        q=q,
+        value=fq,
+        scale=res,
+        r=r,
+        winding=winding,
+        boundary_inward_ok=boundary_ok,
+        zeros=tuple(z for z, _, _ in zeros),
+    )
 
 
 @dataclass(frozen=True)
@@ -590,7 +562,7 @@ def mark_smooth_bubble(mus: list[WeightedParticleMeasure], ladder: ScaleLadder) 
     for i, mu in enumerate(mus):
         k = i + 1
         try:
-            center = find_balanced_center(mu, ladder, k, _CENTER_TOL)
+            center = find_balanced_center(mu, ladder, k)
             nu = pushforward(mu, renormalization_map(center.q, center.scale.t))
             markings.append(
                 Marking(

@@ -37,6 +37,7 @@ from bubbletree import (
     solve_neck_scale_from_cdf,
     zero_neck_test,
 )
+from bubbletree import renorm
 from bubbletree.cli import main as cli_main
 
 FOUR_PI = 4.0 * math.pi
@@ -100,10 +101,11 @@ def test_03_neck_scale_solver():
     print(f"PASS neck-scale solver: uniform-disk err {err:.2e}, 100 monotone histories")
 
 
-def test_04_balanced_center_on_gaussian_clouds():
+def test_04_balanced_center_on_gaussian_clouds(monkeypatch):
     """50 Gaussian concentrating clouds with random centers: the finder's
     zero has |F(q)| <= 1e-8 mass, lands within 3 sigma of the true center,
     and the inward boundary condition holds at every certified ring sample."""
+    monkeypatch.setattr(renorm, "_CENTER_TOL", 1e-8)
     lad = ScaleLadder(1.0, 0.2, 6)
     k = 2
     big_radius = float(lad.delta[2 * k])
@@ -117,7 +119,7 @@ def test_04_balanced_center_on_gaussian_clouds():
         sigma = (big_radius - abs(c)) / 20.0
         pts = c + sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         mu = WeightedParticleMeasure(pts, np.full(n, FOUR_PI / n), 1.0)
-        res = find_balanced_center(mu, lad, k, tol=1e-8)
+        res = find_balanced_center(mu, lad, k)
         worst_f = max(worst_f, abs(center_functional(mu, res.q, 0.2)) / mu.mass)
         worst_d = max(worst_d, abs(res.q - c) / sigma)
         assert res.boundary_inward_ok is True

@@ -244,9 +244,10 @@ def gaussian_cloud(center, sigma, n, mass, chart, seed):
     return WeightedParticleMeasure(pts, np.full(len(pts), mass / n), chart)
 
 
-def test_balanced_center_on_gaussian_clouds():
+def test_balanced_center_on_gaussian_clouds(monkeypatch):
     # acceptance-grade property on a handful here; the full 50-instance run
     # lives in the acceptance suite
+    monkeypatch.setattr(renorm, "_CENTER_TOL", 1e-8)
     lad = ScaleLadder(1.0, 0.2, 6)
     k = 2
     for seed in range(5):
@@ -255,53 +256,64 @@ def test_balanced_center_on_gaussian_clouds():
         c = (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) * delta_2k / 2.0
         sigma = 0.002
         mu = gaussian_cloud(c, sigma, 40_000, FOUR_PI, 1.0, seed)
-        res = find_balanced_center(mu, lad, k, tol=1e-8)
+        res = find_balanced_center(mu, lad, k)
         val = center_functional(mu, res.q, 0.2)
         assert abs(val) <= 1e-8 * mu.mass
         assert abs(res.q - c) <= 3.0 * sigma
 
 
-def test_balanced_center_quadrant_fallback_when_newton_seeds_fail():
-    # the first two Jacobian solves (the centroid and origin seeds) fail, so
-    # the zero must come from the quadrant subdivision by boundary winding
+def step_from_origin_leaves(monkeypatch, radius):
+    """Patch the centroid step so that the step from 0 leaves the circle of
+    the given radius, which refuses the fixed-point run seeded at 0; F and
+    every other step are unchanged.  Returns the list of probes at 0."""
+    center_value, origin_probes = renorm._center_value, []
+
+    def leaving(mu, q, eps_bar):
+        fq, centroid, res = center_value(mu, q, eps_bar)
+        if q == 0:
+            origin_probes.append(q)
+            centroid = complex(2.0 * radius)
+        return fq, centroid, res
+
+    monkeypatch.setattr(renorm, "_center_value", leaving)
+    return origin_probes
+
+
+def test_balanced_center_quadrant_fallback_when_origin_run_fails(monkeypatch):
+    # the fixed-point run seeded at 0 is refused, so the zero must come from
+    # the quadrant subdivision by boundary winding
+    monkeypatch.setattr(renorm, "_CENTER_TOL", 1e-8)
     lad = ScaleLadder(1.0, 0.2, 6)
     k, sigma = 2, 0.002
     c = 0.3 * lad.delta[2 * k] * (0.6 + 0.8j)
     mu = gaussian_cloud(c, sigma, 2000, FOUR_PI, 1.0, seed=7)
-    want = find_balanced_center(mu, lad, k, tol=1e-8)
-    solve = np.linalg.solve
-    calls = []
+    want = find_balanced_center(mu, lad, k)
+    certified, rings = renorm._certified_winding, []
 
-    def flaky_solve(a, b):
-        calls.append(None)
-        if len(calls) <= 2:
-            raise np.linalg.LinAlgError("singular Jacobian")
-        return solve(a, b)
+    def counted(value, point, jump):
+        rings.append(point(0.0))
+        return certified(value, point, jump)
 
-    with mock.patch.object(np.linalg, "solve", flaky_solve):
-        got = find_balanced_center(mu, lad, k, tol=1e-8)
-    assert len(calls) > 2
+    origin_probes = step_from_origin_leaves(monkeypatch, float(lad.delta[2 * k - 1]))
+    monkeypatch.setattr(renorm, "_certified_winding", counted)
+    got = find_balanced_center(mu, lad, k)
+    assert origin_probes and len(rings) > 1  # the cells were ringed after the refusal
     assert got.winding == want.winding == 1
     assert abs(got.q - want.q) <= 1e-3 * sigma
     assert abs(center_functional(mu, got.q, 0.2)) <= 1e-8 * mu.mass
 
 
-def test_balanced_center_fallback_keeps_uncertified_cells_as_seeds():
+def test_balanced_center_fallback_keeps_uncertified_cells_as_seeds(monkeypatch):
     # as above, but no quadrant cell certifies: the four first-level cells
-    # are not refined, yet each seeds Newton, and the zero is still found
+    # are not refined, yet each seeds the fixed point, and the zero is still
+    # found
+    monkeypatch.setattr(renorm, "_CENTER_TOL", 1e-8)
     lad = ScaleLadder(1.0, 0.2, 6)
     k, sigma = 2, 0.002
     c = 0.3 * lad.delta[2 * k] * (0.6 + 0.8j)
     mu = gaussian_cloud(c, sigma, 2000, FOUR_PI, 1.0, seed=7)
-    want = find_balanced_center(mu, lad, k, tol=1e-8)
-    solve, certified = np.linalg.solve, renorm._certified_winding
-    solves, rings = [], []
-
-    def flaky_solve(a, b):
-        solves.append(None)
-        if len(solves) <= 2:
-            raise np.linalg.LinAlgError("singular Jacobian")
-        return solve(a, b)
+    want = find_balanced_center(mu, lad, k)
+    certified, rings = renorm._certified_winding, []
 
     def cells_never_certify(value, point, jump):
         rings.append(point(0.0))
@@ -309,10 +321,10 @@ def test_balanced_center_fallback_keeps_uncertified_cells_as_seeds():
             return certified(value, point, jump)
         raise CenterError("degree argument fails: boundary winding not certified")
 
-    with mock.patch.object(np.linalg, "solve", flaky_solve), mock.patch.object(
-        renorm, "_certified_winding", cells_never_certify
-    ):
-        got = find_balanced_center(mu, lad, k, tol=1e-8)
+    origin_probes = step_from_origin_leaves(monkeypatch, float(lad.delta[2 * k - 1]))
+    monkeypatch.setattr(renorm, "_certified_winding", cells_never_certify)
+    got = find_balanced_center(mu, lad, k)
+    assert origin_probes
     assert len(rings) == 5
     assert got.winding == want.winding == 1
     assert abs(got.q - want.q) <= 1e-3 * sigma
@@ -322,7 +334,7 @@ def test_balanced_center_needs_concentration():
     lad = ScaleLadder(1.0, 0.2, 6)
     mu = radial_quantile_atoms(lambda q: 0.9 * np.sqrt(q), 5000, mass=6.0, chart=1.0)
     with pytest.raises(CenterError, match="not concentrated"):
-        find_balanced_center(mu, lad, 3, tol=1e-8)
+        find_balanced_center(mu, lad, 3)
 
 
 def test_mark_smooth_bubble_levels_and_bounds(monkeypatch):
@@ -466,26 +478,46 @@ def test_certified_ring_matches_fixed_ring_on_gaussian_clouds():
     )
 
 
-@pytest.mark.parametrize("family", ["bubble1_family", "bubble2_family"])
-def test_certified_ring_matches_fixed_ring_on_bubble_members(family, request):
-    calls = []
+@pytest.fixture(scope="module", params=["bubble1_family", "bubble2_family"])
+def bubble_centers(request):
+    """(mu, ladder, k, CenterResult) of every balanced center that extracting
+    the family computes."""
+    calls, find = [], renorm.find_balanced_center
 
-    def recording(mu, ladder, k, tol=1e-8):
-        res = find_balanced_center(mu, ladder, k, tol)
+    def recording(mu, ladder, k):
+        res = find(mu, ladder, k)
         calls.append((mu, ladder, k, res))
         return res
 
     with mock.patch.object(renorm, "find_balanced_center", recording):
-        extract_bubble_tree(request.getfixturevalue(family))
-    rings = [c for c in calls if c[3].winding is not None]
-    assert rings
-    _assert_matches_fixed_ring(rings)
+        extract_bubble_tree(request.getfixturevalue(request.param))
+    assert calls
+    return calls
 
 
-def test_certified_ring_on_a_measure_a_16_sample_ring_misreads():
+def test_certified_ring_matches_fixed_ring_on_bubble_members(bubble_centers):
+    _assert_matches_fixed_ring(bubble_centers)
+
+
+def test_bubble_member_centers_are_fixed_points(bubble_centers):
+    # every center is an exact zero of F, up to rounding, not just within
+    # the acceptance bound _CENTER_TOL
+    for mu, lad, _, res in bubble_centers:
+        assert abs(center_functional(mu, res.q, lad.eps_bar)) <= 1e-12 * mu.mass
+
+
+def test_bubble2_mirror_bubbles_have_equal_annulus_excess(bubble2_tree):
+    # z -> k(z^2 - 1/4) is even, so the two bubbles at +-1/2 are mirror
+    # images under z -> -z and their balanced centers see the same annulus
+    a, b = (n.annulus_excess for n in bubble2_tree.necks if n.kind == "smooth")
+    assert abs(a - b) <= 1e-9 * abs(a)
+
+
+def test_certified_ring_on_a_measure_a_16_sample_ring_misreads(monkeypatch):
     # a cloud at 0 and a far cluster outside B_k whose pull puts the zero of
     # F a hundredth of the radius inside the circle, half a 16-ring step
     # from the samples: the fast turn of F there is invisible at 16 samples
+    monkeypatch.setattr(renorm, "_CENTER_TOL", 1e-8)
     lad = ScaleLadder(1.0, 0.2, 6)
     k = 2
     radius = float(lad.delta[2 * k - 1])
