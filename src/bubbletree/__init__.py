@@ -4,12 +4,13 @@ The package is organized bottom-up; a module imports only modules listed
 above it (and errors):
 
 measure     weighted particle measures, scale ladders, concentration detection
-quadrature  adaptive polar panel integration with particle emission
+quadrature  adaptive polar panel integration
 renorm      neck-scale bisection, balanced centers, bubble markings
 curve       stable marked dual graphs, forgetful maps, node regularity
 neck        cylinder fields and delta-collars, nodal pushforward measures,
             energy/alpha diagnostics, zero-neck test
-families    explicit holomorphic and linear test families with known energies
+families    explicit holomorphic and linear test families with known energies;
+            particle measures as preimages of one equal-area sphere lattice
 driver      residual-energy induction assembling the bubble tree
 cli         config-driven orchestration and report emission
 

@@ -43,8 +43,7 @@ __all__ = [
 # resolution of every generated family and quadrature, fixed for the package;
 # the quadrature's absolute floor and panel budget are constants of quadrature
 _ENERGY_REL_TOL = 1e-9  # energy_quadrature
-_MEASURE_REL_TOL = 1e-7  # density_to_measure
-_MASS_FRAC = 2.5e-3  # atom weight bound, as a fraction of the emitted mass
+_N_SPHERE = 20000  # lattice points on the sphere, each of weight 4 pi / N
 _CHART_RADIUS = 1.0  # rational families live on the unit disk of the z chart
 _N_T, _N_THETA = 256, 64  # cylinder grid of the neck families
 
@@ -159,14 +158,27 @@ class RationalMap:
         p = _horner(self.num, z)
         return 4.0 * _abs2(self._wronskian, z) / (np.abs(p) ** 2 + _abs2(self.den, z)) ** 2
 
+    def _padded(self) -> tuple[np.ndarray, np.ndarray]:
+        """num and den, each padded with leading zeros to degree + 1 entries;
+        for a map of positive degree (the zero map may have a longer den)."""
+        n = self.degree + 1
+        return tuple(
+            np.concatenate([np.zeros(n - c.size, np.complex128), c]) for c in (self.num, self.den)
+        )
+
     def chart_reversed(self) -> "RationalMap":
         """The same sphere map in the w = 1/z chart, again as a rational map."""
-        d = self.degree
-        if d == 0:
+        if self.degree == 0:
             return RationalMap(self.num.copy(), self.den.copy())
-        num = np.concatenate([np.zeros(d + 1 - self.num.size, np.complex128), self.num])
-        den = np.concatenate([np.zeros(d + 1 - self.den.size, np.complex128), self.den])
+        num, den = self._padded()
         return RationalMap(num[::-1].copy(), den[::-1].copy())
+
+
+def _disk_radius(radius: float) -> float:
+    """The radius of a chart disk, refused unless positive and finite."""
+    if not (radius > 0 and np.isfinite(radius)):
+        raise FamilyError(f"disk radius must be positive and finite, got {radius}")
+    return float(radius)
 
 
 def _quadrature_checked(
@@ -174,19 +186,11 @@ def _quadrature_checked(
     center: complex,
     radius: float,
     rel_tol: float,
-    mass_frac: float | None = None,
 ):
-    """The quadrature of ``density`` on a disk at the package resolution,
-    emitting particles when ``mass_frac`` is given; refused unless the radius
-    is positive and finite, and unless resolved."""
-    if not (radius > 0 and np.isfinite(radius)):
-        raise FamilyError(f"disk radius must be positive and finite, got {radius}")
+    """The quadrature of ``density`` on a disk at the package resolution;
+    refused unless the radius is positive and finite, and unless resolved."""
     result = adaptive_polar_quadrature(
-        density,
-        center=center,
-        r_outer=radius,
-        rel_tol=rel_tol,
-        emit_mass_frac=mass_frac,
+        density, center=center, r_outer=_disk_radius(radius), rel_tol=rel_tol
     )
     # a NaN value or error fails every comparison, so it needs its own refusal
     if not (np.isfinite(result.value) and np.isfinite(result.error)):
@@ -219,17 +223,54 @@ def energy_quadrature(
     return float(here.value + far.value)
 
 
+def _sphere_lattice() -> np.ndarray:
+    """Chart values of the ``_N_SPHERE``-point Fibonacci lattice on the unit sphere.
+
+    Point j sits at height h = 1 - (2j + 1)/N, so the points split the sphere
+    into N bands of equal area, and at longitude j times the golden angle.  The
+    chart is the stereographic projection w = (x + iy)/(1 - h) from the north
+    pole, whose pullback of the sphere's area is 4/(1 + |w|^2)^2, the density
+    convention of this module; no point is a pole.
+    """
+    j = np.arange(_N_SPHERE, dtype=np.float64)
+    h = 1.0 - (2.0 * j + 1.0) / _N_SPHERE
+    return np.sqrt((1.0 + h) / (1.0 - h)) * np.exp(1j * (np.pi * (3.0 - np.sqrt(5.0))) * j)
+
+
 def density_to_measure(rmap: RationalMap, radius: float) -> WeightedParticleMeasure:
     """Particle measure of the energy density over the chart disk |z| <= radius.
 
-    The emitted total mass equals the adaptive quadrature value over the same
-    disk at the same resolution, up to summation order; atom granularity is
-    bounded by ``_MASS_FRAC`` of the total, with atoms placed at radial mass
-    quantiles so ball masses track the density's.
+    The density is the pullback of the sphere's area, so the measure takes the
+    preimages of one fixed equal-area point set: every root z of P - y_j Q with
+    |z| <= radius, for each of the ``_N_SPHERE`` Fibonacci-lattice values y_j
+    (``_sphere_lattice``), each atom of weight 4 pi / N.  Over the whole chart
+    a map of degree d has exactly N d atoms, total mass 4 pi d; a disk holds
+    the preimages of the lattice points in its image, so its mass is off by
+    the lattice's miscount of that image.  Every member of a family reads the
+    same lattice.  The roots come from one batched eigenvalue call on the
+    companion matrices of all N polynomials, and the atoms are listed lattice
+    point by lattice point; a map of degree 0 has no atoms.
     """
-    res = _quadrature_checked(rmap.density, 0j, float(radius), _MEASURE_REL_TOL, _MASS_FRAC)
-    keep = res.weights > 0.0
-    return WeightedParticleMeasure(res.points[keep], res.weights[keep], chart_radius=float(radius))
+    chart = _disk_radius(radius)
+    d = rmap.degree
+    if d == 0:
+        return WeightedParticleMeasure.empty(chart)
+    num, den = rmap._padded()
+    coeffs = num - _sphere_lattice()[:, None] * den
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        monic = coeffs[:, 1:] / coeffs[:, :1]
+    if not np.all(np.isfinite(monic)):
+        # a lattice value the map takes at infinity (to the float range) has
+        # a root there, and its other roots would need their own solve
+        raise FamilyError("a sphere lattice point is the map's value at z = infinity")
+    companion = np.zeros((_N_SPHERE, d, d), np.complex128)
+    companion[:, 0, :] = -monic
+    companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    roots = np.linalg.eigvals(companion).ravel()
+    inside = roots[np.abs(roots) <= chart]
+    return WeightedParticleMeasure(
+        inside, np.full(inside.size, 4.0 * np.pi / _N_SPHERE), chart_radius=chart
+    )
 
 
 @dataclass(frozen=True)

@@ -8,23 +8,18 @@ changes the estimate most, so radially symmetric spikes cost only radial
 splits while point spikes refine in both axes.
 
 Splits are computed ahead of their turn, a level at a time.  When the popped
-panel has no split yet, the queue is ranked worst first.  The error pass
-cannot stop while a panel is queued whose error, with the errors ranked below
-it, exceeds the error target; the granularity pass cannot stop while a panel
-holds more than its mass floor.  The first level splits the worst such panels,
-up to ``_SPLIT_BATCH``; their children are then ranked into the queue as the
+panel has no split yet, the queue is ranked worst first.  The pass cannot
+stop while a panel is queued whose error, with the errors ranked below it,
+exceeds the error target.  The first level splits the worst such panels, up to
+``_SPLIT_BATCH``; their children are then ranked into the queue as the
 pass will see it (its total, and so its target, moved by the splits), and
 those children that pass the same test are split in the next level, and so on
 down the frontier, two density calls per level.  A panel is split ahead only
 while fewer panels rank above it than the panel budget has splits left.  The
 queue itself is replayed exactly as one split at a time would run it, reading
 children from that cache, and a panel's values do not depend on which panels
-share its density call; so panels, value, error and atoms do not depend on
-which splits are made ahead, nor on ``_SPLIT_BATCH``.
-
-Emitted particles sit in shells at each final panel's radial mass
-quantiles, weighted so every panel carries its fine-rule value; an emitted
-measure's total mass therefore equals the quadrature value up to rounding.
+share its density call; so panels, value and error do not depend on which
+splits are made ahead, nor on ``_SPLIT_BATCH``.
 """
 
 from __future__ import annotations
@@ -41,9 +36,6 @@ __all__ = ["PanelQuadrature", "adaptive_polar_quadrature"]
 _GL_COARSE = 8
 _GL_FINE = 16
 _INIT_GRID = 8  # initial panels along each polar axis
-_EMIT_CELLS = 48  # radial cells per panel for the emission mass profile
-_EMIT_CHUNK = 32  # final panels per density call during emission
-_MAX_SHELLS = 24  # atom shells of the heaviest panels
 _SPLIT_BATCH = 32  # panels split per pair of density calls
 _ABS_TOL = 1e-12  # absolute floor of the error target
 _MAX_PANELS = 20000  # panel budget of one integration
@@ -66,19 +58,18 @@ class PanelQuadrature:
 
     value : integral estimate (sum of fine-rule panel values)
     error : summed error estimates of the final panels, retired ones included
-    points : emitted atoms z = center + r e^{i theta}, in shells at each final
-        panel's radial mass quantiles, sorted by real part; empty unless
-        emit_mass_frac was given
-    weights : matching atom masses, summing per panel to its fine-rule value;
-        empty unless emit_mass_frac was given
     n_panels : number of final panels
     """
 
     value: float
     error: float
-    points: NDArray[np.complex128]
-    weights: NDArray[np.float64]
     n_panels: int
+
+    @property
+    def points(self) -> NDArray[np.complex128]:
+        """Atoms of the result: always none, since the quadrature emits no
+        particles; kept for callers that count them."""
+        return np.zeros(0, dtype=np.complex128)
 
 
 def _panel_values(
@@ -108,95 +99,6 @@ def _panel_values(
     f = density(z.ravel()).reshape(n, 1, -1)
     jac = jac.reshape(n, -1, 1)
     return np.matmul(f, jac).ravel().tolist()
-
-
-def _quantile_cells(
-    cum: NDArray[np.float64], redges: NDArray[np.float64], targets: NDArray[np.float64]
-) -> tuple[NDArray[np.int64], NDArray[np.float64]]:
-    """Per row of a nondecreasing ``cum`` over cell edges ``redges``: each
-    target's cell, ``np.searchsorted(cum, target) - 1`` clipped to the cells,
-    and its radius ``np.interp(target, cum, redges)``, bit for bit for
-    targets at or above ``cum[:, 0]``.
-
-    A finite target of a panel with mass lies in (cum[row], cum[row + 1]], so
-    its cell has positive mass.  np.interp brackets a target by the last edge
-    j with cum[j] <= target and returns redges[j] on an exact hit or at the
-    last edge, otherwise slope * (target - cum[j]) + redges[j] with the slope
-    over [j, j + 1].
-    """
-    n_cells = cum.shape[1] - 1
-    rows = (cum[:, None, :] < targets[:, :, None]).sum(axis=2) - 1
-    j = (cum[:, None, :] <= targets[:, :, None]).sum(axis=2) - 1
-    up = np.minimum(j + 1, n_cells)
-    c_lo, r_lo = np.take_along_axis(cum, j, 1), np.take_along_axis(redges, j, 1)
-    c_hi, r_hi = np.take_along_axis(cum, up, 1), np.take_along_axis(redges, up, 1)
-    with np.errstate(all="ignore"):
-        # np.interp raises no floating-point warnings; the last edge divides
-        # by a zero bracket, and a subnormal bracket overflows the slope
-        slope = (r_hi - r_lo) / (c_hi - c_lo)
-        inner = slope * (targets - c_lo) + r_lo
-    hit = (c_lo == targets) | (j == n_cells)
-    return rows.clip(0, n_cells - 1), np.where(hit, r_lo, inner)
-
-
-def _emit_particles(
-    density: Callable[[NDArray[np.complex128]], NDArray[np.float64]],
-    center: complex,
-    boxes: NDArray[np.float64],
-    fines: NDArray[np.float64],
-    shell_target: float,
-) -> tuple[NDArray[np.complex128], NDArray[np.float64]]:
-    """Atoms at each panel's radial mass quantiles, sorted by real part.
-
-    Atom shells interleave the radial cumulative mass, so any circle about
-    the panel's polar center miscounts at most half a shell.  Per-shell
-    angular weights follow the local angular profile; each panel total is
-    rescaled to its fine-rule value.  A panel gets about |fine| / shell_target
-    shells, 4 to ``_MAX_SHELLS``.  The cell grids of ``_EMIT_CHUNK`` panels
-    share one density call, and their shells are placed by array operations
-    (``_quantile_cells``).
-    """
-    if shell_target > 0.0:
-        n_shells = np.ceil(np.abs(fines) / shell_target).clip(4, _MAX_SHELLS).astype(np.int64)
-    else:
-        n_shells = np.full(len(fines), 4)
-    # the empty leading arrays keep the concatenation defined when no panel
-    # carries mass
-    pts = [np.zeros(0, np.complex128)]
-    wts = [np.zeros(0, np.float64)]
-    for lo in range(0, len(boxes), _EMIT_CHUNK):
-        part = slice(lo, lo + _EMIT_CHUNK)
-        r0, r1, t0, t1 = boxes[part].T
-        tm, th = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-        theta = tm[:, None] + th[:, None] * _XC
-        wth = th[:, None] * _WC
-        redges = np.linspace(r0, r1, _EMIT_CELLS + 1, axis=1)
-        rmid = 0.5 * (redges[:, :-1] + redges[:, 1:])
-        dr = (r1 - r0) / _EMIT_CELLS
-        rot = np.exp(1j * theta)
-        z = center + rmid[:, :, None] * rot[:, None, :]
-        cell = density(z.ravel()).reshape(z.shape) * (rmid * dr[:, None])[:, :, None]
-        cell *= wth[:, None, :]
-        radial = cell.sum(axis=2)
-        cum = np.zeros((len(r0), _EMIT_CELLS + 1))
-        np.cumsum(radial, axis=1, out=cum[:, 1:])
-        # every panel of the chunk gets as many shells as the most any of them
-        # holds; keep marks its first n_shell, and none of a panel without mass
-        fine, n_shell, total = fines[part], n_shells[part], cum[:, -1]
-        shell = np.arange(n_shell.max())
-        keep = (shell < n_shell[:, None]) & (~(total <= 0.0) & (fine != 0.0))[:, None]
-        targets = (shell + 0.5) * (total / n_shell)[:, None]
-        rows, r_shell = _quantile_cells(cum, redges, targets)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # only masked shells divide by a zero row
-            w = np.take_along_axis(cell, rows[:, :, None], 1) / np.take_along_axis(
-                radial, rows, 1
-            )[:, :, None]
-        wts.append((w * (fine / n_shell)[:, None, None])[keep].ravel())
-        pts.append((center + r_shell[:, :, None] * rot[:, None, :])[keep].ravel())
-    points = np.concatenate(pts)
-    order = np.argsort(points.real, kind="stable")
-    return points[order], np.concatenate(wts)[order]
 
 
 def _split_panels(
@@ -246,7 +148,6 @@ def adaptive_polar_quadrature(
     center: complex,
     r_outer: float,
     rel_tol: float = 1e-9,
-    emit_mass_frac: float | None = None,
 ) -> PanelQuadrature:
     """Integrate ``density`` over the disk |z - center| <= r_outer.
 
@@ -260,27 +161,16 @@ def adaptive_polar_quadrature(
     is exhausted.  A panel too narrow to split in either axis retires from
     the queue and from the running error sum, but its error stays in the
     reported ``error``.  When a popped panel has no split yet, every split
-    the pass must still make at the current target (in the granularity pass
-    below: floor) is computed, the frontier a level at a time within the
-    panel budget; the pops, pushes and running sums happen in the same order
-    as one split at a time, so the result does not depend on which splits
-    were made ahead.
-
-    Particles are emitted exactly when emit_mass_frac is given.  Panels are
-    then split further (within the same budget) until none holds more than
-    that fraction of the total, bounding the mass granularity of the
-    emitted measure, and atom shells sit at per-panel radial mass quantiles,
-    which keeps ball masses about the integration center faithful well
-    below panel granularity.
+    the pass must still make at the current target is computed, the frontier
+    a level at a time within the panel budget; the pops, pushes and running
+    sums happen in the same order as one split at a time, so the result does
+    not depend on which splits were made ahead.
     """
     if not (r_outer > 0.0):
         raise ValueError(f"need 0 < r_outer, got {r_outer}")
-    if emit_mass_frac is not None and not (0.0 < emit_mass_frac < 1.0):
-        raise ValueError(f"emit_mass_frac must be in (0, 1), got {emit_mass_frac}")
 
     # panel entries: (key, counter, box, fine, error, coarse); the counter
-    # keeps heap order stable; the key is -error in the error pass and
-    # -|fine| in the granularity pass
+    # keeps heap order stable; the key is -error, and 0 for a retired panel
     heap: list[tuple[float, int, _Box, float, float, float]] = []
     counter = 0
     total = 0.0
@@ -292,14 +182,16 @@ def adaptive_polar_quadrature(
         heapq.heappush(heap, (key, counter, box, fine, err, coarse))
         counter += 1
 
-    # splits by box, computed ahead of their turn; both passes read them
+    def target(t: float) -> float:
+        return max(_ABS_TOL, rel_tol * abs(t))
+
+    # splits by box, computed ahead of their turn
     splits: dict[_Box, list[tuple[_Box, float, float]] | None] = {}
 
     def split(
         item: tuple[float, int, _Box, float, float, float],
-        target: Callable[[float], float],
         total: float,
-        left: float | None,
+        left: float,
     ) -> list[tuple[_Box, float, float]] | None:
         """The popped panel's children.
 
@@ -307,10 +199,9 @@ def adaptive_polar_quadrature(
         on a copy of the queue (the popped panel included, ``total`` its
         total) that takes each split as the pass would: the panel goes, its
         children come, the total moves.  Ranked worst first, a panel must be
-        split when the pass cannot stop while it is queued: in the error pass
-        when ``left``, the error sum, less the errors ranked above it still
-        exceeds ``target(total)``; in the granularity pass (``left`` None)
-        when its mass does.  Only the first ``room`` ranks are read, the
+        split when the pass cannot stop while it is queued: when ``left``, the
+        error sum, less the errors ranked above it, still exceeds
+        ``target(total)``.  Only the first ``room`` ranks are read, the
         splits the panel budget still allows.  The first level takes the
         first ``_SPLIT_BATCH`` such panels without a split, the popped one
         first whatever the test; each later level takes the children of the
@@ -328,8 +219,7 @@ def adaptive_polar_quadrature(
                 n_must, above = 0, 0.0
                 for it in queue[:room]:
                     key, _, b, _, _, coarse = it
-                    margin = -key if left is None else left - above
-                    if it is not item and (key >= 0.0 or margin <= bound):
+                    if it is not item and (key >= 0.0 or left - above <= bound):
                         break
                     if b not in splits:
                         if len(new) == _SPLIT_BATCH or (last is not None and b not in last):
@@ -348,10 +238,8 @@ def adaptive_polar_quadrature(
                 total += sum(f for _, _, f in children) - split_fine
                 for child, c_coarse, c_fine in children:
                     c_err = abs(c_fine - c_coarse)
-                    c_key = -abs(c_fine) if left is None else -c_err
-                    queue.append((c_key, 0, child, c_fine, c_err, c_coarse))
-                if left is not None:
-                    left -= above - sum(abs(f - c) for _, c, f in children)
+                    queue.append((-c_err, 0, child, c_fine, c_err, c_coarse))
+                left -= above - sum(abs(f - c) for _, c, f in children)
         return splits.pop(box)
 
     redges = np.linspace(0.0, r_outer, _INIT_GRID + 1)
@@ -369,9 +257,6 @@ def adaptive_polar_quadrature(
         total += fine
         total_err += err
 
-    def target(t: float) -> float:
-        return max(_ABS_TOL, rel_tol * abs(t))
-
     while len(heap) < _MAX_PANELS:
         tol = target(total)
         if total_err <= tol:
@@ -386,7 +271,7 @@ def adaptive_polar_quadrature(
             heapq.heappush(heap, item)
             total += fine
             break
-        children = split(item, target, total + fine, total_err + err)
+        children = split(item, total + fine, total_err + err)
         if children is None:
             # keep the panel and its error, but retire both from the queue
             # and from the running error sum
@@ -399,49 +284,6 @@ def adaptive_polar_quadrature(
             total += c_fine
             total_err += c_err
 
-    if emit_mass_frac is not None:
-        # granularity pass: split heavy panels regardless of integral error
-        heap = [(-abs(it[3]),) + it[1:] for it in heap]
-        heapq.heapify(heap)
-
-        def mass_floor(t: float) -> float:
-            return emit_mass_frac * abs(t)
-
-        while len(heap) < _MAX_PANELS:
-            floor = mass_floor(total)
-            if -heap[0][0] <= floor:
-                break
-            item = heapq.heappop(heap)
-            _, _, box, fine, err, coarse = item
-            children = split(item, mass_floor, total, None)
-            if children is None:
-                # keep the panel but retire it from the splitting queue
-                push(0.0, box, fine, err, coarse)
-                continue
-            total -= fine
-            for child, c_coarse, c_fine in children:
-                push(-abs(c_fine), child, c_fine, abs(c_fine - c_coarse), c_coarse)
-                total += c_fine
-
     value = float(sum(it[3] for it in heap))
     error = float(sum(it[4] for it in heap))
-
-    if emit_mass_frac is not None:
-        points, weights = _emit_particles(
-            density,
-            center,
-            np.array([it[2] for it in heap]),
-            np.array([it[3] for it in heap]),
-            0.25 * emit_mass_frac * abs(value),
-        )
-    else:
-        points = np.zeros(0, dtype=np.complex128)
-        weights = np.zeros(0, dtype=np.float64)
-
-    return PanelQuadrature(
-        value=value,
-        error=error,
-        points=points,
-        weights=weights,
-        n_panels=len(heap),
-    )
+    return PanelQuadrature(value=value, error=error, n_panels=len(heap))

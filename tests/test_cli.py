@@ -80,6 +80,27 @@ def test_extract_writes_artifacts(bubble_cfg, capsys):
     assert (out / "theta_profile.csv").read_text() == "t,theta,alpha_slice\n"
 
 
+@pytest.mark.parametrize("name", ["bubble1", "bubble2"])
+def test_bubble_neck_scales_converge_along_the_subsequence(name, tmp_path):
+    """For k z and k (z^2 - a^2) the neck scale of each bubble is c/k with
+    one c for every k, so k |r - q| in markings.csv, the rescaling the
+    bubble's domains converge under, must agree along the subsequence."""
+    config = CONFIGS / f"{name}.yaml"
+    schedule = yaml.safe_load(config.read_text(encoding="utf-8"))["family"]["schedule"]
+    assert main(["extract", "--config", str(config), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "markings.csv").read_text(encoding="utf-8").splitlines()
+    scales = {}
+    for row in map(dict, (zip(lines[0].split(","), line.split(",")) for line in lines[1:])):
+        q = complex(float(row["q_re"]), float(row["q_im"]))
+        r = complex(float(row["r_re"]), float(row["r_im"]))
+        k = schedule[int(row["member"])]
+        scales.setdefault((row["site_re"], row["site_im"]), []).append(k * abs(r - q))
+    assert len(scales) == (1 if name == "bubble1" else 2)
+    for ks in scales.values():
+        assert len(ks) == len(schedule)
+        assert max(ks) - min(ks) <= 5e-3 * min(ks), ks
+
+
 def test_extract_is_deterministic(tmp_path):
     outs = []
     for name in ("a", "b"):
@@ -415,16 +436,17 @@ out: {out}
 
 
 def test_neck_builds_no_limit_measure_and_runs_share_no_state(tmp_path, monkeypatch):
-    """`neck` never reads the plumbing limit measure, so it runs no quadrature;
-    and nothing one command computes leaks into the next one's reports."""
+    """`neck` never reads the plumbing limit measure, so it builds no particle
+    measure; and nothing one command computes leaks into the next one's
+    reports."""
     calls = []
-    quadrature = families.adaptive_polar_quadrature
+    density_to_measure = families.density_to_measure
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return quadrature(*args, **kwargs)
+        return density_to_measure(*args, **kwargs)
 
-    monkeypatch.setattr(families, "adaptive_polar_quadrature", counted)
+    monkeypatch.setattr(families, "density_to_measure", counted)
 
     def run(command, name):
         out = tmp_path / name

@@ -13,15 +13,19 @@ from bubbletree import (
     density_to_measure,
     diagnostics,
     energy_quadrature,
+    families,
     is_regular_node,
     is_stable,
     make_family,
     quadrature,
 )
 from bubbletree.errors import FamilyError
-from bubbletree.families import _BUILDERS, _MASS_FRAC, _horner, _quadrature_checked, _trim
+from bubbletree.families import _BUILDERS, _N_SPHERE, _horner, _quadrature_checked, _trim
 
 FOUR_PI = 4.0 * math.pi
+# the weight of one lattice atom: a lattice measure's disk mass misses the
+# closed form by the lattice's miscount of the disk's image
+ATOM = FOUR_PI / _N_SPHERE
 
 
 def fs_disk_mass(k, r):
@@ -170,12 +174,72 @@ def test_quadrature_refuses_unresolvable_budget(monkeypatch):
 
 
 def test_density_to_measure_mass_and_granularity():
+    """k z sends the disk |z| <= r onto a polar cap of the sphere; the lattice
+    heights split the sphere into equal-area bands, so the cap holds its
+    closed-form mass to within one atom at every radius."""
     k = 316.0
     m = RationalMap((k, 0.0), (1.0,))
     mu = density_to_measure(m, 1.0)
-    assert mu.mass == pytest.approx(fs_disk_mass(k, 1.0), rel=1e-6)
-    assert mu.weights.max() <= _MASS_FRAC * mu.mass * (1.0 + 1e-9)
     assert mu.chart_radius == 1.0
+    assert np.all(mu.weights == ATOM)
+    for r in (1.0 / k, 2.5 / k, 0.1, 1.0):
+        ball = mu.weights[np.abs(mu.points) <= r].sum()
+        assert abs(ball - fs_disk_mass(k, r)) <= ATOM, r
+
+
+# the Fibonacci lattice on the unit sphere, stereographic from the north pole
+_J = np.arange(_N_SPHERE)
+_H = 1.0 - (2.0 * _J + 1.0) / _N_SPHERE
+LATTICE = np.sqrt(1.0 - _H**2) / (1.0 - _H) * np.exp(2j * np.pi * _J / ((1.0 + 5**0.5) / 2.0) ** 2)
+
+
+def _seeded_map(seed):
+    """A seeded rational map of degree 0 to 4 with normal coefficients, and a
+    radius (twice the Cauchy bound over every lattice polynomial P - y Q)
+    that encloses every root, or None when P and Q share a root."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(0, 5))
+    other = int(rng.integers(0, d + 1))
+    n_num, n_den = (d, other) if rng.integers(2) else (other, d)
+    num, den = (rng.normal(size=(n + 1, 2)) @ np.array([1.0, 1j]) for n in (n_num, n_den))
+    try:
+        m = RationalMap(num, den)
+    except FamilyError:
+        return None, 0.0
+    if d == 0:
+        return m, 1.0
+    p, q = m._padded()
+    c = p - LATTICE[:, None] * q
+    return m, 2.0 * (1.0 + np.max(np.abs(c[:, 1:]) / np.abs(c[:, :1])))
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_density_to_measure_atoms_are_lattice_preimages(seed):
+    """Over a disk holding every root, a degree-d map has exactly N d atoms,
+    each of weight 4 pi / N, listed lattice point by lattice point, and each
+    solves P(z) = y_j Q(z) to a small relative residual."""
+    m, radius = _seeded_map(seed)
+    assume(m is not None)
+    d = m.degree
+    mu = density_to_measure(m, radius)
+    assert len(mu) == _N_SPHERE * d
+    assert np.all(mu.weights == ATOM)
+    if d == 0:
+        return
+    z = mu.points
+    y = np.repeat(LATTICE, d)
+    p, q = np.polyval(m.num, z), np.polyval(m.den, z)
+    scale = np.polyval(np.abs(m.num), np.abs(z)) + np.abs(y) * np.polyval(np.abs(m.den), np.abs(z))
+    assert np.max(np.abs(p - y * q) / scale) <= 1e-10
+
+
+def test_density_to_measure_refuses_a_lattice_point_at_infinity():
+    # (y z + 1) / z takes the lattice value y at z = infinity, so P - y Q
+    # loses its leading coefficient and has no companion matrix
+    y = families._sphere_lattice()[7]
+    with pytest.raises(FamilyError, match="value at z = infinity"):
+        density_to_measure(RationalMap((y, 1.0), (1.0, 0.0)), 1.0)
 
 
 def test_bubble1_family_contents():
@@ -187,9 +251,7 @@ def test_bubble1_family_contents():
     for mem in fam.members:
         assert mem.rational is not None and mem.measure is not None
         assert mem.field is None
-        assert mem.measure.mass == pytest.approx(
-            fs_disk_mass(mem.parameter, 1.0), rel=1e-6
-        )
+        assert mem.measure.mass == pytest.approx(fs_disk_mass(mem.parameter, 1.0), abs=ATOM)
     assert fam.limit_measure is not None and fam.limit_measure.mass == 0.0
 
 
@@ -210,12 +272,10 @@ def test_plumbing_family_limit_mass_identity():
     # limit measure = visible disk energy of the identity chart map plus an
     # equal atom at the node for the far side
     visible = fs_disk_mass(1.0, spec.delta)
-    assert fam.limit_measure.mass == pytest.approx(2.0 * visible, rel=1e-6)
+    assert fam.limit_measure.mass == pytest.approx(2.0 * visible, abs=2.0 * ATOM)
     assert fam.limit_measure is fam.limit_measure  # built once, on first read
     node_atoms = np.abs(fam.limit_measure.points) == 0.0
-    assert fam.limit_measure.weights[node_atoms].sum() == pytest.approx(
-        visible, rel=1e-6
-    )
+    assert fam.limit_measure.weights[node_atoms].sum() == pytest.approx(visible, abs=ATOM)
     for mem in fam.members:
         assert mem.field is not None
         assert mem.field.pinch == complex(mem.parameter)

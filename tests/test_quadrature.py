@@ -1,12 +1,11 @@
-"""Adaptive polar quadrature against an independent integrator and a two-pass reference."""
+"""Adaptive polar quadrature against an independent integrator and a split-at-a-time
+reference (``two_pass_reference``, named for the two passes it once wrote out)."""
 
 import heapq
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import integrate
 
 from bubbletree import PanelQuadrature, RationalMap, adaptive_polar_quadrature, quadrature
@@ -56,20 +55,6 @@ def test_matches_scipy_on_offset_gaussian():
         epsrel=1e-12,
     )
     assert abs(res.value - ref) <= 1e-8 * abs(ref) + 10.0 * ref_err
-
-
-def test_particle_emission_preserves_total_and_balls():
-    k = 100.0
-    res = adaptive_polar_quadrature(fs_density(k), 0j, 1.0, emit_mass_frac=2.5e-3)
-    pts, wts = res.points, res.weights
-    assert abs(wts.sum() - res.value) <= 1e-9 * res.value
-    # ball masses at reference radii r = j/k with closed-form disk masses
-    r = np.abs(pts)
-    for j in (1.0, 2.5, 5.0):
-        radius = j / k
-        ball = wts[r <= radius].sum()
-        exact = 4.0 * math.pi * j * j / (1.0 + j * j)
-        assert abs(ball - exact) <= 0.01 * exact, (j, ball, exact)
 
 
 def test_panel_budget_caps_refinement(monkeypatch):
@@ -131,41 +116,10 @@ def _panel_value(density, center, box, xs, ws):
     return float(np.dot(density(z), jac))
 
 
-def _emit_cdf_nodes(density, center, box, fine_value, n_shell, n_fine=48):
-    """One panel's atoms at its radial mass quantiles, from its own density call."""
-    r0, r1, t0, t1 = box
-    tm, th = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-    theta = tm + th * _XC
-    wth = th * _WC
-    redges = np.linspace(r0, r1, n_fine + 1)
-    rmid = 0.5 * (redges[:-1] + redges[1:])
-    dr = (r1 - r0) / n_fine
-    z = center + rmid[:, None] * np.exp(1j * theta)[None, :]
-    cell = density(z) * (rmid[:, None] * dr) * wth[None, :]
-    radial = cell.sum(axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(radial)])
-    total = cum[-1]
-    if total <= 0.0 or fine_value == 0.0:
-        return np.zeros(0, np.complex128), np.zeros(0, np.float64)
-    targets = (np.arange(n_shell) + 0.5) * (total / n_shell)
-    r_shell = np.interp(targets, cum, redges)
-    rows = np.clip(np.searchsorted(cum, targets) - 1, 0, n_fine - 1)
-    prof = cell[rows]
-    row_mass = prof.sum(axis=1)
-    flat = row_mass <= 0.0
-    if np.any(flat):
-        prof[flat] = wth / wth.sum()
-        row_mass[flat] = 1.0
-    weights = prof / row_mass[:, None] * (fine_value / n_shell)
-    points = center + r_shell[:, None] * np.exp(1j * theta)[None, :]
-    return points.ravel(), weights.ravel()
-
-
-def two_pass_reference(density, center, r_outer, rel_tol=1e-9, emit_mass_frac=None):
-    """Reference: the error pass and the granularity pass written out apart,
-    one density call per panel rule, re-evaluating the coarse rule of every
-    panel they split and of both chosen children (nine panel rules per
-    split), and one density call per emitted panel.  The absolute floor and
+def two_pass_reference(density, center, r_outer, rel_tol=1e-9):
+    """Reference: the error pass one split at a time, one density call per
+    panel rule, re-evaluating the coarse rule of every panel it splits and of
+    both chosen children (nine panel rules per split).  The absolute floor and
     the panel budget are the module's, read at the call."""
     abs_tol, max_panels = quadrature._ABS_TOL, quadrature._MAX_PANELS
     boxes = []
@@ -226,54 +180,9 @@ def two_pass_reference(density, center, r_outer, rel_tol=1e-9, emit_mass_frac=No
         for child in children_of(box, can_r, can_t):
             push(child)
 
-    if emit_mass_frac is not None:
-        mass_heap = [(-abs(it[3]), *it[1:]) for it in heap]
-        heapq.heapify(mass_heap)
-        while len(mass_heap) < max_panels:
-            neg_mass, _, box, fine, err = mass_heap[0]
-            if -neg_mass <= emit_mass_frac * abs(total):
-                break
-            heapq.heappop(mass_heap)
-            can_r = (box[1] - box[0]) > width_floor
-            can_t = (box[3] - box[2]) > 1e-13
-            if not can_r and not can_t:
-                heapq.heappush(mass_heap, (0.0, counter, box, fine, err))
-                counter += 1
-                continue
-            total -= fine
-            total_err -= err
-            for child in children_of(box, can_r, can_t):
-                c_coarse = _panel_value(density, center, child, _XC, _WC)
-                c_fine = _panel_value(density, center, child, _XF, _WF)
-                c_err = abs(c_fine - c_coarse)
-                heapq.heappush(mass_heap, (-abs(c_fine), counter, child, c_fine, c_err))
-                counter += 1
-                total += c_fine
-                total_err += c_err
-        final_boxes = [(it[2], it[3]) for it in mass_heap]
-        error = float(sum(it[4] for it in mass_heap))
-    else:
-        final_boxes = [(it[2], it[3]) for it in heap]
-        error = float(sum(it[4] for it in heap))
-    value = float(sum(v for _, v in final_boxes))
-
-    points = np.zeros(0, dtype=np.complex128)
-    weights = np.zeros(0, dtype=np.float64)
-    if emit_mass_frac is not None:
-        shell_target = 0.25 * emit_mass_frac * abs(value)
-        pts_list, wts_list = [], []
-        for box, fine in final_boxes:
-            n_shell = 4
-            if shell_target > 0.0:
-                n_shell = int(np.clip(np.ceil(abs(fine) / shell_target), 4, 24))
-            z, w = _emit_cdf_nodes(density, center, box, fine, n_shell)
-            pts_list.append(z)
-            wts_list.append(w)
-        points = np.concatenate(pts_list)
-        weights = np.concatenate(wts_list)
-        order = np.argsort(points.real, kind="stable")
-        points, weights = points[order], weights[order]
-    return PanelQuadrature(value, error, points, weights, len(final_boxes))
+    value = float(sum(it[3] for it in heap))
+    error = float(sum(it[4] for it in heap))
+    return PanelQuadrature(value, error, len(heap))
 
 
 def _bits(x):
@@ -316,15 +225,14 @@ CAP_RADIUS = 0.55
 BUDGET_80 = {"_MAX_PANELS": 80}
 POINT_LIMITS = {"_ABS_TOL": 0.0, "_MAX_PANELS": 1500}
 
-# the keyword arguments density_to_measure passes for the bubble families
-MEASURE_KWARGS = {"rel_tol": 1e-7, "emit_mass_frac": 2.5e-3}
+# the energy densities of bubble family members, at a looser tolerance
+MEASURE_KWARGS = {"rel_tol": 1e-7}
 
 # (id, positional arguments, keyword arguments, quadrature constants)
 SINGLE_PASS_CASES = [
     *[(f"fs_k{k:g}", (fs_density(k), 0j, 1.0), {}, {}) for k in (1.0, 10.0, 100.0, 1e3, 1e4)],
     ("off_centre_disk", (fs_density(10.0), 0.2 - 0.1j, 1.0), {}, {}),
     ("budget_cap", (fs_density(1e4), 0j, 1.0), {"rel_tol": 1e-12}, BUDGET_80),
-    ("emission", (fs_density(100.0), 0j, 1.0), {"emit_mass_frac": 2.5e-3}, {}),
     ("zero_density", (zero_density, 0j, 1.0), {}, {}),
     (
         "bubble1_k3162_measure",
@@ -337,33 +245,6 @@ SINGLE_PASS_CASES = [
         (RationalMap(np.array([316.0, 0.0, -316.0 * 0.25]), np.array([1.0])).density, 0j, 1.0),
         MEASURE_KWARGS,
         {},
-    ),
-    # 189 final panels: more than one emission chunk, and a partial last chunk
-    (
-        "emission_off_centre_disk",
-        (fs_density(10.0), 0.2 - 0.1j, 1.0),
-        {"emit_mass_frac": 1e-2},
-        {},
-    ),
-    # zero total: no shell target, and every panel emits nothing
-    ("zero_density_emission", (zero_density, 0j, 1.0), {"emit_mass_frac": 1e-2}, {}),
-    # panels with zero-mass radial rows, and panels that emit nothing beside
-    # panels that do; its value 6.1e-4 puts rel_tol * |value| below the
-    # module's absolute floor, so a floor of 1e-14 lets the relative target bind
-    (
-        "partial_zero_emission",
-        (partial_zero_density, 0j, 1.0),
-        {"emit_mass_frac": 1e-2},
-        {"_ABS_TOL": 1e-14},
-    ),
-    # the budget stops the granularity pass early: 8 of the 80 panels hold 24
-    # shells and the rest 4, so two chunks mix shell counts and the last holds
-    # 4-shell panels only
-    (
-        "bubble2_k300_budget_emission",
-        (RationalMap(np.array([300.0, 0.0, -300.0 * 0.25]), np.array([1.0])).density, 0j, 1.0),
-        MEASURE_KWARGS,
-        BUDGET_80,
     ),
     # energy quadratures of the benchmark's pole sums, which the error pass
     # ends: the z chart, the reversed chart beyond the cap, a cap about a pole
@@ -380,15 +261,9 @@ SINGLE_PASS_CASES = [
         {"rel_tol": 1e-9},
         {},
     ),
-    # the budget ends both passes with splits computed ahead and never used,
+    # the budget ends the pass with splits computed ahead and never used,
     # and retired panels (no split) sit in the same batches as split ones
     ("point_singularity", (point_density, 0j, 1.0), {"rel_tol": 1e-15}, POINT_LIMITS),
-    (
-        "point_singularity_emission",
-        (point_density, 0j, 1.0),
-        {"rel_tol": 1e-15, "emit_mass_frac": 1e-2},
-        POINT_LIMITS,
-    ),
 ]
 
 
@@ -409,51 +284,7 @@ def test_shared_split_matches_two_pass_reference(monkeypatch, args, kwargs, cons
     assert _bits(got.value) == _bits(want.value)
     assert _bits(got.error) == _bits(want.error)
     assert got.n_panels == want.n_panels
-    assert got.points.dtype == want.points.dtype and got.weights.dtype == want.weights.dtype
-    assert _bits(got.points) == _bits(want.points)
-    assert _bits(got.weights) == _bits(want.weights)
-
-
-# cell masses with empty cells and subnormal ones (whose brackets overflow
-# np.interp's slope), cell edges that may start at -0.0, and targets on,
-# between and beyond the cumulative edges
-_CELL_MASSES = st.sampled_from([0.0, 5e-324, 1e-300, 0.1, 0.5, 1.0, 3.0])
-
-
-@st.composite
-def _quantile_rows(draw):
-    n_rows, n_cells = draw(st.integers(1, 3)), draw(st.integers(1, 8))
-    n_targets = draw(st.integers(1, 6))
-    size = n_rows * n_cells
-    masses = np.array(draw(st.lists(_CELL_MASSES, min_size=size, max_size=size)))
-    cum = np.zeros((n_rows, n_cells + 1))
-    np.cumsum(masses.reshape(n_rows, n_cells), axis=1, out=cum[:, 1:])
-    steps = draw(st.lists(st.floats(1e-3, 1.0), min_size=n_cells, max_size=n_cells))
-    start = draw(st.sampled_from([-0.0, 0.0, 0.25]))
-    redges = np.tile(np.concatenate([[start], start + np.cumsum(steps)]), (n_rows, 1))
-    targets = np.empty((n_rows, n_targets))
-    for i in range(n_rows):
-        for k in range(n_targets):
-            kind = draw(st.sampled_from(["edge", "between", "beyond"]))
-            if kind == "edge":
-                targets[i, k] = cum[i, draw(st.integers(0, n_cells))]
-            elif kind == "between":
-                targets[i, k] = draw(st.floats(0.0, 1.0)) * cum[i, -1]
-            else:
-                targets[i, k] = cum[i, -1] + draw(st.floats(1e-3, 1.0))
-    return cum, redges, targets
-
-
-@given(_quantile_rows())
-@settings(max_examples=300)
-def test_quantile_cells_match_interp_and_searchsorted(case):
-    cum, redges, targets = case
-    rows, radii = quadrature._quantile_cells(cum, redges, targets)
-    n_cells = cum.shape[1] - 1
-    for i in range(len(cum)):
-        want_rows = np.clip(np.searchsorted(cum[i], targets[i]) - 1, 0, n_cells - 1)
-        assert rows[i].tolist() == want_rows.tolist()
-        assert _bits(radii[i]) == _bits(np.interp(targets[i], cum[i], redges[i]))
+    assert got.points.size == 0
 
 
 BATCH_CASES = [c for c in SINGLE_PASS_CASES if c[0].endswith("_measure") or "pole_sum" in c[0]]
@@ -473,8 +304,6 @@ def test_split_batch_does_not_change_results(monkeypatch, args, kwargs, constant
     assert _bits(got.value) == _bits(want.value)
     assert _bits(got.error) == _bits(want.error)
     assert got.n_panels == want.n_panels
-    assert _bits(got.points) == _bits(want.points)
-    assert _bits(got.weights) == _bits(want.weights)
 
 
 def counted_run(density, *args, **kwargs):
@@ -491,26 +320,25 @@ def counted_run(density, *args, **kwargs):
 
 
 def test_density_calls_are_batched():
-    """2 calls for the initial grid, 2 per level of splits (four coarse
-    candidate halves per panel, then the chosen fine children) and one per 32
-    emitted panels.  Splitting one panel at a time visits 674,048 nodes; each
-    level of the frontier takes only panels the pass must split, so here it
-    visits no more."""
-    res, calls, points = counted_run(fs_density(100.0), 0j, 1.0, emit_mass_frac=2.5e-3)
-    assert res.n_panels == 610
+    """2 calls for the initial grid and 2 per level of splits (four coarse
+    candidate halves per panel, then the chosen fine children).  Splitting one
+    panel at a time visits 45,056 nodes; each level of the frontier takes only
+    panels the pass must split, so here it visits no more."""
+    res, calls, points = counted_run(fs_density(100.0), 0j, 1.0)
+    assert res.n_panels == 96
     splits = res.n_panels - 64
-    assert calls == 2 + 2 * 21 + math.ceil(res.n_panels / 32) == 64
+    assert calls == 2 + 2 * 4 == 10
     # per panel: 64 + 256 initial nodes; per split: 4 * 64 coarse and
-    # 2 * 256 fine nodes; per emitted panel: 48 x 8 cell midpoints
-    sequential = 64 * 320 + splits * 768 + res.n_panels * 384
-    assert sequential == 674048
+    # 2 * 256 fine nodes
+    sequential = 64 * 320 + splits * 768
+    assert sequential == 45056
     assert points == sequential
 
 
 # (id, positional arguments, keyword arguments, quadrature constants, most
 # density calls, nodes of the lookahead the frontier replaced).  That lookahead
 # split the popped panel with up to 31 next worst queued panels whose own key
-# passed the bound; it took 100, 762 and 809 calls on these cases.
+# passed the bound; it took 100 and 762 calls on these cases.
 WORK_CASES = [
     # the error pass ends it: at most half the lookahead's calls
     ("fs_k1e4_error_pass", (fs_density(1e4), 0j, 1.0), {"rel_tol": 1e-9}, {}, 50, 86528),
@@ -523,14 +351,7 @@ WORK_CASES = [
         762,
         1751552,
     ),
-    (
-        "point_singularity_emission",
-        (point_density, 0j, 1.0),
-        {"rel_tol": 1e-15, "emit_mass_frac": 1e-2},
-        POINT_LIMITS,
-        809,
-        2327552,
-    ),
+
 ]
 
 
