@@ -211,7 +211,11 @@ def energy_quadrature(
     """Energy of a rational map over a chart disk, or the full sphere.
 
     radius None integrates both unit-disk charts (z and 1/z), which tile the
-    sphere; otherwise the disk |z - center| <= radius in the z chart.
+    sphere; otherwise the disk |z - center| <= radius in the z chart.  The
+    sphere's energy is exactly 4 pi degree, so a full-sphere value off it by
+    more than 1e-6 of 4 pi max(degree, 1) (the bound of ``selftest``) is
+    refused: the error estimates cannot see a bubble too small for every
+    sampled rule.
     """
     if radius is not None:
         res = _quadrature_checked(
@@ -220,7 +224,14 @@ def energy_quadrature(
         return float(res.value)
     here = _quadrature_checked(rmap.density, 0j, 1.0, _ENERGY_REL_TOL)
     far = _quadrature_checked(rmap.chart_reversed().density, 0j, 1.0, _ENERGY_REL_TOL)
-    return float(here.value + far.value)
+    energy = float(here.value + far.value)
+    exact = 4.0 * np.pi * rmap.degree
+    if not abs(energy - exact) <= 1e-6 * 4.0 * np.pi * max(rmap.degree, 1):
+        raise FamilyError(
+            f"sphere energy {energy:.12g} is off 4 pi degree = {exact:.12g}: "
+            "the quadrature missed a bubble"
+        )
+    return energy
 
 
 def _sphere_lattice() -> np.ndarray:

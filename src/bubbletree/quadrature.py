@@ -2,29 +2,19 @@
 
 Integrates a smooth density over a disk in polar coordinates about a given
 center.  Panels are rectangles in (r, theta); each carries an
-embedded Gauss-Legendre pair (coarse/fine) whose difference drives a
-worst-first refinement queue.  Panels split along the axis whose bisection
+embedded Gauss-Legendre pair (coarse/fine) whose difference drives
+worst-first refinement.  Panels split along the axis whose bisection
 changes the estimate most, so radially symmetric spikes cost only radial
 splits while point spikes refine in both axes.
 
-Splits are computed ahead of their turn, a level at a time.  When the popped
-panel has no split yet, the queue is ranked worst first.  The pass cannot
-stop while a panel is queued whose error, with the errors ranked below it,
-exceeds the error target.  The first level splits the worst such panels, up to
-``_SPLIT_BATCH``; their children are then ranked into the queue as the
-pass will see it (its total, and so its target, moved by the splits), and
-those children that pass the same test are split in the next level, and so on
-down the frontier, two density calls per level.  A panel is split ahead only
-while fewer panels rank above it than the panel budget has splits left.  The
-queue itself is replayed exactly as one split at a time would run it, reading
-children from that cache, and a panel's values do not depend on which panels
-share its density call; so panels, value and error do not depend on which
-splits are made ahead, nor on ``_SPLIT_BATCH``.
+Refinement runs a level at a time.  Each level ranks the live panels worst
+first and splits, in one pair of density calls, the shortest prefix whose
+removal would bring the error sum to its target; a panel's values do not
+depend on which panels share its density call.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,7 +26,6 @@ __all__ = ["PanelQuadrature", "adaptive_polar_quadrature"]
 _GL_COARSE = 8
 _GL_FINE = 16
 _INIT_GRID = 8  # initial panels along each polar axis
-_SPLIT_BATCH = 32  # panels split per pair of density calls
 _ABS_TOL = 1e-12  # absolute floor of the error target
 _MAX_PANELS = 20000  # panel budget of one integration
 
@@ -156,92 +145,18 @@ def adaptive_polar_quadrature(
     of several panels share one call, so a density that looked at the whole
     array would see other panels' nodes.
 
-    Worst-first refinement until the summed panel error estimates drop below
-    max(_ABS_TOL, rel_tol * |value|) or the budget of ``_MAX_PANELS`` panels
-    is exhausted.  A panel too narrow to split in either axis retires from
-    the queue and from the running error sum, but its error stays in the
-    reported ``error``.  When a popped panel has no split yet, every split
-    the pass must still make at the current target is computed, the frontier
-    a level at a time within the panel budget; the pops, pushes and running
-    sums happen in the same order as one split at a time, so the result does
-    not depend on which splits were made ahead.
+    Refinement runs a level at a time until the summed panel error
+    estimates drop to max(_ABS_TOL, rel_tol * |value|), the budget of
+    ``_MAX_PANELS`` panels is full, or no panel is left to split.  Each level
+    ranks the live panels worst first and splits, with two density calls, the
+    shortest prefix whose removal would meet that target, within the splits
+    the budget allows.  A panel too narrow to split in either axis retires:
+    it is not ranked again, but its value and error stay in the sums.
     """
     if not (r_outer > 0.0):
         raise ValueError(f"need 0 < r_outer, got {r_outer}")
 
-    # panel entries: (key, counter, box, fine, error, coarse); the counter
-    # keeps heap order stable; the key is -error, and 0 for a retired panel
-    heap: list[tuple[float, int, _Box, float, float, float]] = []
-    counter = 0
-    total = 0.0
-    total_err = 0.0
     width_floor = 1e-13 * max(r_outer, 1.0)
-
-    def push(key: float, box: _Box, fine: float, err: float, coarse: float) -> None:
-        nonlocal counter
-        heapq.heappush(heap, (key, counter, box, fine, err, coarse))
-        counter += 1
-
-    def target(t: float) -> float:
-        return max(_ABS_TOL, rel_tol * abs(t))
-
-    # splits by box, computed ahead of their turn
-    splits: dict[_Box, list[tuple[_Box, float, float]] | None] = {}
-
-    def split(
-        item: tuple[float, int, _Box, float, float, float],
-        total: float,
-        left: float,
-    ) -> list[tuple[_Box, float, float]] | None:
-        """The popped panel's children.
-
-        On a miss, the splits the pass must make are computed level by level
-        on a copy of the queue (the popped panel included, ``total`` its
-        total) that takes each split as the pass would: the panel goes, its
-        children come, the total moves.  Ranked worst first, a panel must be
-        split when the pass cannot stop while it is queued: when ``left``, the
-        error sum, less the errors ranked above it, still exceeds
-        ``target(total)``.  Only the first ``room`` ranks are read, the
-        splits the panel budget still allows.  The first level takes the
-        first ``_SPLIT_BATCH`` such panels without a split, the popped one
-        first whatever the test; each later level takes the children of the
-        last, up to the first panel without a split that is not one of them.
-        """
-        box = item[2]
-        if box not in splits:
-            queue = [item, *heap]
-            room = _MAX_PANELS - len(heap)
-            last: set[_Box] | None = None
-            while True:
-                queue.sort()
-                bound = target(total)
-                new: list[tuple[_Box, float]] = []
-                n_must, above = 0, 0.0
-                for it in queue[:room]:
-                    key, _, b, _, _, coarse = it
-                    if it is not item and (key >= 0.0 or left - above <= bound):
-                        break
-                    if b not in splits:
-                        if len(new) == _SPLIT_BATCH or (last is not None and b not in last):
-                            break
-                        new.append((b, coarse))
-                    n_must += 1
-                    above -= key
-                splits.update(_split_panels(density, center, new, width_floor))
-                done, queue = queue[:n_must], queue[n_must:]
-                children = [c for it in done for c in splits[it[2]] or ()]
-                room -= len(children) // 2
-                if not children or room <= 0:
-                    break
-                last = {child for child, _, _ in children}
-                split_fine = sum(it[3] for it in done if splits[it[2]])
-                total += sum(f for _, _, f in children) - split_fine
-                for child, c_coarse, c_fine in children:
-                    c_err = abs(c_fine - c_coarse)
-                    queue.append((-c_err, 0, child, c_fine, c_err, c_coarse))
-                left -= above - sum(abs(f - c) for _, c, f in children)
-        return splits.pop(box)
-
     redges = np.linspace(0.0, r_outer, _INIT_GRID + 1)
     tedges = np.linspace(0.0, 2.0 * np.pi, _INIT_GRID + 1)
     boxes = [
@@ -251,39 +166,31 @@ def adaptive_polar_quadrature(
     ]
     coarses = _panel_values(density, center, boxes, _XC, _WC)
     fines = _panel_values(density, center, boxes, _XF, _WF)
-    for box, coarse, fine in zip(boxes, coarses, fines):
-        err = abs(fine - coarse)
-        push(-err, box, fine, err, coarse)
-        total += fine
-        total_err += err
-
-    while len(heap) < _MAX_PANELS:
-        tol = target(total)
-        if total_err <= tol:
+    # panels as (box, coarse, fine, error); a retired panel cannot be split
+    live = [(b, c, f, abs(f - c)) for b, c, f in zip(boxes, coarses, fines)]
+    retired: list[tuple[_Box, float, float, float]] = []
+    while True:
+        panels = live + retired
+        error = sum(p[3] for p in panels)
+        tol = max(_ABS_TOL, rel_tol * abs(sum(p[2] for p in panels)))
+        # the shortest worst-first prefix whose removal meets the target,
+        # within the budget; a NaN sum fails every comparison, so takes none
+        live.sort(key=lambda p: -p[3])
+        n, cap = 0, min(_MAX_PANELS - len(panels), len(live))
+        while n < cap and error > tol:
+            error -= live[n][3]
+            n += 1
+        if n == 0:
             break
-        item = heapq.heappop(heap)
-        key, _, box, fine, err, coarse = item
-        total -= fine
-        total_err -= err
-        if key >= 0.0:
-            # nothing left to refine (a retired panel has key 0): put the
-            # panel back and stop
-            heapq.heappush(heap, item)
-            total += fine
-            break
-        children = split(item, total + fine, total_err + err)
-        if children is None:
-            # keep the panel and its error, but retire both from the queue
-            # and from the running error sum
-            push(0.0, box, fine, err, coarse)
-            total += fine
-            continue
-        for child, c_coarse, c_fine in children:
-            c_err = abs(c_fine - c_coarse)
-            push(-c_err, child, c_fine, c_err, c_coarse)
-            total += c_fine
-            total_err += c_err
+        worst, live = live[:n], live[n:]
+        split = _split_panels(density, center, [p[:2] for p in worst], width_floor)
+        for p in worst:
+            children = split[p[0]]
+            if children is None:
+                retired.append(p)
+            else:
+                live += [(b, c, f, abs(f - c)) for b, c, f in children]
 
-    value = float(sum(it[3] for it in heap))
-    error = float(sum(it[4] for it in heap))
-    return PanelQuadrature(value=value, error=error, n_panels=len(heap))
+    value = float(sum(p[2] for p in panels))
+    error = float(sum(p[3] for p in panels))
+    return PanelQuadrature(value=value, error=error, n_panels=len(panels))

@@ -155,6 +155,20 @@ def test_full_sphere_energy_is_area_times_degree():
         coeffs[0] = 1.0
         m = RationalMap(coeffs, (1.0,))
         assert energy_quadrature(m) == pytest.approx(FOUR_PI * d, rel=1e-9)
+    # k^4 z^2 / (k^3 z + 1) at k where the rules see both of its bubbles
+    for k in (10.0, 30.0):
+        m = RationalMap((k**4, 0.0, 0.0), (k**3, 1.0))
+        assert energy_quadrature(m) == pytest.approx(2.0 * FOUR_PI, rel=1e-9)
+
+
+@pytest.mark.parametrize("k", [316.0, 3162.0, 1e4])
+def test_sphere_energy_refuses_a_missed_bubble(k):
+    """k^4 z^2 / (k^3 z + 1) has degree 2, so energy 8 pi; its second bubble,
+    at scale k^-5 about the pole -1/k^3, is too small for every sampled rule,
+    and the quadrature reads 4 pi with its error estimates resolved."""
+    m = RationalMap((k**4, 0.0, 0.0), (k**3, 1.0))
+    with pytest.raises(FamilyError, match="off 4 pi degree"):
+        energy_quadrature(m)
 
 
 def test_disk_energy_closed_form():

@@ -1,5 +1,6 @@
-"""Adaptive polar quadrature against an independent integrator and a split-at-a-time
-reference (``two_pass_reference``, named for the two passes it once wrote out)."""
+"""Adaptive polar quadrature against an independent integrator and an accuracy
+reference that splits one panel at a time (``two_pass_reference``, named for the
+two passes it once wrote out)."""
 
 import heapq
 import math
@@ -261,8 +262,8 @@ SINGLE_PASS_CASES = [
         {"rel_tol": 1e-9},
         {},
     ),
-    # the budget ends the pass with splits computed ahead and never used,
-    # and retired panels (no split) sit in the same batches as split ones
+    # the budget ends the pass, and retired panels (no split) sit in the
+    # same levels as split ones
     ("point_singularity", (point_density, 0j, 1.0), {"rel_tol": 1e-15}, POINT_LIMITS),
 ]
 
@@ -278,12 +279,19 @@ def set_constants(monkeypatch, constants):
     ids=[c[0] for c in SINGLE_PASS_CASES],
 )
 def test_shared_split_matches_two_pass_reference(monkeypatch, args, kwargs, constants):
+    """The level loop and the reference agree within their summed error
+    estimates, plus rounding (fs_k1 differs by 6.2e-15 on errors of 1.3e-15).
+    The level loop resolves its target, except in the cases run on a small
+    panel budget, where both runs fill it."""
     set_constants(monkeypatch, constants)
     got = adaptive_polar_quadrature(*args, **kwargs)
     want = two_pass_reference(*args, **kwargs)
-    assert _bits(got.value) == _bits(want.value)
-    assert _bits(got.error) == _bits(want.error)
-    assert got.n_panels == want.n_panels
+    assert abs(got.value - want.value) <= got.error + want.error + 1e-14 * abs(want.value)
+    if "_MAX_PANELS" in constants:
+        assert got.n_panels == want.n_panels == quadrature._MAX_PANELS
+    else:
+        target = max(quadrature._ABS_TOL, kwargs.get("rel_tol", 1e-9) * abs(got.value))
+        assert got.error <= target
     assert got.points.size == 0
 
 
@@ -297,13 +305,31 @@ BATCH_CASES = [c for c in SINGLE_PASS_CASES if c[0].endswith("_measure") or "pol
     ids=[c[0] for c in BATCH_CASES],
 )
 def test_split_batch_does_not_change_results(monkeypatch, args, kwargs, constants, batch):
+    """A panel's values do not depend on which panels share its density call:
+    splitting each level's panels ``batch`` at a time gives the same bits."""
     set_constants(monkeypatch, constants)
     want = adaptive_polar_quadrature(*args, **kwargs)
-    monkeypatch.setattr(quadrature, "_SPLIT_BATCH", batch)
+    split_panels = quadrature._split_panels
+
+    def batched(density, center, panels, width_floor):
+        out = {}
+        for i in range(0, len(panels), batch):
+            out.update(split_panels(density, center, panels[i : i + batch], width_floor))
+        return out
+
+    monkeypatch.setattr(quadrature, "_split_panels", batched)
     got = adaptive_polar_quadrature(*args, **kwargs)
     assert _bits(got.value) == _bits(want.value)
     assert _bits(got.error) == _bits(want.error)
     assert got.n_panels == want.n_panels
+
+
+def test_nan_density_returns():
+    """A NaN error sum meets no target, so no level splits a panel and the
+    integration returns at once with a non-finite value."""
+    res = adaptive_polar_quadrature(lambda z: np.full(z.shape, np.nan), 0j, 1.0)
+    assert not np.isfinite(res.value)
+    assert res.n_panels <= quadrature._MAX_PANELS
 
 
 def counted_run(density, *args, **kwargs):
@@ -322,8 +348,8 @@ def counted_run(density, *args, **kwargs):
 def test_density_calls_are_batched():
     """2 calls for the initial grid and 2 per level of splits (four coarse
     candidate halves per panel, then the chosen fine children).  Splitting one
-    panel at a time visits 45,056 nodes; each level of the frontier takes only
-    panels the pass must split, so here it visits no more."""
+    panel at a time visits 45,056 nodes; each level splits only the shortest
+    worst-first prefix that meets the target, so here it visits no more."""
     res, calls, points = counted_run(fs_density(100.0), 0j, 1.0)
     assert res.n_panels == 96
     splits = res.n_panels - 64
@@ -336,13 +362,13 @@ def test_density_calls_are_batched():
 
 
 # (id, positional arguments, keyword arguments, quadrature constants, most
-# density calls, nodes of the lookahead the frontier replaced).  That lookahead
-# split the popped panel with up to 31 next worst queued panels whose own key
-# passed the bound; it took 100 and 762 calls on these cases.
+# density calls, reference nodes).  The reference is an earlier batched split,
+# which split each popped panel with up to 31 next worst queued panels whose
+# own error passed the bound; it took 100 and 762 calls on these cases.
 WORK_CASES = [
-    # the error pass ends it: at most half the lookahead's calls
+    # the error target ends it: at most half the reference's calls
     ("fs_k1e4_error_pass", (fs_density(1e4), 0j, 1.0), {"rel_tol": 1e-9}, {}, 50, 86528),
-    # the panel budget ends it, and splits made ahead may go unused: no more calls
+    # the panel budget ends it: no more calls
     (
         "point_singularity",
         (point_density, 0j, 1.0),
@@ -356,14 +382,14 @@ WORK_CASES = [
 
 
 @pytest.mark.parametrize(
-    "args, kwargs, constants, max_calls, lookahead_nodes",
+    "args, kwargs, constants, max_calls, reference_nodes",
     [c[1:] for c in WORK_CASES],
     ids=[c[0] for c in WORK_CASES],
 )
-def test_frontier_work_counts(monkeypatch, args, kwargs, constants, max_calls, lookahead_nodes):
+def test_frontier_work_counts(monkeypatch, args, kwargs, constants, max_calls, reference_nodes):
     """At most ``max_calls`` density calls, and at most 10% more nodes than
-    the lookahead took."""
+    the reference took."""
     set_constants(monkeypatch, constants)
     _, calls, points = counted_run(*args, **kwargs)
     assert calls <= max_calls
-    assert points <= 1.1 * lookahead_nodes
+    assert points <= 1.1 * reference_nodes
