@@ -9,16 +9,17 @@ Subcommands
 
 Exit codes: 0 success, 2 configuration/validation error, 3 algorithmic
 invariant violation.  Exit 2 is mostly a config refused at load, before any
-family is built, by YAML that does not parse, an unknown key, or the owner of
-a rule, which the loader calls rather than restates: every ladder, neck and
-family value must pass ``errors.finite_number``, the neck deltas
-``errors.neck_schedule`` and, on a neck family, ``neck.collar_rows`` on each
-member of ``neck.late_half``; a family section ``FamilySpec``, and with it the
-ladder ``ScaleLadder`` and, on a neck family, ``neck.collar_rows`` on the
-collar ``extract`` cuts from every member at min(delta0, delta).  ``curve``
-also exits 2 on a graph file it cannot parse or an edge query it cannot
-answer, ``neck`` on a family without cylinder fields, and every command on an
-out directory it cannot write.
+family is built, by a file that is not UTF-8 text, YAML that does not parse,
+an unknown key, or the owner of a rule, which the loader calls rather than
+restates: every ladder, neck and family value must pass
+``errors.finite_number``, the neck deltas ``errors.neck_schedule`` and, on a
+neck family, ``neck.collar_rows`` on each member of ``neck.late_half``; a
+family section ``FamilySpec``, and with it the ladder ``ScaleLadder`` and, on
+a neck family, ``neck.collar_rows`` on the collar ``extract`` cuts from every
+member at min(delta0, delta).  ``curve`` also exits 2 on a graph file it
+cannot read or parse or an edge query it cannot answer, ``neck`` on a family
+without cylinder fields, and every command on an out directory it cannot
+write.
 Identical configs produce byte-identical reports: keys are sorted, floats use
 shortest round-trip repr, and every report embeds the hash of the validated
 config.
@@ -226,7 +227,7 @@ def load_config(path: Path, overrides: Sequence[str] = ()) -> RunConfig:
         raise ConfigError(f"config overrides are not supported, got {overrides!r}")
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         raw = yaml.load(text, Loader=_YAML_LOADER)
@@ -415,7 +416,7 @@ def _cmd_curve(cfg: RunConfig, args, stem: str) -> int:
         raise ConfigError("curve needs curve.graph pointing at a dual-graph file")
     try:
         text = cfg.graph_path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read graph {cfg.graph_path}: {exc}") from exc
     edge = cfg.curve["edge"]
     try:

@@ -324,10 +324,14 @@ class FamilySpec:
                     collar_half_length(self.delta, t)
             except NeckError as exc:
                 raise FamilyError(str(exc)) from exc
-        if _BUILDERS[self.kind] is _plumbing_family and any(
-            a <= b for a, b in zip(schedule, schedule[1:])
-        ):
-            raise FamilyError("pinch magnitudes must decrease strictly")
+        if _BUILDERS[self.kind] is _plumbing_family:
+            if any(a <= b for a, b in zip(schedule, schedule[1:])):
+                raise FamilyError("pinch magnitudes must decrease strictly")
+            for t in schedule:
+                try:
+                    _plumbing_transition(self.kind, t)
+                except FamilyError as exc:
+                    raise FamilyError(f"pinch t = {t:g}: {exc}") from exc
 
     @property
     def samples_neck(self) -> bool:
@@ -406,21 +410,19 @@ def _bubble_family(spec: FamilySpec) -> Family:
     )
 
 
+def _plumbing_transition(kind: str, t: float) -> RationalMap:
+    """Transition map of the plumbing member of pinch t: x + t/x (plumbing),
+    or a bubble of scale t^(1/3) riding in the neck, whose side limits both
+    vanish (plumbing_bubble)."""
+    if kind == "plumbing":
+        return RationalMap((1.0, 0.0, t), (1.0, 0.0))
+    return RationalMap((t ** (1.0 / 3.0),), (1.0, 0.0))
+
+
 def _plumbing_family(spec: FamilySpec) -> Family:
-    if spec.kind == "plumbing":
-
-        def transition(t: float) -> RationalMap:
-            return RationalMap((1.0, 0.0, t), (1.0, 0.0))  # x + t/x
-
-    else:
-
-        def transition(t: float) -> RationalMap:
-            # bubble of scale t^(1/3) riding in the neck; both side limits vanish
-            return RationalMap((t ** (1.0 / 3.0),), (1.0, 0.0))
-
     members = []
     for t in spec.schedule:
-        m = transition(t)
+        m = _plumbing_transition(spec.kind, t)
         fld = cylinder_field_from_sphere_chart(
             m.value, m.derivative, pinch=t, delta=spec.delta, n_t=_N_T, n_theta=_N_THETA
         )

@@ -2,8 +2,7 @@
 concentration detection for sequences of energy-density measures.
 
 A measure is a finite sum of weighted atoms in a complex chart.  All
-renormalization maps used downstream are affine transforms of the chart,
-so pushforwards are exact: points move, weights do not.
+renormalization maps used downstream are affine transforms of the chart.
 
 The scale ladder fixes the dyadic radii delta_k and tolerances eps_k used
 to certify that a sequence of measures concentrates a definite amount of
@@ -32,7 +31,6 @@ __all__ = [
     "ScaleLadder",
     "ConcentrationSite",
     "mass_in",
-    "pushforward",
     "restrict",
     "detect_concentrations",
 ]
@@ -118,22 +116,6 @@ def mass_in(mu: WeightedParticleMeasure, center: complex, radius: float) -> floa
     if len(mu) == 0:
         return 0.0
     return float(mu.weights[np.abs(mu.points - center) <= radius].sum())
-
-
-def pushforward(
-    mu: WeightedParticleMeasure, transform: PlanarMoebius
-) -> WeightedParticleMeasure:
-    """Pushforward under a planar affine transform.
-
-    Weights are unchanged and total mass is invariant; the new chart radius
-    just covers the moved atoms.  An atom the transform sends past the
-    floating-point range is refused.
-    """
-    new_points = np.asarray(transform(mu.points), dtype=np.complex128)
-    if not np.all(np.isfinite(new_points)):
-        raise MeasureError("transform sent an atom to infinity")
-    chart_radius = float(np.abs(new_points).max()) * (1.0 + 1e-12) if len(mu) else mu.chart_radius
-    return WeightedParticleMeasure(new_points, mu.weights.copy(), chart_radius)
 
 
 def restrict(

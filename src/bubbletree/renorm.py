@@ -30,6 +30,8 @@ smooth point (solve for q, then t), one for concentration at a node (q is
 pinned at the node; only the cut radius r is solved).  Both take member
 measures; the nodal one reads each neck's energy already pushed to the
 x-side chart of the node, with the member's pinch for the thinness ratio.
+Each checks its renormalization once, on the member's atoms moved by the
+renormalization map, and returns only the record (``Marking``).
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .measure import (
     ScaleLadder,
     WeightedParticleMeasure,
     mass_in,
-    pushforward,
 )
 
 __all__ = [
@@ -488,12 +489,12 @@ def find_balanced_center(
 
 @dataclass(frozen=True)
 class Marking:
-    """A renormalized bubble record at one ladder index.
+    """A bubble record at one ladder index, as ``markings.csv`` prints it.
 
-    case 1 carries the balanced center q; case 2 pins q at the node and the
-    record stores the neck thinness ratio |pinch|/r instead.  Validation
-    re-checks the defining properties on the renormalized measure, with a
-    one-ulp band around the cut circle for atoms sitting exactly on it.
+    case 1 carries the balanced center q and R_{q,t} renormalizes; case 2
+    pins q at the node (q is None), renormalizes by x -> x/r and carries the
+    neck thinness ratio |pinch|/r.  The renormalized measure is not kept:
+    the marker checks it once, on the moved atoms (``_check_renormalized``).
     """
 
     case: int
@@ -501,43 +502,39 @@ class Marking:
     r: complex
     t: float
     level: int
-    renormalized: WeightedParticleMeasure
-    eps_bar: float
-    delta_bound: float
-    mass_tol: float
-    center_tol: float | None = None
     neck_ratio: float | None = None
 
-    def __post_init__(self) -> None:
-        if self.case not in (1, 2):
-            raise MarkingError(f"case must be 1 or 2, got {self.case}")
-        if not 0.0 < self.t < 1.0:
-            raise MarkingError(f"t must lie in (0,1), got {self.t}")
-        if (self.case == 1) != (self.q is not None):
-            raise MarkingError("q is required exactly in case 1")
-        if (self.case == 1) != (self.center_tol is not None):
-            raise MarkingError("center_tol is required exactly in case 1")
-        nu = self.renormalized
-        z = np.abs(nu.points)
-        outside_lo = float(nu.weights[z > 1.0 + 1e-12].sum())
-        outside_hi = float(nu.weights[z >= 1.0 - 1e-12].sum())
-        if not (outside_lo - self.mass_tol <= self.eps_bar <= outside_hi + self.mass_tol):
-            raise MarkingError(
-                f"renormalized mass outside D in [{outside_lo:.6g}, {outside_hi:.6g}] "
-                f"misses eps_bar {self.eps_bar:.6g} by more than {self.mass_tol:.3g}"
-            )
-        if self.case == 1:
-            sel = z < 1.0 - 1e-12
-            band = float(nu.weights[np.abs(z - 1.0) <= 1e-12].sum())
-            moment = abs(complex(np.sum(nu.weights[sel] * nu.points[sel])))
-            if moment > self.center_tol * nu.mass + band:
-                raise MarkingError(
-                    f"renormalized center of mass {moment:.3g} exceeds tolerance"
-                )
-        if abs(self.r) > self.delta_bound * (1.0 + 1e-12):
-            raise MarkingError(
-                f"cut point |r| = {abs(self.r):.6g} outside B(0, {self.delta_bound:.6g})"
-            )
+
+def _check_renormalized(
+    mu: WeightedParticleMeasure,
+    transform: PlanarMoebius,
+    eps_bar: float,
+    mass_tol: float,
+    centered: bool,
+) -> None:
+    """Check a renormalization on mu's atoms moved by transform.
+
+    The mass outside the unit disk must meet eps_bar within mass_tol, with a
+    one-ulp band around the circle for atoms sitting exactly on it; when
+    centered, the center of mass inside the disk must also be within
+    ``_CENTER_TOL`` of the total mass (plus the band's mass).
+    """
+    x = transform(mu.points)
+    w = mu.weights
+    z = np.abs(x)
+    outside_lo = float(w[z > 1.0 + 1e-12].sum())
+    outside_hi = float(w[z >= 1.0 - 1e-12].sum())
+    if not (outside_lo - mass_tol <= eps_bar <= outside_hi + mass_tol):
+        raise MarkingError(
+            f"renormalized mass outside D in [{outside_lo:.6g}, {outside_hi:.6g}] "
+            f"misses eps_bar {eps_bar:.6g} by more than {mass_tol:.3g}"
+        )
+    if centered:
+        sel = z < 1.0 - 1e-12
+        band = float(w[np.abs(z - 1.0) <= 1e-12].sum())
+        moment = abs(complex(np.sum(w[sel] * x[sel])))
+        if moment > _CENTER_TOL * mu.mass + band:
+            raise MarkingError(f"renormalized center of mass {moment:.3g} exceeds tolerance")
 
 
 def _check_members(n: int, ladder: ScaleLadder) -> None:
@@ -554,8 +551,9 @@ def mark_smooth_bubble(mus: list[WeightedParticleMeasure], ladder: ScaleLadder) 
     """Mark a concentration at a smooth point along a certified subsequence.
 
     Member i is handled at ladder index k = i + 1: the balanced center q_k
-    is found in B(0, delta_{2k-1}) to ``_CENTER_TOL``, the neck scale t
-    there, and the renormalized measure is the pushforward under R_{q_k,t}.
+    is found in B(0, delta_{2k-1}) to ``_CENTER_TOL``, with the neck scale t
+    there, and the member's atoms moved by R_{q_k,t} are checked to hold
+    eps_bar outside the unit disk and to be centered inside it.
     """
     _check_members(len(mus), ladder)
     markings = []
@@ -563,21 +561,10 @@ def mark_smooth_bubble(mus: list[WeightedParticleMeasure], ladder: ScaleLadder) 
         k = i + 1
         try:
             center = find_balanced_center(mu, ladder, k)
-            nu = pushforward(mu, renormalization_map(center.q, center.scale.t))
-            markings.append(
-                Marking(
-                    case=1,
-                    q=center.q,
-                    r=center.r,
-                    t=center.scale.t,
-                    level=k,
-                    renormalized=nu,
-                    eps_bar=ladder.eps_bar,
-                    delta_bound=float(ladder.delta[k]),
-                    mass_tol=center.scale.tol_effective,
-                    center_tol=_CENTER_TOL,
-                )
-            )
+            res = center.scale
+            transform = renormalization_map(center.q, res.t)
+            _check_renormalized(mu, transform, ladder.eps_bar, res.tol_effective, centered=True)
+            markings.append(Marking(case=1, q=center.q, r=center.r, t=res.t, level=k))
         except (NeckScaleError, CenterError, MarkingError) as exc:
             raise MarkingError(
                 f"marking failed at member {i} (ladder index {k}): {exc}"
@@ -595,9 +582,11 @@ def mark_nodal_bubble(
     mus are the members' neck energies on the x-side chart of the node
     (``neck.build_nodal_pushforward``), pinches their plumbing parameters.
     The center is pinned at the node, so only the cut radius r_k is solved
-    (mass outside B(0, r_k) equal to eps_bar) and the renormalization is
-    x -> x/r_k.  The thinness ratios |pinch_k|/r_k must decrease toward 0;
-    otherwise the inner disk is hiding mass and the marking is invalid.
+    (mass outside B(0, r_k) equal to eps_bar, checked on the member's atoms
+    moved by the renormalization x -> x/r_k) and must lie within delta_k,
+    as ``find_balanced_center`` requires of a smooth cut.  The thinness
+    ratios |pinch_k|/r_k must decrease toward 0; otherwise the inner disk is
+    hiding mass and the marking is invalid.
     """
     _check_members(len(mus), ladder)
     if len(pinches) != len(mus):
@@ -609,22 +598,13 @@ def mark_nodal_bubble(
         try:
             res = solve_neck_scale(mu, 0.0, ladder.eps_bar)
             r = res.s
+            transform = PlanarMoebius(1.0 / r, 0.0)
+            _check_renormalized(mu, transform, ladder.eps_bar, res.tol_effective, centered=False)
+            delta_k = float(ladder.delta[k])
+            if r > delta_k * (1.0 + 1e-12):
+                raise MarkingError(f"cut point |r| = {r:.6g} outside B(0, {delta_k:.6g})")
             ratio = abs(pinch) / r
-            nu = pushforward(mu, PlanarMoebius(1.0 / r, 0.0))
-            markings.append(
-                Marking(
-                    case=2,
-                    q=None,
-                    r=r,
-                    t=res.t,
-                    level=k,
-                    renormalized=nu,
-                    eps_bar=ladder.eps_bar,
-                    delta_bound=float(ladder.delta[k]),
-                    mass_tol=res.tol_effective,
-                    neck_ratio=ratio,
-                )
-            )
+            markings.append(Marking(case=2, q=None, r=r, t=res.t, level=k, neck_ratio=ratio))
             ratios.append(ratio)
         except (NeckScaleError, MarkingError) as exc:
             raise MarkingError(

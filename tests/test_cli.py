@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -562,3 +563,39 @@ def test_scalar_the_constructor_refuses_exits_2(tmp_path, capsys, monkeypatch, l
     cfg = write_cfg(tmp_path, BUBBLE_CFG.format(out=tmp_path / "x") + text)
     assert main(["extract", "--config", cfg]) == 2
     assert "config does not parse as YAML" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["extract", "neck", "curve"])
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys, no_family, command):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_bytes(b"out: x\n\xff\xfe\n")
+    assert main([command, "--config", str(cfg)]) == 2
+    assert "cannot read config" in capsys.readouterr().err
+
+
+def test_graph_that_is_not_utf8_exits_2(tmp_path, capsys):
+    (tmp_path / "graph.txt").write_bytes(b"\xff\xfe\n")
+    cfg = write_cfg(tmp_path, CURVE_CFG + f"out: {tmp_path / 'out'}\n")
+    assert main(["curve", "--config", cfg]) == 2
+    assert "config error (curve): cannot read graph" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@given(st.binary(), st.sampled_from(["extract", "neck", "curve"]))
+@settings(max_examples=100, deadline=None)
+def test_any_config_bytes_keep_the_exit_code_contract(data, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.yaml"
+        cfg.write_bytes(data)
+        assert main([command, "--config", str(cfg)]) in (0, 2, 3)
+
+
+@pytest.mark.parametrize("command", ["extract", "neck"])
+def test_plumbing_pinch_whose_map_is_refused_exits_2_at_load(tmp_path, capsys, no_family, command):
+    # the zeros +-i sqrt(t) of x + t/x sit within 1e-12 of its pole at 0
+    cfg = write_cfg(
+        tmp_path, PLUMBING_CFG.replace("1.0e-9]", "1.0e-24]").format(out=tmp_path / "x")
+    )
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "pinch t = 1e-24: numerator and denominator share a root" in err

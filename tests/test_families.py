@@ -399,6 +399,14 @@ def test_plumbing_schedule_constraints():
         FamilySpec(kind="torus_linear", schedule=(0.3,), delta=0.5, slopes=(1.0, 0.0))
 
 
+def test_plumbing_pinch_is_refused_at_load_exactly_when_its_map_is():
+    # x + t/x: its zeros +-i sqrt(t) sit within 1e-12 of the pole from t = 1e-24 on
+    with pytest.raises(FamilyError, match=r"pinch t = 1e-24: .* share a root"):
+        FamilySpec(kind="plumbing", schedule=(1e-3, 1e-24), delta=0.5)
+    spec = FamilySpec(kind="plumbing", schedule=(1e-3, 1e-22), delta=0.5)
+    assert [m.rational.num.size for m in make_family(spec).members] == [3, 3]
+
+
 @pytest.mark.parametrize("kind", ["plumbing", "plumbing_bubble", "torus_linear"])
 def test_neck_pinch_bound_is_one_rule_for_every_neck_kind(kind):
     # sqrt(0.01) = 0.1 exactly although 0.01 < 0.1**2 = 0.010000000000000002

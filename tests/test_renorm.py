@@ -1,5 +1,6 @@
 """Neck-scale solver, balanced centers, and marking validation."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -351,7 +352,7 @@ def test_mark_smooth_bubble_levels_and_bounds(monkeypatch):
         # cut radius approximates the eps_bar quantile of the profile
         s_expected = math.sqrt((FOUR_PI - 0.2) / 0.2) / k
         assert abs(m.r - m.q) == pytest.approx(s_expected, rel=0.05)
-        assert abs(m.r) <= m.delta_bound * (1.0 + 1e-9)
+        assert abs(m.r) <= lad.delta[m.level] * (1.0 + 1e-9)
 
 
 def test_mark_smooth_bubble_scale_must_shrink(monkeypatch):
@@ -386,6 +387,49 @@ def test_mark_nodal_bubble_refusals(plumbing_bubble_family, plumbing_bubble_tree
         mark_nodal_bubble(mus[1:3], pinches[1:2], lad)
     with pytest.raises(MarkingError, match="no members"):
         mark_nodal_bubble([], [], lad)
+
+
+def two_smooth_clouds():
+    """Radial clouds of 20k atoms concentrating at scales 1/316 and 1/3162."""
+    return [
+        radial_quantile_atoms(
+            lambda q, k=k: np.sqrt(q / (1.0 - q)) / k, 20_000, mass=FOUR_PI, chart=1.0, seed=int(k)
+        )
+        for k in (316.0, 3162.0)
+    ]
+
+
+def test_marking_refuses_a_neck_scale_that_misses_eps_bar(monkeypatch):
+    # a center whose neck scale is 20% too wide leaves too little mass outside
+    real = renorm.find_balanced_center
+
+    def wide(mu, ladder, k):
+        c = real(mu, ladder, k)
+        return dataclasses.replace(c, scale=dataclasses.replace(c.scale, t=c.scale.t * 1.2))
+
+    monkeypatch.setattr(renorm, "find_balanced_center", wide)
+    with pytest.raises(MarkingError, match="misses eps_bar"):
+        mark_smooth_bubble(two_smooth_clouds(), ScaleLadder(1.0, 0.2, 6))
+
+
+def test_marking_refuses_an_off_center_renormalization(monkeypatch):
+    # moving q by 1e-4 of the cut radius keeps the mass outside but not the balance
+    real = renorm.find_balanced_center
+
+    def shifted(mu, ladder, k):
+        c = real(mu, ladder, k)
+        return dataclasses.replace(c, q=c.q + 1e-4 * c.scale.s)
+
+    monkeypatch.setattr(renorm, "find_balanced_center", shifted)
+    with pytest.raises(MarkingError, match="renormalized center of mass .* exceeds tolerance"):
+        mark_smooth_bubble(two_smooth_clouds(), ScaleLadder(1.0, 0.2, 6))
+
+
+def test_nodal_marking_refuses_a_cut_outside_the_working_scale(plumbing_bubble_family):
+    fields = [m.field for m in plumbing_bubble_family.members][-2:]
+    mus = [build_nodal_pushforward(f, 0.5) for f in fields]
+    with pytest.raises(MarkingError, match=r"cut point \|r\| = .* outside B\(0, 5e-05\)"):
+        mark_nodal_bubble(mus, [f.pinch for f in fields], ScaleLadder(1e-4, 0.2, 6))
 
 
 def fixed_ring(value, radius, samples=720):
