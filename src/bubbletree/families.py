@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -234,6 +234,7 @@ def energy_quadrature(
     return energy
 
 
+@cache
 def _sphere_lattice() -> np.ndarray:
     """Chart values of the ``_N_SPHERE``-point Fibonacci lattice on the unit sphere.
 
@@ -241,11 +242,14 @@ def _sphere_lattice() -> np.ndarray:
     into N bands of equal area, and at longitude j times the golden angle.  The
     chart is the stereographic projection w = (x + iy)/(1 - h) from the north
     pole, whose pullback of the sphere's area is 4/(1 + |w|^2)^2, the density
-    convention of this module; no point is a pole.
+    convention of this module; no point is a pole.  Built on first call and
+    shared, read-only, by every later one.
     """
     j = np.arange(_N_SPHERE, dtype=np.float64)
     h = 1.0 - (2.0 * j + 1.0) / _N_SPHERE
-    return np.sqrt((1.0 + h) / (1.0 - h)) * np.exp(1j * (np.pi * (3.0 - np.sqrt(5.0))) * j)
+    w = np.sqrt((1.0 + h) / (1.0 - h)) * np.exp(1j * (np.pi * (3.0 - np.sqrt(5.0))) * j)
+    w.flags.writeable = False
+    return w
 
 
 def density_to_measure(rmap: RationalMap, radius: float) -> WeightedParticleMeasure:
@@ -258,9 +262,11 @@ def density_to_measure(rmap: RationalMap, radius: float) -> WeightedParticleMeas
     a map of degree d has exactly N d atoms, total mass 4 pi d; a disk holds
     the preimages of the lattice points in its image, so its mass is off by
     the lattice's miscount of that image.  Every member of a family reads the
-    same lattice.  The roots come from one batched eigenvalue call on the
-    companion matrices of all N polynomials, and the atoms are listed lattice
-    point by lattice point; a map of degree 0 has no atoms.
+    same lattice.  The roots are closed form at degree 1 and 2 (the quadratic
+    formula without cancellation: the larger root first, the other as the
+    product of the roots over it); from degree 3 on they come from one batched
+    eigenvalue call on the companion matrices of all N polynomials.  The atoms
+    are listed lattice point by lattice point; a map of degree 0 has no atoms.
     """
     chart = _disk_radius(radius)
     d = rmap.degree
@@ -274,10 +280,23 @@ def density_to_measure(rmap: RationalMap, radius: float) -> WeightedParticleMeas
         # a lattice value the map takes at infinity (to the float range) has
         # a root there, and its other roots would need their own solve
         raise FamilyError("a sphere lattice point is the map's value at z = infinity")
-    companion = np.zeros((_N_SPHERE, d, d), np.complex128)
-    companion[:, 0, :] = -monic
-    companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-    roots = np.linalg.eigvals(companion).ravel()
+    if d == 1:
+        roots = -monic[:, 0]
+    elif d == 2:
+        # z^2 + 2 h z + c, with h = g u scaled by a power of 2 so that no
+        # square overflows; r takes the sign that makes |u + r| the larger
+        h, c = 0.5 * monic[:, 0], monic[:, 1]
+        g = np.ldexp(1.0, np.frexp(np.maximum(np.abs(h), np.sqrt(np.abs(c))))[1] - 1)
+        u = h / g
+        r = np.sqrt(u * u - c / g / g)
+        big = -h - g * np.where((u.conj() * r).real < 0.0, -r, r)
+        small = np.divide(c, big, out=np.zeros_like(c), where=big != 0.0)
+        roots = np.stack([big, small], axis=1).ravel()
+    else:
+        companion = np.zeros((_N_SPHERE, d, d), np.complex128)
+        companion[:, 0, :] = -monic
+        companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        roots = np.linalg.eigvals(companion).ravel()
     inside = roots[np.abs(roots) <= chart]
     return WeightedParticleMeasure(
         inside, np.full(inside.size, 4.0 * np.pi / _N_SPHERE), chart_radius=chart

@@ -222,9 +222,15 @@ def _seeded_map(seed):
         return None, 0.0
     if d == 0:
         return m, 1.0
+    return m, _root_bound(m)
+
+
+def _root_bound(m):
+    """Twice the Cauchy bound over every lattice polynomial of m, a map of
+    positive degree: a disk of this radius holds all N deg(m) atoms."""
     p, q = m._padded()
     c = p - LATTICE[:, None] * q
-    return m, 2.0 * (1.0 + np.max(np.abs(c[:, 1:]) / np.abs(c[:, :1])))
+    return 2.0 * (1.0 + np.max(np.abs(c[:, 1:]) / np.abs(c[:, :1])))
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -250,10 +256,107 @@ def test_density_to_measure_atoms_are_lattice_preimages(seed):
 
 def test_density_to_measure_refuses_a_lattice_point_at_infinity():
     # (y z + 1) / z takes the lattice value y at z = infinity, so P - y Q
-    # loses its leading coefficient and has no companion matrix
+    # loses its leading coefficient: it has no monic form, hence neither the
+    # closed form of degree 1 and 2 nor a companion matrix
     y = families._sphere_lattice()[7]
     with pytest.raises(FamilyError, match="value at z = infinity"):
         density_to_measure(RationalMap((y, 1.0), (1.0, 0.0)), 1.0)
+
+
+def _companion_roots(m):
+    """Every root of P - y_j Q, one row per point of the package's lattice, by
+    the companion-matrix eigensolve: the reference for the closed forms."""
+    p, q = m._padded()
+    c = p - families._sphere_lattice()[:, None] * q
+    d = m.degree
+    companion = np.zeros((_N_SPHERE, d, d), np.complex128)
+    companion[:, 0, :] = -c[:, 1:] / c[:, :1]
+    companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    return np.linalg.eigvals(companion)
+
+
+def _assert_closed_form_matches_eigensolve(m, inside, radius):
+    """All roots of m agree with the reference, bit for bit at degree 1 and,
+    at degree 2, as an unordered pair per lattice point within 1e-13 of the
+    pair's larger modulus; ``inside``, the atoms of m's measure on
+    |z| <= radius, are as many as the reference puts there."""
+    ref = _companion_roots(m)
+    got = density_to_measure(m, _root_bound(m)).points.reshape(ref.shape)
+    assert len(inside) == np.count_nonzero(np.abs(ref) <= radius)
+    if m.degree == 1:
+        assert np.array_equal(got.view(np.float64), ref.view(np.float64))
+        assert np.array_equal(inside, ref[np.abs(ref) <= radius])
+    else:
+        assert m.degree == 2
+        straight = np.abs(got - ref).max(axis=1)
+        swapped = np.abs(got - ref[:, ::-1]).max(axis=1)
+        assert np.max(np.minimum(straight, swapped) / np.abs(ref).max(axis=1)) <= 1e-13
+
+
+def test_closed_form_roots_match_the_companion_eigensolve():
+    """Seeded maps of degree 1 and 2, every member of the shipped bubble
+    schedules, and the plumbing limit's map z on |z| <= delta."""
+    seeded = [m for m, _ in map(_seeded_map, range(40)) if m is not None and m.degree in (1, 2)]
+    assert {m.degree for m in seeded} == {1, 2}
+    for m in seeded:
+        _assert_closed_form_matches_eigensolve(m, density_to_measure(m, 1.0).points, 1.0)
+    for kind in ("bubble1", "bubble2"):
+        fam = make_family(FamilySpec(kind=kind, schedule=(316.0, 3162.0, 10000.0)))
+        for mem in fam.members:
+            _assert_closed_form_matches_eigensolve(mem.rational, mem.measure.points, 1.0)
+    fam = make_family(FamilySpec(kind="plumbing", schedule=(1e-3,), delta=0.5))
+    # the limit lists the visible atoms, then the far side's atom at the node
+    visible = fam.limit_measure.points[:-1]
+    _assert_closed_form_matches_eigensolve(RationalMap((1.0, 0.0), (1.0,)), visible, 0.5)
+
+
+def test_closed_form_quadratics_at_degenerate_lattice_points():
+    """A lattice point that is a critical value gives a double root, and one
+    that is the value at 0 a root at exactly 0; neither raises a floating
+    point error nor leaves a NaN, and neither does a linear coefficient whose
+    square overflows.  Roots eight orders apart keep their digits: at every
+    lattice point their sum and product are -b and c to 1e-14."""
+    lattice = families._sphere_lattice()
+    y = lattice[7]
+    b = 0.3 - 0.7j
+    far = -1e8 + 2e7j
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        double = density_to_measure(RationalMap((1.0, 0.0, y), (1.0,)), 1e3)
+        simple = density_to_measure(RationalMap((1.0, b, y), (1.0,)), 1e3)
+        split = density_to_measure(RationalMap((1.0, far, 0.0), (1.0,)), 1e9)
+        huge = density_to_measure(RationalMap((1e-200, 1.0, 0.0), (1.0,)), 1e201)
+    for mu in (double, simple, split, huge):
+        assert len(mu) == 2 * _N_SPHERE and np.all(np.isfinite(mu.points))
+    assert np.all(double.points.reshape(-1, 2)[7] == 0.0)
+    assert sorted(simple.points.reshape(-1, 2)[7].tolist(), key=abs) == [0.0, -b]
+    pairs = split.points.reshape(-1, 2)
+    assert np.max(np.abs(pairs.sum(axis=1) + far)) <= 1e-14 * abs(far)
+    assert np.max(np.abs(pairs.prod(axis=1) + lattice) / np.abs(lattice)) <= 1e-14
+
+
+class _Eigensolve(Exception):
+    pass
+
+
+def test_shipped_rational_families_never_reach_the_eigensolve(monkeypatch):
+    """bubble1, bubble2 and the plumbing limit are of degree 1 or 2; from
+    degree 3 on the companion eigensolve still runs.  The lattice is built
+    once and cannot be written."""
+    cubic = RationalMap((1.0, 0.0, 0.0, 0.5), (1.0,))
+
+    def refuse(a):
+        raise _Eigensolve
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    for kind in ("bubble1", "bubble2"):
+        assert len(make_family(FamilySpec(kind=kind, **_ONE_MEMBER[kind])).members[0].measure)
+    assert len(make_family(FamilySpec(kind="plumbing", **_ONE_MEMBER["plumbing"])).limit_measure)
+    with pytest.raises(_Eigensolve):
+        density_to_measure(cubic, 1.0)
+    lattice = families._sphere_lattice()
+    assert lattice is families._sphere_lattice()
+    with pytest.raises(ValueError):
+        lattice[0] = 0.0
 
 
 def test_bubble1_family_contents():
