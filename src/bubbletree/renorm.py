@@ -2,13 +2,13 @@
 
 Given a measure concentrating at a point q, the map R_{q,t}(x) =
 (1/t - 1)(x - q) rescales the chart so that exactly the energy quantum
-eps_bar sits outside the unit disk.  The neck scale t is found by one
-bisection on the monotone mass-outside function, shared by particle
-measures and continuous radial profiles; the balanced center q is the zero
-of the first-moment functional F(q) of the renormalized measure.  A degree
-(winding) argument certifies that a zero exists; F(q) = 0 says that q is the
-centroid of the mass strictly inside the cut circle, so the zero is found as
-a fixed point of the step q <- that centroid.
+eps_bar sits outside the unit disk.  The neck scale t of a particle measure
+is read in closed form off the sorted mass-outside step function; that of a
+continuous radial profile is found by bisection.  The balanced center q is
+the zero of the first-moment functional F(q) of the renormalized measure.
+A degree (winding) argument certifies that a zero exists; F(q) = 0 says
+that q is the centroid of the mass strictly inside the cut circle, so the
+zero is found as a fixed point of the step q <- that centroid.
 
 The winding is certified, not read off a fixed ring: F is probed at 16
 points of the boundary path, and an arc is split until its end values a, b
@@ -21,9 +21,10 @@ the dyadic grid of 4096 samples is refused with CenterError.
 
 Every probe of F solves a neck scale, so the particle solve never sorts
 the whole measure: it selects and sorts only the far tail of atoms holding
-2 eps_bar and reads the mass beyond each bisection radius from the tail's
-suffix masses (see solve_neck_scale for the rounding assumption this rests
-on).
+2 eps_bar, takes the crossing atom off the tail's suffix masses and reports
+the atoms it cut.  The probe then reads the inside mass and first moment as
+the whole measure's less those of the cut atoms, so each probe makes one
+distance pass over the atoms.
 
 Two marking procedures wrap this machinery: one for concentration at a
 smooth point (solve for q, then t), one for concentration at a node (q is
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -95,7 +96,9 @@ class NeckScaleResult:
 
     s = t/(1-t) is the cut radius in the source chart; tol_effective is the
     acceptance bound actually applied (the requested tolerance, widened to
-    the local atom jump when the target level falls inside one).
+    the local atom jump when the target level falls inside one).  A particle
+    solve lists in ``outside`` the indices of the atoms at distance >= s,
+    ascending; a continuous-profile solve has none.
     """
 
     t: float
@@ -104,6 +107,7 @@ class NeckScaleResult:
     residual: float
     tol_effective: float
     history: tuple[tuple[float, float], ...]
+    outside: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def _check_levels(total: float, eps_bar: float) -> None:
@@ -115,36 +119,133 @@ def _check_levels(total: float, eps_bar: float) -> None:
         )
 
 
-def _bisect_neck_scale(
+def _split_scale(d: float) -> float:
+    """The largest float t with t/(1-t) <= d (0 when d is 0)."""
+    t = d / (1.0 + d)
+    while t >= 1.0 or t / (1.0 - t) > d:
+        t = math.nextafter(t, 0.0)
+    while (u := math.nextafter(t, 1.0)) < 1.0 and u / (1.0 - u) <= d:
+        t = u
+    return t
+
+
+def solve_neck_scale(mu: WeightedParticleMeasure, q: complex, eps_bar: float) -> NeckScaleResult:
+    """Closed-form t with mass of mu outside R_{q,t}^{-1}(unit disk) = eps_bar.
+
+    The mass outside the cut circle of radius s = t/(1-t), M(s) = mass of
+    the atoms with |x - q| >= s, is a nonincreasing step function of t.  So
+    the level is crossed between two adjacent floats, with no iteration:
+    t_lo, the largest t with t/(1-t) <= D, and t_hi, the next float up,
+    where D is the largest atom distance with M(D) >= eps_bar.  Then
+    M(t_lo) >= eps_bar > M(t_hi), and the history is these two ends.  The
+    nearer end is accepted when its residual is within the tolerance
+    (``_NECK_TOL`` of the total), widened to the jump when the jump is
+    small (below 5% of the total mass, a discretization artifact); a larger
+    jump is "not spanning", as is an end whose renormalization scale
+    1/t - 1 is not positive and finite.
+
+    No step sorts the whole measure.  Only the far tail is sorted: the
+    farthest atoms from q, doubled in count until they carry 2 eps_bar of
+    mass (or are all the atoms).  M is read off the tail's suffix masses.
+    These are cumulative sums of nonnegative weights, which never decrease
+    in floating point, so they never increase toward the far end and D is
+    the farthest tail atom whose suffix mass reaches eps_bar.  When
+    t_lo/(1-t_lo) does not clear the nearest tail distance, an atom left out
+    of the tail may tie or pass the cut, and the whole measure is taken as
+    the tail.  ``outside`` lists the atoms at distance >= s.
+    """
+    total = mu.mass
+    _check_levels(total, eps_bar)
+    tol = _NECK_TOL * total
+    d = np.abs(mu.points - q)
+    w = mu.weights
+    n = len(d)
+    # far tail: the m farthest atoms.  First guess: four times the count
+    # that would carry 2 eps_bar at equal weights (far atoms are light)
+    m = min(n, max(_TAIL_MIN, int(8.0 * eps_bar / total * n)))
+    while True:
+        idx = np.argpartition(d, n - m)[n - m :] if m < n else np.arange(n)
+        if m < n and float(w[idx].sum()) < 2.0 * eps_bar:
+            m = min(n, 2 * m)
+            continue
+        idx = idx[np.argsort(d[idx])]
+        d_tail = d[idx]
+        if d_tail[-1] == 0.0:
+            raise NeckScaleError("energy below quantum: all mass sits at q")
+        suffix = np.append(np.cumsum(w[idx][::-1])[::-1], 0.0)
+        t_lo = _split_scale(float(d_tail[np.count_nonzero(suffix >= eps_bar) - 1]))
+        s_lo = t_lo / (1.0 - t_lo)
+        if m == n or s_lo > d_tail[0]:
+            break
+        m = n
+
+    t_hi = math.nextafter(t_lo, 1.0)
+    s_hi = t_hi / (1.0 - t_hi) if t_hi < 1.0 else math.inf
+    i_lo, i_hi = d_tail.searchsorted([s_lo, s_hi])
+    f_lo, f_hi = float(suffix[i_lo]), float(suffix[i_hi])
+    if t_lo == 0.0:
+        raise NeckScaleError(
+            f"mass function not spanning eps_bar: only {f_hi:.6g} away from q"
+        )
+    gap = f_lo - f_hi
+    if abs(f_lo - eps_bar) <= abs(f_hi - eps_bar):
+        t, f, cut = t_lo, f_lo, i_lo
+    else:
+        t, f, cut = t_hi, f_hi, i_hi
+    residual = abs(f - eps_bar)
+    tol_effective = max(tol, min(gap, 0.05 * total))
+    if residual > tol_effective:
+        raise NeckScaleError(
+            f"mass function not spanning eps_bar: residual {residual:.6g} across a "
+            f"jump of {gap:.6g}"
+        )
+    if not 0.0 < 1.0 / t - 1.0 < math.inf:
+        raise NeckScaleError(
+            f"mass function not spanning eps_bar: t = {t:.6g} has no finite renormalization"
+        )
+    return NeckScaleResult(
+        t=t,
+        s=t / (1.0 - t),
+        mass_outside=f,
+        residual=residual,
+        tol_effective=tol_effective,
+        history=((t_lo, f_lo), (t_hi, f_hi)),
+        outside=np.sort(idx[cut:]),
+    )
+
+
+def solve_neck_scale_from_cdf(
     mass_outside: Callable[[float], float],
     total: float,
     eps_bar: float,
-    tol: float,
-    s_lo: float,
-    s_hi: float,
-    width: float,
-    jump_cap: float,
 ) -> NeckScaleResult:
-    """Bisection in t = s/(1+s) for mass_outside(s) = eps_bar on [s_lo, s_hi].
+    """Bisection twin of solve_neck_scale for a continuous radial profile.
 
-    Stops once an end of the bracket is within tol of eps_bar or the bracket
-    is narrower than width in t.  The history must be nonincreasing in t; the
+    mass_outside(s) must be a nonincreasing function of the radius s on
+    [1e-9, 1e9].  Bisection in t = s/(1+s) stops once an end of the bracket
+    is within tol (``_CDF_TOL`` of the total) of eps_bar or the bracket is
+    narrower than 1e-15 in t.  The history must be nonincreasing in t; the
     nearer end is accepted when its residual is within tol, widened to the
-    final jump of the bracket but never beyond jump_cap (a larger jump means
-    the level is not spanned).
+    final jump of the bracket but never beyond 1e-6 of the total (a larger
+    jump means the level is not spanned).  A continuous profile lets the
+    bisection reach machine-level residuals, which the step function of a
+    particle measure cannot.
     """
+    _check_levels(total, eps_bar)
+    tol = _CDF_TOL * total
+    s_lo, s_hi = 1e-9, 1e9
     t_lo = s_lo / (1.0 + s_lo)
     t_hi = s_hi / (1.0 + s_hi)
-    f_lo = mass_outside(s_lo)
-    f_hi = mass_outside(s_hi)
+    f_lo = float(mass_outside(s_lo))
+    f_hi = float(mass_outside(s_hi))
     history = [(t_lo, f_lo), (t_hi, f_hi)]
     if not (f_lo >= eps_bar >= f_hi):
         raise NeckScaleError(
             f"mass function not spanning eps_bar: range [{f_hi:.6g}, {f_lo:.6g}]"
         )
-    while abs(f_lo - eps_bar) > tol and abs(f_hi - eps_bar) > tol and (t_hi - t_lo) > width:
+    while abs(f_lo - eps_bar) > tol and abs(f_hi - eps_bar) > tol and (t_hi - t_lo) > 1e-15:
         t_mid = 0.5 * (t_lo + t_hi)
-        f_mid = mass_outside(t_mid / (1.0 - t_mid))
+        f_mid = float(mass_outside(t_mid / (1.0 - t_mid)))
         history.append((t_mid, f_mid))
         if f_mid >= eps_bar:
             t_lo, f_lo = t_mid, f_mid
@@ -162,7 +263,7 @@ def _bisect_neck_scale(
     else:
         t_star, f_star = t_hi, f_hi
     residual = abs(f_star - eps_bar)
-    tol_effective = max(tol, min(gap, jump_cap))
+    tol_effective = max(tol, min(gap, 1e-6 * total))
     if residual > tol_effective:
         raise NeckScaleError(
             f"mass function not spanning eps_bar: residual {residual:.6g} across a "
@@ -178,113 +279,32 @@ def _bisect_neck_scale(
     )
 
 
-def solve_neck_scale(mu: WeightedParticleMeasure, q: complex, eps_bar: float) -> NeckScaleResult:
-    """Bisection for t with mass of mu outside R_{q,t}^{-1}(unit disk) = eps_bar.
-
-    The mass-outside function of a particle measure is a nonincreasing step
-    function of t; bisection converges either to a plateau crossing the
-    level or to a jump.  A jump solution is accepted when the jump is small
-    (below 5% of the total mass, a discretization artifact) and rejected as
-    "not spanning" otherwise.
-
-    No step sorts the whole measure.  Only the far tail is sorted: the
-    farthest atoms from q, doubled in count until they carry 2 eps_bar of
-    mass (or are all the atoms).  The bisection reads the mass beyond a
-    radius from the tail's suffix masses; radii at or inside the tail cut
-    take a masked sum over all atoms.  The result is equal to the
-    full-sort reference (a bisection that evaluates a fully sorted profile
-    at every step) in t, s and history t, and in mass values up to
-    rounding, unless a plateau of the mass function lies within rounding
-    (about 1e-16 of the total) of a compared level: eps_bar, eps_bar +- tol
-    (early exit, with tol ``_NECK_TOL`` of the total), eps_bar +- 0.05 total
-    (jump test) or the midpoint of a jump (nearer end).
-    """
-    total = mu.mass
-    _check_levels(total, eps_bar)
-    tol = _NECK_TOL * total
-    d = np.abs(mu.points - q)
-    w = mu.weights
-    n = len(d)
-    d_max = float(d.max())
-    if d_max == 0.0:
-        raise NeckScaleError("energy below quantum: all mass sits at q")
-    d_min = float(d.min())
-    reachable = total
-    if d_min == 0.0:
-        away = d > 0.0
-        reachable = float(w[away].sum())
-        if reachable <= eps_bar:
-            raise NeckScaleError(
-                f"mass function not spanning eps_bar: only {reachable:.6g} away from q"
-            )
-        d_min = float(d[away].min())
-
-    # far tail: the m farthest atoms, holding every atom beyond the cut
-    # d_tail[0].  First guess: four times the count that would carry
-    # 2 eps_bar at equal weights (far atoms are light)
-    m = min(n, max(_TAIL_MIN, int(8.0 * eps_bar / total * n)))
-    while True:
-        idx = np.argpartition(d, n - m)[n - m :] if m < n else np.arange(n)
-        if m == n or float(w[idx].sum()) >= 2.0 * eps_bar:
-            break
-        m = min(n, 2 * m)
-    idx = idx[np.argsort(d[idx])]
-    d_tail = d[idx]
-    suffix = np.append(np.cumsum(w[idx][::-1])[::-1], 0.0)
-    cut = float(d_tail[0]) if m < n else -np.inf
-
-    def mass_outside(s: float) -> float:
-        # below every positive distance (an s underflowed to 0 also counts
-        # the atoms at q); at or inside the cut, atoms beyond the tail count
-        if 0.0 < s <= d_min:
-            return reachable
-        if s <= cut:
-            return float((w * (d >= s)).sum())
-        return float(suffix[d_tail.searchsorted(s)])
-
-    return _bisect_neck_scale(
-        mass_outside, total, eps_bar, tol, d_min * 0.5, d_max * 2.0 + 1.0, 1e-14, 0.05 * total
-    )
-
-
-def solve_neck_scale_from_cdf(
-    mass_outside: Callable[[float], float],
-    total: float,
-    eps_bar: float,
-) -> NeckScaleResult:
-    """Bisection twin of solve_neck_scale for a continuous radial profile.
-
-    mass_outside(s) must be a nonincreasing function of the radius s on
-    [1e-9, 1e9]; the same t = s/(1+s) bisection and monotonicity audit
-    apply, but a continuous profile lets the bisection reach machine-level
-    residuals, which particle measures cannot (their mass function is a
-    step function), so the tolerance is ``_CDF_TOL`` of the total and the
-    accepted jump is capped at 1e-6 of the total.
-    """
-    _check_levels(total, eps_bar)
-    tol = _CDF_TOL * total
-    return _bisect_neck_scale(
-        lambda s: float(mass_outside(s)), total, eps_bar, tol, 1e-9, 1e9, 1e-15, 1e-6 * total
-    )
+def _first_moment(mu: WeightedParticleMeasure) -> complex:
+    """The sum of w x over every atom of mu."""
+    return complex(np.sum(mu.weights * mu.points))
 
 
 def _center_value(
-    mu: WeightedParticleMeasure, q: complex, eps_bar: float
+    mu: WeightedParticleMeasure, q: complex, eps_bar: float, first: complex
 ) -> tuple[complex, complex, NeckScaleResult]:
     """F(q), the centroid of the mass strictly inside the cut circle, and the
-    neck-scale solve at q.  F(q) = 0 exactly when q is that centroid."""
+    neck-scale solve at q; first is ``_first_moment(mu)``.  The inside sums
+    are the whole measure's less those of the atoms the solve cut, summed in
+    index order, so the centroid depends on q only through the cut; they
+    carry the rounding of the whole measure's sums.  F(q) = 0 exactly when q
+    is that centroid."""
     res = solve_neck_scale(mu, q, eps_bar)
-    sel = np.abs(mu.points - q) < res.s
-    w, x = mu.weights[sel], mu.points[sel]
-    moment = complex(np.sum(w * (x - q)) * (1.0 / res.t - 1.0))
-    inside = float(w.sum())
-    centroid = complex(np.sum(w * x) / inside) if inside > 0.0 else q
+    w = mu.weights[res.outside]
+    inside = mu.mass - float(w.sum())
+    first = first - complex(np.sum(w * mu.points[res.outside]))
+    moment = (first - inside * q) * (1.0 / res.t - 1.0)
+    centroid = first / inside if inside > 0.0 else q
     return moment, centroid, res
 
 
 def center_functional(mu: WeightedParticleMeasure, q: complex, eps_bar: float) -> complex:
     """F(q): first moment over the open unit disk of the renormalized measure."""
-    return _center_value(mu, q, eps_bar)[0]
+    return _center_value(mu, q, eps_bar, _first_moment(mu))[0]
 
 
 def _certified_winding(
@@ -395,19 +415,20 @@ def find_balanced_center(
     radius = float(ladder.delta[2 * k - 1])
     tol_abs = _CENTER_TOL * total
     jump = float(mu.weights.max())  # F moves by about one weight as an atom crosses the cut
+    first = _first_moment(mu)
 
     def value(q: complex) -> complex:
-        return _center_value(mu, q, eps_bar)[0]
+        return _center_value(mu, q, eps_bar, first)[0]
 
     def fixed_point(q: complex) -> tuple[complex, complex, NeckScaleResult] | None:
-        fq, c, res = _center_value(mu, q, eps_bar)
+        fq, c, res = _center_value(mu, q, eps_bar, first)
         for _ in range(60):
             if c == q:
                 break
             if abs(c) > radius:
                 return None
             q = c
-            fq, c, res = _center_value(mu, q, eps_bar)
+            fq, c, res = _center_value(mu, q, eps_bar, first)
         return (q, fq, res) if abs(fq) <= tol_abs else None
 
     winding, ring = _certified_winding(

@@ -59,14 +59,16 @@ def test_uniform_disk_neck_scale_cdf_oracle():
     assert np.all(np.diff(sorted_f) <= 1e-12)
 
 
-def test_particle_route_agrees_with_cdf_route(monkeypatch):
+def test_particle_route_agrees_with_cdf_route():
     # dual routes on the same density: atoms quantile-sampled from the
-    # uniform disk vs the closed-form mass function; a tolerance of 1e-3 of
-    # the unit total exits the bisection early
-    mu = radial_quantile_atoms(np.sqrt, 200_000, mass=1.0)
-    monkeypatch.setattr(renorm, "_NECK_TOL", 1e-3)
+    # uniform disk vs the closed-form mass function; the particle solve
+    # lands on the jump nearest the level, so it misses eps_bar by at most
+    # half an atom's weight, and its tolerance widens to that jump
+    n = 200_000
+    mu = radial_quantile_atoms(np.sqrt, n, mass=1.0)
     res = solve_neck_scale(mu, 0j, 0.25)
     assert abs(res.t - T_ORACLE) <= 1e-4
+    assert res.residual <= 0.5 / n * (1.0 + 1e-9)
     assert res.mass_outside == pytest.approx(0.25, abs=res.tol_effective)
 
 
@@ -108,8 +110,62 @@ def test_neck_scale_rejects_fat_jump():
 
 
 def full_sort_neck_scale(mu, q, eps_bar, tol=None, gap_fraction=0.05):
-    """Reference: bisection on the fully (stably) sorted radial profile,
-    evaluating the mass function from the prefix sums at every step."""
+    """Reference closed form on the fully (stably) sorted radial profile.
+
+    The mass outside radius s is read from prefix sums.  t_lo is the largest
+    float t in [0, 1) whose radius t/(1-t) keeps mass >= eps_bar outside,
+    found by bisection on the bit patterns of the floats (ordered like the
+    floats themselves); t_hi is the next float up."""
+    if eps_bar <= 0.0:
+        raise NeckScaleError(f"eps_bar must be positive, got {eps_bar}")
+    total = mu.mass
+    if total <= eps_bar:
+        raise NeckScaleError(f"energy below quantum: total mass {total:.6g}")
+    tol = 1e-9 * total if tol is None else tol
+    d = np.abs(mu.points - q)
+    order = np.argsort(d, kind="stable")
+    d_sorted = d[order]
+    cum = np.concatenate([[0.0], np.cumsum(mu.weights[order])])
+    if d_sorted[-1] == 0.0:
+        raise NeckScaleError("energy below quantum: all mass sits at q")
+
+    def radius(t):
+        return t / (1.0 - t) if t < 1.0 else math.inf
+
+    def f(t):
+        return float(cum[-1] - cum[int(np.searchsorted(d_sorted, radius(t), side="left"))])
+
+    bits = lambda t: int(np.float64(t).view(np.int64))
+    lo, hi = bits(0.0), bits(1.0)  # f(0) = total >= eps_bar > f(1) = 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if f(float(np.int64(mid).view(np.float64))) >= eps_bar:
+            lo = mid
+        else:
+            hi = mid
+    t_lo = float(np.int64(lo).view(np.float64))
+    t_hi = math.nextafter(t_lo, 1.0)
+    f_lo, f_hi = f(t_lo), f(t_hi)
+    if t_lo == 0.0:
+        raise NeckScaleError(f"mass function not spanning eps_bar: only {f_hi:.6g}")
+    t_star, f_star = (t_lo, f_lo) if abs(f_lo - eps_bar) <= abs(f_hi - eps_bar) else (t_hi, f_hi)
+    residual = abs(f_star - eps_bar)
+    tol_effective = max(tol, min(f_lo - f_hi, gap_fraction * total))
+    if residual > tol_effective:
+        raise NeckScaleError("mass function not spanning eps_bar: residual")
+    if not 0.0 < 1.0 / t_star - 1.0 < math.inf:
+        raise NeckScaleError("mass function not spanning eps_bar: no finite renormalization")
+    s_star = radius(t_star)
+    history = ((t_lo, f_lo), (t_hi, f_hi))
+    return NeckScaleResult(
+        t_star, s_star, f_star, residual, tol_effective, history, np.flatnonzero(d >= s_star)
+    )
+
+
+def full_sort_bisection(mu, q, eps_bar, tol=None, gap_fraction=0.05):
+    """Bracket reference: bisection in t = s/(1+s) on the fully (stably)
+    sorted radial profile, evaluating the mass function from the prefix sums
+    at every step, with an early exit once an end is within tol."""
     if eps_bar <= 0.0:
         raise NeckScaleError(f"eps_bar must be positive, got {eps_bar}")
     total = mu.mass
@@ -157,7 +213,7 @@ def full_sort_neck_scale(mu, q, eps_bar, tol=None, gap_fraction=0.05):
 
 
 def _separated(mu, q, eps_bar, tol, gap_fraction=0.05):
-    """True when every decision of the bisection is clear of rounding: no
+    """True when every decision of the solve is clear of rounding: no
     plateau of the mass function (summed exactly) near eps_bar, eps_bar +- tol
     or the fat-jump bound, and eps_bar not near the middle of a jump."""
     d = np.abs(mu.points - q)
@@ -197,6 +253,28 @@ def neck_instances(draw):
     return points, weights, q, eps_frac, tol_frac, draw(st.sampled_from([1, 2, 5, 256]))
 
 
+def _instance(case):
+    """(measure, q, eps_bar, tol or None) of a neck instance."""
+    points, weights, q, eps_frac, tol_frac, _ = case
+    pts = np.asarray(points, dtype=complex)
+    mu = WeightedParticleMeasure(pts, np.asarray(weights), 1.0 + float(np.abs(pts).max()))
+    return mu, q, eps_frac * mu.mass, None if tol_frac is None else tol_frac * mu.mass
+
+
+def _solve(case):
+    """solve_neck_scale on a neck instance with its first tail size and tolerance."""
+    mu, q, eps_bar, _ = _instance(case)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(renorm, "_TAIL_MIN", case[5])
+        if case[4] is not None:
+            mp.setattr(renorm, "_NECK_TOL", case[4])
+        return _outcome(solve_neck_scale, mu, q, eps_bar)
+
+
+# the tail of one atom stops at two of four tied atoms at distance 1 from q
+TAIL_CUT_TIE = ([0.1] * 5 + [1.0, 1j, -1.0, -1j], [1.0] * 9, 0j, 0.3 / 9.0, None, 1)
+
+
 @given(case=neck_instances())
 @example(case=([0.5] * 10 + [2.0] * 10, [0.05] * 20, 0j, 0.3, None, 1))  # fat jump
 @example(case=([0j] * 3 + [1.0, 1j, -1.0, -1j], [0.3] * 3 + [0.1] * 4, 0j, 0.28, None, 1))
@@ -206,23 +284,18 @@ def neck_instances(draw):
 @example(  # light far atoms: the tail doubles three times before it holds 2 eps_bar
     case=([0.1] * 10 + [1.0, 1.1, 1.2, 1.3], [1.0] * 10 + [0.04] * 4, 0j, 0.01, None, 1)
 )
-@example(  # nearest positive distance denormal: s_lo underflows to 0 and counts the atom at q
+@example(  # nearest positive distance denormal: its t has no finite renormalization
     case=([0j] * 7 + [5e-324 + 0j], [0.0] * 6 + [1.0, 1.0], 0j, 0.46875, None, 1)
 )
+@example(case=TAIL_CUT_TIE)
 @settings(max_examples=300, deadline=None)
 def test_tail_solver_matches_full_sort_bisection(case):
-    points, weights, q, eps_frac, tol_frac, tail_min = case
-    pts = np.asarray(points, dtype=complex)
-    mu = WeightedParticleMeasure(pts, np.asarray(weights), 1.0 + float(np.abs(pts).max()))
+    # bitwise against the full-sort closed form; the full-sort bisection
+    # brackets the same crossing
+    mu, q, eps_bar, tol = _instance(case)
     total = mu.mass
-    eps_bar = eps_frac * total
-    tol = None if tol_frac is None else tol_frac * total
     assume(total == 0.0 or _separated(mu, q, eps_bar, 1e-9 * total if tol is None else tol))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(renorm, "_TAIL_MIN", tail_min)
-        if tol_frac is not None:
-            mp.setattr(renorm, "_NECK_TOL", tol_frac)
-        got = _outcome(solve_neck_scale, mu, q, eps_bar)
+    got = _solve(case)
     want = _outcome(full_sort_neck_scale, mu, q, eps_bar, tol)
     if isinstance(want, Exception):
         assert type(got) is type(want)
@@ -236,6 +309,73 @@ def test_tail_solver_matches_full_sort_bisection(case):
         assert abs(fg - fw) <= bound
     assert abs(got.mass_outside - want.mass_outside) <= bound
     assert abs(got.tol_effective - want.tol_effective) <= bound
+    assert np.array_equal(got.outside, want.outside)
+
+    old = _outcome(full_sort_bisection, mu, q, eps_bar, tol)
+    if isinstance(old, Exception):
+        return
+    (t_lo, f_lo), (t_hi, f_hi) = [
+        max((p for p in old.history if p[1] >= eps_bar), key=lambda p: p[0]),
+        min((p for p in old.history if p[1] < eps_bar), key=lambda p: p[0]),
+    ]
+    assert t_lo <= got.t <= t_hi
+    (_, g_lo), (_, g_hi) = got.history
+    if abs(f_lo - g_lo) <= bound and abs(f_hi - g_hi) <= bound:  # one jump: the same plateau
+        assert abs(got.mass_outside - old.mass_outside) <= bound
+    else:  # an early exit or a bracket over several jumps: never a farther plateau
+        assert got.residual <= old.residual + bound
+
+
+@pytest.mark.parametrize(
+    "weights, eps_bar",
+    [
+        ([1.0, 1.0], 0.9375),
+        ([0.02, 1.0], 0.99),  # the full-sort bisection returns t = 0 here
+    ],
+)
+def test_neck_scale_refuses_a_cut_with_no_finite_renormalization(weights, eps_bar):
+    # the crossing sits at a denormal distance: t = 5e-324 would make the
+    # renormalization scale 1/t - 1 infinite
+    mu = WeightedParticleMeasure(np.array([0j, 5e-324 + 0j]), np.array(weights), 1.0)
+    with pytest.raises(NeckScaleError, match="no finite renormalization"):
+        solve_neck_scale(mu, 0j, eps_bar)
+
+
+@given(case=neck_instances())
+@example(case=TAIL_CUT_TIE)
+@example(case=([0j] * 3 + [1.0, 1j, -1.0, -1j], [0.3] * 3 + [0.1] * 4, 0j, 0.28, None, 1))
+@example(case=([0.25 - 0.5j] * 4 + [0.75 - 0.5j] * 3, [1.0] * 7, 0.25 - 0.5j, 0.4, None, 1))
+@settings(max_examples=100, deadline=None)
+def test_center_probe_reads_the_cut_atoms(case):
+    # the inside mass, F(q) and the centroid from the whole measure less the
+    # cut atoms equal the masked sums over the atoms with |x - q| < s, within
+    # gamma = 8 (n + 2) 2^-53 of the sums of |w x| and |w q| (recursive or
+    # pairwise summation of n products, twice); duplicates, atoms at q and
+    # ties at the tail cut come from the instances
+    mu, q, eps_bar, _ = _instance(case)
+    res = _solve(case)
+    assume(not isinstance(res, Exception))
+    with mock.patch.object(renorm, "solve_neck_scale", lambda *args: res):
+        fq, centroid, got = renorm._center_value(mu, q, eps_bar, renorm._first_moment(mu))
+    assert got is res
+    w, x = mu.weights, mu.points
+    sel = np.abs(x - q) < res.s
+    assert np.array_equal(np.flatnonzero(~sel), res.outside)
+    inside = math.fsum(w[sel])
+    first = complex(math.fsum((w * x)[sel].real), math.fsum((w * x)[sel].imag))
+    moment = complex(
+        math.fsum((w * (x - q))[sel].real), math.fsum((w * (x - q))[sel].imag)
+    ) * (1.0 / res.t - 1.0)
+    gamma = 8.0 * (len(mu) + 2) * 2.0**-53
+    mass_bound = gamma * mu.mass
+    first_bound = gamma * math.fsum(w * np.abs(x))
+    assert abs(res.mass_outside - math.fsum(w[~sel])) <= mass_bound
+    # twice: the direct sum has its own error, over w |x - q| <= w |x| + w |q|
+    assert abs(fq - moment) <= 2.0 * (first_bound + abs(q) * mass_bound) * (1.0 / res.t - 1.0)
+    if inside > 2.0 * mass_bound:  # below, rounding leaves the centroid unresolved
+        want = first / inside
+        err = (first_bound + abs(want) * mass_bound) / (inside - mass_bound)
+        assert abs(centroid - want) <= err + 4.0 * 2.0**-53 * abs(want)
 
 
 def gaussian_cloud(center, sigma, n, mass, chart, seed):
@@ -269,8 +409,8 @@ def step_from_origin_leaves(monkeypatch, radius):
     every other step are unchanged.  Returns the list of probes at 0."""
     center_value, origin_probes = renorm._center_value, []
 
-    def leaving(mu, q, eps_bar):
-        fq, centroid, res = center_value(mu, q, eps_bar)
+    def leaving(mu, q, eps_bar, first):
+        fq, centroid, res = center_value(mu, q, eps_bar, first)
         if q == 0:
             origin_probes.append(q)
             centroid = complex(2.0 * radius)
