@@ -5,7 +5,7 @@ above it (and errors):
 
 measure     weighted particle measures, scale ladders, concentration detection
 quadrature  adaptive polar panel integration
-renorm      neck-scale bisection, balanced centers, bubble markings
+renorm      neck-scale solves, certified balanced centers, bubble markings
 curve       stable marked dual graphs, forgetful maps, node regularity
 neck        cylinder fields and delta-collars, nodal pushforward measures,
             energy/alpha diagnostics, zero-neck test

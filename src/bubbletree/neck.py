@@ -22,9 +22,8 @@ Each field caches, on first use, its per-sample energy density
 a window of them: ``collar_diagnostics`` (which the zero-neck test calls for
 every delta) reads rows i0..i1 of the sums, and the nodal pushforward (collar
 energy as atoms on the x-side chart) rows i0..i1 of the density alone;
-neither builds a sub-field.
-``collar`` still cuts the sub-field, the reference the windows agree with bit
-for bit.
+neither builds a sub-field.  Both agree bit for bit with the diagnostics
+and atoms of the cut sub-field, which the tests keep as their reference.
 
 The diameter is bounded on the safe side with O(N) work over all N samples.
 A farthest-point sweep finds a real sample pair; its distance is checked
@@ -234,14 +233,6 @@ class CylinderField:
             raise NeckError("collar needs plumbing metadata")
         return collar_rows(delta, self.pinch, self.delta, self.n_t, self.half_length)
 
-    def collar(self, delta: float) -> "CylinderField":
-        """Sub-cylinder of ``collar_window(delta)``, without plumbing metadata."""
-        i0, i1, half_length = self.collar_window(delta)
-        rows = slice(i0, i1 + 1)
-        return CylinderField(
-            half_length, self.points[rows], self.f_t[rows], self.f_theta[rows], self.target
-        )
-
 
 def late_half(members: Sequence) -> Sequence:
     """The later half of a family, middle included: what the zero-neck test reads."""
@@ -306,7 +297,8 @@ def _trapezoid(n: int, h: float) -> np.ndarray:
 
 
 def build_nodal_pushforward(neck: CylinderField, delta: float) -> WeightedParticleMeasure:
-    """Energy of ``neck.collar(delta)`` as atoms at x = sqrt(pinch) e^{t+i theta}.
+    """Energy of rows ``neck.collar_window(delta)`` as atoms at
+    x = sqrt(pinch) e^{t+i theta}.
 
     Each sample carries its quadrature share of the collar energy, so the
     disk B(0, |pinch|/delta) carries nothing and the total is the collar energy.
@@ -430,7 +422,8 @@ def diagnostics(field: CylinderField) -> NeckDiagnostics:
 
 
 def collar_diagnostics(field: CylinderField, delta: float) -> NeckDiagnostics:
-    """``diagnostics(field.collar(delta))``, read off the field's row table."""
+    """``diagnostics`` of the delta-collar, rows ``field.collar_window(delta)``,
+    read off the field's row table without cutting a sub-field."""
     return _window_diagnostics(field, *field.collar_window(delta))
 
 

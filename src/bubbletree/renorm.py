@@ -8,7 +8,10 @@ continuous radial profile is found by bisection.  The balanced center q is
 the zero of the first-moment functional F(q) of the renormalized measure.
 A degree (winding) argument certifies that a zero exists; F(q) = 0 says
 that q is the centroid of the mass strictly inside the cut circle, so the
-zero is found as a fixed point of the step q <- that centroid.
+zero is found as a fixed point of the step q <- that centroid, run once
+from 0.  A winding other than +-1 is refused ("degree argument fails"), and
+so is a run that leaves the circle, does not settle in 60 steps or ends away
+from a zero ("zero not localized"): no other seed is searched.
 
 The winding is certified, not read off a fixed ring: F is probed at 16
 points of the boundary path, and an arc is split until its end values a, b
@@ -75,10 +78,10 @@ _RING_CAP = 4096
 # continuous-profile solves
 _NECK_TOL = 1e-9
 _CDF_TOL = 1e-12
-# acceptance bound of find_balanced_center on |F(q)|, as a fraction of the
-# total mass; a fixed point of the centroid step is a zero up to rounding
-# (about 1e-17 of the total on the shipped families), so this bound only
-# refuses a run that stopped at the step cap away from a fixed point
+# acceptance bound of find_balanced_center on |F(q)|, and of a smooth
+# marking's inside center of mass, as a fraction of the total mass; a fixed
+# point of the centroid step is a zero up to rounding (about 1e-17 of the
+# total on the shipped families)
 _CENTER_TOL = 1e-5
 
 
@@ -357,7 +360,7 @@ def _certified_winding(
 @dataclass(frozen=True)
 class CenterResult:
     """A certified balanced center: a fixed point of the inside-centroid step
-    inside a boundary circle of nonzero certified winding."""
+    inside a boundary circle of certified winding +-1."""
 
     q: complex
     value: complex
@@ -365,7 +368,6 @@ class CenterResult:
     r: complex  # q + t/(1-t)
     winding: int
     boundary_inward_ok: bool  # Re(F(q)/-q) > 0 at every certified ring sample
-    zeros: tuple[complex, ...]  # every zero found, smallest |q| first
 
 
 def find_balanced_center(
@@ -387,13 +389,13 @@ def find_balanced_center(
 
     F(q) vanishes exactly when q is the centroid of the mass strictly inside
     the cut circle |x - q| < s(q), so the zero is a fixed point of the step
-    q <- that centroid (the flat-kernel mean shift).  With winding +-1 the
-    step starts at 0; otherwise, or when that run fails, the quadrant
-    subdivision of the bounding square by the same certified winding seeds
-    it.  A run stops when the centroid stops moving or after 60 steps, is
-    refused when a step leaves the circle, and is accepted when
-    |F(q)| <= ``_CENTER_TOL`` of the total mass.  With several zeros the one
-    of smallest |q| is returned; ``zeros`` lists all.
+    q <- that centroid (the flat-kernel mean shift).  A winding other than
+    +-1 may count more than one zero and is refused ("degree argument
+    fails").  With winding +-1 the step runs once from 0 and stops when the
+    centroid stops moving; it is refused ("zero not localized") when a step
+    leaves the circle, when it is still moving after 60 steps, or when it
+    ends with |F(q)| above ``_CENTER_TOL`` of the total mass.  No other seed
+    is tried.
     """
     if k < 1 or 2 * k > ladder.depth:
         raise CenterError(f"index {k} outside the ladder (need 1 <= k and 2k <= depth)")
@@ -420,17 +422,6 @@ def find_balanced_center(
     def value(q: complex) -> complex:
         return _center_value(mu, q, eps_bar, first)[0]
 
-    def fixed_point(q: complex) -> tuple[complex, complex, NeckScaleResult] | None:
-        fq, c, res = _center_value(mu, q, eps_bar, first)
-        for _ in range(60):
-            if c == q:
-                break
-            if abs(c) > radius:
-                return None
-            q = c
-            fq, c, res = _center_value(mu, q, eps_bar, first)
-        return (q, fq, res) if abs(fq) <= tol_abs else None
-
     winding, ring = _certified_winding(
         value, lambda u: radius * cmath.exp(2j * math.pi * u), jump
     )
@@ -439,58 +430,24 @@ def find_balanced_center(
         raise CenterError(
             "degree argument fails: measure not concentrated: boundary winding is zero"
         )
+    if abs(winding) != 1:
+        raise CenterError(f"degree argument fails: boundary winding {winding} is not +-1")
 
-    # (q, F(q), neck-scale solve at q) for each zero found
-    zeros: list[tuple[complex, complex, NeckScaleResult]] = []
-    if abs(winding) == 1:  # degree one: a single zero
-        zero = fixed_point(0.0 + 0.0j)
-        if zero is not None:
-            zeros.append(zero)
-
-    if not zeros:
-        # quadrant subdivision of the bounding square by certified boundary
-        # winding; a cell whose winding does not certify is not refined but
-        # seeds the fixed point like the finest cells, so no zero is dropped
-        def cell_winding(cx: float, cy: float, half: float) -> int:
-            corners = [
-                complex(cx - half, cy - half),
-                complex(cx + half, cy - half),
-                complex(cx + half, cy + half),
-                complex(cx - half, cy + half),
-            ]
-
-            def point(u: float) -> complex:
-                side, v = divmod(4.0 * u, 1.0)
-                a = corners[int(side)]
-                return a + v * (corners[(int(side) + 1) % 4] - a)
-
-            return _certified_winding(value, point, jump)[0]
-
-        cells, uncertified = [(0.0, 0.0, radius)], []
-        for _ in range(8):
-            refined = []
-            for cx, cy, half in cells:
-                h2 = half / 2.0
-                for dx in (-h2, h2):
-                    for dy in (-h2, h2):
-                        cell = (cx + dx, cy + dy, h2)
-                        try:
-                            if cell_winding(*cell) != 0:
-                                refined.append(cell)
-                        except CenterError:
-                            uncertified.append(cell)
-            if not refined:
-                break
-            cells = refined
-        for cx, cy, _ in cells + uncertified:
-            zero = fixed_point(complex(cx, cy))
-            if zero is not None and all(abs(zero[0] - z) > 1e-9 * radius for z, _, _ in zeros):
-                zeros.append(zero)
-
-    if not zeros:
-        raise CenterError(f"zero not localized: |F| stayed above {tol_abs:.3g}")
-    zeros.sort(key=lambda z: abs(z[0]))
-    q, fq, res = zeros[0]
+    q = 0.0 + 0.0j
+    fq, c, res = _center_value(mu, q, eps_bar, first)
+    for _ in range(60):
+        if c == q:
+            break
+        if abs(c) > radius:
+            raise CenterError(
+                f"zero not localized: centroid step leaves the circle at |q| = {abs(c):.6g}"
+            )
+        q = c
+        fq, c, res = _center_value(mu, q, eps_bar, first)
+    if c != q:
+        raise CenterError("zero not localized: centroid step still moving after 60 steps")
+    if abs(fq) > tol_abs:
+        raise CenterError(f"zero not localized: |F| = {abs(fq):.3g} above {tol_abs:.3g}")
     r = q + res.s
     if abs(r) > float(ladder.delta[k]) * (1.0 + 1e-12):
         raise CenterError(
@@ -504,7 +461,6 @@ def find_balanced_center(
         r=r,
         winding=winding,
         boundary_inward_ok=boundary_ok,
-        zeros=tuple(z for z, _, _ in zeros),
     )
 
 

@@ -77,12 +77,22 @@ def t_nodes(field):
 
 def restrict(field, half_length):
     """Sub-cylinder |t| <= half_length, snapped inward to grid nodes: the
-    restriction that ``CylinderField.collar`` must cut about the node."""
+    restriction that ``collar`` must cut about the node."""
     t = t_nodes(field)
     idx = np.nonzero(np.abs(t) <= half_length * (1.0 + 1e-12))[0]
     rows = slice(idx[0], idx[-1] + 1)
     return CylinderField(
         float(t[idx[-1]]), field.points[rows], field.f_t[rows], field.f_theta[rows], field.target
+    )
+
+
+def collar(field, delta):
+    """Sub-cylinder of ``field.collar_window(delta)``, without plumbing
+    metadata: the cut collar that the row windows agree with bit for bit."""
+    i0, i1, half_length = field.collar_window(delta)
+    rows = slice(i0, i1 + 1)
+    return CylinderField(
+        half_length, field.points[rows], field.f_t[rows], field.f_theta[rows], field.target
     )
 
 
@@ -168,15 +178,15 @@ def test_restrict_is_consistent_with_sub_annulus():
 def test_collar_is_the_delta_ball_restriction():
     pinch, delta = 1e-6, 0.5
     f = identity_sphere_neck(pinch, delta)
-    sub = f.collar(0.1)
+    sub = collar(f, 0.1)
     assert sub.half_length == restrict(f, math.log(0.1 / math.sqrt(pinch))).half_length
-    assert f.collar(delta).half_length == f.half_length
+    assert collar(f, delta).half_length == f.half_length
     with pytest.raises(NeckError, match="does not exceed"):
-        f.collar(math.sqrt(pinch))
+        collar(f, math.sqrt(pinch))
     with pytest.raises(NeckError, match="sampled chart"):
-        f.collar(2.0 * delta)
+        collar(f, 2.0 * delta)
     with pytest.raises(NeckError, match="plumbing metadata"):
-        linear_torus_field(1.0, 0.0, 2.0).collar(0.1)
+        collar(linear_torus_field(1.0, 0.0, 2.0), 0.1)
 
 
 def test_zero_neck_passes_on_conformal_plumbing():
@@ -513,7 +523,7 @@ def reference_diagnostics(field):
 
 def reference_pushforward(field, delta):
     """Collar energy atoms built from the cut sub-field, as before the table."""
-    sub = field.collar(delta)
+    sub = collar(field, delta)
     t = t_nodes(sub)
     w_t = _trapezoid(len(t), t[1] - t[0])
     ft_sq = np.sum(sub.f_t * sub.f_t, axis=-1)
@@ -536,7 +546,7 @@ def reference_rows(necks, eps, deltas):
     late = necks[-((len(necks) + 1) // 2) :]
     rows = []
     for delta in deltas:
-        diags = [diagnostics(f.collar(delta)) for f in late]
+        diags = [diagnostics(collar(f, delta)) for f in late]
         energy = max(d.energy for d in diags)
         diam = max(d.diameter for d in diags)
         pred = max(abs(2.0 * d.half_length * d.alpha) for d in diags)
@@ -560,7 +570,7 @@ def test_collar_windows_match_cut_collars_bit_for_bit(stem):
     for f in fields:
         same_bits(diagnostics(f), reference_diagnostics(f))
         for delta in (d for d in deltas if d > math.sqrt(abs(f.pinch))):
-            same_bits(collar_diagnostics(f, delta), reference_diagnostics(f.collar(delta)))
+            same_bits(collar_diagnostics(f, delta), reference_diagnostics(collar(f, delta)))
             mu = build_nodal_pushforward(f, delta)
             x, w = reference_pushforward(f, delta)
             assert mu.points.tobytes() == x.tobytes()
@@ -587,7 +597,7 @@ def test_collar_windows_match_on_grid_nodes(log_pinch, n_t, n_theta, node, on_ch
     k = n_t + int(round(node * n_t))  # a node at or right of t = 0
     delta = 0.5 if on_chart else math.sqrt(pinch) * math.exp(t[k])
     try:
-        sub = f.collar(delta)
+        sub = collar(f, delta)
     except NeckError as exc:
         with pytest.raises(NeckError) as got:
             collar_diagnostics(f, delta)
@@ -613,7 +623,7 @@ def test_zero_neck_refuses_collars_like_the_cut():
         (math.sqrt(pinch) * math.exp(0.5 * h_t), "degenerate"),
     ):
         with pytest.raises(NeckError, match=match) as cut:
-            f.collar(bad)
+            collar(f, bad)
         with pytest.raises(NeckError, match=match) as windowed:
             zero_neck_test([f], 0.01, [bad])
         assert str(windowed.value) == str(cut.value)

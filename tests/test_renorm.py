@@ -420,55 +420,77 @@ def step_from_origin_leaves(monkeypatch, radius):
     return origin_probes
 
 
-def test_balanced_center_quadrant_fallback_when_origin_run_fails(monkeypatch):
-    # the fixed-point run seeded at 0 is refused, so the zero must come from
-    # the quadrant subdivision by boundary winding
-    monkeypatch.setattr(renorm, "_CENTER_TOL", 1e-8)
+def off_center_cloud():
+    """A cloud off 0 inside B_2k whose balanced center the run from 0 finds."""
     lad = ScaleLadder(1.0, 0.2, 6)
-    k, sigma = 2, 0.002
+    k = 2
     c = 0.3 * lad.delta[2 * k] * (0.6 + 0.8j)
-    mu = gaussian_cloud(c, sigma, 2000, FOUR_PI, 1.0, seed=7)
-    want = find_balanced_center(mu, lad, k)
-    certified, rings = renorm._certified_winding, []
+    return gaussian_cloud(c, 0.002, 2000, FOUR_PI, 1.0, seed=7), lad, k
 
-    def counted(value, point, jump):
-        rings.append(point(0.0))
-        return certified(value, point, jump)
 
+def test_balanced_center_refuses_when_origin_run_leaves(monkeypatch):
+    # the run from 0 is the only run: when its first step leaves the circle
+    # the center is refused, and no other seed is probed
+    mu, lad, k = off_center_cloud()
+    find_balanced_center(mu, lad, k)  # the unpatched run localizes the zero
     origin_probes = step_from_origin_leaves(monkeypatch, float(lad.delta[2 * k - 1]))
-    monkeypatch.setattr(renorm, "_certified_winding", counted)
-    got = find_balanced_center(mu, lad, k)
-    assert origin_probes and len(rings) > 1  # the cells were ringed after the refusal
-    assert got.winding == want.winding == 1
-    assert abs(got.q - want.q) <= 1e-3 * sigma
-    assert abs(center_functional(mu, got.q, 0.2)) <= 1e-8 * mu.mass
+    with pytest.raises(CenterError, match="zero not localized"):
+        find_balanced_center(mu, lad, k)
+    assert origin_probes == [0]
 
 
-def test_balanced_center_fallback_keeps_uncertified_cells_as_seeds(monkeypatch):
-    # as above, but no quadrant cell certifies: the four first-level cells
-    # are not refined, yet each seeds the fixed point, and the zero is still
-    # found
-    monkeypatch.setattr(renorm, "_CENTER_TOL", 1e-8)
+def test_balanced_center_refuses_a_run_still_moving_at_the_cap(monkeypatch):
+    # a cloud symmetric about 0 has its zero at 0; a centroid step patched
+    # to creep by 1e-12 of the radius never settles, and although |F| stays
+    # far below _CENTER_TOL along the way, the run is refused at the cap
     lad = ScaleLadder(1.0, 0.2, 6)
-    k, sigma = 2, 0.002
-    c = 0.3 * lad.delta[2 * k] * (0.6 + 0.8j)
-    mu = gaussian_cloud(c, sigma, 2000, FOUR_PI, 1.0, seed=7)
-    want = find_balanced_center(mu, lad, k)
+    k = 2
+    half = gaussian_cloud(0.0, 0.002, 1000, FOUR_PI / 2.0, 1.0, seed=7)
+    mu = WeightedParticleMeasure(
+        np.concatenate([half.points, -half.points]),
+        np.concatenate([half.weights, half.weights]),
+        1.0,
+    )
+    creep = 1e-12 * float(lad.delta[2 * k - 1])
+    assert abs(find_balanced_center(mu, lad, k).q) <= creep
+    center_value, values = renorm._center_value, []
+
+    def creeping(mu, q, eps_bar, first):
+        fq, _, res = center_value(mu, q, eps_bar, first)
+        values.append(abs(fq))
+        return fq, q + creep, res
+
+    monkeypatch.setattr(renorm, "_center_value", creeping)
+    with pytest.raises(CenterError, match="zero not localized: centroid step still moving"):
+        find_balanced_center(mu, lad, k)
+    assert max(values[-61:]) <= 1e-8 * mu.mass
+
+
+def test_balanced_center_refuses_winding_other_than_one(monkeypatch):
+    # a certified winding of 2 on the outer circle may count two zeros:
+    # refused before any fixed-point probe (any later ring reads its true
+    # winding)
+    mu, lad, k = off_center_cloud()
     certified, rings = renorm._certified_winding, []
+    center_value, probes = renorm._center_value, []
 
-    def cells_never_certify(value, point, jump):
-        rings.append(point(0.0))
-        if len(rings) == 1:  # the outer circle
-            return certified(value, point, jump)
-        raise CenterError("degree argument fails: boundary winding not certified")
+    def winding_two(value, point, jump):
+        rings.append(point)
+        winding, samples = certified(value, point, jump)
+        return (2 if len(rings) == 1 else winding), samples
 
-    origin_probes = step_from_origin_leaves(monkeypatch, float(lad.delta[2 * k - 1]))
-    monkeypatch.setattr(renorm, "_certified_winding", cells_never_certify)
-    got = find_balanced_center(mu, lad, k)
-    assert origin_probes
-    assert len(rings) == 5
-    assert got.winding == want.winding == 1
-    assert abs(got.q - want.q) <= 1e-3 * sigma
+    def counted(mu, q, eps_bar, first):
+        probes.append(q)
+        return center_value(mu, q, eps_bar, first)
+
+    monkeypatch.setattr(renorm, "_certified_winding", winding_two)
+    monkeypatch.setattr(renorm, "_center_value", counted)
+    with pytest.raises(CenterError, match="degree argument fails: boundary winding 2"):
+        find_balanced_center(mu, lad, k)
+    # the ring's probes only: none at the seed 0 or anywhere off the circle
+    radius = float(lad.delta[2 * k - 1])
+    assert len(rings) == 1 and len(probes) >= 16
+    assert all(abs(abs(q) - radius) <= 1e-12 * radius for q in probes)
 
 
 def test_balanced_center_needs_concentration():
