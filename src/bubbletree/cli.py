@@ -38,6 +38,8 @@ Config grammar (YAML, unknown keys rejected at every level):
       kind: bubble1              # bubble1|bubble2|plumbing|plumbing_bubble|torus_linear
       schedule: [316.0, 3162.0, 10000.0]
       # optional per-kind knobs: delta, separation, slopes
+      # (delta on plumbing, plumbing_bubble and torus_linear, separation on
+      # bubble2, slopes on torus_linear; refused on any other kind)
     ladder:                      # optional
       delta0: 1.0
       eps_bar: 0.2

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .curve import BubbleInsertion, MarkedNodalCurve, add_bubble_component, is_regular_node
-from .errors import ConcentrationError, DriverError
+from .errors import DriverError, SubsequenceError
 from .families import Family, energy_quadrature
 from .measure import (
     ConcentrationSite,
@@ -262,8 +262,6 @@ def _smooth_chart(family: Family, config: ExtractionConfig) -> _Chart:
 def _nodal_chart(family: Family, config: ExtractionConfig) -> _Chart:
     eps_bar = config.eps_bar
     fields = [m.field for m in family.members]
-    if any(f.delta is None for f in fields):
-        raise DriverError("nodal chart needs plumbing metadata on every member field")
     delta_chart = min(config.delta0, *(float(f.delta) for f in fields))
     ladder = ScaleLadder(delta_chart, eps_bar, config.depth)
     mus = [build_nodal_pushforward(f, delta_chart) for f in fields]
@@ -278,11 +276,11 @@ def _nodal_chart(family: Family, config: ExtractionConfig) -> _Chart:
     sites = ()
     try:
         sites = detect_concentrations(mus, mu_limit, ladder, chart_kind="nodal")
-    except ConcentrationError as exc:
+    except SubsequenceError as exc:
         # energy at a non-regular node that does not stabilize across scales
         # is the neck carrying escaping energy; at a regular node it is a
         # detection failure, refused as on a smooth chart
-        if "subsequence not extracted" not in str(exc) or verdict.status == "regular":
+        if verdict.status == "regular":
             raise
         hot = mass_in(mus[-1], 0.0, float(ladder.delta[1])) - mass_in(
             mu_limit, 0.0, float(ladder.delta[1])

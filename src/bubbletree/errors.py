@@ -14,6 +14,7 @@ __all__ = [
     "MeasureError",
     "LadderError",
     "ConcentrationError",
+    "SubsequenceError",
     "NeckScaleError",
     "CenterError",
     "MarkingError",
@@ -39,6 +40,10 @@ class LadderError(BubbleTreeError):
 
 class ConcentrationError(BubbleTreeError):
     """Concentration detection could not stabilize a site."""
+
+
+class SubsequenceError(ConcentrationError):
+    """A site holds eps_bar excess, but the sequence does not stabilize on it."""
 
 
 class NeckScaleError(BubbleTreeError):

@@ -182,22 +182,19 @@ def _disk_radius(radius: float) -> float:
 
 
 def _quadrature_checked(
-    density: Callable[[np.ndarray], np.ndarray],
-    center: complex,
-    radius: float,
-    rel_tol: float,
+    density: Callable[[np.ndarray], np.ndarray], center: complex, radius: float
 ):
     """The quadrature of ``density`` on a disk at the package resolution;
     refused unless the radius is positive and finite, and unless resolved."""
     result = adaptive_polar_quadrature(
-        density, center=center, r_outer=_disk_radius(radius), rel_tol=rel_tol
+        density, center=center, r_outer=_disk_radius(radius), rel_tol=_ENERGY_REL_TOL
     )
     # a NaN value or error fails every comparison, so it needs its own refusal
     if not (np.isfinite(result.value) and np.isfinite(result.error)):
         raise FamilyError(
             f"quadrature returned a non-finite value {result.value} +- {result.error}"
         )
-    if result.error > max(_ABS_TOL, rel_tol * abs(result.value)):
+    if result.error > max(_ABS_TOL, _ENERGY_REL_TOL * abs(result.value)):
         raise FamilyError(
             "quadrature resolution insufficient: achieved "
             f"{result.value:.12g} +- {result.error:.3g} with {result.n_panels} panels"
@@ -218,12 +215,9 @@ def energy_quadrature(
     sampled rule.
     """
     if radius is not None:
-        res = _quadrature_checked(
-            rmap.density, complex(center), float(radius), _ENERGY_REL_TOL
-        )
-        return float(res.value)
-    here = _quadrature_checked(rmap.density, 0j, 1.0, _ENERGY_REL_TOL)
-    far = _quadrature_checked(rmap.chart_reversed().density, 0j, 1.0, _ENERGY_REL_TOL)
+        return float(_quadrature_checked(rmap.density, complex(center), float(radius)).value)
+    here = _quadrature_checked(rmap.density, 0j, 1.0)
+    far = _quadrature_checked(rmap.chart_reversed().density, 0j, 1.0)
     energy = float(here.value + far.value)
     exact = 4.0 * np.pi * rmap.degree
     if not abs(energy - exact) <= 1e-6 * 4.0 * np.pi * max(rmap.degree, 1):
@@ -355,8 +349,8 @@ class FamilySpec:
     @property
     def samples_neck(self) -> bool:
         """Whether the members are cylinder fields about a node, sampled out
-        to radius ``delta``; otherwise ``delta`` is not read."""
-        return _BUILDERS[self.kind] is not _bubble_family
+        to radius ``delta``; no other kind reads ``delta``."""
+        return "delta" in _OPTIONS[self.kind]
 
     @staticmethod
     def from_dict(data: dict) -> "FamilySpec":
@@ -370,9 +364,13 @@ class FamilySpec:
         if "slopes" in kwargs:
             kwargs["slopes"] = tuple(kwargs["slopes"])
         try:
-            return FamilySpec(**kwargs)
+            spec = FamilySpec(**kwargs)
         except TypeError as exc:
             raise FamilyError(f"bad family spec: {exc}") from exc
+        unread = set(data) - {"kind", "schedule", *_OPTIONS[spec.kind]}
+        if unread:
+            raise FamilyError(f"family kind {spec.kind!r} does not read options {sorted(unread)}")
+        return spec
 
 
 @dataclass(frozen=True)
@@ -469,12 +467,10 @@ def _torus_family(spec: FamilySpec) -> Family:
         t_nodes = np.linspace(-half, half, _N_T + 1)
         theta = np.arange(_N_THETA) * (2.0 * np.pi / _N_THETA)
         tt, th = np.meshgrid(t_nodes, theta, indexing="ij")
-        points, e_u, e_v = target.frame(a * tt, b * th)
         fld = CylinderField(
-            half_length=half,
-            points=points,
-            f_t=a * e_u,
-            f_theta=b * e_v,
+            points=target.point(a * tt, b * th),
+            ft_sq=np.full(tt.shape, a * a),
+            fth_sq=np.full(tt.shape, b * b),
             target=target,
             pinch=complex(t),
             delta=spec.delta,
@@ -497,6 +493,17 @@ _BUILDERS: dict[str, Callable[[FamilySpec], Family]] = {
     "plumbing": _plumbing_family,
     "plumbing_bubble": _plumbing_family,
     "torus_linear": _torus_family,
+}
+
+
+# family kind -> the options its builder reads besides the schedule;
+# ``FamilySpec.from_dict`` refuses any other
+_OPTIONS: dict[str, tuple[str, ...]] = {
+    "bubble1": (),
+    "bubble2": ("separation",),
+    "plumbing": ("delta",),
+    "plumbing_bubble": ("delta",),
+    "torus_linear": ("delta", "slopes"),
 }
 
 

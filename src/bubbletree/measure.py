@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ConcentrationError, LadderError, MeasureError
+from .errors import ConcentrationError, LadderError, MeasureError, SubsequenceError
 
 __all__ = [
     "WeightedParticleMeasure",
@@ -307,7 +307,7 @@ def detect_concentrations(
     the last member takes the next level.  Sites closer than 2 * finest scale
     (two nodal candidates snapped to the origin) are refused.
 
-    Raises ConcentrationError("subsequence not extracted") when a candidate
+    Raises SubsequenceError ("subsequence not extracted") when a candidate
     holds eps_bar excess but the sequence does not stabilize (the last
     member fails its own multi-scale consistency, or no earlier member
     corroborates level 1).
@@ -336,7 +336,7 @@ def detect_concentrations(
         m_p = float(excess_last[-1])
         devs = np.abs(excess_last - m_p)
         if np.any(devs >= epses):
-            raise ConcentrationError(
+            raise SubsequenceError(
                 "subsequence not extracted: last member inconsistent across scales "
                 f"at site {loc:.4g} (max deviation {devs.max():.3g})"
             )
@@ -354,7 +354,7 @@ def detect_concentrations(
             ):
                 assignment.append((j, member))
         if not assignment:
-            raise ConcentrationError(
+            raise SubsequenceError(
                 f"subsequence not extracted: no earlier member corroborates site {loc:.4g}"
             )
         assignment.append((len(assignment) + 1, last_idx))

@@ -1,16 +1,18 @@
 """Cylindrical neck analysis.
 
-A neck is sampled as a field on [-T, T] x S^1 with values on an embedded
-target (the unit sphere in R^3, or the square flat torus R^2/(2 pi Z)^2 as
-the product of two unit circles in R^4) together with first derivatives.
-The diagnostics split the energy as
+A neck is sampled on the delta-collar [-T, T] x S^1 of the pinch xy = pinch,
+in the chart x = sqrt(pinch) e^{t + i theta} with T = log(delta / sqrt|pinch|):
+its points on an embedded target (the unit sphere in R^3, or the square flat
+torus R^2/(2 pi Z)^2 as the product of two unit circles in R^4) and its
+squared speeds |f_t|^2 and |f_theta|^2 at each point.  Every diagnostic reads
+only those, through the energy split
 
     E = 2T * alpha + integral of Theta,   alpha(t) = 1/2 int (|f_t|^2 - |f_theta|^2) dtheta,
                                           Theta(t) = int |f_theta|^2 dtheta,
 
-report the average length, an upper bound on the image diameter, the
+and reports the average length, an upper bound on the image diameter, the
 per-slice conformality defect in Pohozaev form (the largest 2|alpha(t)| over
-the slice energy, zero for a conformal neck), and test the vanishing of neck
+the slice energy, zero for a conformal neck), and tests the vanishing of neck
 energy and diameter over a schedule of shrinking chart radii.
 
 The delta-collar |pinch|/delta <= |x| <= delta of xy = pinch has one rule,
@@ -45,7 +47,7 @@ are spectrally accurate for the smooth periodic integrands arising here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -73,18 +75,6 @@ _TWO_PI = 2.0 * np.pi
 _SLACK = 1e-12  # relative slack of the chart bound and of the snap to grid nodes
 
 
-def _sq_norm(x: np.ndarray) -> np.ndarray:
-    """|x|^2 over the last axis, one coordinate plane at a time.
-
-    The planes are added in coordinate order, the order of
-    ``np.sum(x * x, axis=-1)``, so the two agree bit for bit.
-    """
-    out = x[..., 0] * x[..., 0]
-    for k in range(1, x.shape[-1]):
-        out += x[..., k] * x[..., k]
-    return out
-
-
 class SphereTarget:
     """Unit sphere in R^3, charted by inverse stereographic projection."""
 
@@ -98,25 +88,8 @@ class SphereTarget:
         return np.stack([2.0 * u / n, 2.0 * v / n, (n - 2.0) / n], axis=-1)
 
     @staticmethod
-    def differential(w: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """Differential of the chart at w, as a map from tangents zeta to R^3."""
-        u, v = np.real(w), np.imag(w)
-        n = 1.0 + u * u + v * v
-        uv = -4.0 * u * v
-        # the images of d/du and d/dv, one coordinate plane each
-        du = (2.0 * (n - 2.0 * u * u), uv, 4.0 * u)
-        dv = (uv, 2.0 * (n - 2.0 * v * v), 4.0 * v)
-        nn = n * n
-
-        def push(zeta: np.ndarray) -> np.ndarray:
-            x, y = np.real(zeta), np.imag(zeta)
-            return np.stack([(a * x + b * y) / nn for a, b in zip(du, dv)], axis=-1)
-
-        return push
-
-    @staticmethod
     def residual(points: np.ndarray) -> float:
-        return float(np.max(np.abs(np.sqrt(_sq_norm(points)) - 1.0)))
+        return float(np.max(np.abs(np.linalg.norm(points, axis=-1) - 1.0)))
 
 
 class FlatTorusTarget:
@@ -127,19 +100,8 @@ class FlatTorusTarget:
     chord_diameter = 2.0 * float(np.sqrt(2.0))
 
     @staticmethod
-    def frame(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The points at (u, v) and the images of d/du and d/dv there, from
-        one evaluation of sin and cos of u and v.  d/du moves only the first
-        circle and d/dv only the second, so each image has two planes left
-        at zero."""
-        cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
-        e_u = np.zeros(cu.shape + (4,), cu.dtype)
-        e_v = np.zeros(cu.shape + (4,), cu.dtype)
-        np.negative(su, out=e_u[..., 0])
-        e_u[..., 1] = cu
-        np.negative(sv, out=e_v[..., 2])
-        e_v[..., 3] = cv
-        return np.stack([cu, su, cv, sv], axis=-1), e_u, e_v
+    def point(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return np.stack([np.cos(u), np.sin(u), np.cos(v), np.sin(v)], axis=-1)
 
     @staticmethod
     def residual(points: np.ndarray) -> float:
@@ -150,44 +112,41 @@ class FlatTorusTarget:
 
 @dataclass(frozen=True)
 class CylinderField:
-    """Sampled map on the cylinder [-T, T] x S^1.
+    """Sampled map on the delta-collar [-T, T] x S^1 of the pinch xy = pinch,
+    in the chart x = sqrt(pinch) e^{t + i theta}.
 
-    points, f_t, f_theta : arrays of shape (n_t + 1, n_theta, dim); the t
+    points : array of shape (n_t + 1, n_theta, dim) on the target; the t
     grid is uniform including both endpoints, the theta grid is uniform
     over [0, 2 pi) without the duplicate endpoint.
-    pinch, delta : optional plumbing metadata for the chart
-    x = sqrt(pinch) e^{t + i theta}, in which case T = log(delta/sqrt|pinch|).
+    ft_sq, fth_sq : |f_t|^2 and |f_theta|^2 at each sample, arrays of shape
+    (n_t + 1, n_theta); the diagnostics read nothing else of the derivatives.
+    half_length : T = ``collar_half_length(delta, pinch)``, derived.
     """
 
-    half_length: float
     points: np.ndarray
-    f_t: np.ndarray
-    f_theta: np.ndarray
+    ft_sq: np.ndarray
+    fth_sq: np.ndarray
     target: object
-    pinch: complex | None = None
-    delta: float | None = None
+    pinch: complex
+    delta: float
+    half_length: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (self.half_length > 0 and np.isfinite(self.half_length)):
-            raise NeckError("cylinder half-length must be positive and finite")
+        object.__setattr__(self, "half_length", collar_half_length(self.delta, self.pinch))
         shape = self.points.shape
-        if self.f_t.shape != shape or self.f_theta.shape != shape:
-            raise NeckError("derivative sample shapes do not match the points")
         if len(shape) != 3 or shape[0] < 3 or shape[1] < 4:
             raise NeckError("degenerate grid")
         if shape[2] != self.target.dim:
             raise NeckError("sample dimension does not match the target")
-        if not all(np.isfinite(a).all() for a in (self.points, self.f_t, self.f_theta)):
+        if self.ft_sq.shape != shape[:2] or self.fth_sq.shape != shape[:2]:
+            raise NeckError("squared speeds are not on the grid of the points")
+        if not all(np.isfinite(a).all() for a in (self.points, self.ft_sq, self.fth_sq)):
             raise NeckError("non-finite samples")
+        if not (np.all(self.ft_sq >= 0.0) and np.all(self.fth_sq >= 0.0)):
+            raise NeckError("negative squared speed")
         res = self.target.residual(self.points)
         if res > 1e-10:
             raise NeckError(f"sample points leave the target manifold by {res:.3e}")
-        if (self.pinch is None) != (self.delta is None):
-            raise NeckError("pinch and delta must be given together")
-        if self.pinch is not None:
-            t_expected = collar_half_length(self.delta, self.pinch)
-            if not abs(t_expected - self.half_length) <= 1e-9 * (1.0 + self.half_length):
-                raise NeckError("half-length inconsistent with pinch and delta")
 
     @property
     def n_t(self) -> int:
@@ -204,17 +163,13 @@ class CylinderField:
     @cached_property
     def density(self) -> np.ndarray:
         """Per-sample energy density |f_t|^2 + |f_theta|^2, shape
-        (n_t + 1, n_theta), built on first use.  ``rows`` sums the same
-        values from its own squared norms, so a field that needs only one of
-        the two builds only that one."""
-        return _sq_norm(self.f_t) + _sq_norm(self.f_theta)
+        (n_t + 1, n_theta), built on first use."""
+        return self.ft_sq + self.fth_sq
 
     @cached_property
     def rows(self) -> "_RowTable":
-        """Per-t-row theta-sums of the derivative samples, built on first use."""
-        ft_sq = _sq_norm(self.f_t)
-        fth_sq = _sq_norm(self.f_theta)
-        # np.linalg.norm(x, axis=-1) is sqrt(np.sum(x * x, axis=-1)) for real x
+        """Per-t-row theta-sums of the squared speeds, built on first use."""
+        ft_sq, fth_sq = self.ft_sq, self.fth_sq
         ft_norm = np.sqrt(ft_sq)
         fth_norm = np.sqrt(fth_sq)
         return _RowTable(
@@ -228,10 +183,8 @@ class CylinderField:
         )
 
     def collar_window(self, delta: float) -> tuple[int, int, float]:
-        """``collar_rows`` of this field; needs plumbing metadata."""
-        if self.pinch is None:
-            raise NeckError("collar needs plumbing metadata")
-        return collar_rows(delta, self.pinch, self.delta, self.n_t, self.half_length)
+        """``collar_rows`` of this field."""
+        return collar_rows(delta, self.pinch, self.delta, self.n_t)
 
 
 def late_half(members: Sequence) -> Sequence:
@@ -241,26 +194,25 @@ def late_half(members: Sequence) -> Sequence:
 
 def collar_half_length(delta: float, pinch: complex, chart: float | None = None) -> float:
     """Half-length log(delta / sqrt|pinch|) of the delta-collar of xy = pinch,
-    refused unless positive, and unless delta <= ``chart`` (a field's sampled
-    radius, when given) up to a relative 1e-12.  Every neck grid is built on
-    it, so it keeps numpy's log: ``math.log`` can differ in the last bit."""
+    refused unless positive and finite, and unless delta <= ``chart`` (a
+    field's sampled radius, when given) up to a relative 1e-12.  Every neck
+    grid is built on it, so it keeps numpy's log: ``math.log`` can differ in
+    the last bit."""
     if chart is not None and delta > chart * (1.0 + _SLACK):
         raise NeckError(f"delta {delta} exceeds the sampled chart {chart}")
     half = float(np.log(delta / np.sqrt(abs(pinch))))
     if not half > 0:
         raise NeckError(f"delta {delta} does not exceed sqrt(t) for the pinch t = {abs(pinch):g}")
+    if half == np.inf:
+        raise NeckError(f"delta {delta} cuts an unbounded collar of the pinch t = {abs(pinch):g}")
     return half
 
 
-def collar_rows(
-    delta: float, pinch: complex, chart: float, n_t: int, half_length: float | None = None
-) -> tuple[int, int, float]:
+def collar_rows(delta: float, pinch: complex, chart: float, n_t: int) -> tuple[int, int, float]:
     """Rows i0..i1 (at least three) of the delta-collar, snapped inward, and
-    its half-length t[i1], on the n_t + 1 t nodes of a field of ``pinch``
-    sampled out to radius ``chart`` whose half-length, by default, is that
-    chart's collar half-length, as every field of the package is built."""
-    if half_length is None:
-        half_length = collar_half_length(chart, pinch)
+    its half-length t[i1], on the n_t + 1 t nodes of the field of ``pinch``
+    sampled out to radius ``chart``."""
+    half_length = collar_half_length(chart, pinch)
     half = min(collar_half_length(delta, pinch, chart), half_length)
     t = np.linspace(-half_length, half_length, n_t + 1)
     idx = np.nonzero(np.abs(t) <= half * (1.0 + _SLACK))[0]
@@ -323,8 +275,11 @@ def cylinder_field_from_sphere_chart(
 ) -> CylinderField:
     """Sample x -> m(x) on the annulus |pinch|/delta <= |x| <= delta.
 
-    m is a sphere-valued chart map given with its complex derivative; the
-    cylinder coordinate is x = sqrt(pinch) e^{t + i theta}.
+    m is a holomorphic chart map to the sphere, given with its complex
+    derivative; the cylinder coordinate is x = sqrt(pinch) e^{t + i theta}.
+    Holomorphic maps are conformal: f_theta is f_t turned by a right angle,
+    so both squared speeds are 4 |x m'(x)|^2 / (1 + |m|^2)^2 and the field
+    holds them as one array.
     """
     root = np.sqrt(complex(pinch))
     half_length = collar_half_length(delta, pinch)
@@ -333,15 +288,10 @@ def cylinder_field_from_sphere_chart(
     x = root * np.exp(t[:, None] + 1j * theta[None, :])
     w = m(x)
     dw = m_prime(x) * x
-    push = SphereTarget.differential(w)
+    n = 1.0 + w.real * w.real + w.imag * w.imag
+    speed_sq = 4.0 * (dw.real * dw.real + dw.imag * dw.imag) / (n * n)
     return CylinderField(
-        half_length=half_length,
-        points=SphereTarget.point(w),
-        f_t=push(dw),
-        f_theta=push(1j * dw),
-        target=SphereTarget,
-        pinch=complex(pinch),
-        delta=float(delta),
+        SphereTarget.point(w), speed_sq, speed_sq, SphereTarget, complex(pinch), float(delta)
     )
 
 
@@ -532,9 +482,6 @@ def zero_neck_test(
     delta_schedule = neck_schedule(delta_schedule)
     if not necks:
         raise NeckError("empty neck sequence")
-    for f in necks:
-        if f.pinch is None:
-            raise NeckError("zero-neck test needs plumbing metadata on every field")
     late = late_half(necks)
     rows = []
     chosen = None

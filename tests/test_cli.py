@@ -245,6 +245,26 @@ def test_family_value_beyond_float_range_exits_2(tmp_path, capsys, no_family, kn
     assert "must be a finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind, schedule, option",
+    [
+        ("bubble1", "[316.0]", "delta: 0.5"),
+        ("bubble2", "[316.0]", "delta: 0.5"),
+        ("plumbing", "[1.0e-3]", "separation: 0.5"),
+        ("torus_linear", "[1.0e-2]", "separation: 0.5"),
+        ("plumbing_bubble", "[1.0e-6]", "slopes: [1, 1]"),
+    ],
+)
+def test_family_option_its_kind_does_not_read_exits_2(
+    tmp_path, capsys, no_family, kind, schedule, option
+):
+    family = f"family:\n  kind: {kind}\n  schedule: {schedule}\n  {option}\n"
+    cfg = write_cfg(tmp_path, family + f"out: {tmp_path / 'x'}\n")
+    assert main(["extract", "--config", cfg]) == 2
+    name = option.split(":")[0]
+    assert f"family kind '{kind}' does not read options ['{name}']" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["extract", "neck"])
 @pytest.mark.parametrize("depth", [2, 3, 4, 5])
 def test_ladder_depth_below_6_exits_2_before_any_family(tmp_path, capsys, no_family, command, depth):

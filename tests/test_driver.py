@@ -17,7 +17,7 @@ from bubbletree import (
     driver,
     extract_bubble_tree,
 )
-from bubbletree.errors import ConcentrationError, DriverError, LadderError
+from bubbletree.errors import DriverError, LadderError, SubsequenceError
 
 FOUR_PI = 4.0 * math.pi
 
@@ -137,7 +137,7 @@ def test_unstable_site_at_a_regular_node_is_refused(plumbing_bubble_family):
     # at depth 10 the node's excess does not stabilize across scales; edge 0
     # of the curve is a regular bridge, so this is a detection failure, not
     # a non-regular node to freeze into the singular set
-    with pytest.raises(ConcentrationError, match="subsequence not extracted"):
+    with pytest.raises(SubsequenceError, match="subsequence not extracted"):
         extract_bubble_tree(plumbing_bubble_family, ExtractionConfig(delta0=0.5, depth=10))
 
 
@@ -189,14 +189,6 @@ def test_family_mixing_measures_and_fields_is_refused(plumbing_family):
         DriverError, match="^family members carry neither uniform measures nor fields$"
     ):
         extract_bubble_tree(mixed)
-
-
-def test_nodal_field_without_plumbing_metadata_is_refused(plumbing_family):
-    first = plumbing_family.members[0]
-    bare = dataclasses.replace(first.field, pinch=None, delta=None)
-    members = (dataclasses.replace(first, field=bare), *plumbing_family.members[1:])
-    with pytest.raises(DriverError, match="plumbing metadata"):
-        extract_bubble_tree(dataclasses.replace(plumbing_family, members=members))
 
 
 def test_smooth_site_on_nodal_chart_is_refused(plumbing_family, monkeypatch):

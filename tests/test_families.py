@@ -1,5 +1,6 @@
 """Generated holomorphic families and their exactly known energies."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -135,7 +136,7 @@ def test_density_with_constant_denominator_is_bit_identical(num, lead, seed):
 def test_quadrature_refuses_a_nan_density():
     # NaN fails the error-versus-tolerance comparison, so it must be refused apart
     with pytest.raises(FamilyError, match="non-finite"):
-        _quadrature_checked(lambda z: np.full(z.shape, np.nan), 0j, 1.0, 1e-9)
+        _quadrature_checked(lambda z: np.full(z.shape, np.nan), 0j, 1.0)
 
 
 def test_chart_reversed_represents_the_same_sphere_map():
@@ -184,7 +185,7 @@ def test_quadrature_refuses_unresolvable_budget(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 64)
     m = RationalMap((1e4, 0.0), (1.0,))
     with pytest.raises(FamilyError, match="resolution insufficient"):
-        _quadrature_checked(m.density, 0j, 1.0, 1e-12)
+        _quadrature_checked(m.density, 0j, 1.0)
 
 
 def test_density_to_measure_mass_and_granularity():
@@ -525,3 +526,29 @@ def test_only_plumbing_kinds_need_decreasing_pinches():
     assert FamilySpec(kind="bubble1", schedule=(1e-4, 1e-2)).schedule == (1e-4, 1e-2)
     with pytest.raises(FamilyError, match="decrease strictly"):
         FamilySpec(kind="plumbing_bubble", schedule=(1e-9, 1e-9))
+
+
+def _first_member_bytes(spec):
+    m = make_family(spec).members[0]
+    return (m.field.points if m.measure is None else m.measure.points).tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(_BUILDERS))
+@pytest.mark.parametrize(
+    "option, value", [("delta", 0.25), ("separation", 0.25), ("slopes", (3.0, 2.0))]
+)
+def test_spec_loads_exactly_the_options_its_kind_reads(kind, option, value):
+    """An option loads when the kind's builder reads it (a new value moves the
+    members) and is refused at load when it does not."""
+    base = FamilySpec(kind=kind, **_ONE_MEMBER[kind])
+    reads = _first_member_bytes(dataclasses.replace(base, **{option: value})) != (
+        _first_member_bytes(base)
+    )
+    data = {"kind": kind, **_ONE_MEMBER[kind], option: value}
+    if reads:
+        assert getattr(FamilySpec.from_dict(data), option) == value
+    else:
+        unread = rf"kind '{kind}' does not read options \['{option}'\]"
+        with pytest.raises(FamilyError, match=unread):
+            FamilySpec.from_dict(data)
+    assert reads == (option in families._OPTIONS[kind])

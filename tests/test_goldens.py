@@ -24,9 +24,10 @@ CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
 # this one reproduces runs/ exactly.  A different numpy build or CPU may
 # change summation order and with it the last bits of a float, so floats
 # compare to a relative 1e-9 (far below every printed tolerance, far above
-# rounding).  Cancellation residuals near zero (the alpha and Pohozaev
-# residuals of a conformal neck, 1e-22 to 1e-15) have no relative digits to
-# keep, so an absolute 1e-12 floor applies to them.
+# rounding).  The alpha and Pohozaev residuals of a conformal neck are exactly
+# 0 (its two squared speeds are one array), but a cancellation residual near
+# zero, such as the alpha deviation of a torus neck, has no relative digits
+# to keep, so an absolute 1e-12 floor applies to it.
 RTOL = 1e-9
 ATOL = 1e-12
 

@@ -20,7 +20,7 @@ from bubbletree import (
     measure,
     restrict,
 )
-from bubbletree.errors import ConcentrationError, LadderError, MeasureError
+from bubbletree.errors import ConcentrationError, LadderError, MeasureError, SubsequenceError
 
 FOUR_PI = 4.0 * math.pi
 
@@ -228,7 +228,7 @@ def test_unstabilized_profile_raises():
     # at the ladder scales disagree, so no excess value has stabilized
     lad = ScaleLadder(1.0, 0.2, 6)
     mus = [bubble_atoms(0.05, seed=s) for s in (1, 2, 3)]
-    with pytest.raises(ConcentrationError, match="inconsistent across scales"):
+    with pytest.raises(SubsequenceError, match="not extracted: last member inconsistent"):
         detect_concentrations(
             mus, WeightedParticleMeasure.empty(1.0), lad, chart_kind="smooth"
         )
@@ -236,10 +236,11 @@ def test_unstabilized_profile_raises():
 
 def test_needs_at_least_two_members():
     lad = ScaleLadder(1.0, 0.2, 6)
-    with pytest.raises(ConcentrationError):
+    with pytest.raises(ConcentrationError) as exc:
         detect_concentrations(
             [bubble_atoms(0.01)], WeightedParticleMeasure.empty(1.0), lad, chart_kind="smooth"
         )
+    assert not isinstance(exc.value, SubsequenceError)
 
 
 def reference_subsequence(excess, m_p, eps, kw, loc=0j):
@@ -331,7 +332,7 @@ def test_closed_form_subsequence_matches_greedy_reference(depth, levels, fail_st
         try:
             (site,) = detect_from_table(mp, excess, lad)
             got = site.subsequence
-        except ConcentrationError as exc:
+        except SubsequenceError as exc:
             got = str(exc)
     assert got == want
     if not isinstance(want, str):
@@ -346,5 +347,7 @@ def test_two_candidates_snapped_to_the_node_are_refused(monkeypatch):
     d = 1.5 * lad.finest_scale
     sites = detect_from_table(monkeypatch, excess, lad, candidates=(d, -d))
     assert [s.kind for s in sites] == ["smooth", "smooth"]
-    with pytest.raises(ConcentrationError, match=r"separated by 0 < 2 \* finest scale"):
+    with pytest.raises(ConcentrationError, match=r"separated by 0 < 2 \* finest scale") as exc:
         detect_from_table(monkeypatch, excess, lad, candidates=(d, -d), chart_kind="nodal")
+    # not a subsequence failure: the driver freezes only those at a node
+    assert not isinstance(exc.value, SubsequenceError)
