@@ -9,18 +9,17 @@ the zero of the first-moment functional F(q) of the renormalized measure.
 A degree (winding) argument certifies that a zero exists; F(q) = 0 says
 that q is the centroid of the mass strictly inside the cut circle, so the
 zero is found as a fixed point of the step q <- that centroid, run once
-from 0.  A winding other than +-1 is refused ("degree argument fails"), and
-so is a run that leaves the circle, does not settle in 60 steps or ends away
-from a zero ("zero not localized"): no other seed is searched.
+from 0.  A measure whose boundary circle is not certified is refused
+("degree argument fails"), and so is a run that leaves the circle, does not
+settle in 60 steps or ends away from a zero ("zero not localized"): no
+other seed is searched.
 
-The winding is certified, not read off a fixed ring: F is probed at 16
-points of the boundary path, and an arc is split until its end values a, b
-pass the no-crossing test min(|a|, |b|) > |a - b| + jump, with jump the
-largest atom weight (an atom crossing the cut circle moves F by about its
-weight).  Assuming F stays within the chord plus one jump of the end values
-between two samples, every accepted arc turns by less than pi, so the summed
-principal increments give the winding exactly.  An arc that still fails on
-the dyadic grid of 4096 samples is refused with CenterError.
+The boundary is certified in closed form, before any probe of F: with M
+the total mass, ``first`` the whole first moment, R the largest atom
+modulus and f_max the most mass a neck solve may leave outside its cut,
+the margin M rho - |first| - f_max (R + rho) > 0 makes F point strictly
+inward at every point of the circle |q| = rho, so its winding there is +1
+(the argument is in ``find_balanced_center``).
 
 Every probe of F solves a neck scale, so the particle solve never sorts
 the whole measure: it selects and sorts only the far tail of atoms holding
@@ -40,7 +39,6 @@ renormalization map, and returns only the record (``Marking``).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -70,14 +68,15 @@ __all__ = [
 
 # fewest atoms in the first far-tail guess of solve_neck_scale
 _TAIL_MIN = 256
-# boundary ring of find_balanced_center: first samples, and the dyadic grid
-# an arc may be split down to before the winding is refused
-_RING_START = 16
-_RING_CAP = 4096
 # neck-scale tolerances, as fractions of the total mass: particle and
 # continuous-profile solves
 _NECK_TOL = 1e-9
 _CDF_TOL = 1e-12
+# largest mass jump a particle solve accepts across its crossing (a
+# discretization artifact), as a fraction of the total mass; it bounds the
+# mass a solve may leave outside its cut, which the boundary margin of
+# find_balanced_center reads
+_JUMP_CAP = 0.05
 # acceptance bound of find_balanced_center on |F(q)|, and of a smooth
 # marking's inside center of mass, as a fraction of the total mass; a fixed
 # point of the centroid step is a zero up to rounding (about 1e-17 of the
@@ -143,7 +142,7 @@ def solve_neck_scale(mu: WeightedParticleMeasure, q: complex, eps_bar: float) ->
     M(t_lo) >= eps_bar > M(t_hi), and the history is these two ends.  The
     nearer end is accepted when its residual is within the tolerance
     (``_NECK_TOL`` of the total), widened to the jump when the jump is
-    small (below 5% of the total mass, a discretization artifact); a larger
+    small (below ``_JUMP_CAP`` of the total mass); a larger
     jump is "not spanning", as is an end whose renormalization scale
     1/t - 1 is not positive and finite.
 
@@ -196,7 +195,7 @@ def solve_neck_scale(mu: WeightedParticleMeasure, q: complex, eps_bar: float) ->
     else:
         t, f, cut = t_hi, f_hi, i_hi
     residual = abs(f - eps_bar)
-    tol_effective = max(tol, min(gap, 0.05 * total))
+    tol_effective = max(tol, min(gap, _JUMP_CAP * total))
     if residual > tol_effective:
         raise NeckScaleError(
             f"mass function not spanning eps_bar: residual {residual:.6g} across a "
@@ -310,64 +309,17 @@ def center_functional(mu: WeightedParticleMeasure, q: complex, eps_bar: float) -
     return _center_value(mu, q, eps_bar, _first_moment(mu))[0]
 
 
-def _certified_winding(
-    value: Callable[[complex], complex],
-    point: Callable[[float], complex],
-    jump: float,
-) -> tuple[int, list[tuple[complex, complex]]]:
-    """Winding number of F = value(point(u)) around 0 as u runs over [0, 1).
-
-    Starts from _RING_START equally spaced samples and splits an arc in two
-    until its end values a, b pass the no-crossing test
-        min(|a|, |b|) > |a - b| + jump.
-    Samples lie on the dyadic grid of _RING_CAP points, so no point is
-    probed twice.  Assumption: between the ends of an arc, F stays within
-    |a - b| + jump of its end values.  An accepted arc then keeps F in a disk
-    around a that excludes 0, so it turns by less than pi/2 and its
-    principal increment arg(b/a) is its true turn; the increments of the
-    accepted arcs sum to the winding exactly.  An arc that fails at grid
-    width 1/_RING_CAP raises CenterError; no winding is guessed.  Returns
-    the winding and the (point, value) samples in path order.
-    """
-    samples: dict[int, tuple[complex, complex]] = {}
-
-    def f(i: int) -> complex:
-        i %= _RING_CAP
-        if i not in samples:
-            q = point(i / _RING_CAP)
-            samples[i] = (q, value(q))
-        return samples[i][1]
-
-    step = _RING_CAP // _RING_START
-    arcs = [(i, i + step) for i in range(0, _RING_CAP, step)]
-    turn = 0.0
-    while arcs:
-        a, b = arcs.pop()
-        fa, fb = f(a), f(b)
-        chord = abs(fa - fb) + jump
-        if min(abs(fa), abs(fb)) > chord:
-            turn += cmath.phase(fb / fa)
-        elif b - a > 1:
-            arcs += [(a, (a + b) // 2), ((a + b) // 2, b)]
-        else:
-            raise CenterError(
-                f"degree argument fails: boundary winding not certified at {_RING_CAP} "
-                f"samples: |F| {min(abs(fa), abs(fb)):.3g} <= chord plus jump {chord:.3g}"
-            )
-    return round(turn / (2.0 * math.pi)), [samples[i] for i in sorted(samples)]
-
-
 @dataclass(frozen=True)
 class CenterResult:
     """A certified balanced center: a fixed point of the inside-centroid step
-    inside a boundary circle of certified winding +-1."""
+    inside a boundary circle on which F points inward, so of winding +1."""
 
     q: complex
     value: complex
     scale: NeckScaleResult  # neck-scale solve at the returned q
     r: complex  # q + t/(1-t)
-    winding: int
-    boundary_inward_ok: bool  # Re(F(q)/-q) > 0 at every certified ring sample
+    winding: int = 1
+    boundary_inward_ok: bool = True  # Re(F(q)/-q) > 0 on the whole boundary circle
 
 
 def find_balanced_center(
@@ -379,23 +331,27 @@ def find_balanced_center(
 
     Preconditions of the concentration assumption at index k are checked:
     mass(B_k) > eps_bar and annulus mass B_k minus B_2k below
-    2 eps_k + 2 eps_2k.  A nonzero winding of F on the circle of radius
-    delta_{2k-1} certifies existence.  The winding is read by
-    _certified_winding: from 16 samples, arcs are split until their end
-    values a, b pass min(|a|, |b|) > |a - b| + jump, with jump the largest
-    atom weight, under the stated assumption that F stays within that chord
-    plus one jump of its end values between samples; an arc that still fails
-    at 4096 samples raises CenterError.
+    2 eps_k + 2 eps_2k.  Existence is certified by the degree of F on the
+    circle |q| = rho, rho = delta_{2k-1}, in closed form and before any probe:
+    with M the total mass, first the sum of w x, R the largest |x| and
+    f_max = eps_bar + max(``_NECK_TOL``, ``_JUMP_CAP``) M, the most mass a
+    neck solve may leave outside its cut (residual within tol_effective),
+    the margin M rho - |first| - f_max (R + rho) must be positive.  At any q
+    on the circle where the solve succeeds, the inside sum is
+        sum_I w (x - q) = (first - M q) - sum_O w (x - q),
+    where the cut atoms O carry at most f_max and each lies within R + rho
+    of q, so Re(F(q) conj(-q)) >= (1/t - 1) rho margin > 0.  F points
+    strictly inward at every point of the circle, so its winding is +1.  A
+    margin that is not positive is refused ("degree argument fails"); this
+    covers a measure whose centroid |first|/M lies outside the circle.
 
     F(q) vanishes exactly when q is the centroid of the mass strictly inside
     the cut circle |x - q| < s(q), so the zero is a fixed point of the step
-    q <- that centroid (the flat-kernel mean shift).  A winding other than
-    +-1 may count more than one zero and is refused ("degree argument
-    fails").  With winding +-1 the step runs once from 0 and stops when the
-    centroid stops moving; it is refused ("zero not localized") when a step
-    leaves the circle, when it is still moving after 60 steps, or when it
-    ends with |F(q)| above ``_CENTER_TOL`` of the total mass.  No other seed
-    is tried.
+    q <- that centroid (the flat-kernel mean shift).  The step runs once
+    from 0 and stops when the centroid stops moving; it is refused ("zero
+    not localized") when a step leaves the circle, when it is still moving
+    after 60 steps, or when it ends with |F(q)| above ``_CENTER_TOL`` of the
+    total mass.  No other seed is tried.
     """
     if k < 1 or 2 * k > ladder.depth:
         raise CenterError(f"index {k} outside the ladder (need 1 <= k and 2k <= depth)")
@@ -416,22 +372,15 @@ def find_balanced_center(
         )
     radius = float(ladder.delta[2 * k - 1])
     tol_abs = _CENTER_TOL * total
-    jump = float(mu.weights.max())  # F moves by about one weight as an atom crosses the cut
     first = _first_moment(mu)
-
-    def value(q: complex) -> complex:
-        return _center_value(mu, q, eps_bar, first)[0]
-
-    winding, ring = _certified_winding(
-        value, lambda u: radius * cmath.exp(2j * math.pi * u), jump
-    )
-    boundary_ok = all((fq / -q).real > 0.0 for q, fq in ring)
-    if winding == 0:
+    f_max = eps_bar + max(_NECK_TOL, _JUMP_CAP) * total
+    far = float(np.abs(mu.points).max())
+    margin = total * radius - abs(first) - f_max * (far + radius)
+    if not margin > 0.0:
         raise CenterError(
-            "degree argument fails: measure not concentrated: boundary winding is zero"
+            f"degree argument fails: boundary margin {margin:.6g} <= 0 on |q| = "
+            f"{radius:.6g} (centroid at {abs(first) / total:.6g}, farthest atom {far:.6g})"
         )
-    if abs(winding) != 1:
-        raise CenterError(f"degree argument fails: boundary winding {winding} is not +-1")
 
     q = 0.0 + 0.0j
     fq, c, res = _center_value(mu, q, eps_bar, first)
@@ -459,8 +408,6 @@ def find_balanced_center(
         value=fq,
         scale=res,
         r=r,
-        winding=winding,
-        boundary_inward_ok=boundary_ok,
     )
 
 

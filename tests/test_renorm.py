@@ -467,30 +467,28 @@ def test_balanced_center_refuses_a_run_still_moving_at_the_cap(monkeypatch):
 
 
 def test_balanced_center_refuses_winding_other_than_one(monkeypatch):
-    # a certified winding of 2 on the outer circle may count two zeros:
-    # refused before any fixed-point probe (any later ring reads its true
-    # winding)
-    mu, lad, k = off_center_cloud()
-    certified, rings = renorm._certified_winding, []
+    # a far cluster that pulls the centroid of the measure outside the circle
+    # (winding 0), and a lighter one that keeps winding 1 on the 720-sample
+    # ring but too little margin to certify it: both are refused by the
+    # closed-form boundary bound, before any probe of F
+    lad = ScaleLadder(1.0, 0.2, 6)
+    k = 2
+    radius = float(lad.delta[2 * k - 1])
+    measures = [far_cluster_measure(radius, gap) for gap in (-0.5, 0.01)]
+    for mu, winding in zip(measures, (0, 1)):
+        value = lambda q, mu=mu: center_functional(mu, q, lad.eps_bar)
+        assert fixed_ring(value, radius)[0] == winding
     center_value, probes = renorm._center_value, []
-
-    def winding_two(value, point, jump):
-        rings.append(point)
-        winding, samples = certified(value, point, jump)
-        return (2 if len(rings) == 1 else winding), samples
 
     def counted(mu, q, eps_bar, first):
         probes.append(q)
         return center_value(mu, q, eps_bar, first)
 
-    monkeypatch.setattr(renorm, "_certified_winding", winding_two)
     monkeypatch.setattr(renorm, "_center_value", counted)
-    with pytest.raises(CenterError, match="degree argument fails: boundary winding 2"):
-        find_balanced_center(mu, lad, k)
-    # the ring's probes only: none at the seed 0 or anywhere off the circle
-    radius = float(lad.delta[2 * k - 1])
-    assert len(rings) == 1 and len(probes) >= 16
-    assert all(abs(abs(q) - radius) <= 1e-12 * radius for q in probes)
+    for mu in measures:
+        with pytest.raises(CenterError, match="degree argument fails: boundary margin"):
+            find_balanced_center(mu, lad, k)
+    assert probes == []
 
 
 def test_balanced_center_needs_concentration():
@@ -606,55 +604,6 @@ def fixed_ring(value, radius, samples=720):
     return int(round(float(np.sum(inc) / (2.0 * np.pi)))), bool(np.all(np.real(vals / -qs) > 0.0))
 
 
-def circle(u):
-    return complex(np.exp(2j * np.pi * u))
-
-
-def test_certified_winding_subdivides_a_fast_turn():
-    # F(u) = e^{2 pi i 9 u} turns 3.5 rad > pi between 16 equally spaced
-    # samples, so a fixed 16-sample ring misreads it
-    value = lambda q: q**9
-    assert fixed_ring(value, 1.0, samples=16)[0] != 9
-    winding, samples = renorm._certified_winding(value, circle, 0.0)
-    assert winding == 9
-    assert renorm._RING_START < len(samples) <= renorm._RING_CAP
-    # samples come back in path order, each probed once
-    us = [np.angle(q) % (2.0 * np.pi) for q, _ in samples]
-    assert us == sorted(us) and len(set(us)) == len(us)
-
-
-def thue_morse_noise(q):
-    # noise of size 0.9 whose sign flips between the two ends of every
-    # failing dyadic arc, at every scale: the parity of the set bits of the
-    # grid index (t(2i+1) = 1 - t(2i) = 1 - t(i))
-    i = int(round(np.angle(q) % (2.0 * np.pi) / (2.0 * np.pi) * renorm._RING_CAP))
-    return 1.0 + 0.9 * (-1) ** bin(i % renorm._RING_CAP).count("1")
-
-
-@pytest.mark.parametrize(
-    "value, jump",
-    [
-        (lambda q: q - 1.0, 0.5),  # zero on a grid sample
-        (lambda q: q - np.exp(2j * np.pi / 3.0), 0.5),  # zero between grid samples
-        (thue_morse_noise, 0.5),
-        # equal to 1 at every grid sample, but a loop around 0 between any
-        # two of them, each within the jump allowance of 3
-        (lambda q: 1.0 + 1.5 * (q**renorm._RING_CAP - 1.0), 3.0),
-    ],
-    ids=["zero_on_sample", "zero_between_samples", "noise_at_every_scale", "loop_within_jump"],
-)
-def test_certified_winding_refuses_at_the_cap(value, jump):
-    probes = []
-
-    def counted(q):
-        probes.append(q)
-        return value(q)
-
-    with pytest.raises(CenterError, match="not certified at 4096 samples"):
-        renorm._certified_winding(counted, circle, jump)
-    assert len(probes) <= renorm._RING_CAP
-
-
 def acceptance_clouds():
     """The 50 Gaussian clouds of test_04 in tests/test_acceptance.py."""
     lad = ScaleLadder(1.0, 0.2, 6)
@@ -672,7 +621,7 @@ def acceptance_clouds():
 
 def _assert_matches_fixed_ring(calls):
     for mu, lad, k, res in calls:
-        assert res.winding is not None  # the boundary was sampled
+        assert res.winding == 1  # the boundary was certified
         value = lambda q: center_functional(mu, q, lad.eps_bar)
         want = fixed_ring(value, float(lad.delta[2 * k - 1]))
         assert (res.winding, res.boundary_inward_ok) == want
@@ -719,15 +668,12 @@ def test_bubble2_mirror_bubbles_have_equal_annulus_excess(bubble2_tree):
     assert abs(a - b) <= 1e-9 * abs(a)
 
 
-def test_certified_ring_on_a_measure_a_16_sample_ring_misreads(monkeypatch):
-    # a cloud at 0 and a far cluster outside B_k whose pull puts the zero of
-    # F a hundredth of the radius inside the circle, half a 16-ring step
-    # from the samples: the fast turn of F there is invisible at 16 samples
-    monkeypatch.setattr(renorm, "_CENTER_TOL", 1e-8)
-    lad = ScaleLadder(1.0, 0.2, 6)
-    k = 2
-    radius = float(lad.delta[2 * k - 1])
-    rho, gap, phi = 0.45, 0.01, math.pi * (1.0 + 1.0 / 16.0)
+def far_cluster_measure(radius, gap):
+    """A cloud of mass 4 pi at 0 and a heavy cluster at 0.45, outside B_k
+    (k = 2 on ScaleLadder(1, 0.2, 6)), whose pull puts the zero of F the
+    fraction gap of the radius inside the circle |q| = radius (outside it
+    when gap < 0)."""
+    rho, phi = 0.45, math.pi * (1.0 + 1.0 / 16.0)
     heavy = 0.2 + (1.0 - gap) * FOUR_PI * radius / (rho - (1.0 - gap) * radius)
     rng = np.random.default_rng(3)
     n, n_heavy = 10_000, 4_000
@@ -735,11 +681,22 @@ def test_certified_ring_on_a_measure_a_16_sample_ring_misreads(monkeypatch):
     cluster = rho * np.exp(1j * phi) + 0.004 * (
         rng.standard_normal(n_heavy) + 1j * rng.standard_normal(n_heavy)
     )
-    mu = WeightedParticleMeasure(
+    return WeightedParticleMeasure(
         np.concatenate([cloud, cluster]),
         np.concatenate([np.full(n, FOUR_PI / n), np.full(n_heavy, heavy / n_heavy)]),
         1.0,
     )
+
+
+def test_certified_ring_on_a_measure_a_16_sample_ring_misreads(monkeypatch):
+    # the zero of F a hundredth of the radius inside the circle, half a
+    # 16-ring step from the samples: the fast turn of F there is invisible
+    # at 16 samples
+    monkeypatch.setattr(renorm, "_CENTER_TOL", 1e-8)
+    lad = ScaleLadder(1.0, 0.2, 6)
+    k = 2
+    radius = float(lad.delta[2 * k - 1])
+    mu = far_cluster_measure(radius, 0.01)
     value = lambda q: center_functional(mu, q, lad.eps_bar)
     want, _ = fixed_ring(value, radius)
     assert fixed_ring(value, radius, samples=16)[0] != want
@@ -751,70 +708,56 @@ def test_certified_ring_on_a_measure_a_16_sample_ring_misreads(monkeypatch):
     assert abs(center_functional(mu, res.q, lad.eps_bar)) <= 1e-8 * mu.mass
 
 
-_DENSE = 8192
-
-
-def trig_poly(coeffs):
-    """u -> sum c_k e^{2 pi i k u}; on a column of u, the column of values."""
-    ks = np.array([k for k, _ in coeffs], dtype=float)
-    cs = np.array([c for _, c in coeffs], dtype=complex)
-    return lambda u: np.sum(cs * np.exp(2j * np.pi * ks * u), axis=-1)
-
-
-def dense_reference(values, jump):
-    """Winding of the closed path through the dense samples, or None unless
-    every consecutive pair clears the no-crossing test."""
-    nxt = np.roll(values, -1)
-    if not np.all(np.minimum(np.abs(values), np.abs(nxt)) > np.abs(values - nxt) + jump):
-        return None
-    return int(round(float(np.sum(np.angle(nxt / values)) / (2.0 * np.pi))))
-
-
-def assumption_holds(values, jump):
-    """The helper's stated assumption, checked on the dense samples: on every
-    dyadic arc of its grid that passes the no-crossing test, F stays within
-    the chord plus one jump of both end values."""
-    closed = np.append(values, values[:1])
-    n = renorm._RING_START
-    while n <= renorm._RING_CAP:
-        m = _DENSE // n
-        win = closed[np.arange(n)[:, None] * m + np.arange(m + 1)[None, :]]
-        a, b = win[:, :1], win[:, -1:]
-        bound = np.abs(a - b) + jump
-        passes = np.minimum(np.abs(a), np.abs(b)) > bound
-        strays = np.maximum(np.abs(win - a), np.abs(win - b)).max(axis=1, keepdims=True) > bound
-        if np.any(passes & strays):
-            return False
-        n *= 2
-    return True
-
-
-coefficient = st.builds(
-    lambda r, phase: r * complex(math.cos(phase), math.sin(phase)),
-    st.floats(0.0, 1.0),
-    st.floats(0.0, 2.0 * math.pi),
-)
+def cloud_and_clusters(seed, spot, spread, mass, clusters, d2k):
+    """A Gaussian cloud of the given mass centered at the fraction spot[0] of
+    d2k (at angle spot[1]), with standard deviation spread * d2k, and a
+    cluster of 500 atoms for each (mass, angle, distance) in clusters."""
+    c = spot[0] * d2k * complex(math.cos(spot[1]), math.sin(spot[1]))
+    parts = [gaussian_cloud(c, spread * d2k, 2000, mass, 1.0, seed)]
+    for j, (m, angle, dist) in enumerate(clusters):
+        at = dist * complex(math.cos(angle), math.sin(angle))
+        parts.append(gaussian_cloud(at, 0.004, 500, m, 1.0, seed + 1 + j))
+    return WeightedParticleMeasure(
+        np.concatenate([p.points for p in parts]),
+        np.concatenate([p.weights for p in parts]),
+        1.0,
+    )
 
 
 @given(
-    lead=st.tuples(st.integers(-12, 12), st.floats(0.5, 4.0)),
-    rest=st.lists(st.tuples(st.integers(-40, 40), coefficient), max_size=6),
-    jump=st.sampled_from([0.0, 1e-3, 0.05]),
+    seed=st.integers(0, 2**16),
+    spot=st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 2.0 * math.pi)),
+    spread=st.floats(0.01, 0.05),
+    mass=st.floats(0.5, FOUR_PI),
+    clusters=st.lists(
+        st.tuples(st.floats(0.0, 8.0), st.floats(0.0, 2.0 * math.pi), st.floats(0.28, 0.95)),
+        max_size=3,
+    ),
 )
-@example(lead=(9, 1.0), rest=[], jump=0.0)
-@example(lead=(0, 1.0), rest=[(16, 2.0)], jump=0.0)  # aliased at 16: outside the assumption
-@settings(max_examples=200, deadline=None)
-def test_certified_winding_never_returns_a_wrong_integer(lead, rest, jump):
-    # F(u) = sum c_k e^{2 pi i k u}, |k| <= 40.  Wherever the 8192-sample
-    # reference clears its own chord test and the stated assumption holds,
-    # the helper returns the reference winding or refuses
-    f = trig_poly([lead] + rest)
-    values = trig_poly([lead] + rest)(np.arange(_DENSE)[:, None] / _DENSE)
-    want = dense_reference(values, jump)
-    if want is None or not assumption_holds(values, jump):
-        return
+@example(seed=0, spot=(0.3, 1.0), spread=0.03, mass=FOUR_PI, clusters=[(3.0, 2.0, 0.3)])
+@example(seed=0, spot=(0.3, 1.0), spread=0.03, mass=FOUR_PI, clusters=[(4.0, 2.0, 0.9)])
+@example(  # winding 0, refused only for the pull of the mass a solve cuts
+    seed=55,
+    spot=(0.41, 1.16),
+    spread=0.03,
+    mass=1.04,
+    clusters=[(0.19, 4.28, 0.48), (0.39, 1.65, 0.6)],
+)
+@settings(max_examples=40, deadline=None)
+def test_boundary_bound_certifies_only_inward_rings(seed, spot, spread, mass, clusters):
+    # a Gaussian cloud in B_2k and up to three clusters outside B_k.
+    # Whenever the bound certifies the circle, the 720-sample ring of the
+    # true F reads winding 1 and F inward at every sample
+    lad = ScaleLadder(1.0, 0.2, 6)
+    k = 2
+    radius = float(lad.delta[2 * k - 1])
+    mu = cloud_and_clusters(seed, spot, spread, mass, clusters, float(lad.delta[2 * k]))
     try:
-        got, _ = renorm._certified_winding(f, lambda u: u, jump)
-    except CenterError:
-        return
-    assert got == want
+        find_balanced_center(mu, lad, k)
+    except CenterError as exc:
+        if str(exc).startswith("degree argument fails"):
+            # a lone cloud of mass >= 0.5 in B_2k always clears the bound
+            assert clusters
+            return
+    value = lambda q: center_functional(mu, q, lad.eps_bar)
+    assert fixed_ring(value, radius) == (1, True)

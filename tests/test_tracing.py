@@ -77,8 +77,8 @@ def test_tracer_times_one_smooth_marking_and_restores():
     assert summary["renorm.mark_s"] > 0.0
     assert summary["renorm.center_s"] > 0.0
     # every probe of the center functional solves through the public name,
-    # at least once per starting sample of each member's boundary ring
-    assert tracer.counts["renorm.neck_scale_calls"] >= renorm._RING_START * len(mus)
+    # at least once per member
+    assert tracer.counts["renorm.neck_scale_calls"] >= len(mus)
     assert (
         renorm.mark_smooth_bubble,
         renorm.find_balanced_center,
