@@ -16,10 +16,14 @@ sites that fail the regularity classification are frozen into the singular
 set and excluded from the accounting, in which case the energy identity is
 reported but not asserted.
 
-Base energy is always computed by an independent quadrature route (density
-quadrature for rational maps, cylinder diagnostics for neck fields), never
-from the same particle ball masses that produce the site masses, so the
-identity residual is a genuine cross-check.
+The limit energy of a rational family is 4 pi degree, the energy of a
+degree-d holomorphic map of the sphere, so no whole-sphere integral is
+taken; that of a neck family is the last member's cylinder energy.  Base
+energy is always computed by an independent route (the limit energy less a
+density quadrature of the last member's caps about the sites for rational
+maps, cylinder diagnostics for neck fields), never from the same particle
+ball masses that produce the site masses, so the identity residual is a
+genuine cross-check.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .families import Family, energy_quadrature
 from .measure import (
     ConcentrationSite,
     ScaleLadder,
+    ball_masses,
     detect_concentrations,
     mass_in,
     restrict,
@@ -206,10 +211,12 @@ def _smooth_chart(family: Family, config: ExtractionConfig) -> _Chart:
     sites = detect_concentrations(mus, mu_limit, ladder, chart_kind="smooth")
     last = family.members[-1]
 
-    limit_energy = energy_quadrature(last.rational)
+    # a rational map of degree d covers the sphere d times: energy 4 pi d
+    limit_energy = 4.0 * math.pi * last.rational.degree
     delta_k = ladder.finest_scale
-    # independent base route: density quadrature of the last member away
-    # from the site balls (not the particle masses the sites came from)
+    # independent base route: the sphere energy less the density quadrature
+    # of the last member's caps about the sites (not the particle masses the
+    # sites came from)
     caps = [
         energy_quadrature(last.rational, radius=delta_k, center=s.location)
         for s in sites
@@ -239,14 +246,14 @@ def _smooth_chart(family: Family, config: ExtractionConfig) -> _Chart:
         ins = add_bubble_component(curve, site=0, case=1)
         mk = markings[-1]
         attach = site.location + mk.q
-        ann = mass_in(members[-1], mk.q, float(ladder.delta[mk.level])) - mass_in(
-            members[-1], mk.q, abs(mk.r - mk.q)
+        outer, inner = ball_masses(
+            members[-1], mk.q, (ladder.delta[mk.level], abs(mk.r - mk.q))
         )
         neck = NeckRecord(
             kind="smooth",
             edges=ins.new_edges,
             site=attach,
-            annulus_excess=float(ann),
+            annulus_excess=float(outer - inner),
             note="annulus mass between the cut circle and the working scale",
             markings=tuple(markings),
             members=tuple(idx for _, idx in site.subsequence),

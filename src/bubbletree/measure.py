@@ -3,6 +3,8 @@ concentration detection for sequences of energy-density measures.
 
 A measure is a finite sum of weighted atoms in a complex chart.  All
 renormalization maps used downstream are affine transforms of the chart.
+Closed-ball masses at several radii about one center come from one
+distance pass (``ball_masses``), each with the bits of its own masked sum.
 
 The scale ladder fixes the dyadic radii delta_k and tolerances eps_k used
 to certify that a sequence of measures concentrates a definite amount of
@@ -11,7 +13,9 @@ subsequence: the member certified at ladder level j must reproduce the
 stabilized excess mass at every scale delta_m, m <= 2j, within eps_m.
 Detection checks the last member at every tested scale first, so it passes
 every level and the subsequence is closed form: earlier members take levels
-1, 2, ... in turn, and the last member the level after them.
+1, 2, ... in turn, and the last member the level after them.  Each
+member's ball masses at the scales it is tested on, and the limit's, are
+one ``ball_masses`` call per candidate.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ __all__ = [
     "PlanarMoebius",
     "ScaleLadder",
     "ConcentrationSite",
+    "ball_masses",
     "mass_in",
     "restrict",
     "detect_concentrations",
@@ -109,13 +114,37 @@ class PlanarMoebius:
         return self.a * z + self.b
 
 
+def ball_masses(
+    mu: WeightedParticleMeasure, center: complex, radii: Sequence[float]
+) -> NDArray[np.float64]:
+    """Masses of the closed disks |z - center| <= r, one per radius in radii.
+
+    The distances to center are computed once.  Each mass is the sum of the
+    weights of the atoms within r, in index order, so it equals
+    ``mu.weights[np.abs(mu.points - center) <= r].sum()`` bit for bit; the
+    radii are visited largest first, each narrowing the atoms the last one
+    kept, so the masked arrays and their sums are the same.
+    """
+    radii = np.asarray(radii, dtype=np.float64)
+    negative = radii[radii < 0.0]
+    if negative.size:
+        raise MeasureError(f"negative radius {negative[0]}")
+    out = np.zeros(radii.shape)
+    if len(mu) == 0:
+        return out
+    dist = np.abs(mu.points - center)
+    w = mu.weights
+    # largest first; a NaN radius holds no atom and sorts last
+    for i in np.argsort(-radii, kind="stable"):
+        sel = dist <= radii[i]
+        dist, w = dist[sel], w[sel]
+        out[i] = w.sum()
+    return out
+
+
 def mass_in(mu: WeightedParticleMeasure, center: complex, radius: float) -> float:
     """Mass of the closed disk: sum of weights of atoms with |z - center| <= radius."""
-    if radius < 0.0:
-        raise MeasureError(f"negative radius {radius}")
-    if len(mu) == 0:
-        return 0.0
-    return float(mu.weights[np.abs(mu.points - center) <= radius].sum())
+    return float(ball_masses(mu, center, (radius,))[0])
 
 
 def restrict(
@@ -215,15 +244,6 @@ class ConcentrationSite:
     kind: str
     subsequence: tuple[tuple[int, int], ...]
     excess_last: tuple[float, ...]
-
-
-def _ball_excess(
-    mu: WeightedParticleMeasure,
-    mu_limit: WeightedParticleMeasure,
-    center: complex,
-    radius: float,
-) -> float:
-    return mass_in(mu, center, radius) - mass_in(mu_limit, center, radius)
 
 
 def _candidate_locations(
@@ -330,7 +350,8 @@ def detect_concentrations(
             kind = "nodal"
         else:
             kind = "smooth"
-        excess_last = np.array([_ball_excess(mu_last, mu_limit, loc, d) for d in scales])
+        limit = ball_masses(mu_limit, loc, scales)
+        excess_last = ball_masses(mu_last, loc, scales) - limit
         if np.any(excess_last < eps_bar):
             continue  # not a concentration at every tested scale
         m_p = float(excess_last[-1])
@@ -347,11 +368,8 @@ def detect_concentrations(
             j = len(assignment) + 1
             if j == kw:
                 break
-            if all(
-                abs(_ball_excess(mus[member], mu_limit, loc, ladder.delta[m]) - m_p)
-                < ladder.eps[m]
-                for m in range(1, 2 * j + 1)
-            ):
+            excess = ball_masses(mus[member], loc, scales[: 2 * j]) - limit[: 2 * j]
+            if np.all(np.abs(excess - m_p) < epses[: 2 * j]):
                 assignment.append((j, member))
         if not assignment:
             raise SubsequenceError(

@@ -50,7 +50,7 @@ from .measure import (
     PlanarMoebius,
     ScaleLadder,
     WeightedParticleMeasure,
-    mass_in,
+    ball_masses,
 )
 
 __all__ = [
@@ -312,12 +312,16 @@ def center_functional(mu: WeightedParticleMeasure, q: complex, eps_bar: float) -
 @dataclass(frozen=True)
 class CenterResult:
     """A certified balanced center: a fixed point of the inside-centroid step
-    inside a boundary circle on which F points inward, so of winding +1."""
+    inside a boundary circle on which F points inward, so of winding +1.
+    ``margin`` is the positive boundary margin that certified the circle,
+    ``steps`` the number of centroid steps the run from 0 took."""
 
     q: complex
     value: complex
     scale: NeckScaleResult  # neck-scale solve at the returned q
     r: complex  # q + t/(1-t)
+    margin: float
+    steps: int
     winding: int = 1
     boundary_inward_ok: bool = True  # Re(F(q)/-q) > 0 on the whole boundary circle
 
@@ -331,8 +335,9 @@ def find_balanced_center(
 
     Preconditions of the concentration assumption at index k are checked:
     mass(B_k) > eps_bar and annulus mass B_k minus B_2k below
-    2 eps_k + 2 eps_2k.  Existence is certified by the degree of F on the
-    circle |q| = rho, rho = delta_{2k-1}, in closed form and before any probe:
+    2 eps_k + 2 eps_2k (both ball masses from one distance pass).  Existence
+    is certified by the degree of F on the circle |q| = rho,
+    rho = delta_{2k-1}, in closed form and before any probe:
     with M the total mass, first the sum of w x, R the largest |x| and
     f_max = eps_bar + max(``_NECK_TOL``, ``_JUMP_CAP``) M, the most mass a
     neck solve may leave outside its cut (residual within tol_effective),
@@ -357,13 +362,13 @@ def find_balanced_center(
         raise CenterError(f"index {k} outside the ladder (need 1 <= k and 2k <= depth)")
     eps_bar = ladder.eps_bar
     total = mu.mass
-    m_k = mass_in(mu, 0.0, float(ladder.delta[k]))
+    m_k, m_2k = ball_masses(mu, 0.0, (ladder.delta[k], ladder.delta[2 * k]))
     if m_k <= eps_bar:
         raise CenterError(
             "degree argument fails: measure not concentrated: mass in B_k "
             f"{m_k:.6g} <= eps_bar {eps_bar:.6g}"
         )
-    annulus = m_k - mass_in(mu, 0.0, float(ladder.delta[2 * k]))
+    annulus = m_k - m_2k
     bound = 2.0 * float(ladder.eps[k]) + 2.0 * float(ladder.eps[2 * k])
     if annulus >= bound:
         raise CenterError(
@@ -384,17 +389,17 @@ def find_balanced_center(
 
     q = 0.0 + 0.0j
     fq, c, res = _center_value(mu, q, eps_bar, first)
-    for _ in range(60):
-        if c == q:
-            break
+    steps = 0
+    while c != q:
+        if steps == 60:
+            raise CenterError("zero not localized: centroid step still moving after 60 steps")
         if abs(c) > radius:
             raise CenterError(
                 f"zero not localized: centroid step leaves the circle at |q| = {abs(c):.6g}"
             )
         q = c
+        steps += 1
         fq, c, res = _center_value(mu, q, eps_bar, first)
-    if c != q:
-        raise CenterError("zero not localized: centroid step still moving after 60 steps")
     if abs(fq) > tol_abs:
         raise CenterError(f"zero not localized: |F| = {abs(fq):.3g} above {tol_abs:.3g}")
     r = q + res.s
@@ -403,12 +408,7 @@ def find_balanced_center(
             f"cut radius escapes the working scale: |r| = {abs(r):.6g} > "
             f"delta_k = {float(ladder.delta[k]):.6g}"
         )
-    return CenterResult(
-        q=q,
-        value=fq,
-        scale=res,
-        r=r,
-    )
+    return CenterResult(q=q, value=fq, scale=res, r=r, margin=margin, steps=steps)
 
 
 @dataclass(frozen=True)

@@ -550,6 +550,26 @@ def test_selftest_passes_and_rejects_flags(capsys):
     assert "all checks passed" in out
 
 
+def test_selftest_fails_on_a_field_built_with_a_wrong_derivative(monkeypatch, capsys):
+    # x^(d-1) in place of d x^(d-1): the one stored squared-speed array keeps
+    # the Pohozaev residual at 0, and only the finite differences of the
+    # points see the speeds off by the factor d^2 (d = 2, 3)
+    from bubbletree import neck as neck_module
+
+    build = neck_module.cylinder_field_from_sphere_chart
+
+    def wrong(m, m_prime, *args, **kwargs):
+        return build(m, lambda x: m(x) / x, *args, **kwargs)
+
+    monkeypatch.setattr(neck_module, "cylinder_field_from_sphere_chart", wrong)
+    assert main(["selftest"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    (line,) = [l for l in lines if "pohozaev residual" in l]
+    assert line.startswith("FAIL  pohozaev residual: max residual 0.000e+00")
+    assert sum(l.startswith("PASS") for l in lines) == 4
+    assert lines[-1] == "selftest: 1 check(s) failed"
+
+
 def test_config_loader_is_libyaml_when_built():
     want = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
     assert cli._YAML_LOADER is want

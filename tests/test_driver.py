@@ -10,10 +10,13 @@ from bubbletree import (
     BubbleTree,
     ConcentrationSite,
     ExtractionConfig,
+    Family,
     FamilyMember,
     MarkedNodalCurve,
+    RationalMap,
     TreeComponent,
     WeightedParticleMeasure,
+    density_to_measure,
     driver,
     extract_bubble_tree,
 )
@@ -70,7 +73,7 @@ def test_tree_invariants():
 
 def test_bubble1_tree_shape(bubble1_tree):
     tree = bubble1_tree
-    assert tree.limit_energy == pytest.approx(FOUR_PI, rel=1e-4)
+    assert tree.limit_energy == FOUR_PI  # degree 1
     kinds = [c.kind for c in tree.components]
     assert kinds == ["base", "bubble"]
     bubble = tree.components[1]
@@ -90,7 +93,7 @@ def test_bubble1_tree_shape(bubble1_tree):
 
 def test_bubble2_tree_extracts_both_sites(bubble2_tree):
     tree = bubble2_tree
-    assert tree.limit_energy == pytest.approx(2 * FOUR_PI, rel=1e-4)
+    assert tree.limit_energy == 2 * FOUR_PI  # degree 2
     bubbles = [c for c in tree.components if c.kind == "bubble"]
     assert len(bubbles) == 2
     for b in bubbles:
@@ -101,6 +104,30 @@ def test_bubble2_tree_extracts_both_sites(bubble2_tree):
     assert spots[1] == pytest.approx(0.5, abs=0.01)
     assert len(tree.re_trace) == 3
     assert tree.curve.n_vertices == 3
+
+
+def test_nested_bubble_family_is_refused():
+    # k^4 z^2/(k^3 z + 1): a bubble at scale 1/k with a child at scale k^-5
+    # about -1/k^3, energy 8 pi.  The particle measure sees the child inside
+    # the site ball, but the disk cap's quadrature misses it, so the ledger
+    # and the site sum disagree by about 4 pi and the driver refuses the run
+    members = []
+    for k in (316.0, 3162.0, 1e4):
+        rmap = RationalMap((k**4, 0.0, 0.0), (k**3, 1.0))
+        members.append(FamilyMember(f"k={k:g}", k, rmap, density_to_measure(rmap, 1.0), None))
+    family = Family(
+        kind="nested",
+        members=tuple(members),
+        curve=MarkedNodalCurve((0,), (), ((0, 1), (0, 2), (0, 3))),
+        build_limit=lambda: WeightedParticleMeasure.empty(1.0),
+    )
+    tree = None
+    with pytest.raises(
+        DriverError,
+        match=r"^residual-energy routes disagree: ledger 12\.365785, site sum 24\.9321129, ",
+    ):
+        tree = extract_bubble_tree(family)
+    assert tree is None
 
 
 def test_plumbing_tree_is_base_only(plumbing_tree):

@@ -49,6 +49,52 @@ def test_mass_in_counts_closed_ball():
     assert mu.mass == 7.0
 
 
+@st.composite
+def ball_queries(draw):
+    """A measure of up to 700 atoms (weights over eleven decades, so sums
+    depend on their order), a center, and radii: 0, free values, NaN (no
+    atom), the exact distances of atoms (closed balls), repeated and in any
+    order."""
+    n = draw(st.sampled_from([0, 1, 5, 129, 700]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = 0.9 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * math.pi * rng.uniform(size=n))
+    wts = rng.exponential(size=n) * 10.0 ** rng.integers(-8, 3, size=n)
+    mu = WeightedParticleMeasure(pts, wts, 1.0)
+    center = complex(draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5)))
+    dist = np.abs(mu.points - center).tolist()
+    radius = st.one_of(
+        st.sampled_from([0.0, math.nan]),
+        st.floats(0.0, 2.0),
+        st.sampled_from(dist) if dist else st.just(0.0),
+    )
+    radii = draw(st.lists(radius, max_size=12))
+    radii += draw(st.lists(st.sampled_from(radii), max_size=4)) if radii else []
+    return mu, center, draw(st.permutations(radii))
+
+
+@settings(max_examples=300, deadline=None)
+@given(query=ball_queries())
+@example(query=(WeightedParticleMeasure.empty(1.0), 0j, [0.5, 0.0, 0.5]))
+def test_ball_masses_keep_the_bits_of_each_ball(query):
+    mu, center, radii = query
+    got = measure.ball_masses(mu, center, radii)
+    want = np.array([mass_in(mu, center, r) for r in radii], dtype=np.float64)
+    # the masked sum each closed ball took before the helper
+    masked = np.array(
+        [float(mu.weights[np.abs(mu.points - center) <= r].sum()) for r in radii],
+        dtype=np.float64,
+    )
+    assert got.tobytes() == want.tobytes() == masked.tobytes()
+
+
+def test_ball_masses_refuse_a_negative_radius():
+    mu = WeightedParticleMeasure(np.array([0j]), np.array([1.0]), 1.0)
+    with pytest.raises(MeasureError, match="negative radius"):
+        measure.ball_masses(mu, 0j, (math.nan, 0.5, -1e-300))
+    with pytest.raises(MeasureError, match="negative radius"):
+        mass_in(mu, 0j, -1.0)
+
+
 def test_restrict_recentres():
     mu = WeightedParticleMeasure(
         np.array([0.4 + 0j, 0.6 + 0j]), np.array([1.0, 1.0]), 1.0
@@ -284,15 +330,18 @@ def reference_subsequence(excess, m_p, eps, kw, loc=0j):
 
 def detect_from_table(monkeypatch, excess, ladder, candidates=(0j,), chart_kind="smooth"):
     """``detect_concentrations`` on placeholder members whose ball excess at
-    ladder scale m is ``excess[i][m]``, at the given candidate locations."""
+    ladder scale m is ``excess[i][m]`` (their ball mass, over an empty limit),
+    at the given candidate locations."""
     mus = [WeightedParticleMeasure.empty(1.0) for _ in excess]
     index = {id(mu): i for i, mu in enumerate(mus)}
     scale = {float(d): m for m, d in enumerate(ladder.delta)}
     monkeypatch.setattr(measure, "_candidate_locations", lambda *args: list(candidates))
     monkeypatch.setattr(
         measure,
-        "_ball_excess",
-        lambda mu, mu_limit, center, radius: excess[index[id(mu)]][scale[float(radius)]],
+        "ball_masses",
+        lambda mu, center, radii: np.array(
+            [excess[index[id(mu)]][scale[float(r)]] if id(mu) in index else 0.0 for r in radii]
+        ),
     )
     return detect_concentrations(mus, WeightedParticleMeasure.empty(1.0), ladder, chart_kind)
 

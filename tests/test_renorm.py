@@ -661,6 +661,34 @@ def test_bubble_member_centers_are_fixed_points(bubble_centers):
         assert abs(center_functional(mu, res.q, lad.eps_bar)) <= 1e-12 * mu.mass
 
 
+def test_bubble_member_centers_carry_their_margin(bubble_centers):
+    # the margin that certified the circle, recomputed from its closed form;
+    # every shipped center clears it by most of M rho
+    for mu, lad, k, res in bubble_centers:
+        rho = float(lad.delta[2 * k - 1])
+        f_max = lad.eps_bar + max(renorm._NECK_TOL, renorm._JUMP_CAP) * mu.mass
+        far = float(np.abs(mu.points).max())
+        first = complex(np.sum(mu.weights * mu.points))
+        assert res.margin == mu.mass * rho - abs(first) - f_max * (far + rho)
+        assert 0.8 * mu.mass * rho < res.margin < mu.mass * rho
+        assert 0 <= res.steps <= 60
+
+
+def test_center_steps_count_the_centroid_steps(monkeypatch):
+    # one probe at 0, then one probe per step
+    mu, lad, k = off_center_cloud()
+    center_value, probes = renorm._center_value, []
+
+    def counting(mu, q, eps_bar, first):
+        probes.append(q)
+        return center_value(mu, q, eps_bar, first)
+
+    monkeypatch.setattr(renorm, "_center_value", counting)
+    res = find_balanced_center(mu, lad, k)
+    assert res.steps == len(probes) - 1 >= 1
+    assert probes[0] == 0 and probes[-1] == res.q
+
+
 def test_bubble2_mirror_bubbles_have_equal_annulus_excess(bubble2_tree):
     # z -> k(z^2 - 1/4) is even, so the two bubbles at +-1/2 are mirror
     # images under z -> -z and their balanced centers see the same annulus
