@@ -12,11 +12,11 @@ invariant violation.  Exit 2 is mostly a config refused at load, before any
 family is built, by a file that is not UTF-8 text, YAML that does not parse,
 an unknown key, or the owner of a rule, which the loader calls rather than
 restates: every ladder, neck and family value must pass
-``errors.finite_number``, the neck deltas ``errors.neck_schedule`` and, on a
-neck family, ``neck.collar_rows`` on each member of ``neck.late_half``; a
+``errors.finite_number`` and the neck deltas ``errors.neck_schedule``; a
 family section ``FamilySpec``, and with it the ladder ``ScaleLadder`` and, on
-a neck family, ``neck.collar_rows`` on the collar ``extract`` cuts from every
-member at min(delta0, delta).  ``curve`` also exits 2 on a graph file it
+a neck family, ``FamilySpec.collar_rows`` on the collar ``extract`` cuts from
+every member at min(delta0, delta) and on each zero-neck collar of the
+members of ``neck.late_half``.  ``curve`` also exits 2 on a graph file it
 cannot read or parse or an edge query it cannot answer, ``neck`` on a family
 without cylinder fields, and every command on an out directory it cannot
 write.
@@ -140,18 +140,6 @@ class RunConfig:
                 ScaleLadder(**self.ladder)
             except LadderError as exc:
                 raise ConfigError(f"ladder invalid: {exc}") from exc
-            spec = self.family_spec
-            if spec.samples_neck:
-                # the collar extract cuts from every member
-                from .families import _N_T
-                from .neck import collar_rows
-
-                chart = min(float(self.ladder["delta0"]), spec.delta)
-                try:
-                    for t in spec.schedule:
-                        collar_rows(chart, t, spec.delta, _N_T)
-                except NeckError as exc:
-                    raise ConfigError(f"ladder delta0 invalid: {exc}") from exc
 
         self.neck = _section(raw, "neck", _NECK_KEYS)
         deltas = self.neck["deltas"]
@@ -161,18 +149,23 @@ class RunConfig:
             raise ConfigError(f"neck deltas must be a list, got {deltas!r}")
         try:
             deltas = neck_schedule(deltas)
-            spec = self.family_spec
-            if spec is not None and spec.samples_neck:
-                # the collars the zero-neck test cuts from the late members
-                from .families import _N_T
-                from .neck import collar_rows, late_half
-
-                for d in deltas:
-                    for t in late_half(spec.schedule):
-                        collar_rows(d, t, spec.delta, _N_T)
         except NeckError as exc:
             raise ConfigError(f"neck {exc}") from exc
         self.neck["deltas"] = deltas
+        spec = self.family_spec
+        if spec is not None and spec.samples_neck:
+            # the collar extract cuts from every member at min(delta0, delta),
+            # then those the zero-neck test cuts from the late members
+            from .neck import late_half
+
+            chart = min(float(self.ladder["delta0"]), spec.delta)
+            cuts = [("ladder delta0 invalid: ", chart, spec.schedule)]
+            cuts += [("neck ", d, late_half(spec.schedule)) for d in deltas]
+            for prefix, delta, pinches in cuts:
+                try:
+                    spec.collar_rows(delta, pinches)
+                except NeckError as exc:
+                    raise ConfigError(f"{prefix}{exc}") from exc
         if not finite_number(self.neck["eps"], "neck eps", ConfigError) > 0:
             raise ConfigError("neck eps must be positive")
 

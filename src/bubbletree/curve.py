@@ -123,9 +123,6 @@ class MarkedNodalCurve:
             val[j] += 1
         return tuple(val)
 
-    def valence(self, v: int) -> int:
-        return self.valences[v]
-
 
 @dataclass(frozen=True)
 class StabilityReport:

@@ -241,7 +241,7 @@ def _smooth_chart(family: Family, config: ExtractionConfig) -> _Chart:
     radius = config.delta0 / 2.0
 
     def mark(curve, site):
-        members = [restrict(mus[idx], site.location, radius) for _, idx in site.subsequence]
+        members = [restrict(mus[idx], site.location, radius) for idx in site.subsequence]
         markings = mark_smooth_bubble(members, ladder)
         ins = add_bubble_component(curve, site=0, case=1)
         mk = markings[-1]
@@ -256,7 +256,7 @@ def _smooth_chart(family: Family, config: ExtractionConfig) -> _Chart:
             annulus_excess=float(outer - inner),
             note="annulus mass between the cut circle and the working scale",
             markings=tuple(markings),
-            members=tuple(idx for _, idx in site.subsequence),
+            members=site.subsequence,
         )
         return ins, attach, neck
 
@@ -345,7 +345,7 @@ def _nodal_chart(family: Family, config: ExtractionConfig) -> _Chart:
     def mark(curve, site):
         if site.kind != "nodal":
             raise DriverError("smooth sites on a nodal chart are not supported")
-        members = [idx for _, idx in site.subsequence]
+        members = site.subsequence
         markings = mark_nodal_bubble(
             [mus[i] for i in members], [fields[i].pinch for i in members], ladder
         )
@@ -358,7 +358,7 @@ def _nodal_chart(family: Family, config: ExtractionConfig) -> _Chart:
             alpha=diag_last.alpha,
             note="bubble extracted at the node; thinness ratios decrease",
             markings=tuple(markings),
-            members=tuple(members),
+            members=members,
         )
         return ins, 0j, neck
 

@@ -19,16 +19,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .curve import MarkedNodalCurve
 from .errors import FamilyError, NeckError, finite_number
 from .measure import WeightedParticleMeasure
-from .neck import CylinderField, FlatTorusTarget, collar_half_length
+from .neck import CylinderField, FlatTorusTarget, collar_half_length, collar_rows
 from .neck import cylinder_field_from_sphere_chart
-from .quadrature import _ABS_TOL, adaptive_polar_quadrature
+from .quadrature import adaptive_polar_quadrature
 
 __all__ = [
     "RationalMap",
@@ -185,7 +185,8 @@ def _quadrature_checked(
     density: Callable[[np.ndarray], np.ndarray], center: complex, radius: float
 ):
     """The quadrature of ``density`` on a disk at the package resolution;
-    refused unless the radius is positive and finite, and unless resolved."""
+    refused unless the radius is positive and finite, and unless its error
+    meets the target the quadrature reports."""
     result = adaptive_polar_quadrature(
         density, center=center, r_outer=_disk_radius(radius), rel_tol=_ENERGY_REL_TOL
     )
@@ -194,7 +195,7 @@ def _quadrature_checked(
         raise FamilyError(
             f"quadrature returned a non-finite value {result.value} +- {result.error}"
         )
-    if result.error > max(_ABS_TOL, _ENERGY_REL_TOL * abs(result.value)):
+    if result.error > result.target:
         raise FamilyError(
             "quadrature resolution insufficient: achieved "
             f"{result.value:.12g} +- {result.error:.3g} with {result.n_panels} panels"
@@ -351,6 +352,12 @@ class FamilySpec:
         """Whether the members are cylinder fields about a node, sampled out
         to radius ``delta``; no other kind reads ``delta``."""
         return "delta" in _OPTIONS[self.kind]
+
+    def collar_rows(self, delta: float, pinches: Sequence[float]) -> list[tuple[int, int, float]]:
+        """``CylinderField.collar_rows(delta)`` of the member field of each
+        pinch in ``pinches`` (entries of the schedule), without building the
+        fields; raises ``NeckError`` as that does."""
+        return [collar_rows(delta, t, self.delta, _N_T) for t in pinches]
 
     @staticmethod
     def from_dict(data: dict) -> "FamilySpec":

@@ -233,17 +233,15 @@ class ConcentrationSite:
     location : chart point of the site
     mass : stabilized excess mass m_p (last member, finest tested scale)
     kind : 'smooth' or 'nodal' (nodal = site at the origin of a nodal chart)
-    subsequence : ladder-level assignments ((j, member_index), ...) with
-        strictly increasing member indices, ending at the last member; the
-        member at level j passed every scale m <= 2j
-    excess_last : excess of the last member at each tested scale (m = 1..2k)
+    subsequence : member indices, strictly increasing and ending at the last
+        member; the member at position i takes ladder level i + 1 and passed
+        every scale m <= 2 (i + 1)
     """
 
     location: complex
     mass: float
     kind: str
-    subsequence: tuple[tuple[int, int], ...]
-    excess_last: tuple[float, ...]
+    subsequence: tuple[int, ...]
 
 
 def _candidate_locations(
@@ -363,26 +361,22 @@ def detect_concentrations(
             )
         # earlier members take levels 1..kw-1 in turn; the last member passes
         # every level (checked above) and takes the next one
-        assignment: list[tuple[int, int]] = []
+        assignment: list[int] = []
         for member in range(last_idx):
             j = len(assignment) + 1
             if j == kw:
                 break
             excess = ball_masses(mus[member], loc, scales[: 2 * j]) - limit[: 2 * j]
             if np.all(np.abs(excess - m_p) < epses[: 2 * j]):
-                assignment.append((j, member))
+                assignment.append(member)
         if not assignment:
             raise SubsequenceError(
                 f"subsequence not extracted: no earlier member corroborates site {loc:.4g}"
             )
-        assignment.append((len(assignment) + 1, last_idx))
+        assignment.append(last_idx)
         sites.append(
             ConcentrationSite(
-                location=complex(loc),
-                mass=m_p,
-                kind=kind,
-                subsequence=tuple(assignment),
-                excess_last=tuple(float(e) for e in excess_last),
+                location=complex(loc), mass=m_p, kind=kind, subsequence=tuple(assignment)
             )
         )
     sites.sort(key=lambda s: (-s.mass, s.location.real, s.location.imag))

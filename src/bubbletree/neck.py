@@ -17,8 +17,9 @@ energy and diameter over a schedule of shrinking chart radii.
 
 The delta-collar |pinch|/delta <= |x| <= delta of xy = pinch has one rule,
 ``collar_half_length``, and ``collar_rows`` alone turns it into the rows
-i0..i1 of a field's t grid; with ``late_half`` the config loader calls them
-too, so load and the zero-neck test refuse the same neck deltas.
+i0..i1 of a field's t grid; the config loader calls it too, through
+``FamilySpec.collar_rows`` on the members of ``late_half``, so load and the
+zero-neck test refuse the same neck deltas.
 Each field caches, on first use, its per-sample energy density
 |f_t|^2 + |f_theta|^2 and one table of per-t-row theta-sums, and a collar is
 a window of them: ``collar_diagnostics`` (which the zero-neck test calls for

@@ -48,11 +48,15 @@ class PanelQuadrature:
     value : integral estimate (sum of fine-rule panel values)
     error : summed error estimates of the final panels, retired ones included
     n_panels : number of final panels
+    target : the error target of the final panels, max(_ABS_TOL, rel_tol |value|);
+        error exceeds it only when the panel budget ran out or no panel was
+        left to split
     """
 
     value: float
     error: float
     n_panels: int
+    target: float
 
     @property
     def points(self) -> NDArray[np.complex128]:
@@ -193,4 +197,4 @@ def adaptive_polar_quadrature(
 
     value = float(sum(p[2] for p in panels))
     error = float(sum(p[3] for p in panels))
-    return PanelQuadrature(value=value, error=error, n_panels=len(panels))
+    return PanelQuadrature(value=value, error=error, n_panels=len(panels), target=tol)

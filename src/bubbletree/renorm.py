@@ -77,6 +77,9 @@ _CDF_TOL = 1e-12
 # mass a solve may leave outside its cut, which the boundary margin of
 # find_balanced_center reads
 _JUMP_CAP = 0.05
+# the same cap for a continuous-profile solve, whose bisection narrows its
+# bracket until only a true step of the profile can be left across it
+_CDF_JUMP_CAP = 1e-6
 # acceptance bound of find_balanced_center on |F(q)|, and of a smooth
 # marking's inside center of mass, as a fraction of the total mass; a fixed
 # point of the centroid step is a zero up to rounding (about 1e-17 of the
@@ -131,6 +134,25 @@ def _split_scale(d: float) -> float:
     return t
 
 
+def _accept_nearer(
+    lo: tuple[float, float], hi: tuple[float, float], eps_bar: float, tol: float, cap: float
+) -> tuple[tuple[float, float], float, float]:
+    """The bracket end (t, mass outside) nearer eps_bar, ties to ``lo``, with
+    its residual and the bound it met: tol widened to the jump across the
+    bracket, but never beyond cap.  lo holds at least eps_bar outside, hi
+    less; an end farther than that bound is "not spanning"."""
+    gap = lo[1] - hi[1]
+    end = lo if abs(lo[1] - eps_bar) <= abs(hi[1] - eps_bar) else hi
+    residual = abs(end[1] - eps_bar)
+    tol_effective = max(tol, min(gap, cap))
+    if residual > tol_effective:
+        raise NeckScaleError(
+            f"mass function not spanning eps_bar: residual {residual:.6g} across a "
+            f"jump of {gap:.6g}"
+        )
+    return end, residual, tol_effective
+
+
 def solve_neck_scale(mu: WeightedParticleMeasure, q: complex, eps_bar: float) -> NeckScaleResult:
     """Closed-form t with mass of mu outside R_{q,t}^{-1}(unit disk) = eps_bar.
 
@@ -140,11 +162,11 @@ def solve_neck_scale(mu: WeightedParticleMeasure, q: complex, eps_bar: float) ->
     t_lo, the largest t with t/(1-t) <= D, and t_hi, the next float up,
     where D is the largest atom distance with M(D) >= eps_bar.  Then
     M(t_lo) >= eps_bar > M(t_hi), and the history is these two ends.  The
-    nearer end is accepted when its residual is within the tolerance
-    (``_NECK_TOL`` of the total), widened to the jump when the jump is
-    small (below ``_JUMP_CAP`` of the total mass); a larger
-    jump is "not spanning", as is an end whose renormalization scale
-    1/t - 1 is not positive and finite.
+    nearer end is accepted (``_accept_nearer``) when its residual is within
+    the tolerance (``_NECK_TOL`` of the total), widened to the jump but never
+    beyond ``_JUMP_CAP`` of the total mass; a farther end is "not spanning",
+    as is an end whose renormalization scale 1/t - 1 is not positive and
+    finite.
 
     No step sorts the whole measure.  Only the far tail is sorted: the
     farthest atoms from q, doubled in count until they carry 2 eps_bar of
@@ -189,18 +211,10 @@ def solve_neck_scale(mu: WeightedParticleMeasure, q: complex, eps_bar: float) ->
         raise NeckScaleError(
             f"mass function not spanning eps_bar: only {f_hi:.6g} away from q"
         )
-    gap = f_lo - f_hi
-    if abs(f_lo - eps_bar) <= abs(f_hi - eps_bar):
-        t, f, cut = t_lo, f_lo, i_lo
-    else:
-        t, f, cut = t_hi, f_hi, i_hi
-    residual = abs(f - eps_bar)
-    tol_effective = max(tol, min(gap, _JUMP_CAP * total))
-    if residual > tol_effective:
-        raise NeckScaleError(
-            f"mass function not spanning eps_bar: residual {residual:.6g} across a "
-            f"jump of {gap:.6g}"
-        )
+    (t, f), residual, tol_effective = _accept_nearer(
+        (t_lo, f_lo), (t_hi, f_hi), eps_bar, tol, _JUMP_CAP * total
+    )
+    cut = i_lo if t == t_lo else i_hi
     if not 0.0 < 1.0 / t - 1.0 < math.inf:
         raise NeckScaleError(
             f"mass function not spanning eps_bar: t = {t:.6g} has no finite renormalization"
@@ -227,9 +241,9 @@ def solve_neck_scale_from_cdf(
     [1e-9, 1e9].  Bisection in t = s/(1+s) stops once an end of the bracket
     is within tol (``_CDF_TOL`` of the total) of eps_bar or the bracket is
     narrower than 1e-15 in t.  The history must be nonincreasing in t; the
-    nearer end is accepted when its residual is within tol, widened to the
-    final jump of the bracket but never beyond 1e-6 of the total (a larger
-    jump means the level is not spanned).  A continuous profile lets the
+    nearer end is accepted (``_accept_nearer``) when its residual is within
+    tol, widened to the final jump of the bracket but never beyond
+    ``_CDF_JUMP_CAP`` of the total.  A continuous profile lets the
     bisection reach machine-level residuals, which the step function of a
     particle measure cannot.
     """
@@ -259,18 +273,9 @@ def solve_neck_scale_from_cdf(
         if fb > fa + 1e-12 * max(total, 1.0):
             raise NeckScaleError("mass function increased across bisection history")
 
-    gap = f_lo - f_hi
-    if abs(f_lo - eps_bar) <= abs(f_hi - eps_bar):
-        t_star, f_star = t_lo, f_lo
-    else:
-        t_star, f_star = t_hi, f_hi
-    residual = abs(f_star - eps_bar)
-    tol_effective = max(tol, min(gap, 1e-6 * total))
-    if residual > tol_effective:
-        raise NeckScaleError(
-            f"mass function not spanning eps_bar: residual {residual:.6g} across a "
-            f"jump of {gap:.6g}"
-        )
+    (t_star, f_star), residual, tol_effective = _accept_nearer(
+        (t_lo, f_lo), (t_hi, f_hi), eps_bar, tol, _CDF_JUMP_CAP * total
+    )
     return NeckScaleResult(
         t=t_star,
         s=t_star / (1.0 - t_star),
@@ -322,8 +327,6 @@ class CenterResult:
     r: complex  # q + t/(1-t)
     margin: float
     steps: int
-    winding: int = 1
-    boundary_inward_ok: bool = True  # Re(F(q)/-q) > 0 on the whole boundary circle
 
 
 def find_balanced_center(

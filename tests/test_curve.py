@@ -213,7 +213,7 @@ def test_genus_accounting_with_loops_and_cycles():
     # a self-loop and a 2-cycle both add to the first Betti number
     loop = MarkedNodalCurve((0,), ((0, 0),), ((0, 1),))
     assert loop.arithmetic_genus == 1
-    assert loop.valence(0) == 3  # loop counts twice plus one leg
+    assert loop.valences[0] == 3  # loop counts twice plus one leg
     cycle = MarkedNodalCurve((0, 0), ((0, 1), (0, 1)), ((0, 1), (1, 2)))
     assert cycle.arithmetic_genus == 1
     assert is_stable(cycle).stable

@@ -221,7 +221,7 @@ def test_family_mixing_measures_and_fields_is_refused(plumbing_family):
 def test_smooth_site_on_nodal_chart_is_refused(plumbing_family, monkeypatch):
     # a light smooth site keeps the ledger and site-sum routes in agreement,
     # so the refusal comes from the marking step, not the dual-route check
-    site = ConcentrationSite(0.2 + 0.1j, 0.01, "smooth", ((1, 0), (2, 3)), (0.01,))
+    site = ConcentrationSite(0.2 + 0.1j, 0.01, "smooth", (0, 3))
 
     def detect(mus, mu_limit, ladder, chart_kind="smooth"):
         assert chart_kind == "nodal"
@@ -237,7 +237,7 @@ def test_smooth_site_on_nodal_chart_is_refused(plumbing_family, monkeypatch):
 def test_nodal_site_at_non_regular_node_is_refused(torus21_family, monkeypatch):
     # the torus dual graph (two vertices joined by two nodes, one mark each)
     # has no regular node, and the linear torus field carries alpha = 3 pi
-    site = ConcentrationSite(0j, 1.0, "nodal", ((1, 0), (2, 3)), (1.0,))
+    site = ConcentrationSite(0j, 1.0, "nodal", (0, 3))
 
     def detect(mus, mu_limit, ladder, chart_kind="smooth"):
         assert chart_kind == "nodal"

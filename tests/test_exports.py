@@ -1,7 +1,9 @@
 """Every exported name resolves, so no deletion leaves a stale export behind;
-every module imports only the modules below it in the package layering; and
-the package loads its modules, and numpy, only when a caller reaches them."""
+every module imports only the modules below it in the package layering, and
+no private name of another; and the package loads its modules, and numpy,
+only when a caller reaches them."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -44,6 +46,41 @@ def test_module_imports_only_lower_layers(name):
     imported = set(re.findall(r"^\s*from \.(\w+) import", text, re.MULTILINE)) - {"errors"}
     below = set(LAYERS[: LAYERS.index(name)])
     assert sorted(imported - below) == []
+
+
+def private_imports(path: Path) -> list[tuple[int, str]]:
+    """(line, name) of each ``_``-prefixed name the file imports from a
+    bubbletree module, at any depth: lazy imports inside functions and
+    parenthesised import lists included."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted(
+        (node.lineno, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "bubbletree")
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
+def test_private_import_guard_sees_lazy_and_parenthesised_imports(tmp_path):
+    path = tmp_path / "lazy.py"
+    path.write_text(
+        "from __future__ import annotations\n"
+        "def f():\n"
+        "    if True:\n"
+        "        from .families import (\n"
+        "            make_family,\n"
+        "            _N_T,\n"
+        "        )\n"
+        "    from bubbletree.quadrature import _ABS_TOL as floor\n"
+    )
+    assert private_imports(path) == [(4, "_N_T"), (8, "_ABS_TOL")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_module_imports_no_private_name(path):
+    assert private_imports(path) == []
 
 
 # the modules the package re-exports, in export order

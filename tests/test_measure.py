@@ -217,7 +217,7 @@ def test_detects_single_bubble_with_stated_mass():
     assert abs(site.location) <= 2.0 * lad.finest_scale
     assert abs(site.mass - FOUR_PI) <= 0.02 * FOUR_PI
     assert len(site.subsequence) == lad.working_index
-    members = [idx for _, idx in site.subsequence]
+    members = list(site.subsequence)
     assert members == sorted(members)
 
 
@@ -380,7 +380,8 @@ def test_closed_form_subsequence_matches_greedy_reference(depth, levels, fail_st
     with pytest.MonkeyPatch.context() as mp:
         try:
             (site,) = detect_from_table(mp, excess, lad)
-            got = site.subsequence
+            # a member's ladder level is its position in the subsequence + 1
+            got = tuple((i + 1, member) for i, member in enumerate(site.subsequence))
         except SubsequenceError as exc:
             got = str(exc)
     assert got == want

@@ -183,7 +183,7 @@ def two_pass_reference(density, center, r_outer, rel_tol=1e-9):
 
     value = float(sum(it[3] for it in heap))
     error = float(sum(it[4] for it in heap))
-    return PanelQuadrature(value, error, len(heap))
+    return PanelQuadrature(value, error, len(heap), max(abs_tol, rel_tol * abs(value)))
 
 
 def _bits(x):
@@ -291,7 +291,7 @@ def test_shared_split_matches_two_pass_reference(monkeypatch, args, kwargs, cons
         assert got.n_panels == want.n_panels == quadrature._MAX_PANELS
     else:
         target = max(quadrature._ABS_TOL, kwargs.get("rel_tol", 1e-9) * abs(got.value))
-        assert got.error <= target
+        assert got.error <= got.target == target
     assert got.points.size == 0
 
 

@@ -99,6 +99,40 @@ def test_neck_scale_rejects_insufficient_mass():
         solve_neck_scale(mu, 0j, 0.2)
 
 
+def _particle_tie(a, total):
+    """solve_neck_scale on atoms at distances 0, 2 and 3 from q = 0 of the
+    given total mass, with eps_bar = 1 halfway across the jump at 2: the
+    mass outside reads 1 + a at its lower end and 1 - a at its upper."""
+    wts = np.array([total - 1.0 - a, 2.0 * a, 1.0 - a])
+    mu = WeightedParticleMeasure(np.array([0j, 2.0 + 0j, 3.0 + 0j]), wts, 4.0)
+    return solve_neck_scale(mu, 0j, 1.0)
+
+
+def _cdf_tie(a, total):
+    """solve_neck_scale_from_cdf on a profile stepping from 1 + a to 1 - a
+    at s = 2, with eps_bar = 1."""
+    return solve_neck_scale_from_cdf(lambda s: 1.0 + a if s < 2.0 else 1.0 - a, total, 1.0)
+
+
+@pytest.mark.parametrize(
+    "solve, cap, a",
+    [(_particle_tie, renorm._JUMP_CAP, 2.0**-4), (_cdf_tie, renorm._CDF_JUMP_CAP, 2.0**-18)],
+    ids=["particle", "cdf"],
+)
+def test_neck_scale_solves_share_one_acceptance(solve, cap, a):
+    # eps_bar sits exactly halfway across a jump of 2a, so both ends are a
+    # away: a tie.  With the route's cap on the jump just above a, both
+    # routes take the lower end; with it just below, both refuse alike
+    res = solve(a, 1.01 * a / cap)
+    assert (res.mass_outside, res.residual) == (1.0 + a, a)
+    assert res.t == max(t for t, f in res.history if f >= 1.0)
+    with pytest.raises(
+        NeckScaleError,
+        match=r"^mass function not spanning eps_bar: residual \S+ across a jump of \S+$",
+    ):
+        solve(a, 0.99 * a / cap)
+
+
 def test_neck_scale_rejects_fat_jump():
     # half the mass sits on one circle: the level cannot be met within the
     # jump and the instance must be refused, not silently accepted
@@ -595,7 +629,7 @@ def test_nodal_marking_refuses_a_cut_outside_the_working_scale(plumbing_bubble_f
 def fixed_ring(value, radius, samples=720):
     """Reference: the fixed boundary ring of find_balanced_center before the
     certified one, with principal increments summed over equally spaced
-    samples.  Returns (winding, boundary_inward_ok)."""
+    samples.  Returns (winding, whether F points inward at every sample)."""
     qs = radius * np.exp(1j * (np.arange(samples) * (2.0 * np.pi / samples)))
     vals = np.array([value(q) for q in qs])
     ang = np.angle(vals)
@@ -620,11 +654,11 @@ def acceptance_clouds():
 
 
 def _assert_matches_fixed_ring(calls):
+    # a certified center has winding 1 and F inward on the whole circle
     for mu, lad, k, res in calls:
-        assert res.winding == 1  # the boundary was certified
+        assert res.margin > 0.0
         value = lambda q: center_functional(mu, q, lad.eps_bar)
-        want = fixed_ring(value, float(lad.delta[2 * k - 1]))
-        assert (res.winding, res.boundary_inward_ok) == want
+        assert fixed_ring(value, float(lad.delta[2 * k - 1])) == (1, True)
 
 
 def test_certified_ring_matches_fixed_ring_on_gaussian_clouds():
@@ -732,7 +766,7 @@ def test_certified_ring_on_a_measure_a_16_sample_ring_misreads(monkeypatch):
         res = find_balanced_center(mu, lad, k)
     except CenterError:
         return
-    assert res.winding == want
+    assert want == 1  # a certified center has winding 1
     assert abs(center_functional(mu, res.q, lad.eps_bar)) <= 1e-8 * mu.mass
 
 
