@@ -18,8 +18,9 @@ a neck family, ``FamilySpec.collar_rows`` on the collar ``extract`` cuts from
 every member at min(delta0, delta) and on each zero-neck collar of the
 members of ``neck.late_half``.  ``curve`` also exits 2 on a graph file it
 cannot read or parse or an edge query it cannot answer, ``neck`` on a family
-without cylinder fields, and every command on an out directory it cannot
-write.
+without cylinder fields, ``extract`` on a schedule of fewer members than
+detection needs (``measure.MIN_MEMBERS``), and every command on an out
+directory it cannot write.
 Identical configs produce byte-identical reports: keys are sorted, floats use
 shortest round-trip repr, and every report embeds the hash of the validated
 config.
@@ -66,6 +67,7 @@ import hashlib
 import json
 import math
 import os
+import reprlib
 import sys
 from collections.abc import Sequence
 from pathlib import Path
@@ -100,7 +102,7 @@ def _section(raw: dict, name: str, defaults: dict) -> dict:
         raise ConfigError(f"section {name!r} must be a mapping")
     unknown = set(got) - set(defaults)
     if unknown:
-        raise ConfigError(f"unknown keys in {name!r}: {sorted(unknown)}")
+        raise ConfigError(f"unknown keys in {name!r}: {sorted(unknown, key=str)}")
     out = dict(defaults)
     out.update(got)
     return out
@@ -114,7 +116,7 @@ class RunConfig:
             raise ConfigError("config root must be a mapping")
         unknown = set(raw) - set(_TOP_KEYS)
         if unknown:
-            raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown top-level keys: {sorted(unknown, key=str)}")
 
         self.family_raw = raw.get("family")
         self.family_spec: FamilySpec | None = None
@@ -146,7 +148,7 @@ class RunConfig:
         if deltas is None:
             deltas = ()
         if not isinstance(deltas, (list, tuple)):
-            raise ConfigError(f"neck deltas must be a list, got {deltas!r}")
+            raise ConfigError(f"neck deltas must be a list, got {reprlib.repr(deltas)}")
         try:
             deltas = neck_schedule(deltas)
         except NeckError as exc:
@@ -175,12 +177,12 @@ class RunConfig:
         ):
             raise ConfigError("curve edge must be an integer node index")
         self.graph_path: Path | None = None
+        for key, path in (("curve graph", self.curve["graph"]), ("out", raw.get("out"))):
+            if path is not None and not (isinstance(path, str) and "\0" not in path):
+                raise ConfigError(f"{key} must be a path string")
         if self.curve["graph"] is not None:
-            self.graph_path = (base_dir / str(self.curve["graph"])).resolve()
-
+            self.graph_path = (base_dir / self.curve["graph"]).resolve()
         self.out = raw.get("out")
-        if self.out is not None and not isinstance(self.out, str):
-            raise ConfigError("out must be a path string")
 
         self.seed = raw.get("seed")
         if self.seed is not None:
@@ -226,9 +228,10 @@ def load_config(path: Path, overrides: Sequence[str] = ()) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         raw = yaml.load(text, Loader=_YAML_LOADER)
-    except (yaml.YAMLError, ValueError) as exc:
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
         # ValueError: a scalar the constructor cannot build, such as an int
-        # past Python's int-string digit limit or a date like 2020-13-01
+        # past Python's int-string digit limit or a date like 2020-13-01;
+        # RecursionError: nesting deeper than the pure-Python parser recurses
         raise ConfigError(f"config does not parse as YAML: {exc}") from exc
     if raw is None:
         raw = {}
@@ -350,6 +353,10 @@ def _cmd_extract(cfg: RunConfig, args, stem: str) -> int:
         raise ConfigError("extract needs a family section")
     from .driver import extract_bubble_tree
     from .families import make_family
+    from .measure import MIN_MEMBERS
+
+    if (n := len(cfg.family_spec.schedule)) < MIN_MEMBERS:
+        raise ConfigError(f"extract needs at least {MIN_MEMBERS} family members, got {n}")
 
     family = make_family(cfg.family_spec)
     tree = extract_bubble_tree(family, cfg.extraction_config())

@@ -11,10 +11,10 @@ and re-checks that the residual energy
     RE = limit_energy - accounted_energy - l*eps_bar - n*eps_bar/2
 
 drops by at least eps_bar/2 (minus a small tolerance) each time; l and n
-count detected smooth and regular-nodal sites not yet extracted.  Nodal
-sites that fail the regularity classification are frozen into the singular
-set and excluded from the accounting, in which case the energy identity is
-reported but not asserted.
+count the smooth and regular-nodal sites not yet extracted, and a chart
+queues one kind (a nodal chart refuses a smooth site).  Nodal sites that
+fail the regularity classification are frozen into the singular set and
+excluded from the accounting; the energy identity is then not asserted.
 
 The limit energy of a rational family is 4 pi degree, the energy of a
 degree-d holomorphic map of the sphere, so no whole-sphere integral is
@@ -169,18 +169,10 @@ class BubbleTree:
 _NODE_EDGE = 0
 
 
-def _ledger_residual(
-    limit_energy: float, accounted: float, queue, eps_bar: float
-) -> float:
-    """Residual energy with every site still in ``queue`` counted by kind:
-    a smooth site holds back eps_bar, a regular nodal site eps_bar/2."""
-    kinds = [site.kind for site in queue]
-    return (
-        limit_energy
-        - accounted
-        - kinds.count("smooth") * eps_bar
-        - kinds.count("nodal") * eps_bar / 2.0
-    )
+def _ledger_residual(limit_energy: float, accounted: float, queued: int, hold: float) -> float:
+    """Residual energy with each of ``queued`` sites still to extract holding
+    back ``hold``: eps_bar for a smooth site, eps_bar/2 for a nodal one."""
+    return limit_energy - accounted - queued * hold
 
 
 # (curve, site) -> (insertion, attachment point, neck record)
@@ -195,7 +187,8 @@ class _Chart:
 
     limit_energy: float
     base_energy: float
-    queue: tuple[ConcentrationSite, ...]
+    queue: tuple[ConcentrationSite, ...]  # sites of one kind
+    hold: float  # what each queued site holds back in the ledger
     singular: tuple[SingularSite, ...]
     necks: tuple[NeckRecord, ...]
     notes: tuple[str, ...]
@@ -225,7 +218,7 @@ def _smooth_chart(family: Family, config: ExtractionConfig) -> _Chart:
 
     queue = tuple(s for s in sites if s.mass >= 2.0 * eps_bar)
     skipped = [(s, c) for s, c in zip(sites, caps) if s.mass < 2.0 * eps_bar]
-    re_now = _ledger_residual(limit_energy, base_energy, queue, eps_bar)
+    re_now = _ledger_residual(limit_energy, base_energy, len(queue), eps_bar)
     site_route = sum(s.mass - eps_bar for s in queue)
     # routes differ by the limit measure inside the extracted balls plus the
     # cap energy of any site left below the extraction threshold; anything
@@ -263,7 +256,7 @@ def _smooth_chart(family: Family, config: ExtractionConfig) -> _Chart:
     notes = tuple(
         f"site below 2*eps_bar left unextracted at {s.location:.4g}" for s, _ in skipped
     )
-    return _Chart(limit_energy, base_energy, queue, (), (), notes, mark)
+    return _Chart(limit_energy, base_energy, queue, eps_bar, (), (), notes, mark)
 
 
 def _nodal_chart(family: Family, config: ExtractionConfig) -> _Chart:
@@ -293,6 +286,8 @@ def _nodal_chart(family: Family, config: ExtractionConfig) -> _Chart:
             mu_limit, 0.0, float(ladder.delta[1])
         )
         singular.append(SingularSite(0j, float(hot), str(exc)))
+    if any(s.kind == "smooth" for s in sites):
+        raise DriverError("smooth sites on a nodal chart are not supported")
 
     zero_neck = None
     if config.neck_deltas:
@@ -307,23 +302,21 @@ def _nodal_chart(family: Family, config: ExtractionConfig) -> _Chart:
         why.append(f"|alpha| = {abs(diag_last.alpha):.3g} too large")
     if why:
         reason = "; ".join(why)
-        singular += [SingularSite(s.location, s.mass, reason) for s in sites if s.kind == "nodal"]
-    queue = tuple(s for s in sites if s.kind == "smooth" or not why)
+        singular += [SingularSite(s.location, s.mass, reason) for s in sites]
+    queue = () if why else sites
+    hold = eps_bar / 2.0
 
     delta_k = ladder.finest_scale
     # independent base route: collar energy outside the finest-scale inner
     # cylinder, from GL diagnostics rather than the pushforward particles
-    if any(s.kind == "nodal" for s in queue):
-        base_energy = limit_energy - collar_diagnostics(last_field, delta_k).energy
-    else:
-        base_energy = limit_energy
+    base_energy = limit_energy
+    if queue:
+        base_energy -= collar_diagnostics(last_field, delta_k).energy
     # mass frozen into the singular set is identified with no component
     base_energy = max(0.0, base_energy - sum(s.mass for s in singular))
 
-    re_now = _ledger_residual(limit_energy, base_energy, queue, eps_bar)
-    site_route = sum(
-        (s.mass - eps_bar) if s.kind == "smooth" else (s.mass - eps_bar / 2.0) for s in queue
-    )
+    re_now = _ledger_residual(limit_energy, base_energy, len(queue), hold)
+    site_route = sum(s.mass - hold for s in queue)
     if queue and abs(re_now - site_route) > 0.05 + 1e-3 * limit_energy:
         raise DriverError(
             f"residual-energy routes disagree: ledger {re_now:.9g} vs site sum "
@@ -343,8 +336,6 @@ def _nodal_chart(family: Family, config: ExtractionConfig) -> _Chart:
         )
 
     def mark(curve, site):
-        if site.kind != "nodal":
-            raise DriverError("smooth sites on a nodal chart are not supported")
         members = site.subsequence
         markings = mark_nodal_bubble(
             [mus[i] for i in members], [fields[i].pinch for i in members], ladder
@@ -363,13 +354,9 @@ def _nodal_chart(family: Family, config: ExtractionConfig) -> _Chart:
         return ins, 0j, neck
 
     # a finished run has extracted every queued site
-    notes = tuple(
-        "child nodal sites, if any, deferred to the next iteration"
-        for s in queue
-        if s.kind == "nodal"
-    )
+    notes = ("child nodal sites, if any, deferred to the next iteration",) * len(queue)
     return _Chart(
-        limit_energy, base_energy, queue, tuple(singular), necks, notes, mark, diag_last
+        limit_energy, base_energy, queue, hold, tuple(singular), necks, notes, mark, diag_last
     )
 
 
@@ -414,7 +401,7 @@ def extract_bubble_tree(family: Family, config: ExtractionConfig | None = None) 
     curve = family.curve
     components = [TreeComponent(vertex=0, kind="base", energy=chart.base_energy)]
     necks = list(chart.necks)
-    trace = [_ledger_residual(limit_energy, chart.base_energy, chart.queue, eps_bar)]
+    trace = [_ledger_residual(limit_energy, chart.base_energy, len(chart.queue), chart.hold)]
     accounted = chart.base_energy
     iteration_cap = max(1, math.ceil(2.0 * limit_energy / eps_bar))
     for step, site in enumerate(chart.queue, start=1):
@@ -434,7 +421,9 @@ def extract_bubble_tree(family: Family, config: ExtractionConfig | None = None) 
         )
         necks.append(neck)
         accounted += site.mass
-        trace.append(_ledger_residual(limit_energy, accounted, chart.queue[step:], eps_bar))
+        trace.append(
+            _ledger_residual(limit_energy, accounted, len(chart.queue) - step, chart.hold)
+        )
 
     residual, note, connected = _identity_from_parts(
         limit_energy, components, necks, chart.singular

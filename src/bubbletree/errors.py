@@ -8,6 +8,7 @@ carry the quantitative context (which condition failed, by how much).
 from __future__ import annotations
 
 import math
+import reprlib
 
 __all__ = [
     "BubbleTreeError",
@@ -80,13 +81,14 @@ class ConfigError(BubbleTreeError):
 
 def finite_number(value, what: str, error: type[BubbleTreeError]) -> float:
     """``value`` as a float when it is a finite real number, else ``error``
-    (a bool, a string, a non-finite value or an int beyond the float range)."""
+    (a bool, a string, a non-finite value or an int beyond the float range),
+    whose message abbreviates ``value`` (``reprlib``) however deep it nests."""
     try:  # TypeError: not a real number; OverflowError: beyond the float range
         ok = not isinstance(value, bool) and math.isfinite(value)
     except (TypeError, OverflowError):
         ok = False
     if not ok:
-        raise error(f"{what} must be a finite number, got {value!r}")
+        raise error(f"{what} must be a finite number, got {reprlib.repr(value)}")
     return float(value)
 
 

@@ -17,8 +17,9 @@ per euclidean chart area.  This is pole-free whenever P and Q share no root.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field, fields
-from functools import cache, cached_property
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -317,7 +318,7 @@ class FamilySpec:
         if not all(x > 0 for x in schedule):
             raise FamilyError("schedule entries must be positive and finite")
         if len(self.slopes) != 2:
-            raise FamilyError(f"slopes must be a pair of numbers, got {self.slopes!r}")
+            raise FamilyError(f"slopes must be a pair of numbers, got {reprlib.repr(self.slopes)}")
         object.__setattr__(self, "schedule", schedule)
         object.__setattr__(
             self, "slopes", tuple(finite_number(x, "slope", FamilyError) for x in self.slopes)
@@ -361,17 +362,14 @@ class FamilySpec:
 
     @staticmethod
     def from_dict(data: dict) -> "FamilySpec":
+        if not isinstance(data, dict):
+            raise FamilyError(f"family spec must be a mapping, got {reprlib.repr(data)}")
         known = {f.name for f in fields(FamilySpec)}
         extra = set(data) - known
         if extra:
-            raise FamilyError(f"unknown family options {sorted(extra)}")
-        kwargs = dict(data)
-        if "schedule" in kwargs:
-            kwargs["schedule"] = tuple(kwargs["schedule"])
-        if "slopes" in kwargs:
-            kwargs["slopes"] = tuple(kwargs["slopes"])
+            raise FamilyError(f"unknown family options {sorted(extra, key=str)}")
         try:
-            spec = FamilySpec(**kwargs)
+            spec = FamilySpec(**data)
         except TypeError as exc:
             raise FamilyError(f"bad family spec: {exc}") from exc
         unread = set(data) - {"kind", "schedule", *_OPTIONS[spec.kind]}
@@ -393,29 +391,13 @@ class FamilyMember:
 
 @dataclass(frozen=True)
 class Family:
-    """Generated members over the base dual graph ``curve``; for neck fields,
-    edge 0 of the curve is the node they sample.  The limit measure is built
-    on first read, by ``build_limit``, so callers that never read it pay
-    nothing for it."""
+    """Generated members over the base dual graph ``curve``, with the limit
+    measure their energy converges to off the sites, built with them; for
+    neck fields, edge 0 of the curve is the node they sample."""
 
-    kind: str
     members: tuple[FamilyMember, ...]
     curve: MarkedNodalCurve
-    build_limit: Callable[[], WeightedParticleMeasure] = field(repr=False, compare=False)
-
-    @cached_property
-    def limit_measure(self) -> WeightedParticleMeasure:
-        return self.build_limit()
-
-
-def _with_atom(
-    mu: WeightedParticleMeasure, location: complex, weight: float
-) -> WeightedParticleMeasure:
-    return WeightedParticleMeasure(
-        np.concatenate([mu.points, [complex(location)]]),
-        np.concatenate([mu.weights, [float(weight)]]),
-        mu.chart_radius,
-    )
+    limit_measure: WeightedParticleMeasure
 
 
 def _bubble_family(spec: FamilySpec) -> Family:
@@ -427,10 +409,9 @@ def _bubble_family(spec: FamilySpec) -> Family:
         mu = density_to_measure(rmap, _CHART_RADIUS)
         members.append(FamilyMember(f"k={k:g}", float(k), rmap, mu, None))
     return Family(
-        kind=spec.kind,
-        members=tuple(members),
-        curve=MarkedNodalCurve((0,), (), ((0, 1), (0, 2), (0, 3))),
-        build_limit=lambda: WeightedParticleMeasure.empty(_CHART_RADIUS),
+        tuple(members),
+        MarkedNodalCurve((0,), (), ((0, 1), (0, 2), (0, 3))),
+        WeightedParticleMeasure.empty(_CHART_RADIUS),
     )
 
 
@@ -451,18 +432,17 @@ def _plumbing_family(spec: FamilySpec) -> Family:
             m.value, m.derivative, pinch=t, delta=spec.delta, n_t=_N_T, n_theta=_N_THETA
         )
         members.append(FamilyMember(f"t={t:g}", float(t), m, None, fld))
-
-    def limit() -> WeightedParticleMeasure:
-        if spec.kind != "plumbing":
-            return WeightedParticleMeasure.empty(spec.delta)
+    limit = WeightedParticleMeasure.empty(spec.delta)
+    if spec.kind == "plumbing":
         # both sides of x + t/x limit to the identity chart map, so the far
         # side contributes its disk energy as an atom at the node
-        visible = density_to_measure(RationalMap((1.0, 0.0), (1.0,)), spec.delta)
-        return _with_atom(visible, 0j, visible.mass)
-
+        near = density_to_measure(RationalMap((1.0, 0.0), (1.0,)), spec.delta)
+        limit = WeightedParticleMeasure(
+            np.append(near.points, 0j), np.append(near.weights, near.mass), near.chart_radius
+        )
     # two genus-0 sides joined at the node, each stabilized by its marks
     curve = MarkedNodalCurve((0, 0), ((0, 1),), ((0, 1), (0, 2), (0, 3), (1, 4), (1, 5)))
-    return Family(kind=spec.kind, members=tuple(members), curve=curve, build_limit=limit)
+    return Family(tuple(members), curve, limit)
 
 
 def _torus_family(spec: FamilySpec) -> Family:
@@ -486,10 +466,9 @@ def _torus_family(spec: FamilySpec) -> Family:
     # the neck closes a cycle through two genus-0 components: edge 0 is not
     # a bridge, so the node it samples is not regular
     return Family(
-        kind=spec.kind,
-        members=tuple(members),
-        curve=MarkedNodalCurve((0, 0), ((0, 1), (0, 1)), ((0, 1), (1, 2))),
-        build_limit=lambda: WeightedParticleMeasure.empty(spec.delta),
+        tuple(members),
+        MarkedNodalCurve((0, 0), ((0, 1), (0, 1)), ((0, 1), (1, 2))),
+        WeightedParticleMeasure.empty(spec.delta),
     )
 
 

@@ -30,8 +30,8 @@ from numpy.typing import NDArray
 from .errors import ConcentrationError, LadderError, MeasureError, SubsequenceError
 
 __all__ = [
+    "MIN_MEMBERS",
     "WeightedParticleMeasure",
-    "PlanarMoebius",
     "ScaleLadder",
     "ConcentrationSite",
     "ball_masses",
@@ -39,6 +39,8 @@ __all__ = [
     "restrict",
     "detect_concentrations",
 ]
+
+MIN_MEMBERS = 2  # detection corroborates the last member by an earlier one
 
 @dataclass(frozen=True)
 class WeightedParticleMeasure:
@@ -92,26 +94,6 @@ class WeightedParticleMeasure:
         return WeightedParticleMeasure(
             np.zeros(0, dtype=np.complex128), np.zeros(0, dtype=np.float64), chart_radius
         )
-
-
-@dataclass(frozen=True)
-class PlanarMoebius:
-    """Planar affine transform z -> a z + b, a != 0.
-
-    These are the Moebius maps that fix infinity, which is all the
-    cross-ratio renormalizations and chart rescalings need; each is
-    injective on the whole plane.
-    """
-
-    a: complex
-    b: complex
-
-    def __post_init__(self) -> None:
-        if abs(self.a) == 0.0:
-            raise MeasureError("degenerate affine transform (a = 0)")
-
-    def __call__(self, z: NDArray[np.complex128] | complex) -> NDArray[np.complex128] | complex:
-        return self.a * z + self.b
 
 
 def ball_masses(
@@ -332,8 +314,8 @@ def detect_concentrations(
     """
     if chart_kind not in ("smooth", "nodal"):
         raise MeasureError(f"unknown chart kind {chart_kind!r}")
-    if len(mus) < 2:
-        raise ConcentrationError("need at least two sequence members")
+    if len(mus) < MIN_MEMBERS:
+        raise ConcentrationError(f"need at least {MIN_MEMBERS} sequence members")
     eps_bar = ladder.eps_bar
     kw = ladder.working_index
     scales = ladder.delta[1 : 2 * kw + 1]  # tested scales m = 1..2k

@@ -20,12 +20,12 @@ The delta-collar |pinch|/delta <= |x| <= delta of xy = pinch has one rule,
 i0..i1 of a field's t grid; the config loader calls it too, through
 ``FamilySpec.collar_rows`` on the members of ``late_half``, so load and the
 zero-neck test refuse the same neck deltas.
-Each field caches, on first use, its per-sample energy density
-|f_t|^2 + |f_theta|^2 and one table of per-t-row theta-sums, and a collar is
-a window of them: ``collar_diagnostics`` (which the zero-neck test calls for
-every delta) reads rows i0..i1 of the sums, and the nodal pushforward (collar
-energy as atoms on the x-side chart) rows i0..i1 of the density alone;
-neither builds a sub-field.  Both agree bit for bit with the diagnostics
+Each field caches, on first use, one table of per-t-row theta-sums, and a
+collar is a window of rows: ``collar_diagnostics`` (which the zero-neck test
+calls for every delta) reads rows i0..i1 of the sums, and the nodal
+pushforward (collar energy as atoms on the x-side chart) sums
+|f_t|^2 + |f_theta|^2 at each sample of rows i0..i1; neither builds a
+sub-field.  Both agree bit for bit with the diagnostics
 and atoms of the cut sub-field, which the tests keep as their reference.
 
 The diameter is bounded on the safe side with O(N) work over all N samples.
@@ -162,12 +162,6 @@ class CylinderField:
         return np.arange(self.n_theta) * (_TWO_PI / self.n_theta)
 
     @cached_property
-    def density(self) -> np.ndarray:
-        """Per-sample energy density |f_t|^2 + |f_theta|^2, shape
-        (n_t + 1, n_theta), built on first use."""
-        return self.ft_sq + self.fth_sq
-
-    @cached_property
     def rows(self) -> "_RowTable":
         """Per-t-row theta-sums of the squared speeds, built on first use."""
         ft_sq, fth_sq = self.ft_sq, self.fth_sq
@@ -198,10 +192,11 @@ def collar_half_length(delta: float, pinch: complex, chart: float | None = None)
     refused unless positive and finite, and unless delta <= ``chart`` (a
     field's sampled radius, when given) up to a relative 1e-12.  Every neck
     grid is built on it, so it keeps numpy's log: ``math.log`` can differ in
-    the last bit."""
+    the last bit; a ratio that overflows or underflows is refused unwarned."""
     if chart is not None and delta > chart * (1.0 + _SLACK):
         raise NeckError(f"delta {delta} exceeds the sampled chart {chart}")
-    half = float(np.log(delta / np.sqrt(abs(pinch))))
+    with np.errstate(over="ignore", divide="ignore"):
+        half = float(np.log(delta / np.sqrt(abs(pinch))))
     if not half > 0:
         raise NeckError(f"delta {delta} does not exceed sqrt(t) for the pinch t = {abs(pinch):g}")
     if half == np.inf:
@@ -260,7 +255,8 @@ def build_nodal_pushforward(neck: CylinderField, delta: float) -> WeightedPartic
     t = np.linspace(-half, half, i1 - i0 + 1)
     w_t = _trapezoid(len(t), t[1] - t[0])
     h_th = _TWO_PI / neck.n_theta
-    density = 0.5 * neck.density[i0 : i1 + 1] * w_t[:, None] * h_th
+    win = slice(i0, i1 + 1)
+    density = 0.5 * (neck.ft_sq[win] + neck.fth_sq[win]) * w_t[:, None] * h_th
     root = np.sqrt(complex(neck.pinch))
     x = root * np.exp(t[:, None] + 1j * neck.theta_nodes[None, :])
     return WeightedParticleMeasure(x.ravel(), density.ravel(), chart_radius=delta)

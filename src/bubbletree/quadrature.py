@@ -32,13 +32,8 @@ _MAX_PANELS = 20000  # panel budget of one integration
 _Box = tuple[float, float, float, float]  # panel (r0, r1, t0, t1)
 
 
-def _gl(n: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
-
-
-_XC, _WC = _gl(_GL_COARSE)
-_XF, _WF = _gl(_GL_FINE)
+_XC, _WC = np.polynomial.legendre.leggauss(_GL_COARSE)
+_XF, _WF = np.polynomial.legendre.leggauss(_GL_FINE)
 
 
 @dataclass

@@ -46,12 +46,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CenterError, MarkingError, NeckScaleError
-from .measure import (
-    PlanarMoebius,
-    ScaleLadder,
-    WeightedParticleMeasure,
-    ball_masses,
-)
+from .measure import ScaleLadder, WeightedParticleMeasure, ball_masses
 
 __all__ = [
     "renormalization_map",
@@ -87,12 +82,13 @@ _CDF_JUMP_CAP = 1e-6
 _CENTER_TOL = 1e-5
 
 
-def renormalization_map(q: complex, t: float) -> PlanarMoebius:
-    """R_{q,t}(x) = (1/t - 1)(x - q); sends q to 0 and q + t/(1-t) to 1."""
+def renormalization_map(q: complex, t: float) -> Callable[[np.ndarray], np.ndarray]:
+    """R_{q,t}(x) = a x + b, a = 1/t - 1, b = -a q; sends q to 0 and q + t/(1-t) to 1."""
     if not 0.0 < t < 1.0:
         raise ValueError(f"t must lie in (0, 1), got {t}")
-    scale = 1.0 / t - 1.0
-    return PlanarMoebius(scale, -scale * q)
+    a = 1.0 / t - 1.0
+    b = -a * q
+    return lambda x: a * x + b
 
 
 @dataclass(frozen=True)
@@ -434,7 +430,7 @@ class Marking:
 
 def _check_renormalized(
     mu: WeightedParticleMeasure,
-    transform: PlanarMoebius,
+    transform: Callable[[np.ndarray], np.ndarray],
     eps_bar: float,
     mass_tol: float,
     centered: bool,
@@ -525,8 +521,10 @@ def mark_nodal_bubble(
         try:
             res = solve_neck_scale(mu, 0.0, ladder.eps_bar)
             r = res.s
-            transform = PlanarMoebius(1.0 / r, 0.0)
-            _check_renormalized(mu, transform, ladder.eps_bar, res.tol_effective, centered=False)
+            a = 1.0 / r
+            _check_renormalized(
+                mu, lambda x: a * x + 0.0, ladder.eps_bar, res.tol_effective, centered=False
+            )
             delta_k = float(ladder.delta[k])
             if r > delta_k * (1.0 + 1e-12):
                 raise MarkingError(f"cut point |r| = {r:.6g} outside B(0, {delta_k:.6g})")

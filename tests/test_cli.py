@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bubbletree import FamilySpec, cli, families, zero_neck_test
@@ -456,18 +456,8 @@ out: {out}
     assert profile.startswith("t,theta,alpha_slice\n") and profile.count("\n") > 10
 
 
-def test_neck_builds_no_limit_measure_and_runs_share_no_state(tmp_path, monkeypatch):
-    """`neck` never reads the plumbing limit measure, so it builds no particle
-    measure; and nothing one command computes leaks into the next one's
-    reports."""
-    calls = []
-    density_to_measure = families.density_to_measure
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return density_to_measure(*args, **kwargs)
-
-    monkeypatch.setattr(families, "density_to_measure", counted)
+def test_runs_share_no_state(tmp_path):
+    """Nothing one command computes leaks into the next one's reports."""
 
     def run(command, name):
         out = tmp_path / name
@@ -475,9 +465,7 @@ def test_neck_builds_no_limit_measure_and_runs_share_no_state(tmp_path, monkeypa
         return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
     first_neck = run("neck", "neck1")
-    assert calls == []
     first_extract = run("extract", "extract1")
-    assert calls != []
     assert run("neck", "neck2") == first_neck
     assert run("extract", "extract2") == first_extract
 
@@ -639,3 +627,129 @@ def test_plumbing_pinch_whose_map_is_refused_exits_2_at_load(tmp_path, capsys, n
     assert main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "pinch t = 1e-24: numerator and denominator share a root" in err
+
+
+@pytest.mark.parametrize("family", ["bubble1", "[[1]]", "5"], ids=["string", "list", "int"])
+def test_family_section_that_is_not_a_mapping_exits_2(tmp_path, capsys, no_family, family):
+    cfg = write_cfg(tmp_path, f"family: {family}\nout: {tmp_path / 'x'}\n")
+    assert main(["extract", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: family section invalid: family spec must be a mapping")
+
+
+@pytest.mark.parametrize(
+    "family",
+    ["kind: bubble1\n  schedule: [316.0]", "kind: plumbing\n  schedule: [1.0e-3]\n  delta: 0.5"],
+    ids=["bubble1", "plumbing"],
+)
+def test_extract_on_a_one_member_schedule_exits_2(tmp_path, capsys, no_family, family):
+    cfg = write_cfg(tmp_path, f"family:\n  {family}\nout: {tmp_path / 'x'}\n")
+    assert main(["extract", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error (extract): extract needs at least 2 family members")
+    assert not (tmp_path / "x").exists()
+
+
+DEEP = "[" * 3000 + "]" * 3000  # a list nested 3,000 deep
+DEEP_CONFIGS = {
+    "family_schedule": f"family:\n  kind: bubble1\n  schedule: {DEEP}\n",
+    "neck_deltas": f"neck:\n  deltas:\n    a: {DEEP}\n",
+    "family_slopes": (
+        f"family:\n  kind: torus_linear\n  schedule: [1.0e-4]\n  slopes: [{DEEP}, 1, 2]\n"
+    ),
+    "curve_graph": f"curve:\n  graph: {DEEP}\n",
+}
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="the Python parser recurses per level")
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("family_schedule", "family section invalid: schedule entry must be a finite number"),
+        ("neck_deltas", "neck deltas must be a list, got {'a': [[[[[[...]]]]]]}"),
+        ("family_slopes", "family section invalid: slopes must be a pair of numbers"),
+        ("curve_graph", "curve graph must be a path string"),
+    ],
+)
+def test_deeply_nested_value_exits_2(tmp_path, capsys, monkeypatch, no_family, name, message):
+    monkeypatch.setattr(cli, "_YAML_LOADER", yaml.CSafeLoader)
+    cfg = write_cfg(tmp_path, DEEP_CONFIGS[name] + f"out: {tmp_path / 'x'}\n")
+    assert main(["extract", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+def test_nesting_past_the_python_parser_recursion_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_YAML_LOADER", yaml.SafeLoader)
+    cfg = write_cfg(tmp_path, DEEP_CONFIGS["neck_deltas"])
+    assert main(["extract", "--config", cfg]) == 2
+    assert "config does not parse as YAML" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('curve:\n  graph: "a\\0b"\n', "curve graph must be a path string"),
+        ("curve:\n  graph: 5\n", "curve graph must be a path string"),
+        ('out: "a\\0b"\n', "out must be a path string"),
+        ("ladder:\n  1: 2\n  a: 3\n", "unknown keys in 'ladder': [1, 'a']"),
+        ("1: 2\na: 3\n", "unknown top-level keys: [1, 'a']"),
+        ("family:\n  kind: bubble1\n  1: 2\n  a: 3\n", "unknown family options [1, 'a']"),
+    ],
+    ids=["graph_nul", "graph_int", "out_nul", "ladder_keys", "top_keys", "family_keys"],
+)
+def test_path_with_nul_or_keys_of_mixed_types_exit_2(tmp_path, capsys, no_family, text, message):
+    cfg = write_cfg(tmp_path, text)
+    assert main(["curve", "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
+
+
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_SCALARS, inner, max_size=3),
+    max_leaves=8,
+)
+# numbers and number lists reach the rules past the type checks
+_KNOB = _VALUES | st.floats() | st.lists(st.floats(), min_size=1, max_size=4)
+_SECTION_KEYS = {
+    "family": ("kind", "schedule", "delta", "separation", "slopes"),
+    "ladder": tuple(cli._LADDER_KEYS),
+    "neck": tuple(cli._NECK_KEYS),
+    "curve": tuple(cli._CURVE_KEYS),
+}
+_KINDS = st.sampled_from(["bubble1", "bubble2", "plumbing", "plumbing_bubble", "torus_linear"])
+
+
+@st.composite
+def yaml_configs(draw):
+    """YAML text of a config whose every section is absent, any value, or a
+    mapping of some of its keys to any values (a family kind is often a real
+    one); ``out`` and ``seed`` are absent or any value."""
+    raw = {}
+    for name, keys in _SECTION_KEYS.items():
+        shape = draw(st.sampled_from(["absent", "value", "keys"]))
+        if shape == "value":
+            raw[name] = draw(_VALUES)
+        elif shape == "keys":
+            chosen = draw(st.lists(st.sampled_from(keys), unique=True))
+            raw[name] = {k: draw(_KINDS | _VALUES if k == "kind" else _KNOB) for k in chosen}
+    for name in ("out", "seed"):
+        if draw(st.booleans()):
+            raw[name] = draw(_VALUES)
+    return yaml.safe_dump(raw, sort_keys=False)
+
+
+@given(yaml_configs())
+@example(DEEP_CONFIGS["neck_deltas"])
+# delta / sqrt(t) past the float range, and underflowing to 0
+@example("family: {kind: plumbing, schedule: [1.0e-300], delta: 1.0e+308}\n")
+@example("family: {kind: torus_linear, schedule: [1.0e+300], delta: 5.0e-324}\n")
+@settings(max_examples=300, deadline=None)
+def test_load_config_refuses_any_value_with_config_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.yaml"
+        path.write_text(text, encoding="utf-8")
+        try:
+            cli.load_config(path)
+        except ConfigError:
+            pass

@@ -116,10 +116,9 @@ def test_nested_bubble_family_is_refused():
         rmap = RationalMap((k**4, 0.0, 0.0), (k**3, 1.0))
         members.append(FamilyMember(f"k={k:g}", k, rmap, density_to_measure(rmap, 1.0), None))
     family = Family(
-        kind="nested",
-        members=tuple(members),
-        curve=MarkedNodalCurve((0,), (), ((0, 1), (0, 2), (0, 3))),
-        build_limit=lambda: WeightedParticleMeasure.empty(1.0),
+        tuple(members),
+        MarkedNodalCurve((0,), (), ((0, 1), (0, 2), (0, 3))),
+        WeightedParticleMeasure.empty(1.0),
     )
     tree = None
     with pytest.raises(
@@ -219,8 +218,8 @@ def test_family_mixing_measures_and_fields_is_refused(plumbing_family):
 
 
 def test_smooth_site_on_nodal_chart_is_refused(plumbing_family, monkeypatch):
-    # a light smooth site keeps the ledger and site-sum routes in agreement,
-    # so the refusal comes from the marking step, not the dual-route check
+    # the nodal chart refuses a smooth site as soon as detection returns it,
+    # before the dual-route check and any marking
     site = ConcentrationSite(0.2 + 0.1j, 0.01, "smooth", (0, 3))
 
     def detect(mus, mu_limit, ladder, chart_kind="smooth"):

@@ -363,7 +363,6 @@ def test_shipped_rational_families_never_reach_the_eigensolve(monkeypatch):
 def test_bubble1_family_contents():
     spec = FamilySpec(kind="bubble1", schedule=(316.0, 3162.0))
     fam = make_family(spec)
-    assert fam.kind == "bubble1"
     assert fam.members[0].rational.degree == 1
     assert [m.parameter for m in fam.members] == [316.0, 3162.0]
     for mem in fam.members:
@@ -391,7 +390,7 @@ def test_plumbing_family_limit_mass_identity():
     # equal atom at the node for the far side
     visible = fs_disk_mass(1.0, spec.delta)
     assert fam.limit_measure.mass == pytest.approx(2.0 * visible, abs=2.0 * ATOM)
-    assert fam.limit_measure is fam.limit_measure  # built once, on first read
+    assert fam.limit_measure is fam.limit_measure  # built once, with the members
     node_atoms = np.abs(fam.limit_measure.points) == 0.0
     assert fam.limit_measure.weights[node_atoms].sum() == pytest.approx(visible, abs=ATOM)
     for mem in fam.members:
