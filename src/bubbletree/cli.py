@@ -9,10 +9,11 @@ Subcommands
 
 Exit codes: 0 success, 2 configuration/validation error, 3 algorithmic
 invariant violation.  Exit 2 is mostly a config refused at load, before any
-family is built, by a file that is not UTF-8 text, YAML that does not parse,
-an unknown key, or the owner of a rule, which the loader calls rather than
-restates: every ladder, neck and family value must pass
-``errors.finite_number`` and the neck deltas ``errors.neck_schedule``; a
+family is built, by a file that is not UTF-8 text, YAML that does not parse
+or nests deeper than ``_MAX_DEPTH`` levels, an unknown key, or the owner of a
+rule, which the loader calls rather than restates: every ladder, neck and
+family value must pass ``errors.finite_number`` and the neck deltas
+``errors.neck_schedule``; a
 family section ``FamilySpec``, and with it the ladder ``ScaleLadder`` and, on
 a neck family, ``FamilySpec.collar_rows`` on the collar ``extract`` cuts from
 every member at min(delta0, delta) and on each zero-neck collar of the
@@ -87,6 +88,10 @@ _SCHEMA = 1
 # libyaml's parser where PyYAML was built with it; both loaders build their
 # nodes with the same Python SafeConstructor, so they give equal dicts
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# libyaml's composer recurses in C and overflows an 8 MB stack near 20,000 levels
+_MAX_DEPTH = 4096
+_NESTING = {"<block mapping start>": 1, "<block sequence start>": 1, "{": 1, "[": 1}
+_NESTING.update({"<block end>": -1, "}": -1, "]": -1})  # token id -> change of depth
 
 _TOP_KEYS = ("family", "ladder", "neck", "curve", "out", "seed")
 _LADDER_KEYS = {"delta0": 1.0, "eps_bar": 0.2, "depth": 6}
@@ -227,17 +232,18 @@ def load_config(path: Path, overrides: Sequence[str] = ()) -> RunConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
+        depth = 0
+        for token in yaml.scan(text, Loader=_YAML_LOADER):
+            depth += _NESTING.get(token.id, 0)
+            if depth > _MAX_DEPTH:
+                raise ConfigError(f"config nests deeper than {_MAX_DEPTH} levels")
         raw = yaml.load(text, Loader=_YAML_LOADER)
     except (yaml.YAMLError, ValueError, RecursionError) as exc:
         # ValueError: a scalar the constructor cannot build, such as an int
         # past Python's int-string digit limit or a date like 2020-13-01;
         # RecursionError: nesting deeper than the pure-Python parser recurses
         raise ConfigError(f"config does not parse as YAML: {exc}") from exc
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
-    return RunConfig(raw, path.parent)
+    return RunConfig({} if raw is None else raw, path.parent)
 
 
 # ---------------------------------------------------------------------------

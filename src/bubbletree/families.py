@@ -312,6 +312,9 @@ class FamilySpec:
     def __post_init__(self) -> None:
         if self.kind not in _BUILDERS:
             raise FamilyError(f"unknown family kind {self.kind!r}")
+        for name, value in (("schedule", self.schedule), ("slopes", self.slopes)):
+            if not isinstance(value, (list, tuple)):  # a mapping would read as its keys
+                raise FamilyError(f"{name} must be a list, got {reprlib.repr(value)}")
         schedule = tuple(finite_number(x, "schedule entry", FamilyError) for x in self.schedule)
         if not schedule:
             raise FamilyError("empty parameter schedule")
@@ -453,11 +456,11 @@ def _torus_family(spec: FamilySpec) -> Family:
         half = collar_half_length(spec.delta, t)
         t_nodes = np.linspace(-half, half, _N_T + 1)
         theta = np.arange(_N_THETA) * (2.0 * np.pi / _N_THETA)
-        tt, th = np.meshgrid(t_nodes, theta, indexing="ij")
+        points = target.point(a * t_nodes[:, None], b * theta[None, :])
         fld = CylinderField(
-            points=target.point(a * tt, b * th),
-            ft_sq=np.full(tt.shape, a * a),
-            fth_sq=np.full(tt.shape, b * b),
+            points=points,
+            ft_sq=np.full(points.shape[:2], a * a),
+            fth_sq=np.full(points.shape[:2], b * b),
             target=target,
             pinch=complex(t),
             delta=spec.delta,

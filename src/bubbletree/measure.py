@@ -259,7 +259,10 @@ def _candidate_locations(
         for dj in range(3):
             block += padded[di : di + n, dj : dj + n]
     xc = 0.5 * (edges[:-1] + edges[1:])
-    centers_re, centers_im = np.meshgrid(xc, xc, indexing="ij")
+    centers = xc[:, None] + 1j * xc[None, :]
+    reach = 2.0 * dK + 2.0 * pitch
+    # a centroid lies within a cell of its block's centre: cells past box miss reach
+    box = int(np.ceil(reach / pitch)) + 2
 
     out: list[complex] = []
     work = block.copy()
@@ -276,12 +279,12 @@ def _candidate_locations(
                 i, j = i0 + di, j0 + dj
                 if 0 <= i < n and 0 <= j < n and excess[i, j] > 0:
                     wsum += excess[i, j]
-                    csum += excess[i, j] * (centers_re[i, j] + 1j * centers_im[i, j])
-        loc = csum / wsum if wsum > 0 else centers_re[idx] + 1j * centers_im[idx]
+                    csum += excess[i, j] * centers[i, j]
+        loc = csum / wsum if wsum > 0 else centers[idx]
         out.append(complex(loc))
         # suppress the neighborhood of the accepted candidate
-        dist = np.abs((centers_re + 1j * centers_im) - loc)
-        work[dist < 2.0 * dK + 2.0 * pitch] = -np.inf
+        near = np.s_[max(i0 - box, 0) : i0 + box + 1, max(j0 - box, 0) : j0 + box + 1]
+        work[near][np.abs(centers[near] - loc) < reach] = -np.inf
     return out
 
 

@@ -25,8 +25,13 @@ collar is a window of rows: ``collar_diagnostics`` (which the zero-neck test
 calls for every delta) reads rows i0..i1 of the sums, and the nodal
 pushforward (collar energy as atoms on the x-side chart) sums
 |f_t|^2 + |f_theta|^2 at each sample of rows i0..i1; neither builds a
-sub-field.  Both agree bit for bit with the diagnostics
-and atoms of the cut sub-field, which the tests keep as their reference.
+sub-field.  Both agree bit for bit with the diagnostics and atoms of the cut
+sub-field, which the tests keep as their reference.  The collar grid
+x = sqrt(pinch) e^{t + i theta} of the sphere fields and the pushforward is
+``_collar_points``: the complex exp of t + i theta is e^t cos theta +
+i e^t sin theta, so one exp per t row (the complex exp of the real t; numpy's
+real exp can differ in the last bit) times one per theta column gives the
+full-grid complex exp bit for bit.
 
 The diameter is bounded on the safe side with O(N) work over all N samples.
 A farthest-point sweep finds a real sample pair; its distance is checked
@@ -35,12 +40,9 @@ than twice the largest distance from a centre to a sample, taken at the
 better of two centres.  Twice a covering radius of the grid cells extends
 that bound from the samples to the whole image, assuming |f_t| and |f_theta|
 stay below their largest sampled values inside each cell; the result is
-capped at the chord diameter of the target.  The samples are read as
-coordinate planes, and every sum runs in a fixed order: the centroid is a
-sequential sum over the samples, and each squared distance adds its
-even-coordinate lane to its odd-coordinate lane.  The bracket therefore
-equals the row-major reference (``mean`` over samples, ``einsum`` over
-coordinates) bit for bit.
+capped at the chord diameter of the target.  The bracket reads the samples
+as coordinate planes and sums in a fixed order, so it equals the row-major
+reference bit for bit (``_diameter_bracket``).
 
 Quadrature is trapezoidal in t and the uniform periodic rule in theta; both
 are spectrally accurate for the smooth periodic integrands arising here.
@@ -86,11 +88,14 @@ class SphereTarget:
     def point(w: np.ndarray) -> np.ndarray:
         u, v = np.real(w), np.imag(w)
         n = 1.0 + u * u + v * v
-        return np.stack([2.0 * u / n, 2.0 * v / n, (n - 2.0) / n], axis=-1)
+        out = np.empty(w.shape + (3,))
+        for k, num in enumerate((2.0 * u, 2.0 * v, n - 2.0)):
+            np.divide(num, n, out=out[..., k])
+        return out
 
     @staticmethod
     def residual(points: np.ndarray) -> float:
-        return float(np.max(np.abs(np.linalg.norm(points, axis=-1) - 1.0)))
+        return float(np.max(np.abs(np.sqrt(np.einsum("...i,...i", points, points)) - 1.0)))
 
 
 class FlatTorusTarget:
@@ -102,7 +107,10 @@ class FlatTorusTarget:
 
     @staticmethod
     def point(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.stack([np.cos(u), np.sin(u), np.cos(v), np.sin(v)], axis=-1)
+        """Points of angles u, v broadcast: the trig of a t column and a theta
+        row is the same elementwise call, so the bits, as on the full grid."""
+        planes = np.broadcast_arrays(np.cos(u), np.sin(u), np.cos(v), np.sin(v))
+        return np.stack(planes, axis=-1)
 
     @staticmethod
     def residual(points: np.ndarray) -> float:
@@ -141,9 +149,10 @@ class CylinderField:
             raise NeckError("sample dimension does not match the target")
         if self.ft_sq.shape != shape[:2] or self.fth_sq.shape != shape[:2]:
             raise NeckError("squared speeds are not on the grid of the points")
-        if not all(np.isfinite(a).all() for a in (self.points, self.ft_sq, self.fth_sq)):
+        speeds = (self.ft_sq,) if self.fth_sq is self.ft_sq else (self.ft_sq, self.fth_sq)
+        if not all(np.isfinite(a).all() for a in (self.points, *speeds)):
             raise NeckError("non-finite samples")
-        if not (np.all(self.ft_sq >= 0.0) and np.all(self.fth_sq >= 0.0)):
+        if not all(np.all(a >= 0.0) for a in speeds):
             raise NeckError("negative squared speed")
         res = self.target.residual(self.points)
         if res > 1e-10:
@@ -156,10 +165,6 @@ class CylinderField:
     @property
     def n_theta(self) -> int:
         return self.points.shape[1]
-
-    @property
-    def theta_nodes(self) -> np.ndarray:
-        return np.arange(self.n_theta) * (_TWO_PI / self.n_theta)
 
     @cached_property
     def rows(self) -> "_RowTable":
@@ -257,9 +262,14 @@ def build_nodal_pushforward(neck: CylinderField, delta: float) -> WeightedPartic
     h_th = _TWO_PI / neck.n_theta
     win = slice(i0, i1 + 1)
     density = 0.5 * (neck.ft_sq[win] + neck.fth_sq[win]) * w_t[:, None] * h_th
-    root = np.sqrt(complex(neck.pinch))
-    x = root * np.exp(t[:, None] + 1j * neck.theta_nodes[None, :])
-    return WeightedParticleMeasure(x.ravel(), density.ravel(), chart_radius=delta)
+    x = _collar_points(neck.pinch, t, neck.n_theta).ravel()
+    return WeightedParticleMeasure(x, density.ravel(), chart_radius=delta)
+
+
+def _collar_points(pinch: complex, t: np.ndarray, n_theta: int) -> np.ndarray:
+    """x = sqrt(pinch) e^{t + i theta} on n_theta uniform theta (module docstring)."""
+    cols = np.exp(1j * (np.arange(n_theta) * (_TWO_PI / n_theta)))
+    return np.sqrt(complex(pinch)) * (np.exp(t + 0j).real[:, None] * cols[None, :])
 
 
 def cylinder_field_from_sphere_chart(
@@ -273,16 +283,14 @@ def cylinder_field_from_sphere_chart(
     """Sample x -> m(x) on the annulus |pinch|/delta <= |x| <= delta.
 
     m is a holomorphic chart map to the sphere, given with its complex
-    derivative; the cylinder coordinate is x = sqrt(pinch) e^{t + i theta}.
+    derivative; the cylinder coordinate x = sqrt(pinch) e^{t + i theta} is
+    ``_collar_points``, one exp per t row and per theta column.
     Holomorphic maps are conformal: f_theta is f_t turned by a right angle,
     so both squared speeds are 4 |x m'(x)|^2 / (1 + |m|^2)^2 and the field
     holds them as one array.
     """
-    root = np.sqrt(complex(pinch))
     half_length = collar_half_length(delta, pinch)
-    t = np.linspace(-half_length, half_length, n_t + 1)
-    theta = np.arange(n_theta) * (_TWO_PI / n_theta)
-    x = root * np.exp(t[:, None] + 1j * theta[None, :])
+    x = _collar_points(pinch, np.linspace(-half_length, half_length, n_t + 1), n_theta)
     w = m(x)
     dw = m_prime(x) * x
     n = 1.0 + w.real * w.real + w.imag * w.imag

@@ -686,6 +686,58 @@ def test_nesting_past_the_python_parser_recursion_exits_2(tmp_path, capsys, monk
 
 
 @pytest.mark.parametrize(
+    "family, message",
+    [
+        (
+            "kind: bubble1\n  schedule: {316.0: a, 3162.0: b, 10000.0: c}",
+            "schedule must be a list, got {316.0: 'a', 3162.0: 'b', 10000.0: 'c'}",
+        ),
+        (
+            "kind: torus_linear\n  schedule: [1.0e-2, 1.0e-4]\n  slopes: {2.0: x, 1.0: y}",
+            "slopes must be a list, got {1.0: 'y', 2.0: 'x'}",  # reprlib sorts keys
+        ),
+    ],
+    ids=["schedule", "slopes"],
+)
+def test_family_list_given_as_a_mapping_exits_2(tmp_path, capsys, no_family, family, message):
+    # a mapping iterates as its keys, which once loaded as the list
+    cfg = write_cfg(tmp_path, f"family:\n  {family}\nout: {tmp_path / 'x'}\n")
+    assert main(["extract", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: family section invalid: {message}")
+    assert not (tmp_path / "x").exists()
+
+
+def nested_config(depth):
+    """A config whose value nests ``depth`` levels deep, the root mapping included."""
+    return "neck:\n  deltas:\n    a: " + "[" * (depth - 3) + "]" * (depth - 3) + "\n"
+
+
+def test_nesting_that_crashed_libyaml_exits_2(tmp_path):
+    # 200,000 levels overflowed the C stack of libyaml's composer (exit 139);
+    # a fresh interpreter, so that a crash fails this test and not the run
+    cfg = write_cfg(tmp_path, nested_config(200_000))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bubbletree", "extract", "--config", cfg],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"config error: config nests deeper than {cli._MAX_DEPTH} levels")
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+def test_nesting_is_refused_from_one_level_past_the_limit(tmp_path, capsys, monkeypatch, loader):
+    monkeypatch.setattr(cli, "_YAML_LOADER", loader)
+    refused = f"config error: config nests deeper than {cli._MAX_DEPTH} levels"
+    cfg = write_cfg(tmp_path, nested_config(cli._MAX_DEPTH + 1))
+    assert main(["extract", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(refused)
+    cfg = write_cfg(tmp_path, nested_config(cli._MAX_DEPTH))
+    assert main(["extract", "--config", cfg]) == 2
+    assert not capsys.readouterr().err.startswith(refused)
+
+
+@pytest.mark.parametrize(
     "text, message",
     [
         ('curve:\n  graph: "a\\0b"\n', "curve graph must be a path string"),

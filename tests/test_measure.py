@@ -401,3 +401,89 @@ def test_two_candidates_snapped_to_the_node_are_refused(monkeypatch):
         detect_from_table(monkeypatch, excess, lad, candidates=(d, -d), chart_kind="nodal")
     # not a subsequence failure: the driver freezes only those at a node
     assert not isinstance(exc.value, SubsequenceError)
+
+
+def reference_candidate_locations(mu_last, mu_limit, ladder):
+    """``measure._candidate_locations`` as it was before local suppression:
+    each accepted candidate suppresses by a distance test over every cell of
+    the grid."""
+    dK = ladder.finest_scale
+    scan_r = mu_last.chart_radius
+    n = int(min(1024, max(8, np.ceil(2.0 * scan_r / dK))))
+    pitch = 2.0 * scan_r / n
+    edges = np.linspace(-scan_r, scan_r, n + 1)
+
+    def grid(mu):
+        if len(mu) == 0:
+            return np.zeros((n, n))
+        h, _, _ = np.histogram2d(
+            mu.points.real, mu.points.imag, bins=(edges, edges), weights=mu.weights
+        )
+        return h
+
+    excess = grid(mu_last) - grid(mu_limit)
+    block = np.zeros_like(excess)
+    padded = np.pad(excess, 1)
+    for di in range(3):
+        for dj in range(3):
+            block += padded[di : di + n, dj : dj + n]
+    xc = 0.5 * (edges[:-1] + edges[1:])
+    centers_re, centers_im = np.meshgrid(xc, xc, indexing="ij")
+    out = []
+    work = block.copy()
+    for _ in range(64):
+        idx = np.unravel_index(int(np.argmax(work)), work.shape)
+        if work[idx] < 0.5 * ladder.eps_bar:
+            break
+        i0, j0 = idx
+        wsum = 0.0
+        csum = 0.0 + 0.0j
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                i, j = i0 + di, j0 + dj
+                if 0 <= i < n and 0 <= j < n and excess[i, j] > 0:
+                    wsum += excess[i, j]
+                    csum += excess[i, j] * (centers_re[i, j] + 1j * centers_im[i, j])
+        loc = csum / wsum if wsum > 0 else centers_re[idx] + 1j * centers_im[idx]
+        out.append(complex(loc))
+        dist = np.abs((centers_re + 1j * centers_im) - loc)
+        work[dist < 2.0 * dK + 2.0 * pitch] = -np.inf
+    return out
+
+
+@st.composite
+def cluster_measures(draw):
+    """Clouds of a few to many atom clusters anywhere in the chart, edges and
+    corners included, over a limit that holds some of them."""
+    chart = draw(st.sampled_from([0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 80))
+    # corner and edge cells, where the suppression box is clipped, in part
+    centers = rng.uniform(-chart, chart, k) + 1j * rng.uniform(-chart, chart, k)
+    if draw(st.booleans()):
+        centers = chart * np.sign(centers.real) + 1j * centers.imag
+    spread = rng.uniform(0.0, 0.05 * chart, k)
+    counts = rng.integers(1, 40, k)
+    pts = np.concatenate(
+        [c + s * (rng.normal(size=m) + 1j * rng.normal(size=m))
+         for c, s, m in zip(centers, spread, counts)]
+    )
+    pts = np.clip(pts.real, -chart, chart) + 1j * np.clip(pts.imag, -chart, chart)
+    pts *= np.minimum(1.0, chart / np.maximum(np.abs(pts), 1e-300))
+    wts = rng.uniform(0.0, 0.5, pts.size)
+    mu_last = WeightedParticleMeasure(pts, wts, chart)
+    held = rng.random(pts.size) < draw(st.floats(0.0, 1.0))
+    mu_limit = WeightedParticleMeasure(pts[held], 0.5 * wts[held], chart)
+    ladder = ScaleLadder(chart, draw(st.floats(0.05, 2.0)), draw(st.integers(6, 8)))
+    return mu_last, mu_limit, ladder
+
+
+@given(case=cluster_measures())
+@settings(max_examples=80, deadline=None)
+def test_candidate_scan_matches_full_grid_suppression(case):
+    """Suppression inside a box about each accepted cell picks the same
+    candidates, to the bit, as the distance test over the whole grid."""
+    got = measure._candidate_locations(*case)
+    want = reference_candidate_locations(*case)
+    assert isinstance(got, list)
+    assert np.array(got, dtype=complex).tobytes() == np.array(want, dtype=complex).tobytes()

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bubbletree import (
@@ -26,7 +26,8 @@ from bubbletree import (
     zero_neck_test,
 )
 from bubbletree.errors import NeckError
-from bubbletree.neck import _diameter_bracket, _trapezoid, collar_half_length
+from bubbletree.families import _N_T, _N_THETA, _plumbing_transition
+from bubbletree.neck import _collar_points, _diameter_bracket, _trapezoid, collar_half_length
 
 TWO_PI = 2.0 * math.pi
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -485,6 +486,36 @@ def test_diameter_self_check_fires():
         diagnostics(field)
 
 
+def reference_collar_points(pinch, t, n_theta):
+    """The collar grid as one complex exp of the whole grid, the construction
+    ``_collar_points`` replaced."""
+    theta = np.arange(n_theta) * (TWO_PI / n_theta)
+    return np.sqrt(complex(pinch)) * np.exp(t[:, None] + 1j * theta[None, :])
+
+
+def reference_sphere_field(m, m_prime, pinch, delta, n_t, n_theta):
+    """Points and squared speed of ``cylinder_field_from_sphere_chart`` as it
+    was built before: the complex-exp grid and the points by ``np.stack``."""
+    T = collar_half_length(delta, pinch)
+    x = reference_collar_points(pinch, np.linspace(-T, T, n_t + 1), n_theta)
+    w, dw = m(x), m_prime(x) * x
+    u, v = w.real, w.imag
+    n = 1.0 + u * u + v * v
+    points = np.stack([2.0 * u / n, 2.0 * v / n, (n - 2.0) / n], axis=-1)
+    return points, 4.0 * (dw.real * dw.real + dw.imag * dw.imag) / (n * n)
+
+
+def reference_torus_points(a, b, pinch, delta):
+    """Points of a torus member as they were built before: the trig of the
+    full ``np.meshgrid`` grid, stacked by ``np.stack``."""
+    T = collar_half_length(delta, pinch)
+    t = np.linspace(-T, T, _N_T + 1)
+    theta = np.arange(_N_THETA) * (TWO_PI / _N_THETA)
+    tt, th = np.meshgrid(t, theta, indexing="ij")
+    u, v = a * tt, b * th
+    return np.stack([np.cos(u), np.sin(u), np.cos(v), np.sin(v)], axis=-1)
+
+
 def reference_diagnostics(field):
     """The per-sample diagnostics the row table replaced, on a field or a cut."""
     T = field.half_length
@@ -524,8 +555,7 @@ def reference_pushforward(field, delta):
     t = t_nodes(sub)
     w_t = _trapezoid(len(t), t[1] - t[0])
     density = 0.5 * (sub.ft_sq + sub.fth_sq) * w_t[:, None] * (TWO_PI / sub.n_theta)
-    x = np.sqrt(complex(field.pinch)) * np.exp(t[:, None] + 1j * field.theta_nodes[None, :])
-    return x.ravel(), density.ravel()
+    return reference_collar_points(field.pinch, t, field.n_theta).ravel(), density.ravel()
 
 
 def same_bits(got, want):
@@ -621,3 +651,95 @@ def test_zero_neck_refuses_collars_like_the_cut():
         with pytest.raises(NeckError, match=match) as windowed:
             zero_neck_test([f], 0.01, [bad])
         assert str(windowed.value) == str(cut.value)
+
+
+@given(
+    log_pinch=st.floats(-30.0, 0.5),
+    log_delta=st.floats(-3.0, 0.3),
+    n_t=st.integers(2, 600),
+    n_theta=st.integers(4, 200),
+)
+@settings(max_examples=100, deadline=None)
+def test_collar_points_equal_the_complex_exp_grid(log_pinch, log_delta, n_t, n_theta):
+    """One exp per row and per column gives the bits of the full-grid
+    complex exp; the real ``np.exp`` of t would not."""
+    pinch = 10.0**log_pinch
+    try:
+        T = collar_half_length(10.0**log_delta, pinch)
+    except NeckError:
+        assume(False)
+    t = np.linspace(-T, T, n_t + 1)
+    got = _collar_points(pinch, t, n_theta)
+    assert got.tobytes() == reference_collar_points(pinch, t, n_theta).tobytes()
+
+
+@given(
+    kind=st.sampled_from(["plumbing", "plumbing_bubble"]),
+    log_pinch=st.floats(-20.0, -2.0),
+    n_t=st.integers(1, 64),
+    n_theta=st.integers(4, 32),
+)
+@settings(max_examples=60, deadline=None)
+def test_sphere_fields_and_pushforwards_equal_the_complex_exp_construction(
+    kind, log_pinch, n_t, n_theta
+):
+    pinch = 10.0**log_pinch
+    m = _plumbing_transition(kind, pinch)
+    f = cylinder_field_from_sphere_chart(m.value, m.derivative, pinch, 0.5, 2 * n_t, n_theta)
+    points, speed_sq = reference_sphere_field(m.value, m.derivative, pinch, 0.5, 2 * n_t, n_theta)
+    assert f.points.tobytes() == points.tobytes()
+    assert f.ft_sq.tobytes() == speed_sq.tobytes() and f.fth_sq is f.ft_sq
+    for delta in (d for d in (0.5, 0.1, 0.01) if d > math.sqrt(pinch)):
+        try:
+            x, w = reference_pushforward(f, delta)
+        except NeckError:
+            continue  # a collar too short for the grid, refused alike (tested above)
+        mu = build_nodal_pushforward(f, delta)
+        assert mu.points.tobytes() == x.tobytes() and mu.weights.tobytes() == w.tobytes()
+
+
+@given(
+    a=st.floats(-8.0, 8.0),
+    b=st.integers(-6, 6),
+    log_pinch=st.floats(-16.0, -2.0),
+    delta=st.floats(0.2, 1.0),
+)
+@example(a=2.0, b=1, log_pinch=-2.0, delta=0.5)  # the members of configs/torus.yaml
+@example(a=2.0, b=1, log_pinch=-4.0, delta=0.5)
+@example(a=2.0, b=1, log_pinch=-6.0, delta=0.5)
+@example(a=2.0, b=1, log_pinch=-8.0, delta=0.5)
+@settings(max_examples=40, deadline=None)
+def test_torus_members_equal_the_meshgrid_construction(a, b, log_pinch, delta):
+    """The trig of the t column and the theta row, broadcast, gives the bits
+    of the trig of the full grid."""
+    pinch = 10.0**log_pinch
+    spec = FamilySpec(kind="torus_linear", schedule=(pinch,), delta=delta, slopes=(a, b))
+    f = make_family(spec).members[0].field
+    assert f.points.tobytes() == reference_torus_points(a, float(b), pinch, delta).tobytes()
+    assert f.ft_sq.shape == f.fth_sq.shape == f.points.shape[:2]
+
+
+@pytest.mark.parametrize("target", ["sphere", "torus"])
+@pytest.mark.parametrize("scale, refused", [(1.0 + 1e-9, True), (1.0 + 1e-11, False)])
+def test_points_off_the_target_by_more_than_1e_10_are_refused(target, scale, refused):
+    if target == "sphere":
+        f = identity_sphere_neck(1e-6, 0.5, n_t=16, n_theta=8)
+    else:
+        f = linear_torus_field(2.0, 1.0, 1e-4, 0.5)
+    points = scale * f.points
+    if refused:
+        with pytest.raises(NeckError, match="leave the target manifold"):
+            dataclasses.replace(f, points=points)
+    else:
+        assert dataclasses.replace(f, points=points).points is points
+
+
+@pytest.mark.parametrize("value, match", [(math.nan, "non-finite"), (-1e-300, "negative")])
+def test_a_shared_sphere_speed_array_is_checked(value, match):
+    """A conformal sphere field holds one array for both squared speeds,
+    which the field checks once; a bad entry in it is still refused."""
+    f = identity_sphere_neck(1e-6, 0.5, n_t=16, n_theta=8)
+    assert f.fth_sq is f.ft_sq
+    speed_sq = with_entry(f.ft_sq, value)
+    with pytest.raises(NeckError, match=match):
+        dataclasses.replace(f, ft_sq=speed_sq, fth_sq=speed_sq)
