@@ -261,27 +261,29 @@ def density_to_measure(rmap: RationalMap, radius: float) -> WeightedParticleMeas
     same lattice.  The roots are closed form at degree 1 and 2 (the quadratic
     formula without cancellation: the larger root first, the other as the
     product of the roots over it); from degree 3 on they come from one batched
-    eigenvalue call on the companion matrices of all N polynomials.  The atoms
-    are listed lattice point by lattice point; a map of degree 0 has no atoms.
+    eigenvalue call on the companion matrices of all N polynomials.  The
+    coefficients are d + 1 rows of N values (each step one loop over N); the
+    atoms are listed lattice point by lattice point, and degree 0 has none.
     """
     chart = _disk_radius(radius)
     d = rmap.degree
     if d == 0:
         return WeightedParticleMeasure.empty(chart)
     num, den = rmap._padded()
-    coeffs = num - _sphere_lattice()[:, None] * den
+    coeffs = _sphere_lattice() * den[:, None]  # row k: coefficient k of each P - y_j Q
+    np.subtract(num[:, None], coeffs, out=coeffs)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        monic = coeffs[:, 1:] / coeffs[:, :1]
+        monic = np.divide(coeffs[1:], coeffs[0], out=coeffs[1:])
     if not np.all(np.isfinite(monic)):
         # a lattice value the map takes at infinity (to the float range) has
         # a root there, and its other roots would need their own solve
         raise FamilyError("a sphere lattice point is the map's value at z = infinity")
     if d == 1:
-        roots = -monic[:, 0]
+        roots = np.negative(monic[0], out=monic[0])
     elif d == 2:
         # z^2 + 2 h z + c, with h = g u scaled by a power of 2 so that no
         # square overflows; r takes the sign that makes |u + r| the larger
-        h, c = 0.5 * monic[:, 0], monic[:, 1]
+        h, c = 0.5 * monic[0], monic[1]
         g = np.ldexp(1.0, np.frexp(np.maximum(np.abs(h), np.sqrt(np.abs(c))))[1] - 1)
         u = h / g
         r = np.sqrt(u * u - c / g / g)
@@ -290,7 +292,7 @@ def density_to_measure(rmap: RationalMap, radius: float) -> WeightedParticleMeas
         roots = np.stack([big, small], axis=1).ravel()
     else:
         companion = np.zeros((_N_SPHERE, d, d), np.complex128)
-        companion[:, 0, :] = -monic
+        companion[:, 0, :] = -monic.T
         companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
         roots = np.linalg.eigvals(companion).ravel()
     inside = roots[np.abs(roots) <= chart]

@@ -5,6 +5,10 @@ A measure is a finite sum of weighted atoms in a complex chart.  All
 renormalization maps used downstream are affine transforms of the chart.
 Closed-ball masses at several radii about one center come from one
 distance pass (``ball_masses``), each with the bits of its own masked sum.
+A measure keeps its atom moduli |x| as ``moduli``, and every question about
+the chart origin reads them: ball masses (the balanced center's m_k and
+annulus, nodal detection), ``restrict``, the neck-scale solve at q = 0 and
+the balanced center's farthest atom.
 
 The scale ladder fixes the dyadic radii delta_k and tolerances eps_k used
 to certify that a sequence of measures concentrates a definite amount of
@@ -48,13 +52,15 @@ class WeightedParticleMeasure:
 
     points : complex atom locations, all within ``chart_radius`` of 0
     weights : nonnegative atom masses
-    chart_radius : radius of the chart disk the measure lives on
+    chart_radius : radius of the chart disk, positive and finite
+    moduli : |points|, derived and read-only
     """
 
     points: NDArray[np.complex128]
     weights: NDArray[np.float64]
     chart_radius: float
     _mass: float = field(default=0.0, repr=False, compare=False)
+    moduli: NDArray[np.float64] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pts = np.ascontiguousarray(self.points, dtype=np.complex128)
@@ -67,24 +73,29 @@ class WeightedParticleMeasure:
             raise MeasureError("non-finite atom or weight")
         if wts.size and wts.min() < 0.0:
             raise MeasureError(f"negative weight {wts.min()!r}")
-        if self.chart_radius <= 0.0:
-            raise MeasureError(f"chart_radius must be positive, got {self.chart_radius}")
-        if pts.size:
-            rmax = float(np.abs(pts).max())
-            if rmax > self.chart_radius * (1.0 + 1e-12):
-                raise MeasureError(
-                    f"atom at |z| = {rmax:.6g} outside chart of radius {self.chart_radius:.6g}"
-                )
-        pts.setflags(write=False)
-        wts.setflags(write=False)
+        if not 0.0 < self.chart_radius < np.inf:
+            raise MeasureError(f"chart_radius must be positive and finite: {self.chart_radius}")
+        moduli = np.abs(pts)
+        rmax = float(moduli.max(initial=0.0))
+        if rmax > self.chart_radius * (1.0 + 1e-12):
+            raise MeasureError(
+                f"atom at |z| = {rmax:.6g} outside chart of radius {self.chart_radius:.6g}"
+            )
+        for a in (pts, wts, moduli):
+            a.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", wts)
+        object.__setattr__(self, "moduli", moduli)
         object.__setattr__(self, "_mass", float(wts.sum()))
 
     @property
     def mass(self) -> float:
         """Total mass, summed once at construction (the arrays are read-only)."""
         return self._mass
+
+    def distances(self, center: complex) -> NDArray[np.float64]:
+        """|x - center| for every atom; at center 0 the stored moduli, the same bits."""
+        return self.moduli if center == 0 else np.abs(self.points - center)
 
     def __len__(self) -> int:
         return int(self.points.size)
@@ -105,7 +116,8 @@ def ball_masses(
     weights of the atoms within r, in index order, so it equals
     ``mu.weights[np.abs(mu.points - center) <= r].sum()`` bit for bit; the
     radii are visited largest first, each narrowing the atoms the last one
-    kept, so the masked arrays and their sums are the same.
+    kept (or reusing them when it keeps them all), so the masked arrays and
+    their sums are the same.
     """
     radii = np.asarray(radii, dtype=np.float64)
     negative = radii[radii < 0.0]
@@ -114,12 +126,13 @@ def ball_masses(
     out = np.zeros(radii.shape)
     if len(mu) == 0:
         return out
-    dist = np.abs(mu.points - center)
+    dist = mu.distances(center)
     w = mu.weights
     # largest first; a NaN radius holds no atom and sorts last
     for i in np.argsort(-radii, kind="stable"):
         sel = dist <= radii[i]
-        dist, w = dist[sel], w[sel]
+        if not sel.all():  # np.compress: a boolean index branches per atom
+            dist, w = np.compress(sel, dist), np.compress(sel, w)
         out[i] = w.sum()
     return out
 
@@ -133,11 +146,9 @@ def restrict(
     mu: WeightedParticleMeasure, center: complex, radius: float
 ) -> WeightedParticleMeasure:
     """Submeasure of atoms in the closed disk |z - center| <= radius, recentred at 0."""
-    sel = np.abs(mu.points - center) <= radius
+    sel = mu.distances(center) <= radius
     return WeightedParticleMeasure(
-        (mu.points[sel] - center).astype(np.complex128),
-        mu.weights[sel].astype(np.float64),
-        radius,
+        np.compress(sel, mu.points) - center, np.compress(sel, mu.weights), radius
     )
 
 

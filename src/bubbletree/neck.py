@@ -50,6 +50,7 @@ are spectrally accurate for the smooth periodic integrands arising here.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -212,16 +213,22 @@ def collar_half_length(delta: float, pinch: complex, chart: float | None = None)
 def collar_rows(delta: float, pinch: complex, chart: float, n_t: int) -> tuple[int, int, float]:
     """Rows i0..i1 (at least three) of the delta-collar, snapped inward, and
     its half-length t[i1], on the n_t + 1 t nodes of the field of ``pinch``
-    sampled out to radius ``chart``."""
+    sampled out to radius ``chart``.  Node i is np.linspace's t[i], from the
+    grid step; the nodes never decrease, so i0 and i1 are found by bisection."""
     half_length = collar_half_length(chart, pinch)
-    half = min(collar_half_length(delta, pinch, chart), half_length)
-    t = np.linspace(-half_length, half_length, n_t + 1)
-    idx = np.nonzero(np.abs(t) <= half * (1.0 + _SLACK))[0]
-    if len(idx) < 3:
+    bound = min(collar_half_length(delta, pinch, chart), half_length) * (1.0 + _SLACK)
+    step = (half_length + half_length) / max(n_t, 1)
+
+    def node(i: int) -> float:
+        return half_length if i == n_t else i * step - half_length
+
+    i0 = bisect.bisect_left(range(n_t + 1), -bound, key=node)
+    i1 = bisect.bisect_right(range(n_t + 1), bound, key=node) - 1
+    if i1 - i0 < 2:
         raise NeckError(
             f"delta {delta} leaves a degenerate grid on the collar of pinch t = {abs(pinch):g}"
         )
-    return int(idx[0]), int(idx[-1]), float(t[idx[-1]])
+    return i0, i1, node(i1)
 
 
 @dataclass(frozen=True)

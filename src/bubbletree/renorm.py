@@ -177,7 +177,7 @@ def solve_neck_scale(mu: WeightedParticleMeasure, q: complex, eps_bar: float) ->
     total = mu.mass
     _check_levels(total, eps_bar)
     tol = _NECK_TOL * total
-    d = np.abs(mu.points - q)
+    d = mu.distances(q)
     w = mu.weights
     n = len(d)
     # far tail: the m farthest atoms.  First guess: four times the count
@@ -378,7 +378,7 @@ def find_balanced_center(
     tol_abs = _CENTER_TOL * total
     first = _first_moment(mu)
     f_max = eps_bar + max(_NECK_TOL, _JUMP_CAP) * total
-    far = float(np.abs(mu.points).max())
+    far = float(mu.moduli.max())
     margin = total * radius - abs(first) - f_max * (far + radius)
     if not margin > 0.0:
         raise CenterError(

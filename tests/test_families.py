@@ -264,6 +264,87 @@ def test_density_to_measure_refuses_a_lattice_point_at_infinity():
         density_to_measure(RationalMap((y, 1.0), (1.0, 0.0)), 1.0)
 
 
+def reference_density_to_measure(m, radius):
+    """Atoms and weights of ``density_to_measure`` with the coefficients of
+    P - y_j Q held lattice point by lattice point, an (N, d + 1) array: the
+    layout before the coefficient rows, kept as the reference for their bits."""
+    d = m.degree
+    if d == 0:
+        return np.zeros(0, np.complex128), np.zeros(0)
+    num, den = m._padded()
+    coeffs = num - families._sphere_lattice()[:, None] * den
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        monic = coeffs[:, 1:] / coeffs[:, :1]
+    if not np.all(np.isfinite(monic)):
+        raise FamilyError("a sphere lattice point is the map's value at z = infinity")
+    if d == 1:
+        roots = -monic[:, 0]
+    elif d == 2:
+        h, c = 0.5 * monic[:, 0], monic[:, 1]
+        g = np.ldexp(1.0, np.frexp(np.maximum(np.abs(h), np.sqrt(np.abs(c))))[1] - 1)
+        u = h / g
+        r = np.sqrt(u * u - c / g / g)
+        big = -h - g * np.where((u.conj() * r).real < 0.0, -r, r)
+        small = np.divide(c, big, out=np.zeros_like(c), where=big != 0.0)
+        roots = np.stack([big, small], axis=1).ravel()
+    else:
+        companion = np.zeros((_N_SPHERE, d, d), np.complex128)
+        companion[:, 0, :] = -monic
+        companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        roots = np.linalg.eigvals(companion).ravel()
+    inside = roots[np.abs(roots) <= radius]
+    return inside, np.full(inside.size, 4.0 * np.pi / _N_SPHERE)
+
+
+def _assert_rows_match_reference(m, radius):
+    """density_to_measure and its row-major reference give the same atom and
+    weight bytes, or refuse alike."""
+    with np.errstate(all="ignore"):
+        try:
+            want = reference_density_to_measure(m, radius)
+        except FamilyError as exc:
+            with pytest.raises(FamilyError) as got:
+                density_to_measure(m, radius)
+            assert str(got.value) == str(exc)
+            return
+        mu = density_to_measure(m, radius)
+    assert mu.points.tobytes() == want[0].tobytes()
+    assert mu.weights.tobytes() == want[1].tobytes()
+
+
+# coefficient lists of at most three entries: maps of degree 0 to 2
+_LOW_COEFFS = st.lists(st.tuples(_PARTS, _PARTS), min_size=1, max_size=3).map(
+    lambda parts: _trim(np.array([complex(a, b) for a, b in parts]))
+)
+
+
+@given(num=_LOW_COEFFS, den=_LOW_COEFFS, radius=st.sampled_from([0.01, 1.0, 30.0]))
+@settings(max_examples=80, deadline=None)
+def test_coefficient_rows_match_the_row_major_reference(num, den, radius):
+    """Maps of degree 1 and 2, denominators of lower degree and signed-zero
+    coefficient parts included: the same atoms, bit for bit."""
+    try:
+        m = RationalMap(num, den)
+    except FamilyError:
+        assume(False)
+    assume(m.degree >= 1)
+    _assert_rows_match_reference(m, radius)
+
+
+@pytest.mark.parametrize(
+    "num, den",
+    [
+        # a lattice point is the value at infinity: both refuse
+        ((complex(families._sphere_lattice()[7]), 1.0), (1.0, 0.0)),
+        ((1.0, complex(-0.0, 0.5), 0.0, -2.0), (complex(2.0, -0.0), 1.0)),
+        ((complex(0.5, -0.0), 0.0, 1.0, -0.0, -1.0), (1.0, 0.0, 3.0j)),
+    ],
+    ids=["infinity", "degree-3", "degree-4"],
+)
+def test_eigensolved_rows_match_the_row_major_reference(num, den):
+    _assert_rows_match_reference(RationalMap(num, den), 2.0)
+
+
 def _companion_roots(m):
     """Every root of P - y_j Q, one row per point of the package's lattice, by
     the companion-matrix eigensolve: the reference for the closed forms."""

@@ -81,7 +81,9 @@ def test_runs_golden_matches_cli(config, tmp_path):
 
 
 # The neck reports read every bit of the collar grids, and a change there
-# that only moves last bits passes the comparison above at rtol 1e-9.  On the
+# that only moves last bits passes the comparison above at rtol 1e-9.  So do
+# the smooth reports with the particle measures: the lattice preimages, their
+# ball masses and the balanced centers print to the last digit.  On the
 # platform that wrote runs/, these match it byte for byte.
 NECK_REPORTS = [
     ("extract", "plumbing"),
@@ -90,10 +92,20 @@ NECK_REPORTS = [
     ("neck", "plumbing"),
     ("neck", "torus"),
 ]
+SMOOTH_REPORTS = [("extract", "bubble1"), ("extract", "bubble2")]
 
 
 @pytest.mark.parametrize("command, stem", NECK_REPORTS, ids=lambda x: x)
 def test_neck_reports_match_runs_byte_for_byte(command, stem, tmp_path):
+    _assert_runs_bytes(command, stem, tmp_path)
+
+
+@pytest.mark.parametrize("command, stem", SMOOTH_REPORTS, ids=lambda x: x)
+def test_smooth_reports_match_runs_byte_for_byte(command, stem, tmp_path):
+    _assert_runs_bytes(command, stem, tmp_path)
+
+
+def _assert_runs_bytes(command, stem, tmp_path):
     config = ROOT / "configs" / f"{stem}.yaml"
     assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 0
     written = sorted(tmp_path.iterdir())

@@ -13,12 +13,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bubbletree import (
+    RationalMap,
     ScaleLadder,
     WeightedParticleMeasure,
+    build_nodal_pushforward,
+    density_to_measure,
     detect_concentrations,
     mass_in,
     measure,
     restrict,
+    solve_neck_scale,
 )
 from bubbletree.errors import ConcentrationError, LadderError, MeasureError, SubsequenceError
 
@@ -103,6 +107,83 @@ def test_restrict_recentres():
     assert sub.mass == 2.0
     assert np.allclose(sorted(sub.points.real), [-0.1, 0.1])
     assert sub.chart_radius == 0.11
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+def test_non_finite_chart_radius_is_refused(radius):
+    """Detection bins a measure on a grid over its chart: a NaN or infinite
+    chart has none, from the constructor or from restrict."""
+    with pytest.raises(MeasureError, match="positive and finite"):
+        WeightedParticleMeasure(np.array([0j]), np.array([1.0]), radius)
+    with pytest.raises(MeasureError, match="positive and finite"):
+        WeightedParticleMeasure.empty(radius)
+    with pytest.raises(MeasureError, match="positive and finite"):
+        restrict(bubble_atoms(0.1), 0.05, radius)
+
+
+def _assert_moduli(mu):
+    assert not mu.moduli.flags.writeable
+    assert mu.moduli.dtype == np.float64
+    assert mu.moduli.tobytes() == np.abs(mu.points).tobytes()
+
+
+def test_every_measure_keeps_its_moduli(bubble2_family, plumbing_family):
+    """Lattice preimages, restrictions (about 0 and off it), nodal
+    pushforwards, empty measures and the plumbing limit measure all hold
+    |points|, read-only, with the bits of a fresh np.abs."""
+    lattice = density_to_measure(RationalMap((3.0, 0.0, -1.0), (1.0, 2.0)), 1.5)
+    mu = bubble2_family.members[0].measure
+    measures = [
+        lattice,
+        mu,
+        restrict(mu, 0.0, 0.7),
+        restrict(mu, 0.5 + 1e-3j, 0.25),
+        build_nodal_pushforward(plumbing_family.members[-1].field, 0.1),
+        WeightedParticleMeasure.empty(2.0),
+        plumbing_family.limit_measure,
+    ]
+    for m in measures:
+        _assert_moduli(m)
+    assert len(measures[-2]) == 0 and len(measures[-1]) > 1
+
+
+# the chart origin as every caller spells it
+_ORIGINS = [0, 0.0, 0j, -0.0, complex(-0.0, -0.0)]
+
+
+@pytest.mark.parametrize("origin", _ORIGINS, ids=repr)
+def test_questions_about_the_origin_match_a_fresh_distance_pass(origin, bubble2_family):
+    """Ball masses, restriction and the neck-scale solve about 0 read the
+    stored moduli; each equals the computation from np.abs(points - q)."""
+    mu = bubble2_family.members[-1].measure
+    signed = WeightedParticleMeasure(
+        np.array([complex(-0.0, 0.1), complex(0.2, -0.0), complex(-0.0, -0.0)]), np.ones(3), 1.0
+    )
+    radii = [0.5, 1e-3, 0.25, 0.0, 1.0]
+    for m, cut in ((mu, 0.5), (signed, 0.15)):
+        masked = [float(m.weights[np.abs(m.points - origin) <= r].sum()) for r in radii]
+        got = measure.ball_masses(m, origin, radii)
+        assert got.tobytes() == np.array(masked).tobytes()
+        sub = restrict(m, origin, cut)
+        sel = np.abs(m.points - origin) <= cut
+        assert sub.points.tobytes() == (m.points[sel] - origin).tobytes()
+        assert sub.weights.tobytes() == m.weights[sel].tobytes()
+
+    class Fresh:
+        """mu without stored moduli: every distance a fresh pass."""
+
+        points, weights, mass = mu.points, mu.weights, mu.mass
+
+        def distances(self, q):
+            return np.abs(self.points - q)
+
+        def __len__(self):
+            return len(mu)
+
+    for eps_bar in (0.2, 1.0):
+        want = solve_neck_scale(Fresh(), origin, eps_bar)
+        res = solve_neck_scale(mu, origin, eps_bar)
+        assert res == want and res.outside.tobytes() == want.outside.tobytes()
 
 
 def test_negative_weights_rejected():

@@ -28,6 +28,7 @@ from bubbletree import (
 from bubbletree.errors import NeckError
 from bubbletree.families import _N_T, _N_THETA, _plumbing_transition
 from bubbletree.neck import _collar_points, _diameter_bracket, _trapezoid, collar_half_length
+from bubbletree.neck import collar_rows
 
 TWO_PI = 2.0 * math.pi
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -633,6 +634,85 @@ def test_collar_windows_match_on_grid_nodes(log_pinch, n_t, n_theta, node, on_ch
     # the pushforward reads the per-sample density, not the row table
     assert "rows" not in vars(f)
     same_bits(collar_diagnostics(f, delta), reference_diagnostics(sub))
+
+
+def reference_collar_rows(delta, pinch, chart, n_t):
+    """The scan ``collar_rows`` replaced: build the whole t grid with
+    np.linspace and keep the nodes with |t| <= the half-length up to 1e-12."""
+    half_length = collar_half_length(chart, pinch)
+    half = min(collar_half_length(delta, pinch, chart), half_length)
+    t = np.linspace(-half_length, half_length, n_t + 1)
+    idx = np.nonzero(np.abs(t) <= half * (1.0 + 1e-12))[0]
+    if len(idx) < 3:
+        raise NeckError(
+            f"delta {delta} leaves a degenerate grid on the collar of pinch t = {abs(pinch):g}"
+        )
+    return int(idx[0]), int(idx[-1]), float(t[idx[-1]])
+
+
+def _rows_outcome(rows, *args):
+    try:
+        got = rows(*args)
+    except NeckError as exc:
+        return str(exc)
+    assert [type(x) for x in got] == [int, int, float]
+    return got
+
+
+def delta_of_half(pinch, half):
+    """A delta whose collar half-length is ``half``: sqrt(pinch) e^half,
+    stepped a float at a time toward it (at most 8 steps)."""
+    delta = math.sqrt(pinch) * math.exp(half)
+    for _ in range(8):
+        got = collar_half_length(delta, pinch)
+        if got == half:
+            break
+        delta = math.nextafter(delta, math.inf if got < half else 0.0)
+    return delta
+
+
+@given(
+    log_pinch=st.floats(-30.0, 0.5),
+    chart=st.floats(1e-3, 2.0),
+    n_t=st.integers(0, 600),
+    node=st.floats(0.0, 1.0),
+    nudge=st.sampled_from([None, 0.0, 5e-13, -5e-13, 2e-12, -2e-12]),
+)
+@settings(max_examples=300, deadline=None)
+def test_collar_rows_match_the_linspace_scan(log_pinch, chart, n_t, node, nudge):
+    """Half-lengths on a grid node, within the 1e-12 slack of one or just
+    outside it, off the grid (nudge None) and grids of fewer than three rows:
+    the same rows, half-length bits and refusals as the scan."""
+    pinch = 10.0**log_pinch
+    delta = chart * (0.5 + node)
+    if nudge is not None and chart > math.sqrt(pinch):
+        half_length = collar_half_length(chart, pinch)
+        t = np.linspace(-half_length, half_length, n_t + 1)
+        half = abs(float(t[round(node * n_t)]))
+        if half > 0.0:
+            delta = delta_of_half(pinch, half * (1.0 + nudge))
+    args = (delta, pinch, chart, n_t)
+    assert _rows_outcome(collar_rows, *args) == _rows_outcome(reference_collar_rows, *args)
+
+
+def test_collar_rows_keep_a_node_on_the_half_length_and_within_the_slack():
+    """A node on the half-length, or 5e-13 of it outside, is kept; 2e-12
+    outside, it is not.  Fewer than three rows are refused."""
+    pinch, chart, n_t = 1e-6, 0.5, 256
+    half_length = collar_half_length(chart, pinch)
+    t = np.linspace(-half_length, half_length, n_t + 1)
+    for k in (140, 200, 255):
+        on = delta_of_half(pinch, float(t[k]))
+        assert collar_half_length(on, pinch) == t[k]
+        inside = delta_of_half(pinch, float(t[k]) * (1.0 - 5e-13))
+        outside = delta_of_half(pinch, float(t[k]) * (1.0 - 2e-12))
+        for delta, last in ((on, k), (inside, k), (outside, k - 1)):
+            rows = collar_rows(delta, pinch, chart, n_t)
+            assert rows == reference_collar_rows(delta, pinch, chart, n_t)
+            assert rows == (n_t - last, last, float(t[last]))
+    for short in (0, 1):
+        with pytest.raises(NeckError, match="degenerate grid"):
+            collar_rows(chart, pinch, chart, short)
 
 
 def test_zero_neck_refuses_collars_like_the_cut():
