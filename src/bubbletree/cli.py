@@ -13,11 +13,10 @@ family is built, by a file that is not UTF-8 text, YAML that does not parse
 or nests deeper than ``_MAX_DEPTH`` levels, an unknown key, or the owner of a
 rule, which the loader calls rather than restates: every ladder, neck and
 family value must pass ``errors.finite_number`` and the neck deltas
-``errors.neck_schedule``; a
-family section ``FamilySpec``, and with it the ladder ``ScaleLadder`` and, on
-a neck family, ``FamilySpec.collar_rows`` on the collar ``extract`` cuts from
-every member at min(delta0, delta) and on each zero-neck collar of the
-members of ``neck.late_half``.  ``curve`` also exits 2 on a graph file it
+``errors.neck_schedule``; a family section ``FamilySpec``, and with it the
+ladder ``ScaleLadder`` at the family's ``chart_radius`` and, on a neck family,
+``FamilySpec.collar_rows`` on each zero-neck collar of the members of
+``neck.late_half``.  ``curve`` also exits 2 on a graph file it
 cannot read or parse or an edge query it cannot answer, ``neck`` on a family
 without cylinder fields, ``extract`` on a schedule of fewer members than
 detection needs (``measure.MIN_MEMBERS``), and every command on an out
@@ -42,10 +41,9 @@ Config grammar (YAML, unknown keys rejected at every level):
       # optional per-kind knobs: delta, separation, slopes
       # (delta on plumbing, plumbing_bubble and torus_linear, separation on
       # bubble2, slopes on torus_linear; refused on any other kind)
-    ladder:                      # optional
-      delta0: 1.0
-      eps_bar: 0.2
-      depth: 6                   # >= 6
+    ladder:                      # optional; starts at the family's chart
+      eps_bar: 0.2               # radius (1.0, or delta on a neck family)
+      depth: 6                   # an integer >= 6
     neck:                        # optional; enables the zero-neck test
       deltas: [0.1, 0.05, 0.02, 0.01, 0.005, 0.002]
       eps: 0.01
@@ -53,8 +51,6 @@ Config grammar (YAML, unknown keys rejected at every level):
       graph: graph.txt           # path relative to the config file
       edge: 0                    # optional node index to classify
     out: runs/bubble1            # default out directory
-    seed: null                   # must stay null: the pipeline is
-                                 # deterministic and samples nothing
 
 The extraction tolerances are constants of ``bubbletree.renorm`` and
 ``bubbletree.driver``, not config keys.
@@ -93,8 +89,8 @@ _MAX_DEPTH = 4096
 _NESTING = {"<block mapping start>": 1, "<block sequence start>": 1, "{": 1, "[": 1}
 _NESTING.update({"<block end>": -1, "}": -1, "]": -1})  # token id -> change of depth
 
-_TOP_KEYS = ("family", "ladder", "neck", "curve", "out", "seed")
-_LADDER_KEYS = {"delta0": 1.0, "eps_bar": 0.2, "depth": 6}
+_TOP_KEYS = ("family", "ladder", "neck", "curve", "out")
+_LADDER_KEYS = {"eps_bar": 0.2, "depth": 6}
 _NECK_KEYS = {"deltas": (), "eps": 0.01}
 _CURVE_KEYS = {"graph": None, "edge": None}
 
@@ -140,11 +136,12 @@ class RunConfig:
             raise ConfigError("ladder depth must be an integer")
         self.ladder["depth"] = int(self.ladder["depth"])
         if self.family_spec is not None:
-            # the ladder owns its admissibility; families has loaded measure
+            # the ladder owns its admissibility, on the family's chart radius;
+            # families has loaded measure
             from .measure import ScaleLadder
 
             try:
-                ScaleLadder(**self.ladder)
+                ScaleLadder(self.family_spec.chart_radius, **self.ladder)
             except LadderError as exc:
                 raise ConfigError(f"ladder invalid: {exc}") from exc
 
@@ -161,18 +158,14 @@ class RunConfig:
         self.neck["deltas"] = deltas
         spec = self.family_spec
         if spec is not None and spec.samples_neck:
-            # the collar extract cuts from every member at min(delta0, delta),
-            # then those the zero-neck test cuts from the late members
+            # the collars the zero-neck test cuts from the late members
             from .neck import late_half
 
-            chart = min(float(self.ladder["delta0"]), spec.delta)
-            cuts = [("ladder delta0 invalid: ", chart, spec.schedule)]
-            cuts += [("neck ", d, late_half(spec.schedule)) for d in deltas]
-            for prefix, delta, pinches in cuts:
+            for delta in deltas:
                 try:
-                    spec.collar_rows(delta, pinches)
+                    spec.collar_rows(delta, late_half(spec.schedule))
                 except NeckError as exc:
-                    raise ConfigError(f"{prefix}{exc}") from exc
+                    raise ConfigError(f"neck {exc}") from exc
         if not finite_number(self.neck["eps"], "neck eps", ConfigError) > 0:
             raise ConfigError("neck eps must be positive")
 
@@ -188,13 +181,6 @@ class RunConfig:
         if self.curve["graph"] is not None:
             self.graph_path = (base_dir / self.curve["graph"]).resolve()
         self.out = raw.get("out")
-
-        self.seed = raw.get("seed")
-        if self.seed is not None:
-            raise ConfigError(
-                "seed must be null: every stage of the pipeline is deterministic "
-                "and no stochastic sampling exists to seed"
-            )
 
     def canonical(self) -> dict:
         # computation-determining inputs only: where the artifacts land must
@@ -215,7 +201,6 @@ class RunConfig:
 
         return ExtractionConfig(
             eps_bar=float(self.ladder["eps_bar"]),
-            delta0=float(self.ladder["delta0"]),
             depth=self.ladder["depth"],
             neck_deltas=self.neck["deltas"],
             neck_eps=float(self.neck["eps"]),

@@ -29,7 +29,7 @@ genuine cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .curve import BubbleInsertion, MarkedNodalCurve, add_bubble_component, is_regular_node
@@ -67,26 +67,23 @@ _ALPHA_TOL = 1e-3  # nodal regularity: |alpha| <= _ALPHA_TOL * (1 + energy)
 
 @dataclass(frozen=True)
 class ExtractionConfig:
-    """Knobs of one extraction run; defaults suit unit-chart families.
+    """Knobs of one extraction run.
 
-    Construction builds the scale ladder of (delta0, eps_bar, depth) once,
-    so an inadmissible ladder (depth < 6, say) refuses the config with
-    ``ScaleLadder``'s ``LadderError``.  The smooth chart detects on that
-    ladder; the nodal chart builds its own at min(delta0, plumbing radius).
-    Smooth sites are marked on the measure within delta0/2 of the site, and
-    each extraction step must lower the residual energy by at least
-    eps_bar/2 - step_tol.
+    Each chart builds its scale ladder ``ScaleLadder(radius, eps_bar, depth)``
+    from its own radius: the chart disk of a smooth family's measures, the
+    collar radius delta of a neck family's fields.  So an inadmissible ladder
+    (depth < 6, say) refuses the extraction with ``ScaleLadder``'s
+    ``LadderError``.  Smooth sites are marked on the measure within half the
+    chart radius of the site, and each extraction step must lower the
+    residual energy by at least eps_bar/2 - step_tol.
     """
 
     eps_bar: float = 0.2
-    delta0: float = 1.0
     depth: int = 6
     neck_deltas: tuple[float, ...] = ()
     neck_eps: float = 0.01
-    ladder: ScaleLadder = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ladder", ScaleLadder(self.delta0, self.eps_bar, self.depth))
         object.__setattr__(self, "neck_deltas", tuple(float(d) for d in self.neck_deltas))
 
     @property
@@ -198,8 +195,9 @@ class _Chart:
 
 def _smooth_chart(family: Family, config: ExtractionConfig) -> _Chart:
     eps_bar = config.eps_bar
-    ladder = config.ladder
     mus = [m.measure for m in family.members]
+    chart = mus[-1].chart_radius
+    ladder = ScaleLadder(chart, eps_bar, config.depth)
     mu_limit = family.limit_measure
     sites = detect_concentrations(mus, mu_limit, ladder, chart_kind="smooth")
     last = family.members[-1]
@@ -231,7 +229,7 @@ def _smooth_chart(family: Family, config: ExtractionConfig) -> _Chart:
             f"site sum {site_route:.9g}, expected bias {bias:.9g}"
         )
 
-    radius = config.delta0 / 2.0
+    radius = chart / 2.0
 
     def mark(curve, site):
         members = [restrict(mus[idx], site.location, radius) for idx in site.subsequence]
@@ -262,9 +260,8 @@ def _smooth_chart(family: Family, config: ExtractionConfig) -> _Chart:
 def _nodal_chart(family: Family, config: ExtractionConfig) -> _Chart:
     eps_bar = config.eps_bar
     fields = [m.field for m in family.members]
-    delta_chart = min(config.delta0, *(float(f.delta) for f in fields))
-    ladder = ScaleLadder(delta_chart, eps_bar, config.depth)
-    mus = [build_nodal_pushforward(f, delta_chart) for f in fields]
+    mus = [build_nodal_pushforward(f) for f in fields]
+    ladder = ScaleLadder(mus[-1].chart_radius, eps_bar, config.depth)
     mu_limit = family.limit_measure
     last_field = fields[-1]
     diag_last = diagnostics(last_field)

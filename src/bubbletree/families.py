@@ -331,7 +331,7 @@ class FamilySpec:
         if finite_number(self.delta, "delta", FamilyError) <= 0:
             raise FamilyError("delta must be positive")
         finite_number(self.separation, "separation", FamilyError)
-        if self.kind == "bubble2" and not (0 < self.separation < _CHART_RADIUS):
+        if self.kind == "bubble2" and not (0 < self.separation < self.chart_radius):
             raise FamilyError("bubble2 separation must lie inside the chart disk")
         if self.kind == "torus_linear":
             b = self.slopes[1]
@@ -358,6 +358,13 @@ class FamilySpec:
         """Whether the members are cylinder fields about a node, sampled out
         to radius ``delta``; no other kind reads ``delta``."""
         return "delta" in _OPTIONS[self.kind]
+
+    @property
+    def chart_radius(self) -> float:
+        """Radius of the chart disk the members live on, where each chart's
+        scale ladder starts: the collar radius ``delta`` of a neck family,
+        the unit disk of the z chart otherwise."""
+        return self.delta if self.samples_neck else _CHART_RADIUS
 
     def collar_rows(self, delta: float, pinches: Sequence[float]) -> list[tuple[int, int, float]]:
         """``CylinderField.collar_rows(delta)`` of the member field of each
@@ -411,12 +418,12 @@ def _bubble_family(spec: FamilySpec) -> Family:
     members = []
     for k in spec.schedule:
         rmap = RationalMap((k, 0.0) if spec.kind == "bubble1" else (k, 0.0, -k * a * a), (1.0,))
-        mu = density_to_measure(rmap, _CHART_RADIUS)
+        mu = density_to_measure(rmap, spec.chart_radius)
         members.append(FamilyMember(f"k={k:g}", float(k), rmap, mu, None))
     return Family(
         tuple(members),
         MarkedNodalCurve((0,), (), ((0, 1), (0, 2), (0, 3))),
-        WeightedParticleMeasure.empty(_CHART_RADIUS),
+        WeightedParticleMeasure.empty(spec.chart_radius),
     )
 
 
@@ -437,11 +444,11 @@ def _plumbing_family(spec: FamilySpec) -> Family:
             m.value, m.derivative, pinch=t, delta=spec.delta, n_t=_N_T, n_theta=_N_THETA
         )
         members.append(FamilyMember(f"t={t:g}", float(t), m, None, fld))
-    limit = WeightedParticleMeasure.empty(spec.delta)
+    limit = WeightedParticleMeasure.empty(spec.chart_radius)
     if spec.kind == "plumbing":
         # both sides of x + t/x limit to the identity chart map, so the far
         # side contributes its disk energy as an atom at the node
-        near = density_to_measure(RationalMap((1.0, 0.0), (1.0,)), spec.delta)
+        near = density_to_measure(RationalMap((1.0, 0.0), (1.0,)), spec.chart_radius)
         limit = WeightedParticleMeasure(
             np.append(near.points, 0j), np.append(near.weights, near.mass), near.chart_radius
         )
@@ -473,7 +480,7 @@ def _torus_family(spec: FamilySpec) -> Family:
     return Family(
         tuple(members),
         MarkedNodalCurve((0, 0), ((0, 1), (0, 1)), ((0, 1), (1, 2))),
-        WeightedParticleMeasure.empty(spec.delta),
+        WeightedParticleMeasure.empty(spec.chart_radius),
     )
 
 

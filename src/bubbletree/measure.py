@@ -24,6 +24,7 @@ one ``ball_masses`` call per candidate.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
@@ -59,7 +60,7 @@ class WeightedParticleMeasure:
     points: NDArray[np.complex128]
     weights: NDArray[np.float64]
     chart_radius: float
-    _mass: float = field(default=0.0, repr=False, compare=False)
+    _mass: float = field(init=False, repr=False, compare=False)
     moduli: NDArray[np.float64] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -171,7 +172,8 @@ class ScaleLadder:
     when depth >= 6, and construction refuses any other.  It also refuses a
     depth at which the finest scale or tolerance underflows to 0.0 (every
     depth from 1075 on, up to and beyond the float range), before any array
-    is built.
+    is built.  The depth is an integer: an integral float is stored as an
+    int, and a bool or any other value is refused.
     """
 
     delta0: float
@@ -186,6 +188,12 @@ class ScaleLadder:
                 f"delta0 and eps_bar must be positive and finite, "
                 f"got {self.delta0!r} and {self.eps_bar!r}"
             )
+        depth = self.depth
+        if isinstance(depth, float) and depth.is_integer():
+            depth = int(depth)
+        if isinstance(depth, bool) or not isinstance(depth, numbers.Integral):
+            raise LadderError(f"depth must be an integer, got {self.depth!r}")
+        object.__setattr__(self, "depth", int(depth))
         if self.depth < 6:
             raise LadderError(
                 f"depth must be >= 6 (3 delta_(2k-1) < delta_k at k = depth // 2), "

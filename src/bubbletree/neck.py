@@ -22,11 +22,11 @@ i0..i1 of a field's t grid; the config loader calls it too, through
 zero-neck test refuse the same neck deltas.
 Each field caches, on first use, one table of per-t-row theta-sums, and a
 collar is a window of rows: ``collar_diagnostics`` (which the zero-neck test
-calls for every delta) reads rows i0..i1 of the sums, and the nodal
-pushforward (collar energy as atoms on the x-side chart) sums
-|f_t|^2 + |f_theta|^2 at each sample of rows i0..i1; neither builds a
-sub-field.  Both agree bit for bit with the diagnostics and atoms of the cut
-sub-field, which the tests keep as their reference.  The collar grid
+calls for every delta) reads rows i0..i1 of the sums without building a
+sub-field, and agrees bit for bit with the diagnostics of the cut sub-field,
+which the tests keep as their reference.  The nodal pushforward (the field's
+energy as atoms on the x-side chart of radius delta) sums
+|f_t|^2 + |f_theta|^2 at every sample of the whole field.  The collar grid
 x = sqrt(pinch) e^{t + i theta} of the sphere fields and the pushforward is
 ``_collar_points``: the complex exp of t + i theta is e^t cos theta +
 i e^t sin theta, so one exp per t row (the complex exp of the real t; numpy's
@@ -256,21 +256,19 @@ def _trapezoid(n: int, h: float) -> np.ndarray:
     return w
 
 
-def build_nodal_pushforward(neck: CylinderField, delta: float) -> WeightedParticleMeasure:
-    """Energy of rows ``neck.collar_window(delta)`` as atoms at
-    x = sqrt(pinch) e^{t+i theta}.
+def build_nodal_pushforward(neck: CylinderField) -> WeightedParticleMeasure:
+    """The field's energy as atoms at x = sqrt(pinch) e^{t+i theta}, on the
+    chart of radius ``neck.delta``.
 
     Each sample carries its quadrature share of the collar energy, so the
     disk B(0, |pinch|/delta) carries nothing and the total is the collar energy.
     """
-    i0, i1, half = neck.collar_window(delta)
-    t = np.linspace(-half, half, i1 - i0 + 1)
+    t = np.linspace(-neck.half_length, neck.half_length, neck.n_t + 1)
     w_t = _trapezoid(len(t), t[1] - t[0])
     h_th = _TWO_PI / neck.n_theta
-    win = slice(i0, i1 + 1)
-    density = 0.5 * (neck.ft_sq[win] + neck.fth_sq[win]) * w_t[:, None] * h_th
+    density = 0.5 * (neck.ft_sq + neck.fth_sq) * w_t[:, None] * h_th
     x = _collar_points(neck.pinch, t, neck.n_theta).ravel()
-    return WeightedParticleMeasure(x, density.ravel(), chart_radius=delta)
+    return WeightedParticleMeasure(x, density.ravel(), chart_radius=neck.delta)
 
 
 def _collar_points(pinch: complex, t: np.ndarray, n_theta: int) -> np.ndarray:

@@ -69,20 +69,16 @@ def bubble2_tree(bubble2_family):
 
 @pytest.fixture(scope="session")
 def plumbing_tree(plumbing_family):
-    cfg = ExtractionConfig(
-        delta0=0.5, neck_deltas=(0.1, 0.05, 0.02, 0.01, 0.005, 0.002)
-    )
+    cfg = ExtractionConfig(neck_deltas=(0.1, 0.05, 0.02, 0.01, 0.005, 0.002))
     return extract_bubble_tree(plumbing_family, cfg)
 
 
 @pytest.fixture(scope="session")
 def plumbing_bubble_tree(plumbing_bubble_family):
-    return extract_bubble_tree(plumbing_bubble_family, ExtractionConfig(delta0=0.5))
+    return extract_bubble_tree(plumbing_bubble_family)
 
 
 @pytest.fixture(scope="session")
 def torus21_tree(torus21_family):
-    cfg = ExtractionConfig(
-        delta0=0.5, neck_deltas=(0.1, 0.05, 0.02, 0.01, 0.005, 0.002)
-    )
+    cfg = ExtractionConfig(neck_deltas=(0.1, 0.05, 0.02, 0.01, 0.005, 0.002))
     return extract_bubble_tree(torus21_family, cfg)

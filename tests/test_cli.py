@@ -184,19 +184,61 @@ def test_documented_top_level_keys_are_the_accepted_keys(tmp_path):
     documented = re.findall(r"^    (\w+):", cli.__doc__, re.MULTILINE)
     assert documented == list(cli._TOP_KEYS)
     cli.RunConfig(dict.fromkeys(documented), tmp_path)
+    # a section's keys are the lines indented by six spaces under its name
+    grammar = cli.__doc__.split("Config grammar")[1]
+    sections = dict(re.findall(r"^    (\w+):.*\n((?:      .*\n)*)", grammar, re.MULTILINE))
+    for name, keys in (
+        ("ladder", cli._LADDER_KEYS),
+        ("neck", cli._NECK_KEYS),
+        ("curve", cli._CURVE_KEYS),
+    ):
+        assert re.findall(r"^      (\w+):", sections[name], re.MULTILINE) == list(keys), name
 
 
 def test_seed_rejected_as_meaningless(tmp_path, capsys):
+    # the pipeline samples nothing, so no config key seeds it
     cfg = write_cfg(
         tmp_path, BUBBLE_CFG.format(out=tmp_path / "x") + "seed: 7\n"
     )
     assert main(["extract", "--config", cfg]) == 2
-    assert "deterministic" in capsys.readouterr().err
+    assert "unknown top-level keys: ['seed']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["extract", "neck"])
+def test_ladder_delta0_refused_as_an_unknown_key(tmp_path, capsys, no_family, command):
+    # the ladder starts at the family's chart radius, which no ladder key restates
+    cfg = write_cfg(
+        tmp_path, PLUMBING_CFG.format(out=tmp_path / "x") + "ladder: {delta0: 0.5}\n"
+    )
+    assert main([command, "--config", cfg]) == 2
+    assert "unknown keys in 'ladder': ['delta0']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "depth, message",
+    [(6.5, "ladder depth must be an integer"), ("true", "ladder depth must be a finite number")],
+    ids=["fraction", "bool"],
+)
+def test_ladder_depth_not_an_integer_exits_2_before_any_family(
+    tmp_path, capsys, no_family, depth, message
+):
+    cfg = write_cfg(
+        tmp_path, BUBBLE_CFG.format(out=tmp_path / "x") + f"ladder:\n  depth: {depth}\n"
+    )
+    assert main(["extract", "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_integral_float_depth_loads_as_its_int(tmp_path):
+    texts = [BUBBLE_CFG.format(out="x") + f"ladder: {{depth: {d}}}\n" for d in ("7.0", "7")]
+    cfgs = [cli.load_config(Path(write_cfg(tmp_path, text))) for text in texts]
+    assert [type(c.ladder["depth"]) for c in cfgs] == [int, int]
+    assert cfgs[0].config_hash() == cfgs[1].config_hash()
 
 
 @pytest.mark.parametrize(
     "ladder",
-    ['eps_bar: "abc"', "eps_bar: true", "delta0: .inf", "depth: 1" + "0" * 400],
+    ['eps_bar: "abc"', "eps_bar: true", "eps_bar: .inf", "depth: 1" + "0" * 400],
     ids=["string", "bool", "non_finite", "int_beyond_float_range"],
 )
 def test_ladder_value_not_a_finite_number_exits_2(tmp_path, capsys, ladder):
@@ -338,27 +380,6 @@ def test_neck_family_schedule_refused_at_load(
 def test_neck_deltas_refused_at_load(tmp_path, capsys, no_family, command, deltas, message):
     cfg = write_cfg(
         tmp_path, PLUMBING_CFG.format(out=tmp_path / "x") + f"neck:\n  deltas: {deltas}\n"
-    )
-    assert main([command, "--config", cfg]) == 2
-    assert message in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "delta0, message",
-    [
-        # sqrt(1e-3), the largest pinch, exceeds 1e-3
-        ("1.0e-3", "delta0 invalid: delta 0.001 does not exceed sqrt(t) for the pinch t = 0.001"),
-        # above sqrt(1e-3) by less than a step of the 256-step t grid
-        ("0.0317", "delta0 invalid: delta 0.0317 leaves a degenerate grid on the collar of pinch"),
-    ],
-    ids=["within_pinch", "within_a_grid_step"],
-)
-@pytest.mark.parametrize("command", ["extract", "neck"])
-def test_ladder_delta0_refused_at_load_on_a_neck_family(
-    tmp_path, capsys, no_family, command, delta0, message
-):
-    cfg = write_cfg(
-        tmp_path, PLUMBING_CFG.format(out=tmp_path / "x") + f"ladder:\n  delta0: {delta0}\n"
     )
     assert main([command, "--config", cfg]) == 2
     assert message in capsys.readouterr().err
@@ -776,7 +797,7 @@ _KINDS = st.sampled_from(["bubble1", "bubble2", "plumbing", "plumbing_bubble", "
 def yaml_configs(draw):
     """YAML text of a config whose every section is absent, any value, or a
     mapping of some of its keys to any values (a family kind is often a real
-    one); ``out`` and ``seed`` are absent or any value."""
+    one); ``out`` is absent or any value."""
     raw = {}
     for name, keys in _SECTION_KEYS.items():
         shape = draw(st.sampled_from(["absent", "value", "keys"]))
@@ -785,9 +806,8 @@ def yaml_configs(draw):
         elif shape == "keys":
             chosen = draw(st.lists(st.sampled_from(keys), unique=True))
             raw[name] = {k: draw(_KINDS | _VALUES if k == "kind" else _KNOB) for k in chosen}
-    for name in ("out", "seed"):
-        if draw(st.booleans()):
-            raw[name] = draw(_VALUES)
+    if draw(st.booleans()):
+        raw["out"] = draw(_VALUES)
     return yaml.safe_dump(raw, sort_keys=False)
 
 

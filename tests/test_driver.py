@@ -25,15 +25,29 @@ from bubbletree.errors import DriverError, LadderError, SubsequenceError
 FOUR_PI = 4.0 * math.pi
 
 
-def test_config_defaults_and_validation():
+def test_config_defaults_and_validation(bubble1_family):
     cfg = ExtractionConfig()
     assert cfg.step_tol == pytest.approx(0.01)  # eps_bar / 20
     assert ExtractionConfig(eps_bar=0.4).step_tol == pytest.approx(0.02)
-    assert (cfg.ladder.delta0, cfg.ladder.eps_bar, cfg.ladder.depth) == (1.0, 0.2, 6)
+    fields = [f.name for f in dataclasses.fields(cfg)]
+    assert fields == ["eps_bar", "depth", "neck_deltas", "neck_eps"]
+    assert (cfg.eps_bar, cfg.depth) == (0.2, 6)
+    # the chart builds its ladder, so extraction refuses an inadmissible one
     with pytest.raises(LadderError, match="positive"):
-        ExtractionConfig(eps_bar=0.0)
+        extract_bubble_tree(bubble1_family, ExtractionConfig(eps_bar=0.0))
     with pytest.raises(LadderError, match="depth must be >= 6"):
-        ExtractionConfig(depth=5)
+        extract_bubble_tree(bubble1_family, ExtractionConfig(depth=5))
+
+
+def test_integral_float_depth_extracts_as_its_int(bubble1_family):
+    # the ladder stores 7.0 as 7, so slicing at its working index works; a
+    # non-integral depth is a LadderError, not a raw TypeError
+    got = extract_bubble_tree(bubble1_family, ExtractionConfig(depth=7.0))
+    want = extract_bubble_tree(bubble1_family, ExtractionConfig(depth=7))
+    assert got.re_trace == want.re_trace and got.components == want.components
+    for depth in (6.5, True):
+        with pytest.raises(LadderError, match="depth must be an integer"):
+            extract_bubble_tree(bubble1_family, ExtractionConfig(depth=depth))
 
 
 def synthetic_tree(re_trace, components=None):
@@ -164,7 +178,7 @@ def test_unstable_site_at_a_regular_node_is_refused(plumbing_bubble_family):
     # of the curve is a regular bridge, so this is a detection failure, not
     # a non-regular node to freeze into the singular set
     with pytest.raises(SubsequenceError, match="subsequence not extracted"):
-        extract_bubble_tree(plumbing_bubble_family, ExtractionConfig(delta0=0.5, depth=10))
+        extract_bubble_tree(plumbing_bubble_family, ExtractionConfig(depth=10))
 
 
 def test_torus_tree_routes_to_singular_set(torus21_tree):
@@ -230,7 +244,7 @@ def test_smooth_site_on_nodal_chart_is_refused(plumbing_family, monkeypatch):
     with pytest.raises(
         DriverError, match="^smooth sites on a nodal chart are not supported$"
     ):
-        extract_bubble_tree(plumbing_family, ExtractionConfig(delta0=0.5))
+        extract_bubble_tree(plumbing_family)
 
 
 def test_nodal_site_at_non_regular_node_is_refused(torus21_family, monkeypatch):
@@ -243,7 +257,7 @@ def test_nodal_site_at_non_regular_node_is_refused(torus21_family, monkeypatch):
         return (site,)
 
     monkeypatch.setattr(driver, "detect_concentrations", detect)
-    tree = extract_bubble_tree(torus21_family, ExtractionConfig(delta0=0.5))
+    tree = extract_bubble_tree(torus21_family)
     assert [(s.location, s.mass) for s in tree.singular] == [(0j, 1.0)]
     reason = tree.singular[0].reason
     assert "dual-graph node classification: not_regular" in reason

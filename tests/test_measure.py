@@ -138,7 +138,7 @@ def test_every_measure_keeps_its_moduli(bubble2_family, plumbing_family):
         mu,
         restrict(mu, 0.0, 0.7),
         restrict(mu, 0.5 + 1e-3j, 0.25),
-        build_nodal_pushforward(plumbing_family.members[-1].field, 0.1),
+        build_nodal_pushforward(plumbing_family.members[-1].field),
         WeightedParticleMeasure.empty(2.0),
         plumbing_family.limit_measure,
     ]
@@ -186,6 +186,12 @@ def test_questions_about_the_origin_match_a_fresh_distance_pass(origin, bubble2_
         assert res == want and res.outside.tobytes() == want.outside.tobytes()
 
 
+def test_total_mass_is_not_an_init_parameter():
+    with pytest.raises(TypeError):
+        WeightedParticleMeasure(np.array([0j]), np.array([1.0]), 1.0, 99.0)
+    assert WeightedParticleMeasure(np.array([0j]), np.array([1.0]), 1.0).mass == 1.0
+
+
 def test_negative_weights_rejected():
     with pytest.raises(MeasureError):
         WeightedParticleMeasure(np.array([0j]), np.array([-1.0]), 1.0)
@@ -198,6 +204,19 @@ def test_ladder_shape():
     assert lad.working_index == 3
     with pytest.raises(LadderError):
         ScaleLadder(1.0, 0.2, 1)
+
+
+@pytest.mark.parametrize("depth", [6.5, True, math.inf, "7"], ids=repr)
+def test_ladder_refuses_a_depth_that_is_not_an_integer(depth):
+    with pytest.raises(LadderError, match="depth must be an integer"):
+        ScaleLadder(1.0, 0.2, depth)
+
+
+def test_ladder_stores_an_integral_float_depth_as_an_int():
+    lad = ScaleLadder(1.0, 0.2, 7.0)
+    assert type(lad.depth) is int and type(lad.working_index) is int
+    assert lad == ScaleLadder(1.0, 0.2, 7)
+    assert lad.delta.tobytes() == ScaleLadder(1.0, 0.2, 7).delta.tobytes()
 
 
 def reference_ladder(delta0, eps_bar, depth):

@@ -564,7 +564,7 @@ def test_mark_smooth_bubble_scale_must_shrink(monkeypatch):
 def test_mark_nodal_bubble_refusals(plumbing_bubble_family, plumbing_bubble_tree):
     lad = ScaleLadder(0.5, 0.2, 6)
     fields = [m.field for m in plumbing_bubble_family.members]
-    mus = [build_nodal_pushforward(f, 0.5) for f in fields]
+    mus = [build_nodal_pushforward(f) for f in fields]
     pinches = [f.pinch for f in fields]
     # the driver marks the measures it detected on: same ratios as a fresh marking
     nodal = [n for n in plumbing_bubble_tree.necks if n.kind == "nodal"][0]
@@ -621,7 +621,7 @@ def test_marking_refuses_an_off_center_renormalization(monkeypatch):
 
 def test_nodal_marking_refuses_a_cut_outside_the_working_scale(plumbing_bubble_family):
     fields = [m.field for m in plumbing_bubble_family.members][-2:]
-    mus = [build_nodal_pushforward(f, 0.5) for f in fields]
+    mus = [build_nodal_pushforward(f) for f in fields]
     with pytest.raises(MarkingError, match=r"cut point \|r\| = .* outside B\(0, 5e-05\)"):
         mark_nodal_bubble(mus, [f.pinch for f in fields], ScaleLadder(1e-4, 0.2, 6))
 
