@@ -450,15 +450,17 @@ def _cmd_curve(cfg: RunConfig, args, stem: str) -> int:
 
 
 def _selftest_checks():
-    from .families import FamilySpec, RationalMap, energy_quadrature, make_family
+    from .families import FamilySpec, RationalMap, contour_energy, make_family
     from .neck import cylinder_field_from_sphere_chart, diagnostics
     from .renorm import solve_neck_scale_from_cdf
 
     def check_degree_energy():
         worst = 0.0
         for d in (1, 2, 3):
-            num = tuple([1.0] + [0.0] * d)
-            e = energy_quadrature(RationalMap(num, (1.0,)))
+            # z^d on |z| <= 1 and, chart reversed, 1/w^d on |w| <= 1: a pole
+            # of order d at 0, counted by the contour's certified winding
+            m = RationalMap(tuple([1.0] + [0.0] * d), (1.0,))
+            e = contour_energy(m, 1.0) + contour_energy(m.chart_reversed(), 1.0)
             worst = max(worst, abs(e - 4.0 * math.pi * d) / (4.0 * math.pi * d))
         return worst <= 1e-6, f"max relative error {worst:.3e} (bound 1e-06)"
 
@@ -520,7 +522,7 @@ def _selftest_checks():
         return ok, f"status {v.status}, witness {v.witness} (expect regular via mark 4)"
 
     return [
-        ("degree-energy quadrature", check_degree_energy),
+        ("degree-energy contour", check_degree_energy),
         ("pohozaev residual", check_pohozaev),
         ("neck-scale uniform disk", check_neck_scale),
         ("torus alpha closed form", check_torus_alpha),

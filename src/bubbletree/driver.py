@@ -19,8 +19,8 @@ excluded from the accounting; the energy identity is then not asserted.
 The limit energy of a rational family is 4 pi degree, the energy of a
 degree-d holomorphic map of the sphere, so no whole-sphere integral is
 taken; that of a neck family is the last member's cylinder energy.  Base
-energy is always computed by an independent route (the limit energy less a
-density quadrature of the last member's caps about the sites for rational
+energy is always computed by an independent route (the limit energy less the
+exact contour energy of the last member's caps about the sites for rational
 maps, cylinder diagnostics for neck fields), never from the same particle
 ball masses that produce the site masses, so the identity residual is a
 genuine cross-check.
@@ -34,7 +34,7 @@ from typing import Callable
 
 from .curve import BubbleInsertion, MarkedNodalCurve, add_bubble_component, is_regular_node
 from .errors import DriverError, SubsequenceError
-from .families import Family, energy_quadrature
+from .families import Family, contour_energy
 from .measure import (
     ConcentrationSite,
     ScaleLadder,
@@ -205,13 +205,10 @@ def _smooth_chart(family: Family, config: ExtractionConfig) -> _Chart:
     # a rational map of degree d covers the sphere d times: energy 4 pi d
     limit_energy = 4.0 * math.pi * last.rational.degree
     delta_k = ladder.finest_scale
-    # independent base route: the sphere energy less the density quadrature
-    # of the last member's caps about the sites (not the particle masses the
+    # independent base route: the sphere energy less the contour energy of
+    # the last member's caps about the sites (not the particle masses the
     # sites came from)
-    caps = [
-        energy_quadrature(last.rational, radius=delta_k, center=s.location)
-        for s in sites
-    ]
+    caps = [contour_energy(last.rational, delta_k, s.location) for s in sites]
     base_energy = limit_energy - sum(caps)
 
     queue = tuple(s for s in sites if s.mass >= 2.0 * eps_bar)

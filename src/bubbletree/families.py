@@ -12,6 +12,8 @@ density of f = P/Q is
     e(z) = 4 |P'Q - PQ'|^2 / (|P|^2 + |Q|^2)^2
 
 per euclidean chart area.  This is pole-free whenever P and Q share no root.
+Its integral over a chart disk is exact by Stokes' theorem
+(``contour_energy``): a boundary integral plus 4 pi per pole inside.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .quadrature import adaptive_polar_quadrature
 
 __all__ = [
     "RationalMap",
+    "contour_energy",
     "FamilySpec",
     "FamilyMember",
     "Family",
@@ -44,6 +47,10 @@ __all__ = [
 # resolution of every generated family and quadrature, fixed for the package;
 # the quadrature's absolute floor and panel budget are constants of quadrature
 _ENERGY_REL_TOL = 1e-9  # energy_quadrature
+# contour_energy: first and largest node counts, and the agreement of the
+# n- and 2n-node sums, relative to the scale of the sum
+_CONTOUR_FIRST, _CONTOUR_LAST = 256, 65536
+_CONTOUR_TOL = 1e-12
 _N_SPHERE = 20000  # lattice points on the sphere, each of weight 4 pi / N
 _CHART_RADIUS = 1.0  # rational families live on the unit disk of the z chart
 _N_T, _N_THETA = 256, 64  # cylinder grid of the neck families
@@ -180,6 +187,73 @@ def _disk_radius(radius: float) -> float:
     if not (radius > 0 and np.isfinite(radius)):
         raise FamilyError(f"disk radius must be positive and finite, got {radius}")
     return float(radius)
+
+
+def contour_energy(rmap: RationalMap, radius: float, center: complex = 0j) -> float:
+    """Energy of a rational map over the chart disk |z - center| <= radius, exactly
+    by Stokes' theorem.
+
+    Away from infinity the sphere's area form is d(2 rho^2/(1 + rho^2) dphi),
+    so for f = P/Q with no pole on the circle C bounding the disk B
+
+        E(f; B) = 4 pi N + integral over C of 2 Im(conj(P) W dz / Q) / (|P|^2 + |Q|^2),
+
+    with W = P'Q - PQ' and N the poles in B counted with multiplicity.  The
+    integrand is real-analytic and periodic, so its trapezoid sum converges
+    geometrically: n starts at 256 and doubles until the n- and 2n-node sums
+    agree within ``_CONTOUR_TOL`` of 4 pi N plus the integrand's absolute
+    sum, and the 2n-node value is returned.  N is the winding of Q along the
+    2n nodes, certified: on the arc of length h from a node z_j to the next,
+    |Q(z) - Q(z_j)| <= |Q'(z_j)| h + M h^2 / 2, where
+    M = sum k (k - 1) |q_k| (|center| + radius)^(k-2) bounds |Q''| on C from
+    Q's coefficients; once every sampled |Q| exceeds its bound, Q turns by
+    less than pi/2 between nodes and the principal arguments add up to the
+    winding.  Refused past 65,536 nodes (a pole on C or within that margin
+    of it, or sums that do not settle), and for a radius that is not positive
+    and finite or a centre that is not finite.  A constant map has energy 0.
+    """
+    r = _disk_radius(radius)
+    c = complex(center)
+    if not np.isfinite(c):
+        raise FamilyError(f"disk center must be finite, got {center}")
+    if rmap.degree == 0:
+        return 0.0
+    den, slope = rmap.den, _polyder(rmap.den)
+    k = np.arange(den.size - 1, 1, -1)  # the powers of z that Q'' keeps
+    bend = float(np.sum(k * (k - 1) * np.abs(den[:-2]) * (abs(c) + r) ** (k - 2)))
+    n = _CONTOUR_FIRST
+    while 2 * n <= _CONTOUR_LAST:
+        step = np.pi / n  # the angle between neighbouring nodes of 2n
+        e = np.exp(1j * step * np.arange(2 * n))
+        z = c + r * e
+        q = _horner(den, z)
+        h = r * step
+        # |Q(z) - Q(z_j)| on the arc from z_j to the next node is at most reach_j
+        reach = np.abs(_horner(slope, z)) * h + 0.5 * bend * h * h
+        gap = np.abs(q) - reach
+        n *= 2
+        if gap.min() <= 0.0:
+            continue
+        poles = round(float(np.sum(np.angle(np.roll(q, -1) / q))) / (2.0 * np.pi))
+        p = _horner(rmap.num, z)
+        g = (np.conj(p) * _horner(rmap._wronskian, z) * (1j * r) * e / q).imag
+        g *= 2.0 / (np.abs(p) ** 2 + np.abs(q) ** 2)
+        fine, coarse = step * float(np.sum(g)), 2.0 * step * float(np.sum(g[::2]))
+        scale = 4.0 * np.pi * poles + step * float(np.sum(np.abs(g)))
+        if abs(fine - coarse) <= _CONTOUR_TOL * scale:
+            return 4.0 * np.pi * poles + fine
+    where = f"the circle |z - {c:.6g}| = {r:.6g}"
+    if gap.min() <= 0.0:
+        j = int(np.argmin(gap))
+        raise FamilyError(
+            f"a pole lies on or near {where}: at {n} nodes, |Q| = {abs(q[j]):.3g} at "
+            f"z = {z[j]:.6g} does not exceed the bound {reach[j]:.3g} on its change "
+            "to the next node"
+        )
+    raise FamilyError(
+        f"contour energy on {where} did not settle by {n} nodes: "
+        f"{coarse:.12g} vs {fine:.12g}"
+    )
 
 
 def _quadrature_checked(

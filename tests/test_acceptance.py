@@ -25,6 +25,7 @@ from bubbletree import (
     WeightedParticleMeasure,
     add_bubble_component,
     center_functional,
+    contour_energy,
     cylinder_field_from_sphere_chart,
     diagnostics,
     energy_quadrature,
@@ -45,13 +46,17 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_01_degree_energy_quadrature():
-    """Full-sphere energy of z -> z^d equals 4 pi d to 1e-6 relative, < 5 s."""
+    """Full-sphere energy of z -> z^d equals 4 pi d to 1e-6 relative, < 5 s,
+    by quadrature and by the contour (|z| <= 1 plus the reversed chart)."""
     t0 = time.monotonic()
     worst = 0.0
     for d in (1, 2, 3):
         coeffs = np.zeros(d + 1)
         coeffs[0] = 1.0
-        e = energy_quadrature(RationalMap(coeffs, (1.0,)))
+        m = RationalMap(coeffs, (1.0,))
+        e = energy_quadrature(m)
+        worst = max(worst, abs(e - FOUR_PI * d) / (FOUR_PI * d))
+        e = contour_energy(m, 1.0) + contour_energy(m.chart_reversed(), 1.0)
         worst = max(worst, abs(e - FOUR_PI * d) / (FOUR_PI * d))
     elapsed = time.monotonic() - t0
     assert worst <= 1e-6

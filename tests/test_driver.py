@@ -120,11 +120,13 @@ def test_bubble2_tree_extracts_both_sites(bubble2_tree):
     assert tree.curve.n_vertices == 3
 
 
-def test_nested_bubble_family_is_refused():
+def test_nested_bubble_family_is_one_level_deep():
     # k^4 z^2/(k^3 z + 1): a bubble at scale 1/k with a child at scale k^-5
-    # about -1/k^3, energy 8 pi.  The particle measure sees the child inside
-    # the site ball, but the disk cap's quadrature misses it, so the ledger
-    # and the site sum disagree by about 4 pi and the driver refuses the run
+    # about -1/k^3, energy 8 pi.  The exact cap and the particle measure both
+    # see the child inside the site ball, so the two residual-energy routes
+    # agree; but the induction is single pass, so bubble and child are booked
+    # as one bubble of energy about 8 pi at 0.  The child's own vertex waits
+    # on the recursive induction (ROADMAP item 8)
     members = []
     for k in (316.0, 3162.0, 1e4):
         rmap = RationalMap((k**4, 0.0, 0.0), (k**3, 1.0))
@@ -134,13 +136,15 @@ def test_nested_bubble_family_is_refused():
         MarkedNodalCurve((0,), (), ((0, 1), (0, 2), (0, 3))),
         WeightedParticleMeasure.empty(1.0),
     )
-    tree = None
-    with pytest.raises(
-        DriverError,
-        match=r"^residual-energy routes disagree: ledger 12\.365785, site sum 24\.9321129, ",
-    ):
-        tree = extract_bubble_tree(family)
-    assert tree is None
+    tree = extract_bubble_tree(family)
+    assert [c.kind for c in tree.components] == ["base", "bubble"]
+    base, bubble = tree.components
+    assert bubble.energy == pytest.approx(25.1321, abs=1e-4)
+    assert abs(bubble.attachment) < 1e-6
+    assert base.energy == pytest.approx(5.9e-4, abs=1e-5)
+    assert tree.limit_energy == 2.0 * FOUR_PI
+    assert tree.identity_residual == pytest.approx(1.7e-6, abs=1e-7)
+    assert tree.curve.n_vertices == 2
 
 
 def test_plumbing_tree_is_base_only(plumbing_tree):

@@ -11,9 +11,12 @@ from hypothesis import strategies as st
 from bubbletree import (
     FamilySpec,
     RationalMap,
+    contour_energy,
     density_to_measure,
     diagnostics,
+    driver,
     energy_quadrature,
+    extract_bubble_tree,
     families,
     is_regular_node,
     is_stable,
@@ -54,8 +57,9 @@ def test_rational_map_validation():
     [
         lambda m, radius: energy_quadrature(m, radius=radius),
         lambda m, radius: density_to_measure(m, radius),
+        lambda m, radius: contour_energy(m, radius),
     ],
-    ids=["energy_quadrature", "density_to_measure"],
+    ids=["energy_quadrature", "density_to_measure", "contour_energy"],
 )
 def test_disk_radius_must_be_positive_and_finite(entry, radius):
     with pytest.raises(FamilyError, match="disk radius must be positive and finite"):
@@ -179,6 +183,139 @@ def test_disk_energy_closed_form():
         assert energy_quadrature(m, radius=r) == pytest.approx(
             fs_disk_mass(k, r), rel=1e-9
         )
+
+
+@pytest.mark.parametrize("k", [316.0, 3162.0, 1e4])
+def test_contour_sees_the_child_bubble_the_quadrature_misses(k):
+    """k^4 z^2/(k^3 z + 1): degree 2, a bubble at scale 1/k about 0 and its
+    child at scale k^-5 about the pole -1/k^3."""
+    m = RationalMap((k**4, 0.0, 0.0), (k**3, 1.0))
+    exact = 2.0 * FOUR_PI - FOUR_PI / (1.0 + k * k)
+    assert contour_energy(m, 1.0) == pytest.approx(exact, rel=1e-12)
+
+
+def test_contour_energy_of_the_smallest_plumbing_member():
+    # x + t/x on |x| <= delta at t = 1e-9: the pole at 0 and the circle, where
+    # the map is delta + t/delta, give 4 pi/(1 + delta^2) + 8 pi delta^2/(1 + delta^2)
+    delta = 0.5
+    exact = FOUR_PI / (1.0 + delta**2) + 2.0 * FOUR_PI * delta**2 / (1.0 + delta**2)
+    assert exact == pytest.approx(15.0796447, abs=1e-7)
+    m = RationalMap((1.0, 0.0, 1e-9), (1.0, 0.0))
+    assert contour_energy(m, delta) == pytest.approx(exact, rel=1e-12)
+
+
+def fs_offcentre_disk_mass(k, center, r):
+    """Energy of k z on the disk B(center, r): its image is the disk
+    B(k center, k r), whose stereographic image is a cap of angular radius
+    theta = arctan(k|center| + k r) - arctan(k|center| - k r)."""
+    theta = math.atan(k * abs(center) + k * r) - math.atan(k * abs(center) - k * r)
+    return FOUR_PI * math.sin(theta / 2.0) ** 2
+
+
+@pytest.mark.parametrize(
+    "k, center, r",
+    [
+        (1e4, 3e-5 + 1e-5j, 1.0 / 64.0),
+        (100.0, 0.3 - 0.2j, 0.1),
+        (100.0, 0.05j, 0.2),
+        (2.0, -1.5, 1.0),
+        # the bubble at 0 sits 0.01 r and 0.002 r outside the circle, so the
+        # sums settle only past 512 nodes
+        (100.0, 1.01, 1.0),
+        (1e3, -1.002, 1.0),
+    ],
+)
+def test_contour_energy_on_offcentre_disks(k, center, r):
+    m = RationalMap((k, 0.0), (1.0,))
+    assert contour_energy(m, r, center) == pytest.approx(
+        fs_offcentre_disk_mass(k, center, r), rel=1e-12
+    )
+
+
+def test_contour_matches_the_quadrature_on_the_shipped_driver_caps(
+    bubble1_family, bubble2_family, monkeypatch
+):
+    caps = []  # (map, radius, center) of every cap the driver takes
+
+    def spy(rmap, radius, center):
+        caps.append((rmap, radius, center))
+        return contour_energy(rmap, radius, center)
+
+    monkeypatch.setattr(driver, "contour_energy", spy)
+    for fam in (bubble1_family, bubble2_family):
+        extract_bubble_tree(fam)
+    assert len(caps) == 3
+    for rmap, radius, center in caps:
+        assert contour_energy(rmap, radius, center) == pytest.approx(
+            energy_quadrature(rmap, radius=radius, center=center), rel=1e-13
+        )
+    # bubble1's cap is k z on an off-centre disk, whose energy is closed form
+    rmap, radius, center = caps[0]
+    assert contour_energy(rmap, radius, center) == pytest.approx(
+        fs_offcentre_disk_mass(rmap.num[0].real, center, radius), rel=1e-13
+    )
+
+
+_BAND = st.one_of(st.just(0.0), st.floats(0.01, 0.95), st.floats(1.05, 3.0))
+_UNIT = st.floats(-1.0, 1.0)
+
+
+@given(
+    moduli=st.lists(_BAND, min_size=1, max_size=4),
+    turn=st.floats(0.0, 2.0 * math.pi),
+    num=st.lists(st.tuples(_UNIT, _UNIT), min_size=5, max_size=5),
+)
+@settings(max_examples=100, deadline=None)
+def test_contour_energies_of_the_two_charts_sum_to_the_degree(moduli, turn, num):
+    """|z| <= 1 and, chart reversed, |w| <= 1 tile the sphere: the two contour
+    energies sum to 4 pi degree.  Poles lie at least 0.05 from the unit circle
+    on either side, spread at equal angles (clustered poles make Q's values in
+    its coefficients lose digits near them)."""
+    d = len(moduli)
+    poles = np.array(moduli) * np.exp(1j * (turn + 2.0 * np.pi * np.arange(d) / d))
+    try:
+        m = RationalMap([complex(a, b) for a, b in num[: d + 1]], np.poly(poles))
+        far = m.chart_reversed()
+    except FamilyError:
+        assume(False)
+    assume(m.degree == d)
+    total = contour_energy(m, 1.0) + contour_energy(far, 1.0)
+    assert total == pytest.approx(FOUR_PI * d, rel=1e-12)
+
+
+def test_contour_of_a_constant_map_is_zero():
+    assert contour_energy(RationalMap((2.0,), (3.0,)), 1.0) == 0.0
+    # the zero map over z: Q has a root inside, and still there is no energy
+    assert contour_energy(RationalMap((0.0,), (1.0, 0.0)), 1.0) == 0.0
+
+
+@pytest.mark.parametrize("center", [math.inf, complex(0.0, math.nan), complex(math.inf, 1.0)])
+def test_contour_refuses_a_centre_that_is_not_finite(center):
+    with pytest.raises(FamilyError, match="disk center must be finite"):
+        contour_energy(RationalMap((3.0, 0.0), (1.0,)), 1.0, center)
+
+
+@pytest.mark.parametrize(
+    "den, radius, center",
+    [
+        ((1.0, -1.0), 1.0, 0j),  # a pole at a node
+        ((1.0, -1.0 - 1e-9), 1.0, 0j),
+        ((1.0, 1e-7 - 1.0), 1.0, 0j),
+        ((1.0, 0.0, 1.0), 1.0, 0j),  # two poles, at +-i
+        ((1.0, -0.5 - 1e-10 - 0.5j), 0.5, 0.5j),  # off-centre circle
+    ],
+)
+def test_contour_refuses_a_pole_on_or_near_the_circle(den, radius, center):
+    with pytest.raises(FamilyError, match=r"^a pole lies on or near the circle .* at 65536 nodes"):
+        contour_energy(RationalMap((1.0,), den), radius, center)
+
+
+def test_contour_refuses_sums_that_do_not_settle():
+    # a bubble of scale 1e-9 centred 1e-7 outside the unit circle: narrower
+    # than the spacing of 65,536 nodes, so the n- and 2n-node sums disagree
+    m = RationalMap((1e9, -1e9 * (1.0 + 1e-7)), (1.0,))
+    with pytest.raises(FamilyError, match=r"did not settle by 65536 nodes"):
+        contour_energy(m, 1.0)
 
 
 def test_quadrature_refuses_unresolvable_budget(monkeypatch):
