@@ -79,16 +79,28 @@ class ConfigError(BubbleTreeError):
     """Malformed run configuration."""
 
 
-def finite_number(value, what: str, error: type[BubbleTreeError]) -> float:
-    """``value`` as a float when it is a finite real number, else ``error``
-    (a bool, a string, a non-finite value or an int beyond the float range),
-    whose message abbreviates ``value`` (``reprlib``) however deep it nests."""
+def _is_finite_number(value) -> bool:
+    """Whether ``value`` is a finite real number: not a bool, a string, a
+    non-finite value or an int beyond the float range."""
     try:  # TypeError: not a real number; OverflowError: beyond the float range
-        ok = not isinstance(value, bool) and math.isfinite(value)
+        return not isinstance(value, bool) and math.isfinite(value)
     except (TypeError, OverflowError):
-        ok = False
-    if not ok:
+        return False
+
+
+def finite_number(value, what: str, error: type[BubbleTreeError]) -> float:
+    """``value`` as a float when it is a finite real number, else ``error``,
+    whose message abbreviates ``value`` (``reprlib``) however deep it nests."""
+    if not _is_finite_number(value):
         raise error(f"{what} must be a finite number, got {reprlib.repr(value)}")
+    return float(value)
+
+
+def positive_number(value, what: str, error: type[BubbleTreeError]) -> float:
+    """``value`` as a float when it is a positive finite real number, else
+    ``error`` ("must be positive and finite"), by the rule of ``finite_number``."""
+    if not (_is_finite_number(value) and value > 0):
+        raise error(f"{what} must be positive and finite, got {reprlib.repr(value)}")
     return float(value)
 
 

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .curve import MarkedNodalCurve
-from .errors import FamilyError, NeckError, finite_number
+from .errors import FamilyError, NeckError, finite_number, positive_number
 from .measure import WeightedParticleMeasure
 from .neck import CylinderField, FlatTorusTarget, collar_half_length, collar_rows
 from .neck import cylinder_field_from_sphere_chart
@@ -184,9 +184,7 @@ class RationalMap:
 
 def _disk_radius(radius: float) -> float:
     """The radius of a chart disk, refused unless positive and finite."""
-    if not (radius > 0 and np.isfinite(radius)):
-        raise FamilyError(f"disk radius must be positive and finite, got {radius}")
-    return float(radius)
+    return positive_number(radius, "disk radius", FamilyError)
 
 
 def contour_energy(rmap: RationalMap, radius: float, center: complex = 0j) -> float:
@@ -291,7 +289,7 @@ def energy_quadrature(
     sampled rule.
     """
     if radius is not None:
-        return float(_quadrature_checked(rmap.density, complex(center), float(radius)).value)
+        return float(_quadrature_checked(rmap.density, complex(center), radius).value)
     here = _quadrature_checked(rmap.density, 0j, 1.0)
     far = _quadrature_checked(rmap.chart_reversed().density, 0j, 1.0)
     energy = float(here.value + far.value)
@@ -322,6 +320,16 @@ def _sphere_lattice() -> np.ndarray:
     return w
 
 
+@cache
+def _lattice_weights(degree: int) -> np.ndarray:
+    """N * degree copies of 4 pi / N, the weight of every lattice preimage of
+    a map of that degree.  Built on first call per degree and shared,
+    read-only: each measure's weights are a slice of it."""
+    w = np.full(_N_SPHERE * degree, 4.0 * np.pi / _N_SPHERE)
+    w.flags.writeable = False
+    return w
+
+
 def density_to_measure(rmap: RationalMap, radius: float) -> WeightedParticleMeasure:
     """Particle measure of the energy density over the chart disk |z| <= radius.
 
@@ -338,6 +346,10 @@ def density_to_measure(rmap: RationalMap, radius: float) -> WeightedParticleMeas
     eigenvalue call on the companion matrices of all N polynomials.  The
     coefficients are d + 1 rows of N values (each step one loop over N); the
     atoms are listed lattice point by lattice point, and degree 0 has none.
+    The measure is built from the arrays in hand: the |z| of the chart test
+    are its moduli, the roots themselves its points when all lie in the
+    disk, and its weights a read-only slice of one array per degree
+    (``_lattice_weights``) that every measure of that degree shares.
     """
     chart = _disk_radius(radius)
     d = rmap.degree
@@ -369,9 +381,15 @@ def density_to_measure(rmap: RationalMap, radius: float) -> WeightedParticleMeas
         companion[:, 0, :] = -monic.T
         companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
         roots = np.linalg.eigvals(companion).ravel()
-    inside = roots[np.abs(roots) <= chart]
-    return WeightedParticleMeasure(
-        inside, np.full(inside.size, 4.0 * np.pi / _N_SPHERE), chart_radius=chart
+    moduli = np.abs(roots)
+    inside = moduli <= chart
+    if not inside.all():  # np.compress: a boolean index branches per atom
+        moduli = np.compress(inside, moduli)
+        roots = np.compress(inside, roots)
+    elif d == 1:
+        roots = roots.copy()  # a row of the coefficients, which the measure must not pin
+    return WeightedParticleMeasure._with_moduli(
+        roots, _lattice_weights(d)[: roots.size], chart, moduli
     )
 
 
@@ -523,8 +541,11 @@ def _plumbing_family(spec: FamilySpec) -> Family:
         # both sides of x + t/x limit to the identity chart map, so the far
         # side contributes its disk energy as an atom at the node
         near = density_to_measure(RationalMap((1.0, 0.0), (1.0,)), spec.chart_radius)
-        limit = WeightedParticleMeasure(
-            np.append(near.points, 0j), np.append(near.weights, near.mass), near.chart_radius
+        limit = WeightedParticleMeasure._with_moduli(
+            np.append(near.points, 0j),
+            np.append(near.weights, near.mass),
+            near.chart_radius,
+            np.append(near.moduli, 0.0),
         )
     # two genus-0 sides joined at the node, each stabilized by its marks
     curve = MarkedNodalCurve((0, 0), ((0, 1),), ((0, 1), (0, 2), (0, 3), (1, 4), (1, 5)))

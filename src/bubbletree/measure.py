@@ -8,7 +8,12 @@ distance pass (``ball_masses``), each with the bits of its own masked sum.
 A measure keeps its atom moduli |x| as ``moduli``, and every question about
 the chart origin reads them: ball masses (the balanced center's m_k and
 annulus, nodal detection), ``restrict``, the neck-scale solve at q = 0 and
-the balanced center's farthest atom.
+the balanced center's farthest atom.  A builder that already holds the
+moduli hands them over rather than have the measure take them again:
+``restrict`` the distances it selected by (|x - center| of the recentred
+atoms), and ``families.density_to_measure`` the |z| of its chart test.
+Either way one routine validates the measure, and it reads the chart test
+off the moduli.
 
 The scale ladder fixes the dyadic radii delta_k and tolerances eps_k used
 to certify that a sequence of measures concentrates a definite amount of
@@ -24,6 +29,7 @@ one ``ball_masses`` call per candidate.
 
 from __future__ import annotations
 
+import cmath
 import numbers
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -32,7 +38,13 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ConcentrationError, LadderError, MeasureError, SubsequenceError
+from .errors import (
+    ConcentrationError,
+    LadderError,
+    MeasureError,
+    SubsequenceError,
+    positive_number,
+)
 
 __all__ = [
     "MIN_MEMBERS",
@@ -54,7 +66,11 @@ class WeightedParticleMeasure:
     points : complex atom locations, all within ``chart_radius`` of 0
     weights : nonnegative atom masses
     chart_radius : radius of the chart disk, positive and finite
-    moduli : |points|, derived and read-only
+    moduli : |points|, read-only; computed at construction, or handed over
+        by a builder that already holds them (``_with_moduli``)
+
+    The arrays are made read-only and may be shared: lattice measures of one
+    degree share one weight array.
     """
 
     points: NDArray[np.complex128]
@@ -64,24 +80,49 @@ class WeightedParticleMeasure:
     moduli: NDArray[np.float64] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self._settle(None)
+
+    @classmethod
+    def _with_moduli(
+        cls,
+        points: NDArray[np.complex128],
+        weights: NDArray[np.float64],
+        chart_radius: float,
+        moduli: NDArray[np.float64],
+    ) -> "WeightedParticleMeasure":
+        """The measure of the given atoms, whose moduli the builder already
+        holds: ``moduli`` must be ``np.abs(points)`` bit for bit.  It runs
+        the checks of construction, reading the chart test off ``moduli``."""
+        mu = object.__new__(cls)
+        object.__setattr__(mu, "points", points)
+        object.__setattr__(mu, "weights", weights)
+        object.__setattr__(mu, "chart_radius", chart_radius)
+        mu._settle(moduli)
+        return mu
+
+    def _settle(self, moduli: NDArray[np.float64] | None) -> None:
+        """Validate the fields and freeze them, with the moduli taken here
+        when none are given."""
         pts = np.ascontiguousarray(self.points, dtype=np.complex128)
         wts = np.ascontiguousarray(self.weights, dtype=np.float64)
         if pts.ndim != 1 or wts.ndim != 1 or pts.shape != wts.shape:
             raise MeasureError(
                 f"points/weights must be matching 1-d arrays, got {pts.shape} vs {wts.shape}"
             )
-        if not np.all(np.isfinite(wts)) or not np.all(np.isfinite(pts)):
+        if not np.all(np.isfinite(wts)):
             raise MeasureError("non-finite atom or weight")
         if wts.size and wts.min() < 0.0:
             raise MeasureError(f"negative weight {wts.min()!r}")
-        if not 0.0 < self.chart_radius < np.inf:
-            raise MeasureError(f"chart_radius must be positive and finite: {self.chart_radius}")
-        moduli = np.abs(pts)
+        radius = positive_number(self.chart_radius, "chart_radius", MeasureError)
+        if moduli is None:
+            moduli = np.abs(pts)
+        # the largest modulus is NaN or inf when an atom is not finite, so
+        # the atoms are scanned only when the chart test fails
         rmax = float(moduli.max(initial=0.0))
-        if rmax > self.chart_radius * (1.0 + 1e-12):
-            raise MeasureError(
-                f"atom at |z| = {rmax:.6g} outside chart of radius {self.chart_radius:.6g}"
-            )
+        if not rmax <= radius * (1.0 + 1e-12):
+            if not np.all(np.isfinite(pts)):
+                raise MeasureError("non-finite atom or weight")
+            raise MeasureError(f"atom at |z| = {rmax:.6g} outside chart of radius {radius:.6g}")
         for a in (pts, wts, moduli):
             a.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -95,8 +136,13 @@ class WeightedParticleMeasure:
         return self._mass
 
     def distances(self, center: complex) -> NDArray[np.float64]:
-        """|x - center| for every atom; at center 0 the stored moduli, the same bits."""
-        return self.moduli if center == 0 else np.abs(self.points - center)
+        """|x - center| for every atom; at center 0 the stored moduli, the
+        same bits.  A center that is not finite is refused."""
+        if center == 0:
+            return self.moduli
+        if not cmath.isfinite(center):
+            raise MeasureError(f"center must be finite, got {center!r}")
+        return np.abs(self.points - center)
 
     def __len__(self) -> int:
         return int(self.points.size)
@@ -118,16 +164,17 @@ def ball_masses(
     ``mu.weights[np.abs(mu.points - center) <= r].sum()`` bit for bit; the
     radii are visited largest first, each narrowing the atoms the last one
     kept (or reusing them when it keeps them all), so the masked arrays and
-    their sums are the same.
+    their sums are the same.  A negative radius or a center that is not
+    finite is refused.
     """
     radii = np.asarray(radii, dtype=np.float64)
     negative = radii[radii < 0.0]
     if negative.size:
         raise MeasureError(f"negative radius {negative[0]}")
     out = np.zeros(radii.shape)
-    if len(mu) == 0:
-        return out
     dist = mu.distances(center)
+    if not dist.size:
+        return out
     w = mu.weights
     # largest first; a NaN radius holds no atom and sorts last
     for i in np.argsort(-radii, kind="stable"):
@@ -146,10 +193,17 @@ def mass_in(mu: WeightedParticleMeasure, center: complex, radius: float) -> floa
 def restrict(
     mu: WeightedParticleMeasure, center: complex, radius: float
 ) -> WeightedParticleMeasure:
-    """Submeasure of atoms in the closed disk |z - center| <= radius, recentred at 0."""
-    sel = mu.distances(center) <= radius
-    return WeightedParticleMeasure(
-        np.compress(sel, mu.points) - center, np.compress(sel, mu.weights), radius
+    """Submeasure of atoms in the closed disk |z - center| <= radius, recentred
+    at 0.  Its moduli are the distances it selected by: |x - center| is the
+    modulus of the recentred atom x - center, bit for bit.  The radius is
+    its chart radius, refused before any selection unless positive and
+    finite."""
+    dist = mu.distances(center)
+    sel = dist <= positive_number(radius, "chart_radius", MeasureError)
+    points = np.compress(sel, mu.points)
+    points -= center
+    return WeightedParticleMeasure._with_moduli(
+        points, np.compress(sel, mu.weights), radius, np.compress(sel, dist)
     )
 
 
@@ -168,8 +222,9 @@ class ScaleLadder:
       (2) 3 delta_{2k-1} < delta_k, that is 3 2^(1-k) < 1, which holds
           exactly when k >= 3;
     the halving rules and eps_0 = eps_bar/4 hold by construction.  So a
-    ladder with positive finite delta0 and eps_bar is admissible exactly
-    when depth >= 6, and construction refuses any other.  It also refuses a
+    ladder with positive finite delta0 and eps_bar (real numbers, not bools
+    or strings: ``errors.positive_number``) is admissible exactly when
+    depth >= 6, and construction refuses any other.  It also refuses a
     depth at which the finest scale or tolerance underflows to 0.0 (every
     depth from 1075 on, up to and beyond the float range), before any array
     is built.  The depth is an integer: an integral float is stored as an
@@ -183,11 +238,8 @@ class ScaleLadder:
     eps: NDArray[np.float64] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.delta0 < np.inf and 0.0 < self.eps_bar < np.inf):
-            raise LadderError(
-                f"delta0 and eps_bar must be positive and finite, "
-                f"got {self.delta0!r} and {self.eps_bar!r}"
-            )
+        positive_number(self.delta0, "delta0", LadderError)
+        positive_number(self.eps_bar, "eps_bar", LadderError)
         depth = self.depth
         if isinstance(depth, float) and depth.is_integer():
             depth = int(depth)

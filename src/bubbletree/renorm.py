@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CenterError, MarkingError, NeckScaleError
+from .errors import CenterError, MarkingError, NeckScaleError, finite_number
 from .measure import ScaleLadder, WeightedParticleMeasure, ball_masses
 
 __all__ = [
@@ -112,7 +112,7 @@ class NeckScaleResult:
 
 
 def _check_levels(total: float, eps_bar: float) -> None:
-    if eps_bar <= 0.0:
+    if finite_number(eps_bar, "eps_bar", NeckScaleError) <= 0.0:
         raise NeckScaleError(f"eps_bar must be positive, got {eps_bar}")
     if total <= eps_bar:
         raise NeckScaleError(
@@ -445,8 +445,9 @@ def _check_renormalized(
     x = transform(mu.points)
     w = mu.weights
     z = np.abs(x)
-    outside_lo = float(w[z > 1.0 + 1e-12].sum())
-    outside_hi = float(w[z >= 1.0 - 1e-12].sum())
+    # np.compress: a boolean index branches per atom
+    outside_lo = float(np.compress(z > 1.0 + 1e-12, w).sum())
+    outside_hi = float(np.compress(z >= 1.0 - 1e-12, w).sum())
     if not (outside_lo - mass_tol <= eps_bar <= outside_hi + mass_tol):
         raise MarkingError(
             f"renormalized mass outside D in [{outside_lo:.6g}, {outside_hi:.6g}] "
@@ -454,8 +455,8 @@ def _check_renormalized(
         )
     if centered:
         sel = z < 1.0 - 1e-12
-        band = float(w[np.abs(z - 1.0) <= 1e-12].sum())
-        moment = abs(complex(np.sum(w[sel] * x[sel])))
+        band = float(np.compress(np.abs(z - 1.0) <= 1e-12, w).sum())
+        moment = abs(complex(np.sum(np.compress(sel, w) * np.compress(sel, x))))
         if moment > _CENTER_TOL * mu.mass + band:
             raise MarkingError(f"renormalized center of mass {moment:.3g} exceeds tolerance")
 

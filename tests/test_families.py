@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ def test_rational_map_validation():
         RationalMap((1j, 0.0), (5e-324j, 1.0))
 
 
-@pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, math.nan, True, "1.0"])
 @pytest.mark.parametrize(
     "entry",
     [
@@ -447,6 +448,7 @@ def _assert_rows_match_reference(m, radius):
         mu = density_to_measure(m, radius)
     assert mu.points.tobytes() == want[0].tobytes()
     assert mu.weights.tobytes() == want[1].tobytes()
+    assert mu.moduli.tobytes() == np.abs(want[0]).tobytes()
 
 
 # coefficient lists of at most three entries: maps of degree 0 to 2
@@ -576,6 +578,50 @@ def test_shipped_rational_families_never_reach_the_eigensolve(monkeypatch):
     assert lattice is families._sphere_lattice()
     with pytest.raises(ValueError):
         lattice[0] = 0.0
+
+
+def test_lattice_measures_of_one_degree_share_one_read_only_weight_array(
+    bubble1_family, bubble2_family
+):
+    """No lattice measure owns its weights: each is a slice of one array of
+    4 pi / N per degree, shared, read-only, by every member of that degree
+    and by a map of that degree with roots outside the disk."""
+    part = density_to_measure(RationalMap((1.0, 0.0), (1.0,)), 1.0)  # |z| > 1 left out
+    assert 0 < len(part) < _N_SPHERE
+    degree1 = [m.measure.weights for m in bubble1_family.members] + [part.weights]
+    degree2 = [m.measure.weights for m in bubble2_family.members]
+    for ws in (degree1, degree2):
+        assert len(ws) >= 2
+        for w in ws:
+            assert not w.flags.writeable and not w.flags.owndata
+            assert np.all(w == ATOM)
+            assert np.shares_memory(w, ws[0])
+    assert not np.shares_memory(degree1[0], degree2[0])
+
+
+@pytest.mark.parametrize(
+    "num, bound", [((1e3, 0.0), 62.0), ((1e4, 0.0, -2.5e3), 100.0)], ids=["degree1", "degree2"]
+)
+def test_density_to_measure_peak_memory_per_atom(num, bound):
+    """Traced peak bytes per atom of a lattice measure whose roots all lie in
+    the disk, as in the shipped bubble families.  With a weight array of its
+    own and moduli taken again by the measure, the peaks were 64.1 (degree 1)
+    and 116.1 (degree 2) bytes per atom; built from the builder's arrays they
+    are 58.1 and 94.1, so adding back either 8-byte-per-atom array fails.
+    What the measure keeps is its points and moduli, 24 bytes per atom: no
+    weights of its own, and at degree 1 not the coefficient buffer its roots
+    were a row of."""
+    m = RationalMap(num, (1.0,))
+    density_to_measure(m, 1.0)  # builds the lattice and the weights of this degree
+    tracemalloc.start()
+    try:
+        mu = density_to_measure(m, 1.0)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(mu) == _N_SPHERE * m.degree
+    assert peak / len(mu) < bound
+    assert kept / len(mu) < 25.0
 
 
 def test_bubble1_family_contents():

@@ -23,8 +23,16 @@ from bubbletree import (
     measure,
     restrict,
     solve_neck_scale,
+    solve_neck_scale_from_cdf,
 )
-from bubbletree.errors import ConcentrationError, LadderError, MeasureError, SubsequenceError
+from bubbletree.errors import (
+    ConcentrationError,
+    LadderError,
+    MeasureError,
+    NeckScaleError,
+    SubsequenceError,
+)
+from bubbletree.families import _N_SPHERE
 
 FOUR_PI = 4.0 * math.pi
 
@@ -91,6 +99,21 @@ def test_ball_masses_keep_the_bits_of_each_ball(query):
     assert got.tobytes() == want.tobytes() == masked.tobytes()
 
 
+@pytest.mark.parametrize(
+    "center", [math.nan, complex(0.0, math.nan), math.inf, complex(-math.inf, 0.5)], ids=repr
+)
+def test_ball_masses_and_restrict_refuse_a_center_that_is_not_finite(center):
+    """A center that is not finite holds no atom: refused, not read as an
+    empty ball, on an empty measure too."""
+    for mu in (bubble_atoms(0.1), WeightedParticleMeasure.empty(1.0)):
+        with pytest.raises(MeasureError, match="center must be finite"):
+            measure.ball_masses(mu, center, (0.5, 0.1))
+        with pytest.raises(MeasureError, match="center must be finite"):
+            mass_in(mu, center, 0.5)
+        with pytest.raises(MeasureError, match="center must be finite"):
+            restrict(mu, center, 0.5)
+
+
 def test_ball_masses_refuse_a_negative_radius():
     mu = WeightedParticleMeasure(np.array([0j]), np.array([1.0]), 1.0)
     with pytest.raises(MeasureError, match="negative radius"):
@@ -109,10 +132,11 @@ def test_restrict_recentres():
     assert sub.chart_radius == 0.11
 
 
-@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, True, "1.0"])
 def test_non_finite_chart_radius_is_refused(radius):
     """Detection bins a measure on a grid over its chart: a NaN or infinite
-    chart has none, from the constructor or from restrict."""
+    chart has none, from the constructor or from restrict; nor is a bool or
+    a string a chart radius."""
     with pytest.raises(MeasureError, match="positive and finite"):
         WeightedParticleMeasure(np.array([0j]), np.array([1.0]), radius)
     with pytest.raises(MeasureError, match="positive and finite"):
@@ -128,16 +152,36 @@ def _assert_moduli(mu):
 
 
 def test_every_measure_keeps_its_moduli(bubble2_family, plumbing_family):
-    """Lattice preimages, restrictions (about 0 and off it), nodal
-    pushforwards, empty measures and the plumbing limit measure all hold
-    |points|, read-only, with the bits of a fresh np.abs."""
-    lattice = density_to_measure(RationalMap((3.0, 0.0, -1.0), (1.0, 2.0)), 1.5)
+    """Lattice preimages (every root in the chart, kept as they are, and
+    some outside it, selected), restrictions (about 0, signed zeros and off
+    it), nodal pushforwards, empty measures and the plumbing limit measure
+    all hold |points|, read-only, with the bits of a fresh np.abs."""
+    some_outside = density_to_measure(RationalMap((3.0, 0.0, -1.0), (1.0, 2.0)), 1.5)
+    all_inside = density_to_measure(RationalMap((1e3, 0.0), (1.0,)), 1.0)
+    assert 0 < len(some_outside) < 2 * _N_SPHERE and len(all_inside) == _N_SPHERE
     mu = bubble2_family.members[0].measure
+    assert len(mu) == 2 * _N_SPHERE
+    restricted = [
+        (center, radius, restrict(mu, center, radius))
+        for center, radius in (
+            (0.0, 0.7),
+            (-0.0, 0.7),
+            (complex(-0.0, -0.0), 0.3),
+            (0.5 + 1e-3j, 0.25),
+            (-0.5, 0.25),
+            (0.25j, 2.0),
+        )
+    ]
+    for center, radius, sub in restricted:
+        sel = np.abs(mu.points - center) <= radius
+        assert sub.points.tobytes() == (mu.points[sel] - center).tobytes()
+        assert sub.weights.tobytes() == mu.weights[sel].tobytes()
+        assert 0 < len(sub) < len(mu) or radius == 2.0
     measures = [
-        lattice,
+        some_outside,
+        all_inside,
         mu,
-        restrict(mu, 0.0, 0.7),
-        restrict(mu, 0.5 + 1e-3j, 0.25),
+        *(sub for _, _, sub in restricted),
         build_nodal_pushforward(plumbing_family.members[-1].field),
         WeightedParticleMeasure.empty(2.0),
         plumbing_family.limit_measure,
@@ -190,6 +234,21 @@ def test_total_mass_is_not_an_init_parameter():
     with pytest.raises(TypeError):
         WeightedParticleMeasure(np.array([0j]), np.array([1.0]), 1.0, 99.0)
     assert WeightedParticleMeasure(np.array([0j]), np.array([1.0]), 1.0).mass == 1.0
+
+
+@pytest.mark.parametrize(
+    "point, weight",
+    [(complex(math.nan, 0.0), 1.0), (complex(0.0, -math.inf), 1.0), (0.5j, math.nan), (0.5, math.inf)],
+    ids=repr,
+)
+def test_non_finite_atom_or_weight_is_refused(point, weight):
+    """Refused whether the atom comes first or last, and on a chart of any
+    radius; an atom whose modulus overflows is finite, and outside the chart."""
+    for pts, wts in (([point, 0.1], [weight, 1.0]), ([0.1, point], [1.0, weight])):
+        with pytest.raises(MeasureError, match="non-finite atom or weight"):
+            WeightedParticleMeasure(np.array(pts, dtype=complex), np.array(wts), 1e300)
+    with pytest.raises(MeasureError, match="outside chart"):
+        WeightedParticleMeasure(np.array([complex(1e308, 1e308)]), np.array([1.0]), 1e300)
 
 
 def test_negative_weights_rejected():
@@ -301,10 +360,27 @@ def test_ladder_keeps_a_subnormal_finest_scale():
     assert lad.eps[-1] > 0.0
 
 
-@pytest.mark.parametrize("delta0, eps_bar", [(0.0, 0.2), (1.0, -0.2), (np.inf, 0.2), (1.0, np.nan)])
+@pytest.mark.parametrize(
+    "delta0, eps_bar",
+    [(0.0, 0.2), (1.0, -0.2), (np.inf, 0.2), (1.0, np.nan), (1.0, True), (True, 0.2), ("1.0", 0.2)],
+)
 def test_ladder_refuses_non_positive_or_non_finite_values(delta0, eps_bar):
+    """Zero, negative and non-finite scales are refused, and so are bools and
+    strings."""
     with pytest.raises(LadderError, match="positive and finite"):
         ScaleLadder(delta0, eps_bar, 6)
+
+
+@pytest.mark.parametrize("eps_bar", [math.nan, math.inf, True, "0.2"], ids=repr)
+def test_neck_scale_refuses_an_eps_bar_that_is_not_a_finite_number(eps_bar):
+    """Refused before the far tail's first guess, which cannot count a NaN."""
+    mu = bubble_atoms(0.1)
+    with pytest.raises(NeckScaleError, match="eps_bar must be a finite number"):
+        solve_neck_scale(mu, 0.0, eps_bar)
+    with pytest.raises(NeckScaleError, match="eps_bar must be a finite number"):
+        solve_neck_scale_from_cdf(lambda s: 1.0 / (1.0 + s * s), 1.0, eps_bar)
+    with pytest.raises(NeckScaleError, match="eps_bar must be positive"):
+        solve_neck_scale(mu, 0.0, -0.0)
 
 
 def test_detects_single_bubble_with_stated_mass():
