@@ -12,15 +12,16 @@ invariant violation.  Exit 2 is mostly a config refused at load, before any
 family is built, by a file that is not UTF-8 text, YAML that does not parse
 or nests deeper than ``_MAX_DEPTH`` levels, an unknown key, or the owner of a
 rule, which the loader calls rather than restates: every ladder, neck and
-family value must pass ``errors.finite_number`` and the neck deltas
-``errors.neck_schedule``; a family section ``FamilySpec``, and with it the
-ladder ``ScaleLadder`` at the family's ``chart_radius`` and, on a neck family,
-``FamilySpec.collar_rows`` on each zero-neck collar of the members of
-``neck.late_half``.  ``curve`` also exits 2 on a graph file it
-cannot read or parse or an edge query it cannot answer, ``neck`` on a family
-without cylinder fields, ``extract`` on a schedule of fewer members than
-detection needs (``measure.MIN_MEMBERS``), and every command on an out
-directory it cannot write.
+family value must pass ``errors.finite_number``, the ladder depth
+``errors.integer`` (the rule ``ScaleLadder`` calls) and the neck deltas and
+eps ``errors.neck_schedule`` (the rule ``zero_neck_test`` calls); a family
+section ``FamilySpec``, and with it the ladder ``ScaleLadder`` at the family's
+``chart_radius`` and, on a neck family, ``FamilySpec.collar_rows`` on each
+zero-neck collar of the members of ``neck.late_half``.  ``curve`` also exits
+2 on a graph file it cannot read or parse or an edge query it cannot answer,
+``neck`` on a family without cylinder fields, ``extract`` on a schedule of
+fewer members than detection needs (``measure.MIN_MEMBERS``), and every
+command on an out directory it cannot write.
 Identical configs produce byte-identical reports: keys are sorted, floats use
 shortest round-trip repr, and every report embeds the hash of the validated
 config.
@@ -74,7 +75,7 @@ import yaml
 
 from .curve import curve_from_text, curve_to_text, is_regular_node, is_stable
 from .errors import BubbleTreeError, ConfigError, CurveError, FamilyError, LadderError
-from .errors import NeckError, finite_number, neck_schedule
+from .errors import NeckError, finite_number, integer, neck_schedule
 
 if TYPE_CHECKING:
     from .driver import BubbleTree, ExtractionConfig
@@ -132,9 +133,8 @@ class RunConfig:
         self.ladder = _section(raw, "ladder", _LADDER_KEYS)
         for key, value in self.ladder.items():
             finite_number(value, f"ladder {key}", ConfigError)
-        if int(self.ladder["depth"]) != self.ladder["depth"]:
-            raise ConfigError("ladder depth must be an integer")
-        self.ladder["depth"] = int(self.ladder["depth"])
+        # ScaleLadder's integer rule, also without a family: 7.0 and 7 hash alike
+        self.ladder["depth"] = integer(self.ladder["depth"], "ladder depth", ConfigError)
         if self.family_spec is not None:
             # the ladder owns its admissibility, on the family's chart radius;
             # families has loaded measure
@@ -152,7 +152,7 @@ class RunConfig:
         if not isinstance(deltas, (list, tuple)):
             raise ConfigError(f"neck deltas must be a list, got {reprlib.repr(deltas)}")
         try:
-            deltas = neck_schedule(deltas)
+            deltas = neck_schedule(deltas, self.neck["eps"])
         except NeckError as exc:
             raise ConfigError(f"neck {exc}") from exc
         self.neck["deltas"] = deltas
@@ -166,8 +166,6 @@ class RunConfig:
                     spec.collar_rows(delta, late_half(spec.schedule))
                 except NeckError as exc:
                     raise ConfigError(f"neck {exc}") from exc
-        if not finite_number(self.neck["eps"], "neck eps", ConfigError) > 0:
-            raise ConfigError("neck eps must be positive")
 
         self.curve = _section(raw, "curve", _CURVE_KEYS)
         if self.curve["edge"] is not None and (

@@ -11,10 +11,16 @@ and re-checks that the residual energy
     RE = limit_energy - accounted_energy - l*eps_bar - n*eps_bar/2
 
 drops by at least eps_bar/2 (minus a small tolerance) each time; l and n
-count the smooth and regular-nodal sites not yet extracted, and a chart
-queues one kind (a nodal chart refuses a smooth site).  Nodal sites that
-fail the regularity classification are frozen into the singular set and
-excluded from the accounting; the energy identity is then not asserted.
+count the smooth and regular-nodal sites not yet extracted, and the loop,
+the ledger's one owner, reads each queued site's hold off its ``kind`` (a
+chart queues one kind today).  No iteration cap is needed: a smooth site is
+queued with mass at least 2*eps_bar, and the smooth route check bounds the
+queued masses by the exact energies of disjoint caps, at most 4 pi degree =
+limit_energy in all (``tests/test_acceptance.py`` asserts the count); a nodal
+queue holds at most one site, as detection snaps nodal candidates to the
+origin.  Nodal sites that fail the regularity classification are frozen into
+the singular set and excluded from the accounting; the energy identity is
+then not asserted.
 
 The limit energy of a rational family is 4 pi degree, the energy of a
 degree-d holomorphic map of the sphere, so no whole-sphere integral is
@@ -75,16 +81,15 @@ class ExtractionConfig:
     (depth < 6, say) refuses the extraction with ``ScaleLadder``'s
     ``LadderError``.  Smooth sites are marked on the measure within half the
     chart radius of the site, and each extraction step must lower the
-    residual energy by at least eps_bar/2 - step_tol.
+    residual energy by at least eps_bar/2 - step_tol.  The zero-neck
+    schedule and tolerance are refused, by ``errors.neck_schedule``, when a
+    nodal chart runs the zero-neck test on them.
     """
 
     eps_bar: float = 0.2
     depth: int = 6
     neck_deltas: tuple[float, ...] = ()
     neck_eps: float = 0.01
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "neck_deltas", tuple(float(d) for d in self.neck_deltas))
 
     @property
     def step_tol(self) -> float:
@@ -166,12 +171,6 @@ class BubbleTree:
 _NODE_EDGE = 0
 
 
-def _ledger_residual(limit_energy: float, accounted: float, queued: int, hold: float) -> float:
-    """Residual energy with each of ``queued`` sites still to extract holding
-    back ``hold``: eps_bar for a smooth site, eps_bar/2 for a nodal one."""
-    return limit_energy - accounted - queued * hold
-
-
 # (curve, site) -> (insertion, attachment point, neck record)
 _Marker = Callable[
     [MarkedNodalCurve, ConcentrationSite], tuple[BubbleInsertion, complex, NeckRecord]
@@ -180,12 +179,12 @@ _Marker = Callable[
 
 @dataclass(frozen=True)
 class _Chart:
-    """Opening state of the induction on one chart, and how to mark a site."""
+    """Opening state of the induction on one chart, and how to mark a site;
+    the loop reads what each queued site holds back off its ``kind``."""
 
     limit_energy: float
     base_energy: float
-    queue: tuple[ConcentrationSite, ...]  # sites of one kind
-    hold: float  # what each queued site holds back in the ledger
+    queue: tuple[ConcentrationSite, ...]
     singular: tuple[SingularSite, ...]
     necks: tuple[NeckRecord, ...]
     notes: tuple[str, ...]
@@ -213,16 +212,16 @@ def _smooth_chart(family: Family, config: ExtractionConfig) -> _Chart:
 
     queue = tuple(s for s in sites if s.mass >= 2.0 * eps_bar)
     skipped = [(s, c) for s, c in zip(sites, caps) if s.mass < 2.0 * eps_bar]
-    re_now = _ledger_residual(limit_energy, base_energy, len(queue), eps_bar)
-    site_route = sum(s.mass - eps_bar for s in queue)
-    # routes differ by the limit measure inside the extracted balls plus the
-    # cap energy of any site left below the extraction threshold; anything
-    # beyond tolerance is a real bug
+    ledger = limit_energy - base_energy
+    site_route = sum(s.mass for s in queue)
+    # the energy the caps take and the queued masses differ by the limit
+    # measure inside the extracted balls plus the cap energy of any site left
+    # below the extraction threshold; anything beyond tolerance is a real bug
     bias = sum(mass_in(mu_limit, s.location, delta_k) for s in queue)
     bias += sum(c for _, c in skipped)
-    if abs(re_now - site_route - bias) > 1e-3 * (1.0 + limit_energy):
+    if abs(ledger - site_route - bias) > 1e-3 * (1.0 + limit_energy):
         raise DriverError(
-            f"residual-energy routes disagree: ledger {re_now:.9g}, "
+            f"residual-energy routes disagree: caps {ledger:.9g}, "
             f"site sum {site_route:.9g}, expected bias {bias:.9g}"
         )
 
@@ -251,7 +250,7 @@ def _smooth_chart(family: Family, config: ExtractionConfig) -> _Chart:
     notes = tuple(
         f"site below 2*eps_bar left unextracted at {s.location:.4g}" for s, _ in skipped
     )
-    return _Chart(limit_energy, base_energy, queue, eps_bar, (), (), notes, mark)
+    return _Chart(limit_energy, base_energy, queue, (), (), notes, mark)
 
 
 def _nodal_chart(family: Family, config: ExtractionConfig) -> _Chart:
@@ -298,7 +297,6 @@ def _nodal_chart(family: Family, config: ExtractionConfig) -> _Chart:
         reason = "; ".join(why)
         singular += [SingularSite(s.location, s.mass, reason) for s in sites]
     queue = () if why else sites
-    hold = eps_bar / 2.0
 
     delta_k = ladder.finest_scale
     # independent base route: collar energy outside the finest-scale inner
@@ -309,11 +307,11 @@ def _nodal_chart(family: Family, config: ExtractionConfig) -> _Chart:
     # mass frozen into the singular set is identified with no component
     base_energy = max(0.0, base_energy - sum(s.mass for s in singular))
 
-    re_now = _ledger_residual(limit_energy, base_energy, len(queue), hold)
-    site_route = sum(s.mass - hold for s in queue)
-    if queue and abs(re_now - site_route) > 0.05 + 1e-3 * limit_energy:
+    ledger = limit_energy - base_energy
+    site_route = sum(s.mass for s in queue)
+    if queue and abs(ledger - site_route) > 0.05 + 1e-3 * limit_energy:
         raise DriverError(
-            f"residual-energy routes disagree: ledger {re_now:.9g} vs site sum "
+            f"residual-energy routes disagree: collar {ledger:.9g} vs site sum "
             f"{site_route:.9g}"
         )
 
@@ -350,7 +348,7 @@ def _nodal_chart(family: Family, config: ExtractionConfig) -> _Chart:
     # a finished run has extracted every queued site
     notes = ("child nodal sites, if any, deferred to the next iteration",) * len(queue)
     return _Chart(
-        limit_energy, base_energy, queue, hold, tuple(singular), necks, notes, mark, diag_last
+        limit_energy, base_energy, queue, tuple(singular), necks, notes, mark, diag_last
     )
 
 
@@ -395,12 +393,15 @@ def extract_bubble_tree(family: Family, config: ExtractionConfig | None = None) 
     curve = family.curve
     components = [TreeComponent(vertex=0, kind="base", energy=chart.base_energy)]
     necks = list(chart.necks)
-    trace = [_ledger_residual(limit_energy, chart.base_energy, len(chart.queue), chart.hold)]
+
+    def held(queue) -> float:
+        # a smooth site holds back eps_bar until it is extracted, a nodal one eps_bar/2
+        smooth = sum(s.kind == "smooth" for s in queue)
+        return smooth * eps_bar + (len(queue) - smooth) * (eps_bar / 2.0)
+
     accounted = chart.base_energy
-    iteration_cap = max(1, math.ceil(2.0 * limit_energy / eps_bar))
+    trace = [limit_energy - accounted - held(chart.queue)]
     for step, site in enumerate(chart.queue, start=1):
-        if len(trace) - 1 >= iteration_cap:
-            raise DriverError(f"iteration cap {iteration_cap} hit; trace {trace}")
         ins, attach, neck = chart.mark(curve, site)
         curve = ins.curve
         components.append(
@@ -415,9 +416,7 @@ def extract_bubble_tree(family: Family, config: ExtractionConfig | None = None) 
         )
         necks.append(neck)
         accounted += site.mass
-        trace.append(
-            _ledger_residual(limit_energy, accounted, len(chart.queue) - step, chart.hold)
-        )
+        trace.append(limit_energy - accounted - held(chart.queue[step:]))
 
     residual, note, connected = _identity_from_parts(
         limit_energy, components, necks, chart.singular

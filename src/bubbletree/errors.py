@@ -1,5 +1,7 @@
 """Exception hierarchy for the bubbletree package, and the numpy-free input
-rules that the config loader and the numerical layers both call.
+rules that the config loader and the numerical layers both call, among them
+the ladder depth's ``integer`` (also ``ScaleLadder``'s) and the zero-neck
+``neck_schedule`` with its tolerance (also ``zero_neck_test``'s).
 
 Every failure mode that a caller can act on gets its own class; messages
 carry the quantitative context (which condition failed, by how much).
@@ -8,6 +10,7 @@ carry the quantitative context (which condition failed, by how much).
 from __future__ import annotations
 
 import math
+import numbers
 import reprlib
 
 __all__ = [
@@ -104,12 +107,25 @@ def positive_number(value, what: str, error: type[BubbleTreeError]) -> float:
     return float(value)
 
 
-def neck_schedule(deltas) -> tuple[float, ...]:
+def integer(value, what: str, error: type[BubbleTreeError]) -> int:
+    """``value`` as an int when it is an integer or an integral float, else
+    ``error`` ("must be an integer"); a bool is refused."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{what} must be an integer, got {reprlib.repr(value)}")
+    return int(value)
+
+
+def neck_schedule(deltas, eps) -> tuple[float, ...]:
     """The zero-neck radii as floats, refused with ``NeckError`` unless they
-    are finite, positive and strictly decreasing."""
+    are finite, positive and strictly decreasing, and unless the tolerance
+    ``eps`` is positive and finite."""
     deltas = tuple(finite_number(d, "deltas entry", NeckError) for d in deltas)
     if any(d <= 0 for d in deltas):
         raise NeckError("deltas must be positive")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise NeckError("deltas must be strictly decreasing")
+    if not finite_number(eps, "eps", NeckError) > 0:
+        raise NeckError("eps must be positive")
     return deltas

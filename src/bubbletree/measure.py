@@ -30,7 +30,6 @@ one ``ball_masses`` call per candidate.
 from __future__ import annotations
 
 import cmath
-import numbers
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
@@ -43,6 +42,7 @@ from .errors import (
     LadderError,
     MeasureError,
     SubsequenceError,
+    integer,
     positive_number,
 )
 
@@ -70,7 +70,9 @@ class WeightedParticleMeasure:
         by a builder that already holds them (``_with_moduli``)
 
     The arrays are made read-only and may be shared: lattice measures of one
-    degree share one weight array.
+    degree share one weight array.  The constructor copies the arrays it is
+    given, so the caller's stay writeable; ``_with_moduli`` takes over the
+    arrays of a builder that made them.
     """
 
     points: NDArray[np.complex128]
@@ -80,6 +82,8 @@ class WeightedParticleMeasure:
     moduli: NDArray[np.float64] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "points", np.array(self.points, dtype=np.complex128))
+        object.__setattr__(self, "weights", np.array(self.weights, dtype=np.float64))
         self._settle(None)
 
     @classmethod
@@ -227,8 +231,9 @@ class ScaleLadder:
     depth >= 6, and construction refuses any other.  It also refuses a
     depth at which the finest scale or tolerance underflows to 0.0 (every
     depth from 1075 on, up to and beyond the float range), before any array
-    is built.  The depth is an integer: an integral float is stored as an
-    int, and a bool or any other value is refused.
+    is built.  The depth is an integer by ``errors.integer``, the rule the
+    config loader calls too: an integral float is stored as an int, and a
+    bool or any other value is refused.
     """
 
     delta0: float
@@ -240,12 +245,7 @@ class ScaleLadder:
     def __post_init__(self) -> None:
         positive_number(self.delta0, "delta0", LadderError)
         positive_number(self.eps_bar, "eps_bar", LadderError)
-        depth = self.depth
-        if isinstance(depth, float) and depth.is_integer():
-            depth = int(depth)
-        if isinstance(depth, bool) or not isinstance(depth, numbers.Integral):
-            raise LadderError(f"depth must be an integer, got {self.depth!r}")
-        object.__setattr__(self, "depth", int(depth))
+        object.__setattr__(self, "depth", integer(self.depth, "depth", LadderError))
         if self.depth < 6:
             raise LadderError(
                 f"depth must be >= 6 (3 delta_(2k-1) < delta_k at k = depth // 2), "
@@ -368,9 +368,11 @@ def detect_concentrations(
     """Certified concentration sites of a measure sequence against its
     limit, heaviest first.
 
-    A candidate site p (grid scan of the last member) is admitted when
-      * the last member's excess over mu_limit in B(p, delta_m) is >= eps_bar
-        at every tested scale m = 1..2k (k the working index), and
+    A candidate site p (grid scan of the last member) is skipped when the
+    last member's excess over mu_limit in B(p, delta_1) is below eps_bar, and
+    admitted when
+      * that excess is >= eps_bar at every tested scale m = 1..2k (k the
+        working index), and
       * |excess(delta_m) - m_p| < eps_m at all those scales, where m_p is the
         last member's excess at the finest tested scale, and
       * an earlier member passes level 1 (the bounds at m <= 2).
@@ -382,9 +384,11 @@ def detect_concentrations(
     (two nodal candidates snapped to the origin) are refused.
 
     Raises SubsequenceError ("subsequence not extracted") when a candidate
-    holds eps_bar excess but the sequence does not stabilize (the last
+    holds eps_bar excess at the coarsest tested scale but the sequence does
+    not stabilize (the excess falls below eps_bar at a finer scale, the last
     member fails its own multi-scale consistency, or no earlier member
-    corroborates level 1).
+    corroborates level 1): a site skipped there would be booked as base
+    energy.
     """
     if chart_kind not in ("smooth", "nodal"):
         raise MeasureError(f"unknown chart kind {chart_kind!r}")
@@ -406,8 +410,13 @@ def detect_concentrations(
             kind = "smooth"
         limit = ball_masses(mu_limit, loc, scales)
         excess_last = ball_masses(mu_last, loc, scales) - limit
+        if excess_last[0] < eps_bar:
+            continue  # no concentration even at the coarsest tested scale
         if np.any(excess_last < eps_bar):
-            continue  # not a concentration at every tested scale
+            raise SubsequenceError(
+                f"subsequence not extracted: excess at site {loc:.4g} falls below "
+                f"eps_bar at a finer scale (to {excess_last.min():.3g})"
+            )
         m_p = float(excess_last[-1])
         devs = np.abs(excess_last - m_p)
         if np.any(devs >= epses):

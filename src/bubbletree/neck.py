@@ -268,7 +268,7 @@ def build_nodal_pushforward(neck: CylinderField) -> WeightedParticleMeasure:
     h_th = _TWO_PI / neck.n_theta
     density = 0.5 * (neck.ft_sq + neck.fth_sq) * w_t[:, None] * h_th
     x = _collar_points(neck.pinch, t, neck.n_theta).ravel()
-    return WeightedParticleMeasure(x, density.ravel(), chart_radius=neck.delta)
+    return WeightedParticleMeasure._with_moduli(x, density.ravel(), neck.delta, np.abs(x))
 
 
 def _collar_points(pinch: complex, t: np.ndarray, n_theta: int) -> np.ndarray:
@@ -476,7 +476,8 @@ def zero_neck_test(
 ) -> ZeroNeckReport:
     """Do neck energy and image diameter vanish along the family?
 
-    For each delta of the schedule (``errors.neck_schedule``), cut the collar
+    For each delta of the schedule (``errors.neck_schedule``, the rule that
+    also refuses an ``eps`` not positive and finite), cut the collar
     (``collar_rows``) of each member of ``late_half`` and take the sup of
     energy and of the diameter upper bound of `collar_diagnostics` (which
     assumes |f_t| and |f_theta| stay below their sampled maxima inside each
@@ -489,7 +490,7 @@ def zero_neck_test(
     """
     if not delta_schedule:
         raise NeckError("empty delta schedule")
-    delta_schedule = neck_schedule(delta_schedule)
+    delta_schedule = neck_schedule(delta_schedule, eps)
     if not necks:
         raise NeckError("empty neck sequence")
     late = late_half(necks)

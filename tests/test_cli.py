@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from bubbletree import FamilySpec, cli, families, zero_neck_test
 from bubbletree.cli import main
-from bubbletree.errors import ConfigError, FamilyError, NeckError
+from bubbletree.errors import ConfigError, FamilyError, LadderError, NeckError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 PLUMBING = str(CONFIGS / "plumbing.yaml")
@@ -227,6 +227,21 @@ def test_ladder_depth_not_an_integer_exits_2_before_any_family(
     )
     assert main(["extract", "--config", cfg]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("depth", [7, 7.0, 6.5, True, "7", math.inf, math.nan], ids=repr)
+def test_load_takes_a_depth_exactly_when_the_ladder_does(tmp_path, depth):
+    # one integer rule, errors.integer, also where no family builds a ladder
+    from bubbletree import ScaleLadder
+
+    try:
+        want = ScaleLadder(1.0, 0.2, depth).depth
+    except LadderError:
+        with pytest.raises(ConfigError, match="ladder depth must be"):
+            cli.RunConfig({"ladder": {"depth": depth}}, tmp_path)
+    else:
+        got = cli.RunConfig({"ladder": {"depth": depth}}, tmp_path).ladder["depth"]
+        assert (type(got), got) == (int, want)
 
 
 def test_integral_float_depth_loads_as_its_int(tmp_path):

@@ -20,7 +20,7 @@ from bubbletree import (
     driver,
     extract_bubble_tree,
 )
-from bubbletree.errors import DriverError, LadderError, SubsequenceError
+from bubbletree.errors import DriverError, LadderError, NeckError, SubsequenceError
 
 FOUR_PI = 4.0 * math.pi
 
@@ -183,6 +183,44 @@ def test_unstable_site_at_a_regular_node_is_refused(plumbing_bubble_family):
     # a non-regular node to freeze into the singular set
     with pytest.raises(SubsequenceError, match="subsequence not extracted"):
         extract_bubble_tree(plumbing_bubble_family, ExtractionConfig(depth=10))
+
+
+@pytest.mark.parametrize(
+    "family, depth", [("bubble1", 18), ("bubble2", 18), ("plumbing_bubble", 20)]
+)
+def test_deep_ladder_refuses_a_bubble_it_cannot_follow(request, family, depth):
+    # at this depth the last member's excess about each bubble holds eps_bar
+    # at the coarsest tested scale and falls below it at a finer one; skipping
+    # the site would book the bubble's 4 pi as base energy
+    fam = request.getfixturevalue(f"{family}_family")
+    refusal = "^subsequence not extracted: excess .* below eps_bar"
+    with pytest.raises(SubsequenceError, match=refusal):
+        extract_bubble_tree(fam, ExtractionConfig(depth=depth))
+
+
+def test_deep_ladder_freezes_the_torus_node_into_the_singular_set(torus21_family):
+    # the node is not regular, so a site that detection cannot follow down the
+    # ladder at depth 20 goes to the singular set (as at depth 6), not into the
+    # base energy
+    tree = extract_bubble_tree(torus21_family, ExtractionConfig(depth=20))
+    assert [c.kind for c in tree.components] == ["base"]
+    assert tree.components[0].energy == pytest.approx(10.9748, abs=1e-4)
+    assert len(tree.singular) == 1
+    assert tree.singular[0].reason.startswith("subsequence not extracted")
+    assert tree.identity_note == "identity not asserted: non-regular nodal points present"
+    assert tree.connected is None
+
+
+@pytest.mark.parametrize(
+    "neck",
+    [{"neck_eps": math.inf}, {"neck_deltas": ("0.1",)}, {"neck_deltas": (True,)}],
+    ids=["inf_eps", "string_delta", "bool_delta"],
+)
+def test_zero_neck_inputs_are_refused_through_the_library(plumbing_family, neck):
+    # the loader's schedule rule, errors.neck_schedule, runs at extraction too
+    cfg = ExtractionConfig(**{"neck_deltas": (0.1,), **neck})
+    with pytest.raises(NeckError, match="must be a finite number"):
+        extract_bubble_tree(plumbing_family, cfg)
 
 
 def test_torus_tree_routes_to_singular_set(torus21_tree):

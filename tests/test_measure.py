@@ -236,6 +236,15 @@ def test_total_mass_is_not_an_init_parameter():
     assert WeightedParticleMeasure(np.array([0j]), np.array([1.0]), 1.0).mass == 1.0
 
 
+def test_the_constructor_copies_the_callers_arrays():
+    points, weights = np.array([0.1j, 0.2]), np.ones(2)
+    mu = WeightedParticleMeasure(points, weights, 1.0)
+    assert points.flags.writeable and weights.flags.writeable
+    assert not any(a.flags.writeable for a in (mu.points, mu.weights, mu.moduli))
+    points[0], weights[0] = 0.5, 3.0
+    assert (mu.points[0], mu.weights[0], mu.mass) == (0.1j, 1.0, 2.0)
+
+
 @pytest.mark.parametrize(
     "point, weight",
     [(complex(math.nan, 0.0), 1.0), (complex(0.0, -math.inf), 1.0), (0.5j, math.nan), (0.5, math.inf)],

@@ -311,6 +311,14 @@ def test_zero_neck_schedule_validation():
         zero_neck_test([f, f], 0.01, [1.0, 0.1])
 
 
+@pytest.mark.parametrize("eps", [math.inf, math.nan, True, -1.0, 0.0], ids=repr)
+def test_zero_neck_test_refuses_an_eps_the_loader_refuses(eps):
+    # errors.neck_schedule owns the tolerance rule at load and at run time
+    f = identity_sphere_neck(1e-6, 0.5)
+    with pytest.raises(NeckError, match="^eps must be (a finite number|positive)"):
+        zero_neck_test([f, f], eps, [0.1])
+
+
 def test_pohozaev_residual_routes():
     f = identity_sphere_neck(1e-6, 0.5)
     assert diagnostics(f).pohozaev_residual <= 1e-10
