@@ -5,7 +5,8 @@ density piles onto a shrinking ball around the origin while the total over
 the chart tends to the sphere area 4 pi.  The driver detects the site,
 solves for the cut scale, balances the center, inserts a bubble component
 into the dual graph, and re-checks the energy identity by an independent
-quadrature route.
+route: the sphere energy 4 pi less the exact contour energy
+(``families.contour_energy``) of the last member's cap about the site.
 
 Run:  python3 demos/single_bubble_extraction.py
 """

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .curve import BubbleInsertion, MarkedNodalCurve, add_bubble_component, is_regular_node
-from .errors import DriverError, SubsequenceError
+from .errors import DriverError, SubsequenceError, neck_schedule
 from .families import Family, contour_energy
 from .measure import (
     ConcentrationSite,
@@ -82,14 +82,18 @@ class ExtractionConfig:
     ``LadderError``.  Smooth sites are marked on the measure within half the
     chart radius of the site, and each extraction step must lower the
     residual energy by at least eps_bar/2 - step_tol.  The zero-neck
-    schedule and tolerance are refused, by ``errors.neck_schedule``, when a
-    nodal chart runs the zero-neck test on them.
+    schedule and tolerance are refused at construction, for every family,
+    by ``errors.neck_schedule``, the loader's rule; the deltas are kept as
+    the floats it returns.
     """
 
     eps_bar: float = 0.2
     depth: int = 6
     neck_deltas: tuple[float, ...] = ()
     neck_eps: float = 0.01
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "neck_deltas", neck_schedule(self.neck_deltas, self.neck_eps))
 
     @property
     def step_tol(self) -> float:

@@ -13,7 +13,9 @@ density of f = P/Q is
 
 per euclidean chart area.  This is pole-free whenever P and Q share no root.
 Its integral over a chart disk is exact by Stokes' theorem
-(``contour_energy``): a boundary integral plus 4 pi per pole inside.
+(``contour_energy``): a boundary integral plus 4 pi per pole inside.  The
+driver and ``selftest`` read energies that way; ``energy_quadrature``, the
+adaptive quadrature of the density, serves the tests and the bench.
 """
 
 from __future__ import annotations
@@ -54,6 +56,9 @@ _CONTOUR_TOL = 1e-12
 _N_SPHERE = 20000  # lattice points on the sphere, each of weight 4 pi / N
 _CHART_RADIUS = 1.0  # rational families live on the unit disk of the z chart
 _N_T, _N_THETA = 256, 64  # cylinder grid of the neck families
+# a plumbing member squares x and its map on the collar |t|/delta <= |x| <= delta;
+# both radii in this range keep every sample finite
+_PLUMBING_RADII = (2.0**-511, 2.0**510)
 
 
 def _polyder(c: np.ndarray) -> np.ndarray:
@@ -286,7 +291,9 @@ def energy_quadrature(
     sphere's energy is exactly 4 pi degree, so a full-sphere value off it by
     more than 1e-6 of 4 pi max(degree, 1) (the bound of ``selftest``) is
     refused: the error estimates cannot see a bubble too small for every
-    sampled rule.
+    sampled rule.  No pipeline command calls it; the bench's oracle battery
+    (``bench/workloads.py``) integrates seeded maps with it, over the whole
+    sphere as well as over disks.
     """
     if radius is not None:
         return float(_quadrature_checked(rmap.density, complex(center), radius).value)
@@ -439,11 +446,17 @@ class FamilySpec:
         if _BUILDERS[self.kind] is _plumbing_family:
             if any(a <= b for a, b in zip(schedule, schedule[1:])):
                 raise FamilyError("pinch magnitudes must decrease strictly")
+            lo, hi = _PLUMBING_RADII
             for t in schedule:
                 try:
                     _plumbing_transition(self.kind, t)
                 except FamilyError as exc:
                     raise FamilyError(f"pinch t = {t:g}: {exc}") from exc
+                if not (lo <= t / self.delta and self.delta <= hi):
+                    raise FamilyError(
+                        f"pinch t = {t:g}: the collar radii |t|/delta = {t / self.delta:.3g} "
+                        f"and delta = {self.delta:g} must lie in [2^-511, 2^510] to be sampled"
+                    )
 
     @property
     def samples_neck(self) -> bool:

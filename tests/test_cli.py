@@ -10,6 +10,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import assume, example, given, settings
@@ -358,8 +359,20 @@ def test_ladder_underflowing_to_zero_exits_2_before_any_family(tmp_path, capsys,
             "kind: plumbing_bubble\n  schedule: [1.0e-6, 0.25]\n  delta: 0.5",
             "delta 0.5 does not exceed sqrt(t) for the pinch t = 0.25",
         ),
+        # the collar's inner radius |t|/delta squares below the normal floats,
+        # where the field's m' = -t^(1/3)/x^2 overflows
+        (
+            "kind: plumbing_bubble\n  schedule: [1.0e-6, 1.0e-9, 1.0e-12, 1.0e-155]\n"
+            "  delta: 0.5",
+            "pinch t = 1e-155: the collar radii |t|/delta = 2e-155",
+        ),
     ],
-    ids=["plumbing_increasing", "torus_wide_pinch", "plumbing_bubble_wide_pinch"],
+    ids=[
+        "plumbing_increasing",
+        "torus_wide_pinch",
+        "plumbing_bubble_wide_pinch",
+        "plumbing_bubble_unsampled_pinch",
+    ],
 )
 @pytest.mark.parametrize("command", ["extract", "neck"])
 def test_neck_family_schedule_refused_at_load(
@@ -663,6 +676,20 @@ def test_plumbing_pinch_whose_map_is_refused_exits_2_at_load(tmp_path, capsys, n
     assert main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "pinch t = 1e-24: numerator and denominator share a root" in err
+
+
+def test_plumbing_bubble_pinch_of_1e_150_loads_and_extracts(tmp_path):
+    # |t|/delta = 2e-150 is inside the collar rule's range
+    family = "kind: plumbing_bubble\n  schedule: [1.0e-144, 1.0e-146, 1.0e-148, 1.0e-150]"
+    cfg = write_cfg(tmp_path, f"family:\n  {family}\n  delta: 0.5\nout: {tmp_path / 'x'}\n")
+    # (1 + |m|^2)^2 overflows where |m| > 1e77, so squared speeds below about
+    # 4e-154 round to 0; numpy warns, and this suite turns warnings into errors
+    with np.errstate(over="ignore"):
+        assert main(["extract", "--config", cfg]) == 0
+    tree = json.loads((tmp_path / "x" / "tree.json").read_text())
+    assert [c["kind"] for c in tree["components"]] == ["base", "bubble"]
+    # 256 rows over a collar of half-length 172 sample the bubble coarsely
+    assert tree["components"][1]["energy"] == pytest.approx(4.0 * math.pi, rel=0.02)
 
 
 @pytest.mark.parametrize("family", ["bubble1", "[[1]]", "5"], ids=["string", "list", "int"])

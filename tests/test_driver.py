@@ -23,6 +23,7 @@ from bubbletree import (
 from bubbletree.errors import DriverError, LadderError, NeckError, SubsequenceError
 
 FOUR_PI = 4.0 * math.pi
+SHIPPED_NECK_DELTAS = (0.1, 0.05, 0.02, 0.01, 0.005, 0.002)  # configs/plumbing.yaml
 
 
 def test_config_defaults_and_validation(bubble1_family):
@@ -217,10 +218,73 @@ def test_deep_ladder_freezes_the_torus_node_into_the_singular_set(torus21_family
     ids=["inf_eps", "string_delta", "bool_delta"],
 )
 def test_zero_neck_inputs_are_refused_through_the_library(plumbing_family, neck):
-    # the loader's schedule rule, errors.neck_schedule, runs at extraction too
-    cfg = ExtractionConfig(**{"neck_deltas": (0.1,), **neck})
+    # the loader's schedule rule, errors.neck_schedule, refuses the config
+    # itself, before any chart is set up
     with pytest.raises(NeckError, match="must be a finite number"):
-        extract_bubble_tree(plumbing_family, cfg)
+        extract_bubble_tree(plumbing_family, ExtractionConfig(**{"neck_deltas": (0.1,), **neck}))
+
+
+def test_zero_neck_inputs_are_refused_on_a_smooth_family_too(bubble1_family):
+    # a smooth chart never runs the zero-neck test, so only the config can refuse
+    with pytest.raises(NeckError, match="deltas entry must be a finite number"):
+        extract_bubble_tree(
+            bubble1_family, ExtractionConfig(neck_deltas=("0.1",), neck_eps=math.inf)
+        )
+    with pytest.raises(NeckError, match="eps must be a finite number"):
+        ExtractionConfig(neck_eps=math.inf)
+    # a list or integers come back as the tuple of floats the rule returns
+    cfg = ExtractionConfig(neck_deltas=[1, 0.5])
+    assert cfg.neck_deltas == (1.0, 0.5)
+    assert [type(d) for d in cfg.neck_deltas] == [float, float]
+
+
+def test_failed_zero_neck_test_leaves_a_tree_without_singular_sites_unconnected(
+    plumbing_family,
+):
+    # plumbing's neck energy stays above 1e-4 at every shipped delta
+    cfg = ExtractionConfig(neck_deltas=SHIPPED_NECK_DELTAS, neck_eps=1e-4)
+    tree = extract_bubble_tree(plumbing_family, cfg)
+    (node,) = [n for n in tree.necks if n.kind == "node"]
+    assert not node.zero_neck.passed
+    assert tree.singular == () and tree.identity_note == ""
+    assert tree.connected is False
+
+
+@pytest.mark.parametrize("shift, refused", [(0.1, True), (0.005, False)])
+def test_smooth_route_check_refuses_caps_off_past_its_tolerance(
+    bubble1_family, monkeypatch, shift, refused
+):
+    # the caps and the site sum agree to about 1e-4; the tolerance is
+    # 1e-3 (1 + 4 pi) = 0.0136
+    exact = driver.contour_energy
+    monkeypatch.setattr(driver, "contour_energy", lambda *args: exact(*args) + shift)
+    if refused:
+        with pytest.raises(DriverError, match="residual-energy routes disagree: caps"):
+            extract_bubble_tree(bubble1_family)
+    else:
+        assert len(extract_bubble_tree(bubble1_family).components) == 2
+
+
+@pytest.mark.parametrize("shift, refused", [(-0.2, True), (-0.02, False)])
+def test_nodal_route_check_refuses_collar_energy_off_past_its_tolerance(
+    plumbing_bubble_family, monkeypatch, shift, refused
+):
+    # the collar energy and the site mass agree to about 3e-6; the tolerance
+    # is 0.05 + 1e-3 limit_energy = 0.0626.  The collar holds nearly all of
+    # the limit energy and the base energy is clipped at 0, which hides a
+    # raised collar energy, so the shift lowers it
+    exact = driver.collar_diagnostics
+
+    def shifted(field, delta):
+        diag = exact(field, delta)
+        return dataclasses.replace(diag, energy=diag.energy + shift)
+
+    monkeypatch.setattr(driver, "collar_diagnostics", shifted)
+    if refused:
+        with pytest.raises(DriverError, match="residual-energy routes disagree: collar"):
+            extract_bubble_tree(plumbing_bubble_family)
+    else:
+        assert len(extract_bubble_tree(plumbing_bubble_family).components) == 2
 
 
 def test_torus_tree_routes_to_singular_set(torus21_tree):

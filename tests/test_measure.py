@@ -465,6 +465,29 @@ def test_unstabilized_profile_raises():
         )
 
 
+@pytest.mark.parametrize("extra, refused", [(1.5, True), (0.5, False)])
+def test_last_member_deviating_at_four_scales_is_refused_at_eps_4(extra, refused):
+    # three members of mass 4 pi within 1e-3 of 0; the last one also holds an
+    # atom of extra * eps_4 at |x| = 0.04, inside delta_1..delta_4 = 0.0625 but
+    # outside delta_5 = 0.03125, so its excess deviates from the finest-scale
+    # mass by that atom at m = 1..4, where eps_4 is the tightest tolerance
+    lad = ScaleLadder(1.0, 0.2, 6)
+    ring = 5e-4 * np.exp(2j * math.pi * np.arange(64) / 64)
+    weights = np.full(64, FOUR_PI / 64)
+    mus = [WeightedParticleMeasure(ring, weights, 1.0) for _ in range(2)]
+    atom = extra * lad.eps[4]
+    mus.append(
+        WeightedParticleMeasure(np.append(ring, 0.04), np.append(weights, atom), 1.0)
+    )
+    empty = WeightedParticleMeasure.empty(1.0)
+    if refused:
+        with pytest.raises(SubsequenceError, match="last member inconsistent across scales"):
+            detect_concentrations(mus, empty, lad, chart_kind="smooth")
+    else:
+        (site,) = detect_concentrations(mus, empty, lad, chart_kind="smooth")
+        assert abs(site.location) < 1e-3 and site.mass == pytest.approx(FOUR_PI)
+
+
 def test_needs_at_least_two_members():
     lad = ScaleLadder(1.0, 0.2, 6)
     with pytest.raises(ConcentrationError) as exc:
