@@ -376,7 +376,7 @@ def _cmd_neck(cfg: RunConfig, args, stem: str) -> int:
 
     family = make_family(cfg.family_spec)
     rows = []
-    profiles = ("t_nodes", "theta_profile", "alpha_profile")
+    profiles = ("theta_profile", "alpha_profile")
     for m in family.members:
         d = diagnostics(m.field)
         rows.append({"label": m.label, "parameter": m.parameter, **_record(d, drop=profiles)})

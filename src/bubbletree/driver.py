@@ -286,9 +286,17 @@ def _nodal_chart(family: Family, config: ExtractionConfig) -> _Chart:
     if any(s.kind == "smooth" for s in sites):
         raise DriverError("smooth sites on a nodal chart are not supported")
 
-    zero_neck = None
+    necks = ()
     if config.neck_deltas:
-        zero_neck = zero_neck_test(fields, config.neck_eps, list(config.neck_deltas))
+        necks = (
+            NeckRecord(
+                kind="node",
+                edges=(_NODE_EDGE,),
+                alpha=diag_last.alpha,
+                zero_neck=zero_neck_test(fields, config.neck_eps, config.neck_deltas),
+                note="zero-neck verdict for the chart node",
+            ),
+        )
 
     # nodal sites are extracted at a regular node with a balanced neck;
     # otherwise they are frozen into the singular set, with what failed
@@ -309,7 +317,7 @@ def _nodal_chart(family: Family, config: ExtractionConfig) -> _Chart:
     if queue:
         base_energy -= collar_diagnostics(last_field, delta_k).energy
     # mass frozen into the singular set is identified with no component
-    base_energy = max(0.0, base_energy - sum(s.mass for s in singular))
+    base_energy -= sum(s.mass for s in singular)
 
     ledger = limit_energy - base_energy
     site_route = sum(s.mass for s in queue)
@@ -317,18 +325,6 @@ def _nodal_chart(family: Family, config: ExtractionConfig) -> _Chart:
         raise DriverError(
             f"residual-energy routes disagree: collar {ledger:.9g} vs site sum "
             f"{site_route:.9g}"
-        )
-
-    necks = ()
-    if zero_neck is not None:
-        necks = (
-            NeckRecord(
-                kind="node",
-                edges=(_NODE_EDGE,),
-                alpha=diag_last.alpha,
-                zero_neck=zero_neck,
-                note="zero-neck verdict for the chart node",
-            ),
         )
 
     def mark(curve, site):

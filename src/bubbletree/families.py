@@ -472,7 +472,7 @@ class FamilySpec:
         return self.delta if self.samples_neck else _CHART_RADIUS
 
     def collar_rows(self, delta: float, pinches: Sequence[float]) -> list[tuple[int, int, float]]:
-        """``CylinderField.collar_rows(delta)`` of the member field of each
+        """``neck.collar_rows`` of delta on the member field of each
         pinch in ``pinches`` (entries of the schedule), without building the
         fields; raises ``NeckError`` as that does."""
         return [collar_rows(delta, t, self.delta, _N_T) for t in pinches]

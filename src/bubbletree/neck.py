@@ -17,15 +17,16 @@ energy and diameter over a schedule of shrinking chart radii.
 
 The delta-collar |pinch|/delta <= |x| <= delta of xy = pinch has one rule,
 ``collar_half_length``, and ``collar_rows`` alone turns it into the rows
-i0..i1 of a field's t grid; the config loader calls it too, through
-``FamilySpec.collar_rows`` on the members of ``late_half``, so load and the
-zero-neck test refuse the same neck deltas.
+i0..i1 of a field's t grid, which are np.linspace's nodes; the config loader
+calls it too, through ``FamilySpec.collar_rows`` on the members of
+``late_half``, so load and the zero-neck test refuse the same neck deltas.
 Each field caches, on first use, one table of per-t-row theta-sums, and a
 collar is a window of rows: ``collar_diagnostics`` (which the zero-neck test
 calls for every delta) reads rows i0..i1 of the sums without building a
 sub-field, and agrees bit for bit with the diagnostics of the cut sub-field,
-which the tests keep as their reference.  The nodal pushforward (the field's
-energy as atoms on the x-side chart of radius delta) sums
+which the tests keep as their reference; ``diagnostics`` is the window of
+the whole field, its collar at its own delta.  The nodal pushforward (the
+field's energy as atoms on the x-side chart of radius delta) sums
 |f_t|^2 + |f_theta|^2 at every sample of the whole field.  The collar grid
 x = sqrt(pinch) e^{t + i theta} of the sphere fields and the pushforward is
 ``_collar_points``: the complex exp of t + i theta is e^t cos theta +
@@ -50,7 +51,6 @@ are spectrally accurate for the smooth periodic integrands arising here.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -183,10 +183,6 @@ class CylinderField:
             fth_max=fth_norm.max(axis=1),
         )
 
-    def collar_window(self, delta: float) -> tuple[int, int, float]:
-        """``collar_rows`` of this field."""
-        return collar_rows(delta, self.pinch, self.delta, self.n_t)
-
 
 def late_half(members: Sequence) -> Sequence:
     """The later half of a family, middle included: what the zero-neck test reads."""
@@ -212,23 +208,19 @@ def collar_half_length(delta: float, pinch: complex, chart: float | None = None)
 
 def collar_rows(delta: float, pinch: complex, chart: float, n_t: int) -> tuple[int, int, float]:
     """Rows i0..i1 (at least three) of the delta-collar, snapped inward, and
-    its half-length t[i1], on the n_t + 1 t nodes of the field of ``pinch``
-    sampled out to radius ``chart``.  Node i is np.linspace's t[i], from the
-    grid step; the nodes never decrease, so i0 and i1 are found by bisection."""
+    its half-length t[i1], on the t nodes np.linspace(-T, T, n_t + 1) of the
+    field of ``pinch`` sampled out to radius ``chart`` (T its half-length).
+    At delta = ``chart`` every node is kept: (0, n_t, T), the whole field."""
     half_length = collar_half_length(chart, pinch)
     bound = min(collar_half_length(delta, pinch, chart), half_length) * (1.0 + _SLACK)
-    step = (half_length + half_length) / max(n_t, 1)
-
-    def node(i: int) -> float:
-        return half_length if i == n_t else i * step - half_length
-
-    i0 = bisect.bisect_left(range(n_t + 1), -bound, key=node)
-    i1 = bisect.bisect_right(range(n_t + 1), bound, key=node) - 1
+    t = np.linspace(-half_length, half_length, n_t + 1)
+    i0 = int(np.searchsorted(t, -bound, side="left"))
+    i1 = int(np.searchsorted(t, bound, side="right")) - 1
     if i1 - i0 < 2:
         raise NeckError(
             f"delta {delta} leaves a degenerate grid on the collar of pinch t = {abs(pinch):g}"
         )
-    return i0, i1, node(i1)
+    return i0, i1, float(t[i1])
 
 
 @dataclass(frozen=True)
@@ -309,7 +301,6 @@ def cylinder_field_from_sphere_chart(
 class NeckDiagnostics:
     alpha: float
     alpha_deviation: float
-    t_nodes: np.ndarray
     theta_profile: np.ndarray  # Theta(t) per t node
     alpha_profile: np.ndarray  # alpha(t) per t node
     energy: float
@@ -368,33 +359,27 @@ def _diameter_bracket(points: np.ndarray) -> tuple[float, float]:
 
 
 def diagnostics(field: CylinderField) -> NeckDiagnostics:
-    """Energy split, average length, diameter bound, and conformality defects.
+    """``collar_diagnostics`` of the whole field: the collar at its own delta."""
+    return collar_diagnostics(field, field.delta)
+
+
+def collar_diagnostics(field: CylinderField, delta: float) -> NeckDiagnostics:
+    """Energy split, average length, diameter bound, and conformality defects
+    of the delta-collar, rows ``collar_rows`` of the field's t grid, read off
+    its row table without cutting a sub-field.
 
     Asserts the split identity E = 2T alpha + int Theta, and that the
     farthest sample pair found is no farther apart than 2 max-slice-arc +
     avg_length.  The reported diameter is min(upper + 2 rho, chord diameter
-    of the target), with upper the bracket's bound over all samples and
-    rho = (h_t max|f_t| + h_theta max|f_theta|) / 2 the farthest any point of
-    a grid cell lies from its nearest corner, assuming |f_t| and |f_theta|
-    stay below their sampled maxima inside each cell.
+    of the target), with upper the bracket's bound over the window's samples
+    and rho = (h_t max|f_t| + h_theta max|f_theta|) / 2 the farthest any
+    point of a grid cell lies from its nearest corner, assuming |f_t| and
+    |f_theta| stay below their sampled maxima inside each cell.
     """
-    return _window_diagnostics(field, 0, field.n_t, field.half_length)
-
-
-def collar_diagnostics(field: CylinderField, delta: float) -> NeckDiagnostics:
-    """``diagnostics`` of the delta-collar, rows ``field.collar_window(delta)``,
-    read off the field's row table without cutting a sub-field."""
-    return _window_diagnostics(field, *field.collar_window(delta))
-
-
-def _window_diagnostics(
-    field: CylinderField, i0: int, i1: int, T: float
-) -> NeckDiagnostics:
-    """``diagnostics`` of rows i0..i1 of ``field``, whose half-length is T."""
+    i0, i1, T = collar_rows(delta, field.pinch, field.delta, field.n_t)
     n_t = i1 - i0
     h_t = 2.0 * T / n_t
     h_th = _TWO_PI / field.n_theta
-    t = np.linspace(-T, T, n_t + 1)
     w_t = _trapezoid(n_t + 1, h_t)
     rows = field.rows
     win = slice(i0, i1 + 1)
@@ -432,7 +417,6 @@ def _window_diagnostics(
     return NeckDiagnostics(
         alpha=alpha,
         alpha_deviation=alpha_deviation,
-        t_nodes=t,
         theta_profile=theta_profile,
         alpha_profile=alpha_profile,
         energy=energy,
@@ -472,7 +456,7 @@ class ZeroNeckReport:
 
 
 def zero_neck_test(
-    necks: list[CylinderField], eps: float, delta_schedule: list[float]
+    necks: list[CylinderField], eps: float, delta_schedule: Sequence[float]
 ) -> ZeroNeckReport:
     """Do neck energy and image diameter vanish along the family?
 
@@ -521,8 +505,9 @@ def zero_neck_test(
 
 
 def profile_to_csv(diag: NeckDiagnostics) -> str:
-    """Theta and alpha profiles as 't,theta,alpha_slice' rows."""
+    """Theta and alpha profiles as 't,theta,alpha_slice' rows, t on linspace(-T, T)."""
+    t_nodes = np.linspace(-diag.half_length, diag.half_length, diag.theta_profile.size)
     lines = ["t,theta,alpha_slice"]
-    for t, th, al in zip(diag.t_nodes, diag.theta_profile, diag.alpha_profile):
+    for t, th, al in zip(t_nodes, diag.theta_profile, diag.alpha_profile):
         lines.append(f"{float(t)!r},{float(th)!r},{float(al)!r}")
     return "\n".join(lines) + "\n"

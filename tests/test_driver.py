@@ -265,14 +265,16 @@ def test_smooth_route_check_refuses_caps_off_past_its_tolerance(
         assert len(extract_bubble_tree(bubble1_family).components) == 2
 
 
-@pytest.mark.parametrize("shift, refused", [(-0.2, True), (-0.02, False)])
+@pytest.mark.parametrize(
+    "shift, refused", [(-0.2, True), (-0.02, False), (0.2, True), (0.02, False)]
+)
 def test_nodal_route_check_refuses_collar_energy_off_past_its_tolerance(
     plumbing_bubble_family, monkeypatch, shift, refused
 ):
     # the collar energy and the site mass agree to about 3e-6; the tolerance
     # is 0.05 + 1e-3 limit_energy = 0.0626.  The collar holds nearly all of
-    # the limit energy and the base energy is clipped at 0, which hides a
-    # raised collar energy, so the shift lowers it
+    # the limit energy, so a raised collar energy drives the base energy
+    # below 0; the ledger books it unclipped, and the check sees it
     exact = driver.collar_diagnostics
 
     def shifted(field, delta):

@@ -100,9 +100,9 @@ def restrict(field, half_length):
 
 
 def collar(field, delta):
-    """Sub-cylinder of ``field.collar_window(delta)``: the cut collar that
+    """Sub-cylinder of the field's ``collar_rows(delta)``: the cut collar that
     the row windows agree with bit for bit."""
-    return cut(field, *field.collar_window(delta))
+    return cut(field, *collar_rows(delta, field.pinch, field.delta, field.n_t))
 
 
 def spherical_cap_area(r):
@@ -328,6 +328,22 @@ def test_pohozaev_residual_routes():
     assert diagnostics(stretched).pohozaev_residual == pytest.approx(0.44 / 2.44, rel=1e-12)
 
 
+def test_profile_csv_of_a_collar_prints_the_windows_own_t_nodes():
+    raw = yaml.safe_load((CONFIGS / "plumbing.yaml").read_text(encoding="utf-8"))
+    f = make_family(FamilySpec.from_dict(raw["family"])).members[-1].field
+    delta = 0.1
+    i0, i1, T = collar_rows(delta, f.pinch, f.delta, f.n_t)
+    assert 0 < i0 and i1 < f.n_t
+    d = collar_diagnostics(f, delta)
+    lines = profile_to_csv(d).strip().split("\n")[1:]
+    assert len(lines) == i1 - i0 + 1
+    t = [float(line.split(",")[0]) for line in lines]
+    assert t == np.linspace(-T, T, i1 - i0 + 1).tolist()
+    # the window's nodes are the field's grid nodes i0..i1, up to rounding
+    np.testing.assert_allclose(t, t_nodes(f)[i0 : i1 + 1], rtol=0, atol=1e-12 * T)
+    assert [float(line.split(",")[1]) for line in lines] == d.theta_profile.tolist()
+
+
 def test_profile_csv_round_trip():
     d = diagnostics(linear_torus_field(2.0, 1.0, 1.0, math.exp(1.5), n_t=16))
     text = profile_to_csv(d)
@@ -530,8 +546,7 @@ def reference_diagnostics(field):
     T = field.half_length
     h_t = 2.0 * T / field.n_t
     h_th = TWO_PI / field.n_theta
-    t = t_nodes(field)
-    w_t = _trapezoid(len(t), h_t)
+    w_t = _trapezoid(field.n_t + 1, h_t)
     ft_sq, fth_sq = field.ft_sq, field.fth_sq
     alpha_profile = 0.5 * np.sum(ft_sq - fth_sq, axis=1) * h_th
     theta_profile = np.sum(fth_sq, axis=1) * h_th
@@ -546,7 +561,6 @@ def reference_diagnostics(field):
     return NeckDiagnostics(
         alpha=alpha,
         alpha_deviation=float(np.max(np.abs(alpha_profile - alpha))),
-        t_nodes=t,
         theta_profile=theta_profile,
         alpha_profile=alpha_profile,
         energy=float(0.5 * np.sum(w_t * slice_energy)),
@@ -602,6 +616,9 @@ def test_collar_windows_match_cut_collars_bit_for_bit(stem):
     assert rep.rows == reference_rows(fields, 0.01, deltas)
     for f in fields:
         same_bits(diagnostics(f), reference_diagnostics(f))
+        # the whole field is the collar at its own delta
+        assert collar_rows(f.delta, f.pinch, f.delta, f.n_t) == (0, f.n_t, f.half_length)
+        same_bits(diagnostics(f), collar_diagnostics(f, f.delta))
         for delta in (d for d in deltas if d > math.sqrt(abs(f.pinch))):
             same_bits(collar_diagnostics(f, delta), reference_diagnostics(collar(f, delta)))
         mu = build_nodal_pushforward(f)
@@ -626,6 +643,14 @@ def test_collar_windows_match_on_grid_nodes(log_pinch, n_t, n_theta, node, on_ch
     f = cylinder_field_from_sphere_chart(
         lambda x: x + pinch / x, lambda x: 1.0 - pinch / (x * x), pinch, 0.5, 2 * n_t, n_theta
     )
+    if on_chart:  # the whole field, never refused
+        x, w = reference_pushforward(f, 0.5)
+        mu = build_nodal_pushforward(f)
+        assert mu.points.tobytes() == x.tobytes() and mu.weights.tobytes() == w.tobytes()
+        # the pushforward reads the per-sample density, not the row table
+        assert "rows" not in vars(f)
+    # the whole field is the collar at its own delta
+    same_bits(diagnostics(f), collar_diagnostics(f, f.delta))
     t = t_nodes(f)
     k = n_t + int(round(node * n_t))  # a node at or right of t = 0
     delta = 0.5 if on_chart else math.sqrt(pinch) * math.exp(t[k])
@@ -636,12 +661,6 @@ def test_collar_windows_match_on_grid_nodes(log_pinch, n_t, n_theta, node, on_ch
             collar_diagnostics(f, delta)
         assert str(got.value) == str(exc)
         return
-    if on_chart:
-        x, w = reference_pushforward(f, delta)
-        mu = build_nodal_pushforward(f)
-        assert mu.points.tobytes() == x.tobytes() and mu.weights.tobytes() == w.tobytes()
-        # the pushforward reads the per-sample density, not the row table
-        assert "rows" not in vars(f)
     same_bits(collar_diagnostics(f, delta), reference_diagnostics(sub))
 
 

@@ -49,6 +49,11 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
         "if queue and abs(ledger - site_route) > 0.05 + 1e-3 * limit_energy:",
         "if queue and abs(ledger - site_route) > 0.5 + 1e-3 * limit_energy:",
     ),
+    "nodal-base-clipped": (
+        "driver",
+        "base_energy -= sum(s.mass for s in singular)",
+        "base_energy = max(0.0, base_energy - sum(s.mass for s in singular))",
+    ),
     "detection-consistency-2eps": (
         "measure",
         "if np.any(devs >= epses):",
